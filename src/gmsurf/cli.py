@@ -42,6 +42,7 @@ from .fileio import (
     matrix_to_json,
     reduction_cert_from_json,
     reduction_cert_to_json,
+    reject_float,
     rows_to_json,
     save_json,
     surface_cert_from_json,
@@ -228,23 +229,13 @@ def cmd_gen(args) -> int:
     return EXIT_HOLDS
 
 
-def _reject_float(text: str):
-    raise FileFormatError(f"floats are not exact; write {text!r} as a rational string")
-
-
 def _read_matrix(source: str) -> SymMatrix:
     if source == "-":
         text = sys.stdin.read()
     else:
         text = Path(source).read_text()
-    data = json.loads(text, parse_float=_reject_float)
-    rows = matrix_rows_from_json(data, "matrix")
-    A = SymMatrix(rows)
-    for i in range(A.order):
-        for j in range(A.order):
-            if i != j and A[i, j] < 0:
-                raise FileFormatError(f"negative off-diagonal entry at ({i}, {j})")
-    return A
+    data = json.loads(text, parse_float=reject_float)
+    return SymMatrix(matrix_rows_from_json(data, "matrix"))
 
 
 def cmd_matrix(args) -> int:

@@ -30,9 +30,9 @@ from .exact_linalg import (
     DisconnectedMatrixError,
     Inertia,
     SymMatrix,
+    check_nonnegative_off_diagonal,
     inertia,
     is_connected_matrix,
-    is_negative_definite,
     principal_submatrix,
 )
 from .manifold import a_minus, split_blocks
@@ -64,10 +64,7 @@ class Verdict:
 def _check_input(A: SymMatrix) -> None:
     if A.order == 0:
         raise ValueError("empty matrix")
-    for i in range(A.order):
-        for j in range(i + 1, A.order):
-            if A[i, j] < 0:
-                raise ValueError(f"negative off-diagonal entry at ({i}, {j})")
+    check_nonnegative_off_diagonal(A)
     if not is_connected_matrix(A):
         raise DisconnectedMatrixError("matrix graph is disconnected")
 
@@ -75,6 +72,35 @@ def _check_input(A: SymMatrix) -> None:
 def _same_sign_diagonal(A: SymMatrix) -> bool:
     diag = A.diagonal()
     return all(d >= 0 for d in diag) or all(d <= 0 for d in diag)
+
+
+def _immersed(A: SymMatrix, ine: Inertia) -> tuple[bool, Branch]:
+    if ine.n_pos > 0:
+        return True, Branch.POSITIVE_EIGENVALUE
+    if ine.n_zero > 0:
+        if _same_sign_diagonal(A):
+            return True, Branch.SEMIDEFINITE_SAME_SIGN
+        return False, Branch.SEMIDEFINITE_MIXED_SIGN
+    return False, Branch.NEGATIVE_DEFINITE
+
+
+def _negative_definite_block(B: SymMatrix) -> bool:
+    # An empty block is negative definite vacuously and costs no inertia call.
+    # Other blocks go through this module's `inertia` binding, like A-minus,
+    # so every inertia a decision takes is made under that one name.
+    if B.order == 0:
+        return True
+    ine = inertia(B)
+    return ine.n_pos == 0 and ine.n_zero == 0
+
+
+def _virtually_embedded(A: SymMatrix) -> bool:
+    pos, neg, zero = split_blocks(A)
+    if zero:
+        return True
+    p_block = a_minus(principal_submatrix(A, pos))
+    n_block = principal_submatrix(A, neg)
+    return not _negative_definite_block(p_block) or not _negative_definite_block(n_block)
 
 
 def decide_immersed(A: SymMatrix) -> tuple[bool, Branch]:
@@ -85,14 +111,7 @@ def decide_immersed(A: SymMatrix) -> tuple[bool, Branch]:
     (zero counting as either sign).
     """
     _check_input(A)
-    ine = inertia(a_minus(A))
-    if ine.n_pos > 0:
-        return True, Branch.POSITIVE_EIGENVALUE
-    if ine.n_zero > 0:
-        if _same_sign_diagonal(A):
-            return True, Branch.SEMIDEFINITE_SAME_SIGN
-        return False, Branch.SEMIDEFINITE_MIXED_SIGN
-    return False, Branch.NEGATIVE_DEFINITE
+    return _immersed(A, inertia(a_minus(A)))
 
 
 def decide_virtually_embedded(A: SymMatrix) -> bool:
@@ -104,23 +123,19 @@ def decide_virtually_embedded(A: SymMatrix) -> bool:
     definite vacuously.
     """
     _check_input(A)
-    pos, neg, zero = split_blocks(A)
-    if zero:
-        return True
-    p_block = a_minus(principal_submatrix(A, pos))
-    n_block = principal_submatrix(A, neg)
-    return not is_negative_definite(p_block) or not is_negative_definite(n_block)
+    return _virtually_embedded(A)
 
 
 def decide(A: SymMatrix) -> Verdict:
-    """Run both decisions and package the outcome."""
-    property_i, branch = decide_immersed(A)
-    property_ve = decide_virtually_embedded(A)
+    """Run both decisions in one pass: one input check, one inertia of A-minus."""
+    _check_input(A)
+    ine = inertia(a_minus(A))
+    property_i, branch = _immersed(A, ine)
     return Verdict(
         property_i=property_i,
-        property_ve=property_ve,
+        property_ve=_virtually_embedded(A),
         branch=branch,
-        inertia_of_a_minus=inertia(a_minus(A)),
+        inertia_of_a_minus=ine,
     )
 
 

@@ -1,9 +1,15 @@
-"""Exact rational linear algebra for small dense symmetric matrices.
+"""Exact linear algebra for small dense matrices, with no floating point.
 
-Everything here works over arbitrary-precision rationals (`fractions.Fraction`);
-there is no floating point anywhere.  Matrices are tiny (a graph manifold has a
-few dozen Seifert pieces at most), so dense storage and O(s^3) algorithms are
-the right trade-off.
+Matrices enter and results leave as arbitrary-precision rationals
+(`fractions.Fraction`): :class:`SymMatrix` entries, determinants, kernel
+vectors and solutions.  In between, every elimination runs on Python ints.
+Denominators are cleared first, by one common multiple for the whole matrix
+in :func:`inertia` and by one per row (equation) in :func:`determinant_rows`,
+:func:`nullspace_rows` and :func:`solve_rows`; then fraction-free (Bareiss)
+elimination divides exactly by the previous pivot at each step, so entries
+stay integers the size of minors of the input.  Matrices are tiny (a graph
+manifold has a few dozen Seifert pieces at most), so dense storage and
+O(s^3) algorithms are the right trade-off.
 
 The signature routine is :func:`inertia`, which computes the exact eigenvalue
 sign counts (n_pos, n_zero, n_neg) of a symmetric rational matrix by congruence
@@ -16,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -143,49 +150,78 @@ class SymMatrix:
         return cls([[0] * n for _ in range(n)])
 
 
+def _clear_denominators(values: Iterable[Fraction | int]) -> tuple[int, list[int]]:
+    """(L, the values times L as Python ints), L the lcm of their denominators.
+
+    Scaling by a positive constant changes neither the signs of a symmetric
+    matrix's eigenvalues (applied to the whole matrix) nor the null space and
+    the solution of a system (applied to one row and its right-hand side).
+    """
+    values = list(values)
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def inertia(A: SymMatrix) -> Inertia:
     """Exact inertia (n_pos, n_zero, n_neg) by symmetric congruence reduction.
 
-    Uses 1x1 pivots, swapping in a nonzero diagonal entry when available.  When
-    the whole trailing diagonal is zero but some off-diagonal entry b is not,
-    adding row+column j to row+column k manufactures the pivot 2b (the classic
-    handling of a [[0, b], [b, 0]] block, which contributes one positive and
-    one negative eigenvalue).  Correctness is Sylvester's law of inertia.
+    Runs on the integer matrix L*A (L the lcm of all denominators) with 1x1
+    pivots, swapping in a nonzero diagonal entry when available.  When the
+    whole trailing diagonal is zero but some off-diagonal entry b is not,
+    adding row+column j to row+column k manufactures the pivot 2b (the
+    classic handling of a [[0, b], [b, 0]] block, which contributes one
+    positive and one negative eigenvalue).  A trailing row that is entirely
+    zero contributes a zero eigenvalue and is dropped.
+
+    Elimination is fraction-free (Bareiss): the trailing block is kept as
+    |d| times the Schur complement, d the previous pivot, so every entry is a
+    minor of an integer matrix congruent to L*A and each update divides
+    exactly by the previous |d|.  Scaling by |d| > 0 keeps signs, so each
+    pivot's sign is the sign of one eigenvalue (Sylvester's law of inertia).
+    Swaps and the 2b move are integer unimodular congruences and keep the
+    division exact.
     """
     n = A.order
-    m = A.to_lists()
+    _, flat = _clear_denominators(x for row in A.rows for x in row)
+    block = [flat[i * n:(i + 1) * n] for i in range(n)]
     n_pos = n_zero = n_neg = 0
-    k = 0
-    while k < n:
-        if m[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
+    prev = 1
+    while block:
+        head = block[0]
+        if head[0] == 0:
+            swap = next((j for j in range(1, len(block)) if block[j][j] != 0), None)
             if swap is not None:
-                for c in range(k, n):
-                    m[k][c], m[swap][c] = m[swap][c], m[k][c]
-                for r in range(k, n):
-                    m[r][k], m[r][swap] = m[r][swap], m[r][k]
+                block[0], block[swap] = block[swap], block[0]
+                for row in block:
+                    row[0], row[swap] = row[swap], row[0]
             else:
-                mate = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
+                mate = next((j for j, x in enumerate(head) if x != 0), None)
                 if mate is None:
                     n_zero += 1
-                    k += 1
+                    block = [row[1:] for row in block[1:]]
                     continue
-                for c in range(k, n):
-                    m[k][c] = m[k][c] + m[mate][c]
-                for r in range(k, n):
-                    m[r][k] = m[r][k] + m[r][mate]
-        pivot = m[k][k]
+                block[0] = [a + b for a, b in zip(head, block[mate])]
+                for row in block:
+                    row[0] += row[mate]
+            head = block[0]
+        pivot = head[0]
         if pivot > 0:
             n_pos += 1
+            weight, tail = pivot, head[1:]
         else:
             n_neg += 1
-        for i in range(k + 1, n):
-            factor = m[i][k]
-            if factor == 0:
-                continue
-            for j in range(k + 1, n):
-                m[i][j] -= factor * m[k][j] / pivot
-        k += 1
+            weight, tail = -pivot, [-x for x in head[1:]]
+        rest = []
+        for row in block[1:]:
+            factor = row[0]
+            if factor != 0:
+                rest.append([(weight * x - factor * y) // prev for x, y in zip(row[1:], tail)])
+            elif weight == prev:
+                rest.append(row[1:])
+            else:
+                rest.append([weight * x // prev for x in row[1:]])
+        block = rest
+        prev = weight
     return Inertia(n_pos, n_zero, n_neg)
 
 
@@ -198,70 +234,86 @@ def is_negative_definite(A: SymMatrix) -> bool:
     return ine.n_pos == 0 and ine.n_zero == 0
 
 
-def determinant(A: SymMatrix) -> Fraction:
-    """Exact determinant (rational Gaussian elimination)."""
-    return determinant_rows(A.to_lists())
+def _eliminate(m: list[list[int]], stop_col: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Pivots on columns ``0 .. stop_col - 1`` in order, taking the first row
+    at or below the current one with a nonzero entry.  Every row other than
+    the pivot row becomes (p*row - row[col]*pivot_row) / p_prev, an exact
+    division (each entry is a minor of the input, up to sign).  At the end
+    every pivot row holds the last pivot d at its pivot column and zeros at
+    the other pivot columns, so the reduced row echelon form is m / d.
+
+    Returns the pivot columns, d (1 when there is none) and the number of
+    row swaps.
+    """
+    pivot_cols: list[int] = []
+    prev = 1
+    swaps = 0
+    row = 0
+    for col in range(stop_col):
+        if row == len(m):
+            break
+        found = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
+        if found is None:
+            continue
+        if found != row:
+            m[row], m[found] = m[found], m[row]
+            swaps += 1
+        lead = m[row]
+        p = lead[col]
+        for r in range(len(m)):
+            if r == row:
+                continue
+            factor = m[r][col]
+            if factor != 0:
+                m[r] = [(p * x - factor * y) // prev for x, y in zip(m[r], lead)]
+            elif p != prev:
+                m[r] = [p * x // prev for x in m[r]]
+        pivot_cols.append(col)
+        prev = p
+        row += 1
+    return pivot_cols, prev, swaps
 
 
 def determinant_rows(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a general (not necessarily symmetric) square matrix."""
+    """Exact determinant of a general (not necessarily symmetric) square matrix.
+
+    Each row is scaled to integers by the lcm of its denominators; the
+    determinant of the integer matrix is its last fraction-free pivot.
+    """
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [list(r) for r in rows]
-    sign = 1
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        det *= pivot
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] / pivot
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    return det * sign
+    scale = 1
+    m = []
+    for r in rows:
+        row_scale, ints = _clear_denominators(r)
+        scale *= row_scale
+        m.append(ints)
+    pivot_cols, d, swaps = _eliminate(m, n)
+    if len(pivot_cols) < n:
+        return Fraction(0)
+    return Fraction(-d if swaps % 2 else d, scale)
 
 
 def nullspace_rows(rows: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
     """Exact basis of the null space of a general square or rectangular matrix.
 
     Returned vectors come from the reduced row echelon form, one per free
-    column, in ascending free-column order (deterministic).
+    column, in ascending free-column order (deterministic).  Rows are scaled
+    to integers one at a time, which leaves the null space unchanged.
     """
-    m = [list(r) for r in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(row, n_rows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        lead = m[row][col]
-        m[row] = [x / lead for x in m[row]]
-        for r in range(n_rows):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        pivot_cols.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
+    m = [_clear_denominators(r)[1] for r in rows]
+    n_cols = len(m[0]) if m else 0
+    pivot_cols, d, _ = _eliminate(m, n_cols)
+    pivots = set(pivot_cols)
     basis = []
-    for free in free_cols:
+    for free in range(n_cols):
+        if free in pivots:
+            continue
         vec = [Fraction(0)] * n_cols
         vec[free] = Fraction(1)
         for r, pc in enumerate(pivot_cols):
-            vec[pc] = -m[r][free]
+            vec[pc] = Fraction(-m[r][free], d)
         basis.append(tuple(vec))
     return basis
 
@@ -272,21 +324,17 @@ def kernel_basis(A: SymMatrix) -> list[tuple[Fraction, ...]]:
 
 
 def solve_rows(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Solve a nonsingular square system exactly.  Raises ValueError if singular."""
+    """Solve a nonsingular square system exactly.  Raises ValueError if singular.
+
+    Each equation (row plus right-hand side) is scaled to integers by its own
+    lcm; after fraction-free Gauss-Jordan elimination x[i] = m[i][n] / d.
+    """
     n = len(rows)
-    m = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        m[col], m[pivot] = m[pivot], m[col]
-        lead = m[col][col]
-        m[col] = [x / lead for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return tuple(m[i][n] for i in range(n))
+    m = [_clear_denominators([*r, rhs[i]])[1] for i, r in enumerate(rows)]
+    pivot_cols, d, _ = _eliminate(m, n)
+    if len(pivot_cols) < n:
+        raise ValueError("singular system")
+    return tuple(Fraction(m[i][n], d) for i in range(n))
 
 
 def matrix_graph_components(A: SymMatrix) -> list[list[int]]:
@@ -316,6 +364,18 @@ def matrix_graph_components(A: SymMatrix) -> list[list[int]]:
 
 def is_connected_matrix(A: SymMatrix) -> bool:
     return len(matrix_graph_components(A)) <= 1
+
+
+def check_nonnegative_off_diagonal(A: SymMatrix) -> None:
+    """Raise ValueError naming the first negative off-diagonal entry, if any.
+
+    Decomposition matrices, and every matrix the decision and reduction
+    layers accept, have non-negative off-diagonal entries.
+    """
+    for i in range(A.order):
+        for j in range(i + 1, A.order):
+            if A[i, j] < 0:
+                raise ValueError(f"negative off-diagonal entry at ({i}, {j})")
 
 
 def principal_submatrix(A: SymMatrix, idx: Iterable[int]) -> SymMatrix:

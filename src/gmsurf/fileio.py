@@ -243,12 +243,12 @@ def surface_cert_from_json(data) -> SurfaceCertificate:
 def load_json(path: str | Path):
     text = Path(path).read_text()
     try:
-        return json.loads(text, parse_float=_reject_float)
+        return json.loads(text, parse_float=reject_float)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
-def _reject_float(text: str):
+def reject_float(text: str):
     raise FileFormatError(
         f"floats are not exact; write the rational {text!r} as a string like \"1/2\""
     )

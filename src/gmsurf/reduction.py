@@ -29,6 +29,7 @@ from typing import Sequence
 
 from .exact_linalg import (
     SymMatrix,
+    check_nonnegative_off_diagonal,
     determinant_rows,
     inertia,
     is_connected_matrix,
@@ -79,6 +80,14 @@ class ReductionCertificate:
     def support(self) -> tuple[int, ...]:
         """Indices where the annihilated vector is nonzero."""
         return tuple(i for i, v in enumerate(self.a) if v != 0)
+
+    def has_order(self, n: int) -> bool:
+        """True iff ``a`` has length n and ``a_prime`` is n x n."""
+        return (
+            len(self.a) == n
+            and len(self.a_prime) == n
+            and all(len(row) == n for row in self.a_prime)
+        )
 
 
 def _max_support_kernel_vector(basis: Sequence[tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
@@ -155,10 +164,7 @@ def find_singular_reduction(
     block are ignored, and omitted block positions are appended in row-major
     order so the walk always has enough entries to terminate.
     """
-    for i in range(A.order):
-        for j in range(i + 1, A.order):
-            if A[i, j] < 0:
-                raise ValueError(f"negative off-diagonal entry at ({i}, {j})")
+    check_nonnegative_off_diagonal(A)
     B = a_minus(A)
     if is_negative_definite(B):
         raise NegativeDefiniteError("A-minus is negative definite")
@@ -214,7 +220,7 @@ def verify_reduction(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
     """Recheck every certificate invariant against A; return violations (empty = valid)."""
     violations: list[str] = []
     n = A.order
-    if cert.order != n or any(len(row) != n for row in cert.a_prime):
+    if not cert.has_order(n):
         return [f"shape mismatch: certificate order {cert.order}, matrix order {n}"]
     for i in range(n):
         if cert.a_prime[i][i] != A[i, i]:
@@ -261,10 +267,7 @@ def negativity_certificate(A: SymMatrix) -> NegativityCertificate:
     """
     if not is_connected_matrix(A):
         raise ValueError("matrix graph is disconnected")
-    for i in range(A.order):
-        for j in range(i + 1, A.order):
-            if A[i, j] < 0:
-                raise ValueError(f"negative off-diagonal entry at ({i}, {j})")
+    check_nonnegative_off_diagonal(A)
     ine = inertia(A)
     if ine.n_pos > 0:
         raise NotNegativeError(f"matrix has {ine.n_pos} positive eigenvalues")

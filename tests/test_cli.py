@@ -11,7 +11,7 @@ import pytest
 
 from gmsurf.cli import main
 from gmsurf.fileio import load_json, save_json, save_manifold
-from gmsurf.manifold import GluingTorus, two_piece_graph
+from gmsurf.manifold import DecompositionGraph, GluingTorus, SeifertPiece, two_piece_graph
 
 
 def write_manifold(tmp_path, name, e1, e2, **torus_kwargs):
@@ -103,6 +103,24 @@ def test_verify_tampered_certificate_is_invalid(tmp_path, capsys):
     doc["systems"][0]["b_minus"] = doc["systems"][0]["b_minus"] + 1
     save_json(doc, cert)
     assert main(["verify", str(manifold), str(cert)]) == 4
+
+
+def test_verify_mis_sized_reduction_is_invalid(tmp_path, capsys):
+    # A 4-piece path whose Euler numbers -3/2 give A-minus a positive eigenvalue.
+    G = DecompositionGraph(
+        pieces=tuple(SeifertPiece(id=k, euler="-3/2", genus=1) for k in range(1, 5)),
+        tori=tuple(GluingTorus(from_piece=k, to_piece=k + 1, p=1) for k in range(1, 4)),
+    )
+    manifold = tmp_path / "path.json"
+    save_manifold(G, manifold)
+    cert = tmp_path / "cert.json"
+    assert main(["certify", str(manifold), "--out", str(cert)]) == 0
+    doc = load_json(cert)
+    doc["reduction"]["a_prime"] = [row[:3] for row in doc["reduction"]["a_prime"][:3]]
+    doc["reduction"]["a"] = doc["reduction"]["a"][:3]
+    save_json(doc, cert)
+    assert main(["verify", str(manifold), str(cert)]) == 4
+    assert "shape mismatch" in capsys.readouterr().out
 
 
 def test_verify_against_wrong_manifold_is_invalid(tmp_path, capsys):

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies
 
+import gmsurf.decision as decision
 from gmsurf.decision import (
     Branch,
     NotTwoPieceError,
@@ -184,6 +185,31 @@ def test_branch_tag_tracks_positive_eigenvalue():
         assert (verdict.branch is Branch.POSITIVE_EIGENVALUE) == (
             inertia(a_minus(sym(rows))).n_pos > 0
         )
+
+
+@pytest.mark.parametrize(
+    "rows, blocks",
+    [
+        # a zero diagonal settles VE: no block is looked at
+        ([[0, "3/2"], ["3/2", 0]], []),
+        # no positive diagonal: only the negative block
+        ([["-2", 1], [1, "-2"]], [[["-2", 1], [1, "-2"]]]),
+        # both blocks, the positive one (negated) being definite
+        ([[1, 1], [1, "-1"]], [[["-1"]], [["-1"]]]),
+        # the positive block (negated) is indefinite, so VE holds without the negative one
+        ([[1, 2, 1], [2, 1, 1], [1, 1, "-1"]], [[["-1", 2], [2, "-1"]]]),
+    ],
+)
+def test_decide_takes_each_inertia_once(monkeypatch, rows, blocks):
+    seen, checked = [], []
+    real_inertia, real_check = decision.inertia, decision._check_input
+    monkeypatch.setattr(decision, "inertia", lambda B: seen.append(B) or real_inertia(B))
+    monkeypatch.setattr(decision, "_check_input", lambda A: checked.append(A) or real_check(A))
+    A = sym(rows)
+    verdict = decide(A)
+    assert checked == [A]
+    assert seen == [a_minus(A)] + [sym(b) for b in blocks]
+    assert verdict.inertia_of_a_minus == inertia(a_minus(A))
 
 
 # --- two-piece invariant ----------------------------------------------------

@@ -1,20 +1,25 @@
 """Tests for the exact symmetric-matrix layer.
 
-The inertia routine is checked three independent ways: against hand-computed
-examples, against Sylvester's law under random congruences, and against a
+The inertia routine is checked four independent ways: against hand-computed
+examples, against Sylvester's law under random congruences, against a
 characteristic-polynomial sign-counting oracle (valid because symmetric
-matrices have only real eigenvalues, where Descartes' bound is exact).
+matrices have only real eigenvalues, where Descartes' bound is exact), and
+against plain `Fraction` elimination.  The integer (fraction-free) core is
+cross-checked against the `Fraction` oracles at orders up to 12, with large
+denominators, all-zero diagonals, rank deficiency and decomposition matrices
+of every verdict class.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies
 
+from gmsurf.decision import Branch, decide
 from gmsurf.exact_linalg import (
     Inertia,
     SymMatrix,
-    determinant,
     determinant_rows,
     inertia,
     is_connected_matrix,
@@ -22,12 +27,14 @@ from gmsurf.exact_linalg import (
     kernel_basis,
     mat_vec,
     matrix_graph_components,
+    nullspace_rows,
     primitive_vector,
     principal_submatrix,
     rational_str,
     solve_rows,
     to_rational,
 )
+from gmsurf.manifold import a_minus, split_blocks
 
 F = Fraction
 
@@ -63,6 +70,74 @@ def square_matrices(max_order=4, entries=small_rationals):
     return strategies.composite(build)()
 
 
+# --- Fraction elimination oracles ------------------------------------------
+
+
+def fraction_inertia(A: SymMatrix) -> Inertia:
+    """Inertia by symmetric congruence over `Fraction` (the pre-integer core)."""
+    n = A.order
+    m = A.to_lists()
+    n_pos = n_zero = n_neg = 0
+    k = 0
+    while k < n:
+        if m[k][k] == 0:
+            swap = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
+            if swap is not None:
+                for c in range(k, n):
+                    m[k][c], m[swap][c] = m[swap][c], m[k][c]
+                for r in range(k, n):
+                    m[r][k], m[r][swap] = m[r][swap], m[r][k]
+            else:
+                mate = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
+                if mate is None:
+                    n_zero += 1
+                    k += 1
+                    continue
+                for c in range(k, n):
+                    m[k][c] = m[k][c] + m[mate][c]
+                for r in range(k, n):
+                    m[r][k] = m[r][k] + m[r][mate]
+        pivot = m[k][k]
+        if pivot > 0:
+            n_pos += 1
+        else:
+            n_neg += 1
+        for i in range(k + 1, n):
+            factor = m[i][k]
+            if factor == 0:
+                continue
+            for j in range(k + 1, n):
+                m[i][j] -= factor * m[k][j] / pivot
+        k += 1
+    return Inertia(n_pos, n_zero, n_neg)
+
+
+def fraction_determinant(rows) -> Fraction:
+    """Determinant by `Fraction` Gaussian elimination (the pre-integer core)."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    m = [list(r) for r in rows]
+    sign = 1
+    det = Fraction(1)
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            sign = -sign
+        pivot = m[col][col]
+        det *= pivot
+        for r in range(col + 1, n):
+            if m[r][col] == 0:
+                continue
+            factor = m[r][col] / pivot
+            for c in range(col, n):
+                m[r][c] -= factor * m[col][c]
+    return det * sign
+
+
 # --- characteristic polynomial oracle -------------------------------------
 
 
@@ -79,7 +154,7 @@ def char_poly(A: SymMatrix) -> list[Fraction]:
         rows = [
             [(x if i == j else F(0)) - A[i, j] for j in range(n)] for i in range(n)
         ]
-        values.append(determinant_rows(rows))
+        values.append(fraction_determinant(rows))
     coeffs = [F(0)] * (n + 1)
     for k, xk in enumerate(points):
         basis = [F(1)]
@@ -210,7 +285,7 @@ def test_inertia_zero_count_is_kernel_dimension(A):
 
 @given(symmetric_matrices())
 def test_determinant_sign_from_negative_count(A):
-    det = determinant(A)
+    det = determinant_rows(A.rows)
     ine = inertia(A)
     if ine.n_zero > 0:
         assert det == 0
@@ -224,9 +299,9 @@ def test_determinant_sign_from_negative_count(A):
 
 
 def test_determinant_examples():
-    assert determinant(sym([["-1", 2], [2, "-1"]])) == F(-3)
-    assert determinant(sym([["-1", 1], [1, "-1"]])) == F(0)
-    assert determinant(sym([["5/2"]])) == F(5, 2)
+    assert determinant_rows(sym([["-1", 2], [2, "-1"]]).rows) == F(-3)
+    assert determinant_rows(sym([["-1", 1], [1, "-1"]]).rows) == F(0)
+    assert determinant_rows(sym([["5/2"]]).rows) == F(5, 2)
 
 
 # --- kernel ----------------------------------------------------------------
@@ -261,7 +336,7 @@ def test_solve_recovers_known_solution(A):
     n = A.order
     x = [F(k + 1, 2) for k in range(n)]
     rhs = mat_vec(A.rows, x)
-    if determinant(A) == 0:
+    if determinant_rows(A.rows) == 0:
         return
     assert solve_rows(A.rows, rhs) == tuple(x)
 
@@ -327,3 +402,178 @@ def test_primitive_vector_preserves_direction(vec):
     assert len(ratios) == 1
     assert ratios.pop() > 0
     assert all(v.denominator == 1 for v in out)
+
+
+# --- integer core against the Fraction oracles -----------------------------
+
+wide_rationals = strategies.one_of(
+    strategies.just(F(0)),
+    strategies.builds(F, strategies.integers(-64, 64), strategies.integers(1, 4096)),
+)
+
+
+def with_zero_diagonal(A: SymMatrix) -> SymMatrix:
+    rows = A.to_lists()
+    for i in range(A.order):
+        rows[i][i] = F(0)
+    return SymMatrix(rows)
+
+
+def low_rank_symmetric(max_order=12, entries=wide_rationals):
+    """B^T D B with B of fewer rows than columns: singular by construction."""
+
+    def build(draw):
+        n = draw(strategies.integers(min_value=1, max_value=max_order))
+        k = draw(strategies.integers(min_value=0, max_value=n - 1))
+        B = [[draw(entries) for _ in range(n)] for _ in range(k)]
+        D = [draw(entries) for _ in range(k)]
+        def entry(i, j):
+            return sum((B[t][i] * D[t] * B[t][j] for t in range(k)), F(0))
+
+        return SymMatrix([[entry(i, j) for j in range(n)] for i in range(n)])
+
+    return strategies.composite(build)()
+
+
+def kernel_dimension(rows) -> int:
+    """dim ker R = n_zero of R^T R (same rank), by the Fraction oracle."""
+    n_cols = len(rows[0])
+    gram = [[sum((r[i] * r[j] for r in rows), F(0)) for j in range(n_cols)] for i in range(n_cols)]
+    return fraction_inertia(SymMatrix(gram)).n_zero
+
+
+def assert_rref_basis(rows, basis):
+    """Pin the reduced-row-echelon basis: each vector is annihilated, ends in a
+    1 at its free column, and is 0 at every other free column.  With the right
+    dimension this is the unique basis `nullspace_rows` documents."""
+    free = []
+    for vec in basis:
+        assert all(v == 0 for v in mat_vec(rows, vec))
+        last = max(i for i, v in enumerate(vec) if v != 0)
+        assert vec[last] == 1
+        free.append(last)
+    assert free == sorted(set(free))
+    for vec, f in zip(basis, free):
+        assert all(vec[g] == 0 for g in free if g != f)
+
+
+@settings(max_examples=60)
+@given(symmetric_matrices(max_order=12, entries=wide_rationals))
+def test_integer_core_matches_fraction_oracles(A):
+    ine = inertia(A)
+    assert ine == fraction_inertia(A)
+    assert determinant_rows(A.rows) == fraction_determinant(A.rows)
+    basis = kernel_basis(A)
+    assert len(basis) == ine.n_zero
+    assert_rref_basis(A.rows, basis)
+
+
+@settings(max_examples=60)
+@given(symmetric_matrices(max_order=12, entries=wide_rationals))
+def test_integer_inertia_with_all_zero_diagonal(A):
+    Z = with_zero_diagonal(A)
+    assert inertia(Z) == fraction_inertia(Z)
+    assert determinant_rows(Z.rows) == fraction_determinant(Z.rows)
+
+
+@settings(max_examples=60)
+@given(low_rank_symmetric())
+def test_integer_core_on_rank_deficient_matrices(A):
+    ine = inertia(A)
+    assert ine == fraction_inertia(A)
+    assert ine.n_zero >= 1
+    assert determinant_rows(A.rows) == 0
+    basis = kernel_basis(A)
+    assert len(basis) == ine.n_zero
+    assert_rref_basis(A.rows, basis)
+    with pytest.raises(ValueError):
+        solve_rows(A.rows, [F(1)] * A.order)
+
+
+@settings(max_examples=60)
+@given(
+    strategies.integers(1, 8).flatmap(
+        lambda c: strategies.lists(
+            strategies.lists(wide_rationals, min_size=c, max_size=c), min_size=1, max_size=8
+        )
+    )
+)
+def test_integer_nullspace_of_rectangular_matrices(rows):
+    rows = rows + [[a - 2 * b for a, b in zip(rows[0], rows[-1])]]
+    basis = nullspace_rows(rows)
+    assert len(basis) == kernel_dimension(rows)
+    assert_rref_basis(rows, basis)
+
+
+@settings(max_examples=60)
+@given(square_matrices(max_order=12, entries=wide_rationals))
+def test_integer_determinant_and_solve_of_general_matrices(rows):
+    det = determinant_rows(rows)
+    assert det == fraction_determinant(rows)
+    if det == 0:
+        with pytest.raises(ValueError):
+            solve_rows(rows, [F(1)] * len(rows))
+        return
+    x = [F(k - 3, k + 1) for k in range(len(rows))]
+    assert solve_rows(rows, mat_vec(rows, x)) == tuple(x)
+
+
+# Verdict classes, name -> (branch, property_i, property_ve).
+VERDICT_CLASSES = {
+    "negdef": (Branch.NEGATIVE_DEFINITE, False, False),
+    "same": (Branch.SEMIDEFINITE_SAME_SIGN, True, True),
+    "mixed": (Branch.SEMIDEFINITE_MIXED_SIGN, False, False),
+    "pos_ve": (Branch.POSITIVE_EIGENVALUE, True, True),
+    "pos_no_ve": (Branch.POSITIVE_EIGENVALUE, True, False),
+}
+
+
+def verdict_matrix(n: int, cls: str) -> SymMatrix:
+    """A deterministic connected n-piece decomposition matrix of class ``cls``.
+
+    Starts from S, whose diagonal is the negated off-diagonal row sums: S is
+    singular, negative semidefinite and irreducible, so every proper
+    principal block of it is negative definite.
+    """
+    rng = random.Random(f"{cls}:{n}")
+    rows = [[F(0)] * n for _ in range(n)]
+    edges = [(rng.randrange(k), k) for k in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(n // 4)]
+    for i, j in edges:
+        w = F(1, rng.choice((1, 2, 3, 4)))
+        rows[i][j] += w
+        rows[j][i] += w
+    r = [sum(row) for row in rows]
+    for i in range(n):
+        rows[i][i] = -r[i]
+    k = rng.randrange(n)
+    delta = r[k] * F(rng.randint(1, 3), 4)
+    if cls == "negdef":
+        for i in range(n):
+            rows[i][i] -= F(rng.randint(1, 4), rng.randint(1, 3))
+    elif cls == "mixed":
+        rows[k][k] = r[k]
+    elif cls == "pos_ve":
+        rows[k][k] += delta
+    elif cls == "pos_no_ve":
+        rows[k][k] = r[k] - delta
+    return SymMatrix(rows)
+
+
+@pytest.mark.parametrize("n", [40, 64])
+@pytest.mark.parametrize("cls", sorted(VERDICT_CLASSES))
+def test_integer_core_on_decomposition_matrices(cls, n):
+    A = verdict_matrix(n, cls)
+    B = a_minus(A)
+    ine = inertia(B)
+    assert ine == fraction_inertia(B)
+    basis = kernel_basis(B)
+    assert len(basis) == ine.n_zero
+    assert_rref_basis(B.rows, basis)
+    if n == 40:  # the oracles are slow at 64 pieces; decide() below still reads the blocks
+        pos, neg, _ = split_blocks(A)
+        for block in (a_minus(principal_submatrix(A, pos)), principal_submatrix(A, neg)):
+            assert inertia(block) == fraction_inertia(block)
+        assert determinant_rows(B.rows) == fraction_determinant(B.rows)
+    verdict = decide(A)
+    assert (verdict.branch, verdict.property_i, verdict.property_ve) == VERDICT_CLASSES[cls]
