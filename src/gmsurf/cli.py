@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes are a stable contract: 0 = property holds or certificate valid,
 1 = property fails (or no cover exists), 2 = input error, 3 = certificate
-unavailable, 4 = certificate invalid.
+unavailable, 4 = certificate invalid, 5 = internal error (a crash, never a
+verdict).
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .generate import PROFILES, generate_manifold
 from .manifold import InvalidGraphError, a_minus, decomposition_matrix, split_blocks
 from .reduction import NegativeDefiniteError, find_singular_reduction, verify_reduction
 from .surface import (
-    DegenerateSupportError,
     NotPositiveEigenvalueBranchError,
     build_surface_certificate,
     verify_surface_certificate,
@@ -63,6 +63,7 @@ EXIT_FAILS = 1
 EXIT_INPUT = 2
 EXIT_UNAVAILABLE = 3
 EXIT_INVALID = 4
+EXIT_INTERNAL = 5
 
 
 def _fail_input(message: str) -> int:
@@ -153,15 +154,10 @@ def cmd_analyze(args) -> int:
 def cmd_certify(args) -> int:
     try:
         G = load_manifold(args.manifold)
-        decomposition_matrix(G)
-    except (FileFormatError, InvalidGraphError, OSError, ValueError) as exc:
+        cert = build_surface_certificate(G)
+    except (FileFormatError, InvalidGraphError, OSError, UnicodeDecodeError) as exc:
         return _fail_input(str(exc))
-    try:
-        cert = build_surface_certificate(G, seed=args.seed, attempts=args.attempts)
     except NotPositiveEigenvalueBranchError as exc:
-        print(f"no certificate: {exc}", file=sys.stderr)
-        return EXIT_UNAVAILABLE
-    except DegenerateSupportError as exc:
         print(f"no certificate: {exc}", file=sys.stderr)
         return EXIT_UNAVAILABLE
     problems = verify_surface_certificate(G, cert)
@@ -364,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="build a surface certificate")
     p.add_argument("manifold", help="manifold JSON file")
     p.add_argument("--out", required=True, help="certificate output path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--attempts", type=int, default=40, help="slide-order retry budget")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_certify)
 
@@ -410,7 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # a crash must not read as a verdict
+        import traceback  # only on a crash: importing it costs ~4% of start-up
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -391,8 +391,3 @@ def cover_exists_bruteforce(spec: CoverSpec, budget: int = _BRUTE_FORCE_BUDGET) 
     witnesses = _achievable_witnesses(spec.genus, spec.boundary_count, spec.alpha)
     return spec.type_key() in witnesses
 
-
-def seifert_parity(d: int, a: int, chi: int, k_sum: int) -> bool:
-    """The per-piece parity condition d*a*chi = d*k_sum (mod 2); always true
-    for even d, which is how the construction discharges it."""
-    return (d * a * chi - d * k_sum) % 2 == 0

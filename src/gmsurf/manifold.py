@@ -124,9 +124,6 @@ class DecompositionGraph:
     def piece(self, piece_id: int) -> SeifertPiece:
         return self.pieces[self.piece_index(piece_id)]
 
-    def incident_tori(self, piece_id: int) -> list[GluingTorus]:
-        return [t for t in self.tori if t.touches(piece_id)]
-
 
 def validate(G: DecompositionGraph) -> list[str]:
     """Check every standing normalization; return all violations found (empty = valid)."""

@@ -9,10 +9,15 @@ definite.  :func:`find_singular_reduction` makes the forward direction
 constructive and exact; :func:`verify_reduction` rechecks any claimed
 certificate independently.
 
-The constructive search walks a piecewise-linear path in the space of
-reductions: it shrinks one off-diagonal entry at a time toward zero, watching
-the determinant, which is an affine function of any single entry.  A sign
-change pins the exact rational root; the matrix at that point is singular.
+The construction is Perron-Frobenius theory for matrices with non-negative
+off-diagonal entries (negated M-matrices; Berman and Plemmons, *Nonnegative
+Matrices in the Mathematical Sciences*, ch. 6).  Couplings shrink from A to
+an exact rational fraction t0 of A that makes the matrix strictly
+diagonally dominant.  With a zero diagonal entry one linear solve gives the
+reduction; otherwise couplings move one at a time, bisection (an exact
+M-matrix test) finds the move on which the Perron root crosses 0, and the
+determinant, affine in the moving entry, pins the exact rational crossing.
+On a connected matrix the annihilated vector is positive at every index.
 
 :func:`negativity_certificate` is the complementary tool for matrices that
 are negative semidefinite: it produces a strictly positive vector a with
@@ -24,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .exact_linalg import (
@@ -33,9 +37,8 @@ from .exact_linalg import (
     determinant_rows,
     inertia,
     is_connected_matrix,
-    is_negative_definite,
-    kernel_basis,
     mat_vec,
+    matrix_graph_components,
     nullspace_rows,
     primitive_vector,
     principal_submatrix,
@@ -90,130 +93,149 @@ class ReductionCertificate:
         )
 
 
-def _max_support_kernel_vector(basis: Sequence[tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
-    """A kernel vector whose support is the union of the basis supports.
+def _positive_kernel_vector(rows: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
+    """The primitive generator of a kernel that is one line through a positive vector.
 
-    Combinations sum(t^k * basis[k]) miss the union support for only finitely
-    many t, so scanning t = 1, 2, ... terminates almost immediately.  A
-    deterministic maximal-support choice matters downstream: zero entries of
-    the annihilated vector degrade surface certificates.
+    An irreducible matrix with non-negative off-diagonal entries and Perron
+    root 0 has that kernel: adding c*I makes it a primitive non-negative
+    matrix with Perron root c, a simple eigenvalue with a positive
+    eigenvector (Perron-Frobenius).
     """
-    if not basis:
-        raise ValueError("empty kernel")
-    n = len(basis[0])
-    target = {i for vec in basis for i in range(n) if vec[i] != 0}
-    t = 1
-    while True:
-        combo = [Fraction(0)] * n
-        weight = Fraction(1)
-        for vec in basis:
-            for i in range(n):
-                combo[i] += weight * vec[i]
-            weight *= t
-        if {i for i in range(n) if combo[i] != 0} == target:
-            return primitive_vector(combo)
-        t += 1
+    basis = nullspace_rows(rows)
+    if len(basis) != 1:
+        raise AssertionError(f"kernel has dimension {len(basis)}, expected 1")
+    vec = primitive_vector(basis[0])  # 1 at its free column, so positive if the line is
+    if any(v <= 0 for v in vec):
+        raise AssertionError("kernel vector is not strictly positive")
+    return vec
 
 
-def _select_minimal_subset(B: SymMatrix) -> list[int]:
-    """Smallest principal index set whose submatrix has exactly one
-    non-negative eigenvalue, ties broken lexicographically.
+def _negative_perron_root(rows: Sequence[Sequence[Fraction]]) -> bool:
+    """True iff a matrix with non-negative off-diagonal entries has Perron root < 0.
 
-    Exists whenever B (diagonal <= 0) is not negative definite: a zero
-    diagonal entry gives a qualifying singleton, and otherwise growing a
-    subset one index at a time changes the non-negative eigenvalue count by
-    at most one (eigenvalue interlacing), so the count 1 is hit on the way up.
+    That holds iff its negation M is a nonsingular M-matrix, which holds iff
+    M x = (1, ..., 1) has a solution x > 0 (semipositivity; Berman and
+    Plemmons, ch. 6).  A singular M has Perron root 0, so it answers no.
+    """
+    try:
+        x = solve_rows([[-v for v in row] for row in rows], [Fraction(1)] * len(rows))
+    except ValueError:
+        return False
+    return all(v > 0 for v in x)
+
+
+def _perron_reduction(B: SymMatrix, n_pos: int) -> tuple[list[list[Fraction]], tuple[Fraction, ...]]:
+    """A singular reduction of a connected B and a strictly positive vector it annihilates.
+
+    B has non-positive diagonal, non-negative off-diagonal entries, is not
+    negative definite and has ``n_pos`` positive eigenvalues.  Let Z be the
+    indices with zero diagonal and N the rest.  Scaling the couplings inside
+    N by t0 = min(1, |B_ii| / (2 sum_{j in N} B_ij) over i in N) makes B_N
+    strictly diagonally dominant, so -B_N(t0) is a nonsingular M-matrix.
+
+    - Z non-empty: rows in Z lose their couplings and get weight 1; couplings
+      from N into Z stay; solving -B_N(t0) a_N = (the couplings into Z) gives
+      a_N > 0, because the inverse of an M-matrix is non-negative and positive
+      on each irreducible block, and every block touches Z.
+    - Z empty, no positive eigenvalue: B is singular and semidefinite, and
+      is its own reduction.
+    - Z empty otherwise (then t0 < 1, or B would be negative definite): move
+      the couplings from B_ij to t0*B_ij one at a time, in row-major order.  The Perron root falls monotonically from
+      positive to negative; bisection over the number of moved couplings
+      finds the coupling whose move crosses 0.  The determinant is affine in
+      that coupling and its only root on the move is where the Perron root
+      is 0: there the kernel is a positive line.
     """
     n = B.order
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            ine = inertia(principal_submatrix(B, subset))
-            if ine.n_pos + ine.n_zero == 1:
-                return list(subset)
-    raise NegativeDefiniteError("no principal submatrix with a non-negative eigenvalue")
+    zero = [i for i in range(n) if B[i, i] == 0]
+    rest = [i for i in range(n) if B[i, i] != 0]
+    t0 = Fraction(1)
+    for i in rest:
+        total = sum((B[i, j] for j in rest if j != i), Fraction(0))
+        if total:
+            t0 = min(t0, -B[i, i] / (2 * total))
+
+    if zero:
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i in rest:
+            m[i] = [B[i, j] if j == i or B[j, j] == 0 else t0 * B[i, j] for j in range(n)]
+        a = [Fraction(1)] * n
+        if rest:
+            coupling = [sum(B[i, z] for z in zero) for i in rest]
+            solved = solve_rows([[-m[i][j] for j in rest] for i in rest], coupling)
+            for i, v in zip(rest, solved):
+                a[i] = v
+        if any(v <= 0 for v in a):
+            raise AssertionError("zero-diagonal solve produced a non-positive weight")
+        return m, primitive_vector(a)
+
+    if n_pos == 0:
+        m = B.to_lists()
+        return m, _positive_kernel_vector(m)
+
+    positions = [(i, j) for i in range(n) for j in range(n) if i != j and B[i, j] != 0]
+
+    def state(k: int) -> list[list[Fraction]]:
+        m = B.to_lists()
+        for i, j in positions[:k]:
+            m[i][j] *= t0
+        return m
+
+    # Perron root of state lo >= 0 (B has a positive eigenvalue), of state hi < 0.
+    lo, hi = 0, len(positions)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _negative_perron_root(state(mid)):
+            hi = mid
+        else:
+            lo = mid
+    m = state(lo)
+    i, j = positions[lo]
+    x0 = m[i][j]
+    d0 = determinant_rows(m)
+    if d0 != 0:
+        x1 = t0 * x0
+        m[i][j] = x1
+        d1 = determinant_rows(m)
+        # det(x) = d1 + (d0 - d1) (x - x1) / (x0 - x1), and d1 != 0 (Perron root < 0)
+        m[i][j] = x1 - d1 * (x0 - x1) / (d0 - d1)
+    return m, _positive_kernel_vector(m)
 
 
-def default_slide_order(subset: Sequence[int]) -> list[tuple[int, int]]:
-    """Row-major order over the off-diagonal positions of a principal block."""
-    return [(i, j) for i in subset for j in subset if i != j]
-
-
-def find_singular_reduction(
-    A: SymMatrix, slide_order: Sequence[tuple[int, int]] | None = None
-) -> ReductionCertificate:
+def find_singular_reduction(A: SymMatrix) -> ReductionCertificate:
     """Construct a singular reduction of A annihilating a non-negative vector.
 
     Raises NegativeDefiniteError iff A-minus is negative definite (in which
-    case no such reduction exists at all).  Otherwise:
-
-    1. negate positive diagonal entries (recording which) to get B = A-minus;
-    2. if B is singular, it is its own singular reduction;
-    3. otherwise restrict attention to the minimal principal block with
-       exactly one non-negative eigenvalue, zeroing every off-diagonal entry
-       outside it (a reduction move);
-    4. slide the block's off-diagonal entries toward 0 one at a time, in the
-       given order (default row-major); the determinant is affine in a single
-       entry, so the first sign change yields an exact rational root and a
-       singular matrix (a crossing must occur: once all off-diagonal entries
-       are gone the determinant is a product of negative diagonals);
-    5. pick a maximal-support kernel vector, flip rows and columns at its
-       negative entries to make it non-negative, and undo the step-1 diagonal
-       flips by row negations (row scaling never changes the kernel).
-
-    ``slide_order`` overrides the step-4 order; positions outside the selected
-    block are ignored, and omitted block positions are appended in row-major
-    order so the walk always has enough entries to terminate.
+    case no such reduction exists at all).  Otherwise the first connected
+    component of the matrix graph whose block of B = A-minus is not negative
+    definite gets a Perron-Frobenius reduction (see :func:`_perron_reduction`)
+    with a strictly positive vector; every other coupling becomes 0 and every
+    other weight 0.  On a connected A the vector is positive at every index.
+    Positive diagonal entries of A are restored by negating their rows, which
+    leaves the kernel unchanged.
     """
     check_nonnegative_off_diagonal(A)
     B = a_minus(A)
-    if is_negative_definite(B):
+    for component in matrix_graph_components(B):
+        block = principal_submatrix(B, component)
+        ine = inertia(block)
+        if ine.n_pos or ine.n_zero:
+            break
+    else:
         raise NegativeDefiniteError("A-minus is negative definite")
-    flipped = [i for i in range(A.order) if A[i, i] > 0]
+    block_rows, block_a = _perron_reduction(block, ine.n_pos)
+
     n = A.order
-    m = B.to_lists()
-
-    if determinant_rows(m) != 0:
-        subset = _select_minimal_subset(B)
-        inside = set(subset)
-        for i in range(n):
-            for j in range(n):
-                if i != j and not (i in inside and j in inside):
-                    m[i][j] = Fraction(0)
-        if determinant_rows(m) != 0:
-            order = default_slide_order(subset)
-            if slide_order is not None:
-                requested = [
-                    (i, j) for i, j in slide_order if i in inside and j in inside and i != j
-                ]
-                order = requested + [pos for pos in order if pos not in requested]
-            for i, j in order:
-                d0 = determinant_rows(m)
-                if d0 == 0:
-                    break
-                v0 = m[i][j]
-                if v0 == 0:
-                    continue
-                m[i][j] = Fraction(0)
-                d1 = determinant_rows(m)
-                if d1 == 0:
-                    break
-                if (d0 > 0) != (d1 > 0):
-                    # det(t) = d1 + (d0 - d1) * (t / v0); exact root in (0, v0)
-                    m[i][j] = -d1 * v0 / (d0 - d1)
-                    break
-        if determinant_rows(m) != 0:
-            raise AssertionError("slide walk failed to reach a singular matrix")
-
-    vec = _max_support_kernel_vector(nullspace_rows(m))
-    negative = [i for i, v in enumerate(vec) if v < 0]
-    for i in negative:
-        m[i] = [-x for x in m[i]]
-        for r in range(n):
-            m[r][i] = -m[r][i]
-    a = tuple(-v if i in set(negative) else v for i, v in enumerate(vec))
-    for i in flipped:
-        m[i] = [-x for x in m[i]]
-    return ReductionCertificate(a_prime=tuple(tuple(row) for row in m), a=a)
+    m = [[B[i, i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    a = [Fraction(0)] * n
+    for r, i in enumerate(component):
+        a[i] = block_a[r]
+        for s, j in enumerate(component):
+            m[i][j] = block_rows[r][s]
+    for i in range(n):
+        if A[i, i] > 0:
+            m[i] = [-x for x in m[i]]
+    return ReductionCertificate(a_prime=tuple(tuple(row) for row in m), a=tuple(a))
 
 
 def verify_reduction(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
@@ -277,12 +299,7 @@ def negativity_certificate(A: SymMatrix) -> NegativityCertificate:
         if any(v <= 0 for v in a):
             raise AssertionError("definite case produced a non-positive weight")
         return NegativityCertificate(a=a, image=tuple(rhs))
-    basis = kernel_basis(A)
-    vec = _max_support_kernel_vector(basis)
-    if all(v <= 0 for v in vec):
-        vec = tuple(-x for x in vec)
-    if any(v <= 0 for v in vec):
-        raise AssertionError("semidefinite case produced a non-positive kernel vector")
+    vec = _positive_kernel_vector(A.rows)
     return NegativityCertificate(a=vec, image=mat_vec(A.rows, vec))
 
 

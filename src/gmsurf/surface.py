@@ -7,7 +7,7 @@ witnessed constructively.  The builder:
    a positive eigenvalue of A-minus (so the next step lands strictly inside
    the allowed range);
 2. finds a singular reduction A' of the shrunk matrix annihilating a vector a
-   with non-negative entries (strictly smaller off-diagonal magnitudes than
+   with positive entries (strictly smaller off-diagonal magnitudes than
    the original matrix wherever it is nonzero);
 3. for each torus between pieces i and j assigns the side in piece j the pair
 
@@ -33,19 +33,16 @@ the two sides are related by the change-of-basis matrix (plus system) and its
 negative (minus system).  :func:`verify_surface_certificate` rechecks all of
 it from scratch.
 
-When the annihilated vector has zero entries the horizontal construction
-degenerates on the zero pieces; the builder retries with randomized
-entry-slide orders and raises DegenerateSupportError rather than emit a
-partial certificate.
+The graph of a valid manifold is connected, so the reduction's annihilated
+vector is positive at every piece and every side gets positive a_plus and
+a_minus; the builder needs no retry and no fallback.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from .decision import Branch, decide_immersed
 from .exact_linalg import SymMatrix, mat_vec
@@ -55,17 +52,6 @@ from .reduction import ReductionCertificate, find_singular_reduction, strict_shr
 
 class NotPositiveEigenvalueBranchError(ValueError):
     """The decision did not land on the positive-eigenvalue branch."""
-
-
-class DegenerateSupportError(ValueError):
-    """Every found reduction annihilates a vector with zero entries."""
-
-    def __init__(self, support: tuple[int, ...], attempts: int):
-        self.support = support
-        self.attempts = attempts
-        super().__init__(
-            f"annihilated vector has partial support {support} after {attempts} attempts"
-        )
 
 
 @dataclass(frozen=True)
@@ -102,12 +88,6 @@ class SurfaceCertificate:
     reduction: ReductionCertificate
     systems: tuple[CurveSystem, ...]
 
-    def systems_for_torus(self, torus: int) -> tuple[CurveSystem, CurveSystem]:
-        pair = tuple(s for s in self.systems if s.torus == torus)
-        if len(pair) != 2:
-            raise ValueError(f"expected 2 systems for torus {torus}, found {len(pair)}")
-        return pair[0], pair[1]
-
 
 def _side_values(
     A: SymMatrix, cert: ReductionCertificate, i: int, j: int
@@ -120,37 +100,19 @@ def _side_values(
     return a_plus, a_minus
 
 
-def build_surface_certificate(
-    G: DecompositionGraph, seed: int = 0, attempts: int = 40
-) -> SurfaceCertificate:
+def build_surface_certificate(G: DecompositionGraph) -> SurfaceCertificate:
     """Construct and scale the full curve-system certificate.
 
-    Deterministic per seed: the first attempt uses the default entry-slide
-    order inside the reduction finder, later attempts shuffle it.  Raises
-    NotPositiveEigenvalueBranchError off the constructive branch and
-    DegenerateSupportError when no attempt yields a fully supported vector.
+    Raises NotPositiveEigenvalueBranchError off the constructive branch.
+    The certificate is not rechecked here: :func:`verify_surface_certificate`
+    is the independent check.
     """
     A = decomposition_matrix(G)
     _, branch = decide_immersed(A)
     if branch is not Branch.POSITIVE_EIGENVALUE:
         raise NotPositiveEigenvalueBranchError(f"decision branch is {branch.value}")
     shrunk = strict_shrink(A)
-    rng = random.Random(seed)
-    positions = [(i, j) for i in range(A.order) for j in range(A.order) if i != j]
-    reduction = None
-    last_support: tuple[int, ...] = ()
-    for attempt in range(max(1, attempts)):
-        order = None
-        if attempt > 0:
-            order = positions[:]
-            rng.shuffle(order)
-        candidate = find_singular_reduction(shrunk, slide_order=order)
-        last_support = candidate.support
-        if all(v != 0 for v in candidate.a):
-            reduction = candidate
-            break
-    if reduction is None:
-        raise DegenerateSupportError(last_support, max(1, attempts))
+    reduction = find_singular_reduction(shrunk)
 
     index = {p.id: k for k, p in enumerate(G.pieces)}
     raw: list[dict] = []
@@ -193,17 +155,13 @@ def build_surface_certificate(
                     b_minus=int(bm * scale),
                 )
             )
-    cert = SurfaceCertificate(
+    return SurfaceCertificate(
         degrees=tuple(int(v) for v in scaled_a),
         scale=scale,
         shrunk=shrunk,
         reduction=scaled_reduction,
         systems=tuple(systems),
     )
-    problems = verify_surface_certificate(G, cert)
-    if problems:
-        raise AssertionError(f"built certificate failed self-check: {problems}")
-    return cert
 
 
 def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) -> list[str]:
@@ -325,25 +283,3 @@ def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) 
 
     return violations
 
-
-def verify_piece_curves(
-    e: Fraction, boundary: Sequence[CurveSystem], degree: int
-) -> list[str]:
-    """Piece-local numerical check: every torus contributes curves of total
-    meridian degree equal to the piece degree, and the fiber coordinates sum
-    to degree * e.  Curves with zero a (vertical annuli) are tolerated here.
-    """
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    violations: list[str] = []
-    for s in boundary:
-        if s.a_plus < 0 or s.a_minus < 0:
-            violations.append(f"torus {s.torus}: negative a coordinate")
-        if s.a_plus + s.a_minus != degree:
-            violations.append(
-                f"torus {s.torus}: a sum {s.a_plus + s.a_minus} != degree {degree}"
-            )
-    total = sum(Fraction(s.b_plus + s.b_minus) for s in boundary)
-    if total != degree * e:
-        violations.append(f"fiber coordinate sum {total} != degree * e = {degree * e}")
-    return violations

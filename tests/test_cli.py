@@ -1,7 +1,8 @@
 """End-to-end tests of the command-line interface and its exit-code contract.
 
 Exit codes: 0 property holds / certificate verified, 1 property fails,
-2 input error, 3 certificate unavailable, 4 certificate invalid.
+2 input error, 3 certificate unavailable, 4 certificate invalid, 5 internal
+error.
 """
 
 import io
@@ -9,6 +10,7 @@ import json
 
 import pytest
 
+from gmsurf import cli
 from gmsurf.cli import main
 from gmsurf.fileio import load_json, save_json, save_manifold
 from gmsurf.manifold import DecompositionGraph, GluingTorus, SeifertPiece, two_piece_graph
@@ -93,6 +95,51 @@ def test_certify_negative_definite_is_unavailable(tmp_path, capsys):
 def test_certify_semidefinite_is_unavailable(tmp_path, capsys):
     manifold = write_manifold(tmp_path, "m.json", -1, -1)
     assert main(["certify", str(manifold), "--out", str(tmp_path / "c.json")]) == 3
+
+
+def test_certify_builds_the_matrix_twice_and_verifies_once(tmp_path, monkeypatch):
+    from gmsurf import surface
+
+    calls = {"decomposition_matrix": 0, "verify_surface_certificate": 0}
+    for module in (cli, surface):
+        for name in calls:
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    manifold = write_manifold(tmp_path, "m.json", 0, 0)
+    assert main(["certify", str(manifold), "--out", str(tmp_path / "c.json")]) == 0
+    # one build in the builder, one in the independent verifier
+    assert calls == {"decomposition_matrix": 2, "verify_surface_certificate": 1}
+
+
+def test_certify_self_gluing_is_input_error(tmp_path, capsys):
+    doc = {
+        "pieces": [{"id": 1, "euler": "0", "genus": 1}],
+        "tori": [{"from": 1, "to": 1, "p": 1}],
+    }
+    path = tmp_path / "bad.json"
+    save_json(doc, path)
+    assert main(["certify", str(path), "--out", str(tmp_path / "c.json")]) == 2
+    assert "self-gluing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [AssertionError, ValueError])
+def test_certify_crash_is_internal_error_not_a_verdict(tmp_path, capsys, monkeypatch, error):
+    def crash(G):
+        raise error("kernel has dimension 2, expected 1")
+
+    monkeypatch.setattr(cli, "build_surface_certificate", crash)
+    manifold = write_manifold(tmp_path, "m.json", 0, 0)
+    cert = tmp_path / "cert.json"
+    assert main(["certify", str(manifold), "--out", str(cert)]) == 5
+    err = capsys.readouterr().err
+    assert "internal error" in err
+    assert "Traceback" in err
+    assert not cert.exists()
 
 
 def test_verify_tampered_certificate_is_invalid(tmp_path, capsys):

@@ -19,7 +19,6 @@ from gmsurf.covers import (
     is_transitive,
     parity_check,
     perm_from_cycle_lengths,
-    seifert_parity,
     verify_cover,
     word_product,
 )
@@ -234,16 +233,3 @@ def test_found_covers_always_verify_and_rederive_parity(genus, boundary, alpha, 
     assert verify_cover(spec, cert) == []
     upstairs = sum(len(inner) for inner in degrees)
     assert (upstairs - alpha * spec.base_euler) % 2 == 0
-
-
-# --- parity bookkeeping for fibered pieces ------------------------------------------------
-
-
-def test_seifert_parity_even_degree_always_passes():
-    for a, chi, k_sum in ((1, -1, 2), (3, -2, 5), (2, -1, 7)):
-        assert seifert_parity(2, a, chi, k_sum)
-
-
-def test_seifert_parity_odd_degree_cases():
-    assert not seifert_parity(1, 1, -1, 2)
-    assert seifert_parity(1, 2, -1, 2)

@@ -15,6 +15,7 @@ from gmsurf.exact_linalg import (
     is_negative_definite,
     kernel_basis,
     mat_vec,
+    principal_submatrix,
     to_rational,
 )
 from gmsurf.manifold import a_minus
@@ -25,7 +26,6 @@ from gmsurf.reduction import (
     ReductionCertificate,
     ZeroEntryError,
     bilinear_identity,
-    default_slide_order,
     find_singular_reduction,
     negativity_certificate,
     strict_shrink,
@@ -113,18 +113,46 @@ def test_reduction_of_zero_coupling_pair_uses_zero_diagonal_singleton():
     assert cert.a == (F(1), F(1))
 
 
-def test_reduction_respects_requested_slide_order():
-    A = sym([["-1", 2], [2, "-1"]])
-    forward = find_singular_reduction(A)
-    backward = find_singular_reduction(A, slide_order=[(1, 0), (0, 1)])
-    assert verify_reduction(A, backward) == []
-    assert forward.a_prime != backward.a_prime
+def assert_full_support_reduction(A: SymMatrix) -> ReductionCertificate:
+    cert = find_singular_reduction(A)
+    assert verify_reduction(A, cert) == []
+    assert all(v > 0 for v in cert.a)
+    return cert
 
 
-def test_default_slide_order_is_row_major():
-    assert default_slide_order([0, 2, 3]) == [
-        (0, 2), (0, 3), (2, 0), (2, 3), (3, 0), (3, 2),
-    ]
+def test_reduction_of_all_zero_diagonal():
+    A = sym([[0, 1, 0], [1, 0, "1/2"], [0, "1/2", 0]])
+    cert = assert_full_support_reduction(A)
+    assert cert.a == (F(1), F(1), F(1))
+    assert all(v == 0 for row in cert.a_prime for v in row)
+
+
+def test_reduction_of_single_zero_entry():
+    cert = assert_full_support_reduction(sym([[0]]))
+    assert cert.a_prime == ((F(0),),)
+    assert cert.a == (F(1),)
+
+
+def test_reduction_with_zero_diagonal_beside_an_indefinite_block():
+    # Pieces 0 and 1 alone already have a positive eigenvalue of A-minus, so
+    # the couplings between them must shrink (t0 < 1) before the solve.
+    A = sym([["-1", 3, 0], [3, "-1", 1], [0, 1, 0]])
+    assert inertia(principal_submatrix(A, [0, 1])).n_pos == 1
+    cert = assert_full_support_reduction(A)
+    assert 0 < cert.a_prime[0][1] < A[0, 1]
+
+
+def test_reduction_with_two_adjacent_zero_diagonals():
+    A = sym([["-2", 1, 0, 0], [1, 0, 2, 0], [0, 2, 0, 1], [0, 0, 1, "3"]])
+    cert = assert_full_support_reduction(A)
+    assert cert.a_prime[1][2] == cert.a_prime[2][1] == 0
+
+
+def test_reduction_of_disconnected_input_uses_one_component():
+    A = sym([["-2", 1, 0, 0], [1, "-2", 0, 0], [0, 0, "-1", 2], [0, 0, 2, "-1"]])
+    cert = find_singular_reduction(A)
+    assert verify_reduction(A, cert) == []
+    assert cert.support == (2, 3)
 
 
 def test_certificate_support_lists_nonzero_indices():
@@ -132,6 +160,14 @@ def test_certificate_support_lists_nonzero_indices():
         a_prime=((F(0), F(0)), (F(0), F(0))), a=(F(0), F(3))
     )
     assert cert.support == (1,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_matrices())
+def test_reduction_of_connected_input_has_full_support(A):
+    if not is_connected_matrix(A) or is_negative_definite(a_minus(A)):
+        return
+    assert_full_support_reduction(A)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,25 +1,27 @@
 """Tests for building and verifying boundary-curve certificates."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies
 
+from gmsurf import reduction
 from gmsurf.exact_linalg import to_rational
 from gmsurf.generate import generate_manifold
 from gmsurf.manifold import (
+    DecompositionGraph,
     GluingTorus,
+    SeifertPiece,
     decomposition_matrix,
     two_piece_graph,
 )
 from gmsurf.reduction import verify_reduction
 from gmsurf.surface import (
     CurveSystem,
-    DegenerateSupportError,
     NotPositiveEigenvalueBranchError,
     SurfaceCertificate,
     build_surface_certificate,
-    verify_piece_curves,
     verify_surface_certificate,
 )
 
@@ -59,7 +61,7 @@ def test_build_on_zero_euler_pair():
     cert = build_surface_certificate(G)
     assert cert.degrees == (2, 2)
     assert cert.scale == 2
-    side_1, side_2 = cert.systems_for_torus(0)
+    side_1, side_2 = (s for s in cert.systems if s.torus == 0)
     for s in (side_1, side_2):
         assert s.a_plus == 1
         assert s.a_minus == 1
@@ -220,35 +222,6 @@ def test_verifier_flags_wrong_degree_vector():
     assert violations
 
 
-# --- piece-local curve check ------------------------------------------------------
-
-
-def test_piece_curves_accept_the_standard_pair():
-    boundary = [
-        CurveSystem(torus=0, side=1, a_plus=1, a_minus=1, b_plus=0, b_minus=-2)
-    ]
-    assert verify_piece_curves(F(-1), boundary, degree=2) == []
-
-
-def test_piece_curves_flag_broken_fiber_sum():
-    boundary = [
-        CurveSystem(torus=0, side=1, a_plus=1, a_minus=1, b_plus=0, b_minus=-2)
-    ]
-    assert any("fiber" in v for v in verify_piece_curves(F(0), boundary, degree=2))
-
-
-def test_piece_curves_reject_zero_degree():
-    with pytest.raises(ValueError):
-        verify_piece_curves(F(-1), [], degree=0)
-
-
-def test_piece_curves_flag_wrong_meridian_total():
-    boundary = [
-        CurveSystem(torus=0, side=1, a_plus=2, a_minus=1, b_plus=0, b_minus=-2)
-    ]
-    assert any("a sum" in v for v in verify_piece_curves(F(-1), boundary, degree=2))
-
-
 # --- built certificates across random inputs ---------------------------------------
 
 
@@ -259,11 +232,9 @@ def test_piece_curves_flag_wrong_meridian_total():
 )
 def test_build_then_verify_on_generated_manifolds(pieces, seed):
     G = generate_manifold(pieces=pieces, seed=seed, profile="posEig")
-    try:
-        cert = build_surface_certificate(G)
-    except DegenerateSupportError:
-        return
+    cert = build_surface_certificate(G)
     assert verify_surface_certificate(G, cert) == []
+    assert all(d > 0 for d in cert.degrees)
 
 
 @settings(max_examples=25, deadline=None)
@@ -273,10 +244,7 @@ def test_build_then_verify_on_generated_manifolds(pieces, seed):
 )
 def test_certificate_reduction_recovers_annihilation_per_piece(pieces, seed):
     G = generate_manifold(pieces=pieces, seed=seed, profile="posEig")
-    try:
-        cert = build_surface_certificate(G)
-    except DegenerateSupportError:
-        return
+    cert = build_surface_certificate(G)
     assert verify_reduction(cert.shrunk, cert.reduction) == []
     index = {p.id: k for k, p in enumerate(G.pieces)}
     degrees = [to_rational(d) for d in cert.degrees]
@@ -299,3 +267,48 @@ def test_certificate_reduction_recovers_annihilation_per_piece(pieces, seed):
         )
         assert meridian_total == -off_diagonal
         assert meridian_total == degrees[i] * piece.euler
+
+
+# --- cost of the construction, counted without a clock -------------------------
+
+
+def slowly_closing_path(n: int) -> DecompositionGraph:
+    """n unit-glued pieces in a row with Euler number -2+eps, eps between the
+    closing thresholds of n and n-1 pieces: A-minus has a positive eigenvalue
+    while every (n-1)-piece sub-path is negative definite."""
+    lo = 2 - 2 * math.cos(math.pi / (n + 1))
+    hi = 2 - 2 * math.cos(math.pi / n)
+    eps = F((lo + hi) / 2).limit_denominator(4096)
+    # pivots of -A: u_1 = 2-eps, u_{k+1} = 2-eps - 1/u_k; n-1 positive, the last negative
+    u = 2 - eps
+    for _ in range(n - 1):
+        assert u > 0
+        u = 2 - eps - 1 / u
+    assert u < 0
+    return DecompositionGraph(
+        pieces=tuple(SeifertPiece(id=k, euler=eps - 2, genus=1) for k in range(1, n + 1)),
+        tori=tuple(GluingTorus(from_piece=k, to_piece=k + 1, p=1) for k in range(1, n)),
+    )
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_path_certificate_needs_logarithmically_many_solves(monkeypatch, n):
+    counts = {"solve_rows": 0, "determinant_rows": 0}
+
+    def counting(name):
+        original = getattr(reduction, name)
+
+        def wrapped(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(reduction, name, counting(name))
+    G = slowly_closing_path(n)
+    cert = build_surface_certificate(G)
+    assert verify_surface_certificate(G, cert) == []
+    assert all(d > 0 for d in cert.degrees)
+    assert counts["solve_rows"] <= math.ceil(math.log2(2 * (n - 1))) + 2
+    assert counts["determinant_rows"] <= 2
