@@ -26,7 +26,6 @@ from .covers import (
     BudgetExceededError,
     CoverSpec,
     ParityError,
-    SearchBudgetExhaustedError,
     cover_exists_bruteforce,
     cycle_type,
     find_cover,
@@ -165,7 +164,10 @@ def cmd_certify(args) -> int:
         for p in problems:
             print(f"invalid: {p}", file=sys.stderr)
         return EXIT_INVALID
-    save_json(surface_cert_to_json(cert), args.out)
+    try:
+        save_json(surface_cert_to_json(cert), args.out)
+    except OSError as exc:
+        return _fail_input(str(exc))
     summary = {
         "out": str(args.out),
         "degrees": list(cert.degrees),
@@ -218,7 +220,10 @@ def cmd_gen(args) -> int:
         return _fail_input(str(exc))
     doc = manifold_to_json(G)
     if args.out:
-        save_json(doc, args.out)
+        try:
+            save_json(doc, args.out)
+        except OSError as exc:
+            return _fail_input(str(exc))
         print(f"manifold written to {args.out}")
     else:
         print(json.dumps(doc, indent=2))
@@ -247,7 +252,10 @@ def cmd_matrix(args) -> int:
     if reduction is not None:
         report["reduction"] = reduction_cert_to_json(reduction, matrix=A)
         if args.out:
-            save_json(report["reduction"], args.out)
+            try:
+                save_json(report["reduction"], args.out)
+            except OSError as exc:
+                return _fail_input(str(exc))
     else:
         report["reduction"] = None
     _print_report(report, args.json)
@@ -316,11 +324,8 @@ def cmd_cover(args) -> int:
             print(f"exhaustive search: {'cover exists' if exists else 'no cover'}")
         return EXIT_HOLDS if exists else EXIT_FAILS
     try:
-        cert = find_cover(spec, seed=args.seed, attempts=args.attempts)
+        cert = find_cover(spec, seed=args.seed)
     except ParityError as exc:
-        print(f"no certificate: {exc}", file=sys.stderr)
-        return EXIT_UNAVAILABLE
-    except SearchBudgetExhaustedError as exc:
         print(f"no certificate: {exc}", file=sys.stderr)
         return EXIT_UNAVAILABLE
     doc = {
@@ -395,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(example: '1,1;2')",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--attempts", type=int, default=20000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cover)
     return parser

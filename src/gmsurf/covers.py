@@ -4,9 +4,10 @@ A connected degree-alpha cover of a compact orientable surface of genus
 g >= 1 with b boundary circles, with prescribed covering degrees over each
 boundary circle, exists if and only if the total number of prescribed
 boundary circles upstairs has the same parity as alpha * (2 - 2g - b).
-:func:`parity_check` evaluates the criterion, :func:`find_cover` produces an
-explicit witness, and :func:`cover_exists_bruteforce` is the independent
-exhaustive oracle the equivalence is tested against.
+:func:`parity_check` evaluates the criterion, :func:`find_cover` constructs an
+explicit witness whenever it holds (one commutator carries the whole
+relation), and :func:`cover_exists_bruteforce` is the independent exhaustive
+oracle the equivalence is tested against.
 
 Witnesses are permutation representations.  Fix the presentation of the
 surface group with generators x_1, y_1, ..., x_g, y_g, z_1, ..., z_b and the
@@ -38,10 +39,6 @@ Perm = tuple[int, ...]
 
 class ParityError(ValueError):
     """The parity criterion fails, so no such cover exists."""
-
-
-class SearchBudgetExhaustedError(RuntimeError):
-    """The randomized search ran out of attempts (a budget problem, not a proof)."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -241,53 +238,50 @@ def verify_cover(spec: CoverSpec, cert: CoverCertificate) -> list[str]:
     return violations
 
 
-def _random_perm_with_type(rng: random.Random, alpha: int, lengths: Sequence[int]) -> Perm:
-    points = list(range(alpha))
-    rng.shuffle(points)
-    return perm_from_cycle_lengths(alpha, lengths, points)
+def find_cover(spec: CoverSpec, seed: int = 0) -> CoverCertificate:
+    """Construct a certificate; ``seed`` fixes the random alpha-cycle draws.
 
-
-def find_cover(spec: CoverSpec, seed: int = 0, attempts: int = 20000) -> CoverCertificate:
-    """Search for a certificate: randomized sampling first, exhaustive sweep
-    as a fallback when the degree is small enough.
-
-    The parity criterion guarantees existence, so exhaustion of the random
-    budget on a large instance raises SearchBudgetExhaustedError (buy more
-    attempts), never a claim of impossibility.
+    Each z_j is the canonical permutation of its prescribed type, so the
+    relation asks for one commutator [x, y] = pi with pi = (z_1 ... z_b)^-1,
+    and pi is even exactly when the parity criterion holds.  Every even
+    permutation is a product of two alpha-cycles (Bertram 1972), so random
+    alpha-cycles x are drawn until x^-1 pi is an alpha-cycle too (about
+    alpha/2 draws).  Then y carries the cycle of x^-1 onto the cycle of
+    x^-1 pi, which gives y x^-1 y^-1 = x^-1 pi, that is [x, y] = pi.  The
+    other handles are the identity, and x alone acts transitively.
     """
     if not parity_check(spec):
         raise ParityError(
             "prescribed boundary count has the wrong parity; no such cover exists"
         )
-    rng = random.Random(seed)
     alpha = spec.alpha
-    free_types = spec.boundary_degrees[:-1]
-    last_type = tuple(sorted(spec.boundary_degrees[-1], reverse=True))
-    for _ in range(attempts):
-        xs = tuple(tuple(rng.sample(range(alpha), alpha)) for _ in range(spec.genus))
-        ys = tuple(tuple(rng.sample(range(alpha), alpha)) for _ in range(spec.genus))
-        zs = tuple(_random_perm_with_type(rng, alpha, inner) for inner in free_types)
-        cert = CoverCertificate(alpha=alpha, x=xs, y=ys, z=zs)
-        if cycle_type(cert.last_z()) != last_type:
-            continue
-        if not is_transitive(xs + ys + zs, alpha):
-            continue
-        if not verify_cover(spec, cert):
-            return cert
-    if _enumeration_cost(spec.genus, spec.boundary_count, alpha) > _BRUTE_FORCE_BUDGET:
-        raise SearchBudgetExhaustedError(
-            f"no certificate in {attempts} random attempts and the instance is too "
-            f"large for the exhaustive fallback"
-        )
-    witness = _achievable_witnesses(spec.genus, spec.boundary_count, alpha).get(spec.type_key())
-    if witness is None:
-        raise SearchBudgetExhaustedError(
-            f"no certificate in {attempts} random attempts; exhaustive sweep found none "
-            f"(inconsistent with the parity criterion; check the requested boundary degrees)"
-        )
-    cert = CoverCertificate(alpha=alpha, x=witness[0], y=witness[1], z=witness[2])
-    if verify_cover(spec, cert):
-        raise AssertionError("exhaustive witness failed verification")
+    zs = tuple(canonical_perm(alpha, inner) for inner in spec.boundary_degrees)
+    pi = inverse(word_product(zs, alpha))
+    rng = random.Random(seed)
+    points = list(range(alpha))
+    while True:
+        rng.shuffle(points)
+        x_inv = perm_from_cycle_lengths(alpha, (alpha,), points)
+        orbit = [0]  # the cycle of x^-1 pi through 0
+        i = x_inv[pi[0]]
+        while i != 0:
+            orbit.append(i)
+            i = x_inv[pi[i]]
+        if len(orbit) == alpha:
+            break
+    y = [0] * alpha
+    for a, b in zip(points, orbit):
+        y[a] = b
+    ident = identity_perm(alpha)
+    cert = CoverCertificate(
+        alpha=alpha,
+        x=(inverse(x_inv),) + (ident,) * (spec.genus - 1),
+        y=(tuple(y),) + (ident,) * (spec.genus - 1),
+        z=zs[:-1],
+    )
+    violations = verify_cover(spec, cert)
+    if violations:
+        raise AssertionError(f"constructed witness failed verification: {violations[0]}")
     return cert
 
 
@@ -315,8 +309,8 @@ def _sym_group(alpha: int):
 def _achievable_witnesses(genus: int, boundary: int, alpha: int):
     """Map from achievable boundary type tuples to one witness tuple each.
 
-    One full enumeration per (genus, boundary, alpha), shared by the oracle
-    and the exhaustive fallback of find_cover.  The first free generator is
+    One full enumeration per (genus, boundary, alpha), run only by the
+    oracle :func:`cover_exists_bruteforce`.  The first free generator is
     restricted to one canonical representative per cycle type: conjugating a
     whole homomorphism preserves boundary types and transitivity, so every
     achievable type tuple keeps a witness in the restricted sweep.

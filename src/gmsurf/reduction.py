@@ -79,11 +79,6 @@ class ReductionCertificate:
     def order(self) -> int:
         return len(self.a)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Indices where the annihilated vector is nonzero."""
-        return tuple(i for i, v in enumerate(self.a) if v != 0)
-
     def has_order(self, n: int) -> bool:
         """True iff ``a`` has length n and ``a_prime`` is n x n."""
         return (

@@ -12,6 +12,7 @@ import pytest
 
 from gmsurf import cli
 from gmsurf.cli import main
+from gmsurf.covers import commutator, cycle_type, identity_perm, is_transitive, word_product
 from gmsurf.fileio import load_json, save_json, save_manifold
 from gmsurf.manifold import DecompositionGraph, GluingTorus, SeifertPiece, two_piece_graph
 
@@ -95,6 +96,17 @@ def test_certify_negative_definite_is_unavailable(tmp_path, capsys):
 def test_certify_semidefinite_is_unavailable(tmp_path, capsys):
     manifold = write_manifold(tmp_path, "m.json", -1, -1)
     assert main(["certify", str(manifold), "--out", str(tmp_path / "c.json")]) == 3
+
+
+def assert_one_line_input_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_certify_unwritable_out_is_input_error(tmp_path, capsys):
+    manifold = write_manifold(tmp_path, "m.json", 0, 0)
+    assert main(["certify", str(manifold), "--out", str(tmp_path / "missing" / "c.json")]) == 2
+    assert_one_line_input_error(capsys)
 
 
 def test_certify_builds_the_matrix_twice_and_verifies_once(tmp_path, monkeypatch):
@@ -206,6 +218,12 @@ def test_matrix_mode_reduction_verifies_as_reduction_kind(monkeypatch, tmp_path)
     assert main(["verify", str(manifold), str(out), "--kind", "reduction"]) == 0
 
 
+def test_matrix_mode_unwritable_out_is_input_error(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "missing" / "red.json"
+    assert run_matrix(monkeypatch, '[["-1", "2"], ["2", "-1"]]', "--out", str(out)) == 2
+    assert_one_line_input_error(capsys)
+
+
 def test_matrix_mode_reports_failure_without_reduction(monkeypatch, capsys):
     assert run_matrix(monkeypatch, '[["1", "1"], ["1", "-1"]]') == 1
     out = capsys.readouterr().out
@@ -253,6 +271,11 @@ def test_gen_single_piece_is_input_error(tmp_path):
     assert main(["gen", "1"]) == 2
 
 
+def test_gen_unwritable_out_is_input_error(tmp_path, capsys):
+    assert main(["gen", "3", "--out", str(tmp_path / "missing" / "m.json")]) == 2
+    assert_one_line_input_error(capsys)
+
+
 def test_gen_is_deterministic_per_seed(tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
@@ -278,6 +301,37 @@ def test_cover_find_prints_cycles(capsys):
 
 def test_cover_find_parity_failure_is_unavailable():
     assert main(["cover", "find", "--genus", "1", "--alpha", "2", "--degrees", "2"]) == 3
+
+
+def parse_cycles(text: str, alpha: int) -> tuple[int, ...]:
+    """'(0 1 2)(3 4)' -> permutation tuple; '()' is the identity."""
+    perm = list(range(alpha))
+    for body in text.strip("()").split(")("):
+        points = [int(v) for v in body.split()]
+        for a, b in zip(points, points[1:] + points[:1]):
+            perm[a] = b
+    return tuple(perm)
+
+
+def test_cover_find_near_identity_alpha_17(capsys):
+    degrees = "17;" + ",".join(["2", "2"] + ["1"] * 13)
+    code = main(["cover", "find", "--genus", "2", "--alpha", "17", "--degrees", degrees, "--json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    xs = [parse_cycles(t, 17) for t in doc["x"]]
+    ys = [parse_cycles(t, 17) for t in doc["y"]]
+    zs = [parse_cycles(t, 17) for t in doc["z"] + [doc["last_z"]]]
+    word = [commutator(x, y) for x, y in zip(xs, ys)] + zs
+    assert word_product(word, 17) == identity_perm(17)
+    assert [cycle_type(z) for z in zs] == [(17,), (2, 2) + (1,) * 13]
+    assert is_transitive(xs + ys + zs, 17)
+
+
+def test_cover_find_rejects_attempts_option():
+    argv = ["cover", "find", "--genus", "1", "--alpha", "3", "--degrees", "3", "--attempts", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_cover_brute_exit_codes():

@@ -1,8 +1,11 @@
-"""Tests for permutation machinery and surface-cover search."""
+"""Tests for permutation machinery, surface-cover construction and the exhaustive oracle."""
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies
 
+from gmsurf import covers
 from gmsurf.covers import (
     BudgetExceededError,
     CoverCertificate,
@@ -140,6 +143,65 @@ def test_find_cover_rejects_parity_failure():
 def test_find_cover_deterministic_per_seed():
     spec = CoverSpec(genus=1, alpha=4, boundary_degrees=((2, 2),))
     assert find_cover(spec, seed=3) == find_cover(spec, seed=3)
+
+
+def all_specs(genera, boundaries, alphas):
+    for genus in genera:
+        for boundary in boundaries:
+            for alpha in alphas:
+                for degrees in product(boundary_partitions(alpha), repeat=boundary):
+                    yield CoverSpec(genus=genus, alpha=alpha, boundary_degrees=degrees)
+
+
+def test_find_cover_builds_every_small_parity_valid_spec():
+    """Every even permutation being a product of two alpha-cycles is what
+    makes the construction terminate; check it on every small spec, and the
+    parity criterion against the exhaustive oracle wherever it is cheap."""
+    built = oracle_checked = 0
+    for spec in all_specs((1, 2, 3), (1, 2, 3), range(1, 7)):
+        try:
+            exists = cover_exists_bruteforce(spec, budget=200_000)
+        except BudgetExceededError:
+            exists = None
+        if exists is not None:
+            assert exists == parity_check(spec), spec
+            oracle_checked += 1
+        if not parity_check(spec):
+            with pytest.raises(ParityError):
+                find_cover(spec)
+            continue
+        assert verify_cover(spec, find_cover(spec, seed=built)) == [], spec
+        built += 1
+    assert built > 3000 and oracle_checked > 200
+
+
+def near_identity(alpha: int) -> tuple[int, ...]:
+    return (2, 2) + (1,) * (alpha - 4)
+
+
+@pytest.mark.parametrize("alpha", [16, 17, 18, 40, 101, 400])
+def test_find_cover_near_identity_and_large_degrees(alpha):
+    closing = (alpha,) if alpha % 2 else (alpha - 1, 1)
+    specs = [
+        CoverSpec(genus=1, alpha=alpha, boundary_degrees=(near_identity(alpha),)),
+        CoverSpec(genus=2, alpha=alpha, boundary_degrees=(closing, near_identity(alpha))),
+        CoverSpec(genus=1, alpha=alpha, boundary_degrees=(closing,)),
+        CoverSpec(genus=3, alpha=alpha, boundary_degrees=((1,) * alpha,) * 3),
+    ]
+    for spec in specs:
+        assert parity_check(spec), spec
+        assert verify_cover(spec, find_cover(spec)) == [], spec
+
+
+def test_find_cover_never_runs_the_exhaustive_oracle(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("find_cover reached the exhaustive enumeration")
+
+    monkeypatch.setattr(covers, "_achievable_witnesses", refuse)
+    monkeypatch.setattr(covers, "_sym_group", refuse)
+    for spec in all_specs((1, 2), (1, 2), range(1, 6)):
+        if parity_check(spec):
+            assert verify_cover(spec, find_cover(spec)) == []
 
 
 def test_relator_product_of_any_certificate_is_identity():

@@ -152,14 +152,14 @@ def test_reduction_of_disconnected_input_uses_one_component():
     A = sym([["-2", 1, 0, 0], [1, "-2", 0, 0], [0, 0, "-1", 2], [0, 0, 2, "-1"]])
     cert = find_singular_reduction(A)
     assert verify_reduction(A, cert) == []
-    assert cert.support == (2, 3)
+    assert [i for i, v in enumerate(cert.a) if v != 0] == [2, 3]
 
 
 def test_certificate_support_lists_nonzero_indices():
     cert = ReductionCertificate(
         a_prime=((F(0), F(0)), (F(0), F(0))), a=(F(0), F(3))
     )
-    assert cert.support == (1,)
+    assert [i for i, v in enumerate(cert.a) if v != 0] == [1]
 
 
 @settings(max_examples=150, deadline=None)
