@@ -49,7 +49,7 @@ from .fileio import (
     surface_cert_to_json,
 )
 from .generate import PROFILES, generate_manifold
-from .manifold import InvalidGraphError, a_minus, decomposition_matrix, split_blocks
+from .manifold import InvalidGraphError, decomposition_matrix, split_blocks
 from .reduction import NegativeDefiniteError, find_singular_reduction, verify_reduction
 from .surface import (
     NotPositiveEigenvalueBranchError,
@@ -75,7 +75,10 @@ def _analysis_report(A: SymMatrix) -> dict:
     pos, neg, zero = split_blocks(A)
     report = {
         "matrix": matrix_to_json(A),
-        "a_minus": matrix_to_json(a_minus(A)),
+        "a_minus": [
+            [rational_str(-x if i == j and x > 0 else x) for j, x in enumerate(row)]
+            for i, row in enumerate(A.rows)
+        ],
         "inertia": {
             "n_pos": verdict.inertia_of_a_minus.n_pos,
             "n_zero": verdict.inertia_of_a_minus.n_zero,

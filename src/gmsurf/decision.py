@@ -31,11 +31,10 @@ from .exact_linalg import (
     Inertia,
     SymMatrix,
     check_nonnegative_off_diagonal,
+    graph_components,
     inertia,
-    is_connected_matrix,
-    principal_submatrix,
 )
-from .manifold import a_minus, split_blocks
+from .manifold import split_blocks
 
 
 class NotTwoPieceError(ValueError):
@@ -61,46 +60,50 @@ class Verdict:
     inertia_of_a_minus: Inertia
 
 
-def _check_input(A: SymMatrix) -> None:
+def _check_input(A: SymMatrix) -> tuple[list[list[Fraction]], list[int], list[int], list[int]]:
+    """Check A in one scan and return the rows of A-minus with the diagonal-sign split.
+
+    Raises ValueError on the empty matrix or on the first negative
+    off-diagonal entry (row by row), DisconnectedMatrixError if the matrix
+    graph is disconnected.
+    """
     if A.order == 0:
         raise ValueError("empty matrix")
-    check_nonnegative_off_diagonal(A)
-    if not is_connected_matrix(A):
+    if len(graph_components(check_nonnegative_off_diagonal(A))) > 1:
         raise DisconnectedMatrixError("matrix graph is disconnected")
+    minus = [list(row) for row in A.rows]
+    pos, neg, zero = split_blocks(A)
+    for i in pos:
+        minus[i][i] = -minus[i][i]
+    return minus, pos, neg, zero
 
 
-def _same_sign_diagonal(A: SymMatrix) -> bool:
-    diag = A.diagonal()
-    return all(d >= 0 for d in diag) or all(d <= 0 for d in diag)
-
-
-def _immersed(A: SymMatrix, ine: Inertia) -> tuple[bool, Branch]:
+def _immersed(ine: Inertia, pos: list[int], neg: list[int]) -> tuple[bool, Branch]:
     if ine.n_pos > 0:
         return True, Branch.POSITIVE_EIGENVALUE
     if ine.n_zero > 0:
-        if _same_sign_diagonal(A):
+        # all diagonal entries >= 0 or all <= 0
+        if not pos or not neg:
             return True, Branch.SEMIDEFINITE_SAME_SIGN
         return False, Branch.SEMIDEFINITE_MIXED_SIGN
     return False, Branch.NEGATIVE_DEFINITE
 
 
-def _negative_definite_block(B: SymMatrix) -> bool:
+def _negative_definite_block(minus: list[list[Fraction]], idx: list[int]) -> bool:
     # An empty block is negative definite vacuously and costs no inertia call.
     # Other blocks go through this module's `inertia` binding, like A-minus,
     # so every inertia a decision takes is made under that one name.
-    if B.order == 0:
+    if not idx:
         return True
-    ine = inertia(B)
-    return ine.n_pos == 0 and ine.n_zero == 0
+    return inertia([[minus[i][j] for j in idx] for i in idx]).n_neg == len(idx)
 
 
-def _virtually_embedded(A: SymMatrix) -> bool:
-    pos, neg, zero = split_blocks(A)
+def _virtually_embedded(minus: list[list[Fraction]], pos: list[int], neg: list[int], zero: list[int]) -> bool:
+    # Both diagonal blocks are principal blocks of A-minus: the positive one
+    # with its diagonal negated, the negative one as it is in A.
     if zero:
         return True
-    p_block = a_minus(principal_submatrix(A, pos))
-    n_block = principal_submatrix(A, neg)
-    return not _negative_definite_block(p_block) or not _negative_definite_block(n_block)
+    return not _negative_definite_block(minus, pos) or not _negative_definite_block(minus, neg)
 
 
 def decide_immersed(A: SymMatrix) -> tuple[bool, Branch]:
@@ -110,8 +113,8 @@ def decide_immersed(A: SymMatrix) -> tuple[bool, Branch]:
     singular branch provided all diagonal entries of A have the same sign
     (zero counting as either sign).
     """
-    _check_input(A)
-    return _immersed(A, inertia(a_minus(A)))
+    minus, pos, neg, _ = _check_input(A)
+    return _immersed(inertia(minus), pos, neg)
 
 
 def decide_virtually_embedded(A: SymMatrix) -> bool:
@@ -122,18 +125,17 @@ def decide_virtually_embedded(A: SymMatrix) -> bool:
     Otherwise test the two blocks separately; empty blocks are negative
     definite vacuously.
     """
-    _check_input(A)
-    return _virtually_embedded(A)
+    return _virtually_embedded(*_check_input(A))
 
 
 def decide(A: SymMatrix) -> Verdict:
     """Run both decisions in one pass: one input check, one inertia of A-minus."""
-    _check_input(A)
-    ine = inertia(a_minus(A))
-    property_i, branch = _immersed(A, ine)
+    minus, pos, neg, zero = _check_input(A)
+    ine = inertia(minus)
+    property_i, branch = _immersed(ine, pos, neg)
     return Verdict(
         property_i=property_i,
-        property_ve=_virtually_embedded(A),
+        property_ve=_virtually_embedded(minus, pos, neg, zero),
         branch=branch,
         inertia_of_a_minus=ine,
     )

@@ -1,25 +1,29 @@
-"""Exact linear algebra for small dense matrices, with no floating point.
+"""Exact linear algebra over the rationals, with no floating point.
 
 Matrices enter and results leave as arbitrary-precision rationals
 (`fractions.Fraction`): :class:`SymMatrix` entries, determinants, kernel
-vectors and solutions.  In between, every elimination runs on Python ints.
-Denominators are cleared first, by one common multiple for the whole matrix
-in :func:`inertia` and by one per row (equation) in :func:`determinant_rows`,
-:func:`nullspace_rows` and :func:`solve_rows`; then fraction-free (Bareiss)
-elimination divides exactly by the previous pivot at each step, so entries
-stay integers the size of minors of the input.  Matrices are tiny (a graph
-manifold has a few dozen Seifert pieces at most), so dense storage and
-O(s^3) algorithms are the right trade-off.
+vectors and solutions.
 
 The signature routine is :func:`inertia`, which computes the exact eigenvalue
 sign counts (n_pos, n_zero, n_neg) of a symmetric rational matrix by congruence
 diagonalization; by Sylvester's law of inertia the sign counts are invariant
-under congruence, so no root finding is needed.
+under congruence, so no root finding is needed.  A decomposition matrix has
+the sparsity of the piece graph (a tree plus a few extra tori), so
+:func:`inertia` works on the nonzero entries only and eliminates in
+minimum-degree order, which creates no fill on a tree: its cost follows the
+number of edges and the fill, not the cube of the order.
+
+:func:`determinant_rows`, :func:`nullspace_rows` and :func:`solve_rows` are
+still dense: they clear denominators by one common multiple per row
+(equation), then fraction-free (Bareiss) elimination divides exactly by the
+previous pivot at each step, so entries stay integers the size of minors of
+the input.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -153,85 +157,103 @@ class SymMatrix:
 def _clear_denominators(values: Iterable[Fraction | int]) -> tuple[int, list[int]]:
     """(L, the values times L as Python ints), L the lcm of their denominators.
 
-    Scaling by a positive constant changes neither the signs of a symmetric
-    matrix's eigenvalues (applied to the whole matrix) nor the null space and
-    the solution of a system (applied to one row and its right-hand side).
+    Scaling one row and its right-hand side by a positive constant changes
+    neither the null space nor the solution of a system.
     """
     values = list(values)
     scale = lcm(*(v.denominator for v in values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def inertia(A: SymMatrix) -> Inertia:
-    """Exact inertia (n_pos, n_zero, n_neg) by symmetric congruence reduction.
+def inertia(A: SymMatrix | Sequence[Sequence[Fraction]]) -> Inertia:
+    """Exact inertia (n_pos, n_zero, n_neg) of a symmetric matrix by sparse congruence.
 
-    Runs on the integer matrix L*A (L the lcm of all denominators) with 1x1
-    pivots, swapping in a nonzero diagonal entry when available.  When the
-    whole trailing diagonal is zero but some off-diagonal entry b is not,
-    adding row+column j to row+column k manufactures the pivot 2b (the
-    classic handling of a [[0, b], [b, 0]] block, which contributes one
-    positive and one negative eigenvalue).  A trailing row that is entirely
-    zero contributes a zero eigenvalue and is dropped.
+    ``A`` is a :class:`SymMatrix` or its dense rows; symmetry is assumed.
+    The nonzero entries go into one dict per row, and pivots are eliminated
+    in graph order, each step replacing the rest of the matrix by its Schur
+    complement (a congruence, so Sylvester's law of inertia gives each
+    pivot block's signs to the whole matrix):
 
-    Elimination is fraction-free (Bareiss): the trailing block is kept as
-    |d| times the Schur complement, d the previous pivot, so every entry is a
-    minor of an integer matrix congruent to L*A and each update divides
-    exactly by the previous |d|.  Scaling by |d| > 0 keeps signs, so each
-    pivot's sign is the sign of one eigenvalue (Sylvester's law of inertia).
-    Swaps and the 2b move are integer unimodular congruences and keep the
-    division exact.
+    - a 1x1 pivot on the remaining vertex of least degree whose diagonal is
+      nonzero, the smallest index among equals (minimum-degree order, Rose
+      1972; on a tree it creates no fill, Parter 1961);
+    - when every remaining diagonal entry is zero, a 2x2 pivot
+      [[0, b], [b, 0]] on an edge at a vertex of least degree, which has one
+      positive and one negative eigenvalue;
+    - a remaining vertex with no entry at all is one zero eigenvalue.
+
+    Entries stay `Fraction`, reduced at every step.
     """
-    n = A.order
-    _, flat = _clear_denominators(x for row in A.rows for x in row)
-    block = [flat[i * n:(i + 1) * n] for i in range(n)]
-    n_pos = n_zero = n_neg = 0
-    prev = 1
-    while block:
-        head = block[0]
-        if head[0] == 0:
-            swap = next((j for j in range(1, len(block)) if block[j][j] != 0), None)
-            if swap is not None:
-                block[0], block[swap] = block[swap], block[0]
-                for row in block:
-                    row[0], row[swap] = row[swap], row[0]
-            else:
-                mate = next((j for j, x in enumerate(head) if x != 0), None)
-                if mate is None:
-                    n_zero += 1
-                    block = [row[1:] for row in block[1:]]
-                    continue
-                block[0] = [a + b for a, b in zip(head, block[mate])]
-                for row in block:
-                    row[0] += row[mate]
-            head = block[0]
-        pivot = head[0]
-        if pivot > 0:
-            n_pos += 1
-            weight, tail = pivot, head[1:]
+    rows = getattr(A, "rows", A)
+    adj = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    remaining = set(range(len(adj)))
+    queue: list[tuple[int, int]] = []  # sorted (degree, index), nonzero diagonals only
+    queued: dict[int, tuple[int, int]] = {}
+
+    def unqueue(vertices) -> None:
+        for i in vertices:
+            key = queued.pop(i, None)
+            if key is not None:
+                del queue[bisect_left(queue, key)]
+
+    def enqueue(vertices) -> None:
+        for i in vertices:
+            row = adj[i]
+            if i in row:
+                key = queued[i] = (len(row) - 1, i)
+                insort(queue, key)
+
+    def subtract(i: int, j: int, amount: Fraction) -> None:
+        value = adj[i].get(j, 0) - amount
+        if value:
+            adj[i][j] = adj[j][i] = value
         else:
-            n_neg += 1
-            weight, tail = -pivot, [-x for x in head[1:]]
-        rest = []
-        for row in block[1:]:
-            factor = row[0]
-            if factor != 0:
-                rest.append([(weight * x - factor * y) // prev for x, y in zip(row[1:], tail)])
-            elif weight == prev:
-                rest.append(row[1:])
+            adj[i].pop(j, None)
+            adj[j].pop(i, None)
+
+    enqueue(remaining)
+    n_pos = n_zero = n_neg = 0
+    while remaining:
+        if queue:
+            _, k = queue.pop(0)
+            del queued[k]
+            row = adj[k]
+            pivot = row.pop(k)
+            if pivot > 0:
+                n_pos += 1
             else:
-                rest.append([weight * x // prev for x in row[1:]])
-        block = rest
-        prev = weight
+                n_neg += 1
+            remaining.remove(k)
+            touched = list(row.items())
+            unqueue(row)
+            for s, (i, a) in enumerate(touched):
+                del adj[i][k]
+                factor = a / pivot
+                for j, b in touched[s:]:
+                    subtract(i, j, factor * b)
+            enqueue(row)
+            continue
+        isolated = [i for i in remaining if not adj[i]]
+        if isolated:
+            n_zero += len(isolated)
+            remaining.difference_update(isolated)
+            continue
+        # Every remaining diagonal entry is zero, so a row's length is its degree.
+        k = min(remaining, key=lambda i: (len(adj[i]), i))
+        l = min(adj[k], key=lambda j: (len(adj[j]), j))
+        b = adj[k].pop(l)
+        del adj[l][k]
+        n_pos += 1
+        n_neg += 1
+        remaining.difference_update((k, l))
+        touched = list({**adj[k], **adj[l]})
+        x = [adj[i].pop(k, 0) / b for i in touched]
+        y = [adj[i].pop(l, 0) / b for i in touched]
+        for s, i in enumerate(touched):
+            for t in range(s, len(touched)):
+                subtract(i, touched[t], b * (x[s] * y[t] + y[s] * x[t]))
+        enqueue(touched)
     return Inertia(n_pos, n_zero, n_neg)
-
-
-def is_negative_definite(A: SymMatrix) -> bool:
-    """True iff every eigenvalue is negative.  The 0x0 matrix is negative
-    definite by convention (vacuously; empty blocks need this)."""
-    if A.order == 0:
-        return True
-    ine = inertia(A)
-    return ine.n_pos == 0 and ine.n_zero == 0
 
 
 def _eliminate(m: list[list[int]], stop_col: int) -> tuple[list[int], int, int]:
@@ -337,53 +359,64 @@ def solve_rows(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> t
     return tuple(Fraction(m[i][n], d) for i in range(n))
 
 
-def matrix_graph_components(A: SymMatrix) -> list[list[int]]:
-    """Connected components of the matrix graph (edge {i, j} iff A[i][j] != 0, i != j).
+def graph_components(neighbours: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Connected components of the graph with these neighbour lists.
 
-    Components are sorted lists of indices, ordered by smallest member.
+    Components are sorted lists of vertices, ordered by smallest member.
     """
-    n = A.order
-    seen = [False] * n
+    seen = [False] * len(neighbours)
     components: list[list[int]] = []
-    for start in range(n):
+    for start in range(len(neighbours)):
         if seen[start]:
             continue
-        queue = [start]
+        stack = [start]
         seen[start] = True
         comp = []
-        while queue:
-            i = queue.pop()
+        while stack:
+            i = stack.pop()
             comp.append(i)
-            for j in range(n):
-                if j != i and not seen[j] and A[i, j] != 0:
+            for j in neighbours[i]:
+                if not seen[j]:
                     seen[j] = True
-                    queue.append(j)
+                    stack.append(j)
         components.append(sorted(comp))
     return components
+
+
+def matrix_graph_components(A: SymMatrix) -> list[list[int]]:
+    """Connected components of the matrix graph (edge {i, j} iff A[i][j] != 0, i != j)."""
+    return graph_components([[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(A.rows)])
 
 
 def is_connected_matrix(A: SymMatrix) -> bool:
     return len(matrix_graph_components(A)) <= 1
 
 
-def check_nonnegative_off_diagonal(A: SymMatrix) -> None:
+def check_nonnegative_off_diagonal(A: SymMatrix) -> list[list[int]]:
     """Raise ValueError naming the first negative off-diagonal entry, if any.
 
     Decomposition matrices, and every matrix the decision and reduction
-    layers accept, have non-negative off-diagonal entries.
+    layers accept, have non-negative off-diagonal entries.  Returns the
+    neighbour lists of the matrix graph, read in the same scan.
     """
-    for i in range(A.order):
-        for j in range(i + 1, A.order):
-            if A[i, j] < 0:
-                raise ValueError(f"negative off-diagonal entry at ({i}, {j})")
+    n = A.order
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(A.rows):
+        for j in range(i + 1, n):
+            x = row[j]
+            if x:
+                if x < 0:
+                    raise ValueError(f"negative off-diagonal entry at ({i}, {j})")
+                neighbours[i].append(j)
+                neighbours[j].append(i)
+    return neighbours
 
 
 def principal_submatrix(A: SymMatrix, idx: Iterable[int]) -> SymMatrix:
     """Symmetric submatrix on the rows/columns ``idx``.
 
     ``idx`` may be given in any order; duplicates are rejected.  The empty
-    index set yields the 0x0 matrix, which :func:`is_negative_definite`
-    treats as negative definite (the convention the block tests rely on).
+    index set yields the 0x0 matrix, whose inertia is (0, 0, 0).
     """
     indices = sorted(idx)
     if len(set(indices)) != len(indices):

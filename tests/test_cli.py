@@ -234,6 +234,21 @@ def test_matrix_mode_rejects_negative_off_diagonal(monkeypatch, capsys):
     assert run_matrix(monkeypatch, '[["0", "-1"], ["-1", "0"]]') == 2
 
 
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "empty matrix"),
+        ('[["-1", "1", "-1"], ["1", "-1", "-2"], ["-1", "-2", "-1"]]', "negative off-diagonal entry at (0, 2)"),
+        ('[["-1", "1", "0"], ["1", "-1", "0"], ["0", "0", "-1"]]', "matrix graph is disconnected"),
+    ],
+)
+def test_matrix_mode_input_errors_keep_their_text(monkeypatch, capsys, text, message):
+    assert run_matrix(monkeypatch, text, "--json") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
 def test_matrix_mode_rejects_asymmetric_input(monkeypatch, capsys):
     assert run_matrix(monkeypatch, '[["0", "1"], ["2", "0"]]') == 2
 

@@ -20,13 +20,17 @@ from gmsurf.exact_linalg import (
     SymMatrix,
     inertia,
     is_connected_matrix,
-    is_negative_definite,
     principal_submatrix,
     to_rational,
 )
 from gmsurf.manifold import a_minus, split_blocks
 
 F = Fraction
+
+
+def negative_definite(A: SymMatrix) -> bool:
+    """Every eigenvalue negative; the 0x0 matrix vacuously so."""
+    return inertia(A).n_neg == A.order
 
 
 def sym(rows) -> SymMatrix:
@@ -120,7 +124,7 @@ def test_zero_diagonal_rule_matches_every_block_assignment():
         n_idx = sorted(neg + [z for z, side in zip(zero, assignment) if side == 1])
         p_block = a_minus(principal_submatrix(A, p_idx))
         n_block = principal_submatrix(A, n_idx)
-        by_hand = not is_negative_definite(p_block) or not is_negative_definite(n_block)
+        by_hand = not negative_definite(p_block) or not negative_definite(n_block)
         assert by_hand == shortcut
 
 
@@ -138,7 +142,7 @@ def test_zero_diagonal_assignments_agree_in_general(A):
         p_block = a_minus(principal_submatrix(A, p_idx))
         n_block = principal_submatrix(A, n_idx)
         answers.add(
-            not is_negative_definite(p_block) or not is_negative_definite(n_block)
+            not negative_definite(p_block) or not negative_definite(n_block)
         )
     assert answers == {shortcut}
 
@@ -171,7 +175,7 @@ def test_verdicts_invariant_under_positive_scaling(A, c):
 def test_negative_definite_forces_both_false(A):
     if not is_connected_matrix(A):
         return
-    if not is_negative_definite(a_minus(A)):
+    if not negative_definite(a_minus(A)):
         return
     verdict = decide(A)
     assert not verdict.property_i
@@ -208,8 +212,31 @@ def test_decide_takes_each_inertia_once(monkeypatch, rows, blocks):
     A = sym(rows)
     verdict = decide(A)
     assert checked == [A]
-    assert seen == [a_minus(A)] + [sym(b) for b in blocks]
+    assert [[list(row) for row in B] for B in seen] == [a_minus(A).to_lists()] + [
+        sym(b).to_lists() for b in blocks
+    ]
     assert verdict.inertia_of_a_minus == inertia(a_minus(A))
+
+
+
+# Input errors, in the order decide checks them: the empty matrix, then the
+# first negative off-diagonal entry row by row (even on a disconnected
+# matrix), then a disconnected matrix graph.
+INPUT_ERRORS = [
+    ([], ValueError, "empty matrix"),
+    ([["-1", 1, "-1"], [1, "-1", "-2"], ["-1", "-2", "-1"]], ValueError, "negative off-diagonal entry at (0, 2)"),
+    ([["-1", 0, 0], [0, "-1", "-1"], [0, "-1", "-1"]], ValueError, "negative off-diagonal entry at (1, 2)"),
+    ([["-1", 1, 0], [1, "-1", 0], [0, 0, "-1"]], DisconnectedMatrixError, "matrix graph is disconnected"),
+]
+
+
+@pytest.mark.parametrize("rows, error, message", INPUT_ERRORS)
+@pytest.mark.parametrize("decider", [decide, decide_immersed, decide_virtually_embedded])
+def test_input_errors_keep_type_and_message(decider, rows, error, message):
+    with pytest.raises(error) as info:
+        decider(sym(rows))
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 # --- two-piece invariant ----------------------------------------------------

@@ -1,17 +1,23 @@
 """Tests for the exact symmetric-matrix layer.
 
-The inertia routine is checked four independent ways: against hand-computed
+The inertia routine is checked five independent ways: against hand-computed
 examples, against Sylvester's law under random congruences, against a
 characteristic-polynomial sign-counting oracle (valid because symmetric
-matrices have only real eigenvalues, where Descartes' bound is exact), and
-against plain `Fraction` elimination.  The integer (fraction-free) core is
-cross-checked against the `Fraction` oracles at orders up to 12, with large
-denominators, all-zero diagonals, rank deficiency and decomposition matrices
-of every verdict class.
+matrices have only real eigenvalues, where Descartes' bound is exact),
+against dense `Fraction` elimination and against dense fraction-free
+(Bareiss) elimination.  The sparse graph-order inertia is cross-checked
+against both dense oracles at orders up to 12, with large denominators,
+negative off-diagonal entries, all-zero diagonals (2x2 pivots), isolated
+zero rows, disconnected and rank-deficient matrices, and against the Bareiss
+oracle on decomposition matrices of every verdict class up to 120 pieces.
+The 400-piece slowly-closing path is checked against its own pivot
+recurrence.  Determinant, kernel and solve (still dense integer routines)
+are cross-checked against the `Fraction` oracles.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies
@@ -23,7 +29,6 @@ from gmsurf.exact_linalg import (
     determinant_rows,
     inertia,
     is_connected_matrix,
-    is_negative_definite,
     kernel_basis,
     mat_vec,
     matrix_graph_components,
@@ -37,6 +42,11 @@ from gmsurf.exact_linalg import (
 from gmsurf.manifold import a_minus, split_blocks
 
 F = Fraction
+
+
+def negative_definite(A: SymMatrix) -> bool:
+    """Every eigenvalue negative; the 0x0 matrix vacuously so."""
+    return inertia(A).n_neg == A.order
 
 
 def sym(rows) -> SymMatrix:
@@ -109,6 +119,62 @@ def fraction_inertia(A: SymMatrix) -> Inertia:
             for j in range(k + 1, n):
                 m[i][j] -= factor * m[k][j] / pivot
         k += 1
+    return Inertia(n_pos, n_zero, n_neg)
+
+
+
+def bareiss_inertia(A: SymMatrix) -> Inertia:
+    """Inertia by dense fraction-free (Bareiss) congruence on integers (the
+    dense integer core).
+
+    Runs on L*A (L the lcm of all denominators) with 1x1 pivots, swapping in
+    a nonzero diagonal entry when there is one; when the whole trailing
+    diagonal is zero but some entry b is not, adding row+column j to
+    row+column k makes the pivot 2b.  The trailing block is kept as |d| times
+    the Schur complement, d the previous pivot, so each update divides
+    exactly by the previous |d| and each pivot's sign is one eigenvalue's.
+    """
+    n = A.order
+    scale = lcm(*(x.denominator for row in A.rows for x in row))
+    block = [[x.numerator * (scale // x.denominator) for x in row] for row in A.rows]
+    n_pos = n_zero = n_neg = 0
+    prev = 1
+    while block:
+        head = block[0]
+        if head[0] == 0:
+            swap = next((j for j in range(1, len(block)) if block[j][j] != 0), None)
+            if swap is not None:
+                block[0], block[swap] = block[swap], block[0]
+                for row in block:
+                    row[0], row[swap] = row[swap], row[0]
+            else:
+                mate = next((j for j, x in enumerate(head) if x != 0), None)
+                if mate is None:
+                    n_zero += 1
+                    block = [row[1:] for row in block[1:]]
+                    continue
+                block[0] = [a + b for a, b in zip(head, block[mate])]
+                for row in block:
+                    row[0] += row[mate]
+            head = block[0]
+        pivot = head[0]
+        if pivot > 0:
+            n_pos += 1
+            weight, tail = pivot, head[1:]
+        else:
+            n_neg += 1
+            weight, tail = -pivot, [-x for x in head[1:]]
+        rest = []
+        for row in block[1:]:
+            factor = row[0]
+            if factor != 0:
+                rest.append([(weight * x - factor * y) // prev for x, y in zip(row[1:], tail)])
+            elif weight == prev:
+                rest.append(row[1:])
+            else:
+                rest.append([weight * x // prev for x in row[1:]])
+        block = rest
+        prev = weight
     return Inertia(n_pos, n_zero, n_neg)
 
 
@@ -376,7 +442,7 @@ def test_empty_principal_submatrix_is_negative_definite():
     A = sym([[1, 2], [2, 3]])
     empty = principal_submatrix(A, [])
     assert empty.order == 0
-    assert is_negative_definite(empty)
+    assert negative_definite(empty)
 
 
 def test_principal_submatrix_rejects_bad_index():
@@ -461,7 +527,8 @@ def assert_rref_basis(rows, basis):
 @given(symmetric_matrices(max_order=12, entries=wide_rationals))
 def test_integer_core_matches_fraction_oracles(A):
     ine = inertia(A)
-    assert ine == fraction_inertia(A)
+    assert ine == fraction_inertia(A) == bareiss_inertia(A)
+    assert inertia([list(row) for row in A.rows]) == ine
     assert determinant_rows(A.rows) == fraction_determinant(A.rows)
     basis = kernel_basis(A)
     assert len(basis) == ine.n_zero
@@ -472,15 +539,69 @@ def test_integer_core_matches_fraction_oracles(A):
 @given(symmetric_matrices(max_order=12, entries=wide_rationals))
 def test_integer_inertia_with_all_zero_diagonal(A):
     Z = with_zero_diagonal(A)
-    assert inertia(Z) == fraction_inertia(Z)
+    assert inertia(Z) == fraction_inertia(Z) == bareiss_inertia(Z)
     assert determinant_rows(Z.rows) == fraction_determinant(Z.rows)
+
+
+
+def scattered_blocks(max_blocks=4, max_order=4, entries=wide_rationals):
+    """Several symmetric blocks, some of them zero rows, shuffled together.
+
+    The matrix graph is disconnected, and a zero block of order 1 is an
+    isolated vertex with a zero diagonal.
+    """
+
+    def build(draw):
+        blocks = draw(strategies.lists(symmetric_matrices(max_order, entries), min_size=1, max_size=max_blocks))
+        blocks += [SymMatrix.zero(1)] * draw(strategies.integers(0, 3))
+        n = sum(B.order for B in blocks)
+        order = draw(strategies.permutations(range(n)))
+        rows = [[F(0)] * n for _ in range(n)]
+        offset = 0
+        for B in blocks:
+            for i in range(B.order):
+                for j in range(B.order):
+                    rows[order[offset + i]][order[offset + j]] = B[i, j]
+            offset += B.order
+        return SymMatrix(rows), blocks
+
+    return strategies.composite(build)()
+
+
+@settings(max_examples=60)
+@given(scattered_blocks())
+def test_inertia_of_disconnected_matrices_with_isolated_zero_rows(case):
+    A, blocks = case
+    ine = inertia(A)
+    assert ine == fraction_inertia(A) == bareiss_inertia(A)
+    parts = [bareiss_inertia(B) for B in blocks]
+    assert ine == Inertia(*(sum(getattr(p, k) for p in parts) for k in ("n_pos", "n_zero", "n_neg")))
+    Z = with_zero_diagonal(A)
+    assert inertia(Z) == fraction_inertia(Z) == bareiss_inertia(Z)
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([[0]], (0, 1, 0)),
+        ([[0, 0], [0, 0]], (0, 2, 0)),
+        ([[0, 0, 0], [0, 0, "-3"], [0, "-3", 0]], (1, 1, 1)),  # isolated zero row beside a 2x2 pivot
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (1, 0, 2)),  # a triangle with zero diagonal
+        # a 2x2 pivot whose update couples two of its neighbours through both pivot vertices
+        ([[0, "-1", 1, 1], ["-1", 0, "-1", "-1"], [1, "-1", 0, 2], [1, "-1", 2, 0]], (1, 0, 3)),
+        ([[0, "-1", 0, 0], ["-1", 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 2]], (2, 1, 1)),
+    ],
+)
+def test_inertia_of_zero_diagonal_examples(rows, expected):
+    A = sym(rows)
+    assert inertia(A) == Inertia(*expected) == bareiss_inertia(A) == fraction_inertia(A)
 
 
 @settings(max_examples=60)
 @given(low_rank_symmetric())
 def test_integer_core_on_rank_deficient_matrices(A):
     ine = inertia(A)
-    assert ine == fraction_inertia(A)
+    assert ine == fraction_inertia(A) == bareiss_inertia(A)
     assert ine.n_zero >= 1
     assert determinant_rows(A.rows) == 0
     basis = kernel_basis(A)
@@ -560,20 +681,79 @@ def verdict_matrix(n: int, cls: str) -> SymMatrix:
     return SymMatrix(rows)
 
 
-@pytest.mark.parametrize("n", [40, 64])
+@pytest.mark.parametrize("n", [40, 64, 120, 200])
 @pytest.mark.parametrize("cls", sorted(VERDICT_CLASSES))
 def test_integer_core_on_decomposition_matrices(cls, n):
     A = verdict_matrix(n, cls)
     B = a_minus(A)
-    ine = inertia(B)
-    assert ine == fraction_inertia(B)
-    basis = kernel_basis(B)
-    assert len(basis) == ine.n_zero
-    assert_rref_basis(B.rows, basis)
-    if n == 40:  # the oracles are slow at 64 pieces; decide() below still reads the blocks
-        pos, neg, _ = split_blocks(A)
-        for block in (a_minus(principal_submatrix(A, pos)), principal_submatrix(A, neg)):
+    pos, neg, _ = split_blocks(A)
+    blocks = (a_minus(principal_submatrix(A, pos)), principal_submatrix(A, neg))
+    if n <= 120:  # the dense oracles are slow beyond; decide() below still runs
+        ine = inertia(B)
+        assert ine == bareiss_inertia(B)
+        for block in blocks:
+            assert inertia(block) == bareiss_inertia(block)
+    if n <= 64:
+        assert ine == fraction_inertia(B)
+        basis = kernel_basis(B)
+        assert len(basis) == ine.n_zero
+        assert_rref_basis(B.rows, basis)
+    if n == 40:
+        for block in blocks:
             assert inertia(block) == fraction_inertia(block)
         assert determinant_rows(B.rows) == fraction_determinant(B.rows)
     verdict = decide(A)
     assert (verdict.branch, verdict.property_i, verdict.property_ve) == VERDICT_CLASSES[cls]
+
+
+def path_pivot_signs(n: int, eps: Fraction) -> tuple[int, Fraction]:
+    """(k, u_k) for the first pivot u_k <= 0 of the n-piece path's negation,
+    or (n + 1, u_n) if all n are positive.
+
+    The path has diagonal -2 + eps and unit couplings; its negation is
+    tridiagonal with pivots u_1 = 2 - eps, u_{k+1} = 2 - eps - 1/u_k.
+    """
+    u = 2 - eps
+    for k in range(1, n + 1):
+        if u <= 0:
+            return k, u
+        if k < n:
+            u = 2 - eps - 1 / u
+    return n + 1, u
+
+
+def closing_epsilon(n: int) -> Fraction:
+    """An exact eps in (0, 1) whose n-piece path has a positive eigenvalue
+    while its (n - 1)-piece sub-paths are negative definite: the first
+    non-positive pivot is u_n, and u_n < 0.  Pivots fall as eps grows, so
+    exact rational bisection on the first such index finds one.
+    """
+    lo, hi = Fraction(0), Fraction(1)
+    while True:
+        mid = (lo + hi) / 2
+        k, u = path_pivot_signs(n, mid)
+        if k == n and u < 0:
+            return mid
+        if k > n or (k == n and u == 0):
+            lo = mid
+        else:
+            hi = mid
+
+
+def path_rows(n: int, eps: Fraction) -> list[list[Fraction]]:
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = eps - 2
+        if i + 1 < n:
+            rows[i][i + 1] = rows[i + 1][i] = F(1)
+    return rows
+
+
+def test_inertia_of_the_400_piece_slowly_closing_path():
+    n = 400
+    eps = closing_epsilon(n)
+    assert path_pivot_signs(n, eps)[0] == n
+    assert path_pivot_signs(n - 1, eps)[0] == n  # all n - 1 pivots positive
+    rows = path_rows(n, eps)  # A-minus is the path itself: every diagonal is negative
+    assert inertia(rows) == Inertia(n_pos=1, n_zero=0, n_neg=n - 1)
+    assert inertia([row[:-1] for row in rows[:-1]]) == Inertia(n_pos=0, n_zero=0, n_neg=n - 1)

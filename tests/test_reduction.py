@@ -12,7 +12,6 @@ from gmsurf.exact_linalg import (
     SymMatrix,
     inertia,
     is_connected_matrix,
-    is_negative_definite,
     kernel_basis,
     mat_vec,
     principal_submatrix,
@@ -33,6 +32,11 @@ from gmsurf.reduction import (
 )
 
 F = Fraction
+
+
+def negative_definite(A: SymMatrix) -> bool:
+    """Every eigenvalue negative; the 0x0 matrix vacuously so."""
+    return inertia(A).n_neg == A.order
 
 
 def sym(rows) -> SymMatrix:
@@ -156,16 +160,17 @@ def test_reduction_of_disconnected_input_uses_one_component():
 
 
 def test_certificate_support_lists_nonzero_indices():
-    cert = ReductionCertificate(
-        a_prime=((F(0), F(0)), (F(0), F(0))), a=(F(0), F(3))
-    )
-    assert [i for i, v in enumerate(cert.a) if v != 0] == [1]
+    # a connected path whose A-minus has a positive eigenvalue (-1 + sqrt 2)
+    A = sym([[1, 1, 0], [1, "-1", 1], [0, 1, "-1"]])
+    cert = find_singular_reduction(A)
+    assert [i for i, v in enumerate(cert.a) if v != 0] == [0, 1, 2]
+    assert verify_reduction(A, cert) == []
 
 
 @settings(max_examples=150, deadline=None)
 @given(admissible_matrices())
 def test_reduction_of_connected_input_has_full_support(A):
-    if not is_connected_matrix(A) or is_negative_definite(a_minus(A)):
+    if not is_connected_matrix(A) or negative_definite(a_minus(A)):
         return
     assert_full_support_reduction(A)
 
@@ -173,7 +178,7 @@ def test_reduction_of_connected_input_has_full_support(A):
 @settings(max_examples=150, deadline=None)
 @given(admissible_matrices())
 def test_reduction_exists_iff_not_negative_definite(A):
-    negdef = is_negative_definite(a_minus(A))
+    negdef = negative_definite(a_minus(A))
     try:
         cert = find_singular_reduction(A)
     except NegativeDefiniteError:
@@ -383,7 +388,7 @@ def test_symmetric_reductions_of_negative_definite_stay_negative_definite():
         order = rng.randint(2, 5)
         A = connected_negative_matrix(rng, order, singular=False)
         reduced = random_symmetric_reduction(rng, A, strict=False)
-        assert is_negative_definite(reduced)
+        assert negative_definite(reduced)
 
 
 def test_strict_symmetric_reductions_of_connected_negative_are_definite():
