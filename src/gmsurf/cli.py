@@ -411,6 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact numbers outgrow the interpreter's int <-> str limit of 4300 digits
+    # (path degrees gain about 33 bits a piece), and every conversion of a
+    # command is an exact one, so the limit is lifted for the command.
+    # Interpreters without the limit have no `get_int_max_str_digits`.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except Exception as exc:  # a crash must not read as a verdict
@@ -419,6 +426,9 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -12,12 +12,19 @@ the sparsity of the piece graph (a tree plus a few extra tori), so
 :func:`inertia` works on the nonzero entries only and eliminates in
 minimum-degree order, which creates no fill on a tree: its cost follows the
 number of edges and the fill, not the cube of the order.
+:func:`pivot_witnesses` runs the same elimination, A = L D L^T, and turns
+each positive pivot block into a vector x = L^{-T} e_k with x^T A x > 0.
 
-:func:`determinant_rows`, :func:`nullspace_rows` and :func:`solve_rows` are
-still dense: they clear denominators by one common multiple per row
-(equation), then fraction-free (Bareiss) elimination divides exactly by the
-previous pivot at each step, so entries stay integers the size of minors of
-the input.
+:func:`mmatrix_solve` is the other elimination: Gaussian elimination of a
+Z-matrix in the same minimum-degree order with diagonal pivots only,
+stopping at the first pivot <= 0.  That is the exact test that the matrix is
+a nonsingular M-matrix, and when it passes the same elimination solves.
+
+:func:`determinant_rows` and :func:`nullspace_rows` are dense: they clear
+denominators by one common multiple per row, then fraction-free (Bareiss)
+elimination divides exactly by the previous pivot at each step, so entries
+stay integers the size of minors of the input.  The package no longer calls
+them.
 """
 
 from __future__ import annotations
@@ -111,6 +118,15 @@ class SymMatrix:
                     raise ValueError(f"not symmetric at ({i}, {j})")
         object.__setattr__(self, "rows", converted)
 
+    @classmethod
+    def _trusted(cls, rows: Iterable[Iterable[Fraction]]) -> "SymMatrix":
+        """A matrix the package built itself, from `Fraction` entries and
+        symmetric by construction: the entry and symmetry checks of the
+        public constructor are skipped.  Parsed input never comes here."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", tuple(tuple(row) for row in rows))
+        return matrix
+
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrix is immutable")
 
@@ -165,26 +181,16 @@ def _clear_denominators(values: Iterable[Fraction | int]) -> tuple[int, list[int
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def inertia(A: SymMatrix | Sequence[Sequence[Fraction]]) -> Inertia:
-    """Exact inertia (n_pos, n_zero, n_neg) of a symmetric matrix by sparse congruence.
+def _congruence(rows: Sequence[Sequence[Fraction]], steps: list | None = None) -> Inertia:
+    """Sparse graph-order congruence of symmetric dense rows; see :func:`inertia`.
 
-    ``A`` is a :class:`SymMatrix` or its dense rows; symmetry is assumed.
-    The nonzero entries go into one dict per row, and pivots are eliminated
-    in graph order, each step replacing the rest of the matrix by its Schur
-    complement (a congruence, so Sylvester's law of inertia gives each
-    pivot block's signs to the whole matrix):
-
-    - a 1x1 pivot on the remaining vertex of least degree whose diagonal is
-      nonzero, the smallest index among equals (minimum-degree order, Rose
-      1972; on a tree it creates no fill, Parter 1961);
-    - when every remaining diagonal entry is zero, a 2x2 pivot
-      [[0, b], [b, 0]] on an edge at a vertex of least degree, which has one
-      positive and one negative eigenvalue;
-    - a remaining vertex with no entry at all is one zero eigenvalue.
-
-    Entries stay `Fraction`, reduced at every step.
+    When ``steps`` is a list, each pivot block is appended to it as
+    (seed, value, columns): ``seed`` maps the block's vertices to a vector y
+    on the block with y^T P y = ``value`` (the pivot itself for a 1x1 block
+    P, 2|b| for [[0, b], [b, 0]]), and ``columns`` lists (vertex, {row:
+    multiplier}), the block's columns of the unit lower triangular factor L
+    with A = L D L^T.
     """
-    rows = getattr(A, "rows", A)
     adj = [{j: x for j, x in enumerate(row) if x} for row in rows]
     remaining = set(range(len(adj)))
     queue: list[tuple[int, int]] = []  # sorted (degree, index), nonzero diagonals only
@@ -226,12 +232,15 @@ def inertia(A: SymMatrix | Sequence[Sequence[Fraction]]) -> Inertia:
             remaining.remove(k)
             touched = list(row.items())
             unqueue(row)
-            for s, (i, a) in enumerate(touched):
+            factors = [a / pivot for _, a in touched]
+            for s, (i, _) in enumerate(touched):
                 del adj[i][k]
-                factor = a / pivot
+                factor = factors[s]
                 for j, b in touched[s:]:
                     subtract(i, j, factor * b)
             enqueue(row)
+            if steps is not None:
+                steps.append(({k: Fraction(1)}, pivot, [(k, dict(zip(row, factors)))]))
             continue
         isolated = [i for i in remaining if not adj[i]]
         if isolated:
@@ -253,7 +262,110 @@ def inertia(A: SymMatrix | Sequence[Sequence[Fraction]]) -> Inertia:
             for t in range(s, len(touched)):
                 subtract(i, touched[t], b * (x[s] * y[t] + y[s] * x[t]))
         enqueue(touched)
+        if steps is not None:
+            seed = {k: Fraction(1), l: Fraction(1 if b > 0 else -1)}
+            steps.append((seed, 2 * abs(b), [(k, dict(zip(touched, y))), (l, dict(zip(touched, x)))]))
     return Inertia(n_pos, n_zero, n_neg)
+
+
+def inertia(A: SymMatrix | Sequence[Sequence[Fraction]]) -> Inertia:
+    """Exact inertia (n_pos, n_zero, n_neg) of a symmetric matrix by sparse congruence.
+
+    ``A`` is a :class:`SymMatrix` or its dense rows; symmetry is assumed.
+    The nonzero entries go into one dict per row, and pivots are eliminated
+    in graph order, each step replacing the rest of the matrix by its Schur
+    complement (a congruence, so Sylvester's law of inertia gives each
+    pivot block's signs to the whole matrix):
+
+    - a 1x1 pivot on the remaining vertex of least degree whose diagonal is
+      nonzero, the smallest index among equals (minimum-degree order, Rose
+      1972; on a tree it creates no fill, Parter 1961);
+    - when every remaining diagonal entry is zero, a 2x2 pivot
+      [[0, b], [b, 0]] on an edge at a vertex of least degree, which has one
+      positive and one negative eigenvalue;
+    - a remaining vertex with no entry at all is one zero eigenvalue.
+
+    Entries stay `Fraction`, reduced at every step.
+    """
+    return _congruence(getattr(A, "rows", A))
+
+
+def pivot_witnesses(
+    A: SymMatrix | Sequence[Sequence[Fraction]],
+) -> list[tuple[Fraction, dict[int, Fraction]]]:
+    """One vector x with x^T A x > 0 per positive eigenvalue of a symmetric matrix.
+
+    They come from the elimination of :func:`inertia`, A = L D L^T, which
+    has one pivot block per positive eigenvalue: a positive 1x1 pivot d, or
+    a 2x2 pivot [[0, b], [b, 0]].  With seed y on the block, x = L^{-T} y
+    satisfies x^T A x = y^T D y = d (or 2|b|) > 0.  Returns the pairs
+    (x^T A x, x), x as a dict of its nonzero entries, in elimination order
+    (empty iff A has no positive eigenvalue); each x costs one sparse
+    back-substitution through the earlier blocks.
+    """
+    steps: list = []
+    _congruence(getattr(A, "rows", A), steps)
+    witnesses = []
+    for t, (seed, value, _) in enumerate(steps):
+        if value <= 0:
+            continue
+        x = dict(seed)
+        for _, _, columns in reversed(steps[:t]):
+            for m, column in columns:
+                total = sum(f * x[i] for i, f in column.items() if i in x)
+                if total:
+                    x[m] = -total
+        witnesses.append((value, x))
+    return witnesses
+
+
+def mmatrix_solve(
+    rows: Sequence[dict[int, Fraction]], rhs: Sequence[Fraction] | None = None
+) -> tuple[Fraction, ...] | None:
+    """Solve M x = rhs exactly if the Z-matrix M is a nonsingular M-matrix; else None.
+
+    M (off-diagonal entries <= 0, a symmetric nonzero pattern, values not
+    necessarily symmetric) is given by one dict of nonzero entries per row.
+    Gaussian elimination takes diagonal pivots only, in minimum-degree
+    order (smallest index among equals), and stops at the first pivot <= 0:
+    a Z-matrix is a nonsingular M-matrix iff all its leading principal
+    minors are positive, in any symmetric order (Berman and Plemmons,
+    *Nonnegative Matrices in the Mathematical Sciences*, ch. 6), so no
+    pivoting is needed.  Positive pivots keep the rest a Z-matrix, and an
+    off-diagonal entry only moves away from 0, so the pattern stays
+    symmetric.  Without ``rhs`` this is the test alone and returns ``()``
+    on success.
+    """
+    adj = [dict(row) for row in rows]
+    b = None if rhs is None else list(rhs)
+    queue = sorted((len(row) - (i in row), i) for i, row in enumerate(adj))
+    queued = {key[1]: key for key in queue}
+    done: list[tuple[int, Fraction, dict[int, Fraction]]] = []
+    while queue:
+        _, k = queue.pop(0)
+        del queued[k]
+        row = adj[k]
+        pivot = row.pop(k, 0)
+        if pivot <= 0:
+            return None
+        for i in row:
+            del queue[bisect_left(queue, queued[i])]
+        for i in row:
+            other = adj[i]
+            factor = other.pop(k) / pivot
+            if b is not None and b[k]:
+                b[i] -= factor * b[k]
+            for j, v in row.items():
+                other[j] = other.get(j, 0) - factor * v
+            key = queued[i] = (len(other) - (i in other), i)
+            insort(queue, key)
+        done.append((k, pivot, row))
+    if b is None:
+        return ()
+    x = [Fraction(0)] * len(adj)
+    for k, pivot, row in reversed(done):
+        x[k] = (b[k] - sum(v * x[j] for j, v in row.items())) / pivot
+    return tuple(x)
 
 
 def _eliminate(m: list[list[int]], stop_col: int) -> tuple[list[int], int, int]:
@@ -340,25 +452,6 @@ def nullspace_rows(rows: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, .
     return basis
 
 
-def kernel_basis(A: SymMatrix) -> list[tuple[Fraction, ...]]:
-    """Exact basis of the null space of a symmetric matrix (possibly empty)."""
-    return nullspace_rows(A.rows)
-
-
-def solve_rows(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Solve a nonsingular square system exactly.  Raises ValueError if singular.
-
-    Each equation (row plus right-hand side) is scaled to integers by its own
-    lcm; after fraction-free Gauss-Jordan elimination x[i] = m[i][n] / d.
-    """
-    n = len(rows)
-    m = [_clear_denominators([*r, rhs[i]])[1] for i, r in enumerate(rows)]
-    pivot_cols, d, _ = _eliminate(m, n)
-    if len(pivot_cols) < n:
-        raise ValueError("singular system")
-    return tuple(Fraction(m[i][n], d) for i in range(n))
-
-
 def graph_components(neighbours: Sequence[Sequence[int]]) -> list[list[int]]:
     """Connected components of the graph with these neighbour lists.
 
@@ -425,7 +518,7 @@ def principal_submatrix(A: SymMatrix, idx: Iterable[int]) -> SymMatrix:
     for i in indices:
         if not 0 <= i < n:
             raise IndexError(f"index {i} out of range for order {n}")
-    return SymMatrix([[A[i, j] for j in indices] for i in indices])
+    return SymMatrix._trusted([[A.rows[i][j] for j in indices] for i in indices])
 
 
 def mat_vec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -122,18 +122,17 @@ def manifold_from_json(data) -> DecompositionGraph:
                 raise FileFormatError(f"pieces[{k}]: missing required key '{key}'")
         cone_orders = record.get("cone_orders", [])
         cone_orders = _expect_list(cone_orders, f"pieces[{k}].cone_orders")
-        try:
-            pieces.append(
-                SeifertPiece(
-                    id=parse_int_field(record["id"], f"pieces[{k}].id"),
-                    euler=parse_rational_field(record["euler"], f"pieces[{k}].euler"),
-                    genus=parse_int_field(record["genus"], f"pieces[{k}].genus"),
-                    cone_orders=tuple(
-                        parse_int_field(a, f"pieces[{k}].cone_orders[{i}]")
-                        for i, a in enumerate(cone_orders)
-                    ),
-                )
-            )
+        fields = {
+            "id": parse_int_field(record["id"], f"pieces[{k}].id"),
+            "euler": parse_rational_field(record["euler"], f"pieces[{k}].euler"),
+            "genus": parse_int_field(record["genus"], f"pieces[{k}].genus"),
+            "cone_orders": tuple(
+                parse_int_field(a, f"pieces[{k}].cone_orders[{i}]")
+                for i, a in enumerate(cone_orders)
+            ),
+        }
+        try:  # the fields are parsed and located; the piece checks its own data
+            pieces.append(SeifertPiece(**fields))
         except ValueError as exc:
             raise FileFormatError(f"pieces[{k}]: {exc}") from exc
     tori = []

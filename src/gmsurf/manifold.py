@@ -152,8 +152,12 @@ def validate(G: DecompositionGraph) -> list[str]:
         if det != 1:
             violations.append(f"{label}: qq' - pp' = {det} != 1")
 
+    boundary_counts = dict.fromkeys(id_set, 0)
+    for t in G.tori:
+        for side in {t.from_piece, t.to_piece} & id_set:
+            boundary_counts[side] += 1
     for piece in G.pieces:
-        boundary = sum(1 for t in G.tori if t.touches(piece.id))
+        boundary = boundary_counts[piece.id]
         if boundary == 0:
             violations.append(f"piece {piece.id}: not incident to any torus")
         chi = piece.orbifold_euler(boundary)
@@ -202,7 +206,7 @@ def decomposition_matrix(G: DecompositionGraph) -> SymMatrix:
         i, j = index[t.from_piece], index[t.to_piece]
         entries[i][j] += Fraction(1, t.p)
         entries[j][i] += Fraction(1, t.p)
-    return SymMatrix(entries)
+    return SymMatrix._trusted(entries)
 
 
 def a_minus(A: SymMatrix) -> SymMatrix:
@@ -211,7 +215,7 @@ def a_minus(A: SymMatrix) -> SymMatrix:
     for i in range(A.order):
         if rows[i][i] > 0:
             rows[i][i] = -rows[i][i]
-    return SymMatrix(rows)
+    return SymMatrix._trusted(rows)
 
 
 def split_blocks(A: SymMatrix) -> tuple[list[int], list[int], list[int]]:

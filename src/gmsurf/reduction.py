@@ -15,9 +15,17 @@ Matrices in the Mathematical Sciences*, ch. 6).  Couplings shrink from A to
 an exact rational fraction t0 of A that makes the matrix strictly
 diagonally dominant.  With a zero diagonal entry one linear solve gives the
 reduction; otherwise couplings move one at a time, bisection (an exact
-M-matrix test) finds the move on which the Perron root crosses 0, and the
-determinant, affine in the moving entry, pins the exact rational crossing.
-On a connected matrix the annihilated vector is positive at every index.
+M-matrix test) finds the move on which the Perron root crosses 0, and one
+M-matrix solve w = (-S)^{-1} e_i gives both the exact rational crossing
+(the matrix determinant lemma) and the annihilated vector w.  Every step is
+one sparse elimination with diagonal pivots in minimum-degree order
+(:func:`gmsurf.exact_linalg.mmatrix_solve`); no determinant or dense
+elimination is taken.  On a connected matrix the annihilated vector is
+positive at every index.
+
+:func:`strict_shrink` prepares the input of the surface builder: one
+congruence elimination of A-minus bounds the shrink factor from below, and a
+few inertia tests pin it.
 
 :func:`negativity_certificate` is the complementary tool for matrices that
 are negative semidefinite: it produces a strictly positive vector a with
@@ -34,15 +42,14 @@ from typing import Sequence
 from .exact_linalg import (
     SymMatrix,
     check_nonnegative_off_diagonal,
-    determinant_rows,
     inertia,
     is_connected_matrix,
     mat_vec,
     matrix_graph_components,
-    nullspace_rows,
+    mmatrix_solve,
+    pivot_witnesses,
     primitive_vector,
     principal_submatrix,
-    solve_rows,
 )
 from .manifold import a_minus
 
@@ -88,67 +95,50 @@ class ReductionCertificate:
         )
 
 
-def _positive_kernel_vector(rows: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
-    """The primitive generator of a kernel that is one line through a positive vector.
-
-    An irreducible matrix with non-negative off-diagonal entries and Perron
-    root 0 has that kernel: adding c*I makes it a primitive non-negative
-    matrix with Perron root c, a simple eigenvalue with a positive
-    eigenvector (Perron-Frobenius).
-    """
-    basis = nullspace_rows(rows)
-    if len(basis) != 1:
-        raise AssertionError(f"kernel has dimension {len(basis)}, expected 1")
-    vec = primitive_vector(basis[0])  # 1 at its free column, so positive if the line is
-    if any(v <= 0 for v in vec):
-        raise AssertionError("kernel vector is not strictly positive")
-    return vec
+def _negated(rows) -> list[dict[int, Fraction]]:
+    """The nonzero entries of -rows, one dict per row (the input of :func:`mmatrix_solve`)."""
+    return [{j: -x for j, x in enumerate(row) if x} for row in rows]
 
 
-def _negative_perron_root(rows: Sequence[Sequence[Fraction]]) -> bool:
-    """True iff a matrix with non-negative off-diagonal entries has Perron root < 0.
-
-    That holds iff its negation M is a nonsingular M-matrix, which holds iff
-    M x = (1, ..., 1) has a solution x > 0 (semipositivity; Berman and
-    Plemmons, ch. 6).  A singular M has Perron root 0, so it answers no.
-    """
-    try:
-        x = solve_rows([[-v for v in row] for row in rows], [Fraction(1)] * len(rows))
-    except ValueError:
-        return False
-    return all(v > 0 for v in x)
-
-
-def _perron_reduction(B: SymMatrix, n_pos: int) -> tuple[list[list[Fraction]], tuple[Fraction, ...]]:
+def _perron_reduction(B: SymMatrix) -> tuple[list[list[Fraction]], tuple[Fraction, ...]] | None:
     """A singular reduction of a connected B and a strictly positive vector it annihilates.
 
-    B has non-positive diagonal, non-negative off-diagonal entries, is not
-    negative definite and has ``n_pos`` positive eigenvalues.  Let Z be the
-    indices with zero diagonal and N the rest.  Scaling the couplings inside
-    N by t0 = min(1, |B_ii| / (2 sum_{j in N} B_ij) over i in N) makes B_N
+    B has non-positive diagonal and non-negative off-diagonal entries.
+    Returns None iff B is negative definite.  Let Z be the indices with
+    zero diagonal and N the rest.  Scaling the couplings inside N by
+    t0 = min(1, |B_ii| / (2 sum_{j in N} B_ij) over i in N) makes B_N
     strictly diagonally dominant, so -B_N(t0) is a nonsingular M-matrix.
+    Every step is one sparse M-matrix elimination (:func:`mmatrix_solve`).
 
-    - Z non-empty: rows in Z lose their couplings and get weight 1; couplings
-      from N into Z stay; solving -B_N(t0) a_N = (the couplings into Z) gives
-      a_N > 0, because the inverse of an M-matrix is non-negative and positive
-      on each irreducible block, and every block touches Z.
-    - Z empty, no positive eigenvalue: B is singular and semidefinite, and
-      is its own reduction.
-    - Z empty otherwise (then t0 < 1, or B would be negative definite): move
-      the couplings from B_ij to t0*B_ij one at a time, in row-major order.  The Perron root falls monotonically from
-      positive to negative; bisection over the number of moved couplings
-      finds the coupling whose move crosses 0.  The determinant is affine in
-      that coupling and its only root on the move is where the Perron root
-      is 0: there the kernel is a positive line.
+    - Z non-empty (B is not negative definite): rows in Z lose their
+      couplings and get weight 1; couplings from N into Z stay; solving
+      -B_N(t0) a_N = (the couplings into Z) gives a_N > 0, because the
+      inverse of an M-matrix is non-negative and positive on each
+      irreducible block, and every block touches Z.
+    - Z empty and t0 = 1: B is strictly diagonally dominant, so negative
+      definite.
+    - Z empty otherwise: move the couplings from B_ij to t0*B_ij one at a
+      time, in row-major order.  The Perron root falls monotonically to a
+      negative value; bisection over the number of moved couplings, with the
+      exact test that -state is a nonsingular M-matrix, finds the coupling
+      (i, j) whose move crosses 0, if the root of B itself is >= 0.  Let S
+      be the state after that move and w = (-S)^{-1} e_i, positive because
+      the inverse of an irreducible nonsingular M-matrix is.  By the matrix
+      determinant lemma det(S + d e_i e_j^T) = det(S) (1 - d w_j), so the
+      Perron root is 0 at d = 1/w_j, where (S + d e_i e_j^T) w = 0: w spans
+      the kernel.  A crossing beyond B_ij means the root of B is already
+      negative; one exactly at B_ij means B is singular and is its own
+      reduction.
     """
     n = B.order
     zero = [i for i in range(n) if B[i, i] == 0]
     rest = [i for i in range(n) if B[i, i] != 0]
     t0 = Fraction(1)
     for i in rest:
-        total = sum((B[i, j] for j in rest if j != i), Fraction(0))
+        row = B.rows[i]
+        total = sum(row[j] for j in rest if j != i and row[j])
         if total:
-            t0 = min(t0, -B[i, i] / (2 * total))
+            t0 = min(t0, -row[i] / (2 * total))
 
     if zero:
         m = [[Fraction(0)] * n for _ in range(n)]
@@ -157,44 +147,45 @@ def _perron_reduction(B: SymMatrix, n_pos: int) -> tuple[list[list[Fraction]], t
         a = [Fraction(1)] * n
         if rest:
             coupling = [sum(B[i, z] for z in zero) for i in rest]
-            solved = solve_rows([[-m[i][j] for j in rest] for i in rest], coupling)
+            solved = mmatrix_solve(_negated([m[i][j] for j in rest] for i in rest), coupling)
             for i, v in zip(rest, solved):
                 a[i] = v
         if any(v <= 0 for v in a):
             raise AssertionError("zero-diagonal solve produced a non-positive weight")
         return m, primitive_vector(a)
 
-    if n_pos == 0:
-        m = B.to_lists()
-        return m, _positive_kernel_vector(m)
+    if t0 == 1:
+        return None
+    moves = [(i, j, t0 * x) for i, row in enumerate(B.rows) for j, x in enumerate(row) if i != j and x]
+    negated = _negated(B.rows)
 
-    positions = [(i, j) for i in range(n) for j in range(n) if i != j and B[i, j] != 0]
+    def negated_state(k: int) -> list[dict[int, Fraction]]:
+        rows = [dict(row) for row in negated]
+        for i, j, x in moves[:k]:
+            rows[i][j] = -x
+        return rows
 
-    def state(k: int) -> list[list[Fraction]]:
-        m = B.to_lists()
-        for i, j in positions[:k]:
-            m[i][j] *= t0
-        return m
-
-    # Perron root of state lo >= 0 (B has a positive eigenvalue), of state hi < 0.
-    lo, hi = 0, len(positions)
+    # The Perron root of state hi is < 0; bisection keeps lo as the last
+    # state not shown to be below 0.
+    lo, hi = 0, len(moves)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _negative_perron_root(state(mid)):
-            hi = mid
-        else:
+        if mmatrix_solve(negated_state(mid)) is None:
             lo = mid
-    m = state(lo)
-    i, j = positions[lo]
-    x0 = m[i][j]
-    d0 = determinant_rows(m)
-    if d0 != 0:
-        x1 = t0 * x0
-        m[i][j] = x1
-        d1 = determinant_rows(m)
-        # det(x) = d1 + (d0 - d1) (x - x1) / (x0 - x1), and d1 != 0 (Perron root < 0)
-        m[i][j] = x1 - d1 * (x0 - x1) / (d0 - d1)
-    return m, _positive_kernel_vector(m)
+        else:
+            hi = mid
+    i, j, moved = moves[lo]
+    w = mmatrix_solve(negated_state(hi), [Fraction(int(r == i)) for r in range(n)])
+    if any(v <= 0 for v in w):
+        raise AssertionError("kernel vector is not strictly positive")
+    crossing = moved + 1 / w[j]
+    if crossing > B[i, j]:
+        return None
+    m = B.to_lists()
+    for p, q, x in moves[:lo]:
+        m[p][q] = x
+    m[i][j] = crossing
+    return m, primitive_vector(w)
 
 
 def find_singular_reduction(A: SymMatrix) -> ReductionCertificate:
@@ -203,7 +194,8 @@ def find_singular_reduction(A: SymMatrix) -> ReductionCertificate:
     Raises NegativeDefiniteError iff A-minus is negative definite (in which
     case no such reduction exists at all).  Otherwise the first connected
     component of the matrix graph whose block of B = A-minus is not negative
-    definite gets a Perron-Frobenius reduction (see :func:`_perron_reduction`)
+    definite gets a Perron-Frobenius reduction (see :func:`_perron_reduction`,
+    which also tells negative definite blocks apart, so no inertia is taken)
     with a strictly positive vector; every other coupling becomes 0 and every
     other weight 0.  On a connected A the vector is positive at every index.
     Positive diagonal entries of A are restored by negating their rows, which
@@ -212,13 +204,12 @@ def find_singular_reduction(A: SymMatrix) -> ReductionCertificate:
     check_nonnegative_off_diagonal(A)
     B = a_minus(A)
     for component in matrix_graph_components(B):
-        block = principal_submatrix(B, component)
-        ine = inertia(block)
-        if ine.n_pos or ine.n_zero:
+        found = _perron_reduction(principal_submatrix(B, component))
+        if found is not None:
             break
     else:
         raise NegativeDefiniteError("A-minus is negative definite")
-    block_rows, block_a = _perron_reduction(block, ine.n_pos)
+    block_rows, block_a = found
 
     n = A.order
     m = [[B[i, i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
@@ -276,26 +267,34 @@ class NegativityCertificate:
 def negativity_certificate(A: SymMatrix) -> NegativityCertificate:
     """Produce the positive vector witnessing negative (semi)definiteness.
 
-    Nonsingular case: solve A*a = (-1, ..., -1); the solution is the negated
-    column sum of the inverse and is strictly positive for connected matrices
-    with non-negative off-diagonal.  Singular case: the kernel of a connected
-    negative semidefinite matrix is one-dimensional and spanned by a strictly
-    positive vector; return a generator.
+    Nonsingular case: one M-matrix elimination of -A decides it and solves
+    A*a = (-1, ..., -1); the solution is the negated column sum of the
+    inverse and is strictly positive for connected matrices with
+    non-negative off-diagonal.  Otherwise A is singular and semidefinite iff
+    its kernel is a line through a strictly positive vector: every proper
+    principal block of a connected singular M-matrix is a nonsingular
+    M-matrix, so a second elimination, with the last weight fixed at 1,
+    solves for the others; return the primitive generator.
     """
     if not is_connected_matrix(A):
         raise ValueError("matrix graph is disconnected")
     check_nonnegative_off_diagonal(A)
-    ine = inertia(A)
-    if ine.n_pos > 0:
-        raise NotNegativeError(f"matrix has {ine.n_pos} positive eigenvalues")
-    if ine.n_zero == 0:
-        rhs = [Fraction(-1)] * A.order
-        a = solve_rows(A.rows, rhs)
+    n = A.order
+    negated = _negated(A.rows)
+    a = mmatrix_solve(negated, [Fraction(1)] * n)
+    if a is not None:
         if any(v <= 0 for v in a):
             raise AssertionError("definite case produced a non-positive weight")
-        return NegativityCertificate(a=a, image=tuple(rhs))
-    vec = _positive_kernel_vector(A.rows)
-    return NegativityCertificate(a=vec, image=mat_vec(A.rows, vec))
+        return NegativityCertificate(a=a, image=tuple([Fraction(-1)] * n))
+    last = n - 1
+    rest = mmatrix_solve(
+        [{j: x for j, x in row.items() if j != last} for row in negated[:last]],
+        [A[i, last] for i in range(last)],
+    )
+    image = None if rest is None else mat_vec(A.rows, (*rest, Fraction(1)))
+    if image is None or any(image):
+        raise NotNegativeError("matrix has a positive eigenvalue")
+    return NegativityCertificate(a=primitive_vector((*rest, Fraction(1))), image=image)
 
 
 def bilinear_identity(
@@ -334,20 +333,51 @@ def strict_shrink(A: SymMatrix) -> SymMatrix:
     """Shrink every nonzero off-diagonal entry by a common factor (1 - eps)
     while keeping a positive eigenvalue of A-minus.
 
-    Having a positive eigenvalue is an open condition, so halving eps from
-    1/2 terminates.  Raises NoPositiveEigenvalueError if A-minus has none to
-    begin with.
+    eps is the largest power 2^-k <= 1/2 that keeps one (the one the halving
+    loop eps = 1/2, 1/4, ... would stop at).  Let B = A-minus and C its
+    off-diagonal part.  One congruence elimination of B
+    (:func:`pivot_witnesses`) gives, per positive eigenvalue, an x with
+    x^T B x > 0; since C >= 0, |x|^T B_eps |x| >= x^T B x - eps
+    |x|^T C |x|, so every eps below the best bound x^T B x / |x|^T C |x|
+    keeps a positive eigenvalue.  The top eigenvalue of a matrix with
+    non-negative off-diagonal entries grows with them, so having one is
+    monotone in k: test 1/2 first, then gallop from the bound's power toward
+    larger eps and bisect, each test one inertia.  Raises
+    NoPositiveEigenvalueError if A-minus has no positive eigenvalue, and
+    ValueError on a negative off-diagonal entry.
     """
-    if inertia(a_minus(A)).n_pos == 0:
+    neighbours = check_nonnegative_off_diagonal(A)
+    minus = [[-x if i == j and x > 0 else x for j, x in enumerate(row)] for i, row in enumerate(A.rows)]
+    witnesses = pivot_witnesses(minus)
+    if not witnesses:
         raise NoPositiveEigenvalueError("A-minus has no positive eigenvalue")
-    eps = Fraction(1, 2)
-    while True:
-        rows = A.to_lists()
-        for i in range(A.order):
-            for j in range(A.order):
-                if i != j and rows[i][j] != 0:
-                    rows[i][j] *= 1 - eps
-        shrunk = SymMatrix(rows)
-        if inertia(a_minus(shrunk)).n_pos > 0:
-            return shrunk
-        eps /= 2
+
+    def coupling_form(x: dict[int, Fraction]) -> Fraction:
+        return sum(abs(v * x[j]) * A.rows[i][j] for i, v in x.items() for j in neighbours[i] if j in x)
+
+    bound = max(value / coupling_form(x) for value, x in witnesses)
+
+    def shrunk(rows, k: int) -> list[list[Fraction]]:
+        factor = 1 - Fraction(1, 2**k)
+        return [[x * factor if i != j and x else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+    def positive(k: int) -> bool:
+        return inertia(shrunk(minus, k)).n_pos > 0
+
+    hi = 1  # positive(hi) holds: 2^-hi < bound
+    while Fraction(1, 2**hi) >= bound:
+        hi += 1
+    lo = 0
+    if hi > 1:
+        if positive(1):
+            hi = 1
+        else:
+            lo = 1
+    gap = 1
+    while hi - lo > 1:
+        k = max(hi - gap, (lo + hi + 1) // 2)
+        if positive(k):
+            hi, gap = k, 2 * gap
+        else:
+            lo = k
+    return SymMatrix._trusted(shrunk(A.rows, hi))

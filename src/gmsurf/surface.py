@@ -3,9 +3,13 @@
 A positive immersed-surface verdict on the positive-eigenvalue branch can be
 witnessed constructively.  The builder:
 
-1. shrinks every off-diagonal entry of the decomposition matrix while keeping
-   a positive eigenvalue of A-minus (so the next step lands strictly inside
-   the allowed range);
+1. shrinks every off-diagonal entry of the decomposition matrix by a factor
+   1 - 2^-k while keeping a positive eigenvalue of A-minus (so the next step
+   lands strictly inside the allowed range).  One congruence elimination of
+   A-minus decides the branch (no positive eigenvalue: not this branch) and
+   gives, per positive pivot, a vector x with x^T A-minus x > 0, which
+   bounds k; a few inertia tests pin the exact k the halving eps = 1/2,
+   1/4, ... would reach;
 2. finds a singular reduction A' of the shrunk matrix annihilating a vector a
    with positive entries (strictly smaller off-diagonal magnitudes than
    the original matrix wherever it is nonzero);
@@ -44,10 +48,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .decision import Branch, decide_immersed
+from .decision import decide_immersed
 from .exact_linalg import SymMatrix, mat_vec
 from .manifold import DecompositionGraph, decomposition_matrix, euler_wrt_meridians
-from .reduction import ReductionCertificate, find_singular_reduction, strict_shrink, verify_reduction
+from .reduction import (
+    NoPositiveEigenvalueError,
+    ReductionCertificate,
+    find_singular_reduction,
+    strict_shrink,
+    verify_reduction,
+)
 
 
 class NotPositiveEigenvalueBranchError(ValueError):
@@ -108,10 +118,11 @@ def build_surface_certificate(G: DecompositionGraph) -> SurfaceCertificate:
     is the independent check.
     """
     A = decomposition_matrix(G)
-    _, branch = decide_immersed(A)
-    if branch is not Branch.POSITIVE_EIGENVALUE:
-        raise NotPositiveEigenvalueBranchError(f"decision branch is {branch.value}")
-    shrunk = strict_shrink(A)
+    try:
+        shrunk = strict_shrink(A)
+    except NoPositiveEigenvalueError:
+        _, branch = decide_immersed(A)
+        raise NotPositiveEigenvalueBranchError(f"decision branch is {branch.value}") from None
     reduction = find_singular_reduction(shrunk)
 
     index = {p.id: k for k, p in enumerate(G.pieces)}

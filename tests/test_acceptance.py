@@ -20,7 +20,6 @@ from gmsurf.exact_linalg import (
     SymMatrix,
     inertia,
     is_connected_matrix,
-    kernel_basis,
     mat_vec,
 )
 from gmsurf.generate import generate_manifold
@@ -33,6 +32,7 @@ from gmsurf.reduction import (
     verify_reduction,
 )
 from gmsurf.surface import build_surface_certificate, verify_surface_certificate
+from oracles import kernel_basis
 
 F = Fraction
 

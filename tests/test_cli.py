@@ -384,3 +384,59 @@ def test_emitted_files_contain_no_floats(tmp_path):
 
     check(json.loads(cert.read_text()))
     check(json.loads(manifold.read_text()))
+
+
+# --- exact numbers past the interpreter's 4300-digit int <-> str limit -----------
+
+
+def huge_euler_manifold(tmp_path):
+    # A-minus = [[-3/10^4400, 1], [1, -1]] has a positive eigenvalue
+    doc = {
+        "pieces": [
+            {"id": 1, "euler": "-3/1" + "0" * 4400, "genus": 1},
+            {"id": 2, "euler": "-1", "genus": 1},
+        ],
+        "tori": [{"from": 1, "to": 2, "p": 1}],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_analyze_entry_over_4300_digits(tmp_path, capsys):
+    assert main(["analyze", str(huge_euler_manifold(tmp_path)), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["matrix"][0][0] == "-3/1" + "0" * 4400
+    assert report["branch"] == "PositiveEigenvalue"
+
+
+def test_certify_then_verify_with_entries_over_4300_digits(tmp_path, capsys):
+    manifold = huge_euler_manifold(tmp_path)
+    cert = tmp_path / "cert.json"
+    assert main(["certify", str(manifold), "--out", str(cert)]) == 0
+    text = cert.read_text()
+    assert max(len(token) for token in text.split()) > 4300
+    assert main(["verify", str(manifold), str(cert)]) == 0
+    assert capsys.readouterr().out.endswith("certificate is valid\n")
+
+
+def test_manifold_parse_error_is_located_once(tmp_path, capsys):
+    doc = {
+        "pieces": [{"id": 1, "euler": "abc", "genus": 1}, {"id": 2, "euler": "-1", "genus": 1}],
+        "tori": [{"from": 1, "to": 2, "p": 1}],
+    }
+    path = tmp_path / "bad.json"
+    save_json(doc, path)
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == "error: pieces[0].euler: not a rational string: 'abc'\n"
+
+
+def test_manifold_piece_check_keeps_its_location(tmp_path, capsys):
+    doc = {
+        "pieces": [{"id": 1, "euler": "-1", "genus": 1, "cone_orders": [1]}],
+        "tori": [],
+    }
+    path = tmp_path / "bad.json"
+    save_json(doc, path)
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == "error: pieces[0]: piece 1: cone orders must be >= 2, got 1\n"

@@ -11,8 +11,11 @@ negative off-diagonal entries, all-zero diagonals (2x2 pivots), isolated
 zero rows, disconnected and rank-deficient matrices, and against the Bareiss
 oracle on decomposition matrices of every verdict class up to 120 pieces.
 The 400-piece slowly-closing path is checked against its own pivot
-recurrence.  Determinant, kernel and solve (still dense integer routines)
-are cross-checked against the `Fraction` oracles.
+recurrence.  The witnesses of positive pivots are checked against their
+quadratic form, and the sparse M-matrix elimination against leading
+principal minors and the dense solve of `oracles.py`.  The dense integer
+determinant, kernel and solve are cross-checked against the `Fraction`
+oracles.
 """
 
 import random
@@ -29,17 +32,18 @@ from gmsurf.exact_linalg import (
     determinant_rows,
     inertia,
     is_connected_matrix,
-    kernel_basis,
     mat_vec,
     matrix_graph_components,
+    mmatrix_solve,
     nullspace_rows,
+    pivot_witnesses,
     primitive_vector,
     principal_submatrix,
     rational_str,
-    solve_rows,
     to_rational,
 )
 from gmsurf.manifold import a_minus, split_blocks
+from oracles import kernel_basis, solve_rows
 
 F = Fraction
 
@@ -757,3 +761,111 @@ def test_inertia_of_the_400_piece_slowly_closing_path():
     rows = path_rows(n, eps)  # A-minus is the path itself: every diagonal is negative
     assert inertia(rows) == Inertia(n_pos=1, n_zero=0, n_neg=n - 1)
     assert inertia([row[:-1] for row in rows[:-1]]) == Inertia(n_pos=0, n_zero=0, n_neg=n - 1)
+
+
+# --- witnesses of positive pivots -----------------------------------------------
+
+
+def quadratic_form(A: SymMatrix, x: dict) -> Fraction:
+    return sum((v * A[i, j] * x[j] for i, v in x.items() for j in x), F(0))
+
+
+def assert_pivot_witnesses(A: SymMatrix) -> None:
+    witnesses = pivot_witnesses(A)
+    # one witness per positive eigenvalue: a positive 1x1 pivot or a 2x2 block
+    assert len(witnesses) == bareiss_inertia(A).n_pos
+    for value, x in witnesses:
+        assert value > 0
+        assert quadratic_form(A, x) == value
+
+
+@settings(max_examples=60)
+@given(symmetric_matrices(max_order=12, entries=wide_rationals))
+def test_pivot_witnesses_have_their_positive_value(A):
+    assert_pivot_witnesses(A)
+    assert_pivot_witnesses(with_zero_diagonal(A))
+
+
+@settings(max_examples=60)
+@given(scattered_blocks())
+def test_pivot_witnesses_of_disconnected_matrices(case):
+    A, _ = case
+    assert_pivot_witnesses(A)
+    assert_pivot_witnesses(with_zero_diagonal(A))
+
+
+@pytest.mark.parametrize("cls", ["pos_ve", "pos_no_ve", "same"])
+def test_pivot_witnesses_of_decomposition_matrices(cls):
+    assert_pivot_witnesses(a_minus(verdict_matrix(40, cls)))
+
+
+# --- M-matrix elimination ---------------------------------------------------------
+
+
+def z_matrices(max_order=7, symmetric=False):
+    """Dense Z-matrices with a symmetric nonzero pattern; values need not be
+    symmetric.  Diagonals range from negative to dominant, so some are
+    nonsingular M-matrices, some singular and some neither."""
+
+    def build(draw):
+        n = draw(strategies.integers(min_value=1, max_value=max_order))
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if draw(strategies.booleans()):
+                    rows[i][j] = -draw(strategies.builds(F, strategies.integers(1, 5), strategies.integers(1, 3)))
+                    rows[j][i] = rows[i][j] if symmetric else -draw(
+                        strategies.builds(F, strategies.integers(1, 5), strategies.integers(1, 3))
+                    )
+        for i in range(n):
+            row_sum = -sum(rows[i][j] for j in range(n) if j != i)
+            rows[i][i] = row_sum + draw(strategies.builds(F, strategies.integers(-6, 4), strategies.integers(1, 3)))
+        return rows
+
+    return strategies.composite(build)()
+
+
+def sparse(rows) -> list[dict]:
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def is_nonsingular_m_matrix(rows) -> bool:
+    """Every leading principal minor positive, in the natural order."""
+    return all(fraction_determinant([row[:k] for row in rows[:k]]) > 0 for k in range(1, len(rows) + 1))
+
+
+@settings(max_examples=200)
+@given(z_matrices(), strategies.booleans())
+def test_mmatrix_solve_matches_minors_and_dense_solve(rows, symmetric):
+    if symmetric:
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(len(rows))] for i in range(len(rows))]
+    rhs = [F(k - 2, k + 1) for k in range(len(rows))]
+    expected = is_nonsingular_m_matrix(rows)
+    assert (mmatrix_solve(sparse(rows)) == ()) is expected
+    solved = mmatrix_solve(sparse(rows), rhs)
+    assert (solved is not None) is expected
+    if expected:
+        assert solved == solve_rows(rows, rhs)
+        # the inverse of a nonsingular M-matrix is entrywise non-negative
+        assert all(v >= 0 for v in mmatrix_solve(sparse(rows), [F(1)] * len(rows)))
+
+
+def test_mmatrix_solve_stops_at_a_zero_pivot():
+    singular = [[F(1), F(-1)], [F(-1), F(1)]]
+    assert mmatrix_solve(sparse(singular)) is None
+    assert mmatrix_solve(sparse(singular), [F(0), F(0)]) is None
+    assert mmatrix_solve([{}]) is None
+    assert mmatrix_solve([]) == ()
+    assert mmatrix_solve(sparse([[F(2), F(-1)], [F(-1), F(2)]]), [F(1), F(1)]) == (F(1), F(1))
+
+
+def test_mmatrix_solve_on_the_400_piece_path():
+    # -A of the slowly-closing path is a Z-matrix; dropping its last piece
+    # leaves a nonsingular M-matrix, while the whole path has a negative pivot.
+    n = 400
+    negated = [{j: -x for j, x in enumerate(row) if x} for row in path_rows(n, closing_epsilon(n))]
+    assert mmatrix_solve(negated) is None
+    head = [{j: x for j, x in row.items() if j < n - 1} for row in negated[:-1]]
+    x = mmatrix_solve(head, [F(1)] * (n - 1))
+    assert all(v > 0 for v in x)
+    assert all(sum(v * x[j] for j, v in row.items()) == 1 for row in head)

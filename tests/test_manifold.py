@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies
 
-from gmsurf.exact_linalg import SymMatrix, is_connected_matrix, to_rational
+from gmsurf import exact_linalg
+from gmsurf.exact_linalg import SymMatrix, is_connected_matrix, principal_submatrix, to_rational
 from gmsurf.generate import generate_manifold
 from gmsurf.manifold import (
     DecompositionGraph,
@@ -19,6 +20,7 @@ from gmsurf.manifold import (
     two_piece_graph,
     validate,
 )
+from gmsurf.reduction import strict_shrink
 
 F = Fraction
 
@@ -67,6 +69,43 @@ def test_validate_flags_self_gluing():
         tori=(GluingTorus(from_piece=1, to_piece=1, p=1),),
     )
     assert any("self-gluing" in v for v in validate(G))
+
+
+def test_validate_reports_every_violation_in_order(monkeypatch):
+    # boundary circles are counted in one pass over the tori, not per piece
+    monkeypatch.setattr(GluingTorus, "touches", lambda self, piece_id: pytest.fail("per-piece scan"))
+    G = DecompositionGraph(
+        pieces=(
+            SeifertPiece(id=1, euler=F(-1), genus=0),
+            SeifertPiece(id=2, euler=F(-1), genus=0),
+            SeifertPiece(id=2, euler=F(1), genus=1),
+            SeifertPiece(id=3, euler=F(0), genus=1),
+        ),
+        tori=(
+            GluingTorus(from_piece=1, to_piece=1, p=1),  # one boundary circle of piece 1, not two
+            GluingTorus(from_piece=1, to_piece=2, p=1),
+            GluingTorus(from_piece=2, to_piece=9, p=2, q=1, q_prime=3, p_prime=1),
+        ),
+    )
+    assert validate(G) == [
+        "duplicate piece id 2",
+        "torus 0 (1-1): self-gluing (from = to)",
+        "torus 2 (2-9): unknown piece id 9",
+        "piece 1: orbifold Euler characteristic 0 is not negative",
+        "piece 2: orbifold Euler characteristic 0 is not negative",
+        "piece 3: not incident to any torus",
+        "piece 3: orbifold Euler characteristic 0 is not negative",
+        "graph is disconnected (pieces [3] unreachable)",
+    ]
+
+
+def test_package_built_matrices_skip_the_entry_checks(monkeypatch):
+    # decomposition_matrix, a_minus, principal_submatrix and the shrink build
+    # Fraction entries symmetric by construction; only parsed input is checked
+    monkeypatch.setattr(exact_linalg, "to_rational", lambda value: pytest.fail("entry check"))
+    A = decomposition_matrix(two_piece_graph(F(1, 3), -1))
+    assert principal_submatrix(a_minus(A), [0]).rows == ((F(-1, 3),),)
+    assert strict_shrink(A).rows == ((F(1, 3), F(3, 4)), (F(3, 4), F(-1)))
 
 
 def test_validate_flags_determinant_condition():

@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies
 
+from gmsurf import reduction
 from gmsurf.exact_linalg import (
     Inertia,
     SymMatrix,
     inertia,
     is_connected_matrix,
-    kernel_basis,
     mat_vec,
     principal_submatrix,
     to_rational,
@@ -30,6 +30,8 @@ from gmsurf.reduction import (
     strict_shrink,
     verify_reduction,
 )
+from oracles import crossing_reduction, halving_shrink, kernel_basis
+from test_exact_linalg import VERDICT_CLASSES, closing_epsilon, path_rows, verdict_matrix
 
 F = Fraction
 
@@ -344,6 +346,19 @@ def test_strict_shrink_rejects_semidefinite_input():
         strict_shrink(sym([["-1", 1], [1, "-1"]]))
 
 
+def test_strict_shrink_gallops_from_a_far_bound(monkeypatch):
+    # The best witness bound's power is 2^-11 while the answer is eps = 1/8:
+    # after the test at 1/2, a gallop and a bisection take 5 more inertia
+    # tests where a walk one power at a time from 2^-11 would take 9.
+    A = sym([["-48/25", 1, 1], [1, "-13/25", 0], [1, 0, "-87/100"]])
+    calls = []
+    monkeypatch.setattr(reduction, "inertia", lambda B: calls.append(B) or inertia(B))
+    shrunk = strict_shrink(A)
+    assert shrunk == halving_shrink(A)
+    assert shrunk[0, 1] == F(7, 8)
+    assert len(calls) == 6
+
+
 @settings(max_examples=60, deadline=None)
 @given(admissible_matrices(max_order=4))
 def test_strict_shrink_preserves_branch_and_strictness(A):
@@ -356,6 +371,44 @@ def test_strict_shrink_preserves_branch_and_strictness(A):
         for j in range(A.order):
             if i != j and A[i, j] != 0:
                 assert 0 < shrunk[i, j] < A[i, j]
+
+
+def assert_matches_dense_oracles(A: SymMatrix) -> None:
+    """The witness-bounded shrink equals the halving loop, and the sparse
+    M-matrix walk equals the determinant/nullspace crossing, on A and on
+    its shrink."""
+    try:
+        expected = halving_shrink(A)
+    except NoPositiveEigenvalueError:
+        with pytest.raises(NoPositiveEigenvalueError):
+            strict_shrink(A)
+    else:
+        shrunk = strict_shrink(A)
+        assert shrunk == expected
+        assert find_singular_reduction(shrunk) == crossing_reduction(shrunk)
+    try:
+        expected_cert = crossing_reduction(A)
+    except NegativeDefiniteError:
+        with pytest.raises(NegativeDefiniteError):
+            find_singular_reduction(A)
+    else:
+        assert find_singular_reduction(A) == expected_cert
+
+
+@settings(max_examples=200, deadline=None)
+@given(admissible_matrices(max_order=6))
+def test_shrink_and_reduction_match_the_dense_oracles(A):
+    assert_matches_dense_oracles(A)
+
+
+@pytest.mark.parametrize("n", [3, 13, 24])
+def test_shrink_and_reduction_match_the_dense_oracles_on_paths(n):
+    assert_matches_dense_oracles(SymMatrix(path_rows(n, closing_epsilon(n))))
+
+
+@pytest.mark.parametrize("cls", sorted(VERDICT_CLASSES))
+def test_shrink_and_reduction_match_the_dense_oracles_on_decomposition_matrices(cls):
+    assert_matches_dense_oracles(verdict_matrix(24, cls))
 
 
 # --- consequences for symmetric reductions -----------------------------------------
