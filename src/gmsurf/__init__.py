@@ -15,7 +15,7 @@ curve system, or a finite-cover witness).
 
 from .exact_linalg import Inertia, Rational, SymMatrix, inertia, rational_str, to_rational
 from .manifold import DecompositionGraph, GluingTorus, InvalidGraphError, SeifertPiece
-from .decision import Branch, Verdict, decide, decide_immersed, decide_virtually_embedded
+from .decision import Branch, Verdict, decide
 
 __all__ = [
     "Branch",
@@ -28,8 +28,6 @@ __all__ = [
     "SymMatrix",
     "Verdict",
     "decide",
-    "decide_immersed",
-    "decide_virtually_embedded",
     "inertia",
     "rational_str",
     "to_rational",

@@ -39,7 +39,6 @@ from .fileio import (
     load_manifold,
     manifold_to_json,
     matrix_rows_from_json,
-    matrix_to_json,
     reduction_cert_from_json,
     reduction_cert_to_json,
     reject_float,
@@ -74,7 +73,7 @@ def _analysis_report(A: SymMatrix) -> dict:
     verdict = decide(A)
     pos, neg, zero = split_blocks(A)
     report = {
-        "matrix": matrix_to_json(A),
+        "matrix": rows_to_json(A.rows),
         "a_minus": [
             [rational_str(-x if i == j and x > 0 else x) for j, x in enumerate(row)]
             for i, row in enumerate(A.rows)

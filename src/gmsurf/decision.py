@@ -106,28 +106,6 @@ def _virtually_embedded(minus: list[list[Fraction]], pos: list[int], neg: list[i
     return not _negative_definite_block(minus, pos) or not _negative_definite_block(minus, neg)
 
 
-def decide_immersed(A: SymMatrix) -> tuple[bool, Branch]:
-    """Decide property I from the inertia of A-minus.
-
-    True on the positive-eigenvalue branch, and on the negative-semidefinite
-    singular branch provided all diagonal entries of A have the same sign
-    (zero counting as either sign).
-    """
-    minus, pos, neg, _ = _check_input(A)
-    return _immersed(inertia(minus), pos, neg)
-
-
-def decide_virtually_embedded(A: SymMatrix) -> bool:
-    """Decide property VE via the diagonal-sign block split.
-
-    Any zero diagonal entry settles the question: whichever block receives
-    that index gains a zero diagonal entry and cannot be negative definite.
-    Otherwise test the two blocks separately; empty blocks are negative
-    definite vacuously.
-    """
-    return _virtually_embedded(*_check_input(A))
-
-
 def decide(A: SymMatrix) -> Verdict:
     """Run both decisions in one pass: one input check, one inertia of A-minus."""
     minus, pos, neg, zero = _check_input(A)

@@ -522,8 +522,8 @@ def principal_submatrix(A: SymMatrix, idx: Iterable[int]) -> SymMatrix:
 
 
 def mat_vec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Exact matrix-vector product."""
-    return tuple(sum((r[j] * vec[j] for j in range(len(vec))), Fraction(0)) for r in rows)
+    """Exact matrix-vector product, summing each row over its nonzero entries."""
+    return tuple(sum((x * v for x, v in zip(r, vec) if x), Fraction(0)) for r in rows)
 
 
 def primitive_vector(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:

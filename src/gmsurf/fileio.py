@@ -67,10 +67,6 @@ def _expect_list(value, where: str) -> list:
     return value
 
 
-def matrix_to_json(A: SymMatrix) -> list[list[str]]:
-    return [[rational_str(x) for x in row] for row in A.rows]
-
-
 def rows_to_json(rows) -> list[list[str]]:
     return [[rational_str(x) for x in row] for row in rows]
 
@@ -160,7 +156,7 @@ def reduction_cert_to_json(cert: ReductionCertificate, matrix: SymMatrix | None 
         "a": [rational_str(v) for v in cert.a],
     }
     if matrix is not None:
-        doc["matrix"] = matrix_to_json(matrix)
+        doc["matrix"] = rows_to_json(matrix.rows)
     return doc
 
 
@@ -190,7 +186,7 @@ def surface_cert_to_json(cert: SurfaceCertificate) -> dict:
     return {
         "degrees": list(cert.degrees),
         "scale": cert.scale,
-        "shrunk": matrix_to_json(cert.shrunk),
+        "shrunk": rows_to_json(cert.shrunk.rows),
         "reduction": reduction_cert_to_json(cert.reduction),
         "systems": [
             {

@@ -88,14 +88,6 @@ class GluingTorus:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"torus field {name} must be an integer, got {value!r}")
 
-    def q_for(self, piece_id: int) -> int:
-        """The q datum seen from the given side."""
-        if piece_id == self.from_piece:
-            return self.q
-        if piece_id == self.to_piece:
-            return self.q_prime
-        raise KeyError(f"piece {piece_id} is not a side of this torus")
-
     def touches(self, piece_id: int) -> bool:
         return piece_id in (self.from_piece, self.to_piece)
 
@@ -114,15 +106,6 @@ class DecompositionGraph:
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(self.pieces))
         object.__setattr__(self, "tori", tuple(self.tori))
-
-    def piece_index(self, piece_id: int) -> int:
-        for k, piece in enumerate(self.pieces):
-            if piece.id == piece_id:
-                return k
-        raise KeyError(f"unknown piece id {piece_id}")
-
-    def piece(self, piece_id: int) -> SeifertPiece:
-        return self.pieces[self.piece_index(piece_id)]
 
 
 def validate(G: DecompositionGraph) -> list[str]:
@@ -228,18 +211,6 @@ def split_blocks(A: SymMatrix) -> tuple[list[int], list[int], list[int]]:
     neg = [i for i in range(A.order) if A[i, i] < 0]
     zero = [i for i in range(A.order) if A[i, i] == 0]
     return pos, neg, zero
-
-
-def euler_wrt_meridians(G: DecompositionGraph, piece_id: int) -> Fraction:
-    """Euler number of a piece with respect to the chosen meridians:
-    e' = e - sum over incident tori of q(T)/p(T), with q read from this
-    piece's side of each torus."""
-    piece = G.piece(piece_id)
-    e_prime = piece.euler
-    for t in G.tori:
-        if t.touches(piece_id):
-            e_prime -= Fraction(t.q_for(piece_id), t.p)
-    return e_prime
 
 
 def two_piece_graph(

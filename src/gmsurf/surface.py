@@ -35,7 +35,11 @@ meridian-coordinate balance sum over incident tori of
 (opposite a_plus - opposite a_minus)/p = degree * Euler number; and per torus
 the two sides are related by the change-of-basis matrix (plus system) and its
 negative (minus system).  :func:`verify_surface_certificate` rechecks all of
-it from scratch.
+it from scratch: after grouping the systems by torus it makes one pass over
+the tori, which checks each gluing relation and sums, per piece, the fiber
+coordinates, the Euler number w.r.t. meridians e' = e - sum q/p and the
+opposite sides' meridian coordinates.  The reduction's vector must equal the
+degree vector, so the reduction check already covers A' * degrees = 0.
 
 The graph of a valid manifold is connected, so the reduction's annihilated
 vector is positive at every piece and every side gets positive a_plus and
@@ -48,9 +52,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .decision import decide_immersed
-from .exact_linalg import SymMatrix, mat_vec
-from .manifold import DecompositionGraph, decomposition_matrix, euler_wrt_meridians
+from .decision import decide
+from .exact_linalg import SymMatrix
+from .manifold import DecompositionGraph, decomposition_matrix
 from .reduction import (
     NoPositiveEigenvalueError,
     ReductionCertificate,
@@ -99,17 +103,6 @@ class SurfaceCertificate:
     systems: tuple[CurveSystem, ...]
 
 
-def _side_values(
-    A: SymMatrix, cert: ReductionCertificate, i: int, j: int
-) -> tuple[Fraction, Fraction]:
-    """(a_plus, a_minus) for a torus side living in piece j, opposite piece i."""
-    coupling = A[i, j]
-    reduced = cert.a_prime[i][j]
-    a_plus = (coupling - reduced) / (2 * coupling) * cert.a[j]
-    a_minus = (coupling + reduced) / (2 * coupling) * cert.a[j]
-    return a_plus, a_minus
-
-
 def build_surface_certificate(G: DecompositionGraph) -> SurfaceCertificate:
     """Construct and scale the full curve-system certificate.
 
@@ -121,57 +114,35 @@ def build_surface_certificate(G: DecompositionGraph) -> SurfaceCertificate:
     try:
         shrunk = strict_shrink(A)
     except NoPositiveEigenvalueError:
-        _, branch = decide_immersed(A)
-        raise NotPositiveEigenvalueBranchError(f"decision branch is {branch.value}") from None
+        raise NotPositiveEigenvalueBranchError(f"decision branch is {decide(A).branch.value}") from None
     reduction = find_singular_reduction(shrunk)
+    a, a_prime = reduction.a, reduction.a_prime
 
     index = {p.id: k for k, p in enumerate(G.pieces)}
-    raw: list[dict] = []
-    for t_idx, torus in enumerate(G.tori):
-        u, v = index[torus.from_piece], index[torus.to_piece]
-        from_pair = _side_values(A, reduction, v, u)
-        to_pair = _side_values(A, reduction, u, v)
-        # fiber coordinates from the first-row gluing relation, q per side
-        b_from_plus = (to_pair[0] - torus.q * from_pair[0]) / torus.p
-        b_from_minus = (-to_pair[1] - torus.q * from_pair[1]) / torus.p
-        b_to_plus = (from_pair[0] - torus.q_prime * to_pair[0]) / torus.p
-        b_to_minus = (-from_pair[1] - torus.q_prime * to_pair[1]) / torus.p
-        raw.append(
-            {
-                "torus": t_idx,
-                "from_side": (torus.from_piece, from_pair[0], from_pair[1], b_from_plus, b_from_minus),
-                "to_side": (torus.to_piece, to_pair[0], to_pair[1], b_to_plus, b_to_minus),
-            }
-        )
+    sides: list[tuple] = []
+    for t_idx, t in enumerate(G.tori):
+        u, v = index[t.from_piece], index[t.to_piece]
+        coupling = A[u, v]
+        # a_plus of each side reads the reduced coupling from the opposite piece
+        from_plus = (coupling - a_prime[v][u]) / (2 * coupling) * a[u]
+        to_plus = (coupling - a_prime[u][v]) / (2 * coupling) * a[v]
+        from_minus, to_minus = a[u] - from_plus, a[v] - to_plus
+        sides.append((t_idx, t.from_piece, from_plus, from_minus,
+                      (to_plus - t.q * from_plus) / t.p, (-to_minus - t.q * from_minus) / t.p))
+        sides.append((t_idx, t.to_piece, to_plus, to_minus,
+                      (from_plus - t.q_prime * to_plus) / t.p, (-from_minus - t.q_prime * to_minus) / t.p))
 
-    denominators = [v.denominator for v in reduction.a]
-    for entry in raw:
-        for key in ("from_side", "to_side"):
-            denominators.extend(x.denominator for x in entry[key][1:])
-    scale = lcm(*denominators) if denominators else 1
-
-    scaled_a = tuple(v * scale for v in reduction.a)
-    scaled_reduction = ReductionCertificate(a_prime=reduction.a_prime, a=scaled_a)
-    systems = []
-    for entry in raw:
-        for key in ("from_side", "to_side"):
-            side, ap, am, bp, bm = entry[key]
-            systems.append(
-                CurveSystem(
-                    torus=entry["torus"],
-                    side=side,
-                    a_plus=int(ap * scale),
-                    a_minus=int(am * scale),
-                    b_plus=int(bp * scale),
-                    b_minus=int(bm * scale),
-                )
-            )
+    scale = lcm(*(x.denominator for x in a), *(x.denominator for side in sides for x in side[2:]))
+    degrees = tuple(int(x * scale) for x in a)
     return SurfaceCertificate(
-        degrees=tuple(int(v) for v in scaled_a),
+        degrees=degrees,
         scale=scale,
         shrunk=shrunk,
-        reduction=scaled_reduction,
-        systems=tuple(systems),
+        reduction=ReductionCertificate(a_prime=a_prime, a=tuple(Fraction(d) for d in degrees)),
+        systems=tuple(
+            CurveSystem(t_idx, side, *(int(x * scale) for x in values))
+            for t_idx, side, *values in sides
+        ),
     )
 
 
@@ -179,7 +150,7 @@ def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) 
     """Recheck every certificate equation from scratch; return violations (empty = valid).
 
     Checks, all in exact arithmetic: the reduction is valid for the stored
-    shrunk matrix and strict for the true decomposition matrix; it annihilates
+    shrunk matrix and strict for the true decomposition matrix; its vector is
     the degree vector; each torus has exactly one curve system per side; the
     per-side degree split, both per-piece balances, the change-of-basis
     relations, and strict positivity of the a coordinates on sides whose
@@ -220,9 +191,6 @@ def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) 
                     violations.append(f"reduction not strict at ({i}, {j})")
         if tuple(cert.reduction.a) != tuple(Fraction(d) for d in cert.degrees):
             violations.append("reduction vector differs from degree vector")
-        image = mat_vec(cert.reduction.a_prime, [Fraction(d) for d in cert.degrees])
-        if any(v != 0 for v in image):
-            violations.append("reduction does not annihilate the degree vector")
 
     by_torus: dict[int, dict[int, CurveSystem]] = {}
     for s in cert.systems:
@@ -237,11 +205,35 @@ def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) 
         if s.side in slot:
             violations.append(f"torus {s.torus}: duplicate system for side {s.side}")
         slot[s.side] = s
+
+    # One pass over the tori: missing sides, the gluing relations, and per
+    # piece its fiber sum, its Euler number w.r.t. meridians
+    # e' = e - sum q/p (q read from the piece's own side) and the opposite
+    # sides' meridian sum.
+    fiber = dict.fromkeys(index, 0)
+    e_prime = {p.id: p.euler for p in G.pieces}
+    meridian = dict.fromkeys(index, Fraction(0))
+    gluing: list[str] = []
     for t_idx, torus in enumerate(G.tori):
         sides = by_torus.get(t_idx, {})
         for side in (torus.from_piece, torus.to_piece):
             if side not in sides:
                 violations.append(f"torus {t_idx}: missing system for side {side}")
+        if violations:
+            continue
+        f, g = torus.from_piece, torus.to_piece
+        lhs, rhs = sides[f], sides[g]
+        q, p, qp, pp = torus.q, torus.p, torus.q_prime, torus.p_prime
+        fiber[f] += lhs.b_plus + lhs.b_minus
+        fiber[g] += rhs.b_plus + rhs.b_minus
+        e_prime[f] -= Fraction(q, p)
+        e_prime[g] -= Fraction(qp, p)
+        meridian[f] += Fraction(rhs.a_plus - rhs.a_minus, p)
+        meridian[g] += Fraction(lhs.a_plus - lhs.a_minus, p)
+        if rhs.a_plus != q * lhs.a_plus + p * lhs.b_plus or rhs.b_plus != -pp * lhs.a_plus - qp * lhs.b_plus:
+            gluing.append(f"torus {t_idx}: plus system breaks the gluing relation")
+        if rhs.a_minus != -(q * lhs.a_minus + p * lhs.b_minus) or rhs.b_minus != pp * lhs.a_minus + qp * lhs.b_minus:
+            gluing.append(f"torus {t_idx}: minus system breaks the gluing relation")
     if violations:
         return violations
 
@@ -262,35 +254,16 @@ def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) 
 
     for piece in G.pieces:
         degree = Fraction(cert.degrees[index[piece.id]])
-        own = [s for s in cert.systems if s.side == piece.id]
-        fiber_balance = sum(Fraction(s.b_plus + s.b_minus) for s in own)
-        expected = degree * euler_wrt_meridians(G, piece.id)
-        if fiber_balance != expected:
+        expected = degree * e_prime[piece.id]
+        if fiber[piece.id] != expected:
             violations.append(
-                f"piece {piece.id}: fiber balance {fiber_balance} != "
+                f"piece {piece.id}: fiber balance {fiber[piece.id]} != "
                 f"degree * meridian Euler number {expected}"
             )
-        meridian_balance = Fraction(0)
-        for t_idx, torus in enumerate(G.tori):
-            if not torus.touches(piece.id):
-                continue
-            other = torus.to_piece if torus.from_piece == piece.id else torus.from_piece
-            opposite = by_torus[t_idx][other]
-            meridian_balance += Fraction(opposite.a_plus - opposite.a_minus, torus.p)
-        if meridian_balance != degree * piece.euler:
+        if meridian[piece.id] != degree * piece.euler:
             violations.append(
-                f"piece {piece.id}: meridian balance {meridian_balance} != "
+                f"piece {piece.id}: meridian balance {meridian[piece.id]} != "
                 f"degree * Euler number {degree * piece.euler}"
             )
 
-    for t_idx, torus in enumerate(G.tori):
-        lhs = by_torus[t_idx][torus.from_piece]
-        rhs = by_torus[t_idx][torus.to_piece]
-        q, p, qp, pp = torus.q, torus.p, torus.q_prime, torus.p_prime
-        if rhs.a_plus != q * lhs.a_plus + p * lhs.b_plus or rhs.b_plus != -pp * lhs.a_plus - qp * lhs.b_plus:
-            violations.append(f"torus {t_idx}: plus system breaks the gluing relation")
-        if rhs.a_minus != -(q * lhs.a_minus + p * lhs.b_minus) or rhs.b_minus != pp * lhs.a_minus + qp * lhs.b_minus:
-            violations.append(f"torus {t_idx}: minus system breaks the gluing relation")
-
-    return violations
-
+    return violations + gluing

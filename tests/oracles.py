@@ -8,7 +8,10 @@ the dense routines they replaced, kept so tests can compare results exactly:
 - :func:`halving_shrink`, the strict shrink that halves eps from 1/2 and
   takes one inertia per try;
 - :func:`crossing_reduction`, the singular reduction whose walk finds the
-  crossing with two determinants and its kernel with a null space.
+  crossing with two determinants and its kernel with a null space;
+- :func:`per_piece_surface_violations`, the surface-certificate verifier
+  that rescans every torus once per piece and multiplies A' by the degree
+  vector a second time.
 """
 
 from fractions import Fraction
@@ -20,13 +23,15 @@ from gmsurf.exact_linalg import (
     check_nonnegative_off_diagonal,
     determinant_rows,
     inertia,
+    mat_vec,
     matrix_graph_components,
     nullspace_rows,
     primitive_vector,
     principal_submatrix,
 )
-from gmsurf.manifold import a_minus
-from gmsurf.reduction import NegativeDefiniteError, NoPositiveEigenvalueError, ReductionCertificate
+from gmsurf.manifold import DecompositionGraph, a_minus, decomposition_matrix
+from gmsurf.reduction import NegativeDefiniteError, NoPositiveEigenvalueError, ReductionCertificate, verify_reduction
+from gmsurf.surface import CurveSystem, SurfaceCertificate
 
 
 def solve_rows(rows, rhs) -> tuple[Fraction, ...]:
@@ -152,3 +157,124 @@ def crossing_reduction(A: SymMatrix) -> ReductionCertificate:
         if A[i, i] > 0:
             m[i] = [-x for x in m[i]]
     return ReductionCertificate(a_prime=tuple(tuple(row) for row in m), a=tuple(a))
+
+
+def _euler_wrt_meridians(G: DecompositionGraph, piece_id: int) -> Fraction:
+    """e' = e - sum over incident tori of q/p, q read from this piece's side."""
+    e_prime = next(p.euler for p in G.pieces if p.id == piece_id)
+    for t in G.tori:
+        if t.touches(piece_id):
+            e_prime -= Fraction(t.q if piece_id == t.from_piece else t.q_prime, t.p)
+    return e_prime
+
+
+def per_piece_surface_violations(G: DecompositionGraph, cert: SurfaceCertificate) -> list[str]:
+    """The surface-certificate violations, found piece by piece over all tori."""
+    violations: list[str] = []
+    A = decomposition_matrix(G)
+    n = A.order
+    index = {p.id: k for k, p in enumerate(G.pieces)}
+
+    if len(cert.degrees) != n:
+        return [f"degree vector length {len(cert.degrees)} != piece count {n}"]
+    if cert.scale < 1:
+        violations.append(f"scale must be a positive integer, got {cert.scale}")
+    if any(d < 0 for d in cert.degrees):
+        violations.append("negative degree")
+    if all(d == 0 for d in cert.degrees):
+        violations.append("all degrees are zero")
+
+    if cert.shrunk.order != n:
+        violations.append("shrunk matrix order mismatch")
+    else:
+        for i in range(n):
+            if cert.shrunk[i, i] != A[i, i]:
+                violations.append(f"shrunk matrix changed diagonal at {i}")
+        violations.extend(verify_reduction(cert.shrunk, cert.reduction))
+        if not cert.reduction.has_order(n):
+            return violations
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                entry = cert.reduction.a_prime[i][j]
+                if A[i, j] == 0:
+                    if entry != 0:
+                        violations.append(f"reduction nonzero at ({i}, {j}) where coupling is 0")
+                elif abs(entry) >= A[i, j]:
+                    violations.append(f"reduction not strict at ({i}, {j})")
+        if tuple(cert.reduction.a) != tuple(Fraction(d) for d in cert.degrees):
+            violations.append("reduction vector differs from degree vector")
+        image = mat_vec(cert.reduction.a_prime, [Fraction(d) for d in cert.degrees])
+        if any(v != 0 for v in image):
+            violations.append("reduction does not annihilate the degree vector")
+
+    by_torus: dict[int, dict[int, CurveSystem]] = {}
+    for s in cert.systems:
+        if not 0 <= s.torus < len(G.tori):
+            violations.append(f"curve system references unknown torus {s.torus}")
+            continue
+        torus = G.tori[s.torus]
+        if not torus.touches(s.side):
+            violations.append(f"torus {s.torus}: side {s.side} is not one of its pieces")
+            continue
+        slot = by_torus.setdefault(s.torus, {})
+        if s.side in slot:
+            violations.append(f"torus {s.torus}: duplicate system for side {s.side}")
+        slot[s.side] = s
+    for t_idx, torus in enumerate(G.tori):
+        sides = by_torus.get(t_idx, {})
+        for side in (torus.from_piece, torus.to_piece):
+            if side not in sides:
+                violations.append(f"torus {t_idx}: missing system for side {side}")
+    if violations:
+        return violations
+
+    for s in cert.systems:
+        degree = cert.degrees[index[s.side]]
+        if s.a_plus < 0 or s.a_minus < 0:
+            violations.append(f"torus {s.torus} side {s.side}: negative a coordinate")
+        if s.a_plus + s.a_minus != degree:
+            violations.append(
+                f"torus {s.torus} side {s.side}: a_plus + a_minus = "
+                f"{s.a_plus + s.a_minus} != degree {degree}"
+            )
+        if degree > 0 and (s.a_plus <= 0 or s.a_minus <= 0):
+            violations.append(
+                f"torus {s.torus} side {s.side}: a coordinates must be positive "
+                f"when the piece degree is"
+            )
+
+    for piece in G.pieces:
+        degree = Fraction(cert.degrees[index[piece.id]])
+        own = [s for s in cert.systems if s.side == piece.id]
+        fiber_balance = sum(Fraction(s.b_plus + s.b_minus) for s in own)
+        expected = degree * _euler_wrt_meridians(G, piece.id)
+        if fiber_balance != expected:
+            violations.append(
+                f"piece {piece.id}: fiber balance {fiber_balance} != "
+                f"degree * meridian Euler number {expected}"
+            )
+        meridian_balance = Fraction(0)
+        for t_idx, torus in enumerate(G.tori):
+            if not torus.touches(piece.id):
+                continue
+            other = torus.to_piece if torus.from_piece == piece.id else torus.from_piece
+            opposite = by_torus[t_idx][other]
+            meridian_balance += Fraction(opposite.a_plus - opposite.a_minus, torus.p)
+        if meridian_balance != degree * piece.euler:
+            violations.append(
+                f"piece {piece.id}: meridian balance {meridian_balance} != "
+                f"degree * Euler number {degree * piece.euler}"
+            )
+
+    for t_idx, torus in enumerate(G.tori):
+        lhs = by_torus[t_idx][torus.from_piece]
+        rhs = by_torus[t_idx][torus.to_piece]
+        q, p, qp, pp = torus.q, torus.p, torus.q_prime, torus.p_prime
+        if rhs.a_plus != q * lhs.a_plus + p * lhs.b_plus or rhs.b_plus != -pp * lhs.a_plus - qp * lhs.b_plus:
+            violations.append(f"torus {t_idx}: plus system breaks the gluing relation")
+        if rhs.a_minus != -(q * lhs.a_minus + p * lhs.b_minus) or rhs.b_minus != pp * lhs.a_minus + qp * lhs.b_minus:
+            violations.append(f"torus {t_idx}: minus system breaks the gluing relation")
+
+    return violations

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import product
 
 from gmsurf.covers import CoverSpec, cover_exists_bruteforce, find_cover, parity_check, verify_cover
-from gmsurf.decision import decide, decide_immersed, decide_virtually_embedded, two_piece_d
+from gmsurf.decision import decide, two_piece_d
 from gmsurf.exact_linalg import (
     Inertia,
     SymMatrix,
@@ -137,8 +137,8 @@ def test_criterion_1_two_piece_equivalence():
     for a11, a22, a12 in product(diagonal_values, diagonal_values, couplings):
         A = SymMatrix([[a11, a12], [a12, a22]])
         d = two_piece_d(A).d
-        holds_i, _ = decide_immersed(A)
-        holds_ve = decide_virtually_embedded(A)
+        verdict = decide(A)
+        holds_i, holds_ve = verdict.property_i, verdict.property_ve
         if holds_i != (F(-1) < d <= F(1)):
             failures.append(f"(I) mismatch at {a11},{a22},{a12}: D={d}")
         if holds_ve != (F(0) <= d <= F(1)):

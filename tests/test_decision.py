@@ -11,8 +11,6 @@ from gmsurf.decision import (
     Branch,
     NotTwoPieceError,
     decide,
-    decide_immersed,
-    decide_virtually_embedded,
     two_piece_d,
 )
 from gmsurf.exact_linalg import (
@@ -66,59 +64,59 @@ def admissible_matrices(max_order=4):
 
 
 def test_immersed_positive_eigenvalue_branch():
-    holds, branch = decide_immersed(sym([["-1", 2], [2, "-1"]]))
-    assert holds
-    assert branch is Branch.POSITIVE_EIGENVALUE
+    verdict = decide(sym([["-1", 2], [2, "-1"]]))
+    assert verdict.property_i
+    assert verdict.branch is Branch.POSITIVE_EIGENVALUE
 
 
 def test_immersed_negative_definite_branch():
-    holds, branch = decide_immersed(sym([["-2", 1], [1, "-2"]]))
-    assert not holds
-    assert branch is Branch.NEGATIVE_DEFINITE
+    verdict = decide(sym([["-2", 1], [1, "-2"]]))
+    assert not verdict.property_i
+    assert verdict.branch is Branch.NEGATIVE_DEFINITE
 
 
 def test_immersed_mixed_sign_branch():
-    holds, branch = decide_immersed(sym([[1, 1], [1, "-1"]]))
-    assert not holds
-    assert branch is Branch.SEMIDEFINITE_MIXED_SIGN
+    verdict = decide(sym([[1, 1], [1, "-1"]]))
+    assert not verdict.property_i
+    assert verdict.branch is Branch.SEMIDEFINITE_MIXED_SIGN
 
 
 def test_immersed_same_sign_branch():
-    holds, branch = decide_immersed(sym([["-1", 1], [1, "-1"]]))
-    assert holds
-    assert branch is Branch.SEMIDEFINITE_SAME_SIGN
+    verdict = decide(sym([["-1", 1], [1, "-1"]]))
+    assert verdict.property_i
+    assert verdict.branch is Branch.SEMIDEFINITE_SAME_SIGN
 
 
 def test_immersed_rejects_disconnected_matrix():
     A = SymMatrix.from_diagonal([F(-1), F(-1)])
     with pytest.raises(DisconnectedMatrixError):
-        decide_immersed(A)
+        decide(A)
 
 
 def test_immersed_rejects_negative_off_diagonal():
     with pytest.raises(ValueError):
-        decide_immersed(sym([[0, "-1"], ["-1", 0]]))
+        decide(sym([[0, "-1"], ["-1", 0]]))
 
 
 # --- property (VE) ----------------------------------------------------------
 
 
 def test_virtually_embedded_on_singular_negative_block():
-    assert decide_virtually_embedded(sym([["-1", 1], [1, "-1"]]))
+    assert decide(sym([["-1", 1], [1, "-1"]])).property_ve
 
 
 def test_virtually_embedded_false_when_both_blocks_definite():
-    assert not decide_virtually_embedded(sym([[1, 1], [1, "-1"]]))
+    assert not decide(sym([[1, 1], [1, "-1"]])).property_ve
 
 
 def test_virtually_embedded_zero_diagonal_rule():
-    assert decide_virtually_embedded(sym([[0, "3/2"], ["3/2", 0]]))
+    assert decide(sym([[0, "3/2"], ["3/2", 0]])).property_ve
 
 
 def test_zero_diagonal_rule_matches_every_block_assignment():
     A = sym([[0, 1, "1/2"], [1, "-2", 1], ["1/2", 1, 2]])
     pos, neg, zero = split_blocks(A)
-    shortcut = decide_virtually_embedded(A)
+    shortcut = decide(A).property_ve
     for assignment in product((0, 1), repeat=len(zero)):
         p_idx = sorted(pos + [z for z, side in zip(zero, assignment) if side == 0])
         n_idx = sorted(neg + [z for z, side in zip(zero, assignment) if side == 1])
@@ -134,7 +132,7 @@ def test_zero_diagonal_assignments_agree_in_general(A):
     if not is_connected_matrix(A):
         return
     pos, neg, zero = split_blocks(A)
-    shortcut = decide_virtually_embedded(A)
+    shortcut = decide(A).property_ve
     answers = set()
     for assignment in product((0, 1), repeat=len(zero)):
         p_idx = sorted(pos + [z for z, side in zip(zero, assignment) if side == 0])
@@ -231,7 +229,15 @@ INPUT_ERRORS = [
 
 
 @pytest.mark.parametrize("rows, error, message", INPUT_ERRORS)
-@pytest.mark.parametrize("decider", [decide, decide_immersed, decide_virtually_embedded])
+@pytest.mark.parametrize(
+    "decider",
+    [
+        decide,
+        # the same decision, read for one property at a time
+        pytest.param(lambda A: decide(A).property_i, id="decide_immersed"),
+        pytest.param(lambda A: decide(A).property_ve, id="decide_virtually_embedded"),
+    ],
+)
 def test_input_errors_keep_type_and_message(decider, rows, error, message):
     with pytest.raises(error) as info:
         decider(sym(rows))
@@ -287,6 +293,6 @@ def test_two_piece_d_requires_positive_coupling():
 def test_two_piece_d_matches_decisions(a11, a22, a12):
     A = sym([[a11, a12], [a12, a22]])
     inv = two_piece_d(A)
-    holds, _ = decide_immersed(A)
-    assert holds == inv.i_via_d
-    assert decide_virtually_embedded(A) == inv.ve_via_d
+    verdict = decide(A)
+    assert verdict.property_i == inv.i_via_d
+    assert verdict.property_ve == inv.ve_via_d

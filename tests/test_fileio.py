@@ -13,10 +13,10 @@ from gmsurf.fileio import (
     manifold_from_json,
     manifold_to_json,
     matrix_rows_from_json,
-    matrix_to_json,
     parse_rational_field,
     reduction_cert_from_json,
     reduction_cert_to_json,
+    rows_to_json,
     save_json,
     save_manifold,
     surface_cert_from_json,
@@ -58,7 +58,7 @@ def test_parse_rational_field_rejects_decimal_strings():
 
 def test_matrix_round_trip_is_exact():
     A = sym([["-1/3", "5/2"], ["5/2", 0]])
-    data = matrix_to_json(A)
+    data = rows_to_json(A.rows)
     assert data == [["-1/3", "5/2"], ["5/2", "0"]]
     back = matrix_rows_from_json(data, "matrix")
     assert SymMatrix(back).to_lists() == A.to_lists()

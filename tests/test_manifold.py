@@ -15,7 +15,6 @@ from gmsurf.manifold import (
     SeifertPiece,
     a_minus,
     decomposition_matrix,
-    euler_wrt_meridians,
     split_blocks,
     two_piece_graph,
     validate,
@@ -45,15 +44,6 @@ def test_orbifold_euler_with_cone_points():
 def test_cone_orders_below_two_rejected():
     with pytest.raises(ValueError):
         SeifertPiece(id=1, euler=F(0), genus=0, cone_orders=(1,))
-
-
-def test_torus_q_for_each_side():
-    torus = GluingTorus(from_piece=1, to_piece=2, p=2, q=1, q_prime=1, p_prime=0)
-    assert torus.q_for(1) == 1
-    assert torus.q_for(2) == 1
-    skew = GluingTorus(from_piece=1, to_piece=2, p=3, q=2, q_prime=2, p_prime=1)
-    assert skew.q_for(1) == 2
-    assert skew.q_for(2) == 2
 
 
 # --- validation ------------------------------------------------------------
@@ -219,38 +209,6 @@ def test_split_blocks_all_negative():
 def test_split_blocks_all_zero():
     A = sym([[0, 1], [1, 0]])
     assert split_blocks(A) == ([], [], [0, 1])
-
-
-# --- meridian-basis Euler numbers ------------------------------------------
-
-
-def test_euler_wrt_meridians_unit_torus():
-    G = two_piece_graph(0, 0)
-    assert euler_wrt_meridians(G, 1) == F(-1)
-
-
-def test_euler_wrt_meridians_with_half_offset():
-    G = two_piece_graph(-1, -1, tori=(
-        GluingTorus(from_piece=1, to_piece=2, p=2, q=1, q_prime=1, p_prime=0),
-    ))
-    assert euler_wrt_meridians(G, 1) == F(-3, 2)
-
-
-def test_euler_wrt_meridians_inverts_back_to_euler():
-    G = two_piece_graph("-1/2", "1/2", tori=(
-        GluingTorus(from_piece=1, to_piece=2, p=3, q=2, q_prime=2, p_prime=1),
-        GluingTorus(from_piece=2, to_piece=1, p=2, q=1, q_prime=1, p_prime=0),
-    ))
-    for piece in G.pieces:
-        offsets = sum(
-            F(t.q_for(piece.id), t.p) for t in G.tori if t.touches(piece.id)
-        )
-        assert euler_wrt_meridians(G, piece.id) + offsets == piece.euler
-
-
-def test_euler_wrt_meridians_unknown_piece():
-    with pytest.raises(KeyError):
-        euler_wrt_meridians(two_piece_graph(0, 0), 9)
 
 
 # --- generated graphs keep the structural invariants ------------------------

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,8 @@ from gmsurf.surface import (
     build_surface_certificate,
     verify_surface_certificate,
 )
+
+from oracles import per_piece_surface_violations
 
 F = Fraction
 
@@ -222,6 +225,56 @@ def test_verifier_flags_wrong_degree_vector():
     assert violations
 
 
+# --- the one-pass verifier against the per-piece oracle ---------------------------
+
+# The oracle multiplies A' by the degree vector a second time; this line can
+# only appear next to verify_reduction's "(A' a)[i]" line or the "reduction
+# vector differs" line, so the one-pass verifier leaves it out.
+SECOND_PRODUCT = "reduction does not annihilate the degree vector"
+MUTATIONS = ("degree", "a_prime", "coordinate", "torus", "side", "drop", "duplicate")
+
+
+def mutated(G: DecompositionGraph, cert: SurfaceCertificate, kind: str, data) -> SurfaceCertificate:
+    n, systems = len(cert.degrees), list(cert.systems)
+    index = strategies.integers(0, n - 1)
+    delta = data.draw(strategies.sampled_from((-2, -1, 1, 2)))
+    k = data.draw(strategies.integers(0, len(systems) - 1))
+    if kind == "degree":
+        i = data.draw(index)
+        return replace(cert, degrees=tuple(d + delta * (j == i) for j, d in enumerate(cert.degrees)))
+    if kind == "a_prime":
+        i, j = data.draw(index), data.draw(index)
+        rows = [list(row) for row in cert.reduction.a_prime]
+        rows[i][j] += F(delta, data.draw(strategies.integers(1, 3)))
+        return replace(cert, reduction=replace(cert.reduction, a_prime=tuple(map(tuple, rows))))
+    if kind == "coordinate":
+        name = data.draw(strategies.sampled_from(("a_plus", "a_minus", "b_plus", "b_minus")))
+        systems[k] = replace(systems[k], **{name: getattr(systems[k], name) + delta})
+    elif kind == "torus":
+        systems[k] = replace(systems[k], torus=data.draw(strategies.integers(-1, len(G.tori))))
+    elif kind == "side":
+        systems[k] = replace(systems[k], side=data.draw(strategies.sampled_from([p.id for p in G.pieces])))
+    elif kind == "drop":
+        del systems[k]
+    else:
+        systems.insert(data.draw(strategies.integers(0, len(systems))), systems[k])
+    return replace(cert, systems=tuple(systems))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    strategies.integers(min_value=2, max_value=5),
+    strategies.integers(min_value=0, max_value=2_000),
+    strategies.sampled_from(MUTATIONS),
+    strategies.data(),
+)
+def test_verifier_matches_per_piece_oracle_on_mutations(pieces, seed, kind, data):
+    G = generate_manifold(pieces=pieces, seed=seed, profile="posEig")
+    cert = mutated(G, build_surface_certificate(G), kind, data)
+    expected = [v for v in per_piece_surface_violations(G, cert) if v != SECOND_PRODUCT]
+    assert verify_surface_certificate(G, cert) == expected
+
+
 # --- built certificates across random inputs ---------------------------------------
 
 
@@ -323,3 +376,21 @@ def test_path_certificate_needs_logarithmically_many_solves(monkeypatch, n):
     assert counts["pivot_witnesses"] == 1
     assert counts["mmatrix_solve"] <= math.ceil(math.log2(2 * (n - 1))) + 1
     assert all(counts[name] == 0 for name in DENSE)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_verify_looks_at_each_torus_side_once(monkeypatch, n):
+    # The per-piece oracle makes 510 touches calls at 16 pieces and 8,190 at 64.
+    G = slowly_closing_path(n)
+    cert = build_surface_certificate(G)
+    calls = 0
+    touches = GluingTorus.touches
+
+    def counting(self, piece_id):
+        nonlocal calls
+        calls += 1
+        return touches(self, piece_id)
+
+    monkeypatch.setattr(GluingTorus, "touches", counting)
+    assert verify_surface_certificate(G, cert) == []
+    assert calls <= 2 * len(G.tori)
