@@ -326,17 +326,18 @@ def cmd_cover(args) -> int:
             print(f"exhaustive search: {'cover exists' if exists else 'no cover'}")
         return EXIT_HOLDS if exists else EXIT_FAILS
     try:
-        cert = find_cover(spec, seed=args.seed)
+        cert = find_cover(spec)
     except ParityError as exc:
         print(f"no certificate: {exc}", file=sys.stderr)
         return EXIT_UNAVAILABLE
+    zs = cert.all_z()
     doc = {
         "alpha": cert.alpha,
         "x": [_cycle_str(p) for p in cert.x],
         "y": [_cycle_str(p) for p in cert.y],
         "z": [_cycle_str(p) for p in cert.z],
-        "last_z": _cycle_str(cert.last_z()),
-        "boundary_cycle_types": [list(cycle_type(z)) for z in cert.all_z()],
+        "last_z": _cycle_str(zs[-1]),
+        "boundary_cycle_types": [list(cycle_type(z)) for z in zs],
     }
     if args.json:
         print(json.dumps(doc, indent=2))
@@ -401,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="boundary degrees: comma-separated per circle, circles separated by ';' "
         "(example: '1,1;2')",
     )
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cover)
     return parser

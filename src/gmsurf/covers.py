@@ -6,7 +6,8 @@ boundary circle, exists if and only if the total number of prescribed
 boundary circles upstairs has the same parity as alpha * (2 - 2g - b).
 :func:`parity_check` evaluates the criterion, :func:`find_cover` constructs an
 explicit witness whenever it holds (one commutator carries the whole
-relation), and :func:`cover_exists_bruteforce` is the independent exhaustive
+relation, and :func:`alpha_cycle_split` constructs its two alpha-cycles with
+no search), and :func:`cover_exists_bruteforce` is the independent exhaustive
 oracle the equivalence is tested against.
 
 Witnesses are permutation representations.  Fix the presentation of the
@@ -27,7 +28,6 @@ as functions, rightmost factor applied first.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as all_permutations
@@ -238,17 +238,92 @@ def verify_cover(spec: CoverSpec, cert: CoverCertificate) -> list[str]:
     return violations
 
 
-def find_cover(spec: CoverSpec, seed: int = 0) -> CoverCertificate:
-    """Construct a certificate; ``seed`` fixes the random alpha-cycle draws.
+def _relink(nxt: list[int], a: int, b: int, c: int) -> None:
+    """Replace the cycle x (x(i) = nxt[i]) by x (a b c), where c = x(b): c
+    leaves its place after b and is relinked after a, so x stays one cycle."""
+    nxt[b], nxt[c], nxt[a] = nxt[c], nxt[a], c
+
+
+def alpha_cycle_split(pi: Perm) -> tuple[Perm, Perm]:
+    """Two alpha-cycles x and s with x s = pi, for an even permutation pi.
+
+    Start from x = (0 1 ... alpha-1) and s = x^-1 pi; since pi is even and x
+    is an alpha-cycle, s has an odd number of cycles.  The cycles of s are
+    union-find classes.  While there is more than one, take an adjacency
+    (b, c = x(b)) of x whose ends lie in different classes (one exists
+    because x is a single cycle) and a point a of a third class, and replace
+    x by x (a b c).  This keeps x an alpha-cycle, and s becomes
+    (a b c)^-1 s = (a b)(a c) s, which merges the three cycles into one.  So
+    (c(s) - 1) / 2 moves end with s an alpha-cycle, in near-linear time
+    (union by size with path halving) and with no search.
+
+    Candidate b's wait on a worklist: an adjacency changes only at the moved
+    points b, a and c, and a's new one lies inside the merged class.  Class
+    roots wait on a stack.  Both drop the entries a merge made stale when
+    they are read.  Raises ValueError if pi is odd.
+    """
+    alpha = len(pi)
+    nxt = [*range(1, alpha), 0]
+    parent = [-1] * alpha
+    size = [0] * alpha
+    roots = []
+    for start in range(alpha):
+        if parent[start] >= 0:
+            continue
+        roots.append(start)
+        i = start
+        while parent[i] < 0:
+            parent[i] = start
+            size[start] += 1
+            i = (pi[i] - 1) % alpha  # s(i) = x^-1(pi(i))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    classes = len(roots)
+    if classes % 2 == 0:
+        raise ValueError("an odd permutation is no product of two alpha-cycles")
+    work = [b for b in range(alpha) if parent[b] != parent[nxt[b]]]
+    while classes > 1:
+        b = work.pop()
+        c = nxt[b]
+        rb, rc = find(b), find(c)
+        if rb == rc:
+            continue
+        held = []
+        while True:
+            a = roots.pop()
+            if parent[a] != a:
+                continue
+            if a != rb and a != rc:
+                break
+            held.append(a)
+        roots.extend(held)
+        _relink(nxt, a, b, c)
+        top = max((a, rb, rc), key=size.__getitem__)
+        size[top] = size[a] + size[rb] + size[rc]
+        parent[a] = parent[rb] = parent[rc] = top
+        if top == a:
+            roots.append(a)
+        work += (c, b)
+        classes -= 2
+    x = tuple(nxt)
+    return x, compose(inverse(x), pi)
+
+
+def find_cover(spec: CoverSpec) -> CoverCertificate:
+    """Construct a certificate, deterministically.
 
     Each z_j is the canonical permutation of its prescribed type, so the
     relation asks for one commutator [x, y] = pi with pi = (z_1 ... z_b)^-1,
     and pi is even exactly when the parity criterion holds.  Every even
-    permutation is a product of two alpha-cycles (Bertram 1972), so random
-    alpha-cycles x are drawn until x^-1 pi is an alpha-cycle too (about
-    alpha/2 draws).  Then y carries the cycle of x^-1 onto the cycle of
-    x^-1 pi, which gives y x^-1 y^-1 = x^-1 pi, that is [x, y] = pi.  The
-    other handles are the identity, and x alone acts transitively.
+    permutation is a product of two alpha-cycles (Bertram 1972), and
+    :func:`alpha_cycle_split` constructs such a pair x s = pi.  Then y
+    carries the cycle of x^-1 onto the cycle of s = x^-1 pi, which gives
+    y x^-1 y^-1 = x^-1 pi, that is [x, y] = pi.  The other handles are the
+    identity, and x alone acts transitively.
     """
     if not parity_check(spec):
         raise ParityError(
@@ -257,25 +332,17 @@ def find_cover(spec: CoverSpec, seed: int = 0) -> CoverCertificate:
     alpha = spec.alpha
     zs = tuple(canonical_perm(alpha, inner) for inner in spec.boundary_degrees)
     pi = inverse(word_product(zs, alpha))
-    rng = random.Random(seed)
-    points = list(range(alpha))
-    while True:
-        rng.shuffle(points)
-        x_inv = perm_from_cycle_lengths(alpha, (alpha,), points)
-        orbit = [0]  # the cycle of x^-1 pi through 0
-        i = x_inv[pi[0]]
-        while i != 0:
-            orbit.append(i)
-            i = x_inv[pi[i]]
-        if len(orbit) == alpha:
-            break
+    x, s = alpha_cycle_split(pi)
+    x_inv = inverse(x)
     y = [0] * alpha
-    for a, b in zip(points, orbit):
+    a = b = 0
+    for _ in range(alpha):
         y[a] = b
+        a, b = x_inv[a], s[b]
     ident = identity_perm(alpha)
     cert = CoverCertificate(
         alpha=alpha,
-        x=(inverse(x_inv),) + (ident,) * (spec.genus - 1),
+        x=(x,) + (ident,) * (spec.genus - 1),
         y=(tuple(y),) + (ident,) * (spec.genus - 1),
         z=zs[:-1],
     )

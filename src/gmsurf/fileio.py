@@ -256,6 +256,3 @@ def save_json(doc: dict, path: str | Path) -> None:
 def load_manifold(path: str | Path) -> DecompositionGraph:
     return manifold_from_json(load_json(path))
 
-
-def save_manifold(G: DecompositionGraph, path: str | Path) -> None:
-    save_json(manifold_to_json(G), path)

@@ -11,10 +11,16 @@ the dense routines they replaced, kept so tests can compare results exactly:
   crossing with two determinants and its kernel with a null space;
 - :func:`per_piece_surface_violations`, the surface-certificate verifier
   that rescans every torus once per piece and multiplies A' by the degree
-  vector a second time.
+  vector a second time;
+- :func:`all_pairs_reduction_violations`, the reduction verifier that takes
+  the absolute value of every off-diagonal entry of A'.
+
+It also holds :func:`bilinear_identity`, the exact quadratic-form expansion
+behind reading a negativity certificate as "A is negative".
 """
 
 from fractions import Fraction
+from typing import Sequence
 
 from gmsurf.exact_linalg import (
     SymMatrix,
@@ -278,3 +284,66 @@ def per_piece_surface_violations(G: DecompositionGraph, cert: SurfaceCertificate
             violations.append(f"torus {t_idx}: minus system breaks the gluing relation")
 
     return violations
+
+
+def all_pairs_reduction_violations(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
+    """The reduction violations, with |A'[i][j]| <= A[i][j] tested on every pair."""
+    violations: list[str] = []
+    n = A.order
+    if not cert.has_order(n):
+        return [f"shape mismatch: certificate order {cert.order}, matrix order {n}"]
+    for i in range(n):
+        if cert.a_prime[i][i] != A[i, i]:
+            violations.append(f"diagonal changed at {i}: {cert.a_prime[i][i]} != {A[i, i]}")
+    for i in range(n):
+        for j in range(n):
+            if i != j and abs(cert.a_prime[i][j]) > A[i, j]:
+                violations.append(
+                    f"not a reduction at ({i}, {j}): |{cert.a_prime[i][j]}| > {A[i, j]}"
+                )
+    if all(v == 0 for v in cert.a):
+        violations.append("annihilated vector is zero")
+    for i, v in enumerate(cert.a):
+        if v < 0:
+            violations.append(f"negative entry a[{i}] = {v}")
+    image = mat_vec(cert.a_prime, cert.a)
+    for i, v in enumerate(image):
+        if v != 0:
+            violations.append(f"(A' a)[{i}] = {v} != 0")
+    return violations
+
+
+class ZeroEntryError(ValueError):
+    """The weight vector has a zero entry where a nonzero one is required."""
+
+
+def bilinear_identity(
+    A: SymMatrix, a: Sequence[Fraction], x: Sequence[Fraction]
+) -> tuple[Fraction, Fraction]:
+    """Evaluate both sides of the weighted quadratic-form expansion.
+
+    Left side: x^T A x.  Right side, for any weight vector a with nonzero
+    entries:
+
+        sum_i a_i (A a)_i (x_i / a_i)^2
+        + sum_{i<j} (-A[i][j] a_i a_j) (x_i / a_i - x_j / a_j)^2
+
+    The two sides agree exactly for every symmetric A; when A a <= 0 and
+    a > 0 with A's off-diagonal non-negative, every right-side term is
+    non-positive, which is the certificate's reading of "A is negative".
+    """
+    n = A.order
+    if len(a) != n or len(x) != n:
+        raise ValueError("vector length does not match matrix order")
+    for i, v in enumerate(a):
+        if v == 0:
+            raise ZeroEntryError(f"a[{i}] = 0")
+    lhs = sum(x[i] * A[i, j] * x[j] for i in range(n) for j in range(n))
+    image = mat_vec(A.rows, a)
+    rhs = sum(a[i] * image[i] * (x[i] / a[i]) ** 2 for i in range(n))
+    rhs += sum(
+        -A[i, j] * a[i] * a[j] * (x[i] / a[i] - x[j] / a[j]) ** 2
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+    return lhs, rhs

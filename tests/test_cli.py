@@ -10,11 +10,12 @@ import json
 
 import pytest
 
-from gmsurf import cli
+from gmsurf import cli, covers
 from gmsurf.cli import main
 from gmsurf.covers import commutator, cycle_type, identity_perm, is_transitive, word_product
-from gmsurf.fileio import load_json, save_json, save_manifold
+from gmsurf.fileio import load_json, save_json
 from gmsurf.manifold import DecompositionGraph, GluingTorus, SeifertPiece, two_piece_graph
+from test_fileio import save_manifold
 
 
 def write_manifold(tmp_path, name, e1, e2, **torus_kwargs):
@@ -347,6 +348,30 @@ def test_cover_find_rejects_attempts_option():
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_cover_find_rejects_seed_option():
+    argv = ["cover", "find", "--genus", "1", "--alpha", "3", "--degrees", "3", "--seed", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_cover_find_multiplies_the_relation_out_once_after_the_recheck(monkeypatch, capsys):
+    calls = []
+    last_z = covers.CoverCertificate.last_z
+
+    def counted(cert):
+        calls.append(cert)
+        return last_z(cert)
+
+    monkeypatch.setattr(covers.CoverCertificate, "last_z", counted)
+    code = main(["cover", "find", "--genus", "2", "--alpha", "5", "--degrees", "5;3,1,1", "--json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["boundary_cycle_types"] == [[5], [3, 1, 1]]
+    assert doc["last_z"] == cli._cycle_str(calls[-1].last_z())
+    assert len(calls) == 3  # find_cover's own recheck, the output, and this test's call
 
 
 def test_cover_brute_exit_codes():

@@ -1,6 +1,7 @@
 """Tests for permutation machinery, surface-cover construction and the exhaustive oracle."""
 
-from itertools import product
+import random
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies
@@ -11,6 +12,7 @@ from gmsurf.covers import (
     CoverCertificate,
     CoverSpec,
     ParityError,
+    alpha_cycle_split,
     commutator,
     compose,
     cover_exists_bruteforce,
@@ -140,9 +142,63 @@ def test_find_cover_rejects_parity_failure():
         find_cover(CoverSpec(genus=1, alpha=2, boundary_degrees=((2,),)))
 
 
-def test_find_cover_deterministic_per_seed():
+def test_find_cover_is_deterministic():
     spec = CoverSpec(genus=1, alpha=4, boundary_degrees=((2, 2),))
-    assert find_cover(spec, seed=3) == find_cover(spec, seed=3)
+    assert find_cover(spec) == find_cover(spec)
+
+
+def test_covers_draws_nothing_at_random():
+    assert not hasattr(covers, "random")
+
+
+def is_even(p) -> bool:
+    return (len(p) - len(cycle_type(p))) % 2 == 0
+
+
+def test_alpha_cycle_split_of_every_small_even_permutation():
+    split = 0
+    for alpha in range(1, 8):
+        for pi in permutations(range(alpha)):
+            if not is_even(pi):
+                continue
+            x, s = alpha_cycle_split(pi)
+            assert cycle_type(x) == cycle_type(s) == (alpha,), pi
+            assert compose(x, s) == pi, pi
+            split += 1
+    assert split == 1 + 1 + 3 + 12 + 60 + 360 + 2520
+
+
+def random_even(rng: random.Random, alpha: int) -> tuple[int, ...]:
+    points = list(range(alpha))
+    rng.shuffle(points)
+    if alpha > 1 and not is_even(tuple(points)):
+        points[0], points[1] = points[1], points[0]
+    return tuple(points)
+
+
+def test_alpha_cycle_split_rejects_odd_permutations():
+    for pi in [(1, 0), (1, 0, 2, 3), (1, 2, 3, 0)]:
+        with pytest.raises(ValueError):
+            alpha_cycle_split(pi)
+
+
+def test_alpha_cycle_split_merges_three_cycles_per_move(monkeypatch):
+    moves = []
+    relink = covers._relink
+
+    def counted(*args):
+        moves.append(args)
+        relink(*args)
+
+    monkeypatch.setattr(covers, "_relink", counted)
+    rng = random.Random("split-moves")
+    for alpha in (1, 2, 3, 7, 50, 400):
+        start = inverse(perm_from_cycle_lengths(alpha, (alpha,), list(range(alpha))))
+        for pi in [identity_perm(alpha), *(random_even(rng, alpha) for _ in range(10))]:
+            moves.clear()
+            x, s = alpha_cycle_split(pi)
+            assert cycle_type(s) == (alpha,) and compose(x, s) == pi
+            assert len(moves) == (len(cycle_type(compose(start, pi))) - 1) // 2
 
 
 def all_specs(genera, boundaries, alphas):
@@ -170,7 +226,7 @@ def test_find_cover_builds_every_small_parity_valid_spec():
             with pytest.raises(ParityError):
                 find_cover(spec)
             continue
-        assert verify_cover(spec, find_cover(spec, seed=built)) == [], spec
+        assert verify_cover(spec, find_cover(spec)) == [], spec
         built += 1
     assert built > 3000 and oracle_checked > 200
 
@@ -179,7 +235,7 @@ def near_identity(alpha: int) -> tuple[int, ...]:
     return (2, 2) + (1,) * (alpha - 4)
 
 
-@pytest.mark.parametrize("alpha", [16, 17, 18, 40, 101, 400])
+@pytest.mark.parametrize("alpha", [16, 17, 18, 40, 101, 400, 2000, 2001])
 def test_find_cover_near_identity_and_large_degrees(alpha):
     closing = (alpha,) if alpha % 2 else (alpha - 1, 1)
     specs = [

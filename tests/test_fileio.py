@@ -18,7 +18,6 @@ from gmsurf.fileio import (
     reduction_cert_to_json,
     rows_to_json,
     save_json,
-    save_manifold,
     surface_cert_from_json,
     surface_cert_to_json,
 )
@@ -27,6 +26,11 @@ from gmsurf.reduction import find_singular_reduction
 from gmsurf.surface import build_surface_certificate
 
 F = Fraction
+
+
+def save_manifold(G, path) -> None:
+    """Write a manifold file the way `gmsurf gen --out` does."""
+    save_json(manifold_to_json(G), path)
 
 
 def sym(rows) -> SymMatrix:

@@ -23,14 +23,19 @@ from gmsurf.reduction import (
     NoPositiveEigenvalueError,
     NotNegativeError,
     ReductionCertificate,
-    ZeroEntryError,
-    bilinear_identity,
     find_singular_reduction,
     negativity_certificate,
     strict_shrink,
     verify_reduction,
 )
-from oracles import crossing_reduction, halving_shrink, kernel_basis
+from oracles import (
+    ZeroEntryError,
+    all_pairs_reduction_violations,
+    bilinear_identity,
+    crossing_reduction,
+    halving_shrink,
+    kernel_basis,
+)
 from test_exact_linalg import VERDICT_CLASSES, closing_epsilon, path_rows, verdict_matrix
 
 F = Fraction
@@ -239,6 +244,38 @@ def test_verify_reduction_flags_zero_and_negative_vectors():
         a_prime=tuple(tuple(row) for row in A.rows), a=(F(-1), F(-1))
     )
     assert any("negative entry" in v for v in verify_reduction(A, negative))
+
+
+def test_verify_reduction_matches_the_all_pairs_check_on_mutated_certificates():
+    """Only nonzero couplings take an absolute value; the violation list,
+    messages and order included, is the one the all-pairs check gives."""
+    A = sym(path_rows(5, F(1, 2)))
+    cert = find_singular_reduction(A)
+    assert A[0, 2] == 0 and A[0, 1] > 0
+    mutations = {
+        "nonzero where the coupling is 0": [(0, 2, F(1, 3)), (4, 1, F(-2))],
+        "over-large entry": [(0, 1, A[0, 1] + 1)],
+        "wrong sign, too large": [(1, 0, -A[1, 0] - F(1, 7))],
+        "wrong sign, within the bound": [(2, 3, -A[2, 3] / 2)],
+        "all of them": [(0, 2, F(1, 3)), (0, 1, A[0, 1] + 1), (1, 0, -A[1, 0] - 1)],
+    }
+    flagged = {}
+    for name, changes in mutations.items():
+        rows = [list(row) for row in cert.a_prime]
+        for i, j, v in changes:
+            rows[i][j] = v
+        tampered = ReductionCertificate(a_prime=tuple(map(tuple, rows)), a=cert.a)
+        violations = verify_reduction(A, tampered)
+        assert violations == all_pairs_reduction_violations(A, tampered), name
+        flagged[name] = [v for v in violations if v.startswith("not a reduction")]
+    assert flagged["nonzero where the coupling is 0"] == [
+        "not a reduction at (0, 2): |1/3| > 0",
+        "not a reduction at (4, 1): |-2| > 0",
+    ]
+    assert flagged["over-large entry"] == ["not a reduction at (0, 1): |2| > 1"]
+    assert flagged["wrong sign, too large"] == ["not a reduction at (1, 0): |-8/7| > 1"]
+    assert flagged["wrong sign, within the bound"] == []
+    assert len(flagged["all of them"]) == 3
 
 
 # --- negativity certificates ---------------------------------------------------

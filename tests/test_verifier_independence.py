@@ -26,6 +26,8 @@ BUILDERS = {
     "find_singular_reduction",
     "strict_shrink",
     "find_cover",
+    "alpha_cycle_split",
+    "_relink",
     "build_surface_certificate",
 }
 VERIFIERS = (
@@ -76,3 +78,4 @@ def test_verifiers_reference_no_builder_routine():
 def test_the_walk_sees_builders_where_they_are_called():
     seen = reachable_names(surface.build_surface_certificate)
     assert {"strict_shrink", "find_singular_reduction", "pivot_witnesses", "mmatrix_solve", "inertia"} <= set(seen)
+    assert {"alpha_cycle_split", "_relink"} <= set(reachable_names(covers.find_cover))
