@@ -35,6 +35,7 @@ from .decision import NotTwoPieceError, decide, two_piece_d
 from .exact_linalg import DisconnectedMatrixError, SymMatrix, rational_str
 from .fileio import (
     FileFormatError,
+    json_text,
     load_json,
     load_manifold,
     manifold_to_json,
@@ -72,12 +73,15 @@ def _fail_input(message: str) -> int:
 def _analysis_report(A: SymMatrix) -> dict:
     verdict = decide(A)
     pos, neg, zero = split_blocks(A)
+    matrix = rows_to_json(A)
+    # An A-minus row is a list of its own only where the diagonal is positive.
+    minus = list(matrix)
+    for i in pos:
+        minus[i] = minus[i].copy()
+        minus[i][i] = rational_str(-A[i, i])
     report = {
-        "matrix": rows_to_json(A.rows),
-        "a_minus": [
-            [rational_str(-x if i == j and x > 0 else x) for j, x in enumerate(row)]
-            for i, row in enumerate(A.rows)
-        ],
+        "matrix": matrix,
+        "a_minus": minus,
         "inertia": {
             "n_pos": verdict.inertia_of_a_minus.n_pos,
             "n_zero": verdict.inertia_of_a_minus.n_zero,
@@ -111,7 +115,7 @@ def _analysis_report(A: SymMatrix) -> dict:
 
 def _print_report(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2))
+        print(json_text(report))
         return
     print("decomposition matrix:")
     for row in report["matrix"]:
@@ -177,7 +181,7 @@ def cmd_certify(args) -> int:
         "systems": len(cert.systems),
     }
     if args.json:
-        print(json.dumps(summary, indent=2))
+        print(json_text(summary))
     else:
         print(f"certificate written to {args.out}")
         print(f"piece degrees: {list(cert.degrees)}, scale {cert.scale}, "
@@ -202,10 +206,10 @@ def cmd_verify(args) -> int:
         for v in violations:
             print(f"violation: {v}")
         if args.json:
-            print(json.dumps({"valid": False, "violations": violations}, indent=2))
+            print(json_text({"valid": False, "violations": violations}))
         return EXIT_INVALID
     if args.json:
-        print(json.dumps({"valid": True, "violations": []}, indent=2))
+        print(json_text({"valid": True, "violations": []}))
     else:
         print("certificate is valid")
     return EXIT_HOLDS
@@ -228,7 +232,7 @@ def cmd_gen(args) -> int:
             return _fail_input(str(exc))
         print(f"manifold written to {args.out}")
     else:
-        print(json.dumps(doc, indent=2))
+        print(json_text(doc))
     return EXIT_HOLDS
 
 
@@ -340,7 +344,7 @@ def cmd_cover(args) -> int:
         "boundary_cycle_types": [list(cycle_type(z)) for z in zs],
     }
     if args.json:
-        print(json.dumps(doc, indent=2))
+        print(json_text(doc))
     else:
         for k, p in enumerate(cert.x):
             print(f"x{k + 1} = {_cycle_str(p)}")

@@ -60,8 +60,8 @@ class Verdict:
     inertia_of_a_minus: Inertia
 
 
-def _check_input(A: SymMatrix) -> tuple[list[list[Fraction]], list[int], list[int], list[int]]:
-    """Check A in one scan and return the rows of A-minus with the diagonal-sign split.
+def _check_input(A: SymMatrix) -> tuple[list[dict[int, Fraction]], list[int], list[int], list[int]]:
+    """Check A from its nonzero entries; return A-minus as dict rows and the diagonal-sign split.
 
     Raises ValueError on the empty matrix or on the first negative
     off-diagonal entry (row by row), DisconnectedMatrixError if the matrix
@@ -71,9 +71,10 @@ def _check_input(A: SymMatrix) -> tuple[list[list[Fraction]], list[int], list[in
         raise ValueError("empty matrix")
     if len(graph_components(check_nonnegative_off_diagonal(A))) > 1:
         raise DisconnectedMatrixError("matrix graph is disconnected")
-    minus = [list(row) for row in A.rows]
     pos, neg, zero = split_blocks(A)
+    minus = list(A.sparse)
     for i in pos:
+        minus[i] = dict(minus[i])
         minus[i][i] = -minus[i][i]
     return minus, pos, neg, zero
 
@@ -89,16 +90,20 @@ def _immersed(ine: Inertia, pos: list[int], neg: list[int]) -> tuple[bool, Branc
     return False, Branch.NEGATIVE_DEFINITE
 
 
-def _negative_definite_block(minus: list[list[Fraction]], idx: list[int]) -> bool:
+def _negative_definite_block(minus: list[dict[int, Fraction]], idx: list[int]) -> bool:
     # An empty block is negative definite vacuously and costs no inertia call.
     # Other blocks go through this module's `inertia` binding, like A-minus,
     # so every inertia a decision takes is made under that one name.
     if not idx:
         return True
-    return inertia([[minus[i][j] for j in idx] for i in idx]).n_neg == len(idx)
+    position = {i: r for r, i in enumerate(idx)}
+    block = [{position[j]: x for j, x in minus[i].items() if j in position} for i in idx]
+    return inertia(block).n_neg == len(idx)
 
 
-def _virtually_embedded(minus: list[list[Fraction]], pos: list[int], neg: list[int], zero: list[int]) -> bool:
+def _virtually_embedded(
+    minus: list[dict[int, Fraction]], pos: list[int], neg: list[int], zero: list[int]
+) -> bool:
     # Both diagonal blocks are principal blocks of A-minus: the positive one
     # with its diagonal negated, the negative one as it is in A.
     if zero:

@@ -9,7 +9,8 @@ sign counts (n_pos, n_zero, n_neg) of a symmetric rational matrix by congruence
 diagonalization; by Sylvester's law of inertia the sign counts are invariant
 under congruence, so no root finding is needed.  A decomposition matrix has
 the sparsity of the piece graph (a tree plus a few extra tori), so
-:func:`inertia` works on the nonzero entries only and eliminates in
+:func:`inertia` works on the nonzero entries only (a :class:`SymMatrix`
+keeps them as its sparse view) and eliminates in
 minimum-degree order, which creates no fill on a tree: its cost follows the
 number of edges and the fill, not the cube of the order.
 :func:`pivot_witnesses` runs the same elimination, A = L D L^T, and turns
@@ -96,18 +97,26 @@ class Inertia:
 
 
 class SymMatrix:
-    """Immutable dense symmetric matrix over the rationals.
+    """Immutable symmetric matrix over the rationals: dense rows plus a sparse view.
 
-    Symmetry is enforced at construction; all entries are normalized through
-    :func:`to_rational`, so floats are rejected.
+    Symmetry is enforced at construction; entries that are not already
+    `Fraction` are normalized through :func:`to_rational`, so floats are
+    rejected.  :attr:`sparse` holds the nonzero entries, one ``{column:
+    value}`` dict per row (a zero diagonal has no key); a matrix the package
+    builds from its own sparse data (:func:`gmsurf.manifold.decomposition_matrix`)
+    gets it at construction, any other computes it once on first use.  The
+    decision and the reports read only the view; the verifiers read the
+    dense rows.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_sparse")
 
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, rows: Sequence[Sequence[int | str | Fraction]]):
-        converted = tuple(tuple(to_rational(x) for x in row) for row in rows)
+        converted = tuple(
+            tuple(x if isinstance(x, Fraction) else to_rational(x) for x in row) for row in rows
+        )
         n = len(converted)
         for row in converted:
             if len(row) != n:
@@ -117,6 +126,7 @@ class SymMatrix:
                 if converted[i][j] != converted[j][i]:
                     raise ValueError(f"not symmetric at ({i}, {j})")
         object.__setattr__(self, "rows", converted)
+        object.__setattr__(self, "_sparse", None)
 
     @classmethod
     def _trusted(cls, rows: Iterable[Iterable[Fraction]]) -> "SymMatrix":
@@ -125,10 +135,33 @@ class SymMatrix:
         public constructor are skipped.  Parsed input never comes here."""
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "rows", tuple(tuple(row) for row in rows))
+        object.__setattr__(matrix, "_sparse", None)
+        return matrix
+
+    @classmethod
+    def _from_sparse(cls, sparse: Sequence[dict[int, Fraction]]) -> "SymMatrix":
+        """A matrix the package built itself from its nonzero entries, one
+        ``{column: value}`` dict per row, symmetric and `Fraction`-valued by
+        construction; the dicts become its sparse view (see :meth:`_trusted`)."""
+        n = len(sparse)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for row, entries in zip(rows, sparse):
+            for j, x in entries.items():
+                row[j] = x
+        matrix = cls._trusted(rows)
+        object.__setattr__(matrix, "_sparse", tuple(sparse))
         return matrix
 
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrix is immutable")
+
+    @property
+    def sparse(self) -> tuple[dict[int, Fraction], ...]:
+        """The nonzero entries, one ``{column: value}`` dict per row; do not mutate."""
+        if self._sparse is None:
+            view = tuple({j: x for j, x in enumerate(row) if x} for row in self.rows)
+            object.__setattr__(self, "_sparse", view)
+        return self._sparse
 
     @property
     def order(self) -> int:
@@ -181,8 +214,23 @@ def _clear_denominators(values: Iterable[Fraction | int]) -> tuple[int, list[int
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _congruence(rows: Sequence[Sequence[Fraction]], steps: list | None = None) -> Inertia:
-    """Sparse graph-order congruence of symmetric dense rows; see :func:`inertia`.
+def _sparse_rows(
+    A: SymMatrix | Sequence[dict[int, Fraction]] | Sequence[Sequence[Fraction]],
+) -> list[dict[int, Fraction]]:
+    """Fresh ``{column: value}`` rows of the nonzero entries of A, for :func:`_congruence`.
+
+    ``A`` is a :class:`SymMatrix` (its sparse view is copied), dict rows
+    (copied), or dense rows (scanned once).
+    """
+    if isinstance(A, SymMatrix):
+        return [dict(row) for row in A.sparse]
+    return [
+        dict(row) if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x} for row in A
+    ]
+
+
+def _congruence(adj: list[dict[int, Fraction]], steps: list | None = None) -> Inertia:
+    """Sparse graph-order congruence of symmetric dict rows, eliminated in place; see :func:`inertia`.
 
     When ``steps`` is a list, each pivot block is appended to it as
     (seed, value, columns): ``seed`` maps the block's vertices to a vector y
@@ -191,7 +239,6 @@ def _congruence(rows: Sequence[Sequence[Fraction]], steps: list | None = None) -
     multiplier}), the block's columns of the unit lower triangular factor L
     with A = L D L^T.
     """
-    adj = [{j: x for j, x in enumerate(row) if x} for row in rows]
     remaining = set(range(len(adj)))
     queue: list[tuple[int, int]] = []  # sorted (degree, index), nonzero diagonals only
     queued: dict[int, tuple[int, int]] = {}
@@ -268,14 +315,16 @@ def _congruence(rows: Sequence[Sequence[Fraction]], steps: list | None = None) -
     return Inertia(n_pos, n_zero, n_neg)
 
 
-def inertia(A: SymMatrix | Sequence[Sequence[Fraction]]) -> Inertia:
+def inertia(A: SymMatrix | Sequence[dict[int, Fraction]] | Sequence[Sequence[Fraction]]) -> Inertia:
     """Exact inertia (n_pos, n_zero, n_neg) of a symmetric matrix by sparse congruence.
 
-    ``A`` is a :class:`SymMatrix` or its dense rows; symmetry is assumed.
-    The nonzero entries go into one dict per row, and pivots are eliminated
-    in graph order, each step replacing the rest of the matrix by its Schur
-    complement (a congruence, so Sylvester's law of inertia gives each
-    pivot block's signs to the whole matrix):
+    ``A`` is a :class:`SymMatrix` (its sparse view is read), one ``{column:
+    value}`` dict of nonzero entries per row, or dense rows; symmetry is
+    assumed.  This is the one place where the input becomes fresh dict rows
+    (:func:`_sparse_rows`; only dense rows are scanned).  Pivots are
+    eliminated in graph order, each step replacing the rest of the matrix
+    by its Schur complement (a congruence, so Sylvester's law of inertia
+    gives each pivot block's signs to the whole matrix):
 
     - a 1x1 pivot on the remaining vertex of least degree whose diagonal is
       nonzero, the smallest index among equals (minimum-degree order, Rose
@@ -287,11 +336,11 @@ def inertia(A: SymMatrix | Sequence[Sequence[Fraction]]) -> Inertia:
 
     Entries stay `Fraction`, reduced at every step.
     """
-    return _congruence(getattr(A, "rows", A))
+    return _congruence(_sparse_rows(A))
 
 
 def pivot_witnesses(
-    A: SymMatrix | Sequence[Sequence[Fraction]],
+    A: SymMatrix | Sequence[dict[int, Fraction]] | Sequence[Sequence[Fraction]],
 ) -> list[tuple[Fraction, dict[int, Fraction]]]:
     """One vector x with x^T A x > 0 per positive eigenvalue of a symmetric matrix.
 
@@ -304,7 +353,7 @@ def pivot_witnesses(
     back-substitution through the earlier blocks.
     """
     steps: list = []
-    _congruence(getattr(A, "rows", A), steps)
+    _congruence(_sparse_rows(A), steps)
     witnesses = []
     for t, (seed, value, _) in enumerate(steps):
         if value <= 0:
@@ -478,7 +527,7 @@ def graph_components(neighbours: Sequence[Sequence[int]]) -> list[list[int]]:
 
 def matrix_graph_components(A: SymMatrix) -> list[list[int]]:
     """Connected components of the matrix graph (edge {i, j} iff A[i][j] != 0, i != j)."""
-    return graph_components([[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(A.rows)])
+    return graph_components([[j for j in row if j != i] for i, row in enumerate(A.sparse)])
 
 
 def is_connected_matrix(A: SymMatrix) -> bool:
@@ -488,20 +537,18 @@ def is_connected_matrix(A: SymMatrix) -> bool:
 def check_nonnegative_off_diagonal(A: SymMatrix) -> list[list[int]]:
     """Raise ValueError naming the first negative off-diagonal entry, if any.
 
-    Decomposition matrices, and every matrix the decision and reduction
-    layers accept, have non-negative off-diagonal entries.  Returns the
-    neighbour lists of the matrix graph, read in the same scan.
+    "First" is row by row, then by column, whatever the order of the sparse
+    view's keys.  Decomposition matrices, and every matrix the decision and
+    reduction layers accept, have non-negative off-diagonal entries.
+    Returns the neighbour lists of the matrix graph, read from the same
+    nonzero entries.
     """
-    n = A.order
-    neighbours: list[list[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(A.rows):
-        for j in range(i + 1, n):
-            x = row[j]
-            if x:
-                if x < 0:
-                    raise ValueError(f"negative off-diagonal entry at ({i}, {j})")
-                neighbours[i].append(j)
-                neighbours[j].append(i)
+    neighbours: list[list[int]] = []
+    for i, row in enumerate(A.sparse):
+        negative = [j for j, x in row.items() if x < 0 and j > i]
+        if negative:
+            raise ValueError(f"negative off-diagonal entry at ({i}, {min(negative)})")
+        neighbours.append([j for j in row if j != i])
     return neighbours
 
 

@@ -23,6 +23,7 @@ Schemas:
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,19 +69,44 @@ def _expect_list(value, where: str) -> list:
 
 
 def rows_to_json(rows) -> list[list[str]]:
-    return [[rational_str(x) for x in row] for row in rows]
+    """Rational string rows of dense rows, or of a :class:`SymMatrix` from its
+    nonzero entries alone ("0" everywhere else)."""
+    if not isinstance(rows, SymMatrix):
+        return [[rational_str(x) for x in row] for row in rows]
+    out = []
+    for entries in rows.sparse:
+        row = ["0"] * rows.order
+        for j, x in entries.items():
+            row[j] = rational_str(x)
+        out.append(row)
+    return out
 
 
 def matrix_rows_from_json(data, where: str) -> list[list[Fraction]]:
+    """Parse a square matrix of rationals, each distinct string token once.
+
+    Only strings are memoized: JSON integers (and booleans, which compare
+    equal to 0 and 1 but are rejected) are parsed where they stand.
+    """
     rows = _expect_list(data, where)
     out = []
+    parsed: dict[str, Fraction] = {}
     for i, row in enumerate(rows):
         row = _expect_list(row, f"{where}[{i}]")
         if len(row) != len(rows):
             raise FileFormatError(
                 f"{where}[{i}]: expected {len(rows)} entries, got {len(row)}"
             )
-        out.append([parse_rational_field(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
+        values = []
+        for j, x in enumerate(row):
+            if type(x) is not str:
+                values.append(parse_rational_field(x, f"{where}[{i}][{j}]"))
+                continue
+            value = parsed.get(x)
+            if value is None:
+                value = parsed[x] = parse_rational_field(x, f"{where}[{i}][{j}]")
+            values.append(value)
+        out.append(values)
     return out
 
 
@@ -156,7 +182,7 @@ def reduction_cert_to_json(cert: ReductionCertificate, matrix: SymMatrix | None 
         "a": [rational_str(v) for v in cert.a],
     }
     if matrix is not None:
-        doc["matrix"] = rows_to_json(matrix.rows)
+        doc["matrix"] = rows_to_json(matrix)
     return doc
 
 
@@ -186,7 +212,7 @@ def surface_cert_to_json(cert: SurfaceCertificate) -> dict:
     return {
         "degrees": list(cert.degrees),
         "scale": cert.scale,
-        "shrunk": rows_to_json(cert.shrunk.rows),
+        "shrunk": rows_to_json(cert.shrunk),
         "reduction": reduction_cert_to_json(cert.reduction),
         "systems": [
             {
@@ -249,8 +275,57 @@ def reject_float(text: str):
     )
 
 
+# Characters of rational strings: a row of them needs no JSON escaping.
+_PLAIN = re.compile(r"[-/0-9]*")
+
+
+def _plain_rows(value) -> bool:
+    """True iff ``value`` is a non-empty list of lists of rational-like strings."""
+    if type(value) is not list or not value:
+        return False
+    try:
+        return all(type(row) is list and _PLAIN.fullmatch("".join(row)) for row in value)
+    except TypeError:  # an entry that is not a string
+        return False
+
+
+def _write(value, indent: str, out: list[str]) -> None:
+    """Append the ``indent=2`` JSON text of ``value``; its lines after the
+    first start with ``indent``."""
+    inner = indent + "  "
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        out.append("{")
+        separator = "\n"
+        for key, item in value.items():
+            out.append(f"{separator}{inner}{json.dumps(key)}: ")
+            _write(item, inner, out)
+            separator = ",\n"
+        out.append(f"\n{indent}}}")
+    elif _plain_rows(value):
+        entry = inner + "  "
+        between = f'",\n{entry}"'
+        rows = [f'[\n{entry}"{between.join(row)}"\n{inner}]' if row else "[]" for row in value]
+        out.append(f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{indent}]")
+    else:
+        out.append(json.dumps(value, indent=2).replace("\n", "\n" + indent))
+
+
+def json_text(doc) -> str:
+    """The text of ``json.dumps(doc, indent=2)``, byte for byte.
+
+    The pure-Python encoder that ``indent`` selects costs about 1 us per
+    entry, so a matrix, a list of rows of rational strings, is written
+    row by row: one regex shows that a row needs no escaping, and the row
+    is joined in C.  Objects with string keys are walked; every other value
+    is ``json.dumps(value, indent=2)``, re-indented.
+    """
+    out: list[str] = []
+    _write(doc, "", out)
+    return "".join(out)
+
+
 def save_json(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(json_text(doc) + "\n")
 
 
 def load_manifold(path: str | Path) -> DecompositionGraph:

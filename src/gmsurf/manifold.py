@@ -180,25 +180,21 @@ def decomposition_matrix(G: DecompositionGraph) -> SymMatrix:
     violations = validate(G)
     if violations:
         raise InvalidGraphError(violations)
-    n = len(G.pieces)
     index = {p.id: k for k, p in enumerate(G.pieces)}
-    entries = [[Fraction(0)] * n for _ in range(n)]
-    for k, piece in enumerate(G.pieces):
-        entries[k][k] = piece.euler
+    sparse: list[dict[int, Fraction]] = [
+        {k: piece.euler} if piece.euler else {} for k, piece in enumerate(G.pieces)
+    ]
     for t in G.tori:
         i, j = index[t.from_piece], index[t.to_piece]
-        entries[i][j] += Fraction(1, t.p)
-        entries[j][i] += Fraction(1, t.p)
-    return SymMatrix._trusted(entries)
+        sparse[i][j] = sparse[j][i] = sparse[i].get(j, 0) + Fraction(1, t.p)
+    return SymMatrix._from_sparse(sparse)
 
 
 def a_minus(A: SymMatrix) -> SymMatrix:
     """The same matrix with every positive diagonal entry negated."""
-    rows = A.to_lists()
-    for i in range(A.order):
-        if rows[i][i] > 0:
-            rows[i][i] = -rows[i][i]
-    return SymMatrix._trusted(rows)
+    return SymMatrix._from_sparse(
+        [{j: -x if i == j and x > 0 else x for j, x in row.items()} for i, row in enumerate(A.sparse)]
+    )
 
 
 def split_blocks(A: SymMatrix) -> tuple[list[int], list[int], list[int]]:
@@ -207,9 +203,10 @@ def split_blocks(A: SymMatrix) -> tuple[list[int], list[int], list[int]]:
     Zero-diagonal indices are returned separately so the decision layer can
     treat their block assignment explicitly.
     """
-    pos = [i for i in range(A.order) if A[i, i] > 0]
-    neg = [i for i in range(A.order) if A[i, i] < 0]
-    zero = [i for i in range(A.order) if A[i, i] == 0]
+    diagonal = [row.get(i, 0) for i, row in enumerate(A.sparse)]
+    pos = [i for i, x in enumerate(diagonal) if x > 0]
+    neg = [i for i, x in enumerate(diagonal) if x < 0]
+    zero = [i for i, x in enumerate(diagonal) if x == 0]
     return pos, neg, zero
 
 

@@ -310,7 +310,7 @@ def strict_shrink(A: SymMatrix) -> SymMatrix:
     ValueError on a negative off-diagonal entry.
     """
     neighbours = check_nonnegative_off_diagonal(A)
-    minus = [[-x if i == j and x > 0 else x for j, x in enumerate(row)] for i, row in enumerate(A.rows)]
+    minus = a_minus(A).sparse
     witnesses = pivot_witnesses(minus)
     if not witnesses:
         raise NoPositiveEigenvalueError("A-minus has no positive eigenvalue")
@@ -320,9 +320,9 @@ def strict_shrink(A: SymMatrix) -> SymMatrix:
 
     bound = max(value / coupling_form(x) for value, x in witnesses)
 
-    def shrunk(rows, k: int) -> list[list[Fraction]]:
+    def shrunk(rows, k: int) -> list[dict[int, Fraction]]:
         factor = 1 - Fraction(1, 2**k)
-        return [[x * factor if i != j and x else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        return [{j: x if i == j else x * factor for j, x in row.items()} for i, row in enumerate(rows)]
 
     def positive(k: int) -> bool:
         return inertia(shrunk(minus, k)).n_pos > 0
@@ -343,4 +343,4 @@ def strict_shrink(A: SymMatrix) -> SymMatrix:
             hi, gap = k, 2 * gap
         else:
             lo = k
-    return SymMatrix._trusted(shrunk(A.rows, hi))
+    return SymMatrix._from_sparse(shrunk(A.sparse, hi))

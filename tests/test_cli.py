@@ -10,11 +10,12 @@ import json
 
 import pytest
 
-from gmsurf import cli, covers
+from gmsurf import cli, covers, decision, exact_linalg, fileio
 from gmsurf.cli import main
 from gmsurf.covers import commutator, cycle_type, identity_perm, is_transitive, word_product
 from gmsurf.fileio import load_json, save_json
-from gmsurf.manifold import DecompositionGraph, GluingTorus, SeifertPiece, two_piece_graph
+from gmsurf.generate import generate_manifold
+from gmsurf.manifold import DecompositionGraph, GluingTorus, SeifertPiece, decomposition_matrix, two_piece_graph
 from test_fileio import save_manifold
 
 
@@ -45,6 +46,27 @@ def test_analyze_json_report_is_exact(tmp_path, capsys):
     assert report["property_ve"] is True
     assert report["two_piece"]["d"] == "1"
     assert report["matrix"] == [["-1", "1"], ["1", "-1"]]
+
+
+def test_analyze_reads_only_the_nonzeros(tmp_path, monkeypatch, capsys):
+    # 200 pieces: each nonzero is written at most twice (matrix and A-minus
+    # rows), every other entry is the shared "0", and decide hands `inertia`
+    # dict rows only.
+    G = generate_manifold(200, seed=2, profile="posEig")
+    path = tmp_path / "m.json"
+    save_manifold(G, path)
+    written, seen = [], []
+    for module in (cli, fileio):
+        monkeypatch.setattr(module, "rational_str", lambda x: written.append(x) or exact_linalg.rational_str(x))
+    real_inertia = decision.inertia
+    monkeypatch.setattr(decision, "inertia", lambda B: seen.append(B) or real_inertia(B))
+    assert main(["analyze", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    A = decomposition_matrix(G)
+    nnz = sum(len(row) for row in A.sparse)
+    assert len(written) <= A.order + 2 * nnz
+    assert report["matrix"] == [[exact_linalg.rational_str(x) for x in row] for row in A.rows]
+    assert seen and all(isinstance(row, dict) for B in seen for row in B)
 
 
 def test_analyze_negative_definite_pair_fails(tmp_path, capsys):
@@ -249,6 +271,23 @@ def test_matrix_mode_input_errors_keep_their_text(monkeypatch, capsys, text, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+@pytest.mark.parametrize(
+    "text, keys",
+    [
+        ('[["0"]]', {"notes", "reduction"}),  # a semidefinite zero diagonal
+        ('[["-3"]]', set()),  # no reduction
+        ('[["-1", "2"], ["2", "-1"]]', {"two_piece", "reduction"}),
+        ('[["3/2", "1/3"], ["1/3", "-5"]]', {"two_piece"}),
+    ],
+)
+def test_matrix_mode_json_is_the_standard_indented_text(monkeypatch, capsys, text, keys):
+    run_matrix(monkeypatch, text, "--json")
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert {key for key in ("notes", "two_piece", "reduction") if report[key]} == keys
+    assert out == json.dumps(report, indent=2) + "\n"
+
 
 def test_matrix_mode_rejects_asymmetric_input(monkeypatch, capsys):
     assert run_matrix(monkeypatch, '[["0", "1"], ["2", "0"]]') == 2

@@ -203,6 +203,8 @@ def test_branch_tag_tracks_positive_eigenvalue():
     ],
 )
 def test_decide_takes_each_inertia_once(monkeypatch, rows, blocks):
+    # decide hands `inertia` one dict of nonzero entries per row; compare
+    # their dense form: A-minus first, then one call per block looked at.
     seen, checked = [], []
     real_inertia, real_check = decision.inertia, decision._check_input
     monkeypatch.setattr(decision, "inertia", lambda B: seen.append(B) or real_inertia(B))
@@ -210,7 +212,11 @@ def test_decide_takes_each_inertia_once(monkeypatch, rows, blocks):
     A = sym(rows)
     verdict = decide(A)
     assert checked == [A]
-    assert [[list(row) for row in B] for B in seen] == [a_minus(A).to_lists()] + [
+
+    def dense(B):
+        return [[row.get(j, F(0)) for j in range(len(B))] for row in B]
+
+    assert [dense(B) for B in seen] == [a_minus(A).to_lists()] + [
         sym(b).to_lists() for b in blocks
     ]
     assert verdict.inertia_of_a_minus == inertia(a_minus(A))

@@ -25,10 +25,12 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies
 
+from gmsurf import exact_linalg
 from gmsurf.decision import Branch, decide
 from gmsurf.exact_linalg import (
     Inertia,
     SymMatrix,
+    check_nonnegative_off_diagonal,
     determinant_rows,
     inertia,
     is_connected_matrix,
@@ -304,6 +306,17 @@ def test_sym_matrix_rejects_float_entries():
         SymMatrix([[0.5]])
 
 
+def test_sym_matrix_converts_only_entries_that_are_not_fractions(monkeypatch):
+    converted = []
+    real = exact_linalg.to_rational
+    monkeypatch.setattr(exact_linalg, "to_rational", lambda x: converted.append(x) or real(x))
+    A = SymMatrix([[F(-1), F(1, 2)], [F(1, 2), 3]])
+    assert converted == [3]
+    assert A.rows == ((F(-1), F(1, 2)), (F(1, 2), F(3)))
+    with pytest.raises(ValueError, match=r"not symmetric at \(0, 1\)"):
+        SymMatrix([[F(0), F(1)], [F(2), F(0)]])
+
+
 # --- inertia ---------------------------------------------------------------
 
 
@@ -427,6 +440,24 @@ def test_components_with_one_edge():
     A = sym([[0, 1, 0], [1, 0, 0], [0, 0, "-1"]])
     assert matrix_graph_components(A) == [[0, 1], [2]]
     assert not is_connected_matrix(A)
+
+
+def test_first_negative_entry_is_row_by_row_whatever_the_dict_order():
+    dense = [
+        [F(-1), F(1), F(-2), F(-3)],
+        [F(1), F(-1), F(-4), F(0)],
+        [F(-2), F(-4), F(-1), F(1)],
+        [F(-3), F(0), F(1), F(-1)],
+    ]
+    # each dict lists its columns in descending order
+    sparse = [dict(reversed([(j, x) for j, x in enumerate(row) if x])) for row in dense]
+    A = SymMatrix._from_sparse(sparse)
+    assert A.to_lists() == dense
+    assert list(A.sparse[0]) == [3, 2, 1, 0]
+    for check in (check_nonnegative_off_diagonal, decide):
+        with pytest.raises(ValueError) as info:
+            check(A)
+        assert str(info.value) == "negative off-diagonal entry at (0, 2)"
 
 
 # --- principal submatrices -------------------------------------------------

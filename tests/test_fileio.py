@@ -4,10 +4,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies
 
+from gmsurf import fileio
+from gmsurf.cli import _analysis_report
+from gmsurf.decision import decide
 from gmsurf.exact_linalg import SymMatrix, to_rational
 from gmsurf.fileio import (
     FileFormatError,
+    json_text,
     load_json,
     load_manifold,
     manifold_from_json,
@@ -21,7 +26,8 @@ from gmsurf.fileio import (
     surface_cert_from_json,
     surface_cert_to_json,
 )
-from gmsurf.manifold import GluingTorus, two_piece_graph
+from gmsurf.generate import generate_manifold
+from gmsurf.manifold import GluingTorus, decomposition_matrix, two_piece_graph
 from gmsurf.reduction import find_singular_reduction
 from gmsurf.surface import build_surface_certificate
 
@@ -64,6 +70,7 @@ def test_matrix_round_trip_is_exact():
     A = sym([["-1/3", "5/2"], ["5/2", 0]])
     data = rows_to_json(A.rows)
     assert data == [["-1/3", "5/2"], ["5/2", "0"]]
+    assert rows_to_json(A) == data  # from the sparse view
     back = matrix_rows_from_json(data, "matrix")
     assert SymMatrix(back).to_lists() == A.to_lists()
 
@@ -71,6 +78,33 @@ def test_matrix_round_trip_is_exact():
 def test_matrix_rows_reject_ragged_data():
     with pytest.raises(FileFormatError):
         matrix_rows_from_json([["1", "2"], ["1"]], "matrix")
+
+
+def test_matrix_rows_parse_each_distinct_string_once(monkeypatch):
+    parsed = []
+    real = fileio.parse_rational_field
+    monkeypatch.setattr(fileio, "parse_rational_field", lambda x, where: parsed.append((x, where)) or real(x, where))
+    rows = matrix_rows_from_json([["-1", "0", "1/2"], ["0", "-1", 0], ["1/2", 0, "-1"]], "m")
+    assert rows == [[F(-1), F(0), F(1, 2)], [F(0), F(-1), F(0)], [F(1, 2), F(0), F(-1)]]
+    # JSON integers are not memoized; each string is parsed where it first stands
+    assert parsed == [("-1", "m[0][0]"), ("0", "m[0][1]"), ("1/2", "m[0][2]"), (0, "m[1][2]"), (0, "m[2][1]")]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # True == 1 but is rejected wherever it stands, also after a 1
+        ([[1, True], [True, 1]], "m[0][1]: expected a rational string or integer, got True"),
+        ([["1", "1"], ["1", True]], "m[1][1]: expected a rational string or integer, got True"),
+        ([["-1", "x"], ["x", "-1"]], "m[0][1]: not a rational string: 'x'"),
+        ([["0", "1/0"], ["1/0", "0"]], "m[0][1]: zero denominator: '1/0'"),
+        ([["0", "1"], ["1", 0.5]], "m[1][1]: floats are not exact"),
+    ],
+)
+def test_matrix_rows_errors_keep_their_position(data, message):
+    with pytest.raises(FileFormatError) as info:
+        matrix_rows_from_json(data, "m")
+    assert str(info.value).startswith(message)
 
 
 # --- manifolds ----------------------------------------------------------------
@@ -187,3 +221,77 @@ def test_surface_certificate_json_has_no_floats():
                 check(v)
 
     check(json.loads(text))
+
+
+# --- the JSON writer ---------------------------------------------------------------
+
+
+def assert_same_text(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2)
+
+
+# One matrix per verdict class, with negative and fractional entries.
+VERDICT_MATRICES = {
+    ("PositiveEigenvalue", True): [["-1", "2/3", "0"], ["2/3", "-1/5", "4"], ["0", "4", "-7"]],
+    ("PositiveEigenvalue", False): [["1", "2"], ["2", "-1"]],
+    ("SemidefiniteSameSign", True): [["-1", "1"], ["1", "-1"]],
+    ("SemidefiniteMixedSign", False): [["1", "1"], ["1", "-1"]],
+    ("NegativeDefinite", False): [["-2", "1/3", "1/3"], ["1/3", "-5/2", "0"], ["1/3", "0", "-3"]],
+}
+
+
+@pytest.mark.parametrize("verdict, rows", list(VERDICT_MATRICES.items()), ids=str)
+def test_writer_matches_json_dumps_on_analyze_reports(verdict, rows):
+    A = sym(rows)
+    result = decide(A)
+    assert (result.branch.value, result.property_ve) == verdict
+    assert_same_text(_analysis_report(A))
+
+
+@pytest.mark.parametrize("profile", ["any", "negdef", "posEig", "semidef"])
+def test_writer_matches_json_dumps_on_generated_reports(profile):
+    assert_same_text(_analysis_report(decomposition_matrix(generate_manifold(20, seed=4, profile=profile))))
+
+
+def test_writer_matches_json_dumps_on_a_written_certificate(tmp_path):
+    cert = build_surface_certificate(generate_manifold(12, seed=1, profile="posEig"))
+    doc = surface_cert_to_json(cert)
+    assert_same_text(doc)
+    path = tmp_path / "cert.json"
+    save_json(doc, path)
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        {"a": [], "b": [[]], "c": [[], ["1"]], "d": {}, "e": [{}], "f": [[], []]},
+        {"m": [["-3/7", "0"], ["0", "12345678901234567890/3"]], "v": ["-1", "1/2"]},
+        {"m": [["1", 'a"b'], ["\u00e9", "\n"]]},  # rows that need escaping
+        {"m": [["1", 2], [None, True]], "k": {"x": [[1.5]]}},
+        {1: [["1"]], "s": "t"},  # a key that is not a string
+        [["1", "2"], ["3", "4"]],
+        [[["1"]]],
+    ],
+)
+def test_writer_matches_json_dumps_on_edge_documents(doc):
+    assert_same_text(doc)
+
+
+json_values = strategies.recursive(
+    strategies.none()
+    | strategies.booleans()
+    | strategies.integers()
+    | strategies.sampled_from(["0", "-1", "3/4", "-12/7", "", "x", "é", '"', "1/2\n"]),
+    lambda inner: strategies.lists(inner, max_size=4)
+    | strategies.dictionaries(strategies.text(max_size=3), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+def test_writer_matches_json_dumps_on_any_document(doc):
+    assert_same_text(doc)

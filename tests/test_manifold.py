@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies
 
 from gmsurf import exact_linalg
 from gmsurf.exact_linalg import SymMatrix, is_connected_matrix, principal_submatrix, to_rational
-from gmsurf.generate import generate_manifold
+from gmsurf.generate import PROFILES, generate_manifold
 from gmsurf.manifold import (
     DecompositionGraph,
     GluingTorus,
@@ -178,6 +178,43 @@ def test_decomposition_matrix_rejects_single_piece():
     )
     with pytest.raises(InvalidGraphError):
         decomposition_matrix(G)
+
+
+# --- the sparse view --------------------------------------------------------
+
+
+def dense_nonzeros(A: SymMatrix) -> tuple[dict, ...]:
+    return tuple({j: x for j, x in enumerate(row) if x} for row in A.rows)
+
+
+def test_sparse_view_sums_parallel_tori_and_skips_zero_euler():
+    G = DecompositionGraph(
+        pieces=(
+            SeifertPiece(id=1, euler=F(0), genus=1),
+            SeifertPiece(id=2, euler=F(-5, 3), genus=1),
+            SeifertPiece(id=3, euler=F(0), genus=1),
+        ),
+        tori=(
+            GluingTorus(from_piece=2, to_piece=1, p=2),
+            GluingTorus(from_piece=1, to_piece=2, p=3),
+            GluingTorus(from_piece=3, to_piece=2, p=1),
+        ),
+    )
+    A = decomposition_matrix(G)
+    assert A.sparse == ({1: F(5, 6)}, {0: F(5, 6), 1: F(-5, 3), 2: F(1)}, {1: F(1)})
+    assert A.sparse == dense_nonzeros(A)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("pieces, seed", [(5, 0), (12, 1), (30, 2)])
+def test_sparse_view_is_the_dense_nonzeros(profile, pieces, seed):
+    A = decomposition_matrix(generate_manifold(pieces, seed=seed, profile=profile))
+    assert A.sparse == dense_nonzeros(A)
+    # a parsed copy computes its view from the rows; a_minus and the shrink
+    # derive theirs from A's
+    assert SymMatrix(A.rows).sparse == A.sparse
+    for derived in (a_minus(A), strict_shrink(A)) if profile == "posEig" else (a_minus(A),):
+        assert derived.sparse == dense_nonzeros(derived)
 
 
 # --- the negated-diagonal matrix and block split ---------------------------
