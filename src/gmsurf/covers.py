@@ -356,10 +356,12 @@ _BRUTE_FORCE_BUDGET = 20_000_000
 
 
 def _enumeration_cost(genus: int, boundary: int, alpha: int) -> int:
+    """The larger of the sweep's tuple count and the alpha!^2 entries of the
+    composition and commutator tables built before it."""
     from math import factorial
 
     slots = 2 * genus + boundary - 1
-    return len(_partitions(alpha)) * factorial(alpha) ** (slots - 1)
+    return max(len(_partitions(alpha)) * factorial(alpha) ** (slots - 1), factorial(alpha) ** 2)
 
 
 @lru_cache(maxsize=None)
@@ -447,7 +449,7 @@ def cover_exists_bruteforce(spec: CoverSpec, budget: int = _BRUTE_FORCE_BUDGET) 
     cost = _enumeration_cost(spec.genus, spec.boundary_count, spec.alpha)
     if cost > budget:
         raise BudgetExceededError(
-            f"enumeration needs ~{cost} tuples, budget is {budget}"
+            f"enumeration needs ~{cost} tuples or table entries, budget is {budget}"
         )
     witnesses = _achievable_witnesses(spec.genus, spec.boundary_count, spec.alpha)
     return spec.type_key() in witnesses

@@ -91,34 +91,40 @@ def _immersed(ine: Inertia, pos: list[int], neg: list[int]) -> tuple[bool, Branc
 
 
 def _negative_definite_block(minus: list[dict[int, Fraction]], idx: list[int]) -> bool:
-    # An empty block is negative definite vacuously and costs no inertia call.
-    # Other blocks go through this module's `inertia` binding, like A-minus,
-    # so every inertia a decision takes is made under that one name.
-    if not idx:
-        return True
+    # Blocks go through this module's `inertia` binding, like A-minus, so
+    # every inertia a decision takes is made under that one name.
     position = {i: r for r, i in enumerate(idx)}
     block = [{position[j]: x for j, x in minus[i].items() if j in position} for i in idx]
     return inertia(block).n_neg == len(idx)
 
 
 def _virtually_embedded(
-    minus: list[dict[int, Fraction]], pos: list[int], neg: list[int], zero: list[int]
+    minus: list[dict[int, Fraction]], ine: Inertia, pos: list[int], neg: list[int], zero: list[int]
 ) -> bool:
     # Both diagonal blocks are principal blocks of A-minus: the positive one
     # with its diagonal negated, the negative one as it is in A.
     if zero:
         return True
+    if not pos or not neg:
+        # One block is all of A-minus, whose inertia is known; the other is
+        # empty, so negative definite vacuously.
+        return ine.n_neg < len(minus)
     return not _negative_definite_block(minus, pos) or not _negative_definite_block(minus, neg)
 
 
 def decide(A: SymMatrix) -> Verdict:
-    """Run both decisions in one pass: one input check, one inertia of A-minus."""
+    """Run both decisions in one pass: one input check, and each distinct inertia once.
+
+    A-minus is eliminated once; a diagonal block is eliminated only when it
+    is a proper part of A-minus, and a block that is all of A-minus reads
+    A-minus's inertia.
+    """
     minus, pos, neg, zero = _check_input(A)
     ine = inertia(minus)
     property_i, branch = _immersed(ine, pos, neg)
     return Verdict(
         property_i=property_i,
-        property_ve=_virtually_embedded(minus, pos, neg, zero),
+        property_ve=_virtually_embedded(minus, ine, pos, neg, zero),
         branch=branch,
         inertia_of_a_minus=ine,
     )

@@ -26,6 +26,16 @@ denominators by one common multiple per row, then fraction-free (Bareiss)
 elimination divides exactly by the previous pivot at each step, so entries
 stay integers the size of minors of the input.  The package no longer calls
 them.
+
+The three sparse eliminations share one exact core of integers.  Each input
+entry becomes a reduced (numerator, denominator) pair of ints, with a
+positive denominator, once on entry (:func:`_pair_rows`, straight from the
+sparse view, dict rows or dense rows).  Every update then uses `Fraction`'s
+own gcd-first subtraction and product on the pairs (:func:`_sub`,
+:func:`_mul`; Knuth, TAOCP vol. 2, 4.5.1), so each pair holds the reduced
+value a `Fraction` elimination would, in the same pivot order, with no
+`Fraction` made.  Only outputs become `Fraction` again (:func:`_fraction`):
+the witness vectors with their values, and the solutions.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -188,20 +198,6 @@ class SymMatrix:
         """Mutable copy of the entries."""
         return [list(row) for row in self.rows]
 
-    @classmethod
-    def from_diagonal(cls, values: Sequence[int | str | Fraction]) -> "SymMatrix":
-        vals = [to_rational(v) for v in values]
-        n = len(vals)
-        return cls([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def identity(cls, n: int) -> "SymMatrix":
-        return cls.from_diagonal([1] * n)
-
-    @classmethod
-    def zero(cls, n: int) -> "SymMatrix":
-        return cls([[0] * n for _ in range(n)])
-
 
 def _clear_denominators(values: Iterable[Fraction | int]) -> tuple[int, list[int]]:
     """(L, the values times L as Python ints), L the lcm of their denominators.
@@ -214,30 +210,92 @@ def _clear_denominators(values: Iterable[Fraction | int]) -> tuple[int, list[int
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _sparse_rows(
-    A: SymMatrix | Sequence[dict[int, Fraction]] | Sequence[Sequence[Fraction]],
-) -> list[dict[int, Fraction]]:
-    """Fresh ``{column: value}`` rows of the nonzero entries of A, for :func:`_congruence`.
+def _sub(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a - b for reduced (numerator, denominator) pairs, reduced.
 
-    ``A`` is a :class:`SymMatrix` (its sparse view is copied), dict rows
-    (copied), or dense rows (scanned once).
+    Fraction's own gcd-first subtraction (Knuth, TAOCP vol. 2, 4.5.1): with
+    g = gcd(da, db), only the common factor g can divide the numerator.
+    """
+    na, da = a
+    nb, db = b
+    g = gcd(da, db)
+    if g == 1:
+        return na * db - da * nb, da * db
+    s = da // g
+    t = na * (db // g) - nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return t, s * db
+    return t // g2, s * (db // g2)
+
+
+def _mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a * b for reduced (numerator, denominator) pairs, reduced.
+
+    Fraction's own gcd-first product: cancel each numerator against the
+    other denominator, and the product is reduced.
+    """
+    na, da = a
+    nb, db = b
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return na * nb, da * db
+
+
+def _inverse(a: tuple[int, int]) -> tuple[int, int]:
+    """1 / a for a nonzero reduced pair, reduced with a positive denominator."""
+    n, d = a
+    return (d, n) if n > 0 else (-d, -n)
+
+
+def _fraction(a: tuple[int, int]) -> Fraction:
+    """The `Fraction` of a reduced pair with a positive denominator.
+
+    Its two slots are set directly: the pair is reduced already, and on the
+    long entries of a witness or a solution the gcd that the public
+    constructor would take again costs more than the elimination that made
+    them.
+    """
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = a
+    return value
+
+
+def _pair_rows(
+    A: SymMatrix | Sequence[dict[int, Fraction]] | Sequence[Sequence[Fraction]],
+) -> list[dict[int, tuple[int, int]]]:
+    """Fresh ``{column: (numerator, denominator)}`` rows of the nonzero entries of A.
+
+    ``A`` is a :class:`SymMatrix` (its sparse view is read), dict rows, or
+    dense rows (scanned once); each entry is read once, with no `Fraction`
+    made.
     """
     if isinstance(A, SymMatrix):
-        return [dict(row) for row in A.sparse]
+        A = A.sparse
     return [
-        dict(row) if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x} for row in A
+        {j: (x.numerator, x.denominator) for j, x in row.items()}
+        if isinstance(row, dict)
+        else {j: (x.numerator, x.denominator) for j, x in enumerate(row) if x}
+        for row in A
     ]
 
 
-def _congruence(adj: list[dict[int, Fraction]], steps: list | None = None) -> Inertia:
-    """Sparse graph-order congruence of symmetric dict rows, eliminated in place; see :func:`inertia`.
+def _congruence(adj: list[dict[int, tuple[int, int]]], steps: list | None = None) -> Inertia:
+    """Sparse graph-order congruence of symmetric pair rows, eliminated in place; see :func:`inertia`.
 
-    When ``steps`` is a list, each pivot block is appended to it as
-    (seed, value, columns): ``seed`` maps the block's vertices to a vector y
-    on the block with y^T P y = ``value`` (the pivot itself for a 1x1 block
-    P, 2|b| for [[0, b], [b, 0]]), and ``columns`` lists (vertex, {row:
-    multiplier}), the block's columns of the unit lower triangular factor L
-    with A = L D L^T.
+    Entries are reduced (numerator, denominator) pairs (:func:`_pair_rows`).
+    When ``steps`` is a list, each pivot block is appended to it as (seed,
+    value, columns), all in pairs: ``seed`` maps the block's vertices to a
+    vector y on the block with y^T P y = ``value`` (the pivot itself for a
+    1x1 block P, 2|b| for [[0, b], [b, 0]]), and ``columns`` lists (vertex,
+    {row: multiplier}), the block's columns of the unit lower triangular
+    factor L with A = L D L^T.
     """
     remaining = set(range(len(adj)))
     queue: list[tuple[int, int]] = []  # sorted (degree, index), nonzero diagonals only
@@ -256,12 +314,14 @@ def _congruence(adj: list[dict[int, Fraction]], steps: list | None = None) -> In
                 key = queued[i] = (len(row) - 1, i)
                 insort(queue, key)
 
-    def subtract(i: int, j: int, amount: Fraction) -> None:
-        value = adj[i].get(j, 0) - amount
-        if value:
+    def subtract(i: int, j: int, amount: tuple[int, int]) -> None:
+        # amount is nonzero, so a zero result had an entry to cancel
+        old = adj[i].get(j)
+        value = (-amount[0], amount[1]) if old is None else _sub(old, amount)
+        if value[0]:
             adj[i][j] = adj[j][i] = value
         else:
-            adj[i].pop(j, None)
+            del adj[i][j]
             adj[j].pop(i, None)
 
     enqueue(remaining)
@@ -272,22 +332,23 @@ def _congruence(adj: list[dict[int, Fraction]], steps: list | None = None) -> In
             del queued[k]
             row = adj[k]
             pivot = row.pop(k)
-            if pivot > 0:
+            if pivot[0] > 0:
                 n_pos += 1
             else:
                 n_neg += 1
             remaining.remove(k)
             touched = list(row.items())
             unqueue(row)
-            factors = [a / pivot for _, a in touched]
+            inverse = _inverse(pivot)
+            factors = [_mul(a, inverse) for _, a in touched]
             for s, (i, _) in enumerate(touched):
                 del adj[i][k]
                 factor = factors[s]
                 for j, b in touched[s:]:
-                    subtract(i, j, factor * b)
+                    subtract(i, j, _mul(factor, b))
             enqueue(row)
             if steps is not None:
-                steps.append(({k: Fraction(1)}, pivot, [(k, dict(zip(row, factors)))]))
+                steps.append(({k: (1, 1)}, pivot, [(k, dict(zip(row, factors)))]))
             continue
         isolated = [i for i in remaining if not adj[i]]
         if isolated:
@@ -303,15 +364,20 @@ def _congruence(adj: list[dict[int, Fraction]], steps: list | None = None) -> In
         n_neg += 1
         remaining.difference_update((k, l))
         touched = list({**adj[k], **adj[l]})
-        x = [adj[i].pop(k, 0) / b for i in touched]
-        y = [adj[i].pop(l, 0) / b for i in touched]
+        inverse = _inverse(b)
+        x = [_mul(adj[i].pop(k, (0, 1)), inverse) for i in touched]
+        y = [_mul(adj[i].pop(l, (0, 1)), inverse) for i in touched]
         for s, i in enumerate(touched):
             for t in range(s, len(touched)):
-                subtract(i, touched[t], b * (x[s] * y[t] + y[s] * x[t]))
+                xy, yx = _mul(x[s], y[t]), _mul(y[s], x[t])
+                amount = _mul(b, _sub(xy, (-yx[0], yx[1])))
+                if amount[0]:
+                    subtract(i, touched[t], amount)
         enqueue(touched)
         if steps is not None:
-            seed = {k: Fraction(1), l: Fraction(1 if b > 0 else -1)}
-            steps.append((seed, 2 * abs(b), [(k, dict(zip(touched, y))), (l, dict(zip(touched, x)))]))
+            seed = {k: (1, 1), l: (1, 1) if b[0] > 0 else (-1, 1)}
+            value = _mul((2, 1), (abs(b[0]), b[1]))
+            steps.append((seed, value, [(k, dict(zip(touched, y))), (l, dict(zip(touched, x)))]))
     return Inertia(n_pos, n_zero, n_neg)
 
 
@@ -320,11 +386,12 @@ def inertia(A: SymMatrix | Sequence[dict[int, Fraction]] | Sequence[Sequence[Fra
 
     ``A`` is a :class:`SymMatrix` (its sparse view is read), one ``{column:
     value}`` dict of nonzero entries per row, or dense rows; symmetry is
-    assumed.  This is the one place where the input becomes fresh dict rows
-    (:func:`_sparse_rows`; only dense rows are scanned).  Pivots are
-    eliminated in graph order, each step replacing the rest of the matrix
-    by its Schur complement (a congruence, so Sylvester's law of inertia
-    gives each pivot block's signs to the whole matrix):
+    assumed.  This is the one place where the input becomes fresh rows of
+    (numerator, denominator) pairs (:func:`_pair_rows`; only dense rows are
+    scanned).  Pivots are eliminated in graph order, each step replacing
+    the rest of the matrix by its Schur complement (a congruence, so
+    Sylvester's law of inertia gives each pivot block's signs to the whole
+    matrix):
 
     - a 1x1 pivot on the remaining vertex of least degree whose diagonal is
       nonzero, the smallest index among equals (minimum-degree order, Rose
@@ -334,9 +401,12 @@ def inertia(A: SymMatrix | Sequence[dict[int, Fraction]] | Sequence[Sequence[Fra
       positive and one negative eigenvalue;
     - a remaining vertex with no entry at all is one zero eigenvalue.
 
-    Entries stay `Fraction`, reduced at every step.
+    Entries stay reduced integer pairs at every step, updated by
+    `Fraction`'s own gcd-first arithmetic (:func:`_sub`, :func:`_mul`), so
+    each holds the value a `Fraction` elimination would; no `Fraction` is
+    made.
     """
-    return _congruence(_sparse_rows(A))
+    return _congruence(_pair_rows(A))
 
 
 def pivot_witnesses(
@@ -350,21 +420,25 @@ def pivot_witnesses(
     satisfies x^T A x = y^T D y = d (or 2|b|) > 0.  Returns the pairs
     (x^T A x, x), x as a dict of its nonzero entries, in elimination order
     (empty iff A has no positive eigenvalue); each x costs one sparse
-    back-substitution through the earlier blocks.
+    back-substitution through the earlier blocks, in integer pairs, and
+    only the finished x becomes `Fraction`.
     """
     steps: list = []
-    _congruence(_sparse_rows(A), steps)
+    _congruence(_pair_rows(A), steps)
     witnesses = []
     for t, (seed, value, _) in enumerate(steps):
-        if value <= 0:
+        if value[0] <= 0:
             continue
         x = dict(seed)
         for _, _, columns in reversed(steps[:t]):
             for m, column in columns:
-                total = sum(f * x[i] for i, f in column.items() if i in x)
-                if total:
-                    x[m] = -total
-        witnesses.append((value, x))
+                negated = (0, 1)  # -sum of f * x[i]
+                for i, f in column.items():
+                    if i in x:
+                        negated = _sub(negated, _mul(f, x[i]))
+                if negated[0]:
+                    x[m] = negated
+        witnesses.append((_fraction(value), {i: _fraction(v) for i, v in x.items()}))
     return witnesses
 
 
@@ -383,38 +457,45 @@ def mmatrix_solve(
     pivoting is needed.  Positive pivots keep the rest a Z-matrix, and an
     off-diagonal entry only moves away from 0, so the pattern stays
     symmetric.  Without ``rhs`` this is the test alone and returns ``()``
-    on success.
+    on success.  Like :func:`inertia`, it eliminates in reduced integer
+    pairs; only the solution becomes `Fraction`.
     """
-    adj = [dict(row) for row in rows]
-    b = None if rhs is None else list(rhs)
+    adj = _pair_rows(rows)
+    b = None if rhs is None else [(v.numerator, v.denominator) for v in rhs]
     queue = sorted((len(row) - (i in row), i) for i, row in enumerate(adj))
     queued = {key[1]: key for key in queue}
-    done: list[tuple[int, Fraction, dict[int, Fraction]]] = []
+    done: list[tuple[int, tuple[int, int], dict[int, tuple[int, int]]]] = []
     while queue:
         _, k = queue.pop(0)
         del queued[k]
         row = adj[k]
-        pivot = row.pop(k, 0)
-        if pivot <= 0:
+        pivot = row.pop(k, (0, 1))
+        if pivot[0] <= 0:
             return None
         for i in row:
             del queue[bisect_left(queue, queued[i])]
+        inverse = _inverse(pivot)
         for i in row:
             other = adj[i]
-            factor = other.pop(k) / pivot
-            if b is not None and b[k]:
-                b[i] -= factor * b[k]
+            factor = _mul(other.pop(k), inverse)
+            if b is not None and b[k][0]:
+                b[i] = _sub(b[i], _mul(factor, b[k]))
             for j, v in row.items():
-                other[j] = other.get(j, 0) - factor * v
+                amount = _mul(factor, v)
+                old = other.get(j)
+                other[j] = (-amount[0], amount[1]) if old is None else _sub(old, amount)
             key = queued[i] = (len(other) - (i in other), i)
             insort(queue, key)
-        done.append((k, pivot, row))
+        done.append((k, inverse, row))
     if b is None:
         return ()
-    x = [Fraction(0)] * len(adj)
-    for k, pivot, row in reversed(done):
-        x[k] = (b[k] - sum(v * x[j] for j, v in row.items())) / pivot
-    return tuple(x)
+    x = [(0, 1)] * len(adj)
+    for k, inverse, row in reversed(done):
+        total = b[k]
+        for j, v in row.items():
+            total = _sub(total, _mul(v, x[j]))
+        x[k] = _mul(total, inverse)
+    return tuple(_fraction(v) for v in x)
 
 
 def _eliminate(m: list[list[int]], stop_col: int) -> tuple[list[int], int, int]:

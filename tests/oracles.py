@@ -15,14 +15,21 @@ the dense routines they replaced, kept so tests can compare results exactly:
 - :func:`all_pairs_reduction_violations`, the reduction verifier that takes
   the absolute value of every off-diagonal entry of A'.
 
+- :func:`fraction_congruence`, :func:`fraction_pivot_witnesses` and
+  :func:`fraction_mmatrix_solve`, the sparse eliminations as they ran on
+  `Fraction` entries before the package moved them to reduced integer
+  pairs; same pivot order, so witnesses and solutions must agree exactly.
+
 It also holds :func:`bilinear_identity`, the exact quadratic-form expansion
 behind reading a negativity certificate as "A is negative".
 """
 
+from bisect import bisect_left, insort
 from fractions import Fraction
 from typing import Sequence
 
 from gmsurf.exact_linalg import (
+    Inertia,
     SymMatrix,
     _clear_denominators,
     _eliminate,
@@ -53,6 +60,147 @@ def solve_rows(rows, rhs) -> tuple[Fraction, ...]:
 def kernel_basis(A: SymMatrix) -> list[tuple[Fraction, ...]]:
     """Exact basis of the null space of a symmetric matrix (possibly empty)."""
     return nullspace_rows(A.rows)
+
+
+def _fraction_rows(A) -> list[dict[int, Fraction]]:
+    """Fresh ``{column: value}`` rows of the nonzero entries of A (a
+    :class:`SymMatrix`, dict rows or dense rows)."""
+    if isinstance(A, SymMatrix):
+        return [dict(row) for row in A.sparse]
+    return [
+        dict(row) if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x} for row in A
+    ]
+
+
+def fraction_congruence(adj: list[dict[int, Fraction]], steps: list | None = None) -> Inertia:
+    """The graph-order congruence of `gmsurf.exact_linalg.inertia` on
+    `Fraction` dict rows, eliminated in place; ``steps`` as there, in
+    `Fraction`."""
+    remaining = set(range(len(adj)))
+    queue: list[tuple[int, int]] = []
+    queued: dict[int, tuple[int, int]] = {}
+
+    def unqueue(vertices) -> None:
+        for i in vertices:
+            key = queued.pop(i, None)
+            if key is not None:
+                del queue[bisect_left(queue, key)]
+
+    def enqueue(vertices) -> None:
+        for i in vertices:
+            row = adj[i]
+            if i in row:
+                key = queued[i] = (len(row) - 1, i)
+                insort(queue, key)
+
+    def subtract(i: int, j: int, amount: Fraction) -> None:
+        value = adj[i].get(j, 0) - amount
+        if value:
+            adj[i][j] = adj[j][i] = value
+        else:
+            adj[i].pop(j, None)
+            adj[j].pop(i, None)
+
+    enqueue(remaining)
+    n_pos = n_zero = n_neg = 0
+    while remaining:
+        if queue:
+            _, k = queue.pop(0)
+            del queued[k]
+            row = adj[k]
+            pivot = row.pop(k)
+            if pivot > 0:
+                n_pos += 1
+            else:
+                n_neg += 1
+            remaining.remove(k)
+            touched = list(row.items())
+            unqueue(row)
+            factors = [a / pivot for _, a in touched]
+            for s, (i, _) in enumerate(touched):
+                del adj[i][k]
+                factor = factors[s]
+                for j, b in touched[s:]:
+                    subtract(i, j, factor * b)
+            enqueue(row)
+            if steps is not None:
+                steps.append(({k: Fraction(1)}, pivot, [(k, dict(zip(row, factors)))]))
+            continue
+        isolated = [i for i in remaining if not adj[i]]
+        if isolated:
+            n_zero += len(isolated)
+            remaining.difference_update(isolated)
+            continue
+        k = min(remaining, key=lambda i: (len(adj[i]), i))
+        l = min(adj[k], key=lambda j: (len(adj[j]), j))
+        b = adj[k].pop(l)
+        del adj[l][k]
+        n_pos += 1
+        n_neg += 1
+        remaining.difference_update((k, l))
+        touched = list({**adj[k], **adj[l]})
+        x = [adj[i].pop(k, 0) / b for i in touched]
+        y = [adj[i].pop(l, 0) / b for i in touched]
+        for s, i in enumerate(touched):
+            for t in range(s, len(touched)):
+                subtract(i, touched[t], b * (x[s] * y[t] + y[s] * x[t]))
+        enqueue(touched)
+        if steps is not None:
+            seed = {k: Fraction(1), l: Fraction(1 if b > 0 else -1)}
+            steps.append((seed, 2 * abs(b), [(k, dict(zip(touched, y))), (l, dict(zip(touched, x)))]))
+    return Inertia(n_pos, n_zero, n_neg)
+
+
+def fraction_pivot_witnesses(A) -> list[tuple[Fraction, dict[int, Fraction]]]:
+    """`gmsurf.exact_linalg.pivot_witnesses` on `Fraction` entries."""
+    steps: list = []
+    fraction_congruence(_fraction_rows(A), steps)
+    witnesses = []
+    for t, (seed, value, _) in enumerate(steps):
+        if value <= 0:
+            continue
+        x = dict(seed)
+        for _, _, columns in reversed(steps[:t]):
+            for m, column in columns:
+                total = sum(f * x[i] for i, f in column.items() if i in x)
+                if total:
+                    x[m] = -total
+        witnesses.append((value, x))
+    return witnesses
+
+
+def fraction_mmatrix_solve(rows, rhs=None) -> tuple[Fraction, ...] | None:
+    """`gmsurf.exact_linalg.mmatrix_solve` on `Fraction` entries."""
+    adj = [dict(row) for row in rows]
+    b = None if rhs is None else list(rhs)
+    queue = sorted((len(row) - (i in row), i) for i, row in enumerate(adj))
+    queued = {key[1]: key for key in queue}
+    done: list[tuple[int, Fraction, dict[int, Fraction]]] = []
+    while queue:
+        _, k = queue.pop(0)
+        del queued[k]
+        row = adj[k]
+        pivot = row.pop(k, 0)
+        if pivot <= 0:
+            return None
+        for i in row:
+            del queue[bisect_left(queue, queued[i])]
+        for i in row:
+            other = adj[i]
+            factor = other.pop(k) / pivot
+            if b is not None and b[k]:
+                b[i] -= factor * b[k]
+            for j, v in row.items():
+                other[j] = other.get(j, 0) - factor * v
+            key = queued[i] = (len(other) - (i in other), i)
+            insort(queue, key)
+        done.append((k, pivot, row))
+    if b is None:
+        return ()
+    x = [Fraction(0)] * len(adj)
+    for k, pivot, row in reversed(done):
+        x[k] = (b[k] - sum(v * x[j] for j, v in row.items())) / pivot
+    return tuple(x)
 
 
 def halving_shrink(A: SymMatrix) -> SymMatrix:

@@ -418,6 +418,19 @@ def test_cover_brute_exit_codes():
     assert main(["cover", "brute", "--genus", "1", "--alpha", "2", "--degrees", "2"]) == 1
 
 
+@pytest.mark.parametrize("alpha", [7, 8, 9])
+def test_cover_brute_counts_the_group_tables_in_its_budget(monkeypatch, capsys, alpha):
+    # The sweep itself is small here, but the alpha!^2 composition and
+    # commutator tables built before it are not: the budget must refuse them
+    # before they are started.
+    def started(alpha):
+        raise AssertionError(f"the S_{alpha} tables were started")
+
+    monkeypatch.setattr(covers, "_sym_group", started)
+    assert main(["cover", "brute", "--genus", "1", "--alpha", str(alpha), "--degrees", str(alpha)]) == 2
+    assert "budget is 20000000" in capsys.readouterr().err
+
+
 def test_cover_multi_circle_degrees_parse():
     code = main(
         ["cover", "check", "--genus", "1", "--alpha", "2", "--degrees", "1,1;2"]

@@ -216,7 +216,7 @@ def test_find_cover_builds_every_small_parity_valid_spec():
     built = oracle_checked = 0
     for spec in all_specs((1, 2, 3), (1, 2, 3), range(1, 7)):
         try:
-            exists = cover_exists_bruteforce(spec, budget=200_000)
+            exists = cover_exists_bruteforce(spec, budget=600_000)
         except BudgetExceededError:
             exists = None
         if exists is not None:

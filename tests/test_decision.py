@@ -88,7 +88,7 @@ def test_immersed_same_sign_branch():
 
 
 def test_immersed_rejects_disconnected_matrix():
-    A = SymMatrix.from_diagonal([F(-1), F(-1)])
+    A = sym([["-1", 0], [0, "-1"]])
     with pytest.raises(DisconnectedMatrixError):
         decide(A)
 
@@ -194,8 +194,10 @@ def test_branch_tag_tracks_positive_eigenvalue():
     [
         # a zero diagonal settles VE: no block is looked at
         ([[0, "3/2"], ["3/2", 0]], []),
-        # no positive diagonal: only the negative block
-        ([["-2", 1], [1, "-2"]], [[["-2", 1], [1, "-2"]]]),
+        # no positive diagonal: the negative block is A-minus, whose inertia it reads
+        ([["-2", 1], [1, "-2"]], []),
+        # every diagonal positive: the positive block (negated) is A-minus
+        ([[1, 2], [2, 1]], []),
         # both blocks, the positive one (negated) being definite
         ([[1, 1], [1, "-1"]], [[["-1"]], [["-1"]]]),
         # the positive block (negated) is indefinite, so VE holds without the negative one
@@ -204,7 +206,8 @@ def test_branch_tag_tracks_positive_eigenvalue():
 )
 def test_decide_takes_each_inertia_once(monkeypatch, rows, blocks):
     # decide hands `inertia` one dict of nonzero entries per row; compare
-    # their dense form: A-minus first, then one call per block looked at.
+    # their dense form: A-minus first, then one call per block looked at
+    # that is a proper part of A-minus.
     seen, checked = [], []
     real_inertia, real_check = decision.inertia, decision._check_input
     monkeypatch.setattr(decision, "inertia", lambda B: seen.append(B) or real_inertia(B))
@@ -286,12 +289,12 @@ def test_two_piece_d_zero_diagonal_cross_check():
 
 def test_two_piece_d_requires_order_two():
     with pytest.raises(NotTwoPieceError):
-        two_piece_d(SymMatrix.from_diagonal([F(-1)]))
+        two_piece_d(sym([["-1"]]))
 
 
 def test_two_piece_d_requires_positive_coupling():
     with pytest.raises(NotTwoPieceError):
-        two_piece_d(SymMatrix.from_diagonal([F(-1), F(-1)]))
+        two_piece_d(sym([["-1", 0], [0, "-1"]]))
 
 
 @settings(max_examples=150)

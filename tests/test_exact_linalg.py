@@ -44,8 +44,15 @@ from gmsurf.exact_linalg import (
     rational_str,
     to_rational,
 )
-from gmsurf.manifold import a_minus, split_blocks
-from oracles import kernel_basis, solve_rows
+from gmsurf.generate import generate_manifold
+from gmsurf.manifold import a_minus, decomposition_matrix, split_blocks
+from oracles import (
+    fraction_congruence,
+    fraction_mmatrix_solve,
+    fraction_pivot_witnesses,
+    kernel_basis,
+    solve_rows,
+)
 
 F = Fraction
 
@@ -321,7 +328,7 @@ def test_sym_matrix_converts_only_entries_that_are_not_fractions(monkeypatch):
 
 
 def test_inertia_identity():
-    assert inertia(SymMatrix.identity(3)) == Inertia(n_pos=3, n_zero=0, n_neg=0)
+    assert inertia(sym([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == Inertia(n_pos=3, n_zero=0, n_neg=0)
 
 
 def test_inertia_hyperbolic_plane():
@@ -398,11 +405,11 @@ def test_kernel_of_singular_example_is_diagonal_line():
 
 
 def test_kernel_of_identity_is_empty():
-    assert kernel_basis(SymMatrix.identity(3)) == []
+    assert kernel_basis(sym([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == []
 
 
 def test_kernel_of_zero_matrix_is_full():
-    assert len(kernel_basis(SymMatrix.zero(2))) == 2
+    assert len(kernel_basis(sym([[0, 0], [0, 0]]))) == 2
 
 
 @given(symmetric_matrices())
@@ -432,7 +439,7 @@ def test_components_of_connected_pair():
 
 
 def test_components_of_diagonal_matrix_are_singletons():
-    A = SymMatrix.from_diagonal([F(1), F(-2), F(0)])
+    A = sym([[1, 0, 0], [0, "-2", 0], [0, 0, 0]])
     assert matrix_graph_components(A) == [[0], [1], [2]]
 
 
@@ -588,7 +595,7 @@ def scattered_blocks(max_blocks=4, max_order=4, entries=wide_rationals):
 
     def build(draw):
         blocks = draw(strategies.lists(symmetric_matrices(max_order, entries), min_size=1, max_size=max_blocks))
-        blocks += [SymMatrix.zero(1)] * draw(strategies.integers(0, 3))
+        blocks += [sym([[0]])] * draw(strategies.integers(0, 3))
         n = sum(B.order for B in blocks)
         order = draw(strategies.permutations(range(n)))
         rows = [[F(0)] * n for _ in range(n)]
@@ -630,6 +637,56 @@ def test_inertia_of_disconnected_matrices_with_isolated_zero_rows(case):
 def test_inertia_of_zero_diagonal_examples(rows, expected):
     A = sym(rows)
     assert inertia(A) == Inertia(*expected) == bareiss_inertia(A) == fraction_inertia(A)
+
+
+def assert_pair_core_matches_fraction_reference(A: SymMatrix) -> None:
+    """The integer-pair eliminations agree exactly with their `Fraction`
+    references: the same inertia, and witnesses equal value for value
+    (`Fraction` equality compares reduced numerators and denominators)."""
+    for B in (A, with_zero_diagonal(A)):
+        rows = [{j: x for j, x in enumerate(row) if x} for row in B.rows]
+        assert inertia(B) == fraction_congruence(rows)
+        assert pivot_witnesses(B) == fraction_pivot_witnesses(B)
+
+
+@settings(max_examples=60)
+@given(symmetric_matrices(max_order=12, entries=wide_rationals))
+def test_pair_core_matches_fraction_reference(A):
+    assert_pair_core_matches_fraction_reference(A)
+
+
+@settings(max_examples=60)
+@given(scattered_blocks())
+def test_pair_core_matches_fraction_reference_on_disconnected_matrices(case):
+    assert_pair_core_matches_fraction_reference(case[0])
+
+
+@settings(max_examples=30)
+@given(low_rank_symmetric())
+def test_pair_core_matches_fraction_reference_on_singular_matrices(A):
+    assert_pair_core_matches_fraction_reference(A)
+
+
+def test_inertia_makes_no_fraction(monkeypatch):
+    # Entries become integer pairs on entry and stay pairs: eliminating a
+    # 60-piece decomposition matrix constructs no Fraction.
+    A = decomposition_matrix(generate_manifold(60, seed=1, profile="any"))
+    expected = fraction_inertia(A)
+    made = []
+    real_new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    monkeypatch.setattr(exact_linalg, "_fraction", lambda pair: made.append(pair))
+    ine = inertia(A)
+    assert made == []
+    Fraction(1, 2)
+    assert made == [(1, 2)]  # the count does see a construction
+    monkeypatch.undo()
+    assert ine == expected
 
 
 @settings(max_examples=60)
@@ -833,24 +890,25 @@ def test_pivot_witnesses_of_decomposition_matrices(cls):
 # --- M-matrix elimination ---------------------------------------------------------
 
 
-def z_matrices(max_order=7, symmetric=False):
+def z_matrices(max_order=7, symmetric=False, max_denominator=3):
     """Dense Z-matrices with a symmetric nonzero pattern; values need not be
     symmetric.  Diagonals range from negative to dominant, so some are
     nonsingular M-matrices, some singular and some neither."""
 
     def build(draw):
+        denominators = strategies.integers(1, max_denominator)
         n = draw(strategies.integers(min_value=1, max_value=max_order))
         rows = [[F(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 if draw(strategies.booleans()):
-                    rows[i][j] = -draw(strategies.builds(F, strategies.integers(1, 5), strategies.integers(1, 3)))
+                    rows[i][j] = -draw(strategies.builds(F, strategies.integers(1, 5), denominators))
                     rows[j][i] = rows[i][j] if symmetric else -draw(
-                        strategies.builds(F, strategies.integers(1, 5), strategies.integers(1, 3))
+                        strategies.builds(F, strategies.integers(1, 5), denominators)
                     )
         for i in range(n):
             row_sum = -sum(rows[i][j] for j in range(n) if j != i)
-            rows[i][i] = row_sum + draw(strategies.builds(F, strategies.integers(-6, 4), strategies.integers(1, 3)))
+            rows[i][i] = row_sum + draw(strategies.builds(F, strategies.integers(-6, 4), denominators))
         return rows
 
     return strategies.composite(build)()
@@ -879,6 +937,18 @@ def test_mmatrix_solve_matches_minors_and_dense_solve(rows, symmetric):
         assert solved == solve_rows(rows, rhs)
         # the inverse of a nonsingular M-matrix is entrywise non-negative
         assert all(v >= 0 for v in mmatrix_solve(sparse(rows), [F(1)] * len(rows)))
+
+
+@settings(max_examples=200)
+@given(z_matrices(max_denominator=4096), strategies.booleans())
+def test_mmatrix_solve_matches_its_fraction_reference(rows, symmetric):
+    # Nonsingular M-matrices, singular ones and others that stop at a
+    # pivot <= 0 with None; large denominators on both sides.
+    if symmetric:
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(len(rows))] for i in range(len(rows))]
+    rhs = [F(k - 2, 4093 + k) for k in range(len(rows))]
+    assert mmatrix_solve(sparse(rows)) == fraction_mmatrix_solve(sparse(rows))
+    assert mmatrix_solve(sparse(rows), rhs) == fraction_mmatrix_solve(sparse(rows), rhs)
 
 
 def test_mmatrix_solve_stops_at_a_zero_pivot():

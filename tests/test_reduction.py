@@ -300,7 +300,7 @@ def test_negativity_certificate_rejects_indefinite_matrix():
 
 def test_negativity_certificate_rejects_disconnected_matrix():
     with pytest.raises(ValueError):
-        negativity_certificate(SymMatrix.from_diagonal([F(-1), F(-1)]))
+        negativity_certificate(sym([["-1", 0], [0, "-1"]]))
 
 
 def test_negativity_certificate_random_instances():

@@ -17,6 +17,11 @@ from gmsurf import covers, reduction, surface
 BUILDERS = {
     "inertia",
     "_congruence",
+    "_pair_rows",
+    "_sub",
+    "_mul",
+    "_inverse",
+    "_fraction",
     "pivot_witnesses",
     "mmatrix_solve",
     "_perron_reduction",
