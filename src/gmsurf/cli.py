@@ -50,12 +50,13 @@ from .fileio import (
 )
 from .generate import PROFILES, generate_manifold
 from .manifold import InvalidGraphError, decomposition_matrix, split_blocks
-from .reduction import NegativeDefiniteError, find_singular_reduction, verify_reduction
-from .surface import (
-    NotPositiveEigenvalueBranchError,
-    build_surface_certificate,
-    verify_surface_certificate,
+from .reduction import (
+    NegativeDefiniteError,
+    NoPositiveEigenvalueError,
+    find_singular_reduction,
+    verify_reduction,
 )
+from .surface import build_surface_certificate, verify_surface_certificate
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -162,7 +163,7 @@ def cmd_certify(args) -> int:
         cert = build_surface_certificate(G)
     except (FileFormatError, InvalidGraphError, OSError, UnicodeDecodeError) as exc:
         return _fail_input(str(exc))
-    except NotPositiveEigenvalueBranchError as exc:
+    except NoPositiveEigenvalueError as exc:
         print(f"no certificate: {exc}", file=sys.stderr)
         return EXIT_UNAVAILABLE
     problems = verify_surface_certificate(G, cert)

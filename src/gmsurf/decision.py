@@ -79,7 +79,8 @@ def _check_input(A: SymMatrix) -> tuple[list[dict[int, Fraction]], list[int], li
     return minus, pos, neg, zero
 
 
-def _immersed(ine: Inertia, pos: list[int], neg: list[int]) -> tuple[bool, Branch]:
+def immersed(ine: Inertia, pos: list[int], neg: list[int]) -> tuple[bool, Branch]:
+    """Property I and its branch from the inertia of A-minus and A's diagonal-sign split."""
     if ine.n_pos > 0:
         return True, Branch.POSITIVE_EIGENVALUE
     if ine.n_zero > 0:
@@ -121,7 +122,7 @@ def decide(A: SymMatrix) -> Verdict:
     """
     minus, pos, neg, zero = _check_input(A)
     ine = inertia(minus)
-    property_i, branch = _immersed(ine, pos, neg)
+    property_i, branch = immersed(ine, pos, neg)
     return Verdict(
         property_i=property_i,
         property_ve=_virtually_embedded(minus, ine, pos, neg, zero),

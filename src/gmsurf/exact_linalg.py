@@ -98,10 +98,6 @@ class Inertia:
     n_zero: int
     n_neg: int
 
-    @property
-    def order(self) -> int:
-        return self.n_pos + self.n_zero + self.n_neg
-
     def __str__(self) -> str:
         return f"({self.n_pos}, {self.n_zero}, {self.n_neg})"
 
@@ -115,8 +111,8 @@ class SymMatrix:
     value}`` dict per row (a zero diagonal has no key); a matrix the package
     builds from its own sparse data (:func:`gmsurf.manifold.decomposition_matrix`)
     gets it at construction, any other computes it once on first use.  The
-    decision and the reports read only the view; the verifiers read the
-    dense rows.
+    decision, the reports, the shrink and the reduction read only the view;
+    the verifiers read the dense rows.
     """
 
     __slots__ = ("rows", "_sparse")
@@ -139,26 +135,19 @@ class SymMatrix:
         object.__setattr__(self, "_sparse", None)
 
     @classmethod
-    def _trusted(cls, rows: Iterable[Iterable[Fraction]]) -> "SymMatrix":
-        """A matrix the package built itself, from `Fraction` entries and
-        symmetric by construction: the entry and symmetry checks of the
-        public constructor are skipped.  Parsed input never comes here."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "rows", tuple(tuple(row) for row in rows))
-        object.__setattr__(matrix, "_sparse", None)
-        return matrix
-
-    @classmethod
     def _from_sparse(cls, sparse: Sequence[dict[int, Fraction]]) -> "SymMatrix":
         """A matrix the package built itself from its nonzero entries, one
         ``{column: value}`` dict per row, symmetric and `Fraction`-valued by
-        construction; the dicts become its sparse view (see :meth:`_trusted`)."""
+        construction: the entry and symmetry checks of the public
+        constructor are skipped, and the dicts become its sparse view.
+        Parsed input never comes here."""
         n = len(sparse)
         rows = [[Fraction(0)] * n for _ in range(n)]
         for row, entries in zip(rows, sparse):
             for j, x in entries.items():
                 row[j] = x
-        matrix = cls._trusted(rows)
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", tuple(tuple(row) for row in rows))
         object.__setattr__(matrix, "_sparse", tuple(sparse))
         return matrix
 
@@ -190,13 +179,6 @@ class SymMatrix:
     def __repr__(self) -> str:
         body = ", ".join("[" + ", ".join(rational_str(x) for x in row) + "]" for row in self.rows)
         return f"SymMatrix([{body}])"
-
-    def diagonal(self) -> tuple[Fraction, ...]:
-        return tuple(self.rows[i][i] for i in range(self.order))
-
-    def to_lists(self) -> list[list[Fraction]]:
-        """Mutable copy of the entries."""
-        return [list(row) for row in self.rows]
 
 
 def _clear_denominators(values: Iterable[Fraction | int]) -> tuple[int, list[int]]:
@@ -411,20 +393,22 @@ def inertia(A: SymMatrix | Sequence[dict[int, Fraction]] | Sequence[Sequence[Fra
 
 def pivot_witnesses(
     A: SymMatrix | Sequence[dict[int, Fraction]] | Sequence[Sequence[Fraction]],
-) -> list[tuple[Fraction, dict[int, Fraction]]]:
-    """One vector x with x^T A x > 0 per positive eigenvalue of a symmetric matrix.
+) -> tuple[Inertia, list[tuple[Fraction, dict[int, Fraction]]]]:
+    """The inertia of a symmetric matrix, and one vector x with x^T A x > 0
+    per positive eigenvalue.
 
     They come from the elimination of :func:`inertia`, A = L D L^T, which
     has one pivot block per positive eigenvalue: a positive 1x1 pivot d, or
     a 2x2 pivot [[0, b], [b, 0]].  With seed y on the block, x = L^{-T} y
-    satisfies x^T A x = y^T D y = d (or 2|b|) > 0.  Returns the pairs
-    (x^T A x, x), x as a dict of its nonzero entries, in elimination order
-    (empty iff A has no positive eigenvalue); each x costs one sparse
+    satisfies x^T A x = y^T D y = d (or 2|b|) > 0.  Returns the inertia,
+    which the same elimination gives, and the pairs (x^T A x, x), x as a
+    dict of its nonzero entries, in elimination order (empty iff A has no
+    positive eigenvalue); each x costs one sparse
     back-substitution through the earlier blocks, in integer pairs, and
     only the finished x becomes `Fraction`.
     """
     steps: list = []
-    _congruence(_pair_rows(A), steps)
+    ine = _congruence(_pair_rows(A), steps)
     witnesses = []
     for t, (seed, value, _) in enumerate(steps):
         if value[0] <= 0:
@@ -439,7 +423,7 @@ def pivot_witnesses(
                 if negated[0]:
                     x[m] = negated
         witnesses.append((_fraction(value), {i: _fraction(v) for i, v in x.items()}))
-    return witnesses
+    return ine, witnesses
 
 
 def mmatrix_solve(
@@ -606,15 +590,6 @@ def graph_components(neighbours: Sequence[Sequence[int]]) -> list[list[int]]:
     return components
 
 
-def matrix_graph_components(A: SymMatrix) -> list[list[int]]:
-    """Connected components of the matrix graph (edge {i, j} iff A[i][j] != 0, i != j)."""
-    return graph_components([[j for j in row if j != i] for i, row in enumerate(A.sparse)])
-
-
-def is_connected_matrix(A: SymMatrix) -> bool:
-    return len(matrix_graph_components(A)) <= 1
-
-
 def check_nonnegative_off_diagonal(A: SymMatrix) -> list[list[int]]:
     """Raise ValueError naming the first negative off-diagonal entry, if any.
 
@@ -626,27 +601,11 @@ def check_nonnegative_off_diagonal(A: SymMatrix) -> list[list[int]]:
     """
     neighbours: list[list[int]] = []
     for i, row in enumerate(A.sparse):
-        negative = [j for j, x in row.items() if x < 0 and j > i]
+        negative = [j for j, x in row.items() if j > i and x < 0]
         if negative:
             raise ValueError(f"negative off-diagonal entry at ({i}, {min(negative)})")
         neighbours.append([j for j in row if j != i])
     return neighbours
-
-
-def principal_submatrix(A: SymMatrix, idx: Iterable[int]) -> SymMatrix:
-    """Symmetric submatrix on the rows/columns ``idx``.
-
-    ``idx`` may be given in any order; duplicates are rejected.  The empty
-    index set yields the 0x0 matrix, whose inertia is (0, 0, 0).
-    """
-    indices = sorted(idx)
-    if len(set(indices)) != len(indices):
-        raise IndexError("duplicate indices")
-    n = A.order
-    for i in indices:
-        if not 0 <= i < n:
-            raise IndexError(f"index {i} out of range for order {n}")
-    return SymMatrix._trusted([[A.rows[i][j] for j in indices] for i in indices])
 
 
 def mat_vec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -661,8 +620,6 @@ def primitive_vector(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     preserves direction, sign pattern, and support, so callers may normalize
     kernel vectors freely.
     """
-    from math import gcd, lcm
-
     nonzero = [v for v in vec if v != 0]
     if not nonzero:
         return tuple(vec)

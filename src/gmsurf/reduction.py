@@ -21,11 +21,13 @@ M-matrix solve w = (-S)^{-1} e_i gives both the exact rational crossing
 one sparse elimination with diagonal pivots in minimum-degree order
 (:func:`gmsurf.exact_linalg.mmatrix_solve`); no determinant or dense
 elimination is taken.  On a connected matrix the annihilated vector is
-positive at every index.
+positive at every index.  The builders read only the sparse view (the
+nonzero entries); A' is written out dense once, as the certificate.
 
 :func:`strict_shrink` prepares the input of the surface builder: one
 congruence elimination of A-minus bounds the shrink factor from below, and a
-few inertia tests pin it.
+few inertia tests pin it; off the positive-eigenvalue branch, that
+elimination's inertia names the branch in :class:`NoPositiveEigenvalueError`.
 
 :func:`negativity_certificate` is the complementary tool for matrices that
 are negative semidefinite: it produces a strictly positive vector a with
@@ -39,19 +41,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .decision import immersed
 from .exact_linalg import (
     SymMatrix,
     check_nonnegative_off_diagonal,
+    graph_components,
     inertia,
-    is_connected_matrix,
     mat_vec,
-    matrix_graph_components,
     mmatrix_solve,
     pivot_witnesses,
     primitive_vector,
-    principal_submatrix,
 )
-from .manifold import a_minus
+from .manifold import a_minus, split_blocks
 
 
 class NegativeDefiniteError(ValueError):
@@ -63,7 +64,7 @@ class NotNegativeError(ValueError):
 
 
 class NoPositiveEigenvalueError(ValueError):
-    """A-minus has no positive eigenvalue, so no strict shrink exists."""
+    """A-minus has no positive eigenvalue, so no strict shrink exists; the message names the branch."""
 
 
 @dataclass(frozen=True)
@@ -91,20 +92,19 @@ class ReductionCertificate:
         )
 
 
-def _negated(rows) -> list[dict[int, Fraction]]:
-    """The nonzero entries of -rows, one dict per row (the input of :func:`mmatrix_solve`)."""
-    return [{j: -x for j, x in enumerate(row) if x} for row in rows]
-
-
-def _perron_reduction(B: SymMatrix) -> tuple[list[list[Fraction]], tuple[Fraction, ...]] | None:
+def _perron_reduction(
+    B: list[dict[int, Fraction]],
+) -> tuple[list[dict[int, Fraction]], tuple[Fraction, ...]] | None:
     """A singular reduction of a connected B and a strictly positive vector it annihilates.
 
-    B has non-positive diagonal and non-negative off-diagonal entries.
-    Returns None iff B is negative definite.  Let Z be the indices with
-    zero diagonal and N the rest.  Scaling the couplings inside N by
-    t0 = min(1, |B_ii| / (2 sum_{j in N} B_ij) over i in N) makes B_N
-    strictly diagonally dominant, so -B_N(t0) is a nonsingular M-matrix.
-    Every step is one sparse M-matrix elimination (:func:`mmatrix_solve`).
+    B is one ``{column: value}`` dict of nonzero entries per row, with
+    non-positive diagonal and non-negative off-diagonal entries; the
+    reduction comes back in the same form.  Returns None iff B is negative
+    definite.  Let Z be the indices with zero diagonal and N the rest.
+    Scaling the couplings inside N by t0 = min(1, |B_ii| / (2 sum_{j in N}
+    B_ij) over i in N) makes B_N strictly diagonally dominant, so -B_N(t0)
+    is a nonsingular M-matrix.  Every step is one sparse M-matrix
+    elimination (:func:`mmatrix_solve`).
 
     - Z non-empty (B is not negative definite): rows in Z lose their
       couplings and get weight 1; couplings from N into Z stay; solving
@@ -126,25 +126,24 @@ def _perron_reduction(B: SymMatrix) -> tuple[list[list[Fraction]], tuple[Fractio
       negative; one exactly at B_ij means B is singular and is its own
       reduction.
     """
-    n = B.order
-    zero = [i for i in range(n) if B[i, i] == 0]
-    rest = [i for i in range(n) if B[i, i] != 0]
+    n = len(B)
+    rest = [i for i, row in enumerate(B) if row.get(i)]
     t0 = Fraction(1)
     for i in rest:
-        row = B.rows[i]
-        total = sum(row[j] for j in rest if j != i and row[j])
+        total = sum(x for j, x in B[i].items() if j != i and B[j].get(j))
         if total:
-            t0 = min(t0, -row[i] / (2 * total))
+            t0 = min(t0, -B[i][i] / (2 * total))
 
-    if zero:
-        m = [[Fraction(0)] * n for _ in range(n)]
+    if len(rest) < n:
+        m: list[dict[int, Fraction]] = [{} for _ in range(n)]
         for i in rest:
-            m[i] = [B[i, j] if j == i or B[j, j] == 0 else t0 * B[i, j] for j in range(n)]
+            m[i] = {j: x if j == i or not B[j].get(j) else t0 * x for j, x in B[i].items()}
         a = [Fraction(1)] * n
         if rest:
-            coupling = [sum(B[i, z] for z in zero) for i in rest]
-            solved = mmatrix_solve(_negated([m[i][j] for j in rest] for i in rest), coupling)
-            for i, v in zip(rest, solved):
+            position = {i: r for r, i in enumerate(rest)}
+            coupling = [sum((x for j, x in B[i].items() if j not in position), Fraction(0)) for i in rest]
+            negated = [{position[j]: -x for j, x in m[i].items() if j in position} for i in rest]
+            for i, v in zip(rest, mmatrix_solve(negated, coupling)):
                 a[i] = v
         if any(v <= 0 for v in a):
             raise AssertionError("zero-diagonal solve produced a non-positive weight")
@@ -152,8 +151,9 @@ def _perron_reduction(B: SymMatrix) -> tuple[list[list[Fraction]], tuple[Fractio
 
     if t0 == 1:
         return None
-    moves = [(i, j, t0 * x) for i, row in enumerate(B.rows) for j, x in enumerate(row) if i != j and x]
-    negated = _negated(B.rows)
+    # Row-major, ascending column: the sparse view's keys follow no order.
+    moves = [(i, j, t0 * x) for i, row in enumerate(B) for j, x in sorted(row.items()) if i != j]
+    negated = [{j: -x for j, x in row.items()} for row in B]
 
     def negated_state(k: int) -> list[dict[int, Fraction]]:
         rows = [dict(row) for row in negated]
@@ -175,9 +175,9 @@ def _perron_reduction(B: SymMatrix) -> tuple[list[list[Fraction]], tuple[Fractio
     if any(v <= 0 for v in w):
         raise AssertionError("kernel vector is not strictly positive")
     crossing = moved + 1 / w[j]
-    if crossing > B[i, j]:
+    if crossing > B[i][j]:
         return None
-    m = B.to_lists()
+    m = [dict(row) for row in B]
     for p, q, x in moves[:lo]:
         m[p][q] = x
     m[i][j] = crossing
@@ -195,28 +195,32 @@ def find_singular_reduction(A: SymMatrix) -> ReductionCertificate:
     with a strictly positive vector; every other coupling becomes 0 and every
     other weight 0.  On a connected A the vector is positive at every index.
     Positive diagonal entries of A are restored by negating their rows, which
-    leaves the kernel unchanged.
+    leaves the kernel unchanged.  Only A's sparse view is read, and A' is
+    written out dense once, at the end.
     """
-    check_nonnegative_off_diagonal(A)
-    B = a_minus(A)
-    for component in matrix_graph_components(B):
-        found = _perron_reduction(principal_submatrix(B, component))
+    sparse = A.sparse
+    for component in graph_components(check_nonnegative_off_diagonal(A)):
+        # A component holds every neighbour of its vertices.
+        position = {i: r for r, i in enumerate(component)}
+        found = _perron_reduction(
+            [{position[j]: -x if j == i and x > 0 else x for j, x in sparse[i].items()} for i in component]
+        )
         if found is not None:
             break
     else:
         raise NegativeDefiniteError("A-minus is negative definite")
     block_rows, block_a = found
 
-    n = A.order
-    m = [[B[i, i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    n = len(sparse)
+    m = [[Fraction(0)] * n for _ in range(n)]
     a = [Fraction(0)] * n
+    for i, row in enumerate(sparse):
+        m[i][i] = row.get(i, m[i][i])
     for r, i in enumerate(component):
         a[i] = block_a[r]
-        for s, j in enumerate(component):
-            m[i][j] = block_rows[r][s]
-    for i in range(n):
-        if A[i, i] > 0:
-            m[i] = [-x for x in m[i]]
+        sign = -1 if sparse[i].get(i, 0) > 0 else 1
+        for s, x in block_rows[r].items():
+            m[i][component[s]] = sign * x
     return ReductionCertificate(a_prime=tuple(tuple(row) for row in m), a=tuple(a))
 
 
@@ -271,11 +275,10 @@ def negativity_certificate(A: SymMatrix) -> NegativityCertificate:
     M-matrix, so a second elimination, with the last weight fixed at 1,
     solves for the others; return the primitive generator.
     """
-    if not is_connected_matrix(A):
+    if len(graph_components(check_nonnegative_off_diagonal(A))) > 1:
         raise ValueError("matrix graph is disconnected")
-    check_nonnegative_off_diagonal(A)
     n = A.order
-    negated = _negated(A.rows)
+    negated = [{j: -x for j, x in row.items()} for row in A.sparse]
     a = mmatrix_solve(negated, [Fraction(1)] * n)
     if a is not None:
         if any(v <= 0 for v in a):
@@ -306,17 +309,20 @@ def strict_shrink(A: SymMatrix) -> SymMatrix:
     non-negative off-diagonal entries grows with them, so having one is
     monotone in k: test 1/2 first, then gallop from the bound's power toward
     larger eps and bisect, each test one inertia.  Raises
-    NoPositiveEigenvalueError if A-minus has no positive eigenvalue, and
-    ValueError on a negative off-diagonal entry.
+    NoPositiveEigenvalueError, naming the branch (:func:`gmsurf.decision.immersed`
+    of the elimination's inertia), if A-minus has no positive eigenvalue,
+    and ValueError on a negative off-diagonal entry.
     """
     neighbours = check_nonnegative_off_diagonal(A)
+    sparse = A.sparse
     minus = a_minus(A).sparse
-    witnesses = pivot_witnesses(minus)
+    ine, witnesses = pivot_witnesses(minus)
     if not witnesses:
-        raise NoPositiveEigenvalueError("A-minus has no positive eigenvalue")
+        pos, neg, _ = split_blocks(A)
+        raise NoPositiveEigenvalueError(f"decision branch is {immersed(ine, pos, neg)[1].value}")
 
     def coupling_form(x: dict[int, Fraction]) -> Fraction:
-        return sum(abs(v * x[j]) * A.rows[i][j] for i, v in x.items() for j in neighbours[i] if j in x)
+        return sum(abs(v * x[j]) * sparse[i][j] for i, v in x.items() for j in neighbours[i] if j in x)
 
     bound = max(value / coupling_form(x) for value, x in witnesses)
 
@@ -343,4 +349,4 @@ def strict_shrink(A: SymMatrix) -> SymMatrix:
             hi, gap = k, 2 * gap
         else:
             lo = k
-    return SymMatrix._from_sparse(shrunk(A.sparse, hi))
+    return SymMatrix._from_sparse(shrunk(sparse, hi))

@@ -6,10 +6,10 @@ witnessed constructively.  The builder:
 1. shrinks every off-diagonal entry of the decomposition matrix by a factor
    1 - 2^-k while keeping a positive eigenvalue of A-minus (so the next step
    lands strictly inside the allowed range).  One congruence elimination of
-   A-minus decides the branch (no positive eigenvalue: not this branch) and
-   gives, per positive pivot, a vector x with x^T A-minus x > 0, which
-   bounds k; a few inertia tests pin the exact k the halving eps = 1/2,
-   1/4, ... would reach;
+   A-minus decides the branch (none positive: the exception names the
+   branch, with no second decision) and gives, per positive pivot, a vector
+   x with x^T A-minus x > 0, which bounds k; a few inertia tests pin the
+   exact k the halving eps = 1/2, 1/4, ... would reach;
 2. finds a singular reduction A' of the shrunk matrix annihilating a vector a
    with positive entries (strictly smaller off-diagonal magnitudes than
    the original matrix wherever it is nonzero);
@@ -52,20 +52,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .decision import decide
 from .exact_linalg import SymMatrix
 from .manifold import DecompositionGraph, decomposition_matrix
 from .reduction import (
-    NoPositiveEigenvalueError,
     ReductionCertificate,
     find_singular_reduction,
     strict_shrink,
     verify_reduction,
 )
-
-
-class NotPositiveEigenvalueBranchError(ValueError):
-    """The decision did not land on the positive-eigenvalue branch."""
 
 
 @dataclass(frozen=True)
@@ -106,15 +100,13 @@ class SurfaceCertificate:
 def build_surface_certificate(G: DecompositionGraph) -> SurfaceCertificate:
     """Construct and scale the full curve-system certificate.
 
-    Raises NotPositiveEigenvalueBranchError off the constructive branch.
-    The certificate is not rechecked here: :func:`verify_surface_certificate`
-    is the independent check.
+    Off the constructive branch, :func:`strict_shrink` raises
+    NoPositiveEigenvalueError naming the decision branch.  The certificate
+    is not rechecked here: :func:`verify_surface_certificate` is the
+    independent check.
     """
     A = decomposition_matrix(G)
-    try:
-        shrunk = strict_shrink(A)
-    except NoPositiveEigenvalueError:
-        raise NotPositiveEigenvalueBranchError(f"decision branch is {decide(A).branch.value}") from None
+    shrunk = strict_shrink(A)
     reduction = find_singular_reduction(shrunk)
     a, a_prime = reduction.a, reduction.a_prime
 

@@ -21,12 +21,15 @@ the dense routines they replaced, kept so tests can compare results exactly:
   pairs; same pivot order, so witnesses and solutions must agree exactly.
 
 It also holds :func:`bilinear_identity`, the exact quadratic-form expansion
-behind reading a negativity certificate as "A is negative".
+behind reading a negativity certificate as "A is negative", and the dense
+matrix helpers that only tests need: :func:`to_lists`,
+:func:`principal_submatrix`, :func:`matrix_graph_components` and
+:func:`is_connected_matrix`.
 """
 
 from bisect import bisect_left, insort
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from gmsurf.exact_linalg import (
     Inertia,
@@ -35,16 +38,45 @@ from gmsurf.exact_linalg import (
     _eliminate,
     check_nonnegative_off_diagonal,
     determinant_rows,
+    graph_components,
     inertia,
     mat_vec,
-    matrix_graph_components,
     nullspace_rows,
     primitive_vector,
-    principal_submatrix,
 )
 from gmsurf.manifold import DecompositionGraph, a_minus, decomposition_matrix
 from gmsurf.reduction import NegativeDefiniteError, NoPositiveEigenvalueError, ReductionCertificate, verify_reduction
 from gmsurf.surface import CurveSystem, SurfaceCertificate
+
+
+def to_lists(A: SymMatrix) -> list[list[Fraction]]:
+    """Mutable copy of the entries."""
+    return [list(row) for row in A.rows]
+
+
+def principal_submatrix(A: SymMatrix, idx: Iterable[int]) -> SymMatrix:
+    """Symmetric submatrix on the rows/columns ``idx``.
+
+    ``idx`` may be given in any order; duplicates are rejected.  The empty
+    index set yields the 0x0 matrix, whose inertia is (0, 0, 0).
+    """
+    indices = sorted(idx)
+    if len(set(indices)) != len(indices):
+        raise IndexError("duplicate indices")
+    n = A.order
+    for i in indices:
+        if not 0 <= i < n:
+            raise IndexError(f"index {i} out of range for order {n}")
+    return SymMatrix([[A.rows[i][j] for j in indices] for i in indices])
+
+
+def matrix_graph_components(A: SymMatrix) -> list[list[int]]:
+    """Connected components of the matrix graph (edge {i, j} iff A[i][j] != 0, i != j)."""
+    return graph_components([[j for j in row if j != i] for i, row in enumerate(A.sparse)])
+
+
+def is_connected_matrix(A: SymMatrix) -> bool:
+    return len(matrix_graph_components(A)) <= 1
 
 
 def solve_rows(rows, rhs) -> tuple[Fraction, ...]:
@@ -210,7 +242,7 @@ def halving_shrink(A: SymMatrix) -> SymMatrix:
         raise NoPositiveEigenvalueError("A-minus has no positive eigenvalue")
     eps = Fraction(1, 2)
     while True:
-        rows = A.to_lists()
+        rows = to_lists(A)
         for i in range(A.order):
             for j in range(A.order):
                 if i != j and rows[i][j] != 0:
@@ -258,12 +290,12 @@ def _dense_perron_reduction(B: SymMatrix, n_pos: int):
                 a[i] = v
         return m, primitive_vector(a)
     if n_pos == 0:
-        m = B.to_lists()
+        m = to_lists(B)
         return m, _positive_kernel_vector(m)
     positions = [(i, j) for i in range(n) for j in range(n) if i != j and B[i, j] != 0]
 
     def state(k: int):
-        m = B.to_lists()
+        m = to_lists(B)
         for i, j in positions[:k]:
             m[i][j] *= t0
         return m

@@ -19,7 +19,6 @@ from gmsurf.exact_linalg import (
     Inertia,
     SymMatrix,
     inertia,
-    is_connected_matrix,
     mat_vec,
 )
 from gmsurf.generate import generate_manifold
@@ -31,7 +30,7 @@ from gmsurf.reduction import (
     verify_reduction,
 )
 from gmsurf.surface import build_surface_certificate, verify_surface_certificate
-from oracles import bilinear_identity, kernel_basis
+from oracles import bilinear_identity, is_connected_matrix, kernel_basis, to_lists
 
 F = Fraction
 
@@ -256,7 +255,7 @@ def test_criterion_5_strict_reductions_definite():
     for k in range(500):
         A = connected_negative_instance(rng, singular=k % 2 == 0)
         order = A.order
-        rows = A.to_lists()
+        rows = to_lists(A)
         pairs = [(i, j) for i in range(order) for j in range(i + 1, order) if A[i, j] != 0]
         forced = rng.choice(pairs)
         for i, j in pairs:

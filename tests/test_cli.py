@@ -121,6 +121,18 @@ def test_certify_semidefinite_is_unavailable(tmp_path, capsys):
     assert main(["certify", str(manifold), "--out", str(tmp_path / "c.json")]) == 3
 
 
+@pytest.mark.parametrize(
+    "e1, e2, branch",
+    [(-2, -2, "NegativeDefinite"), (-1, -1, "SemidefiniteSameSign"), (1, -1, "SemidefiniteMixedSign")],
+)
+def test_certify_off_the_branch_names_it(tmp_path, capsys, e1, e2, branch):
+    manifold = write_manifold(tmp_path, "m.json", e1, e2)
+    cert = tmp_path / "cert.json"
+    assert main(["certify", str(manifold), "--out", str(cert)]) == 3
+    assert capsys.readouterr() == ("", f"no certificate: decision branch is {branch}\n")
+    assert not cert.exists()
+
+
 def assert_one_line_input_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -33,14 +33,11 @@ from gmsurf.exact_linalg import (
     check_nonnegative_off_diagonal,
     determinant_rows,
     inertia,
-    is_connected_matrix,
     mat_vec,
-    matrix_graph_components,
     mmatrix_solve,
     nullspace_rows,
     pivot_witnesses,
     primitive_vector,
-    principal_submatrix,
     rational_str,
     to_rational,
 )
@@ -50,8 +47,12 @@ from oracles import (
     fraction_congruence,
     fraction_mmatrix_solve,
     fraction_pivot_witnesses,
+    is_connected_matrix,
     kernel_basis,
+    matrix_graph_components,
+    principal_submatrix,
     solve_rows,
+    to_lists,
 )
 
 F = Fraction
@@ -99,7 +100,7 @@ def square_matrices(max_order=4, entries=small_rationals):
 def fraction_inertia(A: SymMatrix) -> Inertia:
     """Inertia by symmetric congruence over `Fraction` (the pre-integer core)."""
     n = A.order
-    m = A.to_lists()
+    m = to_lists(A)
     n_pos = n_zero = n_neg = 0
     k = 0
     while k < n:
@@ -459,7 +460,7 @@ def test_first_negative_entry_is_row_by_row_whatever_the_dict_order():
     # each dict lists its columns in descending order
     sparse = [dict(reversed([(j, x) for j, x in enumerate(row) if x])) for row in dense]
     A = SymMatrix._from_sparse(sparse)
-    assert A.to_lists() == dense
+    assert to_lists(A) == dense
     assert list(A.sparse[0]) == [3, 2, 1, 0]
     for check in (check_nonnegative_off_diagonal, decide):
         with pytest.raises(ValueError) as info:
@@ -472,12 +473,12 @@ def test_first_negative_entry_is_row_by_row_whatever_the_dict_order():
 
 def test_principal_submatrix_single_index():
     A = sym([[1, 2], [2, 3]])
-    assert principal_submatrix(A, [1]).to_lists() == [[F(3)]]
+    assert to_lists(principal_submatrix(A, [1])) == [[F(3)]]
 
 
 def test_principal_submatrix_all_indices_is_identity_operation():
     A = sym([[1, 2], [2, 3]])
-    assert principal_submatrix(A, [0, 1]).to_lists() == A.to_lists()
+    assert to_lists(principal_submatrix(A, [0, 1])) == to_lists(A)
 
 
 def test_empty_principal_submatrix_is_negative_definite():
@@ -521,7 +522,7 @@ wide_rationals = strategies.one_of(
 
 
 def with_zero_diagonal(A: SymMatrix) -> SymMatrix:
-    rows = A.to_lists()
+    rows = to_lists(A)
     for i in range(A.order):
         rows[i][i] = F(0)
     return SymMatrix(rows)
@@ -646,7 +647,7 @@ def assert_pair_core_matches_fraction_reference(A: SymMatrix) -> None:
     for B in (A, with_zero_diagonal(A)):
         rows = [{j: x for j, x in enumerate(row) if x} for row in B.rows]
         assert inertia(B) == fraction_congruence(rows)
-        assert pivot_witnesses(B) == fraction_pivot_witnesses(B)
+        assert pivot_witnesses(B) == (inertia(B), fraction_pivot_witnesses(B))
 
 
 @settings(max_examples=60)
@@ -859,9 +860,10 @@ def quadratic_form(A: SymMatrix, x: dict) -> Fraction:
 
 
 def assert_pivot_witnesses(A: SymMatrix) -> None:
-    witnesses = pivot_witnesses(A)
+    ine, witnesses = pivot_witnesses(A)
+    assert ine == bareiss_inertia(A)
     # one witness per positive eigenvalue: a positive 1x1 pivot or a 2x2 block
-    assert len(witnesses) == bareiss_inertia(A).n_pos
+    assert len(witnesses) == ine.n_pos
     for value, x in witnesses:
         assert value > 0
         assert quadratic_form(A, x) == value

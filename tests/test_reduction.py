@@ -12,12 +12,11 @@ from gmsurf.exact_linalg import (
     Inertia,
     SymMatrix,
     inertia,
-    is_connected_matrix,
     mat_vec,
-    principal_submatrix,
     to_rational,
 )
-from gmsurf.manifold import a_minus
+from gmsurf.generate import generate_manifold
+from gmsurf.manifold import a_minus, decomposition_matrix
 from gmsurf.reduction import (
     NegativeDefiniteError,
     NoPositiveEigenvalueError,
@@ -34,7 +33,10 @@ from oracles import (
     bilinear_identity,
     crossing_reduction,
     halving_shrink,
+    is_connected_matrix,
     kernel_basis,
+    principal_submatrix,
+    to_lists,
 )
 from test_exact_linalg import VERDICT_CLASSES, closing_epsilon, path_rows, verdict_matrix
 
@@ -370,12 +372,12 @@ def test_bilinear_identity_random_four_by_four(seed):
 
 def test_strict_shrink_halves_until_positive_eigenvalue_survives():
     shrunk = strict_shrink(sym([["-1", 2], [2, "-1"]]))
-    assert shrunk.to_lists() == sym([["-1", "3/2"], ["3/2", "-1"]]).to_lists()
+    assert to_lists(shrunk) == to_lists(sym([["-1", "3/2"], ["3/2", "-1"]]))
 
 
 def test_strict_shrink_accepts_first_epsilon_when_possible():
     shrunk = strict_shrink(sym([[0, 1], [1, 0]]))
-    assert shrunk.to_lists() == sym([[0, "1/2"], ["1/2", 0]]).to_lists()
+    assert to_lists(shrunk) == to_lists(sym([[0, "1/2"], ["1/2", 0]]))
 
 
 def test_strict_shrink_rejects_semidefinite_input():
@@ -448,13 +450,59 @@ def test_shrink_and_reduction_match_the_dense_oracles_on_decomposition_matrices(
     assert_matches_dense_oracles(verdict_matrix(24, cls))
 
 
+class SparseOnly(SymMatrix):
+    """A matrix whose dense rows raise on access: only its sparse view can be read."""
+
+    @property
+    def rows(self):
+        raise AssertionError("dense rows read")
+
+
+def sparse_only(A: SymMatrix) -> SparseOnly:
+    B = object.__new__(SparseOnly)
+    object.__setattr__(B, "_sparse", A.sparse)
+    return B
+
+
+def outcome(build, A):
+    """What ``build(A)`` returns, or the type and message of what it raises."""
+    try:
+        return build(A)
+    except (NegativeDefiniteError, NoPositiveEigenvalueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_reads_only_the_sparse_view(A: SymMatrix) -> None:
+    for build in (strict_shrink, find_singular_reduction):
+        assert outcome(build, sparse_only(A)) == outcome(build, A)
+    shrunk = outcome(strict_shrink, A)
+    if isinstance(shrunk, SymMatrix):
+        assert find_singular_reduction(sparse_only(shrunk)) == find_singular_reduction(shrunk)
+
+
+@settings(max_examples=100, deadline=None)
+@given(admissible_matrices(max_order=6))
+def test_shrink_and_reduction_read_only_the_sparse_view(A):
+    assert_reads_only_the_sparse_view(A)
+
+
+@pytest.mark.parametrize("profile", ["posEig", "any", "semidef", "negdef"])
+def test_shrink_and_reduction_read_only_the_sparse_view_of_decomposition_matrices(profile):
+    # The sparse view of a decomposition matrix lists each row's keys in torus order.
+    assert_reads_only_the_sparse_view(decomposition_matrix(generate_manifold(30, seed=3, profile=profile)))
+
+
+def test_shrink_and_reduction_read_only_the_sparse_view_of_a_slowly_closing_path():
+    assert_reads_only_the_sparse_view(SymMatrix(path_rows(24, closing_epsilon(24))))
+
+
 # --- consequences for symmetric reductions -----------------------------------------
 
 
 def random_symmetric_reduction(rng: random.Random, A: SymMatrix, strict: bool):
     """Scale each off-diagonal pair by a factor in [-1, 1]; with strict=True
     at least one nonzero pair is strictly shrunk."""
-    rows = A.to_lists()
+    rows = to_lists(A)
     pairs = [
         (i, j)
         for i in range(A.order)
@@ -495,7 +543,7 @@ def test_singular_reductions_of_semidefinite_matrices_keep_entry_sizes():
     for _ in range(40):
         order = rng.randint(2, 5)
         B = connected_negative_matrix(rng, order, singular=True)
-        rows = B.to_lists()
+        rows = to_lists(B)
         flips = [i for i in range(order) if rng.random() < 0.5]
         for i in flips:
             rows[i][i] = -rows[i][i]

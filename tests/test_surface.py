@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies
 
+from gmsurf.cli import main
 from gmsurf.exact_linalg import to_rational
 from gmsurf.generate import generate_manifold
 from gmsurf.manifold import (
@@ -17,16 +18,16 @@ from gmsurf.manifold import (
     decomposition_matrix,
     two_piece_graph,
 )
-from gmsurf.reduction import verify_reduction
+from gmsurf.reduction import NoPositiveEigenvalueError, verify_reduction
 from gmsurf.surface import (
     CurveSystem,
-    NotPositiveEigenvalueBranchError,
     SurfaceCertificate,
     build_surface_certificate,
     verify_surface_certificate,
 )
 
 from oracles import per_piece_surface_violations
+from test_fileio import save_manifold
 
 F = Fraction
 
@@ -82,12 +83,12 @@ def test_build_balances_fiber_sum_against_meridian_euler_number():
 
 
 def test_build_rejects_negative_definite_input():
-    with pytest.raises(NotPositiveEigenvalueBranchError):
+    with pytest.raises(NoPositiveEigenvalueError, match="^decision branch is NegativeDefinite$"):
         build_surface_certificate(two_piece_graph(-2, -2))
 
 
 def test_build_rejects_semidefinite_input():
-    with pytest.raises(NotPositiveEigenvalueBranchError):
+    with pytest.raises(NoPositiveEigenvalueError, match="^decision branch is SemidefiniteSameSign$"):
         build_surface_certificate(two_piece_graph(-1, -1))
 
 
@@ -349,12 +350,10 @@ MMATRIX = ("mmatrix_solve",)
 DENSE = ("determinant_rows", "nullspace_rows", "solve_rows")
 
 
-@pytest.mark.parametrize("n", [8, 16, 32, 64])
-def test_path_certificate_needs_logarithmically_many_solves(monkeypatch, n):
-    # One congruence of A-minus and a few inertia tests for the shrink, then
-    # one M-matrix elimination per bisection step and one for the crossing;
-    # counted through every binding in the package, as the bench's tracer does.
-    counts = dict.fromkeys(SYMMETRIC + MMATRIX + DENSE, 0)
+def count_calls(monkeypatch, names) -> dict[str, int]:
+    """Count calls of each named function through every binding in the
+    package, as the bench's tracer does; the counts fill in as calls run."""
+    counts = dict.fromkeys(names, 0)
 
     def counting(name, original):
         def wrapped(*args, **kwargs):
@@ -368,6 +367,14 @@ def test_path_certificate_needs_logarithmically_many_solves(monkeypatch, n):
             for name in counts:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return counts
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_path_certificate_needs_logarithmically_many_solves(monkeypatch, n):
+    # One congruence of A-minus and a few inertia tests for the shrink, then
+    # one M-matrix elimination per bisection step and one for the crossing.
+    counts = count_calls(monkeypatch, SYMMETRIC + MMATRIX + DENSE)
     G = slowly_closing_path(n)
     cert = build_surface_certificate(G)
     assert verify_surface_certificate(G, cert) == []
@@ -376,6 +383,17 @@ def test_path_certificate_needs_logarithmically_many_solves(monkeypatch, n):
     assert counts["pivot_witnesses"] == 1
     assert counts["mmatrix_solve"] <= math.ceil(math.log2(2 * (n - 1))) + 1
     assert all(counts[name] == 0 for name in DENSE)
+
+
+@pytest.mark.parametrize("e1, e2", [(-2, -2), (-1, -1), (1, -1)])
+def test_certify_off_the_branch_takes_one_elimination(monkeypatch, tmp_path, e1, e2):
+    # The congruence that looks for shrink witnesses also names the branch:
+    # no second decision and no further inertia.
+    path = tmp_path / "m.json"
+    save_manifold(two_piece_graph(e1, e2), path)
+    counts = count_calls(monkeypatch, ("decide",) + SYMMETRIC + MMATRIX + DENSE)
+    assert main(["certify", str(path), "--out", str(tmp_path / "c.json")]) == 3
+    assert counts == {**dict.fromkeys(counts, 0), "pivot_witnesses": 1}
 
 
 @pytest.mark.parametrize("n", [16, 64])
