@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .covers import (
     BudgetExceededError,
@@ -40,9 +39,9 @@ from .fileio import (
     load_manifold,
     manifold_to_json,
     matrix_rows_from_json,
+    parse_json,
     reduction_cert_from_json,
     reduction_cert_to_json,
-    reject_float,
     rows_to_json,
     save_json,
     surface_cert_from_json,
@@ -239,10 +238,9 @@ def cmd_gen(args) -> int:
 
 def _read_matrix(source: str) -> SymMatrix:
     if source == "-":
-        text = sys.stdin.read()
+        data = parse_json(sys.stdin.read(), "<stdin>")
     else:
-        text = Path(source).read_text()
-    data = json.loads(text, parse_float=reject_float)
+        data = load_json(source)
     return SymMatrix(matrix_rows_from_json(data, "matrix"))
 
 
@@ -250,7 +248,7 @@ def cmd_matrix(args) -> int:
     try:
         A = _read_matrix(args.source)
         report = _analysis_report(A)
-    except (FileFormatError, DisconnectedMatrixError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (FileFormatError, DisconnectedMatrixError, OSError, ValueError) as exc:
         return _fail_input(str(exc))
     try:
         reduction = find_singular_reduction(A)

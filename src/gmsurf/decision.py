@@ -34,7 +34,7 @@ from .exact_linalg import (
     graph_components,
     inertia,
 )
-from .manifold import split_blocks
+from .manifold import a_minus, split_blocks
 
 
 class NotTwoPieceError(ValueError):
@@ -60,8 +60,9 @@ class Verdict:
     inertia_of_a_minus: Inertia
 
 
-def _check_input(A: SymMatrix) -> tuple[list[dict[int, Fraction]], list[int], list[int], list[int]]:
-    """Check A from its nonzero entries; return A-minus as dict rows and the diagonal-sign split.
+def _check_input(A: SymMatrix) -> tuple[tuple[dict[int, Fraction], ...], list[int], list[int], list[int]]:
+    """Check A from its nonzero entries; return A-minus's dict rows
+    (:func:`gmsurf.manifold.a_minus`) and the diagonal-sign split.
 
     Raises ValueError on the empty matrix or on the first negative
     off-diagonal entry (row by row), DisconnectedMatrixError if the matrix
@@ -71,12 +72,7 @@ def _check_input(A: SymMatrix) -> tuple[list[dict[int, Fraction]], list[int], li
         raise ValueError("empty matrix")
     if len(graph_components(check_nonnegative_off_diagonal(A))) > 1:
         raise DisconnectedMatrixError("matrix graph is disconnected")
-    pos, neg, zero = split_blocks(A)
-    minus = list(A.sparse)
-    for i in pos:
-        minus[i] = dict(minus[i])
-        minus[i][i] = -minus[i][i]
-    return minus, pos, neg, zero
+    return (a_minus(A).sparse, *split_blocks(A))
 
 
 def immersed(ine: Inertia, pos: list[int], neg: list[int]) -> tuple[bool, Branch]:
@@ -91,7 +87,7 @@ def immersed(ine: Inertia, pos: list[int], neg: list[int]) -> tuple[bool, Branch
     return False, Branch.NEGATIVE_DEFINITE
 
 
-def _negative_definite_block(minus: list[dict[int, Fraction]], idx: list[int]) -> bool:
+def _negative_definite_block(minus: tuple[dict[int, Fraction], ...], idx: list[int]) -> bool:
     # Blocks go through this module's `inertia` binding, like A-minus, so
     # every inertia a decision takes is made under that one name.
     position = {i: r for r, i in enumerate(idx)}
@@ -100,7 +96,7 @@ def _negative_definite_block(minus: list[dict[int, Fraction]], idx: list[int]) -
 
 
 def _virtually_embedded(
-    minus: list[dict[int, Fraction]], ine: Inertia, pos: list[int], neg: list[int], zero: list[int]
+    minus: tuple[dict[int, Fraction], ...], ine: Inertia, pos: list[int], neg: list[int], zero: list[int]
 ) -> bool:
     # Both diagonal blocks are principal blocks of A-minus: the positive one
     # with its diagonal negated, the negative one as it is in A.

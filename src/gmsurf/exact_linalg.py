@@ -8,9 +8,9 @@ The signature routine is :func:`inertia`, which computes the exact eigenvalue
 sign counts (n_pos, n_zero, n_neg) of a symmetric rational matrix by congruence
 diagonalization; by Sylvester's law of inertia the sign counts are invariant
 under congruence, so no root finding is needed.  A decomposition matrix has
-the sparsity of the piece graph (a tree plus a few extra tori), so
-:func:`inertia` works on the nonzero entries only (a :class:`SymMatrix`
-keeps them as its sparse view) and eliminates in
+the sparsity of the piece graph (a tree plus a few extra tori), so a
+:class:`SymMatrix` keeps only its nonzero entries, one ``{column: value}``
+dict per row, and :func:`inertia` takes such dict rows and eliminates in
 minimum-degree order, which creates no fill on a tree: its cost follows the
 number of edges and the fill, not the cube of the order.
 :func:`pivot_witnesses` runs the same elimination, A = L D L^T, and turns
@@ -29,10 +29,10 @@ them.
 
 The three sparse eliminations share one exact core of integers.  Each input
 entry becomes a reduced (numerator, denominator) pair of ints, with a
-positive denominator, once on entry (:func:`_pair_rows`, straight from the
-sparse view, dict rows or dense rows).  Every update then uses `Fraction`'s
-own gcd-first subtraction and product on the pairs (:func:`_sub`,
-:func:`_mul`; Knuth, TAOCP vol. 2, 4.5.1), so each pair holds the reduced
+positive denominator, once on entry (:func:`_pair_rows`, from the dict
+rows).  Every update then uses `Fraction`'s own gcd-first subtraction and
+product on the pairs (:func:`_sub`, :func:`_mul`; Knuth, TAOCP vol. 2,
+4.5.1), so each pair holds the reduced
 value a `Fraction` elimination would, in the same pivot order, with no
 `Fraction` made.  Only outputs become `Fraction` again (:func:`_fraction`):
 the witness vectors with their values, and the solutions.
@@ -50,6 +50,7 @@ from typing import Iterable, Sequence
 Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_ZERO = Fraction(0)
 
 
 class DisconnectedMatrixError(ValueError):
@@ -103,21 +104,21 @@ class Inertia:
 
 
 class SymMatrix:
-    """Immutable symmetric matrix over the rationals: dense rows plus a sparse view.
+    """Immutable symmetric matrix over the rationals, kept as its nonzero entries.
 
-    Symmetry is enforced at construction; entries that are not already
-    `Fraction` are normalized through :func:`to_rational`, so floats are
-    rejected.  :attr:`sparse` holds the nonzero entries, one ``{column:
-    value}`` dict per row (a zero diagonal has no key); a matrix the package
-    builds from its own sparse data (:func:`gmsurf.manifold.decomposition_matrix`)
-    gets it at construction, any other computes it once on first use.  The
-    decision, the reports, the shrink and the reduction read only the view;
-    the verifiers read the dense rows.
+    :attr:`sparse` holds one ``{column: value}`` dict per row, nonzero
+    entries only (a zero diagonal has no key); ``A[i, j]`` reads it and is
+    ``Fraction(0)`` off the nonzeros.  The public constructor takes dense
+    rows (parsed files, tests): entries that are not already `Fraction`
+    are normalized through :func:`to_rational`, so floats are rejected,
+    and the shape and symmetry are checked before the zeros are dropped.
+    A matrix the package builds from its own nonzero entries
+    (:func:`gmsurf.manifold.decomposition_matrix`) skips those checks.
     """
 
-    __slots__ = ("rows", "_sparse")
+    __slots__ = ("sparse",)
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    sparse: tuple[dict[int, Fraction], ...]
 
     def __init__(self, rows: Sequence[Sequence[int | str | Fraction]]):
         converted = tuple(
@@ -131,53 +132,39 @@ class SymMatrix:
             for j in range(i + 1, n):
                 if converted[i][j] != converted[j][i]:
                     raise ValueError(f"not symmetric at ({i}, {j})")
-        object.__setattr__(self, "rows", converted)
-        object.__setattr__(self, "_sparse", None)
+        object.__setattr__(
+            self, "sparse", tuple({j: x for j, x in enumerate(row) if x} for row in converted)
+        )
 
     @classmethod
     def _from_sparse(cls, sparse: Sequence[dict[int, Fraction]]) -> "SymMatrix":
         """A matrix the package built itself from its nonzero entries, one
         ``{column: value}`` dict per row, symmetric and `Fraction`-valued by
-        construction: the entry and symmetry checks of the public
-        constructor are skipped, and the dicts become its sparse view.
-        Parsed input never comes here."""
-        n = len(sparse)
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for row, entries in zip(rows, sparse):
-            for j, x in entries.items():
-                row[j] = x
+        construction: the dicts are wrapped as they are, unchecked.  Parsed
+        input never comes here."""
         matrix = object.__new__(cls)
-        object.__setattr__(matrix, "rows", tuple(tuple(row) for row in rows))
-        object.__setattr__(matrix, "_sparse", tuple(sparse))
+        object.__setattr__(matrix, "sparse", tuple(sparse))
         return matrix
 
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrix is immutable")
 
     @property
-    def sparse(self) -> tuple[dict[int, Fraction], ...]:
-        """The nonzero entries, one ``{column: value}`` dict per row; do not mutate."""
-        if self._sparse is None:
-            view = tuple({j: x for j, x in enumerate(row) if x} for row in self.rows)
-            object.__setattr__(self, "_sparse", view)
-        return self._sparse
-
-    @property
     def order(self) -> int:
-        return len(self.rows)
+        return len(self.sparse)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self.rows[i][j]
+        return self.sparse[i].get(j, _ZERO)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SymMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
+        return isinstance(other, SymMatrix) and self.sparse == other.sparse
 
     def __repr__(self) -> str:
-        body = ", ".join("[" + ", ".join(rational_str(x) for x in row) + "]" for row in self.rows)
+        n = self.order
+        body = ", ".join(
+            "[" + ", ".join(rational_str(row.get(j, _ZERO)) for j in range(n)) + "]" for row in self.sparse
+        )
         return f"SymMatrix([{body}])"
 
 
@@ -249,23 +236,12 @@ def _fraction(a: tuple[int, int]) -> Fraction:
     return value
 
 
-def _pair_rows(
-    A: SymMatrix | Sequence[dict[int, Fraction]] | Sequence[Sequence[Fraction]],
-) -> list[dict[int, tuple[int, int]]]:
-    """Fresh ``{column: (numerator, denominator)}`` rows of the nonzero entries of A.
+def _pair_rows(rows: Sequence[dict[int, Fraction]]) -> list[dict[int, tuple[int, int]]]:
+    """Fresh ``{column: (numerator, denominator)}`` copies of dict rows of nonzero entries.
 
-    ``A`` is a :class:`SymMatrix` (its sparse view is read), dict rows, or
-    dense rows (scanned once); each entry is read once, with no `Fraction`
-    made.
+    Each entry is read once, with no `Fraction` made.
     """
-    if isinstance(A, SymMatrix):
-        A = A.sparse
-    return [
-        {j: (x.numerator, x.denominator) for j, x in row.items()}
-        if isinstance(row, dict)
-        else {j: (x.numerator, x.denominator) for j, x in enumerate(row) if x}
-        for row in A
-    ]
+    return [{j: (x.numerator, x.denominator) for j, x in row.items()} for row in rows]
 
 
 def _congruence(adj: list[dict[int, tuple[int, int]]], steps: list | None = None) -> Inertia:
@@ -363,17 +339,16 @@ def _congruence(adj: list[dict[int, tuple[int, int]]], steps: list | None = None
     return Inertia(n_pos, n_zero, n_neg)
 
 
-def inertia(A: SymMatrix | Sequence[dict[int, Fraction]] | Sequence[Sequence[Fraction]]) -> Inertia:
+def inertia(rows: Sequence[dict[int, Fraction]]) -> Inertia:
     """Exact inertia (n_pos, n_zero, n_neg) of a symmetric matrix by sparse congruence.
 
-    ``A`` is a :class:`SymMatrix` (its sparse view is read), one ``{column:
-    value}`` dict of nonzero entries per row, or dense rows; symmetry is
-    assumed.  This is the one place where the input becomes fresh rows of
-    (numerator, denominator) pairs (:func:`_pair_rows`; only dense rows are
-    scanned).  Pivots are eliminated in graph order, each step replacing
-    the rest of the matrix by its Schur complement (a congruence, so
-    Sylvester's law of inertia gives each pivot block's signs to the whole
-    matrix):
+    ``rows`` holds one ``{column: value}`` dict of nonzero entries per row,
+    such as :attr:`SymMatrix.sparse`; symmetry is assumed.  The input
+    becomes fresh rows of (numerator, denominator) pairs
+    (:func:`_pair_rows`) and is not changed.  Pivots are eliminated in
+    graph order, each step replacing the rest of the matrix by its Schur
+    complement (a congruence, so Sylvester's law of inertia gives each
+    pivot block's signs to the whole matrix):
 
     - a 1x1 pivot on the remaining vertex of least degree whose diagonal is
       nonzero, the smallest index among equals (minimum-degree order, Rose
@@ -388,15 +363,16 @@ def inertia(A: SymMatrix | Sequence[dict[int, Fraction]] | Sequence[Sequence[Fra
     each holds the value a `Fraction` elimination would; no `Fraction` is
     made.
     """
-    return _congruence(_pair_rows(A))
+    return _congruence(_pair_rows(rows))
 
 
 def pivot_witnesses(
-    A: SymMatrix | Sequence[dict[int, Fraction]] | Sequence[Sequence[Fraction]],
+    rows: Sequence[dict[int, Fraction]],
 ) -> tuple[Inertia, list[tuple[Fraction, dict[int, Fraction]]]]:
-    """The inertia of a symmetric matrix, and one vector x with x^T A x > 0
+    """The inertia of a symmetric matrix A, and one vector x with x^T A x > 0
     per positive eigenvalue.
 
+    A is given as dict rows of its nonzero entries, as for :func:`inertia`.
     They come from the elimination of :func:`inertia`, A = L D L^T, which
     has one pivot block per positive eigenvalue: a positive 1x1 pivot d, or
     a 2x2 pivot [[0, b], [b, 0]].  With seed y on the block, x = L^{-T} y
@@ -408,7 +384,7 @@ def pivot_witnesses(
     only the finished x becomes `Fraction`.
     """
     steps: list = []
-    ine = _congruence(_pair_rows(A), steps)
+    ine = _congruence(_pair_rows(rows), steps)
     witnesses = []
     for t, (seed, value, _) in enumerate(steps):
         if value[0] <= 0:
@@ -593,8 +569,8 @@ def graph_components(neighbours: Sequence[Sequence[int]]) -> list[list[int]]:
 def check_nonnegative_off_diagonal(A: SymMatrix) -> list[list[int]]:
     """Raise ValueError naming the first negative off-diagonal entry, if any.
 
-    "First" is row by row, then by column, whatever the order of the sparse
-    view's keys.  Decomposition matrices, and every matrix the decision and
+    "First" is row by row, then by column, whatever the order of the row
+    dicts' keys.  Decomposition matrices, and every matrix the decision and
     reduction layers accept, have non-negative off-diagonal entries.
     Returns the neighbour lists of the matrix graph, read from the same
     nonzero entries.

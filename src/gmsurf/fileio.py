@@ -261,12 +261,22 @@ def surface_cert_from_json(data) -> SurfaceCertificate:
     )
 
 
-def load_json(path: str | Path):
-    text = Path(path).read_text()
+def parse_json(text: str, where: str | Path):
+    """The JSON document in ``text``, read from ``where``; floats are rejected.
+
+    Malformed JSON and nesting too deep for the parser's recursion both
+    raise FileFormatError, so no input text ends in a traceback.
+    """
     try:
         return json.loads(text, parse_float=reject_float)
     except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        raise FileFormatError(f"{where}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise FileFormatError(f"{where}: JSON nested too deeply") from None
+
+
+def load_json(path: str | Path):
+    return parse_json(Path(path).read_text(), path)
 
 
 def reject_float(text: str):

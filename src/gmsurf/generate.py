@@ -108,7 +108,7 @@ def generate_manifold(
             eulers = [rng.choice(_EULER_POOL) for _ in range(pieces)]
         G = _build(rng, pieces, tori, eulers)
         A = decomposition_matrix(G)
-        ine = inertia(a_minus(A))
+        ine = inertia(a_minus(A).sparse)
         if profile == "negdef" and not (ine.n_pos == 0 and ine.n_zero == 0):
             continue
         if profile == "semidef" and not (ine.n_pos == 0 and ine.n_zero > 0):

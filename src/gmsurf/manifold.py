@@ -191,10 +191,16 @@ def decomposition_matrix(G: DecompositionGraph) -> SymMatrix:
 
 
 def a_minus(A: SymMatrix) -> SymMatrix:
-    """The same matrix with every positive diagonal entry negated."""
-    return SymMatrix._from_sparse(
-        [{j: -x if i == j and x > 0 else x for j, x in row.items()} for i, row in enumerate(A.sparse)]
-    )
+    """The same matrix with every positive diagonal entry negated.
+
+    Only the rows with a positive diagonal entry are copied; every other
+    row is A's own dict.
+    """
+    minus = list(A.sparse)
+    for i, row in enumerate(minus):
+        if row.get(i, 0) > 0:
+            minus[i] = {**row, i: -row[i]}
+    return SymMatrix._from_sparse(minus)
 
 
 def split_blocks(A: SymMatrix) -> tuple[list[int], list[int], list[int]]:

@@ -21,8 +21,9 @@ M-matrix solve w = (-S)^{-1} e_i gives both the exact rational crossing
 one sparse elimination with diagonal pivots in minimum-degree order
 (:func:`gmsurf.exact_linalg.mmatrix_solve`); no determinant or dense
 elimination is taken.  On a connected matrix the annihilated vector is
-positive at every index.  The builders read only the sparse view (the
-nonzero entries); A' is written out dense once, as the certificate.
+positive at every index.  The builders read only the nonzero entries of
+A-minus (:func:`gmsurf.manifold.a_minus`); A' is written out dense once, as
+the certificate.
 
 :func:`strict_shrink` prepares the input of the surface builder: one
 congruence elimination of A-minus bounds the shrink factor from below, and a
@@ -151,7 +152,7 @@ def _perron_reduction(
 
     if t0 == 1:
         return None
-    # Row-major, ascending column: the sparse view's keys follow no order.
+    # Row-major, ascending column: the row dicts' keys follow no order.
     moves = [(i, j, t0 * x) for i, row in enumerate(B) for j, x in sorted(row.items()) if i != j]
     negated = [{j: -x for j, x in row.items()} for row in B]
 
@@ -195,16 +196,14 @@ def find_singular_reduction(A: SymMatrix) -> ReductionCertificate:
     with a strictly positive vector; every other coupling becomes 0 and every
     other weight 0.  On a connected A the vector is positive at every index.
     Positive diagonal entries of A are restored by negating their rows, which
-    leaves the kernel unchanged.  Only A's sparse view is read, and A' is
-    written out dense once, at the end.
+    leaves the kernel unchanged.  Only the nonzero entries are read, and A'
+    is written out dense once, at the end.
     """
-    sparse = A.sparse
+    sparse, minus = A.sparse, a_minus(A).sparse
     for component in graph_components(check_nonnegative_off_diagonal(A)):
         # A component holds every neighbour of its vertices.
         position = {i: r for r, i in enumerate(component)}
-        found = _perron_reduction(
-            [{position[j]: -x if j == i and x > 0 else x for j, x in sparse[i].items()} for i in component]
-        )
+        found = _perron_reduction([{position[j]: x for j, x in minus[i].items()} for i in component])
         if found is not None:
             break
     else:
@@ -233,11 +232,12 @@ def verify_reduction(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
     for i in range(n):
         if cert.a_prime[i][i] != A[i, i]:
             violations.append(f"diagonal changed at {i}: {cert.a_prime[i][i]} != {A[i, i]}")
-    for i, (row, bounds) in enumerate(zip(cert.a_prime, A.rows)):
-        for j, (entry, bound) in enumerate(zip(row, bounds)):
+    for i, (row, bounds) in enumerate(zip(cert.a_prime, A.sparse)):
+        for j, entry in enumerate(row):
             # A has O(n) nonzero couplings: only those need the absolute value
-            if i != j and (abs(entry) > bound if bound else entry != 0):
-                violations.append(f"not a reduction at ({i}, {j}): |{entry}| > {bound}")
+            bound = bounds.get(j)
+            if i != j and (entry != 0 if bound is None else abs(entry) > bound):
+                violations.append(f"not a reduction at ({i}, {j}): |{entry}| > {bound or 0}")
     if all(v == 0 for v in cert.a):
         violations.append("annihilated vector is zero")
     for i, v in enumerate(cert.a):
@@ -289,10 +289,12 @@ def negativity_certificate(A: SymMatrix) -> NegativityCertificate:
         [{j: x for j, x in row.items() if j != last} for row in negated[:last]],
         [A[i, last] for i in range(last)],
     )
-    image = None if rest is None else mat_vec(A.rows, (*rest, Fraction(1)))
-    if image is None or any(image):
-        raise NotNegativeError("matrix has a positive eigenvalue")
-    return NegativityCertificate(a=primitive_vector((*rest, Fraction(1))), image=image)
+    if rest is not None:
+        a = (*rest, Fraction(1))
+        image = tuple(sum((x * a[j] for j, x in row.items()), Fraction(0)) for row in A.sparse)
+        if not any(image):
+            return NegativityCertificate(a=primitive_vector(a), image=image)
+    raise NotNegativeError("matrix has a positive eigenvalue")
 
 
 def strict_shrink(A: SymMatrix) -> SymMatrix:

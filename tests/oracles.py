@@ -50,8 +50,8 @@ from gmsurf.surface import CurveSystem, SurfaceCertificate
 
 
 def to_lists(A: SymMatrix) -> list[list[Fraction]]:
-    """Mutable copy of the entries."""
-    return [list(row) for row in A.rows]
+    """Dense, mutable copy of the entries."""
+    return [[A[i, j] for j in range(A.order)] for i in range(A.order)]
 
 
 def principal_submatrix(A: SymMatrix, idx: Iterable[int]) -> SymMatrix:
@@ -67,7 +67,7 @@ def principal_submatrix(A: SymMatrix, idx: Iterable[int]) -> SymMatrix:
     for i in indices:
         if not 0 <= i < n:
             raise IndexError(f"index {i} out of range for order {n}")
-    return SymMatrix([[A.rows[i][j] for j in indices] for i in indices])
+    return SymMatrix([[A[i, j] for j in indices] for i in indices])
 
 
 def matrix_graph_components(A: SymMatrix) -> list[list[int]]:
@@ -91,7 +91,7 @@ def solve_rows(rows, rhs) -> tuple[Fraction, ...]:
 
 def kernel_basis(A: SymMatrix) -> list[tuple[Fraction, ...]]:
     """Exact basis of the null space of a symmetric matrix (possibly empty)."""
-    return nullspace_rows(A.rows)
+    return nullspace_rows(to_lists(A))
 
 
 def _fraction_rows(A) -> list[dict[int, Fraction]]:
@@ -238,7 +238,7 @@ def fraction_mmatrix_solve(rows, rhs=None) -> tuple[Fraction, ...] | None:
 def halving_shrink(A: SymMatrix) -> SymMatrix:
     """Couplings times (1 - eps) for the first eps = 1/2, 1/4, ... that keeps
     a positive eigenvalue of A-minus."""
-    if inertia(a_minus(A)).n_pos == 0:
+    if inertia(a_minus(A).sparse).n_pos == 0:
         raise NoPositiveEigenvalueError("A-minus has no positive eigenvalue")
     eps = Fraction(1, 2)
     while True:
@@ -248,7 +248,7 @@ def halving_shrink(A: SymMatrix) -> SymMatrix:
                 if i != j and rows[i][j] != 0:
                     rows[i][j] *= 1 - eps
         shrunk = SymMatrix(rows)
-        if inertia(a_minus(shrunk)).n_pos > 0:
+        if inertia(a_minus(shrunk).sparse).n_pos > 0:
             return shrunk
         eps /= 2
 
@@ -326,7 +326,7 @@ def crossing_reduction(A: SymMatrix) -> ReductionCertificate:
     B = a_minus(A)
     for component in matrix_graph_components(B):
         block = principal_submatrix(B, component)
-        ine = inertia(block)
+        ine = inertia(block.sparse)
         if ine.n_pos or ine.n_zero:
             break
     else:
@@ -519,7 +519,7 @@ def bilinear_identity(
         if v == 0:
             raise ZeroEntryError(f"a[{i}] = 0")
     lhs = sum(x[i] * A[i, j] * x[j] for i in range(n) for j in range(n))
-    image = mat_vec(A.rows, a)
+    image = mat_vec(to_lists(A), a)
     rhs = sum(a[i] * image[i] * (x[i] / a[i]) ** 2 for i in range(n))
     rhs += sum(
         -A[i, j] * a[i] * a[j] * (x[i] / a[i] - x[j] / a[j]) ** 2

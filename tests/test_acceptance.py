@@ -37,7 +37,7 @@ F = Fraction
 
 def negative_definite(A: SymMatrix) -> bool:
     """Every eigenvalue negative; the 0x0 matrix vacuously so."""
-    return inertia(A).n_neg == A.order
+    return inertia(A.sparse).n_neg == A.order
 
 
 def report(number: int, name: str, failures: list[str], detail: str) -> None:
@@ -69,7 +69,7 @@ def negative_definite_instances() -> tuple[SymMatrix, ...]:
             for i in range(s)
         ]
         A = SymMatrix(rows)
-        if inertia(A).n_neg != s or not is_connected_matrix(A):
+        if inertia(A.sparse).n_neg != s or not is_connected_matrix(A):
             continue
         out.append(A)
     return tuple(out)
@@ -216,7 +216,7 @@ def test_criterion_4_negativity_certificates():
         cert = negativity_certificate(A)
         if any(v <= 0 for v in cert.a):
             failures.append(f"instance {k}: non-positive weight")
-        image = mat_vec(A.rows, cert.a)
+        image = mat_vec(to_lists(A), cert.a)
         if image != cert.image or any(v > 0 for v in image):
             failures.append(f"instance {k}: image not non-positive")
         for _ in range(10):
@@ -266,7 +266,7 @@ def test_criterion_5_strict_reductions_definite():
             rows[i][j] *= factor
             rows[j][i] *= factor
         reduced = SymMatrix(rows)
-        if inertia(reduced) != Inertia(n_pos=0, n_zero=0, n_neg=order):
+        if inertia(reduced.sparse) != Inertia(n_pos=0, n_zero=0, n_neg=order):
             failures.append(f"instance {k}: reduction not negative definite")
     elapsed = time.perf_counter() - start
     report(5, "strict reductions definite", failures, f"500 instances, {elapsed:.1f}s")

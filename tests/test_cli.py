@@ -16,6 +16,7 @@ from gmsurf.covers import commutator, cycle_type, identity_perm, is_transitive, 
 from gmsurf.fileio import load_json, save_json
 from gmsurf.generate import generate_manifold
 from gmsurf.manifold import DecompositionGraph, GluingTorus, SeifertPiece, decomposition_matrix, two_piece_graph
+from oracles import to_lists
 from test_fileio import save_manifold
 
 
@@ -65,7 +66,7 @@ def test_analyze_reads_only_the_nonzeros(tmp_path, monkeypatch, capsys):
     A = decomposition_matrix(G)
     nnz = sum(len(row) for row in A.sparse)
     assert len(written) <= A.order + 2 * nnz
-    assert report["matrix"] == [[exact_linalg.rational_str(x) for x in row] for row in A.rows]
+    assert report["matrix"] == [[exact_linalg.rational_str(x) for x in row] for row in to_lists(A)]
     assert seen and all(isinstance(row, dict) for B in seen for row in B)
 
 
@@ -283,6 +284,36 @@ def test_matrix_mode_input_errors_keep_their_text(monkeypatch, capsys, text, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "matrix", "matrix-stdin"])
+def test_deeply_nested_json_is_an_input_error(monkeypatch, tmp_path, capsys, command):
+    # The parser's recursion limit is an input error like any malformed JSON.
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    manifold = write_manifold(tmp_path, "m.json", -1, -1)
+    argv = {
+        "analyze": ["analyze", str(deep)],
+        "verify": ["verify", str(manifold), str(deep)],
+        "matrix": ["matrix", str(deep)],
+        "matrix-stdin": ["matrix", "-"],
+    }[command]
+    monkeypatch.setattr("sys.stdin", io.StringIO(DEEP_JSON))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    where = "<stdin>" if command == "matrix-stdin" else str(deep)
+    assert (captured.out, captured.err) == ("", f"error: {where}: JSON nested too deeply\n")
+
+
+def test_matrix_mode_malformed_json_names_its_source(monkeypatch, capsys):
+    assert run_matrix(monkeypatch, "{") == 2
+    assert capsys.readouterr().err == (
+        "error: <stdin>: invalid JSON at line 1: Expecting property name enclosed in double quotes\n"
+    )
+
 
 @pytest.mark.parametrize(
     "text, keys",

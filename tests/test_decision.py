@@ -27,7 +27,7 @@ F = Fraction
 
 def negative_definite(A: SymMatrix) -> bool:
     """Every eigenvalue negative; the 0x0 matrix vacuously so."""
-    return inertia(A).n_neg == A.order
+    return inertia(A.sparse).n_neg == A.order
 
 
 def sym(rows) -> SymMatrix:
@@ -184,7 +184,7 @@ def test_branch_tag_tracks_positive_eigenvalue():
     for rows in ([["-1", 2], [2, "-1"]], [["-2", 1], [1, "-2"]], [[1, 1], [1, "-1"]]):
         verdict = decide(sym(rows))
         assert (verdict.branch is Branch.POSITIVE_EIGENVALUE) == (
-            inertia(a_minus(sym(rows))).n_pos > 0
+            inertia(a_minus(sym(rows)).sparse).n_pos > 0
         )
 
 
@@ -221,7 +221,7 @@ def test_decide_takes_each_inertia_once(monkeypatch, rows, blocks):
     assert [dense(B) for B in seen] == [to_lists(a_minus(A))] + [
         to_lists(sym(b)) for b in blocks
     ]
-    assert verdict.inertia_of_a_minus == inertia(a_minus(A))
+    assert verdict.inertia_of_a_minus == inertia(a_minus(A).sparse)
 
 
 

@@ -60,7 +60,7 @@ F = Fraction
 
 def negative_definite(A: SymMatrix) -> bool:
     """Every eigenvalue negative; the 0x0 matrix vacuously so."""
-    return inertia(A).n_neg == A.order
+    return inertia(A.sparse).n_neg == A.order
 
 
 def sym(rows) -> SymMatrix:
@@ -149,8 +149,9 @@ def bareiss_inertia(A: SymMatrix) -> Inertia:
     exactly by the previous |d| and each pivot's sign is one eigenvalue's.
     """
     n = A.order
-    scale = lcm(*(x.denominator for row in A.rows for x in row))
-    block = [[x.numerator * (scale // x.denominator) for x in row] for row in A.rows]
+    rows = to_lists(A)
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    block = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
     n_pos = n_zero = n_neg = 0
     prev = 1
     while block:
@@ -320,35 +321,50 @@ def test_sym_matrix_converts_only_entries_that_are_not_fractions(monkeypatch):
     monkeypatch.setattr(exact_linalg, "to_rational", lambda x: converted.append(x) or real(x))
     A = SymMatrix([[F(-1), F(1, 2)], [F(1, 2), 3]])
     assert converted == [3]
-    assert A.rows == ((F(-1), F(1, 2)), (F(1, 2), F(3)))
+    assert to_lists(A) == [[F(-1), F(1, 2)], [F(1, 2), F(3)]]
     with pytest.raises(ValueError, match=r"not symmetric at \(0, 1\)"):
         SymMatrix([[F(0), F(1)], [F(2), F(0)]])
+
+
+def test_sym_matrix_keeps_only_its_nonzeros():
+    A = sym([[0, "1/2", 0], ["1/2", "-1", 0], [0, 0, 0]])
+    assert A.sparse == ({1: F(1, 2)}, {0: F(1, 2), 1: F(-1)}, {})
+    assert not hasattr(A, "rows")
+    for i, j in [(0, 0), (0, 2), (2, 0), (2, 2)]:
+        assert A[i, j] == 0 and type(A[i, j]) is Fraction
+    assert A[1, 0] == F(1, 2)
+    assert repr(A) == "SymMatrix([[0, 1/2, 0], [1/2, -1, 0], [0, 0, 0]])"
+    # == compares the nonzeros, whatever order their keys were added in
+    assert A == SymMatrix._from_sparse([{1: F(1, 2)}, {1: F(-1), 0: F(1, 2)}, {}])
+    assert A != sym([[0, "1/2", 0], ["1/2", "-1", 0], [0, 0, 1]])
+    with pytest.raises(TypeError):
+        hash(A)
 
 
 # --- inertia ---------------------------------------------------------------
 
 
 def test_inertia_identity():
-    assert inertia(sym([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == Inertia(n_pos=3, n_zero=0, n_neg=0)
+    assert inertia(sym([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).sparse) == Inertia(n_pos=3, n_zero=0, n_neg=0)
 
 
 def test_inertia_hyperbolic_plane():
-    assert inertia(sym([[0, 1], [1, 0]])) == Inertia(n_pos=1, n_zero=0, n_neg=1)
+    assert inertia(sym([[0, 1], [1, 0]]).sparse) == Inertia(n_pos=1, n_zero=0, n_neg=1)
 
 
 def test_inertia_singular_example():
-    assert inertia(sym([["-1", 1], [1, "-1"]])) == Inertia(n_pos=0, n_zero=1, n_neg=1)
+    assert inertia(sym([["-1", 1], [1, "-1"]]).sparse) == Inertia(n_pos=0, n_zero=1, n_neg=1)
 
 
 def test_inertia_components_sum_to_order():
     A = sym([[0, 1, 2], [1, "-3", 0], [2, 0, "1/2"]])
-    ine = inertia(A)
+    ine = inertia(A.sparse)
     assert ine.n_pos + ine.n_zero + ine.n_neg == A.order
 
 
 @given(symmetric_matrices())
 def test_inertia_matches_char_poly_oracle(A):
-    assert inertia(A) == inertia_oracle(A)
+    assert inertia(A.sparse) == inertia_oracle(A)
 
 
 @given(symmetric_matrices(max_order=3), square_matrices(max_order=3))
@@ -366,18 +382,18 @@ def test_inertia_invariant_under_congruence(A, P):
         ]
         for i in range(n)
     ]
-    assert inertia(SymMatrix(product)) == inertia(A)
+    assert inertia(SymMatrix(product).sparse) == inertia(A.sparse)
 
 
 @given(symmetric_matrices())
 def test_inertia_zero_count_is_kernel_dimension(A):
-    assert inertia(A).n_zero == len(kernel_basis(A))
+    assert inertia(A.sparse).n_zero == len(kernel_basis(A))
 
 
 @given(symmetric_matrices())
 def test_determinant_sign_from_negative_count(A):
-    det = determinant_rows(A.rows)
-    ine = inertia(A)
+    det = determinant_rows(to_lists(A))
+    ine = inertia(A.sparse)
     if ine.n_zero > 0:
         assert det == 0
     elif ine.n_neg % 2 == 0:
@@ -390,9 +406,9 @@ def test_determinant_sign_from_negative_count(A):
 
 
 def test_determinant_examples():
-    assert determinant_rows(sym([["-1", 2], [2, "-1"]]).rows) == F(-3)
-    assert determinant_rows(sym([["-1", 1], [1, "-1"]]).rows) == F(0)
-    assert determinant_rows(sym([["5/2"]]).rows) == F(5, 2)
+    assert determinant_rows(to_lists(sym([["-1", 2], [2, "-1"]]))) == F(-3)
+    assert determinant_rows(to_lists(sym([["-1", 1], [1, "-1"]]))) == F(0)
+    assert determinant_rows(to_lists(sym([["5/2"]]))) == F(5, 2)
 
 
 # --- kernel ----------------------------------------------------------------
@@ -416,7 +432,7 @@ def test_kernel_of_zero_matrix_is_full():
 @given(symmetric_matrices())
 def test_kernel_vectors_are_annihilated(A):
     for vec in kernel_basis(A):
-        assert all(v == 0 for v in mat_vec(A.rows, vec))
+        assert all(v == 0 for v in mat_vec(to_lists(A), vec))
 
 
 # --- solving ---------------------------------------------------------------
@@ -426,10 +442,10 @@ def test_kernel_vectors_are_annihilated(A):
 def test_solve_recovers_known_solution(A):
     n = A.order
     x = [F(k + 1, 2) for k in range(n)]
-    rhs = mat_vec(A.rows, x)
-    if determinant_rows(A.rows) == 0:
+    rhs = mat_vec(to_lists(A), x)
+    if determinant_rows(to_lists(A)) == 0:
         return
-    assert solve_rows(A.rows, rhs) == tuple(x)
+    assert solve_rows(to_lists(A), rhs) == tuple(x)
 
 
 # --- graph structure -------------------------------------------------------
@@ -569,21 +585,20 @@ def assert_rref_basis(rows, basis):
 @settings(max_examples=60)
 @given(symmetric_matrices(max_order=12, entries=wide_rationals))
 def test_integer_core_matches_fraction_oracles(A):
-    ine = inertia(A)
+    ine = inertia(A.sparse)
     assert ine == fraction_inertia(A) == bareiss_inertia(A)
-    assert inertia([list(row) for row in A.rows]) == ine
-    assert determinant_rows(A.rows) == fraction_determinant(A.rows)
+    assert determinant_rows(to_lists(A)) == fraction_determinant(to_lists(A))
     basis = kernel_basis(A)
     assert len(basis) == ine.n_zero
-    assert_rref_basis(A.rows, basis)
+    assert_rref_basis(to_lists(A), basis)
 
 
 @settings(max_examples=60)
 @given(symmetric_matrices(max_order=12, entries=wide_rationals))
 def test_integer_inertia_with_all_zero_diagonal(A):
     Z = with_zero_diagonal(A)
-    assert inertia(Z) == fraction_inertia(Z) == bareiss_inertia(Z)
-    assert determinant_rows(Z.rows) == fraction_determinant(Z.rows)
+    assert inertia(Z.sparse) == fraction_inertia(Z) == bareiss_inertia(Z)
+    assert determinant_rows(to_lists(Z)) == fraction_determinant(to_lists(Z))
 
 
 
@@ -615,12 +630,12 @@ def scattered_blocks(max_blocks=4, max_order=4, entries=wide_rationals):
 @given(scattered_blocks())
 def test_inertia_of_disconnected_matrices_with_isolated_zero_rows(case):
     A, blocks = case
-    ine = inertia(A)
+    ine = inertia(A.sparse)
     assert ine == fraction_inertia(A) == bareiss_inertia(A)
     parts = [bareiss_inertia(B) for B in blocks]
     assert ine == Inertia(*(sum(getattr(p, k) for p in parts) for k in ("n_pos", "n_zero", "n_neg")))
     Z = with_zero_diagonal(A)
-    assert inertia(Z) == fraction_inertia(Z) == bareiss_inertia(Z)
+    assert inertia(Z.sparse) == fraction_inertia(Z) == bareiss_inertia(Z)
 
 
 @pytest.mark.parametrize(
@@ -637,7 +652,7 @@ def test_inertia_of_disconnected_matrices_with_isolated_zero_rows(case):
 )
 def test_inertia_of_zero_diagonal_examples(rows, expected):
     A = sym(rows)
-    assert inertia(A) == Inertia(*expected) == bareiss_inertia(A) == fraction_inertia(A)
+    assert inertia(A.sparse) == Inertia(*expected) == bareiss_inertia(A) == fraction_inertia(A)
 
 
 def assert_pair_core_matches_fraction_reference(A: SymMatrix) -> None:
@@ -645,9 +660,9 @@ def assert_pair_core_matches_fraction_reference(A: SymMatrix) -> None:
     references: the same inertia, and witnesses equal value for value
     (`Fraction` equality compares reduced numerators and denominators)."""
     for B in (A, with_zero_diagonal(A)):
-        rows = [{j: x for j, x in enumerate(row) if x} for row in B.rows]
-        assert inertia(B) == fraction_congruence(rows)
-        assert pivot_witnesses(B) == (inertia(B), fraction_pivot_witnesses(B))
+        rows = [{j: x for j, x in enumerate(row) if x} for row in to_lists(B)]
+        assert inertia(B.sparse) == fraction_congruence(rows)
+        assert pivot_witnesses(B.sparse) == (inertia(B.sparse), fraction_pivot_witnesses(B))
 
 
 @settings(max_examples=60)
@@ -682,7 +697,7 @@ def test_inertia_makes_no_fraction(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counted_new)
     monkeypatch.setattr(exact_linalg, "_fraction", lambda pair: made.append(pair))
-    ine = inertia(A)
+    ine = inertia(A.sparse)
     assert made == []
     Fraction(1, 2)
     assert made == [(1, 2)]  # the count does see a construction
@@ -693,15 +708,15 @@ def test_inertia_makes_no_fraction(monkeypatch):
 @settings(max_examples=60)
 @given(low_rank_symmetric())
 def test_integer_core_on_rank_deficient_matrices(A):
-    ine = inertia(A)
+    ine = inertia(A.sparse)
     assert ine == fraction_inertia(A) == bareiss_inertia(A)
     assert ine.n_zero >= 1
-    assert determinant_rows(A.rows) == 0
+    assert determinant_rows(to_lists(A)) == 0
     basis = kernel_basis(A)
     assert len(basis) == ine.n_zero
-    assert_rref_basis(A.rows, basis)
+    assert_rref_basis(to_lists(A), basis)
     with pytest.raises(ValueError):
-        solve_rows(A.rows, [F(1)] * A.order)
+        solve_rows(to_lists(A), [F(1)] * A.order)
 
 
 @settings(max_examples=60)
@@ -782,19 +797,19 @@ def test_integer_core_on_decomposition_matrices(cls, n):
     pos, neg, _ = split_blocks(A)
     blocks = (a_minus(principal_submatrix(A, pos)), principal_submatrix(A, neg))
     if n <= 120:  # the dense oracles are slow beyond; decide() below still runs
-        ine = inertia(B)
+        ine = inertia(B.sparse)
         assert ine == bareiss_inertia(B)
         for block in blocks:
-            assert inertia(block) == bareiss_inertia(block)
+            assert inertia(block.sparse) == bareiss_inertia(block)
     if n <= 64:
         assert ine == fraction_inertia(B)
         basis = kernel_basis(B)
         assert len(basis) == ine.n_zero
-        assert_rref_basis(B.rows, basis)
+        assert_rref_basis(to_lists(B), basis)
     if n == 40:
         for block in blocks:
-            assert inertia(block) == fraction_inertia(block)
-        assert determinant_rows(B.rows) == fraction_determinant(B.rows)
+            assert inertia(block.sparse) == fraction_inertia(block)
+        assert determinant_rows(to_lists(B)) == fraction_determinant(to_lists(B))
     verdict = decide(A)
     assert (verdict.branch, verdict.property_i, verdict.property_ve) == VERDICT_CLASSES[cls]
 
@@ -848,8 +863,8 @@ def test_inertia_of_the_400_piece_slowly_closing_path():
     assert path_pivot_signs(n, eps)[0] == n
     assert path_pivot_signs(n - 1, eps)[0] == n  # all n - 1 pivots positive
     rows = path_rows(n, eps)  # A-minus is the path itself: every diagonal is negative
-    assert inertia(rows) == Inertia(n_pos=1, n_zero=0, n_neg=n - 1)
-    assert inertia([row[:-1] for row in rows[:-1]]) == Inertia(n_pos=0, n_zero=0, n_neg=n - 1)
+    assert inertia(SymMatrix(rows).sparse) == Inertia(n_pos=1, n_zero=0, n_neg=n - 1)
+    assert inertia(SymMatrix([row[:-1] for row in rows[:-1]]).sparse) == Inertia(n_pos=0, n_zero=0, n_neg=n - 1)
 
 
 # --- witnesses of positive pivots -----------------------------------------------
@@ -860,7 +875,7 @@ def quadratic_form(A: SymMatrix, x: dict) -> Fraction:
 
 
 def assert_pivot_witnesses(A: SymMatrix) -> None:
-    ine, witnesses = pivot_witnesses(A)
+    ine, witnesses = pivot_witnesses(A.sparse)
     assert ine == bareiss_inertia(A)
     # one witness per positive eigenvalue: a positive 1x1 pivot or a 2x2 block
     assert len(witnesses) == ine.n_pos

@@ -69,9 +69,9 @@ def test_parse_rational_field_rejects_decimal_strings():
 
 def test_matrix_round_trip_is_exact():
     A = sym([["-1/3", "5/2"], ["5/2", 0]])
-    data = rows_to_json(A.rows)
+    data = rows_to_json(to_lists(A))
     assert data == [["-1/3", "5/2"], ["5/2", "0"]]
-    assert rows_to_json(A) == data  # from the sparse view
+    assert rows_to_json(A) == data  # from the nonzeros
     back = matrix_rows_from_json(data, "matrix")
     assert to_lists(SymMatrix(back)) == to_lists(A)
 

@@ -2,8 +2,11 @@
 
 A function that only tests call belongs with the tests (`oracles.py`), not
 in the package.  This test reads every module of the package with `ast` and
-fails on a function or method, dunders aside, whose name appears nowhere in
-the package except at its own definition, as a name or as an attribute.
+fails on a function or method, dunders aside, that the package never uses:
+a function counts as used where its name appears as a name or as an
+attribute, a method (a function defined in a class body) only where it is
+read as an attribute, ``x.name``.  A local variable that shares a method's
+name does not count for the method.
 """
 
 import ast
@@ -21,22 +24,28 @@ ALLOWED = {
 
 
 def unnamed_functions() -> dict[str, str]:
-    """Functions named nowhere in the package but at their definition, mapped to file:line."""
-    defined: dict[str, str] = {}
-    named: set[str] = set()
+    """Functions and methods the package never uses, mapped to file:line."""
+    functions: dict[str, str] = {}
+    methods: dict[str, str] = {}
+    in_class: set[ast.AST] = set()
+    names: set[str] = set()
+    attributes: set[str] = set()
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for path in sorted(Path(gmsurf.__file__).parent.glob("*.py")):
+        # ast.walk is breadth first: a class is seen before the functions in its body.
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ClassDef):
+                in_class.update(item for item in node.body if isinstance(item, definitions))
+            elif isinstance(node, definitions):
+                found = methods if node in in_class else functions
+                found.setdefault(node.name, f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.Name):
-                named.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-    return {
-        name: where
-        for name, where in defined.items()
-        if name not in named and not (name.startswith("__") and name.endswith("__"))
-    }
+                attributes.add(node.attr)
+    unused = {name: where for name, where in functions.items() if name not in names | attributes}
+    unused.update((name, where) for name, where in methods.items() if name not in attributes)
+    return {name: where for name, where in unused.items() if not (name.startswith("__") and name.endswith("__"))}
 
 
 def test_every_package_function_is_named_in_the_package():

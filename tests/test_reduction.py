@@ -45,7 +45,7 @@ F = Fraction
 
 def negative_definite(A: SymMatrix) -> bool:
     """Every eigenvalue negative; the 0x0 matrix vacuously so."""
-    return inertia(A).n_neg == A.order
+    return inertia(A.sparse).n_neg == A.order
 
 
 def sym(rows) -> SymMatrix:
@@ -104,7 +104,7 @@ def test_reduction_of_indefinite_pair():
 def test_reduction_of_already_singular_matrix_is_itself():
     A = sym([["-1", 1], [1, "-1"]])
     cert = find_singular_reduction(A)
-    assert cert.a_prime == tuple(tuple(row) for row in A.rows)
+    assert cert.a_prime == tuple(tuple(row) for row in to_lists(A))
     assert cert.a == (F(1), F(1))
 
 
@@ -150,7 +150,7 @@ def test_reduction_with_zero_diagonal_beside_an_indefinite_block():
     # Pieces 0 and 1 alone already have a positive eigenvalue of A-minus, so
     # the couplings between them must shrink (t0 < 1) before the solve.
     A = sym([["-1", 3, 0], [3, "-1", 1], [0, 1, 0]])
-    assert inertia(principal_submatrix(A, [0, 1])).n_pos == 1
+    assert inertia(principal_submatrix(A, [0, 1]).sparse).n_pos == 1
     cert = assert_full_support_reduction(A)
     assert 0 < cert.a_prime[0][1] < A[0, 1]
 
@@ -239,11 +239,11 @@ def test_verify_reduction_flags_changed_diagonal():
 def test_verify_reduction_flags_zero_and_negative_vectors():
     A = sym([["-1", 1], [1, "-1"]])
     zero = ReductionCertificate(
-        a_prime=tuple(tuple(row) for row in A.rows), a=(F(0), F(0))
+        a_prime=tuple(tuple(row) for row in to_lists(A)), a=(F(0), F(0))
     )
     assert any("zero" in v for v in verify_reduction(A, zero))
     negative = ReductionCertificate(
-        a_prime=tuple(tuple(row) for row in A.rows), a=(F(-1), F(-1))
+        a_prime=tuple(tuple(row) for row in to_lists(A)), a=(F(-1), F(-1))
     )
     assert any("negative entry" in v for v in verify_reduction(A, negative))
 
@@ -314,7 +314,7 @@ def test_negativity_certificate_random_instances():
         cert = negativity_certificate(A)
         assert all(v > 0 for v in cert.a)
         assert all(v <= 0 for v in cert.image)
-        assert mat_vec(A.rows, cert.a) == cert.image
+        assert mat_vec(to_lists(A), cert.a) == cert.image
         if singular:
             assert cert.image == tuple([F(0)] * order)
             basis = kernel_basis(A)
@@ -338,7 +338,7 @@ def test_bilinear_identity_at_the_weight_vector_kills_second_sum():
     a = (F(1), F(2))
     lhs, rhs = bilinear_identity(A, a=a, x=a)
     assert lhs == rhs
-    image = mat_vec(A.rows, a)
+    image = mat_vec(to_lists(A), a)
     first_sum = sum(a[i] * image[i] for i in range(2))
     assert rhs == first_sum
 
@@ -401,10 +401,10 @@ def test_strict_shrink_gallops_from_a_far_bound(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(admissible_matrices(max_order=4))
 def test_strict_shrink_preserves_branch_and_strictness(A):
-    if inertia(a_minus(A)).n_pos == 0:
+    if inertia(a_minus(A).sparse).n_pos == 0:
         return
     shrunk = strict_shrink(A)
-    assert inertia(a_minus(shrunk)).n_pos > 0
+    assert inertia(a_minus(shrunk).sparse).n_pos > 0
     for i in range(A.order):
         assert shrunk[i, i] == A[i, i]
         for j in range(A.order):
@@ -451,7 +451,8 @@ def test_shrink_and_reduction_match_the_dense_oracles_on_decomposition_matrices(
 
 
 class SparseOnly(SymMatrix):
-    """A matrix whose dense rows raise on access: only its sparse view can be read."""
+    """A matrix whose ``rows`` attribute raises: a builder that reaches for
+    dense rows instead of the nonzero entries fails."""
 
     @property
     def rows(self):
@@ -460,7 +461,7 @@ class SparseOnly(SymMatrix):
 
 def sparse_only(A: SymMatrix) -> SparseOnly:
     B = object.__new__(SparseOnly)
-    object.__setattr__(B, "_sparse", A.sparse)
+    object.__setattr__(B, "sparse", A.sparse)
     return B
 
 
@@ -488,7 +489,7 @@ def test_shrink_and_reduction_read_only_the_sparse_view(A):
 
 @pytest.mark.parametrize("profile", ["posEig", "any", "semidef", "negdef"])
 def test_shrink_and_reduction_read_only_the_sparse_view_of_decomposition_matrices(profile):
-    # The sparse view of a decomposition matrix lists each row's keys in torus order.
+    # The row dicts of a decomposition matrix list their keys in torus order.
     assert_reads_only_the_sparse_view(decomposition_matrix(generate_manifold(30, seed=3, profile=profile)))
 
 
@@ -535,7 +536,7 @@ def test_strict_symmetric_reductions_of_connected_negative_are_definite():
         order = rng.randint(2, 5)
         A = connected_negative_matrix(rng, order, singular=trial % 2 == 0)
         reduced = random_symmetric_reduction(rng, A, strict=True)
-        assert inertia(reduced) == Inertia(n_pos=0, n_zero=0, n_neg=order)
+        assert inertia(reduced.sparse) == Inertia(n_pos=0, n_zero=0, n_neg=order)
 
 
 def test_singular_reductions_of_semidefinite_matrices_keep_entry_sizes():
