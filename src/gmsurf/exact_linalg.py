@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals, with no floating point.
 
-Matrices enter and results leave as arbitrary-precision rationals
-(`fractions.Fraction`): :class:`SymMatrix` entries, determinants, kernel
-vectors and solutions.
+Matrices enter as arbitrary-precision rationals (`fractions.Fraction`,
+:class:`SymMatrix` entries), and the public results leave as `Fraction`
+too: determinants, kernel vectors and solutions.
 
 The signature routine is :func:`inertia`, which computes the exact eigenvalue
 sign counts (n_pos, n_zero, n_neg) of a symmetric rational matrix by congruence
@@ -27,15 +27,20 @@ elimination divides exactly by the previous pivot at each step, so entries
 stay integers the size of minors of the input.  The package no longer calls
 them.
 
-The three sparse eliminations share one exact core of integers.  Each input
-entry becomes a reduced (numerator, denominator) pair of ints, with a
-positive denominator, once on entry (:func:`_pair_rows`, from the dict
-rows).  Every update then uses `Fraction`'s own gcd-first subtraction and
-product on the pairs (:func:`_sub`, :func:`_mul`; Knuth, TAOCP vol. 2,
-4.5.1), so each pair holds the reduced
-value a `Fraction` elimination would, in the same pivot order, with no
-`Fraction` made.  Only outputs become `Fraction` again (:func:`_fraction`):
-the witness vectors with their values, and the solutions.
+The sparse eliminations share one exact core of integers.  Each entry is a
+reduced (numerator, denominator) pair of ints with a positive denominator,
+and every update uses `Fraction`'s own gcd-first sum, difference and product
+on the pairs (:func:`_sum`, :func:`_sub`, :func:`_mul`; Knuth, TAOCP
+vol. 2, 4.5.1), so each pair holds the reduced value a `Fraction`
+elimination would, in the same pivot order, with no `Fraction` made.  The
+cores are :func:`_congruence` and :func:`_mmatrix_solve`, which take and
+return pairs; :func:`inertia` and :func:`mmatrix_solve` are their `Fraction`
+wrappers, where `Fraction` entries become pairs once, on entry
+(:func:`_pair_rows`), and only a solution becomes `Fraction` again
+(:func:`_fraction`).  :func:`pivot_witnesses` and :func:`_primitive` (the
+coprime integers on a vector's ray) take pairs, so the certify builders
+(:mod:`gmsurf.reduction`, :mod:`gmsurf.surface`) call the cores directly and
+keep their own values in pairs between eliminations.
 """
 
 from __future__ import annotations
@@ -217,6 +222,15 @@ def _mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return na * nb, da * db
 
 
+def _sum(values: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of reduced pairs, reduced: each term is added as :func:`_sub`
+    of its negation."""
+    total = (0, 1)
+    for n, d in values:
+        total = _sub(total, (-n, d))
+    return total
+
+
 def _inverse(a: tuple[int, int]) -> tuple[int, int]:
     """1 / a for a nonzero reduced pair, reduced with a positive denominator."""
     n, d = a
@@ -367,24 +381,23 @@ def inertia(rows: Sequence[dict[int, Fraction]]) -> Inertia:
 
 
 def pivot_witnesses(
-    rows: Sequence[dict[int, Fraction]],
-) -> tuple[Inertia, list[tuple[Fraction, dict[int, Fraction]]]]:
+    adj: list[dict[int, tuple[int, int]]],
+) -> tuple[Inertia, list[tuple[tuple[int, int], dict[int, tuple[int, int]]]]]:
     """The inertia of a symmetric matrix A, and one vector x with x^T A x > 0
-    per positive eigenvalue.
+    per positive eigenvalue, all in reduced (numerator, denominator) pairs.
 
-    A is given as dict rows of its nonzero entries, as for :func:`inertia`.
-    They come from the elimination of :func:`inertia`, A = L D L^T, which
-    has one pivot block per positive eigenvalue: a positive 1x1 pivot d, or
-    a 2x2 pivot [[0, b], [b, 0]].  With seed y on the block, x = L^{-T} y
-    satisfies x^T A x = y^T D y = d (or 2|b|) > 0.  Returns the inertia,
-    which the same elimination gives, and the pairs (x^T A x, x), x as a
-    dict of its nonzero entries, in elimination order (empty iff A has no
-    positive eigenvalue); each x costs one sparse
-    back-substitution through the earlier blocks, in integer pairs, and
-    only the finished x becomes `Fraction`.
+    A is given as pair rows of its nonzero entries (:func:`_pair_rows`),
+    eliminated in place as in :func:`_congruence`, whose elimination,
+    A = L D L^T, has one pivot block per positive eigenvalue: a positive 1x1
+    pivot d, or a 2x2 pivot [[0, b], [b, 0]].  With seed y on the block,
+    x = L^{-T} y satisfies x^T A x = y^T D y = d (or 2|b|) > 0.  Returns the
+    inertia, which the same elimination gives, and the pairs (x^T A x, x),
+    x as a dict of its nonzero entries, in elimination order (empty iff A
+    has no positive eigenvalue); each x costs one sparse back-substitution
+    through the earlier blocks.
     """
     steps: list = []
-    ine = _congruence(_pair_rows(rows), steps)
+    ine = _congruence(adj, steps)
     witnesses = []
     for t, (seed, value, _) in enumerate(steps):
         if value[0] <= 0:
@@ -398,30 +411,17 @@ def pivot_witnesses(
                         negated = _sub(negated, _mul(f, x[i]))
                 if negated[0]:
                     x[m] = negated
-        witnesses.append((_fraction(value), {i: _fraction(v) for i, v in x.items()}))
+        witnesses.append((value, x))
     return ine, witnesses
 
 
-def mmatrix_solve(
-    rows: Sequence[dict[int, Fraction]], rhs: Sequence[Fraction] | None = None
-) -> tuple[Fraction, ...] | None:
-    """Solve M x = rhs exactly if the Z-matrix M is a nonsingular M-matrix; else None.
-
-    M (off-diagonal entries <= 0, a symmetric nonzero pattern, values not
-    necessarily symmetric) is given by one dict of nonzero entries per row.
-    Gaussian elimination takes diagonal pivots only, in minimum-degree
-    order (smallest index among equals), and stops at the first pivot <= 0:
-    a Z-matrix is a nonsingular M-matrix iff all its leading principal
-    minors are positive, in any symmetric order (Berman and Plemmons,
-    *Nonnegative Matrices in the Mathematical Sciences*, ch. 6), so no
-    pivoting is needed.  Positive pivots keep the rest a Z-matrix, and an
-    off-diagonal entry only moves away from 0, so the pattern stays
-    symmetric.  Without ``rhs`` this is the test alone and returns ``()``
-    on success.  Like :func:`inertia`, it eliminates in reduced integer
-    pairs; only the solution becomes `Fraction`.
-    """
-    adj = _pair_rows(rows)
-    b = None if rhs is None else [(v.numerator, v.denominator) for v in rhs]
+def _mmatrix_solve(
+    adj: list[dict[int, tuple[int, int]]], b: list[tuple[int, int]] | None = None
+) -> list[tuple[int, int]] | tuple[()] | None:
+    """The elimination of :func:`mmatrix_solve` on pair rows and a pair
+    right-hand side, both changed in place; the solution comes back in
+    pairs, ``()`` without ``b``, None if the matrix is not a nonsingular
+    M-matrix."""
     queue = sorted((len(row) - (i in row), i) for i, row in enumerate(adj))
     queued = {key[1]: key for key in queue}
     done: list[tuple[int, tuple[int, int], dict[int, tuple[int, int]]]] = []
@@ -455,7 +455,30 @@ def mmatrix_solve(
         for j, v in row.items():
             total = _sub(total, _mul(v, x[j]))
         x[k] = _mul(total, inverse)
-    return tuple(_fraction(v) for v in x)
+    return x
+
+
+def mmatrix_solve(
+    rows: Sequence[dict[int, Fraction]], rhs: Sequence[Fraction] | None = None
+) -> tuple[Fraction, ...] | None:
+    """Solve M x = rhs exactly if the Z-matrix M is a nonsingular M-matrix; else None.
+
+    M (off-diagonal entries <= 0, a symmetric nonzero pattern, values not
+    necessarily symmetric) is given by one dict of nonzero entries per row.
+    Gaussian elimination takes diagonal pivots only, in minimum-degree
+    order (smallest index among equals), and stops at the first pivot <= 0:
+    a Z-matrix is a nonsingular M-matrix iff all its leading principal
+    minors are positive, in any symmetric order (Berman and Plemmons,
+    *Nonnegative Matrices in the Mathematical Sciences*, ch. 6), so no
+    pivoting is needed.  Positive pivots keep the rest a Z-matrix, and an
+    off-diagonal entry only moves away from 0, so the pattern stays
+    symmetric.  Without ``rhs`` this is the test alone and returns ``()``
+    on success.  Like :func:`inertia`, this wraps a core of reduced integer
+    pairs (:func:`_mmatrix_solve`); only the solution becomes `Fraction`.
+    """
+    b = None if rhs is None else [(v.numerator, v.denominator) for v in rhs]
+    x = _mmatrix_solve(_pair_rows(rows), b)
+    return None if x is None else tuple(_fraction(v) for v in x)
 
 
 def _eliminate(m: list[list[int]], stop_col: int) -> tuple[list[int], int, int]:
@@ -589,6 +612,16 @@ def mat_vec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> tupl
     return tuple(sum((x * v for x, v in zip(r, vec) if x), Fraction(0)) for r in rows)
 
 
+def _primitive(vec: Sequence[tuple[int, int]]) -> list[int]:
+    """The coprime integers on the ray of a nonzero vector of reduced pairs:
+    the vector times the lcm of its denominators, over the gcd of the
+    resulting numerators."""
+    scale = lcm(*(d for _, d in vec))
+    ints = [n * (scale // d) for n, d in vec]
+    common = gcd(*ints)
+    return [v // common for v in ints]
+
+
 def primitive_vector(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale a rational vector by a positive rational to coprime integer entries.
 
@@ -596,10 +629,6 @@ def primitive_vector(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     preserves direction, sign pattern, and support, so callers may normalize
     kernel vectors freely.
     """
-    nonzero = [v for v in vec if v != 0]
-    if not nonzero:
+    if not any(vec):
         return tuple(vec)
-    denominator_lcm = lcm(*(v.denominator for v in nonzero))
-    scaled = [v * denominator_lcm for v in vec]
-    numerator_gcd = gcd(*(abs(v.numerator) for v in scaled if v != 0))
-    return tuple(v / numerator_gcd for v in scaled)
+    return tuple(Fraction(v) for v in _primitive([(v.numerator, v.denominator) for v in vec]))

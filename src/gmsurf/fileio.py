@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii
 from fractions import Fraction
 from pathlib import Path
 
@@ -303,11 +304,16 @@ def _write(value, indent: str, out: list[str]) -> None:
     """Append the ``indent=2`` JSON text of ``value``; its lines after the
     first start with ``indent``."""
     inner = indent + "  "
-    if type(value) is dict and value and all(type(key) is str for key in value):
+    kind = type(value)
+    if kind is int:
+        out.append(int.__repr__(value))
+    elif kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is dict and value and all(type(key) is str for key in value):
         out.append("{")
         separator = "\n"
         for key, item in value.items():
-            out.append(f"{separator}{inner}{json.dumps(key)}: ")
+            out.append(f"{separator}{inner}{encode_basestring_ascii(key)}: ")
             _write(item, inner, out)
             separator = ",\n"
         out.append(f"\n{indent}}}")
@@ -316,6 +322,13 @@ def _write(value, indent: str, out: list[str]) -> None:
         between = f'",\n{entry}"'
         rows = [f'[\n{entry}"{between.join(row)}"\n{inner}]' if row else "[]" for row in value]
         out.append(f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{indent}]")
+    elif kind is list and value:
+        separator = f"[\n{inner}"
+        for item in value:
+            out.append(separator)
+            _write(item, inner, out)
+            separator = f",\n{inner}"
+        out.append(f"\n{indent}]")
     else:
         out.append(json.dumps(value, indent=2).replace("\n", "\n" + indent))
 
@@ -324,9 +337,12 @@ def json_text(doc) -> str:
     """The text of ``json.dumps(doc, indent=2)``, byte for byte.
 
     The pure-Python encoder that ``indent`` selects costs about 1 us per
-    entry, so a matrix, a list of rows of rational strings, is written
-    row by row: one regex shows that a row needs no escaping, and the row
-    is joined in C.  Objects with string keys are walked; every other value
+    entry, so the document is walked here instead: lists, objects with
+    string keys (such as the curve systems of a surface certificate), and
+    the ints and strings in them, written by the encoder's own primitives
+    (``int.__repr__``, ``encode_basestring_ascii``).  A matrix, a list of
+    rows of rational strings, is written row by row: one regex shows that a
+    row needs no escaping, and the row is joined in C.  Every other value
     is ``json.dumps(value, indent=2)``, re-indented.
     """
     out: list[str] = []

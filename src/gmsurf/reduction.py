@@ -19,7 +19,7 @@ M-matrix test) finds the move on which the Perron root crosses 0, and one
 M-matrix solve w = (-S)^{-1} e_i gives both the exact rational crossing
 (the matrix determinant lemma) and the annihilated vector w.  Every step is
 one sparse elimination with diagonal pivots in minimum-degree order
-(:func:`gmsurf.exact_linalg.mmatrix_solve`); no determinant or dense
+(:func:`gmsurf.exact_linalg._mmatrix_solve`); no determinant or dense
 elimination is taken.  On a connected matrix the annihilated vector is
 positive at every index.  The builders read only the nonzero entries of
 A-minus (:func:`gmsurf.manifold.a_minus`); A' is written out dense once, as
@@ -27,8 +27,14 @@ the certificate.
 
 :func:`strict_shrink` prepares the input of the surface builder: one
 congruence elimination of A-minus bounds the shrink factor from below, and a
-few inertia tests pin it; off the positive-eigenvalue branch, that
+few congruence tests pin it; off the positive-eigenvalue branch, that
 elimination's inertia names the branch in :class:`NoPositiveEigenvalueError`.
+
+Both builders keep their values in reduced (numerator, denominator) pairs of
+ints between the eliminations of :mod:`gmsurf.exact_linalg`: `Fraction`
+enters only as the :class:`SymMatrix` entries they read, once each, and
+leaves only as the shrunk matrix and the :class:`ReductionCertificate` they
+return.  The verifier and :func:`negativity_certificate` work in `Fraction`.
 
 :func:`negativity_certificate` is the complementary tool for matrices that
 are negative semidefinite: it produces a strictly positive vector a with
@@ -41,13 +47,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .decision import immersed
 from .exact_linalg import (
     SymMatrix,
+    _congruence,
+    _fraction,
+    _inverse,
+    _mmatrix_solve,
+    _mul,
+    _pair_rows,
+    _primitive,
+    _sum,
     check_nonnegative_off_diagonal,
     graph_components,
-    inertia,
+    inertia,  # unused here; bench/tests/test_tracer.py checks the tracer replaces this binding
     mat_vec,
     mmatrix_solve,
     pivot_witnesses,
@@ -84,6 +99,12 @@ class ReductionCertificate:
     def order(self) -> int:
         return len(self.a)
 
+    @property
+    def shape(self) -> str:
+        """``a_prime``'s rows x columns; ragged rows list their sorted widths."""
+        widths = sorted({len(row) for row in self.a_prime}) or [0]
+        return f"{len(self.a_prime)} x {widths[0] if len(widths) == 1 else widths}"
+
     def has_order(self, n: int) -> bool:
         """True iff ``a`` has length n and ``a_prime`` is n x n."""
         return (
@@ -94,18 +115,20 @@ class ReductionCertificate:
 
 
 def _perron_reduction(
-    B: list[dict[int, Fraction]],
-) -> tuple[list[dict[int, Fraction]], tuple[Fraction, ...]] | None:
+    B: list[dict[int, tuple[int, int]]],
+) -> tuple[list[dict[int, tuple[int, int]]], list[int]] | None:
     """A singular reduction of a connected B and a strictly positive vector it annihilates.
 
-    B is one ``{column: value}`` dict of nonzero entries per row, with
-    non-positive diagonal and non-negative off-diagonal entries; the
-    reduction comes back in the same form.  Returns None iff B is negative
-    definite.  Let Z be the indices with zero diagonal and N the rest.
-    Scaling the couplings inside N by t0 = min(1, |B_ii| / (2 sum_{j in N}
-    B_ij) over i in N) makes B_N strictly diagonally dominant, so -B_N(t0)
-    is a nonsingular M-matrix.  Every step is one sparse M-matrix
-    elimination (:func:`mmatrix_solve`).
+    B is one ``{column: (numerator, denominator)}`` dict of nonzero entries
+    per row, in reduced pairs, with non-positive diagonal and non-negative
+    off-diagonal entries; the reduction comes back in the same form and the
+    vector as coprime integers.  Returns None iff B is negative definite.
+    Let Z be the indices with zero diagonal and N the rest.  Scaling the
+    couplings inside N by t0 = min(1, |B_ii| / (2 sum_{j in N} B_ij) over
+    i in N) makes B_N strictly diagonally dominant, so -B_N(t0) is a
+    nonsingular M-matrix.  Every step is one sparse M-matrix elimination of
+    pair rows (:func:`_mmatrix_solve`), and every value between them is a
+    pair too: no `Fraction` is made here.
 
     - Z non-empty (B is not negative definite): rows in Z lose their
       couplings and get weight 1; couplings from N into Z stay; solving
@@ -126,40 +149,46 @@ def _perron_reduction(
       the kernel.  A crossing beyond B_ij means the root of B is already
       negative; one exactly at B_ij means B is singular and is its own
       reduction.
+
+    The vector is primitive: times the lcm of its denominators, over the
+    gcd of the numerators (:func:`_primitive`).
     """
     n = len(B)
-    rest = [i for i, row in enumerate(B) if row.get(i)]
-    t0 = Fraction(1)
+    rest = [i for i, row in enumerate(B) if i in row]
+    t0 = (1, 1)
     for i in rest:
-        total = sum(x for j, x in B[i].items() if j != i and B[j].get(j))
-        if total:
-            t0 = min(t0, -B[i][i] / (2 * total))
+        total = _sum(x for j, x in B[i].items() if j != i and j in B[j])
+        if total[0]:
+            diagonal = B[i][i]
+            bound = _mul((-diagonal[0], diagonal[1]), _inverse(_mul((2, 1), total)))
+            if bound[0] * t0[1] < t0[0] * bound[1]:
+                t0 = bound
 
     if len(rest) < n:
-        m: list[dict[int, Fraction]] = [{} for _ in range(n)]
+        m: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
         for i in rest:
-            m[i] = {j: x if j == i or not B[j].get(j) else t0 * x for j, x in B[i].items()}
-        a = [Fraction(1)] * n
+            m[i] = {j: x if j == i or j not in B[j] else _mul(t0, x) for j, x in B[i].items()}
+        a = [(1, 1)] * n
         if rest:
             position = {i: r for r, i in enumerate(rest)}
-            coupling = [sum((x for j, x in B[i].items() if j not in position), Fraction(0)) for i in rest]
-            negated = [{position[j]: -x for j, x in m[i].items() if j in position} for i in rest]
-            for i, v in zip(rest, mmatrix_solve(negated, coupling)):
+            coupling = [_sum(x for j, x in B[i].items() if j not in position) for i in rest]
+            negated = [{position[j]: (-x[0], x[1]) for j, x in m[i].items() if j in position} for i in rest]
+            for i, v in zip(rest, _mmatrix_solve(negated, coupling)):
                 a[i] = v
-        if any(v <= 0 for v in a):
+        if any(v[0] <= 0 for v in a):
             raise AssertionError("zero-diagonal solve produced a non-positive weight")
-        return m, primitive_vector(a)
+        return m, _primitive(a)
 
-    if t0 == 1:
+    if t0 == (1, 1):
         return None
     # Row-major, ascending column: the row dicts' keys follow no order.
-    moves = [(i, j, t0 * x) for i, row in enumerate(B) for j, x in sorted(row.items()) if i != j]
-    negated = [{j: -x for j, x in row.items()} for row in B]
+    moves = [(i, j, _mul(t0, x)) for i, row in enumerate(B) for j, x in sorted(row.items()) if i != j]
+    negated = [{j: (-x[0], x[1]) for j, x in row.items()} for row in B]
 
-    def negated_state(k: int) -> list[dict[int, Fraction]]:
+    def negated_state(k: int) -> list[dict[int, tuple[int, int]]]:
         rows = [dict(row) for row in negated]
         for i, j, x in moves[:k]:
-            rows[i][j] = -x
+            rows[i][j] = (-x[0], x[1])
         return rows
 
     # The Perron root of state hi is < 0; bisection keeps lo as the last
@@ -167,22 +196,23 @@ def _perron_reduction(
     lo, hi = 0, len(moves)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if mmatrix_solve(negated_state(mid)) is None:
+        if _mmatrix_solve(negated_state(mid)) is None:
             lo = mid
         else:
             hi = mid
     i, j, moved = moves[lo]
-    w = mmatrix_solve(negated_state(hi), [Fraction(int(r == i)) for r in range(n)])
-    if any(v <= 0 for v in w):
+    w = _mmatrix_solve(negated_state(hi), [(int(r == i), 1) for r in range(n)])
+    if any(v[0] <= 0 for v in w):
         raise AssertionError("kernel vector is not strictly positive")
-    crossing = moved + 1 / w[j]
-    if crossing > B[i][j]:
+    crossing = _sum((moved, _inverse(w[j])))
+    limit = B[i][j]
+    if crossing[0] * limit[1] > limit[0] * crossing[1]:
         return None
     m = [dict(row) for row in B]
     for p, q, x in moves[:lo]:
         m[p][q] = x
     m[i][j] = crossing
-    return m, primitive_vector(w)
+    return m, _primitive(w)
 
 
 def find_singular_reduction(A: SymMatrix) -> ReductionCertificate:
@@ -196,14 +226,17 @@ def find_singular_reduction(A: SymMatrix) -> ReductionCertificate:
     with a strictly positive vector; every other coupling becomes 0 and every
     other weight 0.  On a connected A the vector is positive at every index.
     Positive diagonal entries of A are restored by negating their rows, which
-    leaves the kernel unchanged.  Only the nonzero entries are read, and A'
-    is written out dense once, at the end.
+    leaves the kernel unchanged.  Only the nonzero entries are read, each
+    once as a (numerator, denominator) pair; A' and the vector become
+    `Fraction` once, written out dense as the certificate.
     """
     sparse, minus = A.sparse, a_minus(A).sparse
     for component in graph_components(check_nonnegative_off_diagonal(A)):
         # A component holds every neighbour of its vertices.
         position = {i: r for r, i in enumerate(component)}
-        found = _perron_reduction([{position[j]: x for j, x in minus[i].items()} for i in component])
+        found = _perron_reduction(
+            [{position[j]: (x.numerator, x.denominator) for j, x in minus[i].items()} for i in component]
+        )
         if found is not None:
             break
     else:
@@ -216,10 +249,10 @@ def find_singular_reduction(A: SymMatrix) -> ReductionCertificate:
     for i, row in enumerate(sparse):
         m[i][i] = row.get(i, m[i][i])
     for r, i in enumerate(component):
-        a[i] = block_a[r]
+        a[i] = _fraction((block_a[r], 1))
         sign = -1 if sparse[i].get(i, 0) > 0 else 1
-        for s, x in block_rows[r].items():
-            m[i][component[s]] = sign * x
+        for s, (num, den) in block_rows[r].items():
+            m[i][component[s]] = _fraction((sign * num, den))
     return ReductionCertificate(a_prime=tuple(tuple(row) for row in m), a=tuple(a))
 
 
@@ -228,7 +261,7 @@ def verify_reduction(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
     violations: list[str] = []
     n = A.order
     if not cert.has_order(n):
-        return [f"shape mismatch: certificate order {cert.order}, matrix order {n}"]
+        return [f"shape mismatch: a has {cert.order} entries, a_prime is {cert.shape}, matrix order {n}"]
     for i in range(n):
         if cert.a_prime[i][i] != A[i, i]:
             violations.append(f"diagonal changed at {i}: {cert.a_prime[i][i]} != {A[i, i]}")
@@ -310,34 +343,46 @@ def strict_shrink(A: SymMatrix) -> SymMatrix:
     keeps a positive eigenvalue.  The top eigenvalue of a matrix with
     non-negative off-diagonal entries grows with them, so having one is
     monotone in k: test 1/2 first, then gallop from the bound's power toward
-    larger eps and bisect, each test one inertia.  Raises
-    NoPositiveEigenvalueError, naming the branch (:func:`gmsurf.decision.immersed`
-    of the elimination's inertia), if A-minus has no positive eigenvalue,
-    and ValueError on a negative off-diagonal entry.
+    larger eps and bisect, each test one congruence (:func:`_congruence`).
+    Raises NoPositiveEigenvalueError, naming the branch
+    (:func:`gmsurf.decision.immersed` of the elimination's inertia), if
+    A-minus has no positive eigenvalue, and ValueError on a negative
+    off-diagonal entry.
+
+    B is read once into reduced (numerator, denominator) pairs, and the
+    bound is taken in integers: C over the lcm L of its denominators, each
+    x over the lcm D of its own.  Only the returned shrunk matrix is
+    `Fraction`.
     """
-    neighbours = check_nonnegative_off_diagonal(A)
-    sparse = A.sparse
-    minus = a_minus(A).sparse
-    ine, witnesses = pivot_witnesses(minus)
+    check_nonnegative_off_diagonal(A)
+    minus = _pair_rows(a_minus(A).sparse)
+    ine, witnesses = pivot_witnesses([dict(row) for row in minus])
     if not witnesses:
         pos, neg, _ = split_blocks(A)
         raise NoPositiveEigenvalueError(f"decision branch is {immersed(ine, pos, neg)[1].value}")
 
-    def coupling_form(x: dict[int, Fraction]) -> Fraction:
-        return sum(abs(v * x[j]) * sparse[i][j] for i, v in x.items() for j in neighbours[i] if j in x)
+    # Per witness, the floor of |x|^T C |x| / x^T B x, the reciprocal of its
+    # bound: C times the lcm of its denominators and |x| times the lcm of its
+    # own are integers.
+    scale = lcm(*(d for i, row in enumerate(minus) for j, (_, d) in row.items() if j != i))
+    coupling = [{j: n * (scale // d) for j, (n, d) in row.items() if j != i} for i, row in enumerate(minus)]
+    reciprocals = []
+    for (value_num, value_den), x in witnesses:
+        common = lcm(*(d for _, d in x.values()))
+        weights = {i: abs(n) * (common // d) for i, (n, d) in x.items()}
+        form = sum(
+            w * weights[j] * c for i, w in weights.items() for j, c in coupling[i].items() if j in weights
+        )
+        reciprocals.append(form * value_den // (scale * common * common * value_num))
 
-    bound = max(value / coupling_form(x) for value, x in witnesses)
-
-    def shrunk(rows, k: int) -> list[dict[int, Fraction]]:
-        factor = 1 - Fraction(1, 2**k)
-        return [{j: x if i == j else x * factor for j, x in row.items()} for i, row in enumerate(rows)]
+    def shrunk(k: int) -> list[dict[int, tuple[int, int]]]:
+        factor = (2**k - 1, 2**k)
+        return [{j: x if i == j else _mul(x, factor) for j, x in row.items()} for i, row in enumerate(minus)]
 
     def positive(k: int) -> bool:
-        return inertia(shrunk(minus, k)).n_pos > 0
+        return _congruence(shrunk(k)).n_pos > 0
 
-    hi = 1  # positive(hi) holds: 2^-hi < bound
-    while Fraction(1, 2**hi) >= bound:
-        hi += 1
+    hi = max(1, min(reciprocals).bit_length())  # least k >= 1 with 2^-k < best bound: positive(hi)
     lo = 0
     if hi > 1:
         if positive(1):
@@ -351,4 +396,9 @@ def strict_shrink(A: SymMatrix) -> SymMatrix:
             hi, gap = k, 2 * gap
         else:
             lo = k
-    return SymMatrix._from_sparse(shrunk(sparse, hi))
+    return SymMatrix._from_sparse(
+        [
+            {j: A.sparse[i][j] if i == j else _fraction(x) for j, x in row.items()}
+            for i, row in enumerate(shrunk(hi))
+        ]
+    )

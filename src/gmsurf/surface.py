@@ -26,7 +26,16 @@ witnessed constructively.  The builder:
        b_minus = (-opposite a_minus - q * own a_minus) / p
 
    with q read from that side of the torus;
-4. clears denominators with one global integer scale.
+4. clears denominators with one global integer scale, the lcm of every
+   side's denominators.
+
+Steps 1 and 2 work in reduced (numerator, denominator) pairs of ints
+(:mod:`gmsurf.reduction`), and so do steps 3 and 4: the coupling, A' and
+the reduction's vector are read into pairs, every a and b is a pair, and
+each degree and coordinate is its numerator times scale // denominator.
+`Fraction` enters as the decomposition matrix and leaves as the
+certificate's shrunk matrix and reduction; the verifier works in `Fraction`
+and shares no code with the builder.
 
 The resulting integer data satisfies, exactly: per torus side
 a_plus + a_minus = degree of the side's piece; per piece the fiber-coordinate
@@ -52,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exact_linalg import SymMatrix
+from .exact_linalg import SymMatrix, _fraction, _inverse, _mul, _sub
 from .manifold import DecompositionGraph, decomposition_matrix
 from .reduction import (
     ReductionCertificate,
@@ -97,42 +106,54 @@ class SurfaceCertificate:
     systems: tuple[CurveSystem, ...]
 
 
+def _pair(x: Fraction) -> tuple[int, int]:
+    """The reduced (numerator, denominator) pair of a `Fraction`."""
+    return x.numerator, x.denominator
+
+
 def build_surface_certificate(G: DecompositionGraph) -> SurfaceCertificate:
     """Construct and scale the full curve-system certificate.
 
     Off the constructive branch, :func:`strict_shrink` raises
-    NoPositiveEigenvalueError naming the decision branch.  The certificate
-    is not rechecked here: :func:`verify_surface_certificate` is the
-    independent check.
+    NoPositiveEigenvalueError naming the decision branch.  The sides are
+    computed in reduced integer pairs, read from the `Fraction` entries of
+    A and of the reduction, and scaled to ints without a `Fraction` made.
+    The certificate is not rechecked here: :func:`verify_surface_certificate`
+    is the independent check.
     """
     A = decomposition_matrix(G)
     shrunk = strict_shrink(A)
     reduction = find_singular_reduction(shrunk)
-    a, a_prime = reduction.a, reduction.a_prime
+    a_prime = reduction.a_prime
+    a = [_pair(x) for x in reduction.a]
 
     index = {p.id: k for k, p in enumerate(G.pieces)}
     sides: list[tuple] = []
     for t_idx, t in enumerate(G.tori):
         u, v = index[t.from_piece], index[t.to_piece]
-        coupling = A[u, v]
+        coupling = _pair(A[u, v])
+        half = _inverse(_mul((2, 1), coupling))
         # a_plus of each side reads the reduced coupling from the opposite piece
-        from_plus = (coupling - a_prime[v][u]) / (2 * coupling) * a[u]
-        to_plus = (coupling - a_prime[u][v]) / (2 * coupling) * a[v]
-        from_minus, to_minus = a[u] - from_plus, a[v] - to_plus
+        from_plus = _mul(_mul(_sub(coupling, _pair(a_prime[v][u])), half), a[u])
+        to_plus = _mul(_mul(_sub(coupling, _pair(a_prime[u][v])), half), a[v])
+        from_minus, to_minus = _sub(a[u], from_plus), _sub(a[v], to_plus)
+        over_p, q, q_prime = _inverse((t.p, 1)), (t.q, 1), (t.q_prime, 1)
         sides.append((t_idx, t.from_piece, from_plus, from_minus,
-                      (to_plus - t.q * from_plus) / t.p, (-to_minus - t.q * from_minus) / t.p))
+                      _mul(_sub(to_plus, _mul(q, from_plus)), over_p),
+                      _mul(_sub((-to_minus[0], to_minus[1]), _mul(q, from_minus)), over_p)))
         sides.append((t_idx, t.to_piece, to_plus, to_minus,
-                      (from_plus - t.q_prime * to_plus) / t.p, (-from_minus - t.q_prime * to_minus) / t.p))
+                      _mul(_sub(from_plus, _mul(q_prime, to_plus)), over_p),
+                      _mul(_sub((-from_minus[0], from_minus[1]), _mul(q_prime, to_minus)), over_p)))
 
-    scale = lcm(*(x.denominator for x in a), *(x.denominator for side in sides for x in side[2:]))
-    degrees = tuple(int(x * scale) for x in a)
+    scale = lcm(*(d for _, d in a), *(d for side in sides for _, d in side[2:]))
+    degrees = tuple(n * (scale // d) for n, d in a)
     return SurfaceCertificate(
         degrees=degrees,
         scale=scale,
         shrunk=shrunk,
-        reduction=ReductionCertificate(a_prime=a_prime, a=tuple(Fraction(d) for d in degrees)),
+        reduction=ReductionCertificate(a_prime=a_prime, a=tuple(_fraction((d, 1)) for d in degrees)),
         systems=tuple(
-            CurveSystem(t_idx, side, *(int(x * scale) for x in values))
+            CurveSystem(t_idx, side, *(n * (scale // d) for n, d in values))
             for t_idx, side, *values in sides
         ),
     )

@@ -9,6 +9,9 @@ the dense routines they replaced, kept so tests can compare results exactly:
   takes one inertia per try;
 - :func:`crossing_reduction`, the singular reduction whose walk finds the
   crossing with two determinants and its kernel with a null space;
+- :func:`fraction_surface_sides`, the curve-system sides of the surface
+  builder computed in `Fraction`, as the builder did before it moved them
+  to reduced integer pairs;
 - :func:`per_piece_surface_violations`, the surface-certificate verifier
   that rescans every torus once per piece and multiplies A' by the degree
   vector a second time;
@@ -29,6 +32,7 @@ matrix helpers that only tests need: :func:`to_lists`,
 
 from bisect import bisect_left, insort
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from gmsurf.exact_linalg import (
@@ -45,7 +49,14 @@ from gmsurf.exact_linalg import (
     primitive_vector,
 )
 from gmsurf.manifold import DecompositionGraph, a_minus, decomposition_matrix
-from gmsurf.reduction import NegativeDefiniteError, NoPositiveEigenvalueError, ReductionCertificate, verify_reduction
+from gmsurf.reduction import (
+    NegativeDefiniteError,
+    NoPositiveEigenvalueError,
+    ReductionCertificate,
+    find_singular_reduction,
+    strict_shrink,
+    verify_reduction,
+)
 from gmsurf.surface import CurveSystem, SurfaceCertificate
 
 
@@ -345,6 +356,31 @@ def crossing_reduction(A: SymMatrix) -> ReductionCertificate:
     return ReductionCertificate(a_prime=tuple(tuple(row) for row in m), a=tuple(a))
 
 
+def fraction_surface_sides(G: DecompositionGraph) -> tuple[tuple[int, ...], int, tuple[CurveSystem, ...]]:
+    """The degrees, scale and curve systems of `gmsurf.surface.build_surface_certificate`,
+    the sides computed in `Fraction` from the same shrink and reduction."""
+    A = decomposition_matrix(G)
+    reduction = find_singular_reduction(strict_shrink(A))
+    a, a_prime = reduction.a, reduction.a_prime
+    index = {p.id: k for k, p in enumerate(G.pieces)}
+    sides: list[tuple] = []
+    for t_idx, t in enumerate(G.tori):
+        u, v = index[t.from_piece], index[t.to_piece]
+        coupling = A[u, v]
+        from_plus = (coupling - a_prime[v][u]) / (2 * coupling) * a[u]
+        to_plus = (coupling - a_prime[u][v]) / (2 * coupling) * a[v]
+        from_minus, to_minus = a[u] - from_plus, a[v] - to_plus
+        sides.append((t_idx, t.from_piece, from_plus, from_minus,
+                      (to_plus - t.q * from_plus) / t.p, (-to_minus - t.q * from_minus) / t.p))
+        sides.append((t_idx, t.to_piece, to_plus, to_minus,
+                      (from_plus - t.q_prime * to_plus) / t.p, (-from_minus - t.q_prime * to_minus) / t.p))
+    scale = lcm(*(x.denominator for x in a), *(x.denominator for side in sides for x in side[2:]))
+    systems = tuple(
+        CurveSystem(t_idx, side, *(int(x * scale) for x in values)) for t_idx, side, *values in sides
+    )
+    return tuple(int(x * scale) for x in a), scale, systems
+
+
 def _euler_wrt_meridians(G: DecompositionGraph, piece_id: int) -> Fraction:
     """e' = e - sum over incident tori of q/p, q read from this piece's side."""
     e_prime = next(p.euler for p in G.pieces if p.id == piece_id)
@@ -471,7 +507,7 @@ def all_pairs_reduction_violations(A: SymMatrix, cert: ReductionCertificate) -> 
     violations: list[str] = []
     n = A.order
     if not cert.has_order(n):
-        return [f"shape mismatch: certificate order {cert.order}, matrix order {n}"]
+        return [f"shape mismatch: a has {cert.order} entries, a_prime is {cert.shape}, matrix order {n}"]
     for i in range(n):
         if cert.a_prime[i][i] != A[i, i]:
             violations.append(f"diagonal changed at {i}: {cert.a_prime[i][i]} != {A[i, i]}")

@@ -30,6 +30,8 @@ from gmsurf.decision import Branch, decide
 from gmsurf.exact_linalg import (
     Inertia,
     SymMatrix,
+    _fraction,
+    _pair_rows,
     check_nonnegative_off_diagonal,
     determinant_rows,
     inertia,
@@ -655,6 +657,12 @@ def test_inertia_of_zero_diagonal_examples(rows, expected):
     assert inertia(A.sparse) == Inertia(*expected) == bareiss_inertia(A) == fraction_inertia(A)
 
 
+def fraction_witnesses(A: SymMatrix) -> tuple[Inertia, list[tuple[Fraction, dict]]]:
+    """:func:`pivot_witnesses` of fresh pair rows of A, its pair outputs read as `Fraction`."""
+    ine, witnesses = pivot_witnesses(_pair_rows(A.sparse))
+    return ine, [(_fraction(value), {i: _fraction(v) for i, v in x.items()}) for value, x in witnesses]
+
+
 def assert_pair_core_matches_fraction_reference(A: SymMatrix) -> None:
     """The integer-pair eliminations agree exactly with their `Fraction`
     references: the same inertia, and witnesses equal value for value
@@ -662,7 +670,7 @@ def assert_pair_core_matches_fraction_reference(A: SymMatrix) -> None:
     for B in (A, with_zero_diagonal(A)):
         rows = [{j: x for j, x in enumerate(row) if x} for row in to_lists(B)]
         assert inertia(B.sparse) == fraction_congruence(rows)
-        assert pivot_witnesses(B.sparse) == (inertia(B.sparse), fraction_pivot_witnesses(B))
+        assert fraction_witnesses(B) == (inertia(B.sparse), fraction_pivot_witnesses(B))
 
 
 @settings(max_examples=60)
@@ -875,7 +883,7 @@ def quadratic_form(A: SymMatrix, x: dict) -> Fraction:
 
 
 def assert_pivot_witnesses(A: SymMatrix) -> None:
-    ine, witnesses = pivot_witnesses(A.sparse)
+    ine, witnesses = fraction_witnesses(A)
     assert ine == bareiss_inertia(A)
     # one witness per positive eigenvalue: a positive 1x1 pivot or a 2x2 block
     assert len(witnesses) == ine.n_pos

@@ -275,6 +275,8 @@ def test_writer_matches_json_dumps_on_a_written_certificate(tmp_path):
         {1: [["1"]], "s": "t"},  # a key that is not a string
         [["1", "2"], ["3", "4"]],
         [[["1"]]],
+        # objects of ints, as curve systems are, beside near misses
+        {"systems": [{"a": 1, "b": -2}, {"c": True}, {"d": 10**30, "e": 0}], "n": 5, "x": {"f": 1.5}},
     ],
 )
 def test_writer_matches_json_dumps_on_edge_documents(doc):

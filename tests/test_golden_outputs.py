@@ -3,8 +3,10 @@
 Each digest pins the SHA-256 of one command's exit code, stdout, stderr and
 written file: `gen`, `analyze --json`, `certify` (with the certificate it
 writes), `verify --json` and `matrix --json` on `gmsurf gen` inputs at 5, 30
-and 120 pieces, seed 3, in every profile, and `matrix --json` on the
-two-piece grid of acceptance criterion 1.  A refactor must leave every byte
+and 120 pieces, seed 3, in every profile; `certify` and `verify --json` on
+the slowly-closing paths of 8, 13 and 24 pieces, whose certificates carry
+the longest entries; and `matrix --json` on the two-piece grid of
+acceptance criterion 1.  A refactor must leave every byte
 as it is; a change meant to alter an output re-records its digest and says
 why.
 """
@@ -23,6 +25,9 @@ from gmsurf.cli import main
 from gmsurf.fileio import load_manifold, rows_to_json
 from gmsurf.generate import PROFILES
 from gmsurf.manifold import decomposition_matrix
+
+from test_fileio import save_manifold
+from test_surface import slowly_closing_path
 
 GEN_DIGESTS = {
     (5, 'any'): {
@@ -105,6 +110,21 @@ GEN_DIGESTS = {
     },
 }
 
+PATH_DIGESTS = {
+    8: {
+        'certify': '9cd0d6eadb67dd79f959bf04033a443f84401429d4581eb6c7553cc071582f55',
+        'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
+    },
+    13: {
+        'certify': '271a590d7bdb63c02582ea384a09179333cd98d185d63e3f5040ca757a229381',
+        'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
+    },
+    24: {
+        'certify': 'c94d7c1eb9fc04b539dde83906f19f013b0e45fbc3799ec17944ddb7b1858b4b',
+        'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
+    },
+}
+
 GRID_DIGEST = 'a6ea0c43c778d608a548f65356c2e43a32525b39acb4567a42a2f78406f9e676'
 
 
@@ -139,6 +159,15 @@ def gen_digests(pieces: int, profile: str) -> dict[str, str]:
     return digests
 
 
+def path_digests(n: int) -> dict[str, str]:
+    """Digests of `certify` and `verify --json` on the n-piece slowly-closing path."""
+    save_manifold(slowly_closing_path(n), "m.json")
+    return {
+        "certify": sha256(run(["certify", "m.json", "--out", "cert.json"], "cert.json")),
+        "verify": sha256(run(["verify", "m.json", "cert.json", "--json"])),
+    }
+
+
 def grid_digest() -> str:
     """One digest over `matrix --json` on every matrix of the two-piece grid, in grid order."""
     diagonal = ["-3", "-2", "-1", "-1/2", "0", "1/2", "1", "2", "3"]
@@ -154,6 +183,12 @@ def grid_digest() -> str:
 def test_gen_outputs_are_byte_identical(pieces, profile, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert gen_digests(pieces, profile) == GEN_DIGESTS[pieces, profile]
+
+
+@pytest.mark.parametrize("n", sorted(PATH_DIGESTS))
+def test_slowly_closing_path_outputs_are_byte_identical(n, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert path_digests(n) == PATH_DIGESTS[n]
 
 
 def test_two_piece_grid_outputs_are_byte_identical(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from gmsurf import reduction
 from gmsurf.exact_linalg import (
     Inertia,
     SymMatrix,
+    _congruence,
     inertia,
     mat_vec,
     to_rational,
@@ -236,6 +237,18 @@ def test_verify_reduction_flags_changed_diagonal():
     assert any("diagonal changed" in v for v in verify_reduction(A, tampered))
 
 
+def test_verify_reduction_names_the_shape_of_a_prime():
+    # a and the matrix agree on the order; only a_prime is off
+    A = sym([["-1", 1, 0], [1, "-1", 1], [0, 1, "-1"]])
+    a = (F(1), F(1), F(1))
+    short = ReductionCertificate(a_prime=((F(-1),),), a=a)
+    message = "shape mismatch: a has 3 entries, a_prime is {}, matrix order 3"
+    assert verify_reduction(A, short) == [message.format("1 x 1")] == all_pairs_reduction_violations(A, short)
+    ragged = ReductionCertificate(a_prime=((F(-1), F(1)), (F(1),), (F(0), F(1), F(-1))), a=a)
+    assert verify_reduction(A, ragged) == [message.format("3 x [1, 2, 3]")]
+    assert verify_reduction(A, ReductionCertificate(a_prime=(), a=a)) == [message.format("0 x 0")]
+
+
 def test_verify_reduction_flags_zero_and_negative_vectors():
     A = sym([["-1", 1], [1, "-1"]])
     zero = ReductionCertificate(
@@ -388,10 +401,11 @@ def test_strict_shrink_rejects_semidefinite_input():
 def test_strict_shrink_gallops_from_a_far_bound(monkeypatch):
     # The best witness bound's power is 2^-11 while the answer is eps = 1/8:
     # after the test at 1/2, a gallop and a bisection take 5 more inertia
-    # tests where a walk one power at a time from 2^-11 would take 9.
+    # tests, each one congruence of pair rows, where a walk one power at a
+    # time from 2^-11 would take 9.
     A = sym([["-48/25", 1, 1], [1, "-13/25", 0], [1, 0, "-87/100"]])
     calls = []
-    monkeypatch.setattr(reduction, "inertia", lambda B: calls.append(B) or inertia(B))
+    monkeypatch.setattr(reduction, "_congruence", lambda adj: calls.append(adj) or _congruence(adj))
     shrunk = strict_shrink(A)
     assert shrunk == halving_shrink(A)
     assert shrunk[0, 1] == F(7, 8)
@@ -434,7 +448,7 @@ def assert_matches_dense_oracles(A: SymMatrix) -> None:
         assert find_singular_reduction(A) == expected_cert
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(admissible_matrices(max_order=6))
 def test_shrink_and_reduction_match_the_dense_oracles(A):
     assert_matches_dense_oracles(A)
@@ -450,51 +464,10 @@ def test_shrink_and_reduction_match_the_dense_oracles_on_decomposition_matrices(
     assert_matches_dense_oracles(verdict_matrix(24, cls))
 
 
-class SparseOnly(SymMatrix):
-    """A matrix whose ``rows`` attribute raises: a builder that reaches for
-    dense rows instead of the nonzero entries fails."""
-
-    @property
-    def rows(self):
-        raise AssertionError("dense rows read")
-
-
-def sparse_only(A: SymMatrix) -> SparseOnly:
-    B = object.__new__(SparseOnly)
-    object.__setattr__(B, "sparse", A.sparse)
-    return B
-
-
-def outcome(build, A):
-    """What ``build(A)`` returns, or the type and message of what it raises."""
-    try:
-        return build(A)
-    except (NegativeDefiniteError, NoPositiveEigenvalueError) as exc:
-        return type(exc), str(exc)
-
-
-def assert_reads_only_the_sparse_view(A: SymMatrix) -> None:
-    for build in (strict_shrink, find_singular_reduction):
-        assert outcome(build, sparse_only(A)) == outcome(build, A)
-    shrunk = outcome(strict_shrink, A)
-    if isinstance(shrunk, SymMatrix):
-        assert find_singular_reduction(sparse_only(shrunk)) == find_singular_reduction(shrunk)
-
-
-@settings(max_examples=100, deadline=None)
-@given(admissible_matrices(max_order=6))
-def test_shrink_and_reduction_read_only_the_sparse_view(A):
-    assert_reads_only_the_sparse_view(A)
-
-
 @pytest.mark.parametrize("profile", ["posEig", "any", "semidef", "negdef"])
-def test_shrink_and_reduction_read_only_the_sparse_view_of_decomposition_matrices(profile):
+def test_shrink_and_reduction_match_the_dense_oracles_on_generated_manifolds(profile):
     # The row dicts of a decomposition matrix list their keys in torus order.
-    assert_reads_only_the_sparse_view(decomposition_matrix(generate_manifold(30, seed=3, profile=profile)))
-
-
-def test_shrink_and_reduction_read_only_the_sparse_view_of_a_slowly_closing_path():
-    assert_reads_only_the_sparse_view(SymMatrix(path_rows(24, closing_epsilon(24))))
+    assert_matches_dense_oracles(decomposition_matrix(generate_manifold(30, seed=3, profile=profile)))
 
 
 # --- consequences for symmetric reductions -----------------------------------------

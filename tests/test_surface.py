@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies
 
+from gmsurf import surface
 from gmsurf.cli import main
 from gmsurf.exact_linalg import to_rational
 from gmsurf.generate import generate_manifold
@@ -26,7 +27,7 @@ from gmsurf.surface import (
     verify_surface_certificate,
 )
 
-from oracles import per_piece_surface_violations
+from oracles import fraction_surface_sides, per_piece_surface_violations
 from test_fileio import save_manifold
 
 F = Fraction
@@ -323,6 +324,49 @@ def test_certificate_reduction_recovers_annihilation_per_piece(pieces, seed):
         assert meridian_total == degrees[i] * piece.euler
 
 
+# --- the integer-pair sides against their `Fraction` reference -----------------
+
+
+def assert_sides_match_fraction_reference(G: DecompositionGraph) -> None:
+    cert = build_surface_certificate(G)
+    assert (cert.degrees, cert.scale, cert.systems) == fraction_surface_sides(G)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    strategies.integers(min_value=2, max_value=6),
+    strategies.integers(min_value=0, max_value=2_000),
+)
+def test_sides_match_the_fraction_reference_on_generated_manifolds(pieces, seed):
+    assert_sides_match_fraction_reference(generate_manifold(pieces=pieces, seed=seed, profile="posEig"))
+
+
+def test_sides_match_the_fraction_reference_on_slowly_closing_paths():
+    for n in range(4, 25):
+        assert_sides_match_fraction_reference(slowly_closing_path(n))
+
+
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__neg__", "__abs__", "__pow__")
+
+
+@pytest.mark.parametrize("n", [4, 13])
+def test_the_builder_makes_no_fraction_arithmetic(monkeypatch, n):
+    # Between reading the decomposition matrix and writing the certificate,
+    # the shrink, the Perron walk and the sides all work in integer pairs.
+    G = slowly_closing_path(n)  # no positive diagonal, so A-minus is A
+    A = decomposition_matrix(G)
+    expected = build_surface_certificate(G)
+    monkeypatch.setattr(surface, "decomposition_matrix", lambda graph: A)
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic in the builder")
+
+    for name in ARITHMETIC:
+        monkeypatch.setattr(F, name, forbidden)
+    assert build_surface_certificate(G) == expected
+
+
 # --- cost of the construction, counted without a clock -------------------------
 
 
@@ -345,8 +389,10 @@ def slowly_closing_path(n: int) -> DecompositionGraph:
     )
 
 
-SYMMETRIC = ("inertia", "pivot_witnesses")
-MMATRIX = ("mmatrix_solve",)
+# The builders call the integer-pair cores directly: a count of the
+# `Fraction`-facing wrappers (`inertia`, `mmatrix_solve`) would read 0.
+SYMMETRIC = ("_congruence",)
+MMATRIX = ("_mmatrix_solve",)
 DENSE = ("determinant_rows", "nullspace_rows", "solve_rows")
 
 
@@ -374,14 +420,14 @@ def count_calls(monkeypatch, names) -> dict[str, int]:
 def test_path_certificate_needs_logarithmically_many_solves(monkeypatch, n):
     # One congruence of A-minus and a few inertia tests for the shrink, then
     # one M-matrix elimination per bisection step and one for the crossing.
-    counts = count_calls(monkeypatch, SYMMETRIC + MMATRIX + DENSE)
+    counts = count_calls(monkeypatch, ("pivot_witnesses",) + SYMMETRIC + MMATRIX + DENSE)
     G = slowly_closing_path(n)
     cert = build_surface_certificate(G)
     assert verify_surface_certificate(G, cert) == []
     assert all(d > 0 for d in cert.degrees)
-    assert sum(counts[name] for name in SYMMETRIC) <= 6
+    assert 2 <= counts["_congruence"] <= 6
     assert counts["pivot_witnesses"] == 1
-    assert counts["mmatrix_solve"] <= math.ceil(math.log2(2 * (n - 1))) + 1
+    assert 1 <= counts["_mmatrix_solve"] <= math.ceil(math.log2(2 * (n - 1))) + 1
     assert all(counts[name] == 0 for name in DENSE)
 
 
@@ -391,9 +437,9 @@ def test_certify_off_the_branch_takes_one_elimination(monkeypatch, tmp_path, e1,
     # no second decision and no further inertia.
     path = tmp_path / "m.json"
     save_manifold(two_piece_graph(e1, e2), path)
-    counts = count_calls(monkeypatch, ("decide",) + SYMMETRIC + MMATRIX + DENSE)
+    counts = count_calls(monkeypatch, ("decide", "inertia", "pivot_witnesses") + SYMMETRIC + MMATRIX + DENSE)
     assert main(["certify", str(path), "--out", str(tmp_path / "c.json")]) == 3
-    assert counts == {**dict.fromkeys(counts, 0), "pivot_witnesses": 1}
+    assert counts == {**dict.fromkeys(counts, 0), "pivot_witnesses": 1, "_congruence": 1}
 
 
 @pytest.mark.parametrize("n", [16, 64])

@@ -21,9 +21,12 @@ BUILDERS = {
     "_sub",
     "_mul",
     "_inverse",
+    "_sum",
     "_fraction",
+    "_primitive",
     "pivot_witnesses",
     "mmatrix_solve",
+    "_mmatrix_solve",
     "_perron_reduction",
     "_eliminate",
     "determinant_rows",
@@ -34,6 +37,7 @@ BUILDERS = {
     "alpha_cycle_split",
     "_relink",
     "build_surface_certificate",
+    "_pair",
 }
 VERIFIERS = (
     (reduction, "verify_reduction"),
@@ -82,5 +86,12 @@ def test_verifiers_reference_no_builder_routine():
 
 def test_the_walk_sees_builders_where_they_are_called():
     seen = reachable_names(surface.build_surface_certificate)
-    assert {"strict_shrink", "find_singular_reduction", "pivot_witnesses", "mmatrix_solve", "inertia"} <= set(seen)
+    assert {
+        "strict_shrink",
+        "find_singular_reduction",
+        "pivot_witnesses",
+        "_congruence",
+        "_mmatrix_solve",
+        "_perron_reduction",
+    } <= set(seen)
     assert {"alpha_cycle_split", "_relink"} <= set(reachable_names(covers.find_cover))
