@@ -54,7 +54,7 @@ from typing import Iterable, Sequence
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 _ZERO = Fraction(0)
 
 
@@ -66,8 +66,19 @@ def to_rational(value: int | str | Fraction) -> Fraction:
     """Convert an exact value to a Fraction.
 
     Accepts ints, Fractions and strings like ``"3"``, ``"-5/2"``.  Floats are
-    rejected outright: every number in this package must be exact.
+    rejected outright: every number in this package must be exact.  A
+    string, the form of every rational in a file, is tested first.
     """
+    if isinstance(value, str):
+        match = _RATIONAL_RE.match(value.strip())
+        if not match:
+            raise ValueError(f"not a rational string: {value!r}")
+        num, den = match.groups()
+        if den is None:
+            return Fraction(int(num))
+        if int(den) == 0:
+            raise ValueError(f"zero denominator: {value!r}")
+        return Fraction(int(num), int(den))
     if isinstance(value, bool):
         raise TypeError("cannot convert bool to a rational")
     if isinstance(value, Fraction):
@@ -76,16 +87,6 @@ def to_rational(value: int | str | Fraction) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         raise TypeError(f"floats are not exact; got {value!r}")
-    if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_RE.match(text):
-            raise ValueError(f"not a rational string: {value!r}")
-        if "/" in text:
-            num, den = text.split("/")
-            if int(den) == 0:
-                raise ValueError(f"zero denominator: {value!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
     raise TypeError(f"cannot convert {type(value).__name__} to a rational")
 
 

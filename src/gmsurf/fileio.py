@@ -26,6 +26,7 @@ import json
 import re
 from json.encoder import encode_basestring_ascii
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 from .exact_linalg import SymMatrix, rational_str, to_rational
@@ -71,9 +72,10 @@ def _expect_list(value, where: str) -> list:
 
 def rows_to_json(rows) -> list[list[str]]:
     """Rational string rows of dense rows, or of a :class:`SymMatrix` from its
-    nonzero entries alone ("0" everywhere else)."""
+    nonzero entries alone ("0" everywhere else).  A zero is written "0"
+    without a call to :func:`rational_str`."""
     if not isinstance(rows, SymMatrix):
-        return [[rational_str(x) for x in row] for row in rows]
+        return [[rational_str(x) if x else "0" for x in row] for row in rows]
     out = []
     for entries in rows.sparse:
         row = ["0"] * rows.order
@@ -133,48 +135,79 @@ def manifold_to_json(G: DecompositionGraph) -> dict:
 
 
 def manifold_from_json(data) -> DecompositionGraph:
+    """The manifold of a parsed document.
+
+    The parser owns the document's shape (objects, arrays, required keys);
+    :class:`SeifertPiece` and :class:`GluingTorus` own the field types and
+    values.  Each record goes straight to its constructor, and only a
+    record it refuses is walked again, check by check in file order, to
+    name the broken field, such as ``tori[3].q_prime``.
+    """
     doc = _expect_dict(data, "manifold")
     for key in ("pieces", "tori"):
         if key not in doc:
             raise FileFormatError(f"manifold: missing required key '{key}'")
     pieces = []
-    for k, raw in enumerate(_expect_list(doc["pieces"], "pieces")):
-        record = _expect_dict(raw, f"pieces[{k}]")
-        for key in ("id", "euler", "genus"):
-            if key not in record:
-                raise FileFormatError(f"pieces[{k}]: missing required key '{key}'")
-        cone_orders = record.get("cone_orders", [])
-        cone_orders = _expect_list(cone_orders, f"pieces[{k}].cone_orders")
-        fields = {
-            "id": parse_int_field(record["id"], f"pieces[{k}].id"),
-            "euler": parse_rational_field(record["euler"], f"pieces[{k}].euler"),
-            "genus": parse_int_field(record["genus"], f"pieces[{k}].genus"),
-            "cone_orders": tuple(
-                parse_int_field(a, f"pieces[{k}].cone_orders[{i}]")
-                for i, a in enumerate(cone_orders)
-            ),
-        }
-        try:  # the fields are parsed and located; the piece checks its own data
-            pieces.append(SeifertPiece(**fields))
-        except ValueError as exc:
-            raise FileFormatError(f"pieces[{k}]: {exc}") from exc
-    tori = []
-    for k, raw in enumerate(_expect_list(doc["tori"], "tori")):
-        record = _expect_dict(raw, f"tori[{k}]")
-        for key in ("from", "to", "p"):
-            if key not in record:
-                raise FileFormatError(f"tori[{k}]: missing required key '{key}'")
-        tori.append(
-            GluingTorus(
-                from_piece=parse_int_field(record["from"], f"tori[{k}].from"),
-                to_piece=parse_int_field(record["to"], f"tori[{k}].to"),
-                p=parse_int_field(record["p"], f"tori[{k}].p"),
-                q=parse_int_field(record.get("q", 1), f"tori[{k}].q"),
-                q_prime=parse_int_field(record.get("q_prime", 1), f"tori[{k}].q_prime"),
-                p_prime=parse_int_field(record.get("p_prime", 0), f"tori[{k}].p_prime"),
+    for k, record in enumerate(_expect_list(doc["pieces"], "pieces")):
+        try:
+            cone_orders = record.get("cone_orders", [])
+            if type(cone_orders) is not list:
+                raise TypeError("cone_orders is not an array")
+            pieces.append(
+                SeifertPiece(record["id"], record["euler"], record["genus"], tuple(cone_orders))
             )
-        )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            _raise_piece_error(record, k, exc)
+    tori = []
+    for k, record in enumerate(_expect_list(doc["tori"], "tori")):
+        try:
+            tori.append(
+                GluingTorus(
+                    record["from"],
+                    record["to"],
+                    record["p"],
+                    record.get("q", 1),
+                    record.get("q_prime", 1),
+                    record.get("p_prime", 0),
+                )
+            )
+        except (KeyError, TypeError) as exc:
+            _raise_torus_error(record, k, exc)
     return DecompositionGraph(pieces=tuple(pieces), tori=tuple(tori))
+
+
+def _raise_piece_error(record, k: int, exc: Exception):
+    """Raise the located error of ``pieces[k]``, which its constructor
+    refused with ``exc``: the first broken check in file order (the record
+    is an object with the required keys and an array of cone orders, then
+    each field's type), or else ``exc``, the piece's complaint about its
+    values."""
+    where = f"pieces[{k}]"
+    record = _expect_dict(record, where)
+    for key in ("id", "euler", "genus"):
+        if key not in record:
+            raise FileFormatError(f"{where}: missing required key '{key}'")
+    cone_orders = _expect_list(record.get("cone_orders", []), f"{where}.cone_orders")
+    parse_int_field(record["id"], f"{where}.id")
+    parse_rational_field(record["euler"], f"{where}.euler")
+    parse_int_field(record["genus"], f"{where}.genus")
+    for i, a in enumerate(cone_orders):
+        parse_int_field(a, f"{where}.cone_orders[{i}]")
+    raise FileFormatError(f"{where}: {exc}") from exc
+
+
+def _raise_torus_error(record, k: int, exc: Exception):
+    """Raise the located error of ``tori[k]``, which its constructor refused
+    with ``exc``: the first broken check in file order."""
+    where = f"tori[{k}]"
+    record = _expect_dict(record, where)
+    for key in ("from", "to", "p"):
+        if key not in record:
+            raise FileFormatError(f"{where}: missing required key '{key}'")
+    for key in ("from", "to", "p", "q", "q_prime", "p_prime"):
+        if key in record:
+            parse_int_field(record[key], f"{where}.{key}")
+    raise FileFormatError(f"{where}: {exc}") from exc
 
 
 def reduction_cert_to_json(cert: ReductionCertificate, matrix: SymMatrix | None = None) -> dict:
@@ -245,14 +278,14 @@ def surface_cert_from_json(data) -> SurfaceCertificate:
         raise FileFormatError(f"shrunk: {exc}") from exc
     reduction, _ = reduction_cert_from_json(doc["reduction"])
     systems = []
-    for k, raw in enumerate(_expect_list(doc["systems"], "systems")):
-        record = _expect_dict(raw, f"systems[{k}]")
-        fields = {}
-        for key in ("torus", "side", "a_plus", "a_minus", "b_plus", "b_minus"):
-            if key not in record:
-                raise FileFormatError(f"systems[{k}]: missing required key '{key}'")
-            fields[key] = parse_int_field(record[key], f"systems[{k}].{key}")
-        systems.append(CurveSystem(**fields))
+    for k, record in enumerate(_expect_list(doc["systems"], "systems")):
+        try:
+            values = _system_fields(record)
+        except (KeyError, TypeError):
+            values = None
+        if values is None or not all(type(v) is int for v in values):
+            _raise_system_error(record, k)
+        systems.append(CurveSystem(*values))
     return SurfaceCertificate(
         degrees=degrees,
         scale=scale,
@@ -260,6 +293,22 @@ def surface_cert_from_json(data) -> SurfaceCertificate:
         reduction=reduction,
         systems=tuple(systems),
     )
+
+
+_SYSTEM_KEYS = ("torus", "side", "a_plus", "a_minus", "b_plus", "b_minus")
+_system_fields = itemgetter(*_SYSTEM_KEYS)
+
+
+def _raise_system_error(record, k: int):
+    """Raise the located error of ``systems[k]``: key by key in file order,
+    the first that is missing or not an integer (an int subclass, which
+    the fast path refers here, passes)."""
+    where = f"systems[{k}]"
+    record = _expect_dict(record, where)
+    for key in _SYSTEM_KEYS:
+        if key not in record:
+            raise FileFormatError(f"{where}: missing required key '{key}'")
+        parse_int_field(record[key], f"{where}.{key}")
 
 
 def parse_json(text: str, where: str | Path):

@@ -46,11 +46,23 @@ class SeifertPiece:
     cone_orders: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "euler", to_rational(self.euler))
-        object.__setattr__(self, "cone_orders", tuple(int(a) for a in self.cone_orders))
+        """One type test per field: the id, the genus and each cone order
+        must be ints (a bool, a float or a string is a TypeError), and an
+        Euler number that is not a `Fraction` goes through
+        :func:`to_rational`.  Then the values: genus >= 0, cone orders >= 2."""
+        if type(self.euler) is not Fraction:
+            object.__setattr__(self, "euler", to_rational(self.euler))
+        if type(self.cone_orders) is not tuple:
+            object.__setattr__(self, "cone_orders", tuple(self.cone_orders))
+        if type(self.id) is not int:
+            raise TypeError(f"piece id must be an integer, got {self.id!r}")
+        if type(self.genus) is not int:
+            raise TypeError(f"piece {self.id}: genus must be an integer, got {self.genus!r}")
         if self.genus < 0:
             raise ValueError(f"piece {self.id}: genus must be non-negative")
         for a in self.cone_orders:
+            if type(a) is not int:
+                raise TypeError(f"piece {self.id}: cone orders must be integers, got {a!r}")
             if a < 2:
                 raise ValueError(f"piece {self.id}: cone orders must be >= 2, got {a}")
 
@@ -83,10 +95,15 @@ class GluingTorus:
     p_prime: int = 0
 
     def __post_init__(self):
-        for name in ("p", "q", "q_prime", "p_prime"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"torus field {name} must be an integer, got {value!r}")
+        """One type test per field: all six are ints, not bools."""
+        if not (
+            type(self.from_piece) is type(self.to_piece) is type(self.p)
+            is type(self.q) is type(self.q_prime) is type(self.p_prime) is int
+        ):
+            for name in ("from_piece", "to_piece", "p", "q", "q_prime", "p_prime"):
+                value = getattr(self, name)
+                if type(value) is not int:
+                    raise TypeError(f"torus field {name} must be an integer, got {value!r}")
 
     def touches(self, piece_id: int) -> bool:
         return piece_id in (self.from_piece, self.to_piece)
@@ -109,52 +126,70 @@ class DecompositionGraph:
 
 
 def validate(G: DecompositionGraph) -> list[str]:
-    """Check every standing normalization; return all violations found (empty = valid)."""
+    """Check every standing normalization; return all violations found (empty = valid).
+
+    One pass over the tori checks each torus and counts the boundary
+    circles and neighbours of each piece; a torus is labelled only when it
+    breaks a rule.  A base orbifold's Euler characteristic is an integer
+    unless the piece has cone points, and only then is it taken in
+    `Fraction`.
+    """
     violations: list[str] = []
     ids = [p.id for p in G.pieces]
     if not G.pieces:
         violations.append("graph has no pieces")
         return violations
-    seen: set[int] = set()
-    for pid in ids:
-        if pid in seen:
-            violations.append(f"duplicate piece id {pid}")
-        seen.add(pid)
     id_set = set(ids)
-
-    for k, t in enumerate(G.tori):
-        label = f"torus {k} ({t.from_piece}-{t.to_piece})"
-        if t.from_piece == t.to_piece:
-            violations.append(f"{label}: self-gluing (from = to)")
-        for side in (t.from_piece, t.to_piece):
-            if side not in id_set:
-                violations.append(f"{label}: unknown piece id {side}")
-        if t.p <= 0:
-            violations.append(f"{label}: p must be positive, got {t.p}")
-        det = t.q * t.q_prime - t.p * t.p_prime
-        if det != 1:
-            violations.append(f"{label}: qq' - pp' = {det} != 1")
+    if len(id_set) < len(ids):
+        seen: set[int] = set()
+        for pid in ids:
+            if pid in seen:
+                violations.append(f"duplicate piece id {pid}")
+            seen.add(pid)
 
     boundary_counts = dict.fromkeys(id_set, 0)
-    for t in G.tori:
-        for side in {t.from_piece, t.to_piece} & id_set:
-            boundary_counts[side] += 1
+    adjacency: dict[int, set[int]] = {pid: set() for pid in id_set}
+    for k, t in enumerate(G.tori):
+        f, g = t.from_piece, t.to_piece
+        broken = []
+        if f == g:
+            broken.append("self-gluing (from = to)")
+        if f in id_set:
+            boundary_counts[f] += 1
+        else:
+            broken.append(f"unknown piece id {f}")
+        if g in id_set:
+            if g != f:
+                boundary_counts[g] += 1
+                if f in id_set:
+                    adjacency[f].add(g)
+                    adjacency[g].add(f)
+        else:
+            broken.append(f"unknown piece id {g}")
+        if t.p <= 0:
+            broken.append(f"p must be positive, got {t.p}")
+        det = t.q * t.q_prime - t.p * t.p_prime
+        if det != 1:
+            broken.append(f"qq' - pp' = {det} != 1")
+        if broken:
+            label = f"torus {k} ({f}-{g})"
+            violations.extend(f"{label}: {rule}" for rule in broken)
+
     for piece in G.pieces:
         boundary = boundary_counts[piece.id]
         if boundary == 0:
             violations.append(f"piece {piece.id}: not incident to any torus")
-        chi = piece.orbifold_euler(boundary)
+        # each cone point lowers chi by at least 1/2, so only a non-negative
+        # integer part needs the exact value
+        chi = 2 - 2 * piece.genus - boundary
+        if chi >= 0 and piece.cone_orders:
+            chi = piece.orbifold_euler(boundary)
         if chi >= 0:
             violations.append(
                 f"piece {piece.id}: orbifold Euler characteristic {chi} is not negative"
             )
 
     if len(G.pieces) > 1 or G.tori:
-        adjacency: dict[int, set[int]] = {pid: set() for pid in id_set}
-        for t in G.tori:
-            if t.from_piece in id_set and t.to_piece in id_set and t.from_piece != t.to_piece:
-                adjacency[t.from_piece].add(t.to_piece)
-                adjacency[t.to_piece].add(t.from_piece)
         start = ids[0]
         reached = {start}
         stack = [start]
@@ -175,7 +210,8 @@ def decomposition_matrix(G: DecompositionGraph) -> SymMatrix:
     """The symmetric decomposition matrix of a valid graph.
 
     Diagonal: piece Euler numbers.  Off-diagonal (i, j): sum of 1/p(T) over
-    the tori joining pieces i and j (parallel tori each contribute).
+    the tori joining pieces i and j (parallel tori each contribute).  Each
+    distinct p makes one `Fraction`.
     """
     violations = validate(G)
     if violations:
@@ -184,9 +220,14 @@ def decomposition_matrix(G: DecompositionGraph) -> SymMatrix:
     sparse: list[dict[int, Fraction]] = [
         {k: piece.euler} if piece.euler else {} for k, piece in enumerate(G.pieces)
     ]
+    inverses: dict[int, Fraction] = {}
     for t in G.tori:
         i, j = index[t.from_piece], index[t.to_piece]
-        sparse[i][j] = sparse[j][i] = sparse[i].get(j, 0) + Fraction(1, t.p)
+        w = inverses.get(t.p)
+        if w is None:
+            w = inverses[t.p] = Fraction(1, t.p)
+        coupling = sparse[i].get(j)
+        sparse[i][j] = sparse[j][i] = w if coupling is None else coupling + w
     return SymMatrix._from_sparse(sparse)
 
 

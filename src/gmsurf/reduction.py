@@ -269,7 +269,7 @@ def verify_reduction(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
         for j, entry in enumerate(row):
             # A has O(n) nonzero couplings: only those need the absolute value
             bound = bounds.get(j)
-            if i != j and (entry != 0 if bound is None else abs(entry) > bound):
+            if i != j and (entry if bound is None else abs(entry) > bound):
                 violations.append(f"not a reduction at ({i}, {j}): |{entry}| > {bound or 0}")
     if all(v == 0 for v in cert.a):
         violations.append("annihilated vector is zero")

@@ -192,15 +192,17 @@ def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) 
         violations.extend(verify_reduction(cert.shrunk, cert.reduction))
         if not cert.reduction.has_order(n):
             return violations
-        for i in range(n):
-            for j in range(n):
-                if i == j:
+        # Every coupling of A is positive, so a zero entry of A' breaks no
+        # rule: only the nonzero entries are read, and each against its
+        # row's couplings.
+        for i, (row, couplings) in enumerate(zip(cert.reduction.a_prime, A.sparse)):
+            for j, entry in enumerate(row):
+                if not entry or j == i:
                     continue
-                entry = cert.reduction.a_prime[i][j]
-                if A[i, j] == 0:
-                    if entry != 0:
-                        violations.append(f"reduction nonzero at ({i}, {j}) where coupling is 0")
-                elif abs(entry) >= A[i, j]:
+                coupling = couplings.get(j)
+                if coupling is None:
+                    violations.append(f"reduction nonzero at ({i}, {j}) where coupling is 0")
+                elif abs(entry) >= coupling:
                     violations.append(f"reduction not strict at ({i}, {j})")
         if tuple(cert.reduction.a) != tuple(Fraction(d) for d in cert.degrees):
             violations.append("reduction vector differs from degree vector")

@@ -27,7 +27,7 @@ from gmsurf.fileio import (
     surface_cert_to_json,
 )
 from gmsurf.generate import generate_manifold
-from gmsurf.manifold import GluingTorus, decomposition_matrix, two_piece_graph
+from gmsurf.manifold import GluingTorus, InvalidGraphError, decomposition_matrix, two_piece_graph
 from gmsurf.reduction import find_singular_reduction
 from gmsurf.surface import build_surface_certificate
 from oracles import to_lists
@@ -222,6 +222,256 @@ def test_surface_certificate_json_has_no_floats():
                 check(v)
 
     check(json.loads(text))
+
+
+# --- parser error messages ------------------------------------------------------------
+
+
+def manifold_doc() -> dict:
+    """A valid two-piece manifold document with every optional key present."""
+    return {
+        "pieces": [
+            {"id": 1, "euler": "-1", "genus": 1},
+            {"id": 2, "euler": "-3/2", "genus": 1, "cone_orders": [2, 3]},
+        ],
+        "tori": [
+            {"from": 1, "to": 2, "p": 1, "q": 1, "q_prime": 1, "p_prime": 0},
+            {"from": 2, "to": 1, "p": 2, "q": 1, "q_prime": 1, "p_prime": 0},
+        ],
+    }
+
+
+def with_changes(doc: dict, *changes) -> dict:
+    """``doc`` with each (path, value) change applied; the value ``DROP`` deletes
+    the key.  A path is a tuple of keys and indices."""
+    for path, value in changes:
+        if not path:
+            doc = value
+            continue
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    return doc
+
+
+DROP = object()
+
+MANIFOLD_MESSAGES = [
+    # the document and its two arrays
+    ((((), None),), "manifold: expected an object, got NoneType"),
+    (((("tori",), DROP),), "manifold: missing required key 'tori'"),
+    (((("pieces",), {}),), "pieces: expected an array, got dict"),
+    (((("tori",), "t"),), "tori: expected an array, got str"),
+    # pieces[k]
+    (((("pieces", 1), []),), "pieces[1]: expected an object, got list"),
+    (((("pieces", 0), 7),), "pieces[0]: expected an object, got int"),
+    (((("pieces", 1, "euler"), DROP),), "pieces[1]: missing required key 'euler'"),
+    (((("pieces", 1, "id"), "2"),), "pieces[1].id: expected an integer, got '2'"),
+    (((("pieces", 1, "id"), True),), "pieces[1].id: expected an integer, got True"),
+    (((("pieces", 1, "euler"), 0.5),),
+     'pieces[1].euler: floats are not exact; write the rational as a string like "1/2"'),
+    (((("pieces", 1, "euler"), "x"),), "pieces[1].euler: not a rational string: 'x'"),
+    (((("pieces", 1, "euler"), "1/0"),), "pieces[1].euler: zero denominator: '1/0'"),
+    (((("pieces", 1, "euler"), None),),
+     "pieces[1].euler: expected a rational string or integer, got None"),
+    (((("pieces", 1, "euler"), False),),
+     "pieces[1].euler: expected a rational string or integer, got False"),
+    (((("pieces", 1, "genus"), 1.5),), "pieces[1].genus: expected an integer, got 1.5"),
+    (((("pieces", 1, "genus"), "1"),), "pieces[1].genus: expected an integer, got '1'"),
+    (((("pieces", 1, "genus"), -1),), "pieces[1]: piece 2: genus must be non-negative"),
+    (((("pieces", 1, "cone_orders"), {}),), "pieces[1].cone_orders: expected an array, got dict"),
+    (((("pieces", 1, "cone_orders"), None),),
+     "pieces[1].cone_orders: expected an array, got NoneType"),
+    (((("pieces", 1, "cone_orders"), "23"),), "pieces[1].cone_orders: expected an array, got str"),
+    (((("pieces", 1, "cone_orders", 1), "3"),),
+     "pieces[1].cone_orders[1]: expected an integer, got '3'"),
+    (((("pieces", 1, "cone_orders", 0), 2.9),),
+     "pieces[1].cone_orders[0]: expected an integer, got 2.9"),
+    (((("pieces", 1, "cone_orders", 1), 1),),
+     "pieces[1]: piece 2: cone orders must be >= 2, got 1"),
+    # tori[k]
+    (((("tori", 1), "t"),), "tori[1]: expected an object, got str"),
+    (((("tori", 0), None),), "tori[0]: expected an object, got NoneType"),
+    (((("tori", 0, "p"), DROP),), "tori[0]: missing required key 'p'"),
+    (((("tori", 0, "from"), "1"),), "tori[0].from: expected an integer, got '1'"),
+    (((("tori", 1, "to"), None),), "tori[1].to: expected an integer, got None"),
+    (((("tori", 1, "p"), 1.0),), "tori[1].p: expected an integer, got 1.0"),
+    (((("tori", 1, "q"), True),), "tori[1].q: expected an integer, got True"),
+    (((("tori", 1, "q_prime"), "1"),), "tori[1].q_prime: expected an integer, got '1'"),
+    (((("tori", 1, "p_prime"), [0]),), "tori[1].p_prime: expected an integer, got [0]"),
+    # with two faults, the first check in file order names the error
+    (((("pieces", 1, "id"), "2"), (("pieces", 1, "euler"), 0.5)),
+     "pieces[1].id: expected an integer, got '2'"),
+    (((("pieces", 1, "euler"), "x"), (("pieces", 1, "genus"), None)),
+     "pieces[1].euler: not a rational string: 'x'"),
+    (((("pieces", 1, "id"), "2"), (("pieces", 1, "cone_orders"), {})),
+     "pieces[1].cone_orders: expected an array, got dict"),
+    (((("pieces", 1, "id"), "2"), (("pieces", 1, "genus"), DROP)),
+     "pieces[1]: missing required key 'genus'"),
+    (((("pieces", 1, "genus"), -1), (("pieces", 1, "cone_orders", 0), "x")),
+     "pieces[1].cone_orders[0]: expected an integer, got 'x'"),
+    (((("pieces", 1, "genus"), -1), (("pieces", 1, "cone_orders", 0), 1)),
+     "pieces[1]: piece 2: genus must be non-negative"),
+    (((("pieces", 1, "id"), 1.5), (("tori", 0, "from"), "1")),
+     "pieces[1].id: expected an integer, got 1.5"),
+    (((("tori", 0, "p_prime"), "0"), (("tori", 1, "from"), "1")),
+     "tori[0].p_prime: expected an integer, got '0'"),
+    (((("tori", 0, "from"), 1.5), (("tori", 0, "p"), DROP)),
+     "tori[0]: missing required key 'p'"),
+    (((("tori", 0, "q"), "1"), (("tori", 0, "to"), None)),
+     "tori[0].to: expected an integer, got None"),
+]
+
+
+@pytest.mark.parametrize("changes, message", MANIFOLD_MESSAGES, ids=lambda x: x if isinstance(x, str) else "")
+def test_manifold_parser_messages_are_pinned(changes, message):
+    with pytest.raises(FileFormatError) as info:
+        manifold_from_json(with_changes(manifold_doc(), *changes))
+    assert str(info.value) == message
+
+
+def surface_doc() -> dict:
+    return surface_cert_to_json(build_surface_certificate(two_piece_graph(0, 0)))
+
+
+SYSTEM_KEYS = ("torus", "side", "a_plus", "a_minus", "b_plus", "b_minus")
+
+SYSTEM_MESSAGES = [
+    *((((("systems", 1, key), "1"),), f"systems[1].{key}: expected an integer, got '1'")
+      for key in SYSTEM_KEYS),
+    *((((("systems", 0, key), DROP),), f"systems[0]: missing required key '{key}'")
+      for key in SYSTEM_KEYS),
+    (((("systems", 0), 3),), "systems[0]: expected an object, got int"),
+    (((("systems", 1), ["torus"]),), "systems[1]: expected an object, got list"),
+    (((("systems",), {}),), "systems: expected an array, got dict"),
+    (((("systems", 0, "a_plus"), 1.5),), "systems[0].a_plus: expected an integer, got 1.5"),
+    (((("systems", 0, "side"), False),), "systems[0].side: expected an integer, got False"),
+    # keys are checked one at a time: a bad early field names the error
+    # before a missing later one, and a missing early key before a bad later one
+    (((("systems", 0, "side"), None), (("systems", 0, "b_minus"), DROP)),
+     "systems[0].side: expected an integer, got None"),
+    (((("systems", 0, "side"), DROP), (("systems", 0, "b_minus"), None)),
+     "systems[0]: missing required key 'side'"),
+    (((("systems", 0, "b_plus"), "x"), (("systems", 1, "torus"), "y")),
+     "systems[0].b_plus: expected an integer, got 'x'"),
+]
+
+
+@pytest.mark.parametrize("changes, message", SYSTEM_MESSAGES, ids=lambda x: x if isinstance(x, str) else "")
+def test_surface_certificate_system_messages_are_pinned(changes, message):
+    doc = with_changes(surface_doc(), *changes)
+    with pytest.raises(FileFormatError) as info:
+        surface_cert_from_json(doc)
+    assert str(info.value) == message
+
+
+# --- totality of the parsers -------------------------------------------------------
+
+# JSON scalars, biased to the values the schemas hold: small ints, rational
+# strings, and near misses (floats, bools, bad strings).
+json_scalars = (
+    strategies.none()
+    | strategies.booleans()
+    | strategies.integers(-3, 5)
+    | strategies.floats(allow_nan=False, allow_infinity=False)
+    | strategies.sampled_from(["0", "-1", "2", "3/4", "-12/7", "1/0", " 2 ", "", "x", "1.5"])
+)
+any_json = strategies.recursive(
+    json_scalars,
+    lambda inner: strategies.lists(inner, max_size=3)
+    | strategies.dictionaries(strategies.text(max_size=2), inner, max_size=3),
+    max_leaves=10,
+)
+small_ints = strategies.integers(-1, 4)
+rational_strings = strategies.sampled_from(["0", "-1", "2", "3/4", "-12/7"])
+
+
+def records(**fields):
+    """Objects with every key of ``fields``, each value drawn from its
+    strategy, six times in eight; otherwise objects with any subset of the
+    keys and any JSON values, or any JSON value in place of the object."""
+    complete = strategies.fixed_dictionaries(fields)
+    faulty = strategies.fixed_dictionaries(
+        {}, optional={key: value | any_json for key, value in fields.items()}
+    )
+    return strategies.sampled_from([complete] * 6 + [faulty, any_json]).flatmap(lambda kind: kind)
+
+
+def symmetric(rows: list[list[str]]) -> list[list[str]]:
+    return [[row[j] if j >= i else rows[j][i] for j, _ in enumerate(rows)] for i, row in enumerate(rows)]
+
+
+square_rows = strategies.integers(0, 3).flatmap(
+    lambda n: strategies.lists(
+        strategies.lists(rational_strings, min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+rows = strategies.one_of(
+    square_rows.map(symmetric),
+    square_rows,
+    strategies.lists(strategies.lists(json_scalars, max_size=3), max_size=3),
+    any_json,
+)
+vectors = strategies.lists(rational_strings, max_size=3) | strategies.lists(json_scalars, max_size=3)
+# ids 1..3 and gluing data that mostly has qq' - pp' = 1, so that some
+# documents are valid manifolds and others break one rule of validate
+ids = strategies.integers(1, 3)
+manifold_docs = records(
+    pieces=strategies.lists(
+        records(id=ids, euler=rational_strings | small_ints, genus=strategies.sampled_from([1, 1, 2, 0, -1]),
+                cone_orders=strategies.lists(strategies.sampled_from([2, 3, 3, 1]), max_size=1)),
+        min_size=1,
+        max_size=3,
+    ),
+    tori=strategies.lists(
+        records(**{"from": ids, "to": ids, "p": small_ints, "q": strategies.sampled_from([1, 1, 2]),
+                   "q_prime": strategies.sampled_from([1, 1, -1]), "p_prime": strategies.sampled_from([0, 0, 1])}),
+        min_size=1,
+        max_size=3,
+    ),
+)
+
+
+@strategies.composite
+def generated_manifold_docs(draw):
+    """A generated manifold's document, half the time with one field of one
+    record replaced by a JSON scalar."""
+    G = generate_manifold(draw(strategies.integers(2, 4)), seed=draw(strategies.integers(0, 20)))
+    doc = manifold_to_json(G)
+    if draw(strategies.booleans()):
+        record = draw(strategies.sampled_from(doc["pieces"] + doc["tori"]))
+        record[draw(strategies.sampled_from(sorted(record)))] = draw(json_scalars)
+    return doc
+
+
+manifold_docs |= generated_manifold_docs()
+reduction_docs = records(a_prime=rows, a=vectors, matrix=rows)
+surface_docs = records(
+    degrees=strategies.lists(small_ints, max_size=3),
+    scale=small_ints,
+    shrunk=rows,
+    reduction=reduction_docs,
+    systems=strategies.lists(records(**{key: small_ints for key in SYSTEM_KEYS}), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(manifold_docs, surface_docs, reduction_docs)
+def test_parsers_are_total(manifold, surface, reduction):
+    """Any JSON value parses or raises an input error, never anything else."""
+    try:
+        decomposition_matrix(manifold_from_json(manifold))
+    except (FileFormatError, InvalidGraphError):
+        pass
+    for parse, doc in ((surface_cert_from_json, surface), (reduction_cert_from_json, reduction)):
+        try:
+            parse(doc)
+        except FileFormatError:
+            pass
 
 
 # --- the JSON writer ---------------------------------------------------------------

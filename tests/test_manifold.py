@@ -48,6 +48,38 @@ def test_cone_orders_below_two_rejected():
         SeifertPiece(id=1, euler=F(0), genus=0, cone_orders=(1,))
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"cone_orders": (2.9,)},  # was truncated to 2
+        {"cone_orders": (2, "3")},  # was read as 3
+        {"genus": 1.5},  # orbifold_euler then returned -2 through a float
+        {"genus": True},
+        {"id": "1"},
+    ],
+    ids=str,
+)
+def test_seifert_piece_rejects_fields_that_are_not_integers(fields):
+    with pytest.raises(TypeError):
+        SeifertPiece(**{"id": 1, "euler": F(-1), "genus": 1, **fields})
+
+
+def test_seifert_piece_reads_its_euler_number_once():
+    assert SeifertPiece(id=1, euler="-5/2").euler == F(-5, 2)
+    assert SeifertPiece(id=1, euler=-2).euler == F(-2)
+    euler = F(1, 3)
+    assert SeifertPiece(id=1, euler=euler, cone_orders=[2, 3]).euler is euler
+    assert SeifertPiece(id=1, euler=euler, cone_orders=[2, 3]).cone_orders == (2, 3)
+
+
+@pytest.mark.parametrize("name", ["from_piece", "to_piece", "p", "q", "q_prime", "p_prime"])
+@pytest.mark.parametrize("value", [1.0, "1", False])
+def test_gluing_torus_rejects_fields_that_are_not_integers(name, value):
+    fields = {"from_piece": 1, "to_piece": 2, "p": 1, name: value}
+    with pytest.raises(TypeError, match=f"torus field {name} must be an integer"):
+        GluingTorus(**fields)
+
+
 # --- validation ------------------------------------------------------------
 
 

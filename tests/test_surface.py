@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies
 
 from gmsurf import surface
 from gmsurf.cli import main
-from gmsurf.exact_linalg import to_rational
+from gmsurf.exact_linalg import SymMatrix, to_rational
 from gmsurf.generate import generate_manifold
 from gmsurf.manifold import (
     DecompositionGraph,
@@ -151,6 +151,24 @@ def tampered_system(cert: SurfaceCertificate, index: int, **changes) -> SurfaceC
         reduction=cert.reduction,
         systems=tuple(systems),
     )
+
+
+def test_verifier_reads_the_matrix_a_linear_number_of_times(monkeypatch):
+    """The strictness check reads each row's couplings from the nonzeros,
+    not A[i, j] for all n^2 pairs (40,866 reads at 200 pieces before)."""
+    G = generate_manifold(200, seed=3, profile="posEig")
+    cert = build_surface_certificate(G)
+    reads = 0
+    getitem = SymMatrix.__getitem__
+
+    def counted(self, key):
+        nonlocal reads
+        reads += 1
+        return getitem(self, key)
+
+    monkeypatch.setattr(SymMatrix, "__getitem__", counted)
+    assert verify_surface_certificate(G, cert) == []
+    assert 0 < reads <= 4 * len(G.pieces)
 
 
 def test_verifier_flags_flipped_fiber_coordinate():
