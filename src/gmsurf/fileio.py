@@ -14,10 +14,10 @@ Schemas:
                           "matrix"?: [[rational]]} where the optional matrix
   records the source the reduction was computed against;
 - surface certificate: {"degrees": [int], "scale": int,
-                        "shrunk": [[rational]],
                         "reduction": {"a_prime": [[rational]], "a": [rational]},
                         "systems": [{"torus", "side", "a_plus", "a_minus",
-                                     "b_plus", "b_minus"}]}.
+                                     "b_plus", "b_minus"}]};
+  a "shrunk" matrix, which older certificates carry, is ignored.
 """
 
 from __future__ import annotations
@@ -246,7 +246,6 @@ def surface_cert_to_json(cert: SurfaceCertificate) -> dict:
     return {
         "degrees": list(cert.degrees),
         "scale": cert.scale,
-        "shrunk": rows_to_json(cert.shrunk),
         "reduction": reduction_cert_to_json(cert.reduction),
         "systems": [
             {
@@ -264,7 +263,7 @@ def surface_cert_to_json(cert: SurfaceCertificate) -> dict:
 
 def surface_cert_from_json(data) -> SurfaceCertificate:
     doc = _expect_dict(data, "surface certificate")
-    for key in ("degrees", "scale", "shrunk", "reduction", "systems"):
+    for key in ("degrees", "scale", "reduction", "systems"):
         if key not in doc:
             raise FileFormatError(f"surface certificate: missing required key '{key}'")
     degrees = tuple(
@@ -272,10 +271,6 @@ def surface_cert_from_json(data) -> SurfaceCertificate:
         for i, v in enumerate(_expect_list(doc["degrees"], "degrees"))
     )
     scale = parse_int_field(doc["scale"], "scale")
-    try:
-        shrunk = SymMatrix(matrix_rows_from_json(doc["shrunk"], "shrunk"))
-    except ValueError as exc:
-        raise FileFormatError(f"shrunk: {exc}") from exc
     reduction, _ = reduction_cert_from_json(doc["reduction"])
     systems = []
     for k, record in enumerate(_expect_list(doc["systems"], "systems")):
@@ -289,7 +284,6 @@ def surface_cert_from_json(data) -> SurfaceCertificate:
     return SurfaceCertificate(
         degrees=degrees,
         scale=scale,
-        shrunk=shrunk,
         reduction=reduction,
         systems=tuple(systems),
     )

@@ -34,8 +34,17 @@ Steps 1 and 2 work in reduced (numerator, denominator) pairs of ints
 the reduction's vector are read into pairs, every a and b is a pair, and
 each degree and coordinate is its numerator times scale // denominator.
 `Fraction` enters as the decomposition matrix and leaves as the
-certificate's shrunk matrix and reduction; the verifier works in `Fraction`
-and shares no code with the builder.
+certificate's reduction; the verifier works in `Fraction` and shares no
+code with the builder.
+
+The shrunk matrix S of step 1 stays inside the builder.  A' is a reduction
+of S and every coupling of S lies strictly below A's, so A' is a strict
+reduction of A itself: the same diagonal, |A'[i][j]| < A[i][j] where
+A[i][j] > 0 and A'[i][j] = 0 where A[i][j] = 0.  That is what the verifier
+checks, against A.  A stored S would constrain nothing more: any bound
+|A'[i][j]| <= S[i][j] with S[i][j] <= A[i][j] is implied by strictness
+against A, and conversely S = A passes every such bound whenever A' is a
+strict reduction of A.
 
 The resulting integer data satisfies, exactly: per torus side
 a_plus + a_minus = degree of the side's piece; per piece the fiber-coordinate
@@ -48,7 +57,8 @@ it from scratch: after grouping the systems by torus it makes one pass over
 the tori, which checks each gluing relation and sums, per piece, the fiber
 coordinates, the Euler number w.r.t. meridians e' = e - sum q/p and the
 opposite sides' meridian coordinates.  The reduction's vector must equal the
-degree vector, so the reduction check already covers A' * degrees = 0.
+degree vector, so the reduction check against A already covers
+A' * degrees = 0.
 
 The graph of a valid manifold is connected, so the reduction's annihilated
 vector is positive at every piece and every side gets positive a_plus and
@@ -61,7 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exact_linalg import SymMatrix, _fraction, _inverse, _mul, _sub
+from .exact_linalg import _fraction, _inverse, _mul, _sub
 from .manifold import DecompositionGraph, decomposition_matrix
 from .reduction import (
     ReductionCertificate,
@@ -94,14 +104,14 @@ class SurfaceCertificate:
     """Full witness for the positive-eigenvalue branch.
 
     ``degrees`` lists the per-piece covering degrees (already scaled to make
-    every curve coordinate integral), in graph piece order.  ``reduction``
-    annihilates exactly this integer vector and its matrix is a strict
-    reduction of the decomposition matrix (witnessed via ``shrunk``).
+    every curve coordinate integral), in graph piece order, and ``scale``
+    the common denominator that scaling cleared.  ``reduction`` annihilates
+    exactly this integer vector and its matrix is a strict reduction of the
+    decomposition matrix.
     """
 
     degrees: tuple[int, ...]
     scale: int
-    shrunk: SymMatrix
     reduction: ReductionCertificate
     systems: tuple[CurveSystem, ...]
 
@@ -122,8 +132,7 @@ def build_surface_certificate(G: DecompositionGraph) -> SurfaceCertificate:
     is the independent check.
     """
     A = decomposition_matrix(G)
-    shrunk = strict_shrink(A)
-    reduction = find_singular_reduction(shrunk)
+    reduction = find_singular_reduction(strict_shrink(A))
     a_prime = reduction.a_prime
     a = [_pair(x) for x in reduction.a]
 
@@ -150,7 +159,6 @@ def build_surface_certificate(G: DecompositionGraph) -> SurfaceCertificate:
     return SurfaceCertificate(
         degrees=degrees,
         scale=scale,
-        shrunk=shrunk,
         reduction=ReductionCertificate(a_prime=a_prime, a=tuple(_fraction((d, 1)) for d in degrees)),
         systems=tuple(
             CurveSystem(t_idx, side, *(n * (scale // d) for n, d in values))
@@ -162,8 +170,9 @@ def build_surface_certificate(G: DecompositionGraph) -> SurfaceCertificate:
 def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) -> list[str]:
     """Recheck every certificate equation from scratch; return violations (empty = valid).
 
-    Checks, all in exact arithmetic: the reduction is valid for the stored
-    shrunk matrix and strict for the true decomposition matrix; its vector is
+    Checks, all in exact arithmetic: the reduction is a strict reduction of
+    the decomposition matrix (:func:`verify_reduction` against A, then
+    |A'[i][j]| < A[i][j] on A's couplings); its vector is
     the degree vector; each torus has exactly one curve system per side; the
     per-side degree split, both per-piece balances, the change-of-basis
     relations, and strict positivity of the a coordinates on sides whose
@@ -183,29 +192,17 @@ def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) 
     if all(d == 0 for d in cert.degrees):
         violations.append("all degrees are zero")
 
-    if cert.shrunk.order != n:
-        violations.append("shrunk matrix order mismatch")
-    else:
-        for i in range(n):
-            if cert.shrunk[i, i] != A[i, i]:
-                violations.append(f"shrunk matrix changed diagonal at {i}")
-        violations.extend(verify_reduction(cert.shrunk, cert.reduction))
-        if not cert.reduction.has_order(n):
-            return violations
-        # Every coupling of A is positive, so a zero entry of A' breaks no
-        # rule: only the nonzero entries are read, and each against its
-        # row's couplings.
-        for i, (row, couplings) in enumerate(zip(cert.reduction.a_prime, A.sparse)):
-            for j, entry in enumerate(row):
-                if not entry or j == i:
-                    continue
-                coupling = couplings.get(j)
-                if coupling is None:
-                    violations.append(f"reduction nonzero at ({i}, {j}) where coupling is 0")
-                elif abs(entry) >= coupling:
-                    violations.append(f"reduction not strict at ({i}, {j})")
-        if tuple(cert.reduction.a) != tuple(Fraction(d) for d in cert.degrees):
-            violations.append("reduction vector differs from degree vector")
+    violations.extend(verify_reduction(A, cert.reduction))
+    if not cert.reduction.has_order(n):
+        return violations
+    # verify_reduction flags every nonzero entry of A' where A is 0, so
+    # strictness reads only A's couplings.
+    for i, (row, couplings) in enumerate(zip(cert.reduction.a_prime, A.sparse)):
+        for j in sorted(couplings):
+            if j != i and abs(row[j]) >= couplings[j]:
+                violations.append(f"reduction not strict at ({i}, {j})")
+    if tuple(cert.reduction.a) != tuple(Fraction(d) for d in cert.degrees):
+        violations.append("reduction vector differs from degree vector")
 
     by_torus: dict[int, dict[int, CurveSystem]] = {}
     for s in cert.systems:

@@ -13,11 +13,14 @@ the dense routines they replaced, kept so tests can compare results exactly:
   builder computed in `Fraction`, as the builder did before it moved them
   to reduced integer pairs;
 - :func:`per_piece_surface_violations`, the surface-certificate verifier
-  that rescans every torus once per piece and multiplies A' by the degree
-  vector a second time;
+  that rescans every torus once per piece, checks A' against A with
+  :func:`all_pairs_reduction_violations` and on every pair, and multiplies
+  A' by the degree vector a second time;
 - :func:`all_pairs_reduction_violations`, the reduction verifier that takes
   the absolute value of every off-diagonal entry of A'.
 
+- :func:`bareiss_inertia`, the dense fraction-free (Bareiss) inertia that
+  the sparse graph-order inertia replaced;
 - :func:`fraction_congruence`, :func:`fraction_pivot_witnesses` and
   :func:`fraction_mmatrix_solve`, the sparse eliminations as they ran on
   `Fraction` entries before the package moved them to reduced integer
@@ -55,7 +58,6 @@ from gmsurf.reduction import (
     ReductionCertificate,
     find_singular_reduction,
     strict_shrink,
-    verify_reduction,
 )
 from gmsurf.surface import CurveSystem, SurfaceCertificate
 
@@ -113,6 +115,62 @@ def _fraction_rows(A) -> list[dict[int, Fraction]]:
     return [
         dict(row) if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x} for row in A
     ]
+
+
+def bareiss_inertia(A: SymMatrix) -> Inertia:
+    """Inertia by dense fraction-free (Bareiss) congruence on integers (the
+    dense integer core).
+
+    Runs on L*A (L the lcm of all denominators) with 1x1 pivots, swapping in
+    a nonzero diagonal entry when there is one; when the whole trailing
+    diagonal is zero but some entry b is not, adding row+column j to
+    row+column k makes the pivot 2b.  The trailing block is kept as |d| times
+    the Schur complement, d the previous pivot, so each update divides
+    exactly by the previous |d| and each pivot's sign is one eigenvalue's.
+    """
+    n = A.order
+    rows = to_lists(A)
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    block = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    n_pos = n_zero = n_neg = 0
+    prev = 1
+    while block:
+        head = block[0]
+        if head[0] == 0:
+            swap = next((j for j in range(1, len(block)) if block[j][j] != 0), None)
+            if swap is not None:
+                block[0], block[swap] = block[swap], block[0]
+                for row in block:
+                    row[0], row[swap] = row[swap], row[0]
+            else:
+                mate = next((j for j, x in enumerate(head) if x != 0), None)
+                if mate is None:
+                    n_zero += 1
+                    block = [row[1:] for row in block[1:]]
+                    continue
+                block[0] = [a + b for a, b in zip(head, block[mate])]
+                for row in block:
+                    row[0] += row[mate]
+            head = block[0]
+        pivot = head[0]
+        if pivot > 0:
+            n_pos += 1
+            weight, tail = pivot, head[1:]
+        else:
+            n_neg += 1
+            weight, tail = -pivot, [-x for x in head[1:]]
+        rest = []
+        for row in block[1:]:
+            factor = row[0]
+            if factor != 0:
+                rest.append([(weight * x - factor * y) // prev for x, y in zip(row[1:], tail)])
+            elif weight == prev:
+                rest.append(row[1:])
+            else:
+                rest.append([weight * x // prev for x in row[1:]])
+        block = rest
+        prev = weight
+    return Inertia(n_pos, n_zero, n_neg)
 
 
 def fraction_congruence(adj: list[dict[int, Fraction]], steps: list | None = None) -> Inertia:
@@ -406,30 +464,18 @@ def per_piece_surface_violations(G: DecompositionGraph, cert: SurfaceCertificate
     if all(d == 0 for d in cert.degrees):
         violations.append("all degrees are zero")
 
-    if cert.shrunk.order != n:
-        violations.append("shrunk matrix order mismatch")
-    else:
-        for i in range(n):
-            if cert.shrunk[i, i] != A[i, i]:
-                violations.append(f"shrunk matrix changed diagonal at {i}")
-        violations.extend(verify_reduction(cert.shrunk, cert.reduction))
-        if not cert.reduction.has_order(n):
-            return violations
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                entry = cert.reduction.a_prime[i][j]
-                if A[i, j] == 0:
-                    if entry != 0:
-                        violations.append(f"reduction nonzero at ({i}, {j}) where coupling is 0")
-                elif abs(entry) >= A[i, j]:
-                    violations.append(f"reduction not strict at ({i}, {j})")
-        if tuple(cert.reduction.a) != tuple(Fraction(d) for d in cert.degrees):
-            violations.append("reduction vector differs from degree vector")
-        image = mat_vec(cert.reduction.a_prime, [Fraction(d) for d in cert.degrees])
-        if any(v != 0 for v in image):
-            violations.append("reduction does not annihilate the degree vector")
+    violations.extend(all_pairs_reduction_violations(A, cert.reduction))
+    if not cert.reduction.has_order(n):
+        return violations
+    for i in range(n):
+        for j in range(n):
+            if i != j and A[i, j] != 0 and abs(cert.reduction.a_prime[i][j]) >= A[i, j]:
+                violations.append(f"reduction not strict at ({i}, {j})")
+    if tuple(cert.reduction.a) != tuple(Fraction(d) for d in cert.degrees):
+        violations.append("reduction vector differs from degree vector")
+    image = mat_vec(cert.reduction.a_prime, [Fraction(d) for d in cert.degrees])
+    if any(v != 0 for v in image):
+        violations.append("reduction does not annihilate the degree vector")
 
     by_torus: dict[int, dict[int, CurveSystem]] = {}
     for s in cert.systems:

@@ -102,12 +102,39 @@ def test_analyze_float_euler_is_input_error(tmp_path, capsys):
 # --- certify and verify --------------------------------------------------------
 
 
+# The two-piece certificate of the README.
+TWO_PIECE_CERTIFICATE = {
+    "degrees": [2, 2],
+    "scale": 2,
+    "reduction": {"a_prime": [["0", "0"], ["0", "0"]], "a": ["2", "2"]},
+    "systems": [
+        {"torus": 0, "side": 1, "a_plus": 1, "a_minus": 1, "b_plus": 0, "b_minus": -2},
+        {"torus": 0, "side": 2, "a_plus": 1, "a_minus": 1, "b_plus": 0, "b_minus": -2},
+    ],
+}
+
+
 def test_certify_then_verify_round_trip(tmp_path, capsys):
     manifold = write_manifold(tmp_path, "m.json", 0, 0)
     cert = tmp_path / "cert.json"
     assert main(["certify", str(manifold), "--out", str(cert)]) == 0
     assert cert.exists()
     assert main(["verify", str(manifold), str(cert)]) == 0
+    assert load_json(cert) == TWO_PIECE_CERTIFICATE
+
+
+# The first is the shrunk matrix that certify wrote into this certificate
+# while the format still carried one.
+@pytest.mark.parametrize("shrunk", [[["0", "1/2"], ["1/2", "0"]], [["5"]], "not a matrix"])
+def test_verify_ignores_the_shrunk_matrix_of_older_certificates(tmp_path, capsys, shrunk):
+    manifold = write_manifold(tmp_path, "m.json", 0, 0)
+    outputs = []
+    for doc in ({**TWO_PIECE_CERTIFICATE, "shrunk": shrunk}, TWO_PIECE_CERTIFICATE):
+        cert = tmp_path / "cert.json"
+        save_json(doc, cert)
+        assert main(["verify", str(manifold), str(cert), "--json"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] == ('{\n  "valid": true,\n  "violations": []\n}\n', "")
 
 
 def test_certify_negative_definite_is_unavailable(tmp_path, capsys):

@@ -20,7 +20,6 @@ oracles.
 
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies
@@ -46,6 +45,7 @@ from gmsurf.exact_linalg import (
 from gmsurf.generate import generate_manifold
 from gmsurf.manifold import a_minus, decomposition_matrix, split_blocks
 from oracles import (
+    bareiss_inertia,
     fraction_congruence,
     fraction_mmatrix_solve,
     fraction_pivot_witnesses,
@@ -135,63 +135,6 @@ def fraction_inertia(A: SymMatrix) -> Inertia:
             for j in range(k + 1, n):
                 m[i][j] -= factor * m[k][j] / pivot
         k += 1
-    return Inertia(n_pos, n_zero, n_neg)
-
-
-
-def bareiss_inertia(A: SymMatrix) -> Inertia:
-    """Inertia by dense fraction-free (Bareiss) congruence on integers (the
-    dense integer core).
-
-    Runs on L*A (L the lcm of all denominators) with 1x1 pivots, swapping in
-    a nonzero diagonal entry when there is one; when the whole trailing
-    diagonal is zero but some entry b is not, adding row+column j to
-    row+column k makes the pivot 2b.  The trailing block is kept as |d| times
-    the Schur complement, d the previous pivot, so each update divides
-    exactly by the previous |d| and each pivot's sign is one eigenvalue's.
-    """
-    n = A.order
-    rows = to_lists(A)
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    block = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
-    n_pos = n_zero = n_neg = 0
-    prev = 1
-    while block:
-        head = block[0]
-        if head[0] == 0:
-            swap = next((j for j in range(1, len(block)) if block[j][j] != 0), None)
-            if swap is not None:
-                block[0], block[swap] = block[swap], block[0]
-                for row in block:
-                    row[0], row[swap] = row[swap], row[0]
-            else:
-                mate = next((j for j, x in enumerate(head) if x != 0), None)
-                if mate is None:
-                    n_zero += 1
-                    block = [row[1:] for row in block[1:]]
-                    continue
-                block[0] = [a + b for a, b in zip(head, block[mate])]
-                for row in block:
-                    row[0] += row[mate]
-            head = block[0]
-        pivot = head[0]
-        if pivot > 0:
-            n_pos += 1
-            weight, tail = pivot, head[1:]
-        else:
-            n_neg += 1
-            weight, tail = -pivot, [-x for x in head[1:]]
-        rest = []
-        for row in block[1:]:
-            factor = row[0]
-            if factor != 0:
-                rest.append([(weight * x - factor * y) // prev for x, y in zip(row[1:], tail)])
-            elif weight == prev:
-                rest.append(row[1:])
-            else:
-                rest.append([weight * x // prev for x in row[1:]])
-        block = rest
-        prev = weight
     return Inertia(n_pos, n_zero, n_neg)
 
 

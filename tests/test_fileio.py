@@ -453,7 +453,6 @@ reduction_docs = records(a_prime=rows, a=vectors, matrix=rows)
 surface_docs = records(
     degrees=strategies.lists(small_ints, max_size=3),
     scale=small_ints,
-    shrunk=rows,
     reduction=reduction_docs,
     systems=strategies.lists(records(**{key: small_ints for key in SYSTEM_KEYS}), max_size=3),
 )

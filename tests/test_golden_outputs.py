@@ -33,7 +33,7 @@ GEN_DIGESTS = {
     (5, 'any'): {
         'gen': 'bbc5fb13dc0c98d26be80411b38611e056587895f540637d1733656bac884e7d',
         'analyze': '3b21a05ef41aeed01c200835eb5e946668bbe0ea87b773c88f9e796153448718',
-        'certify': '611b9a3990a1449574bc1ff1524d7f29e0e36be89f2941e70e5758928623ea56',
+        'certify': 'b3f1e3226b556904a093fb5f920558884d1b4ce74e5dd10eadb28787141ec87c',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
         'matrix': 'a140fc9ab1956410f55ba7d2263eac628a274ecc479fee47508f3cda440cf77c',
     },
@@ -46,7 +46,7 @@ GEN_DIGESTS = {
     (5, 'posEig'): {
         'gen': '2acc4b0beb15b033f433251563bab94174b8a4c3f5b494a562ab1bfbffcb6856',
         'analyze': 'dd7b2e4316cf9f452bcf9146b9de765b65ab44c2815dfb75e801618cc1921ce0',
-        'certify': 'adcedcabd72b826f9d38c88adad7919c4464d186d3ea9153b68ec5b4c3c11eeb',
+        'certify': '681592e1ef14995f3864d0ce6e7d1f99421709090df32364f1281f19427e1100',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
         'matrix': 'c4189a1f969e2b7a9daf3951a211fa2430dde821817620b0dca76106078ddc7b',
     },
@@ -59,7 +59,7 @@ GEN_DIGESTS = {
     (30, 'any'): {
         'gen': 'af1d66d657fb22a17583202cb6fd21883bb0efd592a5bb562a9099918f3ef688',
         'analyze': '5f2011bf06cea214f14bc70e8cdc05d45d0f0c72f6f96556da950d64c2f18007',
-        'certify': 'f9f5ab43b35d21f1befbea8e6a21f2d37082abfe12c10765864020789d255d04',
+        'certify': '646a38138fad63a3ada8c124f3ed9cd11773262f97f5e6d1b8b38bd611e75a10',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
         'matrix': '16b1271d60914e306d517118f58c8e8cb4781b9c92e0e3e736b6ba8e8a7cc52c',
     },
@@ -72,7 +72,7 @@ GEN_DIGESTS = {
     (30, 'posEig'): {
         'gen': 'c13e5ee9421070217cfcf30b7e5c2d8db16ddf4b532fca58d102e4e497bc5351',
         'analyze': '7adf4ce2335feca20a41389d5dca27487672f0eb7f06ddd62f355bbd7f84af7e',
-        'certify': 'cf3c4a8af034f71dc0d0502154f044be5fe88fb4284139ab345fcede8ac90332',
+        'certify': '91878b958d4c9e4469c881d9363f75a895f0abb47017131ae448d39653b710c3',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
         'matrix': 'bc67b994e13fd9972ef17d18c6c158916ac046a83904dd78142fa521910d4817',
     },
@@ -85,7 +85,7 @@ GEN_DIGESTS = {
     (120, 'any'): {
         'gen': 'befa91e0fa26730242d996ea155ec695ddf56338d8bc4f16709f97036619b84e',
         'analyze': '9faf0edc1dd4cf9ace4cf845f025a63f03f05345afaf037f5caa895efe19c512',
-        'certify': '7102ea3afbbccadc1ba3abf61e26561946dbc7e3195ccca6a82b96403eb22dc8',
+        'certify': '2cb9fd397110ba992de9c0d5994b5d81bcfdf5ef5ec0ecd5a48c1147c533fe94',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
         'matrix': '2bc590b18329b169f29bee5ae73aaf37547d85de14ee62df9e6274cf7cedd30f',
     },
@@ -98,7 +98,7 @@ GEN_DIGESTS = {
     (120, 'posEig'): {
         'gen': '36a8ea6bbfc4ca0d3686648c7dade83af3b692022551c0b545d820b281929b57',
         'analyze': 'f1b374155edcafc9d358d5fd2f1f81d235fd8a72370f71dee087f09d3e86b3c3',
-        'certify': '776c6b6b4f9899ffde317a97d6d933c9c98f0f09da910ec6d009a8cc9168c397',
+        'certify': 'dd7fddd0ea3a92dd0980abbdc36dcc3566fd3800ab5e2bb8ea7b25242a04924b',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
         'matrix': 'cf52a4a8b59143ddad79b142c286b3a771e2d7740477c2dff78935e498669f36',
     },
@@ -112,15 +112,15 @@ GEN_DIGESTS = {
 
 PATH_DIGESTS = {
     8: {
-        'certify': '9cd0d6eadb67dd79f959bf04033a443f84401429d4581eb6c7553cc071582f55',
+        'certify': '31b982e7843234c7fa8da99772f55ce8d799bb8ffa3de187f55761b756b98ce2',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
     },
     13: {
-        'certify': '271a590d7bdb63c02582ea384a09179333cd98d185d63e3f5040ca757a229381',
+        'certify': '48d238fad6f76c74c9061ae1f6b7074acb9a7781fd9df80c4214a945081c281a',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
     },
     24: {
-        'certify': 'c94d7c1eb9fc04b539dde83906f19f013b0e45fbc3799ec17944ddb7b1858b4b',
+        'certify': '1b31a22f7c0b29dd8d3fca19f7717ee5a039a6045285d6b327e3d83e4858b7f8',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
     },
 }

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from gmsurf import exact_linalg
-from gmsurf.exact_linalg import SymMatrix, to_rational
+from gmsurf.exact_linalg import Inertia, SymMatrix, inertia, to_rational
 from gmsurf.generate import PROFILES, generate_manifold
 from gmsurf.manifold import (
     DecompositionGraph,
@@ -21,7 +21,7 @@ from gmsurf.manifold import (
     validate,
 )
 from gmsurf.reduction import strict_shrink
-from oracles import is_connected_matrix, to_lists
+from oracles import bareiss_inertia, is_connected_matrix, to_lists
 
 F = Fraction
 
@@ -325,3 +325,22 @@ def test_generated_graphs_yield_valid_matrices(pieces, seed):
             assert A[i, j] >= 0
     B = a_minus(A)
     assert all(B[i, i] <= 0 for i in range(B.order))
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_every_profile_has_the_inertia_it_promises(profile):
+    # Only posEig is checked while generating; negdef, semidef and any hold
+    # by construction, so the dense oracle checks all four here.
+    for pieces in range(2, 41):
+        for seed in range(3):
+            A = decomposition_matrix(generate_manifold(pieces, seed=seed, profile=profile))
+            B = a_minus(A)
+            expected = bareiss_inertia(B)
+            assert inertia(B.sparse) == expected
+            if profile == "negdef":
+                assert B == A and expected == Inertia(0, 0, pieces)
+            elif profile == "semidef":
+                assert B == A and expected == Inertia(0, 1, pieces - 1)
+                assert all(sum(row.values()) == 0 for row in A.sparse)
+            elif profile == "posEig":
+                assert expected.n_pos > 0

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies
 
 from gmsurf import surface
 from gmsurf.cli import main
-from gmsurf.exact_linalg import SymMatrix, to_rational
+from gmsurf.exact_linalg import SymMatrix, mat_vec, to_rational
 from gmsurf.generate import generate_manifold
 from gmsurf.manifold import (
     DecompositionGraph,
@@ -28,6 +28,7 @@ from gmsurf.surface import (
 )
 
 from oracles import fraction_surface_sides, per_piece_surface_violations
+from test_acceptance import poseig_manifolds
 from test_fileio import save_manifold
 
 F = Fraction
@@ -39,7 +40,6 @@ def scaled_copy(cert: SurfaceCertificate, factor: int) -> SurfaceCertificate:
     return SurfaceCertificate(
         degrees=tuple(factor * d for d in cert.degrees),
         scale=factor * cert.scale,
-        shrunk=cert.shrunk,
         reduction=ReductionCertificate(
             a_prime=cert.reduction.a_prime,
             a=tuple(factor * v for v in cert.reduction.a),
@@ -147,7 +147,6 @@ def tampered_system(cert: SurfaceCertificate, index: int, **changes) -> SurfaceC
     return SurfaceCertificate(
         degrees=cert.degrees,
         scale=cert.scale,
-        shrunk=cert.shrunk,
         reduction=cert.reduction,
         systems=tuple(systems),
     )
@@ -208,7 +207,6 @@ def test_verifier_flags_non_strict_reduction():
     loose = SurfaceCertificate(
         degrees=cert.degrees,
         scale=cert.scale,
-        shrunk=cert.shrunk,
         reduction=ReductionCertificate(
             a_prime=tuple(tuple(r) for r in rows), a=cert.reduction.a
         ),
@@ -224,7 +222,6 @@ def test_verifier_flags_missing_side():
     truncated = SurfaceCertificate(
         degrees=cert.degrees,
         scale=cert.scale,
-        shrunk=cert.shrunk,
         reduction=cert.reduction,
         systems=cert.systems[:1],
     )
@@ -237,12 +234,43 @@ def test_verifier_flags_wrong_degree_vector():
     wrong = SurfaceCertificate(
         degrees=(cert.degrees[0], cert.degrees[1] + 2),
         scale=cert.scale,
-        shrunk=cert.shrunk,
         reduction=cert.reduction,
         systems=cert.systems,
     )
     violations = verify_surface_certificate(G, wrong)
     assert violations
+
+
+def with_a_prime_entry(cert: SurfaceCertificate, i: int, j: int, value) -> SurfaceCertificate:
+    rows = [list(row) for row in cert.reduction.a_prime]
+    rows[i][j] = value
+    return replace(cert, reduction=replace(cert.reduction, a_prime=tuple(map(tuple, rows))))
+
+
+# Three pieces in a row: A[0][2] = 0, and A-minus = A has the eigenvalue sqrt 2.
+THREE_PIECE_PATH = DecompositionGraph(
+    pieces=tuple(SeifertPiece(id=k, euler=0, genus=1) for k in (1, 2, 3)),
+    tori=(GluingTorus(from_piece=1, to_piece=2, p=1), GluingTorus(from_piece=2, to_piece=3, p=2)),
+)
+
+
+@pytest.mark.parametrize(
+    "i, j, value, message",
+    [
+        (0, 1, F(1), "reduction not strict at (0, 1)"),  # A'[0][1] = A[0][1]
+        (2, 1, F(-1, 2), "reduction not strict at (2, 1)"),  # A'[2][1] = -A[2][1]
+        (0, 2, F(1, 7), "not a reduction at (0, 2): |1/7| > 0"),  # nonzero where A is 0
+        (1, 1, F(-1, 3), "diagonal changed at 1: -1/3 != 0"),
+    ],
+)
+def test_verifier_checks_a_prime_against_the_decomposition_matrix(i, j, value, message):
+    G = THREE_PIECE_PATH
+    cert = build_surface_certificate(G)
+    assert verify_surface_certificate(G, cert) == []
+    bad = with_a_prime_entry(cert, i, j, value)
+    violations = verify_surface_certificate(G, bad)
+    assert message in violations
+    assert violations == [v for v in per_piece_surface_violations(G, bad) if v != SECOND_PRODUCT]
 
 
 # --- the one-pass verifier against the per-piece oracle ---------------------------
@@ -251,7 +279,7 @@ def test_verifier_flags_wrong_degree_vector():
 # only appear next to verify_reduction's "(A' a)[i]" line or the "reduction
 # vector differs" line, so the one-pass verifier leaves it out.
 SECOND_PRODUCT = "reduction does not annihilate the degree vector"
-MUTATIONS = ("degree", "a_prime", "coordinate", "torus", "side", "drop", "duplicate")
+MUTATIONS = ("degree", "a_prime", "coupling", "coordinate", "torus", "side", "drop", "duplicate")
 
 
 def mutated(G: DecompositionGraph, cert: SurfaceCertificate, kind: str, data) -> SurfaceCertificate:
@@ -264,9 +292,12 @@ def mutated(G: DecompositionGraph, cert: SurfaceCertificate, kind: str, data) ->
         return replace(cert, degrees=tuple(d + delta * (j == i) for j, d in enumerate(cert.degrees)))
     if kind == "a_prime":
         i, j = data.draw(index), data.draw(index)
-        rows = [list(row) for row in cert.reduction.a_prime]
-        rows[i][j] += F(delta, data.draw(strategies.integers(1, 3)))
-        return replace(cert, reduction=replace(cert.reduction, a_prime=tuple(map(tuple, rows))))
+        return with_a_prime_entry(cert, i, j, cert.reduction.a_prime[i][j] + F(delta, data.draw(strategies.integers(1, 3))))
+    if kind == "coupling":
+        # an off-diagonal entry of A' on the boundary: +-A[i][j], or +-1 where A is 0
+        i = data.draw(index)
+        j = data.draw(index.filter(lambda j: j != i))
+        return with_a_prime_entry(cert, i, j, delta // abs(delta) * (decomposition_matrix(G)[i, j] or 1))
     if kind == "coordinate":
         name = data.draw(strategies.sampled_from(("a_plus", "a_minus", "b_plus", "b_minus")))
         systems[k] = replace(systems[k], **{name: getattr(systems[k], name) + delta})
@@ -318,7 +349,7 @@ def test_build_then_verify_on_generated_manifolds(pieces, seed):
 def test_certificate_reduction_recovers_annihilation_per_piece(pieces, seed):
     G = generate_manifold(pieces=pieces, seed=seed, profile="posEig")
     cert = build_surface_certificate(G)
-    assert verify_reduction(cert.shrunk, cert.reduction) == []
+    assert verify_reduction(decomposition_matrix(G), cert.reduction) == []
     index = {p.id: k for k, p in enumerate(G.pieces)}
     degrees = [to_rational(d) for d in cert.degrees]
     by_torus = {}
@@ -340,6 +371,43 @@ def test_certificate_reduction_recovers_annihilation_per_piece(pieces, seed):
         )
         assert meridian_total == -off_diagonal
         assert meridian_total == degrees[i] * piece.euler
+
+
+# --- the curve systems determine A' off the diagonal ------------------------------
+
+
+def rebuilt_off_diagonal(G: DecompositionGraph, cert: SurfaceCertificate) -> dict[tuple[int, int], Fraction]:
+    """A'[i][j] * d[j] for i != j, from the curve systems alone: the sum over
+    the tori between pieces i and j of (a_minus - a_plus) / p on side j."""
+    index = {p.id: k for k, p in enumerate(G.pieces)}
+    sides = {(s.torus, s.side): s for s in cert.systems}
+    rebuilt: dict[tuple[int, int], Fraction] = {}
+    for t_idx, t in enumerate(G.tori):
+        for own, other in ((t.from_piece, t.to_piece), (t.to_piece, t.from_piece)):
+            s = sides[t_idx, other]
+            key = index[own], index[other]
+            rebuilt[key] = rebuilt.get(key, 0) + F(s.a_minus - s.a_plus, t.p)
+    return rebuilt
+
+
+def test_the_systems_determine_a_prime_off_the_diagonal():
+    # Over the acceptance stream and gen posEig at 5-60 pieces: the stored
+    # A' times the degrees is the rebuilt sum, and per piece the meridian
+    # balance misses by exactly -(A' d)_i, so it holds iff A' d = 0.
+    graphs = list(poseig_manifolds())
+    graphs += [generate_manifold(pieces, seed=3, profile="posEig") for pieces in range(5, 61)]
+    for G in graphs:
+        cert = build_surface_certificate(G)
+        a_prime, d = cert.reduction.a_prime, cert.degrees
+        rebuilt = rebuilt_off_diagonal(G, cert)
+        n = len(d)
+        assert all(
+            rebuilt.get((i, j), 0) == a_prime[i][j] * d[j] for i in range(n) for j in range(n) if i != j
+        )
+        image = mat_vec(a_prime, [F(x) for x in d])
+        for i, piece in enumerate(G.pieces):
+            meridian = -sum(rebuilt.get((i, j), 0) for j in range(n) if j != i)
+            assert meridian - d[i] * piece.euler == -image[i] == 0
 
 
 # --- the integer-pair sides against their `Fraction` reference -----------------
