@@ -73,7 +73,7 @@ def _fail_input(message: str) -> int:
 def _analysis_report(A: SymMatrix) -> dict:
     verdict = decide(A)
     pos, neg, zero = split_blocks(A)
-    matrix = rows_to_json(A)
+    matrix = rows_to_json(A.sparse)
     # An A-minus row is a list of its own only where the diagonal is positive.
     minus = list(matrix)
     for i in pos:
@@ -216,10 +216,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.pieces < 2:
-        return _fail_input("need at least 2 pieces")
-    if args.profile not in PROFILES:
-        return _fail_input(f"unknown profile {args.profile!r}")
     try:
         G = generate_manifold(args.pieces, seed=args.seed, profile=args.profile)
     except (RuntimeError, ValueError) as exc:

@@ -608,11 +608,6 @@ def check_nonnegative_off_diagonal(A: SymMatrix) -> list[list[int]]:
     return neighbours
 
 
-def mat_vec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Exact matrix-vector product, summing each row over its nonzero entries."""
-    return tuple(sum((x * v for x, v in zip(r, vec) if x), Fraction(0)) for r in rows)
-
-
 def _primitive(vec: Sequence[tuple[int, int]]) -> list[int]:
     """The coprime integers on the ray of a nonzero vector of reduced pairs:
     the vector times the lcm of its denominators, over the gcd of the

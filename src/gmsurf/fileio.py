@@ -18,6 +18,10 @@ Schemas:
                         "systems": [{"torus", "side", "a_plus", "a_minus",
                                      "b_plus", "b_minus"}]};
   a "shrunk" matrix, which older certificates carry, is ignored.
+
+Matrices are dense in the file and keep only their nonzero entries in
+memory: a :class:`SymMatrix`, and a reduction's ``a_prime`` as one
+``{column: value}`` dict per row.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
 
-from .exact_linalg import SymMatrix, rational_str, to_rational
+from .exact_linalg import _ZERO, SymMatrix, rational_str, to_rational
 from .manifold import DecompositionGraph, GluingTorus, SeifertPiece
 from .reduction import ReductionCertificate
 from .surface import CurveSystem, SurfaceCertificate
@@ -71,25 +75,28 @@ def _expect_list(value, where: str) -> list:
 
 
 def rows_to_json(rows) -> list[list[str]]:
-    """Rational string rows of dense rows, or of a :class:`SymMatrix` from its
-    nonzero entries alone ("0" everywhere else).  A zero is written "0"
-    without a call to :func:`rational_str`."""
-    if not isinstance(rows, SymMatrix):
-        return [[rational_str(x) if x else "0" for x in row] for row in rows]
+    """The dense rational string rows of a square matrix given as its
+    nonzero entries, one ``{column: value}`` dict per row (``A.sparse``, a
+    reduction's ``a_prime``): "0" everywhere else, written without a call
+    to :func:`rational_str`."""
+    n = len(rows)
     out = []
-    for entries in rows.sparse:
-        row = ["0"] * rows.order
+    for entries in rows:
+        row = ["0"] * n
         for j, x in entries.items():
             row[j] = rational_str(x)
         out.append(row)
     return out
 
 
-def matrix_rows_from_json(data, where: str) -> list[list[Fraction]]:
-    """Parse a square matrix of rationals, each distinct string token once.
+def sparse_rows_from_json(data, where: str) -> list[dict[int, Fraction]]:
+    """Parse a square matrix of rationals into one ``{column: value}`` dict
+    of nonzero entries per row, each distinct string token once.
 
-    Only strings are memoized: JSON integers (and booleans, which compare
-    equal to 0 and 1 but are rejected) are parsed where they stand.
+    A "0" token is dropped by a string compare; any other token is parsed,
+    and dropped if it is zero.  Only strings are memoized: JSON integers
+    (and booleans, which compare equal to 0 and 1 but are rejected) are
+    parsed where they stand.
     """
     rows = _expect_list(data, where)
     out = []
@@ -100,17 +107,26 @@ def matrix_rows_from_json(data, where: str) -> list[list[Fraction]]:
             raise FileFormatError(
                 f"{where}[{i}]: expected {len(rows)} entries, got {len(row)}"
             )
-        values = []
+        entries = {}
         for j, x in enumerate(row):
-            if type(x) is not str:
-                values.append(parse_rational_field(x, f"{where}[{i}][{j}]"))
+            if x == "0":
                 continue
-            value = parsed.get(x)
-            if value is None:
-                value = parsed[x] = parse_rational_field(x, f"{where}[{i}][{j}]")
-            values.append(value)
-        out.append(values)
+            if type(x) is not str:
+                value = parse_rational_field(x, f"{where}[{i}][{j}]")
+            else:
+                value = parsed.get(x)
+                if value is None:
+                    value = parsed[x] = parse_rational_field(x, f"{where}[{i}][{j}]")
+            if value:
+                entries[j] = value
+        out.append(entries)
     return out
+
+
+def matrix_rows_from_json(data, where: str) -> list[list[Fraction]]:
+    """The dense rows of :func:`sparse_rows_from_json`, for a :class:`SymMatrix` to check."""
+    rows = sparse_rows_from_json(data, where)
+    return [[row.get(j, _ZERO) for j in range(len(rows))] for row in rows]
 
 
 def manifold_to_json(G: DecompositionGraph) -> dict:
@@ -216,7 +232,7 @@ def reduction_cert_to_json(cert: ReductionCertificate, matrix: SymMatrix | None 
         "a": [rational_str(v) for v in cert.a],
     }
     if matrix is not None:
-        doc["matrix"] = rows_to_json(matrix)
+        doc["matrix"] = rows_to_json(matrix.sparse)
     return doc
 
 
@@ -225,7 +241,7 @@ def reduction_cert_from_json(data) -> tuple[ReductionCertificate, SymMatrix | No
     for key in ("a_prime", "a"):
         if key not in doc:
             raise FileFormatError(f"reduction certificate: missing required key '{key}'")
-    a_prime = matrix_rows_from_json(doc["a_prime"], "a_prime")
+    a_prime = sparse_rows_from_json(doc["a_prime"], "a_prime")
     a = [
         parse_rational_field(v, f"a[{i}]")
         for i, v in enumerate(_expect_list(doc["a"], "a"))
@@ -236,10 +252,7 @@ def reduction_cert_from_json(data) -> tuple[ReductionCertificate, SymMatrix | No
             matrix = SymMatrix(matrix_rows_from_json(doc["matrix"], "matrix"))
         except ValueError as exc:
             raise FileFormatError(f"matrix: {exc}") from exc
-    cert = ReductionCertificate(
-        a_prime=tuple(tuple(row) for row in a_prime), a=tuple(a)
-    )
-    return cert, matrix
+    return ReductionCertificate(a_prime=tuple(a_prime), a=tuple(a)), matrix
 
 
 def surface_cert_to_json(cert: SurfaceCertificate) -> dict:

@@ -29,6 +29,7 @@ from .exact_linalg import inertia
 from .manifold import DecompositionGraph, GluingTorus, SeifertPiece, a_minus, decomposition_matrix
 
 PROFILES = ("any", "negdef", "posEig", "semidef")
+ATTEMPTS = 500  # "posEig" draws before giving up
 
 
 def _random_torus(rng: random.Random, u: int, v: int) -> GluingTorus:
@@ -82,20 +83,18 @@ def _build(rng: random.Random, pieces: int, tori: list[GluingTorus], eulers) -> 
     return DecompositionGraph(pieces=tuple(piece_list), tori=tuple(tori))
 
 
-def generate_manifold(
-    pieces: int, seed: int = 0, profile: str = "any", attempts: int = 500
-) -> DecompositionGraph:
+def generate_manifold(pieces: int, seed: int = 0, profile: str = "any") -> DecompositionGraph:
     """Generate a valid decomposition graph matching the requested profile.
 
     Raises ValueError for bad arguments and RuntimeError when rejection
-    sampling cannot satisfy the profile within the attempt budget.
+    sampling cannot satisfy the profile in :data:`ATTEMPTS` draws.
     """
     if pieces < 2:
         raise ValueError(f"need at least 2 pieces, got {pieces}")
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; choose from {PROFILES}")
     rng = random.Random(f"{seed}:{pieces}:{profile}")
-    for _ in range(attempts):
+    for _ in range(ATTEMPTS):
         tori = _random_topology(rng, pieces)
         row_sums = [Fraction(0)] * pieces
         for t in tori:
@@ -111,4 +110,4 @@ def generate_manifold(
         G = _build(rng, pieces, tori, eulers)
         if profile != "posEig" or inertia(a_minus(decomposition_matrix(G)).sparse).n_pos:
             return G
-    raise RuntimeError(f"profile {profile!r} unsatisfiable in {attempts} attempts")
+    raise RuntimeError(f"profile {profile!r} unsatisfiable in {ATTEMPTS} attempts")

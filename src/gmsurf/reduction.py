@@ -22,8 +22,9 @@ one sparse elimination with diagonal pivots in minimum-degree order
 (:func:`gmsurf.exact_linalg._mmatrix_solve`); no determinant or dense
 elimination is taken.  On a connected matrix the annihilated vector is
 positive at every index.  The builders read only the nonzero entries of
-A-minus (:func:`gmsurf.manifold.a_minus`); A' is written out dense once, as
-the certificate.
+A-minus (:func:`gmsurf.manifold.a_minus`), and A' keeps A's sparsity: the
+certificate holds one ``{column: value}`` dict of nonzero entries per row,
+as a :class:`SymMatrix` does, and only its file is dense.
 
 :func:`strict_shrink` prepares the input of the surface builder: one
 congruence elimination of A-minus bounds the shrink factor from below, and a
@@ -63,7 +64,6 @@ from .exact_linalg import (
     check_nonnegative_off_diagonal,
     graph_components,
     inertia,  # unused here; bench/tests/test_tracer.py checks the tracer replaces this binding
-    mat_vec,
     mmatrix_solve,
     pivot_witnesses,
     primitive_vector,
@@ -87,30 +87,21 @@ class NoPositiveEigenvalueError(ValueError):
 class ReductionCertificate:
     """A singular reduction A' of some source matrix plus its annihilated vector.
 
-    ``a_prime`` need not be symmetric.  Validity against a source A means:
+    ``a_prime`` holds one ``{column: value}`` dict of nonzero entries per
+    row and need not be symmetric.  Validity against a source A means:
     identical diagonal, |a_prime[i][j]| <= A[i][j] off the diagonal,
     a_prime . a = 0 exactly, a nonzero with non-negative entries.
     """
 
-    a_prime: tuple[tuple[Fraction, ...], ...]
+    a_prime: tuple[dict[int, Fraction], ...]
     a: tuple[Fraction, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.a)
-
-    @property
-    def shape(self) -> str:
-        """``a_prime``'s rows x columns; ragged rows list their sorted widths."""
-        widths = sorted({len(row) for row in self.a_prime}) or [0]
-        return f"{len(self.a_prime)} x {widths[0] if len(widths) == 1 else widths}"
-
     def has_order(self, n: int) -> bool:
-        """True iff ``a`` has length n and ``a_prime`` is n x n."""
+        """True iff ``a`` and ``a_prime`` have n entries and rows, and every
+        column of ``a_prime`` lies in 0..n-1."""
         return (
-            len(self.a) == n
-            and len(self.a_prime) == n
-            and all(len(row) == n for row in self.a_prime)
+            len(self.a) == len(self.a_prime) == n
+            and all(0 <= j < n for row in self.a_prime for j in row)
         )
 
 
@@ -227,8 +218,9 @@ def find_singular_reduction(A: SymMatrix) -> ReductionCertificate:
     other weight 0.  On a connected A the vector is positive at every index.
     Positive diagonal entries of A are restored by negating their rows, which
     leaves the kernel unchanged.  Only the nonzero entries are read, each
-    once as a (numerator, denominator) pair; A' and the vector become
-    `Fraction` once, written out dense as the certificate.
+    once as a (numerator, denominator) pair, and A' keeps only nonzero
+    entries: a row outside the component is A's diagonal entry alone.  A'
+    and the vector become `Fraction` once, as the certificate.
     """
     sparse, minus = A.sparse, a_minus(A).sparse
     for component in graph_components(check_nonnegative_off_diagonal(A)):
@@ -243,32 +235,35 @@ def find_singular_reduction(A: SymMatrix) -> ReductionCertificate:
         raise NegativeDefiniteError("A-minus is negative definite")
     block_rows, block_a = found
 
-    n = len(sparse)
-    m = [[Fraction(0)] * n for _ in range(n)]
-    a = [Fraction(0)] * n
-    for i, row in enumerate(sparse):
-        m[i][i] = row.get(i, m[i][i])
+    # Every entry _perron_reduction returns is nonzero, its diagonal
+    # included wherever A's is.
+    m = [{i: row[i]} if i in row else {} for i, row in enumerate(sparse)]
+    a = [Fraction(0)] * len(sparse)
     for r, i in enumerate(component):
         a[i] = _fraction((block_a[r], 1))
         sign = -1 if sparse[i].get(i, 0) > 0 else 1
-        for s, (num, den) in block_rows[r].items():
-            m[i][component[s]] = _fraction((sign * num, den))
-    return ReductionCertificate(a_prime=tuple(tuple(row) for row in m), a=tuple(a))
+        m[i] = {component[s]: _fraction((sign * num, den)) for s, (num, den) in block_rows[r].items()}
+    return ReductionCertificate(a_prime=tuple(m), a=tuple(a))
 
 
 def verify_reduction(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
-    """Recheck every certificate invariant against A; return violations (empty = valid)."""
+    """Recheck every certificate invariant against A; return violations (empty = valid).
+
+    Only the stored nonzeros of A' are read: a missing key is a zero."""
     violations: list[str] = []
     n = A.order
     if not cert.has_order(n):
-        return [f"shape mismatch: a has {cert.order} entries, a_prime is {cert.shape}, matrix order {n}"]
-    for i in range(n):
-        if cert.a_prime[i][i] != A[i, i]:
-            violations.append(f"diagonal changed at {i}: {cert.a_prime[i][i]} != {A[i, i]}")
+        k = len(cert.a_prime)
+        stray = sorted({j for row in cert.a_prime for j in row if not 0 <= j < k})
+        shape = f"{k} x {k}" + (f" with columns {stray} outside it" if stray else "")
+        return [f"shape mismatch: a has {len(cert.a)} entries, a_prime is {shape}, matrix order {n}"]
+    for i, row in enumerate(cert.a_prime):
+        if row.get(i, 0) != A[i, i]:
+            violations.append(f"diagonal changed at {i}: {row.get(i, 0)} != {A[i, i]}")
     for i, (row, bounds) in enumerate(zip(cert.a_prime, A.sparse)):
-        for j, entry in enumerate(row):
+        for j in sorted(row):
             # A has O(n) nonzero couplings: only those need the absolute value
-            bound = bounds.get(j)
+            entry, bound = row[j], bounds.get(j)
             if i != j and (entry if bound is None else abs(entry) > bound):
                 violations.append(f"not a reduction at ({i}, {j}): |{entry}| > {bound or 0}")
     if all(v == 0 for v in cert.a):
@@ -276,8 +271,8 @@ def verify_reduction(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
     for i, v in enumerate(cert.a):
         if v < 0:
             violations.append(f"negative entry a[{i}] = {v}")
-    image = mat_vec(cert.a_prime, cert.a)
-    for i, v in enumerate(image):
+    for i, row in enumerate(cert.a_prime):
+        v = sum((x * cert.a[j] for j, x in row.items()), Fraction(0))
         if v != 0:
             violations.append(f"(A' a)[{i}] = {v} != 0")
     return violations

@@ -116,8 +116,8 @@ class SurfaceCertificate:
     systems: tuple[CurveSystem, ...]
 
 
-def _pair(x: Fraction) -> tuple[int, int]:
-    """The reduced (numerator, denominator) pair of a `Fraction`."""
+def _pair(x: Fraction | int) -> tuple[int, int]:
+    """The reduced (numerator, denominator) pair of a `Fraction` or an int."""
     return x.numerator, x.denominator
 
 
@@ -143,8 +143,8 @@ def build_surface_certificate(G: DecompositionGraph) -> SurfaceCertificate:
         coupling = _pair(A[u, v])
         half = _inverse(_mul((2, 1), coupling))
         # a_plus of each side reads the reduced coupling from the opposite piece
-        from_plus = _mul(_mul(_sub(coupling, _pair(a_prime[v][u])), half), a[u])
-        to_plus = _mul(_mul(_sub(coupling, _pair(a_prime[u][v])), half), a[v])
+        from_plus = _mul(_mul(_sub(coupling, _pair(a_prime[v].get(u, 0))), half), a[u])
+        to_plus = _mul(_mul(_sub(coupling, _pair(a_prime[u].get(v, 0))), half), a[v])
         from_minus, to_minus = _sub(a[u], from_plus), _sub(a[v], to_plus)
         over_p, q, q_prime = _inverse((t.p, 1)), (t.q, 1), (t.q_prime, 1)
         sides.append((t_idx, t.from_piece, from_plus, from_minus,
@@ -199,7 +199,7 @@ def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) 
     # strictness reads only A's couplings.
     for i, (row, couplings) in enumerate(zip(cert.reduction.a_prime, A.sparse)):
         for j in sorted(couplings):
-            if j != i and abs(row[j]) >= couplings[j]:
+            if j != i and abs(row.get(j, 0)) >= couplings[j]:
                 violations.append(f"reduction not strict at ({i}, {j})")
     if tuple(cert.reduction.a) != tuple(Fraction(d) for d in cert.degrees):
         violations.append("reduction vector differs from degree vector")

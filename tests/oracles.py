@@ -17,7 +17,8 @@ the dense routines they replaced, kept so tests can compare results exactly:
   :func:`all_pairs_reduction_violations` and on every pair, and multiplies
   A' by the degree vector a second time;
 - :func:`all_pairs_reduction_violations`, the reduction verifier that takes
-  the absolute value of every off-diagonal entry of A'.
+  the absolute value of every off-diagonal entry of A', densified
+  (:func:`dense_rows`) from the nonzero entries the package keeps.
 
 - :func:`bareiss_inertia`, the dense fraction-free (Bareiss) inertia that
   the sparse graph-order inertia replaced;
@@ -28,9 +29,9 @@ the dense routines they replaced, kept so tests can compare results exactly:
 
 It also holds :func:`bilinear_identity`, the exact quadratic-form expansion
 behind reading a negativity certificate as "A is negative", and the dense
-matrix helpers that only tests need: :func:`to_lists`,
-:func:`principal_submatrix`, :func:`matrix_graph_components` and
-:func:`is_connected_matrix`.
+matrix helpers that only tests need: :func:`to_lists`, :func:`dense_rows`,
+:func:`dense_json`, :func:`mat_vec`, :func:`principal_submatrix`,
+:func:`matrix_graph_components` and :func:`is_connected_matrix`.
 """
 
 from bisect import bisect_left, insort
@@ -47,9 +48,9 @@ from gmsurf.exact_linalg import (
     determinant_rows,
     graph_components,
     inertia,
-    mat_vec,
     nullspace_rows,
     primitive_vector,
+    rational_str,
 )
 from gmsurf.manifold import DecompositionGraph, a_minus, decomposition_matrix
 from gmsurf.reduction import (
@@ -411,7 +412,7 @@ def crossing_reduction(A: SymMatrix) -> ReductionCertificate:
     for i in range(n):
         if A[i, i] > 0:
             m[i] = [-x for x in m[i]]
-    return ReductionCertificate(a_prime=tuple(tuple(row) for row in m), a=tuple(a))
+    return ReductionCertificate(a_prime=tuple({j: x for j, x in enumerate(row) if x} for row in m), a=tuple(a))
 
 
 def fraction_surface_sides(G: DecompositionGraph) -> tuple[tuple[int, ...], int, tuple[CurveSystem, ...]]:
@@ -425,8 +426,8 @@ def fraction_surface_sides(G: DecompositionGraph) -> tuple[tuple[int, ...], int,
     for t_idx, t in enumerate(G.tori):
         u, v = index[t.from_piece], index[t.to_piece]
         coupling = A[u, v]
-        from_plus = (coupling - a_prime[v][u]) / (2 * coupling) * a[u]
-        to_plus = (coupling - a_prime[u][v]) / (2 * coupling) * a[v]
+        from_plus = (coupling - a_prime[v].get(u, 0)) / (2 * coupling) * a[u]
+        to_plus = (coupling - a_prime[u].get(v, 0)) / (2 * coupling) * a[v]
         from_minus, to_minus = a[u] - from_plus, a[v] - to_plus
         sides.append((t_idx, t.from_piece, from_plus, from_minus,
                       (to_plus - t.q * from_plus) / t.p, (-to_minus - t.q * from_minus) / t.p))
@@ -465,15 +466,16 @@ def per_piece_surface_violations(G: DecompositionGraph, cert: SurfaceCertificate
         violations.append("all degrees are zero")
 
     violations.extend(all_pairs_reduction_violations(A, cert.reduction))
-    if not cert.reduction.has_order(n):
+    if shape_violation(A, cert.reduction):
         return violations
+    a_prime = dense_rows(cert.reduction.a_prime)
     for i in range(n):
         for j in range(n):
-            if i != j and A[i, j] != 0 and abs(cert.reduction.a_prime[i][j]) >= A[i, j]:
+            if i != j and A[i, j] != 0 and abs(a_prime[i][j]) >= A[i, j]:
                 violations.append(f"reduction not strict at ({i}, {j})")
     if tuple(cert.reduction.a) != tuple(Fraction(d) for d in cert.degrees):
         violations.append("reduction vector differs from degree vector")
-    image = mat_vec(cert.reduction.a_prime, [Fraction(d) for d in cert.degrees])
+    image = mat_vec(a_prime, [Fraction(d) for d in cert.degrees])
     if any(v != 0 for v in image):
         violations.append("reduction does not annihilate the degree vector")
 
@@ -548,27 +550,60 @@ def per_piece_surface_violations(G: DecompositionGraph, cert: SurfaceCertificate
     return violations
 
 
+def mat_vec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Exact matrix-vector product of dense rows, summing each row over its nonzero entries."""
+    return tuple(sum((x * v for x, v in zip(r, vec) if x), Fraction(0)) for r in rows)
+
+
+def dense_rows(rows: Sequence[dict[int, Fraction]]) -> list[list[Fraction]]:
+    """The n x n rows of a matrix kept as one ``{column: value}`` dict of
+    nonzero entries per row, n the number of rows."""
+    return [[row.get(j, Fraction(0)) for j in range(len(rows))] for row in rows]
+
+
+def dense_json(rows: Sequence[Sequence[Fraction]]) -> list[list[str]]:
+    """The rational string rows of dense rows, every entry written by
+    :func:`rational_str`: the reference for the file writer, which writes
+    from the nonzeros alone."""
+    return [[rational_str(x) for x in row] for row in rows]
+
+
+def shape_violation(A: SymMatrix, cert: ReductionCertificate) -> str | None:
+    """The shape mismatch of a reduction certificate against A, if any: ``a``
+    or ``a_prime`` of another order than A, or a column of ``a_prime``
+    outside its own rows' range."""
+    k = len(cert.a_prime)
+    stray = sorted({j for row in cert.a_prime for j in row} - set(range(k)))
+    if len(cert.a) == k == A.order and not stray:
+        return None
+    shape = f"{k} x {k}" + (f" with columns {stray} outside it" if stray else "")
+    return f"shape mismatch: a has {len(cert.a)} entries, a_prime is {shape}, matrix order {A.order}"
+
+
 def all_pairs_reduction_violations(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
-    """The reduction violations, with |A'[i][j]| <= A[i][j] tested on every pair."""
+    """The reduction violations, with |A'[i][j]| <= A[i][j] tested on every
+    pair of the densified A'."""
     violations: list[str] = []
     n = A.order
-    if not cert.has_order(n):
-        return [f"shape mismatch: a has {cert.order} entries, a_prime is {cert.shape}, matrix order {n}"]
+    shape = shape_violation(A, cert)
+    if shape:
+        return [shape]
+    a_prime = dense_rows(cert.a_prime)
     for i in range(n):
-        if cert.a_prime[i][i] != A[i, i]:
-            violations.append(f"diagonal changed at {i}: {cert.a_prime[i][i]} != {A[i, i]}")
+        if a_prime[i][i] != A[i, i]:
+            violations.append(f"diagonal changed at {i}: {a_prime[i][i]} != {A[i, i]}")
     for i in range(n):
         for j in range(n):
-            if i != j and abs(cert.a_prime[i][j]) > A[i, j]:
+            if i != j and abs(a_prime[i][j]) > A[i, j]:
                 violations.append(
-                    f"not a reduction at ({i}, {j}): |{cert.a_prime[i][j]}| > {A[i, j]}"
+                    f"not a reduction at ({i}, {j}): |{a_prime[i][j]}| > {A[i, j]}"
                 )
     if all(v == 0 for v in cert.a):
         violations.append("annihilated vector is zero")
     for i, v in enumerate(cert.a):
         if v < 0:
             violations.append(f"negative entry a[{i}] = {v}")
-    image = mat_vec(cert.a_prime, cert.a)
+    image = mat_vec(a_prime, cert.a)
     for i, v in enumerate(image):
         if v != 0:
             violations.append(f"(A' a)[{i}] = {v} != 0")

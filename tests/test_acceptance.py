@@ -15,12 +15,7 @@ from itertools import product
 
 from gmsurf.covers import CoverSpec, cover_exists_bruteforce, find_cover, parity_check, verify_cover
 from gmsurf.decision import decide, two_piece_d
-from gmsurf.exact_linalg import (
-    Inertia,
-    SymMatrix,
-    inertia,
-    mat_vec,
-)
+from gmsurf.exact_linalg import Inertia, SymMatrix, inertia
 from gmsurf.generate import generate_manifold
 from gmsurf.manifold import a_minus, decomposition_matrix
 from gmsurf.reduction import (
@@ -30,7 +25,7 @@ from gmsurf.reduction import (
     verify_reduction,
 )
 from gmsurf.surface import build_surface_certificate, verify_surface_certificate
-from oracles import bilinear_identity, is_connected_matrix, kernel_basis, to_lists
+from oracles import bilinear_identity, is_connected_matrix, kernel_basis, mat_vec, to_lists
 
 F = Fraction
 

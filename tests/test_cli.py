@@ -164,6 +164,7 @@ def test_certify_off_the_branch_names_it(tmp_path, capsys, e1, e2, branch):
 def assert_one_line_input_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 def test_certify_unwritable_out_is_input_error(tmp_path, capsys):
@@ -242,7 +243,12 @@ def test_verify_mis_sized_reduction_is_invalid(tmp_path, capsys):
     doc["reduction"]["a"] = doc["reduction"]["a"][:3]
     save_json(doc, cert)
     assert main(["verify", str(manifold), str(cert)]) == 4
-    assert "shape mismatch" in capsys.readouterr().out
+    assert "shape mismatch: a has 3 entries, a_prime is 3 x 3, matrix order 4" in capsys.readouterr().out
+    # A non-square A' is refused by the parser, which names the row.
+    doc["reduction"]["a_prime"][1].append("0")
+    save_json(doc, cert)
+    assert main(["verify", str(manifold), str(cert)]) == 2
+    assert assert_one_line_input_error(capsys) == "error: a_prime[1]: expected 3 entries, got 4\n"
 
 
 def test_verify_against_wrong_manifold_is_invalid(tmp_path, capsys):
@@ -392,8 +398,9 @@ def test_gen_poseig_then_analyze_holds(tmp_path):
     assert main(["analyze", str(out)]) == 0
 
 
-def test_gen_single_piece_is_input_error(tmp_path):
+def test_gen_single_piece_is_input_error(capsys):
     assert main(["gen", "1"]) == 2
+    assert assert_one_line_input_error(capsys) == "error: need at least 2 pieces, got 1\n"
 
 
 def test_gen_unwritable_out_is_input_error(tmp_path, capsys):

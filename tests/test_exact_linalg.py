@@ -34,7 +34,6 @@ from gmsurf.exact_linalg import (
     check_nonnegative_off_diagonal,
     determinant_rows,
     inertia,
-    mat_vec,
     mmatrix_solve,
     nullspace_rows,
     pivot_witnesses,
@@ -51,6 +50,7 @@ from oracles import (
     fraction_pivot_witnesses,
     is_connected_matrix,
     kernel_basis,
+    mat_vec,
     matrix_graph_components,
     principal_submatrix,
     solve_rows,

@@ -23,6 +23,7 @@ from gmsurf.fileio import (
     reduction_cert_to_json,
     rows_to_json,
     save_json,
+    sparse_rows_from_json,
     surface_cert_from_json,
     surface_cert_to_json,
 )
@@ -30,7 +31,7 @@ from gmsurf.generate import generate_manifold
 from gmsurf.manifold import GluingTorus, InvalidGraphError, decomposition_matrix, two_piece_graph
 from gmsurf.reduction import find_singular_reduction
 from gmsurf.surface import build_surface_certificate
-from oracles import to_lists
+from oracles import dense_json, dense_rows, to_lists
 
 F = Fraction
 
@@ -69,11 +70,19 @@ def test_parse_rational_field_rejects_decimal_strings():
 
 def test_matrix_round_trip_is_exact():
     A = sym([["-1/3", "5/2"], ["5/2", 0]])
-    data = rows_to_json(to_lists(A))
-    assert data == [["-1/3", "5/2"], ["5/2", "0"]]
-    assert rows_to_json(A) == data  # from the nonzeros
+    data = rows_to_json(A.sparse)
+    assert data == [["-1/3", "5/2"], ["5/2", "0"]] == dense_json(to_lists(A))
     back = matrix_rows_from_json(data, "matrix")
     assert to_lists(SymMatrix(back)) == to_lists(A)
+
+
+@pytest.mark.parametrize("pieces", [2, 7, 30])
+def test_rows_to_json_matches_a_dense_writer(pieces):
+    G = generate_manifold(pieces, seed=5, profile="posEig")
+    A = decomposition_matrix(G)
+    a_prime = find_singular_reduction(A).a_prime
+    assert rows_to_json(A.sparse) == dense_json(to_lists(A))
+    assert rows_to_json(a_prime) == dense_json(dense_rows(a_prime))
 
 
 def test_matrix_rows_reject_ragged_data():
@@ -85,10 +94,13 @@ def test_matrix_rows_parse_each_distinct_string_once(monkeypatch):
     parsed = []
     real = fileio.parse_rational_field
     monkeypatch.setattr(fileio, "parse_rational_field", lambda x, where: parsed.append((x, where)) or real(x, where))
-    rows = matrix_rows_from_json([["-1", "0", "1/2"], ["0", "-1", 0], ["1/2", 0, "-1"]], "m")
+    data = [["-1", "0", "1/2"], ["0", "-1", 0], ["1/2", 0, "-1"]]
+    rows = matrix_rows_from_json(data, "m")
     assert rows == [[F(-1), F(0), F(1, 2)], [F(0), F(-1), F(0)], [F(1, 2), F(0), F(-1)]]
-    # JSON integers are not memoized; each string is parsed where it first stands
-    assert parsed == [("-1", "m[0][0]"), ("0", "m[0][1]"), ("1/2", "m[0][2]"), (0, "m[1][2]"), (0, "m[2][1]")]
+    # JSON integers are not memoized; each string is parsed where it first
+    # stands, but a "0" string is dropped unparsed
+    assert parsed == [("-1", "m[0][0]"), ("1/2", "m[0][2]"), (0, "m[1][2]"), (0, "m[2][1]")]
+    assert sparse_rows_from_json(data, "m") == [{0: F(-1), 2: F(1, 2)}, {1: F(-1)}, {0: F(1, 2), 2: F(-1)}]
 
 
 @pytest.mark.parametrize(
@@ -186,6 +198,30 @@ def test_reduction_certificate_round_trip_without_matrix():
     back, matrix = reduction_cert_from_json(reduction_cert_to_json(cert))
     assert back == cert
     assert matrix is None
+
+
+def test_reduction_certificate_parser_keeps_only_nonzeros():
+    doc = {"a_prime": [["-1", "0", 0], ["0/3", "1/2", "-0"], [0, "0", "2"]], "a": ["1", "0", "0"]}
+    cert, _ = reduction_cert_from_json(doc)
+    assert cert.a_prime == ({0: F(-1)}, {1: F(1, 2)}, {2: F(2)})
+    assert reduction_cert_to_json(cert)["a_prime"] == [["-1", "0", "0"], ["0", "1/2", "0"], ["0", "0", "2"]]
+
+
+@pytest.mark.parametrize(
+    "a_prime, message",
+    [
+        ([["1", "0"], ["0"]], "a_prime[1]: expected 2 entries, got 1"),
+        ([["1", "0"], "0"], "a_prime[1]: expected an array, got str"),
+        # file order: an entry of row 0 is read before the length of row 1
+        ([["1", "x"], ["0"]], "a_prime[0][1]: not a rational string: 'x'"),
+        ([["0", 0.5], ["0", "0"]], "a_prime[0][1]: floats are not exact"),
+        ([["0", "0"], ["0", False]], "a_prime[1][1]: expected a rational string or integer, got False"),
+    ],
+)
+def test_reduction_certificate_parser_locates_errors(a_prime, message):
+    with pytest.raises(FileFormatError) as info:
+        reduction_cert_from_json({"a_prime": a_prime, "a": ["1", "1"]})
+    assert str(info.value).startswith(message)
 
 
 def test_reduction_certificate_round_trip_with_matrix():

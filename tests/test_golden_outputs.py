@@ -154,7 +154,7 @@ def gen_digests(pieces: int, profile: str) -> dict[str, str]:
     if certify.startswith(b"0\0"):
         digests["verify"] = sha256(run(["verify", "m.json", "cert.json", "--json"]))
     with open("a.json", "w") as f:
-        json.dump(rows_to_json(decomposition_matrix(load_manifold("m.json"))), f)
+        json.dump(rows_to_json(decomposition_matrix(load_manifold("m.json")).sparse), f)
     digests["matrix"] = sha256(run(["matrix", "a.json", "--json"]))
     return digests
 

@@ -13,7 +13,6 @@ from gmsurf.exact_linalg import (
     SymMatrix,
     _congruence,
     inertia,
-    mat_vec,
     to_rational,
 )
 from gmsurf.generate import generate_manifold
@@ -33,9 +32,11 @@ from oracles import (
     all_pairs_reduction_violations,
     bilinear_identity,
     crossing_reduction,
+    dense_rows,
     halving_shrink,
     is_connected_matrix,
     kernel_basis,
+    mat_vec,
     principal_submatrix,
     to_lists,
 )
@@ -97,7 +98,7 @@ def connected_negative_matrix(rng: random.Random, order: int, singular: bool) ->
 
 def test_reduction_of_indefinite_pair():
     cert = find_singular_reduction(sym([["-1", 2], [2, "-1"]]))
-    assert cert.a_prime == ((F(-1), F(1, 2)), (F(2), F(-1)))
+    assert cert.a_prime == ({0: F(-1), 1: F(1, 2)}, {0: F(2), 1: F(-1)})
     assert cert.a == (F(1), F(2))
     assert verify_reduction(sym([["-1", 2], [2, "-1"]]), cert) == []
 
@@ -105,7 +106,7 @@ def test_reduction_of_indefinite_pair():
 def test_reduction_of_already_singular_matrix_is_itself():
     A = sym([["-1", 1], [1, "-1"]])
     cert = find_singular_reduction(A)
-    assert cert.a_prime == tuple(tuple(row) for row in to_lists(A))
+    assert cert.a_prime == A.sparse
     assert cert.a == (F(1), F(1))
 
 
@@ -138,12 +139,12 @@ def test_reduction_of_all_zero_diagonal():
     A = sym([[0, 1, 0], [1, 0, "1/2"], [0, "1/2", 0]])
     cert = assert_full_support_reduction(A)
     assert cert.a == (F(1), F(1), F(1))
-    assert all(v == 0 for row in cert.a_prime for v in row)
+    assert cert.a_prime == ({}, {}, {})
 
 
 def test_reduction_of_single_zero_entry():
     cert = assert_full_support_reduction(sym([[0]]))
-    assert cert.a_prime == ((F(0),),)
+    assert cert.a_prime == ({},)
     assert cert.a == (F(1),)
 
 
@@ -154,12 +155,13 @@ def test_reduction_with_zero_diagonal_beside_an_indefinite_block():
     assert inertia(principal_submatrix(A, [0, 1]).sparse).n_pos == 1
     cert = assert_full_support_reduction(A)
     assert 0 < cert.a_prime[0][1] < A[0, 1]
+    assert cert.a_prime[2] == {}  # the zero-diagonal row loses its couplings
 
 
 def test_reduction_with_two_adjacent_zero_diagonals():
     A = sym([["-2", 1, 0, 0], [1, 0, 2, 0], [0, 2, 0, 1], [0, 0, 1, "3"]])
     cert = assert_full_support_reduction(A)
-    assert cert.a_prime[1][2] == cert.a_prime[2][1] == 0
+    assert 2 not in cert.a_prime[1] and 1 not in cert.a_prime[2]
 
 
 def test_reduction_of_disconnected_input_uses_one_component():
@@ -218,22 +220,18 @@ def test_verify_reduction_flags_broken_annihilation():
 def test_verify_reduction_flags_entry_above_bound():
     A = sym([["-1", 2], [2, "-1"]])
     cert = find_singular_reduction(A)
-    rows = [list(row) for row in cert.a_prime]
+    rows = [dict(row) for row in cert.a_prime]
     rows[0][1] = F(3)
-    tampered = ReductionCertificate(
-        a_prime=tuple(tuple(row) for row in rows), a=cert.a
-    )
+    tampered = ReductionCertificate(a_prime=tuple(rows), a=cert.a)
     assert any("not a reduction" in v for v in verify_reduction(A, tampered))
 
 
 def test_verify_reduction_flags_changed_diagonal():
     A = sym([["-1", 2], [2, "-1"]])
     cert = find_singular_reduction(A)
-    rows = [list(row) for row in cert.a_prime]
-    rows[0][0] = F(0)
-    tampered = ReductionCertificate(
-        a_prime=tuple(tuple(row) for row in rows), a=cert.a
-    )
+    rows = [dict(row) for row in cert.a_prime]
+    del rows[0][0]  # a zero entry has no key
+    tampered = ReductionCertificate(a_prime=tuple(rows), a=cert.a)
     assert any("diagonal changed" in v for v in verify_reduction(A, tampered))
 
 
@@ -241,23 +239,23 @@ def test_verify_reduction_names_the_shape_of_a_prime():
     # a and the matrix agree on the order; only a_prime is off
     A = sym([["-1", 1, 0], [1, "-1", 1], [0, 1, "-1"]])
     a = (F(1), F(1), F(1))
-    short = ReductionCertificate(a_prime=((F(-1),),), a=a)
+    short = ReductionCertificate(a_prime=({0: F(-1)},), a=a)
     message = "shape mismatch: a has 3 entries, a_prime is {}, matrix order 3"
     assert verify_reduction(A, short) == [message.format("1 x 1")] == all_pairs_reduction_violations(A, short)
-    ragged = ReductionCertificate(a_prime=((F(-1), F(1)), (F(1),), (F(0), F(1), F(-1))), a=a)
-    assert verify_reduction(A, ragged) == [message.format("3 x [1, 2, 3]")]
-    assert verify_reduction(A, ReductionCertificate(a_prime=(), a=a)) == [message.format("0 x 0")]
+    # Three rows, but columns past the last one and before the first.
+    stray = ReductionCertificate(a_prime=({0: F(-1), 3: F(1)}, {1: F(-1)}, {-1: F(1), 5: F(1)}), a=a)
+    assert not stray.has_order(3)
+    expected = [message.format("3 x 3 with columns [-1, 3, 5] outside it")]
+    assert verify_reduction(A, stray) == expected == all_pairs_reduction_violations(A, stray)
+    empty = ReductionCertificate(a_prime=(), a=a)
+    assert verify_reduction(A, empty) == [message.format("0 x 0")] == all_pairs_reduction_violations(A, empty)
 
 
 def test_verify_reduction_flags_zero_and_negative_vectors():
     A = sym([["-1", 1], [1, "-1"]])
-    zero = ReductionCertificate(
-        a_prime=tuple(tuple(row) for row in to_lists(A)), a=(F(0), F(0))
-    )
+    zero = ReductionCertificate(a_prime=A.sparse, a=(F(0), F(0)))
     assert any("zero" in v for v in verify_reduction(A, zero))
-    negative = ReductionCertificate(
-        a_prime=tuple(tuple(row) for row in to_lists(A)), a=(F(-1), F(-1))
-    )
+    negative = ReductionCertificate(a_prime=A.sparse, a=(F(-1), F(-1)))
     assert any("negative entry" in v for v in verify_reduction(A, negative))
 
 
@@ -276,10 +274,10 @@ def test_verify_reduction_matches_the_all_pairs_check_on_mutated_certificates():
     }
     flagged = {}
     for name, changes in mutations.items():
-        rows = [list(row) for row in cert.a_prime]
+        rows = [dict(row) for row in cert.a_prime]
         for i, j, v in changes:
             rows[i][j] = v
-        tampered = ReductionCertificate(a_prime=tuple(map(tuple, rows)), a=cert.a)
+        tampered = ReductionCertificate(a_prime=tuple(rows), a=cert.a)
         violations = verify_reduction(A, tampered)
         assert violations == all_pairs_reduction_violations(A, tampered), name
         flagged[name] = [v for v in violations if v.startswith("not a reduction")]
@@ -526,7 +524,7 @@ def test_singular_reductions_of_semidefinite_matrices_keep_entry_sizes():
         assert verify_reduction(A, cert) == []
         undone = [
             [(-v if i in flips else v) for v in row]
-            for i, row in enumerate(cert.a_prime)
+            for i, row in enumerate(dense_rows(cert.a_prime))
         ]
         for i in range(order):
             for j in range(order):
