@@ -31,19 +31,19 @@ from .covers import (
     parity_check,
 )
 from .decision import NotTwoPieceError, decide, two_piece_d
-from .exact_linalg import DisconnectedMatrixError, SymMatrix, rational_str
+from .exact_linalg import SymMatrix, rational_str
 from .fileio import (
     FileFormatError,
     json_text,
     load_json,
     load_manifold,
     manifold_to_json,
-    matrix_rows_from_json,
     parse_json,
     reduction_cert_from_json,
     reduction_cert_to_json,
     rows_to_json,
     save_json,
+    sparse_rows_from_json,
     surface_cert_from_json,
     surface_cert_to_json,
 )
@@ -150,7 +150,7 @@ def cmd_analyze(args) -> int:
         G = load_manifold(args.manifold)
         A = decomposition_matrix(G)
         report = _analysis_report(A)
-    except (FileFormatError, InvalidGraphError, DisconnectedMatrixError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail_input(str(exc))
     _print_report(report, args.json)
     return EXIT_HOLDS if report["property_i"] else EXIT_FAILS
@@ -200,7 +200,7 @@ def cmd_verify(args) -> int:
             cert, matrix = reduction_cert_from_json(doc)
             source = matrix if matrix is not None else decomposition_matrix(G)
             violations = verify_reduction(source, cert)
-    except (FileFormatError, InvalidGraphError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail_input(str(exc))
     if violations:
         for v in violations:
@@ -237,14 +237,14 @@ def _read_matrix(source: str) -> SymMatrix:
         data = parse_json(sys.stdin.read(), "<stdin>")
     else:
         data = load_json(source)
-    return SymMatrix(matrix_rows_from_json(data, "matrix"))
+    return SymMatrix(sparse_rows_from_json(data, "matrix"))
 
 
 def cmd_matrix(args) -> int:
     try:
         A = _read_matrix(args.source)
         report = _analysis_report(A)
-    except (FileFormatError, DisconnectedMatrixError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail_input(str(exc))
     try:
         reduction = find_singular_reduction(A)

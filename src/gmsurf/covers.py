@@ -375,14 +375,16 @@ def _sym_group(alpha: int):
 
 
 @lru_cache(maxsize=None)
-def _achievable_witnesses(genus: int, boundary: int, alpha: int):
-    """Map from achievable boundary type tuples to one witness tuple each.
+def _achievable_types(genus: int, boundary: int, alpha: int) -> frozenset[tuple[tuple[int, ...], ...]]:
+    """The boundary type tuples of the transitive homomorphisms.
 
-    One full enumeration per (genus, boundary, alpha), run only by the
-    oracle :func:`cover_exists_bruteforce`.  The first free generator is
-    restricted to one canonical representative per cycle type: conjugating a
-    whole homomorphism preserves boundary types and transitivity, so every
-    achievable type tuple keeps a witness in the restricted sweep.
+    One full sweep per (genus, boundary, alpha), run only by the oracle
+    :func:`cover_exists_bruteforce`.  x_1 is restricted to one canonical
+    representative per cycle type: conjugating a whole homomorphism
+    preserves boundary types and transitivity, and the genus is at least 1,
+    so every achievable type tuple is still reached.  The sweep loops x_1,
+    then the other 2g - 1 handle generators, whose commutator product is
+    taken once per choice, then the b - 1 free z's.
     """
     perms, index, compose_idx, inverse_idx, type_of = _sym_group(alpha)
     n = len(perms)
@@ -394,63 +396,35 @@ def _achievable_witnesses(genus: int, boundary: int, alpha: int):
             ab = compose_idx[a][b]
             comm_idx[a][b] = compose_idx[compose_idx[ab][inverse_idx[a]]][inverse_idx[b]]
 
-    canonical = [index[canonical_perm(alpha, part)] for part in _partitions(alpha)]
-    free_z = boundary - 1
-    witnesses: dict[tuple, tuple] = {}
-
-    def record(xs_idx, ys_idx, zs_idx, relator_idx):
-        last = inverse_idx[relator_idx]
-        key = tuple(type_of[k] for k in zs_idx) + (type_of[last],)
-        if key in witnesses:
-            return
-        gens = [perms[k] for k in xs_idx + ys_idx + zs_idx]
-        if not is_transitive(gens, alpha):
-            return
-        witnesses[key] = (
-            tuple(perms[k] for k in xs_idx),
-            tuple(perms[k] for k in ys_idx),
-            tuple(perms[k] for k in zs_idx),
-        )
-
-    if free_z > 0:
-        first_choices = [(k,) for k in canonical]
-        rest = free_z - 1
-        for xy in cartesian_product(range(n), repeat=2 * genus):
-            xs_idx, ys_idx = xy[:genus], xy[genus:]
+    achievable: set[tuple[tuple[int, ...], ...]] = set()
+    for part in _partitions(alpha):
+        x_first = index[canonical_perm(alpha, part)]
+        for xy in cartesian_product(range(n), repeat=2 * genus - 1):
+            handles = (x_first,) + xy
             prefix = ident
-            for a, b in zip(xs_idx, ys_idx):
+            for a, b in zip(handles[:genus], handles[genus:]):
                 prefix = compose_idx[prefix][comm_idx[a][b]]
-            for z_first in first_choices:
-                for z_rest in cartesian_product(range(n), repeat=rest):
-                    zs_idx = z_first + z_rest
-                    relator = prefix
-                    for k in zs_idx:
-                        relator = compose_idx[relator][k]
-                    record(xs_idx, ys_idx, zs_idx, relator)
-    else:
-        for x_first in canonical:
-            for xy in cartesian_product(range(n), repeat=2 * genus - 1):
-                xs_idx = (x_first,) + xy[: genus - 1]
-                ys_idx = xy[genus - 1 :]
-                relator = ident
-                for a, b in zip(xs_idx, ys_idx):
-                    relator = compose_idx[relator][comm_idx[a][b]]
-                record(xs_idx, ys_idx, (), relator)
-    return witnesses
+            for zs in cartesian_product(range(n), repeat=boundary - 1):
+                relator = prefix
+                for k in zs:
+                    relator = compose_idx[relator][k]
+                key = tuple(type_of[k] for k in zs) + (type_of[inverse_idx[relator]],)
+                if key not in achievable and is_transitive([perms[k] for k in handles + zs], alpha):
+                    achievable.add(key)
+    return frozenset(achievable)
 
 
-def cover_exists_bruteforce(spec: CoverSpec, budget: int = _BRUTE_FORCE_BUDGET) -> bool:
+def cover_exists_bruteforce(spec: CoverSpec) -> bool:
     """Exhaustive oracle: enumerate every homomorphism (up to conjugation of
-    the first free generator) and test for one with the requested boundary type.
+    x_1) and test for one with the requested boundary type.
 
-    Raises BudgetExceededError when the sweep would be too large; the sweep
-    itself is cached per (genus, boundary count, degree).
+    Raises BudgetExceededError when the sweep would exceed
+    ``_BRUTE_FORCE_BUDGET``; the sweep itself is cached per (genus, boundary
+    count, degree).
     """
     cost = _enumeration_cost(spec.genus, spec.boundary_count, spec.alpha)
-    if cost > budget:
+    if cost > _BRUTE_FORCE_BUDGET:
         raise BudgetExceededError(
-            f"enumeration needs ~{cost} tuples or table entries, budget is {budget}"
+            f"enumeration needs ~{cost} tuples or table entries, budget is {_BRUTE_FORCE_BUDGET}"
         )
-    witnesses = _achievable_witnesses(spec.genus, spec.boundary_count, spec.alpha)
-    return spec.type_key() in witnesses
-
+    return spec.type_key() in _achievable_types(spec.genus, spec.boundary_count, spec.alpha)

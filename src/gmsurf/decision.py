@@ -30,9 +30,8 @@ from .exact_linalg import (
     DisconnectedMatrixError,
     Inertia,
     SymMatrix,
-    check_nonnegative_off_diagonal,
-    graph_components,
     inertia,
+    matrix_components,
 )
 from .manifold import a_minus, split_blocks
 
@@ -70,7 +69,7 @@ def _check_input(A: SymMatrix) -> tuple[tuple[dict[int, Fraction], ...], list[in
     """
     if A.order == 0:
         raise ValueError("empty matrix")
-    if len(graph_components(check_nonnegative_off_diagonal(A))) > 1:
+    if len(matrix_components(A)) > 1:
         raise DisconnectedMatrixError("matrix graph is disconnected")
     return (a_minus(A).sparse, *split_blocks(A))
 

@@ -10,9 +10,11 @@ diagonalization; by Sylvester's law of inertia the sign counts are invariant
 under congruence, so no root finding is needed.  A decomposition matrix has
 the sparsity of the piece graph (a tree plus a few extra tori), so a
 :class:`SymMatrix` keeps only its nonzero entries, one ``{column: value}``
-dict per row, and :func:`inertia` takes such dict rows and eliminates in
-minimum-degree order, which creates no fill on a tree: its cost follows the
-number of edges and the fill, not the cube of the order.
+dict per row, and its one constructor checks those entries alone.
+:func:`matrix_components` checks the sign of the couplings and finds the
+components of the matrix graph.  :func:`inertia` takes such dict rows and
+eliminates in minimum-degree order, which creates no fill on a tree: its
+cost follows the number of edges and the fill, not the cube of the order.
 :func:`pivot_witnesses` runs the same elimination, A = L D L^T, and turns
 each positive pivot block into a vector x = L^{-T} e_k with x^T A x > 0.
 
@@ -24,8 +26,8 @@ a nonsingular M-matrix, and when it passes the same elimination solves.
 :func:`determinant_rows` and :func:`nullspace_rows` are dense: they clear
 denominators by one common multiple per row, then fraction-free (Bareiss)
 elimination divides exactly by the previous pivot at each step, so entries
-stay integers the size of minors of the input.  The package no longer calls
-them.
+stay integers the size of minors of the input.  Only the tests and the
+benchmark's tracer name them.
 
 The sparse eliminations share one exact core of integers.  Each entry is a
 reduced (numerator, denominator) pair of ints with a positive denominator,
@@ -109,51 +111,39 @@ class Inertia:
         return f"({self.n_pos}, {self.n_zero}, {self.n_neg})"
 
 
+@dataclass(frozen=True, slots=True)
 class SymMatrix:
     """Immutable symmetric matrix over the rationals, kept as its nonzero entries.
 
     :attr:`sparse` holds one ``{column: value}`` dict per row, nonzero
     entries only (a zero diagonal has no key); ``A[i, j]`` reads it and is
-    ``Fraction(0)`` off the nonzeros.  The public constructor takes dense
-    rows (parsed files, tests): entries that are not already `Fraction`
-    are normalized through :func:`to_rational`, so floats are rejected,
-    and the shape and symmetry are checked before the zeros are dropped.
-    A matrix the package builds from its own nonzero entries
-    (:func:`gmsurf.manifold.decomposition_matrix`) skips those checks.
+    ``Fraction(0)`` off the nonzeros.  Every matrix, parsed or built by the
+    package, comes through this one constructor, which checks the stored
+    entries in one pass: each value must be a nonzero `Fraction`
+    (TypeError), each column an int in 0..n-1 and each entry mirrored by an
+    equal one across the diagonal (ValueError, naming the least asymmetric
+    pair).  A mirror that is the same object needs no comparison.
     """
-
-    __slots__ = ("sparse",)
 
     sparse: tuple[dict[int, Fraction], ...]
 
-    def __init__(self, rows: Sequence[Sequence[int | str | Fraction]]):
-        converted = tuple(
-            tuple(x if isinstance(x, Fraction) else to_rational(x) for x in row) for row in rows
-        )
-        n = len(converted)
-        for row in converted:
-            if len(row) != n:
-                raise ValueError(f"not square: {n} rows but a row of length {len(row)}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if converted[i][j] != converted[j][i]:
-                    raise ValueError(f"not symmetric at ({i}, {j})")
-        object.__setattr__(
-            self, "sparse", tuple({j: x for j, x in enumerate(row) if x} for row in converted)
-        )
-
-    @classmethod
-    def _from_sparse(cls, sparse: Sequence[dict[int, Fraction]]) -> "SymMatrix":
-        """A matrix the package built itself from its nonzero entries, one
-        ``{column: value}`` dict per row, symmetric and `Fraction`-valued by
-        construction: the dicts are wrapped as they are, unchecked.  Parsed
-        input never comes here."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "sparse", tuple(sparse))
-        return matrix
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymMatrix is immutable")
+    def __post_init__(self):
+        rows = tuple(self.sparse)
+        object.__setattr__(self, "sparse", rows)
+        n = len(rows)
+        asymmetric = []
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                if type(x) is not Fraction or not x._numerator:
+                    raise TypeError(f"entry ({i}, {j}) is not a nonzero Fraction: {x!r}")
+                if type(j) is not int or not 0 <= j < n:
+                    raise ValueError(f"row {i} has column {j!r} outside 0..{n - 1}")
+                mirror = rows[j].get(i)
+                if mirror is not x and mirror != x:
+                    asymmetric.append((i, j) if i < j else (j, i))
+        if asymmetric:
+            i, j = min(asymmetric)
+            raise ValueError(f"not symmetric at ({i}, {j})")
 
     @property
     def order(self) -> int:
@@ -162,9 +152,6 @@ class SymMatrix:
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         return self.sparse[i].get(j, _ZERO)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymMatrix) and self.sparse == other.sparse
 
     def __repr__(self) -> str:
         n = self.order
@@ -566,14 +553,25 @@ def nullspace_rows(rows: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, .
     return basis
 
 
-def graph_components(neighbours: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Connected components of the graph with these neighbour lists.
+def matrix_components(A: SymMatrix) -> list[list[int]]:
+    """The connected components of A's matrix graph, whose edges are the
+    nonzero off-diagonal entries; ValueError on a negative one.
 
-    Components are sorted lists of vertices, ordered by smallest member.
+    Decomposition matrices, and every matrix the decision and reduction
+    layers accept, have non-negative off-diagonal entries.  The first
+    negative entry is named row by row, then by column, whatever the order
+    of the row dicts' keys.  Components are sorted lists of vertices,
+    ordered by smallest member, found by a depth-first walk over the same
+    nonzero entries.
     """
-    seen = [False] * len(neighbours)
+    rows = A.sparse
+    for i, row in enumerate(rows):
+        negative = [j for j, x in row.items() if j > i and x < 0]
+        if negative:
+            raise ValueError(f"negative off-diagonal entry at ({i}, {min(negative)})")
+    seen = [False] * len(rows)
     components: list[list[int]] = []
-    for start in range(len(neighbours)):
+    for start in range(len(rows)):
         if seen[start]:
             continue
         stack = [start]
@@ -582,30 +580,12 @@ def graph_components(neighbours: Sequence[Sequence[int]]) -> list[list[int]]:
         while stack:
             i = stack.pop()
             comp.append(i)
-            for j in neighbours[i]:
+            for j in rows[i]:
                 if not seen[j]:
                     seen[j] = True
                     stack.append(j)
         components.append(sorted(comp))
     return components
-
-
-def check_nonnegative_off_diagonal(A: SymMatrix) -> list[list[int]]:
-    """Raise ValueError naming the first negative off-diagonal entry, if any.
-
-    "First" is row by row, then by column, whatever the order of the row
-    dicts' keys.  Decomposition matrices, and every matrix the decision and
-    reduction layers accept, have non-negative off-diagonal entries.
-    Returns the neighbour lists of the matrix graph, read from the same
-    nonzero entries.
-    """
-    neighbours: list[list[int]] = []
-    for i, row in enumerate(A.sparse):
-        negative = [j for j, x in row.items() if j > i and x < 0]
-        if negative:
-            raise ValueError(f"negative off-diagonal entry at ({i}, {min(negative)})")
-        neighbours.append([j for j in row if j != i])
-    return neighbours
 
 
 def _primitive(vec: Sequence[tuple[int, int]]) -> list[int]:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
 
-from .exact_linalg import _ZERO, SymMatrix, rational_str, to_rational
+from .exact_linalg import SymMatrix, rational_str, to_rational
 from .manifold import DecompositionGraph, GluingTorus, SeifertPiece
 from .reduction import ReductionCertificate
 from .surface import CurveSystem, SurfaceCertificate
@@ -96,7 +96,8 @@ def sparse_rows_from_json(data, where: str) -> list[dict[int, Fraction]]:
     A "0" token is dropped by a string compare; any other token is parsed,
     and dropped if it is zero.  Only strings are memoized: JSON integers
     (and booleans, which compare equal to 0 and 1 but are rejected) are
-    parsed where they stand.
+    parsed where they stand.  The rows are a reduction's ``a_prime``, or go
+    to :class:`SymMatrix` as they are, which checks their symmetry.
     """
     rows = _expect_list(data, where)
     out = []
@@ -121,12 +122,6 @@ def sparse_rows_from_json(data, where: str) -> list[dict[int, Fraction]]:
                 entries[j] = value
         out.append(entries)
     return out
-
-
-def matrix_rows_from_json(data, where: str) -> list[list[Fraction]]:
-    """The dense rows of :func:`sparse_rows_from_json`, for a :class:`SymMatrix` to check."""
-    rows = sparse_rows_from_json(data, where)
-    return [[row.get(j, _ZERO) for j in range(len(rows))] for row in rows]
 
 
 def manifold_to_json(G: DecompositionGraph) -> dict:
@@ -249,7 +244,7 @@ def reduction_cert_from_json(data) -> tuple[ReductionCertificate, SymMatrix | No
     matrix = None
     if "matrix" in doc:
         try:
-            matrix = SymMatrix(matrix_rows_from_json(doc["matrix"], "matrix"))
+            matrix = SymMatrix(sparse_rows_from_json(doc["matrix"], "matrix"))
         except ValueError as exc:
             raise FileFormatError(f"matrix: {exc}") from exc
     return ReductionCertificate(a_prime=tuple(a_prime), a=tuple(a)), matrix

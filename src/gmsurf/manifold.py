@@ -228,7 +228,7 @@ def decomposition_matrix(G: DecompositionGraph) -> SymMatrix:
             w = inverses[t.p] = Fraction(1, t.p)
         coupling = sparse[i].get(j)
         sparse[i][j] = sparse[j][i] = w if coupling is None else coupling + w
-    return SymMatrix._from_sparse(sparse)
+    return SymMatrix(sparse)
 
 
 def a_minus(A: SymMatrix) -> SymMatrix:
@@ -241,7 +241,7 @@ def a_minus(A: SymMatrix) -> SymMatrix:
     for i, row in enumerate(minus):
         if row.get(i, 0) > 0:
             minus[i] = {**row, i: -row[i]}
-    return SymMatrix._from_sparse(minus)
+    return SymMatrix(minus)
 
 
 def split_blocks(A: SymMatrix) -> tuple[list[int], list[int], list[int]]:

@@ -61,9 +61,8 @@ from .exact_linalg import (
     _pair_rows,
     _primitive,
     _sum,
-    check_nonnegative_off_diagonal,
-    graph_components,
     inertia,  # unused here; bench/tests/test_tracer.py checks the tracer replaces this binding
+    matrix_components,
     mmatrix_solve,
     pivot_witnesses,
     primitive_vector,
@@ -223,7 +222,7 @@ def find_singular_reduction(A: SymMatrix) -> ReductionCertificate:
     and the vector become `Fraction` once, as the certificate.
     """
     sparse, minus = A.sparse, a_minus(A).sparse
-    for component in graph_components(check_nonnegative_off_diagonal(A)):
+    for component in matrix_components(A):
         # A component holds every neighbour of its vertices.
         position = {i: r for r, i in enumerate(component)}
         found = _perron_reduction(
@@ -303,7 +302,7 @@ def negativity_certificate(A: SymMatrix) -> NegativityCertificate:
     M-matrix, so a second elimination, with the last weight fixed at 1,
     solves for the others; return the primitive generator.
     """
-    if len(graph_components(check_nonnegative_off_diagonal(A))) > 1:
+    if len(matrix_components(A)) > 1:
         raise ValueError("matrix graph is disconnected")
     n = A.order
     negated = [{j: -x for j, x in row.items()} for row in A.sparse]
@@ -349,7 +348,7 @@ def strict_shrink(A: SymMatrix) -> SymMatrix:
     x over the lcm D of its own.  Only the returned shrunk matrix is
     `Fraction`.
     """
-    check_nonnegative_off_diagonal(A)
+    matrix_components(A)  # for its sign check
     minus = _pair_rows(a_minus(A).sparse)
     ine, witnesses = pivot_witnesses([dict(row) for row in minus])
     if not witnesses:
@@ -391,7 +390,7 @@ def strict_shrink(A: SymMatrix) -> SymMatrix:
             hi, gap = k, 2 * gap
         else:
             lo = k
-    return SymMatrix._from_sparse(
+    return SymMatrix(
         [
             {j: A.sparse[i][j] if i == j else _fraction(x) for j, x in row.items()}
             for i, row in enumerate(shrunk(hi))

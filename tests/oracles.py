@@ -30,7 +30,8 @@ the dense routines they replaced, kept so tests can compare results exactly:
 It also holds :func:`bilinear_identity`, the exact quadratic-form expansion
 behind reading a negativity certificate as "A is negative", and the dense
 matrix helpers that only tests need: :func:`to_lists`, :func:`dense_rows`,
-:func:`dense_json`, :func:`mat_vec`, :func:`principal_submatrix`,
+:func:`dense_json`, :func:`mat_vec`, :func:`sym` (a matrix from dense
+rows), :func:`principal_submatrix`,
 :func:`matrix_graph_components` and :func:`is_connected_matrix`.
 """
 
@@ -44,13 +45,13 @@ from gmsurf.exact_linalg import (
     SymMatrix,
     _clear_denominators,
     _eliminate,
-    check_nonnegative_off_diagonal,
     determinant_rows,
-    graph_components,
     inertia,
+    matrix_components,
     nullspace_rows,
     primitive_vector,
     rational_str,
+    to_rational,
 )
 from gmsurf.manifold import DecompositionGraph, a_minus, decomposition_matrix
 from gmsurf.reduction import (
@@ -61,6 +62,17 @@ from gmsurf.reduction import (
     strict_shrink,
 )
 from gmsurf.surface import CurveSystem, SurfaceCertificate
+
+
+def sym(rows: Sequence[Sequence[int | str | Fraction]]) -> SymMatrix:
+    """The :class:`SymMatrix` of dense rows: each entry through
+    :func:`to_rational` (ints, rational strings, Fractions; floats are a
+    TypeError), the zeros dropped.  Ragged rows are a ValueError."""
+    n = len(rows)
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(f"not square: {n} rows but a row of length {len(row)}")
+    return SymMatrix([{j: x for j, x in enumerate(map(to_rational, row)) if x} for row in rows])
 
 
 def to_lists(A: SymMatrix) -> list[list[Fraction]]:
@@ -81,12 +93,21 @@ def principal_submatrix(A: SymMatrix, idx: Iterable[int]) -> SymMatrix:
     for i in indices:
         if not 0 <= i < n:
             raise IndexError(f"index {i} out of range for order {n}")
-    return SymMatrix([[A[i, j] for j in indices] for i in indices])
+    return sym([[A[i, j] for j in indices] for i in indices])
 
 
 def matrix_graph_components(A: SymMatrix) -> list[list[int]]:
-    """Connected components of the matrix graph (edge {i, j} iff A[i][j] != 0, i != j)."""
-    return graph_components([[j for j in row if j != i] for i, row in enumerate(A.sparse)])
+    """Connected components of the matrix graph (edge {i, j} iff A[i][j] != 0,
+    i != j), whatever the signs, sorted and ordered by smallest member.
+    Every component is labelled by its smallest vertex: each edge merges
+    the labels of its ends."""
+    label = list(range(A.order))
+    for i in range(A.order):
+        for j in range(i):
+            if A[i, j] != 0 and label[i] != label[j]:
+                old, new = max(label[i], label[j]), min(label[i], label[j])
+                label = [new if x == old else x for x in label]
+    return [[i for i in range(A.order) if label[i] == root] for root in sorted(set(label))]
 
 
 def is_connected_matrix(A: SymMatrix) -> bool:
@@ -317,7 +338,7 @@ def halving_shrink(A: SymMatrix) -> SymMatrix:
             for j in range(A.order):
                 if i != j and rows[i][j] != 0:
                     rows[i][j] *= 1 - eps
-        shrunk = SymMatrix(rows)
+        shrunk = sym(rows)
         if inertia(a_minus(shrunk).sparse).n_pos > 0:
             return shrunk
         eps /= 2
@@ -392,7 +413,7 @@ def _dense_perron_reduction(B: SymMatrix, n_pos: int):
 def crossing_reduction(A: SymMatrix) -> ReductionCertificate:
     """The singular reduction of the first component of A whose A-minus block
     is not negative definite (by its inertia), built with dense solves."""
-    check_nonnegative_off_diagonal(A)
+    matrix_components(A)
     B = a_minus(A)
     for component in matrix_graph_components(B):
         block = principal_submatrix(B, component)

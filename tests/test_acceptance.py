@@ -25,7 +25,7 @@ from gmsurf.reduction import (
     verify_reduction,
 )
 from gmsurf.surface import build_surface_certificate, verify_surface_certificate
-from oracles import bilinear_identity, is_connected_matrix, kernel_basis, mat_vec, to_lists
+from oracles import bilinear_identity, is_connected_matrix, kernel_basis, mat_vec, sym, to_lists
 
 F = Fraction
 
@@ -63,7 +63,7 @@ def negative_definite_instances() -> tuple[SymMatrix, ...]:
             [abs(gram[i][j]) if i != j else -(gram[i][i] + 1) for j in range(s)]
             for i in range(s)
         ]
-        A = SymMatrix(rows)
+        A = sym(rows)
         if inertia(A.sparse).n_neg != s or not is_connected_matrix(A):
             continue
         out.append(A)
@@ -87,7 +87,7 @@ def random_symmetric_instances() -> tuple[SymMatrix, ...]:
                 v = F(rng.randint(1, 5), rng.randint(1, 3))
                 rows[i][j] = v
                 rows[j][i] = v
-        out.append(SymMatrix(rows))
+        out.append(sym(rows))
     return tuple(out)
 
 
@@ -103,7 +103,7 @@ def connected_negative_instance(rng: random.Random, singular: bool) -> SymMatrix
         total = sum(rows[i][j] for j in range(order) if j != i)
         slack = F(0) if singular else F(rng.randint(1, 4), rng.randint(1, 2))
         rows[i][i] = -(total + slack)
-    return SymMatrix(rows)
+    return sym(rows)
 
 
 @lru_cache(maxsize=1)
@@ -128,7 +128,7 @@ def test_criterion_1_two_piece_equivalence():
     couplings = [F(1, 2), F(1), F(3, 2), F(2)]
     checked = 0
     for a11, a22, a12 in product(diagonal_values, diagonal_values, couplings):
-        A = SymMatrix([[a11, a12], [a12, a22]])
+        A = sym([[a11, a12], [a12, a22]])
         d = two_piece_d(A).d
         verdict = decide(A)
         holds_i, holds_ve = verdict.property_i, verdict.property_ve
@@ -260,7 +260,7 @@ def test_criterion_5_strict_reductions_definite():
             factor = F(num, 3)
             rows[i][j] *= factor
             rows[j][i] *= factor
-        reduced = SymMatrix(rows)
+        reduced = sym(rows)
         if inertia(reduced.sparse) != Inertia(n_pos=0, n_zero=0, n_neg=order):
             failures.append(f"instance {k}: reduction not negative definite")
     elapsed = time.perf_counter() - start

@@ -5,19 +5,24 @@ Exit codes: 0 property holds / certificate verified, 1 property fails,
 error.
 """
 
+import copy
 import io
 import json
+from functools import lru_cache
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies
 
 from gmsurf import cli, covers, decision, exact_linalg, fileio
 from gmsurf.cli import main
 from gmsurf.covers import commutator, cycle_type, identity_perm, is_transitive, word_product
-from gmsurf.fileio import load_json, save_json
+from gmsurf.fileio import load_json, manifold_to_json, reduction_cert_to_json, save_json, surface_cert_to_json
 from gmsurf.generate import generate_manifold
 from gmsurf.manifold import DecompositionGraph, GluingTorus, SeifertPiece, decomposition_matrix, two_piece_graph
+from gmsurf.reduction import find_singular_reduction
+from gmsurf.surface import build_surface_certificate
 from oracles import to_lists
-from test_fileio import save_manifold
+from test_fileio import any_json, json_scalars, reduction_docs, save_manifold, surface_docs
 
 
 def write_manifold(tmp_path, name, e1, e2, **torus_kwargs):
@@ -594,3 +599,96 @@ def test_manifold_piece_check_keeps_its_location(tmp_path, capsys):
     save_json(doc, path)
     assert main(["analyze", str(path)]) == 2
     assert capsys.readouterr().err == "error: pieces[0]: piece 1: cone orders must be >= 2, got 1\n"
+
+
+# --- totality of the verifiers ------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def verify_corpus(pieces: int, seed: int) -> tuple[dict, dict, dict, dict]:
+    """A valid generated manifold's document and three certificate documents
+    that verify against it: its surface certificate, and its reduction
+    certificate with and without the embedded matrix."""
+    G = generate_manifold(pieces, seed=seed, profile="posEig")
+    A = decomposition_matrix(G)
+    reduction = find_singular_reduction(A)
+    return (
+        manifold_to_json(G),
+        surface_cert_to_json(build_surface_certificate(G)),
+        reduction_cert_to_json(reduction, matrix=A),
+        reduction_cert_to_json(reduction),
+    )
+
+
+def positions(node, out):
+    """Every (container, key) pair below ``node``, depth first."""
+    keys = list(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        out.append((node, key))
+        positions(node[key], out)
+    return out
+
+
+# Values of the type a certificate holds where they stand, and near misses.
+rational_tweaks = strategies.sampled_from(["0", "-0", "0/5", "1", "-1", "1/2", "-3/2", "2/3", "7", "10" * 20])
+int_tweaks = strategies.integers(-3, 10) | strategies.just(10**30)
+
+
+@strategies.composite
+def mutated_certificates(draw):
+    """One corpus certificate (surface, or reduction with or without its
+    matrix) with up to three of its entries changed, dropped or duplicated,
+    or an arbitrary certificate-shaped or JSON document in its place."""
+    manifold, *certificates = verify_corpus(draw(strategies.integers(2, 5)), draw(strategies.integers(0, 3)))
+    kind = draw(strategies.sampled_from(["surface", "reduction", "reduction"]))
+    doc = copy.deepcopy(certificates[0] if kind == "surface" else draw(strategies.sampled_from(certificates[1:])))
+    for _ in range(draw(strategies.integers(0, 3))):
+        places = positions(doc, [])
+        if not places:
+            break
+        action = draw(strategies.sampled_from(["tweak"] * 5 + ["drop", "duplicate", "scalar", "json"]))
+        if action == "tweak":
+            places = [(c, k) for c, k in places if not isinstance(c[k], (dict, list))] or places
+        container, key = draw(strategies.sampled_from(places))
+        if action == "tweak":
+            container[key] = draw(int_tweaks if type(container[key]) is int else rational_tweaks)
+        elif action == "scalar":
+            container[key] = draw(json_scalars)
+        elif action == "json":
+            container[key] = draw(any_json)
+        elif action == "drop":
+            del container[key]
+        elif isinstance(container, list):
+            container.append(copy.deepcopy(container[key]))
+        else:
+            container[key + "_"] = copy.deepcopy(container[key])
+    source = draw(strategies.sampled_from(["mutated"] * 6 + ["surface", "reduction", "any"]))
+    if source != "mutated":
+        doc = draw({"surface": surface_docs, "reduction": reduction_docs, "any": any_json}[source])
+    return manifold, kind, doc
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_certificates())
+def test_verify_is_total(tmp_path, capsys, case):
+    """Any certificate document against a valid manifold is valid (0), an
+    input error (2) or invalid (4), never a crash (5) or a traceback."""
+    manifold, kind, doc = case
+    save_json(manifold, tmp_path / "m.json")
+    (tmp_path / "cert.json").write_text(json.dumps(doc))
+    code = main(["verify", str(tmp_path / "m.json"), str(tmp_path / "cert.json"), "--kind", kind])
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 4), err
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_verify_corpus_certificates_are_valid(tmp_path, capsys):
+    for pieces in range(2, 6):
+        for seed in range(4):
+            manifold, surface, with_matrix, without_matrix = verify_corpus(pieces, seed)
+            save_json(manifold, tmp_path / "m.json")
+            for kind, doc in (("surface", surface), ("reduction", with_matrix), ("reduction", without_matrix)):
+                save_json(doc, tmp_path / "cert.json")
+                assert main(["verify", str(tmp_path / "m.json"), str(tmp_path / "cert.json"), "--kind", kind]) == 0

@@ -12,6 +12,7 @@ from gmsurf.covers import (
     CoverCertificate,
     CoverSpec,
     ParityError,
+    _enumeration_cost,
     alpha_cycle_split,
     commutator,
     compose,
@@ -215,12 +216,8 @@ def test_find_cover_builds_every_small_parity_valid_spec():
     parity criterion against the exhaustive oracle wherever it is cheap."""
     built = oracle_checked = 0
     for spec in all_specs((1, 2, 3), (1, 2, 3), range(1, 7)):
-        try:
-            exists = cover_exists_bruteforce(spec, budget=600_000)
-        except BudgetExceededError:
-            exists = None
-        if exists is not None:
-            assert exists == parity_check(spec), spec
+        if _enumeration_cost(spec.genus, spec.boundary_count, spec.alpha) <= 600_000:
+            assert cover_exists_bruteforce(spec) == parity_check(spec), spec
             oracle_checked += 1
         if not parity_check(spec):
             with pytest.raises(ParityError):
@@ -253,7 +250,7 @@ def test_find_cover_never_runs_the_exhaustive_oracle(monkeypatch):
     def refuse(*args):
         raise AssertionError("find_cover reached the exhaustive enumeration")
 
-    monkeypatch.setattr(covers, "_achievable_witnesses", refuse)
+    monkeypatch.setattr(covers, "_achievable_types", refuse)
     monkeypatch.setattr(covers, "_sym_group", refuse)
     for spec in all_specs((1, 2), (1, 2), range(1, 6)):
         if parity_check(spec):

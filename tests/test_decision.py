@@ -17,10 +17,9 @@ from gmsurf.exact_linalg import (
     DisconnectedMatrixError,
     SymMatrix,
     inertia,
-    to_rational,
 )
 from gmsurf.manifold import a_minus, split_blocks
-from oracles import is_connected_matrix, principal_submatrix, to_lists
+from oracles import is_connected_matrix, principal_submatrix, sym, to_lists
 
 F = Fraction
 
@@ -28,10 +27,6 @@ F = Fraction
 def negative_definite(A: SymMatrix) -> bool:
     """Every eigenvalue negative; the 0x0 matrix vacuously so."""
     return inertia(A.sparse).n_neg == A.order
-
-
-def sym(rows) -> SymMatrix:
-    return SymMatrix([[to_rational(v) for v in row] for row in rows])
 
 
 small_rationals = strategies.builds(
@@ -54,7 +49,7 @@ def admissible_matrices(max_order=4):
                 v = draw(nonnegative_rationals)
                 rows[i][j] = v
                 rows[j][i] = v
-        return SymMatrix(rows)
+        return sym(rows)
 
     return strategies.composite(build)()
 
@@ -162,7 +157,7 @@ def test_virtually_embedded_implies_immersed(A):
 def test_verdicts_invariant_under_positive_scaling(A, c):
     if not is_connected_matrix(A):
         return
-    scaled = SymMatrix([[c * A[i, j] for j in range(A.order)] for i in range(A.order)])
+    scaled = sym([[c * A[i, j] for j in range(A.order)] for i in range(A.order)])
     assert decide(scaled).property_i == decide(A).property_i
     assert decide(scaled).property_ve == decide(A).property_ve
 

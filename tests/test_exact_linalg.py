@@ -31,9 +31,9 @@ from gmsurf.exact_linalg import (
     SymMatrix,
     _fraction,
     _pair_rows,
-    check_nonnegative_off_diagonal,
     determinant_rows,
     inertia,
+    matrix_components,
     mmatrix_solve,
     nullspace_rows,
     pivot_witnesses,
@@ -41,6 +41,7 @@ from gmsurf.exact_linalg import (
     rational_str,
     to_rational,
 )
+from gmsurf.fileio import FileFormatError, sparse_rows_from_json
 from gmsurf.generate import generate_manifold
 from gmsurf.manifold import a_minus, decomposition_matrix, split_blocks
 from oracles import (
@@ -54,6 +55,7 @@ from oracles import (
     matrix_graph_components,
     principal_submatrix,
     solve_rows,
+    sym,
     to_lists,
 )
 
@@ -63,10 +65,6 @@ F = Fraction
 def negative_definite(A: SymMatrix) -> bool:
     """Every eigenvalue negative; the 0x0 matrix vacuously so."""
     return inertia(A.sparse).n_neg == A.order
-
-
-def sym(rows) -> SymMatrix:
-    return SymMatrix([[to_rational(v) for v in row] for row in rows])
 
 
 small_rationals = strategies.builds(
@@ -83,7 +81,7 @@ def symmetric_matrices(max_order=4, entries=small_rationals):
                 v = draw(entries)
                 rows[i][j] = v
                 rows[j][i] = v
-        return SymMatrix(rows)
+        return sym(rows)
 
     return strategies.composite(build)()
 
@@ -247,28 +245,59 @@ def test_rational_str_round_trip(value):
 
 def test_sym_matrix_rejects_asymmetric_input():
     with pytest.raises(ValueError):
-        SymMatrix([[F(0), F(1)], [F(2), F(0)]])
+        SymMatrix([{1: F(1)}, {0: F(2)}])
 
 
 def test_sym_matrix_rejects_ragged_input():
+    # ragged rows have no sparse form: the parser and the dense test helper refuse them
     with pytest.raises(ValueError):
-        SymMatrix([[F(0), F(1)], [F(1)]])
+        sym([[F(0), F(1)], [F(1)]])
+    with pytest.raises(FileFormatError, match=r"matrix\[1\]: expected 2 entries, got 1"):
+        sparse_rows_from_json([["0", "1"], ["1"]], "matrix")
 
 
 def test_sym_matrix_rejects_float_entries():
     with pytest.raises(TypeError):
-        SymMatrix([[0.5]])
+        SymMatrix([{0: 0.5}])
+    with pytest.raises(TypeError):
+        sym([[0.5]])
 
 
-def test_sym_matrix_converts_only_entries_that_are_not_fractions(monkeypatch):
-    converted = []
-    real = exact_linalg.to_rational
-    monkeypatch.setattr(exact_linalg, "to_rational", lambda x: converted.append(x) or real(x))
-    A = SymMatrix([[F(-1), F(1, 2)], [F(1, 2), 3]])
-    assert converted == [3]
+def test_sym_matrix_rejects_entries_that_are_not_nonzero_fractions_and_stray_columns():
+    for bad in (3, "1/2", 0.5, True, None, F(0), F(0, 5)):
+        with pytest.raises(TypeError, match=r"entry \(0, 0\) is not a nonzero Fraction"):
+            SymMatrix([{0: bad}])
+    for rows, column in [
+        ([{1: F(1)}], "1"),
+        ([{0: F(1), -1: F(1)}], "-1"),
+        ([{"0": F(1)}], "'0'"),
+        ([{True: F(1)}], "True"),
+        ([{}, {1.0: F(1)}], "1.0"),
+    ]:
+        with pytest.raises(ValueError, match=rf"column {column} outside 0\.\.{len(rows) - 1}"):
+            SymMatrix(rows)
+    A = SymMatrix([{0: F(-1), 1: F(1, 2)}, {0: F(1, 2), 1: F(3)}])
     assert to_lists(A) == [[F(-1), F(1, 2)], [F(1, 2), F(3)]]
+    assert type(A.sparse) is tuple
     with pytest.raises(ValueError, match=r"not symmetric at \(0, 1\)"):
-        SymMatrix([[F(0), F(1)], [F(2), F(0)]])
+        SymMatrix([{1: F(1)}, {0: F(2)}])
+    with pytest.raises(ValueError, match=r"not symmetric at \(0, 1\)"):
+        SymMatrix([{1: F(1)}, {}])
+    # the least asymmetric pair is named, whatever the order of the rows' keys
+    with pytest.raises(ValueError, match=r"^not symmetric at \(0, 2\)$"):
+        SymMatrix([{2: F(1)}, {2: F(1)}, {1: F(2), 0: F(2)}])
+
+
+def test_sym_matrix_compares_a_shared_entry_by_identity(monkeypatch):
+    # one object at (i, j) and (j, i) needs no comparison, an equal copy one
+    calls = []
+    real = Fraction.__eq__
+    monkeypatch.setattr(Fraction, "__eq__", lambda a, b: calls.append(1) or real(a, b))
+    shared = F(1, 3)
+    SymMatrix([{0: F(-1), 1: shared}, {0: shared}])
+    assert calls == []
+    SymMatrix([{0: F(-1), 1: F(1, 3)}, {0: F(1, 3)}])
+    assert len(calls) == 2
 
 
 def test_sym_matrix_keeps_only_its_nonzeros():
@@ -280,10 +309,14 @@ def test_sym_matrix_keeps_only_its_nonzeros():
     assert A[1, 0] == F(1, 2)
     assert repr(A) == "SymMatrix([[0, 1/2, 0], [1/2, -1, 0], [0, 0, 0]])"
     # == compares the nonzeros, whatever order their keys were added in
-    assert A == SymMatrix._from_sparse([{1: F(1, 2)}, {1: F(-1), 0: F(1, 2)}, {}])
+    assert A == SymMatrix([{1: F(1, 2)}, {1: F(-1), 0: F(1, 2)}, {}])
     assert A != sym([[0, "1/2", 0], ["1/2", "-1", 0], [0, 0, 1]])
     with pytest.raises(TypeError):
         hash(A)
+    with pytest.raises(AttributeError):
+        A.sparse = ()
+    with pytest.raises((AttributeError, TypeError)):
+        A.rows = ()
 
 
 # --- inertia ---------------------------------------------------------------
@@ -327,7 +360,7 @@ def test_inertia_invariant_under_congruence(A, P):
         ]
         for i in range(n)
     ]
-    assert inertia(SymMatrix(product).sparse) == inertia(A.sparse)
+    assert inertia(sym(product).sparse) == inertia(A.sparse)
 
 
 @given(symmetric_matrices())
@@ -397,18 +430,25 @@ def test_solve_recovers_known_solution(A):
 
 
 def test_components_of_connected_pair():
-    assert matrix_graph_components(sym([["-1", 1], [1, "-1"]])) == [[0, 1]]
+    A = sym([["-1", 1], [1, "-1"]])
+    assert matrix_components(A) == matrix_graph_components(A) == [[0, 1]]
 
 
 def test_components_of_diagonal_matrix_are_singletons():
     A = sym([[1, 0, 0], [0, "-2", 0], [0, 0, 0]])
-    assert matrix_graph_components(A) == [[0], [1], [2]]
+    assert matrix_components(A) == matrix_graph_components(A) == [[0], [1], [2]]
 
 
 def test_components_with_one_edge():
     A = sym([[0, 1, 0], [1, 0, 0], [0, 0, "-1"]])
-    assert matrix_graph_components(A) == [[0, 1], [2]]
+    assert matrix_components(A) == matrix_graph_components(A) == [[0, 1], [2]]
     assert not is_connected_matrix(A)
+
+
+def test_components_are_sorted_and_ordered_by_smallest_member():
+    # edges 0-4, 4-2 and 3-1; the walk from 0 reaches 4 before 2
+    A = sym([[0, 0, 0, 0, 1], [0, 0, 0, 1, 0], [0, 0, 0, 0, 2], [0, 1, 0, 0, 0], [1, 0, 2, 0, 0]])
+    assert matrix_components(A) == matrix_graph_components(A) == [[0, 2, 4], [1, 3]]
 
 
 def test_first_negative_entry_is_row_by_row_whatever_the_dict_order():
@@ -420,10 +460,10 @@ def test_first_negative_entry_is_row_by_row_whatever_the_dict_order():
     ]
     # each dict lists its columns in descending order
     sparse = [dict(reversed([(j, x) for j, x in enumerate(row) if x])) for row in dense]
-    A = SymMatrix._from_sparse(sparse)
+    A = SymMatrix(sparse)
     assert to_lists(A) == dense
     assert list(A.sparse[0]) == [3, 2, 1, 0]
-    for check in (check_nonnegative_off_diagonal, decide):
+    for check in (matrix_components, decide):
         with pytest.raises(ValueError) as info:
             check(A)
         assert str(info.value) == "negative off-diagonal entry at (0, 2)"
@@ -486,7 +526,7 @@ def with_zero_diagonal(A: SymMatrix) -> SymMatrix:
     rows = to_lists(A)
     for i in range(A.order):
         rows[i][i] = F(0)
-    return SymMatrix(rows)
+    return sym(rows)
 
 
 def low_rank_symmetric(max_order=12, entries=wide_rationals):
@@ -500,7 +540,7 @@ def low_rank_symmetric(max_order=12, entries=wide_rationals):
         def entry(i, j):
             return sum((B[t][i] * D[t] * B[t][j] for t in range(k)), F(0))
 
-        return SymMatrix([[entry(i, j) for j in range(n)] for i in range(n)])
+        return sym([[entry(i, j) for j in range(n)] for i in range(n)])
 
     return strategies.composite(build)()
 
@@ -509,7 +549,7 @@ def kernel_dimension(rows) -> int:
     """dim ker R = n_zero of R^T R (same rank), by the Fraction oracle."""
     n_cols = len(rows[0])
     gram = [[sum((r[i] * r[j] for r in rows), F(0)) for j in range(n_cols)] for i in range(n_cols)]
-    return fraction_inertia(SymMatrix(gram)).n_zero
+    return fraction_inertia(sym(gram)).n_zero
 
 
 def assert_rref_basis(rows, basis):
@@ -566,7 +606,7 @@ def scattered_blocks(max_blocks=4, max_order=4, entries=wide_rationals):
                 for j in range(B.order):
                     rows[order[offset + i]][order[offset + j]] = B[i, j]
             offset += B.order
-        return SymMatrix(rows), blocks
+        return sym(rows), blocks
 
     return strategies.composite(build)()
 
@@ -737,7 +777,7 @@ def verdict_matrix(n: int, cls: str) -> SymMatrix:
         rows[k][k] += delta
     elif cls == "pos_no_ve":
         rows[k][k] = r[k] - delta
-    return SymMatrix(rows)
+    return sym(rows)
 
 
 @pytest.mark.parametrize("n", [40, 64, 120, 200])
@@ -814,8 +854,8 @@ def test_inertia_of_the_400_piece_slowly_closing_path():
     assert path_pivot_signs(n, eps)[0] == n
     assert path_pivot_signs(n - 1, eps)[0] == n  # all n - 1 pivots positive
     rows = path_rows(n, eps)  # A-minus is the path itself: every diagonal is negative
-    assert inertia(SymMatrix(rows).sparse) == Inertia(n_pos=1, n_zero=0, n_neg=n - 1)
-    assert inertia(SymMatrix([row[:-1] for row in rows[:-1]]).sparse) == Inertia(n_pos=0, n_zero=0, n_neg=n - 1)
+    assert inertia(sym(rows).sparse) == Inertia(n_pos=1, n_zero=0, n_neg=n - 1)
+    assert inertia(sym([row[:-1] for row in rows[:-1]]).sparse) == Inertia(n_pos=0, n_zero=0, n_neg=n - 1)
 
 
 # --- witnesses of positive pivots -----------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies
 from gmsurf import fileio
 from gmsurf.cli import _analysis_report
 from gmsurf.decision import decide
-from gmsurf.exact_linalg import SymMatrix, to_rational
+from gmsurf.exact_linalg import SymMatrix
 from gmsurf.fileio import (
     FileFormatError,
     json_text,
@@ -17,7 +17,6 @@ from gmsurf.fileio import (
     load_manifold,
     manifold_from_json,
     manifold_to_json,
-    matrix_rows_from_json,
     parse_rational_field,
     reduction_cert_from_json,
     reduction_cert_to_json,
@@ -31,7 +30,7 @@ from gmsurf.generate import generate_manifold
 from gmsurf.manifold import GluingTorus, InvalidGraphError, decomposition_matrix, two_piece_graph
 from gmsurf.reduction import find_singular_reduction
 from gmsurf.surface import build_surface_certificate
-from oracles import dense_json, dense_rows, to_lists
+from oracles import dense_json, dense_rows, sym, to_lists
 
 F = Fraction
 
@@ -39,10 +38,6 @@ F = Fraction
 def save_manifold(G, path) -> None:
     """Write a manifold file the way `gmsurf gen --out` does."""
     save_json(manifold_to_json(G), path)
-
-
-def sym(rows) -> SymMatrix:
-    return SymMatrix([[to_rational(v) for v in row] for row in rows])
 
 
 # --- scalars ----------------------------------------------------------------
@@ -72,7 +67,7 @@ def test_matrix_round_trip_is_exact():
     A = sym([["-1/3", "5/2"], ["5/2", 0]])
     data = rows_to_json(A.sparse)
     assert data == [["-1/3", "5/2"], ["5/2", "0"]] == dense_json(to_lists(A))
-    back = matrix_rows_from_json(data, "matrix")
+    back = sparse_rows_from_json(data, "matrix")
     assert to_lists(SymMatrix(back)) == to_lists(A)
 
 
@@ -87,7 +82,7 @@ def test_rows_to_json_matches_a_dense_writer(pieces):
 
 def test_matrix_rows_reject_ragged_data():
     with pytest.raises(FileFormatError):
-        matrix_rows_from_json([["1", "2"], ["1"]], "matrix")
+        sparse_rows_from_json([["1", "2"], ["1"]], "matrix")
 
 
 def test_matrix_rows_parse_each_distinct_string_once(monkeypatch):
@@ -95,12 +90,30 @@ def test_matrix_rows_parse_each_distinct_string_once(monkeypatch):
     real = fileio.parse_rational_field
     monkeypatch.setattr(fileio, "parse_rational_field", lambda x, where: parsed.append((x, where)) or real(x, where))
     data = [["-1", "0", "1/2"], ["0", "-1", 0], ["1/2", 0, "-1"]]
-    rows = matrix_rows_from_json(data, "m")
-    assert rows == [[F(-1), F(0), F(1, 2)], [F(0), F(-1), F(0)], [F(1, 2), F(0), F(-1)]]
+    rows = sparse_rows_from_json(data, "m")
+    assert dense_rows(rows) == [[F(-1), F(0), F(1, 2)], [F(0), F(-1), F(0)], [F(1, 2), F(0), F(-1)]]
     # JSON integers are not memoized; each string is parsed where it first
     # stands, but a "0" string is dropped unparsed
     assert parsed == [("-1", "m[0][0]"), ("1/2", "m[0][2]"), (0, "m[1][2]"), (0, "m[2][1]")]
-    assert sparse_rows_from_json(data, "m") == [{0: F(-1), 2: F(1, 2)}, {1: F(-1)}, {0: F(1, 2), 2: F(-1)}]
+    assert rows == [{0: F(-1), 2: F(1, 2)}, {1: F(-1)}, {0: F(1, 2), 2: F(-1)}]
+
+
+def test_a_parsed_matrix_is_checked_once_per_nonzero(monkeypatch):
+    # JSON integers are not memoized, so (i, j) and (j, i) are distinct
+    # objects and the symmetry check compares them; a check of every dense
+    # pair would make 44,850 comparisons at order 300
+    n = 300
+    data = [[-2 if i == j else 1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    rows = sparse_rows_from_json(data, "matrix")
+    nonzeros = sum(map(len, rows))
+    assert nonzeros == 3 * n - 2
+    calls = []
+    real = Fraction.__eq__
+    monkeypatch.setattr(Fraction, "__eq__", lambda a, b: calls.append(1) or real(a, b))
+    A = SymMatrix(rows)
+    monkeypatch.undo()
+    assert len(calls) <= nonzeros
+    assert A == sym(data)
 
 
 @pytest.mark.parametrize(
@@ -116,7 +129,7 @@ def test_matrix_rows_parse_each_distinct_string_once(monkeypatch):
 )
 def test_matrix_rows_errors_keep_their_position(data, message):
     with pytest.raises(FileFormatError) as info:
-        matrix_rows_from_json(data, "m")
+        sparse_rows_from_json(data, "m")
     assert str(info.value).startswith(message)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from gmsurf import exact_linalg
-from gmsurf.exact_linalg import Inertia, SymMatrix, inertia, to_rational
+from gmsurf.exact_linalg import Inertia, SymMatrix, inertia
 from gmsurf.generate import PROFILES, generate_manifold
 from gmsurf.manifold import (
     DecompositionGraph,
@@ -21,13 +21,9 @@ from gmsurf.manifold import (
     validate,
 )
 from gmsurf.reduction import strict_shrink
-from oracles import bareiss_inertia, is_connected_matrix, to_lists
+from oracles import bareiss_inertia, is_connected_matrix, sym, to_lists
 
 F = Fraction
-
-
-def sym(rows) -> SymMatrix:
-    return SymMatrix([[to_rational(v) for v in row] for row in rows])
 
 
 # --- pieces and tori -------------------------------------------------------
@@ -123,9 +119,9 @@ def test_validate_reports_every_violation_in_order(monkeypatch):
     ]
 
 
-def test_package_built_matrices_skip_the_entry_checks(monkeypatch):
-    # decomposition_matrix, a_minus and the shrink build Fraction entries
-    # symmetric by construction; only parsed input is checked
+def test_package_built_matrices_convert_no_entry(monkeypatch):
+    # decomposition_matrix, a_minus and the shrink build Fraction entries:
+    # the constructor checks them and converts none
     monkeypatch.setattr(exact_linalg, "to_rational", lambda value: pytest.fail("entry check"))
     A = decomposition_matrix(two_piece_graph(F(1, 3), -1))
     assert to_lists(a_minus(A)) == [[F(-1, 3), F(1)], [F(1), F(-1)]]
@@ -246,10 +242,10 @@ def test_sparse_view_is_the_dense_nonzeros(profile, pieces, seed):
     assert A.sparse == dense_nonzeros(A)
     # a parsed copy drops the zeros of its dense rows and equals the matrix
     # the package built from the nonzeros; so do a_minus's and the shrink's
-    assert SymMatrix(to_lists(A)) == A
+    assert sym(to_lists(A)) == A
     for derived in (a_minus(A), strict_shrink(A)) if profile == "posEig" else (a_minus(A),):
         assert derived.sparse == dense_nonzeros(derived)
-        assert SymMatrix(to_lists(derived)) == derived
+        assert sym(to_lists(derived)) == derived
 
 
 def test_decomposition_matrix_of_a_long_chain_keeps_only_its_nonzeros():

@@ -18,7 +18,7 @@ import gmsurf
 ALLOWED = {
     "determinant_rows": "bench/tracer.py traces it by name (TRACED)",
     "nullspace_rows": "bench/tracer.py traces it by name (TRACED)",
-    "negativity_certificate": "its verifier and CLI are still to come (ROADMAP item 2)",
+    "negativity_certificate": "its verifier and CLI are still to come (ROADMAP item 4)",
     "two_piece_graph": "the README quick start builds its example with it",
 }
 

@@ -1,0 +1,80 @@
+"""The README's examples run as shown.
+
+The Library block is executed.  Every shell session in a plain fenced block
+(lines that start with ``$ ``) runs through ``cli.main`` in a scratch
+directory that holds the quick start's ``fibered.json``: each command's
+printed lines must be the lines the README shows under it, where a ``...``
+line stands for any number of lines, and ``$ echo $?`` shows the exit code
+of the command before it.
+"""
+
+import io
+import re
+import shlex
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from gmsurf.cli import main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+FENCE = re.compile(r"^( *)```(\w*)\n(.*?)^\1```", re.M | re.S)
+BLOCKS = [(m.group(2), textwrap.dedent(m.group(3))) for m in FENCE.finditer(README)]
+SESSIONS = [text for language, text in BLOCKS if not language and text.startswith("$ ")]
+QUICK_START = re.search(r"Write a manifold file `(\S+)`:\s*```json\n(.*?)```", README, re.S)
+
+
+def test_the_readme_shows_the_examples_this_test_runs():
+    assert [text for language, text in BLOCKS if language == "python"]
+    commands = [line for text in SESSIONS for line in text.splitlines() if line.startswith("$ ")]
+    for example in ("gmsurf analyze fibered.json", "| gmsurf matrix --out", "gmsurf cover find"):
+        assert any(example in command for command in commands), example
+    assert QUICK_START is not None
+
+
+def test_library_block_runs():
+    (code,) = [text for language, text in BLOCKS if language == "python"]
+    exec(compile(code, "README.md", "exec"), {})
+
+
+def run(command: str, monkeypatch) -> int:
+    """Run ``[echo 'TEXT' |] gmsurf ARGS`` through ``cli.main``."""
+    stdin = ""
+    if " | " in command:
+        echo, command = command.split(" | ", 1)
+        (stdin,) = shlex.split(echo.removeprefix("echo "))
+    argv = shlex.split(command)
+    assert argv[0] == "gmsurf", command
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin + "\n"))
+    return main(argv[1:])
+
+
+def shown(lines: list[str]) -> re.Pattern:
+    """The pattern of the shown output lines, ``...`` matching any lines."""
+    return re.compile("".join(r"(?:.*\n)*?" if line == "..." else re.escape(line) + r"\n" for line in lines))
+
+
+@pytest.mark.parametrize("session", SESSIONS, ids=lambda text: text.splitlines()[0][2:40])
+def test_shell_session_prints_what_the_readme_shows(session, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    name, text = QUICK_START.groups()
+    (tmp_path / name).write_text(text)
+    steps: list[tuple[str, list[str]]] = []
+    for line in session.splitlines():
+        if line.startswith("$ "):
+            steps.append((line[2:], []))
+        else:
+            steps[-1][1].append(line)
+    code = None
+    for command, expected in steps:
+        if command == "echo $?":
+            assert expected == [str(code)], command
+            continue
+        code = 0
+        for part in command.split(" && "):
+            code = run(part, monkeypatch)
+            if code:
+                break
+        out = capsys.readouterr().out
+        assert shown(expected).fullmatch(out), f"{command}\n--- shown ---\n" + "\n".join(expected) + f"\n--- printed ---\n{out}"

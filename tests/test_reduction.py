@@ -13,7 +13,6 @@ from gmsurf.exact_linalg import (
     SymMatrix,
     _congruence,
     inertia,
-    to_rational,
 )
 from gmsurf.generate import generate_manifold
 from gmsurf.manifold import a_minus, decomposition_matrix
@@ -38,6 +37,7 @@ from oracles import (
     kernel_basis,
     mat_vec,
     principal_submatrix,
+    sym,
     to_lists,
 )
 from test_exact_linalg import VERDICT_CLASSES, closing_epsilon, path_rows, verdict_matrix
@@ -48,10 +48,6 @@ F = Fraction
 def negative_definite(A: SymMatrix) -> bool:
     """Every eigenvalue negative; the 0x0 matrix vacuously so."""
     return inertia(A.sparse).n_neg == A.order
-
-
-def sym(rows) -> SymMatrix:
-    return SymMatrix([[to_rational(v) for v in row] for row in rows])
 
 
 small_rationals = strategies.builds(
@@ -72,7 +68,7 @@ def admissible_matrices(max_order=5):
                 v = draw(nonnegative_rationals)
                 rows[i][j] = v
                 rows[j][i] = v
-        return SymMatrix(rows)
+        return sym(rows)
 
     return strategies.composite(build)()
 
@@ -90,7 +86,7 @@ def connected_negative_matrix(rng: random.Random, order: int, singular: bool) ->
         total = sum(rows[i][j] for j in range(order) if j != i)
         slack = F(0) if singular else F(rng.randint(1, 4), rng.randint(1, 2))
         rows[i][i] = -(total + slack)
-    return SymMatrix(rows)
+    return sym(rows)
 
 
 # --- finding singular reductions ---------------------------------------------
@@ -371,7 +367,7 @@ def test_bilinear_identity_random_four_by_four(seed):
             v = F(rng.randint(-5, 5), rng.randint(1, 3))
             rows[i][j] = v
             rows[j][i] = v
-    A = SymMatrix(rows)
+    A = sym(rows)
     a = tuple(F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in range(4))
     x = tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4))
     lhs, rhs = bilinear_identity(A, a=a, x=x)
@@ -454,7 +450,7 @@ def test_shrink_and_reduction_match_the_dense_oracles(A):
 
 @pytest.mark.parametrize("n", [3, 13, 24])
 def test_shrink_and_reduction_match_the_dense_oracles_on_paths(n):
-    assert_matches_dense_oracles(SymMatrix(path_rows(n, closing_epsilon(n))))
+    assert_matches_dense_oracles(sym(path_rows(n, closing_epsilon(n))))
 
 
 @pytest.mark.parametrize("cls", sorted(VERDICT_CLASSES))
@@ -489,7 +485,7 @@ def random_symmetric_reduction(rng: random.Random, A: SymMatrix, strict: bool):
         factor = F(num, 3)
         rows[i][j] *= factor
         rows[j][i] *= factor
-    return SymMatrix(rows)
+    return sym(rows)
 
 
 def test_symmetric_reductions_of_negative_definite_stay_negative_definite():
@@ -519,7 +515,7 @@ def test_singular_reductions_of_semidefinite_matrices_keep_entry_sizes():
         flips = [i for i in range(order) if rng.random() < 0.5]
         for i in flips:
             rows[i][i] = -rows[i][i]
-        A = SymMatrix(rows)
+        A = sym(rows)
         cert = find_singular_reduction(A)
         assert verify_reduction(A, cert) == []
         undone = [
