@@ -153,9 +153,18 @@ class CoverSpec:
     boundary_degrees: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "boundary_degrees", tuple(tuple(int(d) for d in inner) for inner in self.boundary_degrees)
-        )
+        """One type test per field, as :class:`gmsurf.manifold.SeifertPiece`
+        does: the genus, alpha and every degree must be ints (a bool, a float
+        or a string is a TypeError).  Then the values."""
+        object.__setattr__(self, "boundary_degrees", tuple(map(tuple, self.boundary_degrees)))
+        if type(self.genus) is not int:
+            raise TypeError(f"genus must be an integer, got {self.genus!r}")
+        if type(self.alpha) is not int:
+            raise TypeError(f"alpha must be an integer, got {self.alpha!r}")
+        for k, inner in enumerate(self.boundary_degrees):
+            for d in inner:
+                if type(d) is not int:
+                    raise TypeError(f"boundary circle {k}: degrees must be integers, got {d!r}")
         if self.genus < 1:
             raise ValueError(f"genus must be >= 1, got {self.genus}")
         if self.alpha < 1:

@@ -71,7 +71,7 @@ def _check_input(A: SymMatrix) -> tuple[tuple[dict[int, Fraction], ...], list[in
         raise ValueError("empty matrix")
     if len(matrix_components(A)) > 1:
         raise DisconnectedMatrixError("matrix graph is disconnected")
-    return (a_minus(A).sparse, *split_blocks(A))
+    return (a_minus(A), *split_blocks(A))
 
 
 def immersed(ine: Inertia, pos: list[int], neg: list[int]) -> tuple[bool, Branch]:

@@ -2,7 +2,7 @@
 
 Matrices enter as arbitrary-precision rationals (`fractions.Fraction`,
 :class:`SymMatrix` entries), and the public results leave as `Fraction`
-too: determinants, kernel vectors and solutions.
+too: determinants and kernel vectors.
 
 The signature routine is :func:`inertia`, which computes the exact eigenvalue
 sign counts (n_pos, n_zero, n_neg) of a symmetric rational matrix by congruence
@@ -18,7 +18,7 @@ cost follows the number of edges and the fill, not the cube of the order.
 :func:`pivot_witnesses` runs the same elimination, A = L D L^T, and turns
 each positive pivot block into a vector x = L^{-T} e_k with x^T A x > 0.
 
-:func:`mmatrix_solve` is the other elimination: Gaussian elimination of a
+:func:`_mmatrix_solve` is the other elimination: Gaussian elimination of a
 Z-matrix in the same minimum-degree order with diagonal pivots only,
 stopping at the first pivot <= 0.  That is the exact test that the matrix is
 a nonsingular M-matrix, and when it passes the same elimination solves.
@@ -36,13 +36,13 @@ on the pairs (:func:`_sum`, :func:`_sub`, :func:`_mul`; Knuth, TAOCP
 vol. 2, 4.5.1), so each pair holds the reduced value a `Fraction`
 elimination would, in the same pivot order, with no `Fraction` made.  The
 cores are :func:`_congruence` and :func:`_mmatrix_solve`, which take and
-return pairs; :func:`inertia` and :func:`mmatrix_solve` are their `Fraction`
-wrappers, where `Fraction` entries become pairs once, on entry
-(:func:`_pair_rows`), and only a solution becomes `Fraction` again
-(:func:`_fraction`).  :func:`pivot_witnesses` and :func:`_primitive` (the
-coprime integers on a vector's ray) take pairs, so the certify builders
-(:mod:`gmsurf.reduction`, :mod:`gmsurf.surface`) call the cores directly and
-keep their own values in pairs between eliminations.
+return pairs.  :func:`inertia` is the one `Fraction` entry to them: its
+`Fraction` entries become pairs once (:func:`_pair_rows`).
+:func:`pivot_witnesses`, :func:`_mmatrix_solve` and :func:`_primitive` (the
+coprime integers on a vector's ray) take pairs, so the builders
+(:mod:`gmsurf.reduction`, :mod:`gmsurf.surface`) call the cores directly,
+keep their own values in pairs between eliminations, and make a `Fraction`
+only for what they return (:func:`_fraction`).
 """
 
 from __future__ import annotations
@@ -406,10 +406,22 @@ def pivot_witnesses(
 def _mmatrix_solve(
     adj: list[dict[int, tuple[int, int]]], b: list[tuple[int, int]] | None = None
 ) -> list[tuple[int, int]] | tuple[()] | None:
-    """The elimination of :func:`mmatrix_solve` on pair rows and a pair
-    right-hand side, both changed in place; the solution comes back in
-    pairs, ``()`` without ``b``, None if the matrix is not a nonsingular
-    M-matrix."""
+    """Solve M x = b exactly if the Z-matrix M is a nonsingular M-matrix; else None.
+
+    M (off-diagonal entries <= 0, a symmetric nonzero pattern, values not
+    necessarily symmetric) is given as pair rows of its nonzero entries
+    (:func:`_pair_rows`), and b as a list of pairs; both are changed in
+    place, so each call needs fresh ones.  Gaussian elimination takes
+    diagonal pivots only, in minimum-degree order (smallest index among
+    equals), and stops at the first pivot <= 0: a Z-matrix is a nonsingular
+    M-matrix iff all its leading principal minors are positive, in any
+    symmetric order (Berman and Plemmons, *Nonnegative Matrices in the
+    Mathematical Sciences*, ch. 6), so no pivoting is needed.  Positive
+    pivots keep the rest a Z-matrix, and an off-diagonal entry only moves
+    away from 0, so the pattern stays symmetric.  The solution comes back in
+    pairs; without ``b`` this is the test alone and returns ``()`` on
+    success.
+    """
     queue = sorted((len(row) - (i in row), i) for i, row in enumerate(adj))
     queued = {key[1]: key for key in queue}
     done: list[tuple[int, tuple[int, int], dict[int, tuple[int, int]]]] = []
@@ -444,29 +456,6 @@ def _mmatrix_solve(
             total = _sub(total, _mul(v, x[j]))
         x[k] = _mul(total, inverse)
     return x
-
-
-def mmatrix_solve(
-    rows: Sequence[dict[int, Fraction]], rhs: Sequence[Fraction] | None = None
-) -> tuple[Fraction, ...] | None:
-    """Solve M x = rhs exactly if the Z-matrix M is a nonsingular M-matrix; else None.
-
-    M (off-diagonal entries <= 0, a symmetric nonzero pattern, values not
-    necessarily symmetric) is given by one dict of nonzero entries per row.
-    Gaussian elimination takes diagonal pivots only, in minimum-degree
-    order (smallest index among equals), and stops at the first pivot <= 0:
-    a Z-matrix is a nonsingular M-matrix iff all its leading principal
-    minors are positive, in any symmetric order (Berman and Plemmons,
-    *Nonnegative Matrices in the Mathematical Sciences*, ch. 6), so no
-    pivoting is needed.  Positive pivots keep the rest a Z-matrix, and an
-    off-diagonal entry only moves away from 0, so the pattern stays
-    symmetric.  Without ``rhs`` this is the test alone and returns ``()``
-    on success.  Like :func:`inertia`, this wraps a core of reduced integer
-    pairs (:func:`_mmatrix_solve`); only the solution becomes `Fraction`.
-    """
-    b = None if rhs is None else [(v.numerator, v.denominator) for v in rhs]
-    x = _mmatrix_solve(_pair_rows(rows), b)
-    return None if x is None else tuple(_fraction(v) for v in x)
 
 
 def _eliminate(m: list[list[int]], stop_col: int) -> tuple[list[int], int, int]:
@@ -596,15 +585,3 @@ def _primitive(vec: Sequence[tuple[int, int]]) -> list[int]:
     ints = [n * (scale // d) for n, d in vec]
     common = gcd(*ints)
     return [v // common for v in ints]
-
-
-def primitive_vector(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Scale a rational vector by a positive rational to coprime integer entries.
-
-    The zero vector is returned unchanged.  Scaling by a positive factor
-    preserves direction, sign pattern, and support, so callers may normalize
-    kernel vectors freely.
-    """
-    if not any(vec):
-        return tuple(vec)
-    return tuple(Fraction(v) for v in _primitive([(v.numerator, v.denominator) for v in vec]))

@@ -108,6 +108,6 @@ def generate_manifold(pieces: int, seed: int = 0, profile: str = "any") -> Decom
         else:
             eulers = [rng.choice(_EULER_POOL) for _ in range(pieces)]
         G = _build(rng, pieces, tori, eulers)
-        if profile != "posEig" or inertia(a_minus(decomposition_matrix(G)).sparse).n_pos:
+        if profile != "posEig" or inertia(a_minus(decomposition_matrix(G))).n_pos:
             return G
     raise RuntimeError(f"profile {profile!r} unsatisfiable in {ATTEMPTS} attempts")

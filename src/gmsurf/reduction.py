@@ -35,7 +35,8 @@ Both builders keep their values in reduced (numerator, denominator) pairs of
 ints between the eliminations of :mod:`gmsurf.exact_linalg`: `Fraction`
 enters only as the :class:`SymMatrix` entries they read, once each, and
 leaves only as the shrunk matrix and the :class:`ReductionCertificate` they
-return.  The verifier and :func:`negativity_certificate` work in `Fraction`.
+return.  :func:`negativity_certificate` works in pairs as well; the verifier
+works in `Fraction`.
 
 :func:`negativity_certificate` is the complementary tool for matrices that
 are negative semidefinite: it produces a strictly positive vector a with
@@ -63,9 +64,7 @@ from .exact_linalg import (
     _sum,
     inertia,  # unused here; bench/tests/test_tracer.py checks the tracer replaces this binding
     matrix_components,
-    mmatrix_solve,
     pivot_witnesses,
-    primitive_vector,
 )
 from .manifold import a_minus, split_blocks
 
@@ -221,7 +220,7 @@ def find_singular_reduction(A: SymMatrix) -> ReductionCertificate:
     entries: a row outside the component is A's diagonal entry alone.  A'
     and the vector become `Fraction` once, as the certificate.
     """
-    sparse, minus = A.sparse, a_minus(A).sparse
+    sparse, minus = A.sparse, a_minus(A)
     for component in matrix_components(A):
         # A component holds every neighbour of its vertices.
         position = {i: r for r, i in enumerate(component)}
@@ -300,27 +299,29 @@ def negativity_certificate(A: SymMatrix) -> NegativityCertificate:
     its kernel is a line through a strictly positive vector: every proper
     principal block of a connected singular M-matrix is a nonsingular
     M-matrix, so a second elimination, with the last weight fixed at 1,
-    solves for the others; return the primitive generator.
+    solves for the others; return the primitive generator.  Both
+    eliminations run on reduced (numerator, denominator) pairs
+    (:func:`_mmatrix_solve`); only the certificate is `Fraction`.
     """
     if len(matrix_components(A)) > 1:
         raise ValueError("matrix graph is disconnected")
     n = A.order
-    negated = [{j: -x for j, x in row.items()} for row in A.sparse]
-    a = mmatrix_solve(negated, [Fraction(1)] * n)
+    negated = [{j: (-x.numerator, x.denominator) for j, x in row.items()} for row in A.sparse]
+    a = _mmatrix_solve([dict(row) for row in negated], [(1, 1)] * n)
     if a is not None:
-        if any(v <= 0 for v in a):
+        if any(v[0] <= 0 for v in a):
             raise AssertionError("definite case produced a non-positive weight")
-        return NegativityCertificate(a=a, image=tuple([Fraction(-1)] * n))
+        return NegativityCertificate(a=tuple(map(_fraction, a)), image=tuple([Fraction(-1)] * n))
     last = n - 1
-    rest = mmatrix_solve(
+    rest = _mmatrix_solve(
         [{j: x for j, x in row.items() if j != last} for row in negated[:last]],
-        [A[i, last] for i in range(last)],
+        [(x.numerator, x.denominator) for x in (A[i, last] for i in range(last))],
     )
     if rest is not None:
-        a = (*rest, Fraction(1))
-        image = tuple(sum((x * a[j] for j, x in row.items()), Fraction(0)) for row in A.sparse)
-        if not any(image):
-            return NegativityCertificate(a=primitive_vector(a), image=image)
+        a = [*rest, (1, 1)]
+        # A*a is the negation of the product with the negated rows.
+        if not any(_sum(_mul(x, a[j]) for j, x in row.items())[0] for row in negated):
+            return NegativityCertificate(a=tuple(map(Fraction, _primitive(a))), image=tuple([Fraction(0)] * n))
     raise NotNegativeError("matrix has a positive eigenvalue")
 
 
@@ -349,7 +350,7 @@ def strict_shrink(A: SymMatrix) -> SymMatrix:
     `Fraction`.
     """
     matrix_components(A)  # for its sign check
-    minus = _pair_rows(a_minus(A).sparse)
+    minus = _pair_rows(a_minus(A))
     ine, witnesses = pivot_witnesses([dict(row) for row in minus])
     if not witnesses:
         pos, neg, _ = split_blocks(A)

@@ -25,7 +25,10 @@ the dense routines they replaced, kept so tests can compare results exactly:
 - :func:`fraction_congruence`, :func:`fraction_pivot_witnesses` and
   :func:`fraction_mmatrix_solve`, the sparse eliminations as they ran on
   `Fraction` entries before the package moved them to reduced integer
-  pairs; same pivot order, so witnesses and solutions must agree exactly.
+  pairs; same pivot order, so witnesses and solutions must agree exactly;
+- :func:`fraction_negativity_certificate`, the negativity certificate
+  solved in `Fraction` by :func:`fraction_mmatrix_solve`, and
+  :func:`primitive`, the coprime integers on a rational ray.
 
 It also holds :func:`bilinear_identity`, the exact quadratic-form expansion
 behind reading a negativity certificate as "A is negative", and the dense
@@ -37,7 +40,7 @@ rows), :func:`principal_submatrix`,
 
 from bisect import bisect_left, insort
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from gmsurf.exact_linalg import (
@@ -49,7 +52,6 @@ from gmsurf.exact_linalg import (
     inertia,
     matrix_components,
     nullspace_rows,
-    primitive_vector,
     rational_str,
     to_rational,
 )
@@ -293,7 +295,8 @@ def fraction_pivot_witnesses(A) -> list[tuple[Fraction, dict[int, Fraction]]]:
 
 
 def fraction_mmatrix_solve(rows, rhs=None) -> tuple[Fraction, ...] | None:
-    """`gmsurf.exact_linalg.mmatrix_solve` on `Fraction` entries."""
+    """`gmsurf.exact_linalg._mmatrix_solve` on `Fraction` entries, which it
+    does not change."""
     adj = [dict(row) for row in rows]
     b = None if rhs is None else list(rhs)
     queue = sorted((len(row) - (i in row), i) for i, row in enumerate(adj))
@@ -326,10 +329,41 @@ def fraction_mmatrix_solve(rows, rhs=None) -> tuple[Fraction, ...] | None:
     return tuple(x)
 
 
+def fraction_negativity_certificate(A: SymMatrix) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None:
+    """(a, image) of `gmsurf.reduction.negativity_certificate` on a connected
+    A, solved with :func:`fraction_mmatrix_solve`; None where it raises
+    NotNegativeError."""
+    n = A.order
+    negated = [{j: -x for j, x in row.items()} for row in A.sparse]
+    a = fraction_mmatrix_solve(negated, [Fraction(1)] * n)
+    if a is not None:
+        return a, tuple([Fraction(-1)] * n)
+    last = n - 1
+    rest = fraction_mmatrix_solve(
+        [{j: x for j, x in row.items() if j != last} for row in negated[:last]],
+        [A[i, last] for i in range(last)],
+    )
+    if rest is None:
+        return None
+    a = (*rest, Fraction(1))
+    image = tuple(sum((x * a[j] for j, x in row.items()), Fraction(0)) for row in A.sparse)
+    return None if any(image) else (primitive(a), image)
+
+
+def primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The coprime integers on the ray of a nonzero rational vector: the
+    vector times the lcm of its denominators, over the gcd of the resulting
+    numerators."""
+    scale = lcm(*(v.denominator for v in vec))
+    ints = [v.numerator * (scale // v.denominator) for v in vec]
+    common = gcd(*ints)
+    return tuple(Fraction(v // common) for v in ints)
+
+
 def halving_shrink(A: SymMatrix) -> SymMatrix:
     """Couplings times (1 - eps) for the first eps = 1/2, 1/4, ... that keeps
     a positive eigenvalue of A-minus."""
-    if inertia(a_minus(A).sparse).n_pos == 0:
+    if inertia(SymMatrix(a_minus(A)).sparse).n_pos == 0:
         raise NoPositiveEigenvalueError("A-minus has no positive eigenvalue")
     eps = Fraction(1, 2)
     while True:
@@ -339,7 +373,7 @@ def halving_shrink(A: SymMatrix) -> SymMatrix:
                 if i != j and rows[i][j] != 0:
                     rows[i][j] *= 1 - eps
         shrunk = sym(rows)
-        if inertia(a_minus(shrunk).sparse).n_pos > 0:
+        if inertia(SymMatrix(a_minus(shrunk)).sparse).n_pos > 0:
             return shrunk
         eps /= 2
 
@@ -347,7 +381,7 @@ def halving_shrink(A: SymMatrix) -> SymMatrix:
 def _positive_kernel_vector(rows) -> tuple[Fraction, ...]:
     basis = nullspace_rows(rows)
     assert len(basis) == 1, f"kernel has dimension {len(basis)}"
-    vec = primitive_vector(basis[0])
+    vec = primitive(basis[0])
     assert all(v > 0 for v in vec)
     return vec
 
@@ -379,7 +413,7 @@ def _dense_perron_reduction(B: SymMatrix, n_pos: int):
             solved = solve_rows([[-m[i][j] for j in rest] for i in rest], coupling)
             for i, v in zip(rest, solved):
                 a[i] = v
-        return m, primitive_vector(a)
+        return m, primitive(a)
     if n_pos == 0:
         m = to_lists(B)
         return m, _positive_kernel_vector(m)
@@ -414,7 +448,7 @@ def crossing_reduction(A: SymMatrix) -> ReductionCertificate:
     """The singular reduction of the first component of A whose A-minus block
     is not negative definite (by its inertia), built with dense solves."""
     matrix_components(A)
-    B = a_minus(A)
+    B = SymMatrix(a_minus(A))
     for component in matrix_graph_components(B):
         block = principal_submatrix(B, component)
         ine = inertia(block.sparse)

@@ -173,7 +173,7 @@ def test_criterion_3_reduction_existence_iff():
     failures: list[str] = []
     found = 0
     for k, A in enumerate(random_symmetric_instances()):
-        negdef = negative_definite(a_minus(A))
+        negdef = negative_definite(SymMatrix(a_minus(A)))
         try:
             cert = find_singular_reduction(A)
         except NegativeDefiniteError:

@@ -75,6 +75,31 @@ def test_analyze_reads_only_the_nonzeros(tmp_path, monkeypatch, capsys):
     assert seen and all(isinstance(row, dict) for B in seen for row in B)
 
 
+def test_each_matrix_is_checked_once(tmp_path, monkeypatch, capsys):
+    # The SymMatrix constructor checks every matrix the package makes, and
+    # only those: decide reads A-minus as A's rows, the surface builder makes
+    # A and the shrunk matrix, analyze makes A, and certify makes the
+    # builder's two and the verifier's own A.  64 pieces, 281 nonzeros.
+    G = generate_manifold(64, seed=3, profile="posEig")
+    path = tmp_path / "m.json"
+    save_manifold(G, path)
+    A = decomposition_matrix(G)
+    checks = []
+    real_check = exact_linalg.SymMatrix.__post_init__
+    monkeypatch.setattr(exact_linalg.SymMatrix, "__post_init__", lambda M: checks.append(M) or real_check(M))
+
+    def count(run) -> int:
+        checks.clear()
+        run()
+        return len(checks)
+
+    assert count(lambda: decision.decide(A)) == 0
+    assert count(lambda: build_surface_certificate(G)) == 2
+    assert count(lambda: main(["analyze", str(path), "--json"])) == 1
+    assert count(lambda: main(["certify", str(path), "--out", str(tmp_path / "c.json")])) == 3
+    capsys.readouterr()
+
+
 def test_analyze_negative_definite_pair_fails(tmp_path, capsys):
     path = write_manifold(tmp_path, "m.json", -2, -2)
     assert main(["analyze", str(path)]) == 1

@@ -97,6 +97,35 @@ def test_spec_rejects_mismatched_degree_sum():
         CoverSpec(genus=1, alpha=3, boundary_degrees=((2,),))
 
 
+@pytest.mark.parametrize("bad", [2.9, 1.5, "2", True])
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (lambda bad: CoverSpec(genus=bad, alpha=3, boundary_degrees=((3,),)), "genus must be an integer"),
+        (lambda bad: CoverSpec(genus=1, alpha=bad, boundary_degrees=((3,),)), "alpha must be an integer"),
+        (
+            lambda bad: CoverSpec(genus=1, alpha=3, boundary_degrees=((1, 1, 1), (bad, 1))),
+            "boundary circle 1: degrees must be integers",
+        ),
+    ],
+    ids=["genus", "alpha", "degree"],
+)
+def test_spec_rejects_fields_that_are_not_ints(spec, message, bad):
+    # Each must be refused, not converted: int() reads 2.9 as 2 and "2" as 2.
+    with pytest.raises(TypeError) as excinfo:
+        spec(bad)
+    assert str(excinfo.value) == f"{message}, got {bad!r}"
+
+
+def test_spec_keeps_the_tuple_conversion_and_value_messages():
+    spec = CoverSpec(genus=1, alpha=2, boundary_degrees=[[1, 1]])
+    assert spec.boundary_degrees == ((1, 1),)
+    with pytest.raises(ValueError, match=r"^genus must be >= 1, got 0$"):
+        CoverSpec(genus=0, alpha=2, boundary_degrees=((2,),))
+    with pytest.raises(ValueError, match=r"^boundary circle 0: degrees sum to 2, expected 3$"):
+        CoverSpec(genus=1, alpha=3, boundary_degrees=((2,),))
+
+
 def test_base_euler_characteristic():
     spec = CoverSpec(genus=2, alpha=1, boundary_degrees=((1,), (1,)))
     assert spec.base_euler == 2 - 4 - 2

@@ -114,7 +114,7 @@ def test_zero_diagonal_rule_matches_every_block_assignment():
     for assignment in product((0, 1), repeat=len(zero)):
         p_idx = sorted(pos + [z for z, side in zip(zero, assignment) if side == 0])
         n_idx = sorted(neg + [z for z, side in zip(zero, assignment) if side == 1])
-        p_block = a_minus(principal_submatrix(A, p_idx))
+        p_block = SymMatrix(a_minus(principal_submatrix(A, p_idx)))
         n_block = principal_submatrix(A, n_idx)
         by_hand = not negative_definite(p_block) or not negative_definite(n_block)
         assert by_hand == shortcut
@@ -131,7 +131,7 @@ def test_zero_diagonal_assignments_agree_in_general(A):
     for assignment in product((0, 1), repeat=len(zero)):
         p_idx = sorted(pos + [z for z, side in zip(zero, assignment) if side == 0])
         n_idx = sorted(neg + [z for z, side in zip(zero, assignment) if side == 1])
-        p_block = a_minus(principal_submatrix(A, p_idx))
+        p_block = SymMatrix(a_minus(principal_submatrix(A, p_idx)))
         n_block = principal_submatrix(A, n_idx)
         answers.add(
             not negative_definite(p_block) or not negative_definite(n_block)
@@ -167,7 +167,7 @@ def test_verdicts_invariant_under_positive_scaling(A, c):
 def test_negative_definite_forces_both_false(A):
     if not is_connected_matrix(A):
         return
-    if not negative_definite(a_minus(A)):
+    if not negative_definite(SymMatrix(a_minus(A))):
         return
     verdict = decide(A)
     assert not verdict.property_i
@@ -179,7 +179,7 @@ def test_branch_tag_tracks_positive_eigenvalue():
     for rows in ([["-1", 2], [2, "-1"]], [["-2", 1], [1, "-2"]], [[1, 1], [1, "-1"]]):
         verdict = decide(sym(rows))
         assert (verdict.branch is Branch.POSITIVE_EIGENVALUE) == (
-            inertia(a_minus(sym(rows)).sparse).n_pos > 0
+            inertia(SymMatrix(a_minus(sym(rows))).sparse).n_pos > 0
         )
 
 
@@ -213,10 +213,10 @@ def test_decide_takes_each_inertia_once(monkeypatch, rows, blocks):
     def dense(B):
         return [[row.get(j, F(0)) for j in range(len(B))] for row in B]
 
-    assert [dense(B) for B in seen] == [to_lists(a_minus(A))] + [
+    assert [dense(B) for B in seen] == [to_lists(SymMatrix(a_minus(A)))] + [
         to_lists(sym(b)) for b in blocks
     ]
-    assert verdict.inertia_of_a_minus == inertia(a_minus(A).sparse)
+    assert verdict.inertia_of_a_minus == inertia(SymMatrix(a_minus(A)).sparse)
 
 
 

@@ -30,14 +30,14 @@ from gmsurf.exact_linalg import (
     Inertia,
     SymMatrix,
     _fraction,
+    _mmatrix_solve,
     _pair_rows,
+    _primitive,
     determinant_rows,
     inertia,
     matrix_components,
-    mmatrix_solve,
     nullspace_rows,
     pivot_witnesses,
-    primitive_vector,
     rational_str,
     to_rational,
 )
@@ -498,8 +498,8 @@ def test_principal_submatrix_rejects_bad_index():
 
 
 def test_primitive_vector_scales_to_coprime_integers():
-    assert primitive_vector([F(1, 2), F(1)]) == (F(1), F(2))
-    assert primitive_vector([F(0), F(-2), F(4)]) == (F(0), F(-1), F(2))
+    assert _primitive([(1, 2), (1, 1)]) == [1, 2]
+    assert _primitive([(0, 1), (-2, 1), (4, 1)]) == [0, -1, 2]
 
 
 @settings(max_examples=50)
@@ -507,7 +507,7 @@ def test_primitive_vector_scales_to_coprime_integers():
 def test_primitive_vector_preserves_direction(vec):
     if all(v == 0 for v in vec):
         return
-    out = primitive_vector(vec)
+    out = [F(v) for v in _primitive([(v.numerator, v.denominator) for v in vec])]
     ratios = {v / o for v, o in zip(vec, out) if o != 0}
     assert len(ratios) == 1
     assert ratios.pop() > 0
@@ -784,9 +784,9 @@ def verdict_matrix(n: int, cls: str) -> SymMatrix:
 @pytest.mark.parametrize("cls", sorted(VERDICT_CLASSES))
 def test_integer_core_on_decomposition_matrices(cls, n):
     A = verdict_matrix(n, cls)
-    B = a_minus(A)
+    B = SymMatrix(a_minus(A))
     pos, neg, _ = split_blocks(A)
-    blocks = (a_minus(principal_submatrix(A, pos)), principal_submatrix(A, neg))
+    blocks = (SymMatrix(a_minus(principal_submatrix(A, pos))), principal_submatrix(A, neg))
     if n <= 120:  # the dense oracles are slow beyond; decide() below still runs
         ine = inertia(B.sparse)
         assert ine == bareiss_inertia(B)
@@ -892,7 +892,7 @@ def test_pivot_witnesses_of_disconnected_matrices(case):
 
 @pytest.mark.parametrize("cls", ["pos_ve", "pos_no_ve", "same"])
 def test_pivot_witnesses_of_decomposition_matrices(cls):
-    assert_pivot_witnesses(a_minus(verdict_matrix(40, cls)))
+    assert_pivot_witnesses(SymMatrix(a_minus(verdict_matrix(40, cls))))
 
 
 # --- M-matrix elimination ---------------------------------------------------------
@@ -924,6 +924,14 @@ def z_matrices(max_order=7, symmetric=False, max_denominator=3):
 
 def sparse(rows) -> list[dict]:
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def mmatrix_solve(rows, rhs=None) -> tuple[F, ...] | None:
+    """:func:`_mmatrix_solve` of fresh pair rows and right-hand side, its
+    pair solution read as `Fraction`."""
+    b = None if rhs is None else [(v.numerator, v.denominator) for v in rhs]
+    x = _mmatrix_solve(_pair_rows(rows), b)
+    return None if x is None else tuple(map(_fraction, x))
 
 
 def is_nonsingular_m_matrix(rows) -> bool:

@@ -121,10 +121,10 @@ def test_validate_reports_every_violation_in_order(monkeypatch):
 
 def test_package_built_matrices_convert_no_entry(monkeypatch):
     # decomposition_matrix, a_minus and the shrink build Fraction entries:
-    # the constructor checks them and converts none
+    # the constructor checks them (a_minus's rows once wrapped) and converts none
     monkeypatch.setattr(exact_linalg, "to_rational", lambda value: pytest.fail("entry check"))
     A = decomposition_matrix(two_piece_graph(F(1, 3), -1))
-    assert to_lists(a_minus(A)) == [[F(-1, 3), F(1)], [F(1), F(-1)]]
+    assert to_lists(SymMatrix(a_minus(A))) == [[F(-1, 3), F(1)], [F(1), F(-1)]]
     assert to_lists(strict_shrink(A)) == [[F(1, 3), F(3, 4)], [F(3, 4), F(-1)]]
 
 
@@ -241,9 +241,10 @@ def test_sparse_view_is_the_dense_nonzeros(profile, pieces, seed):
     A = decomposition_matrix(generate_manifold(pieces, seed=seed, profile=profile))
     assert A.sparse == dense_nonzeros(A)
     # a parsed copy drops the zeros of its dense rows and equals the matrix
-    # the package built from the nonzeros; so do a_minus's and the shrink's
+    # the package built from the nonzeros; so do a_minus's rows, wrapped, and the shrink's
     assert sym(to_lists(A)) == A
-    for derived in (a_minus(A), strict_shrink(A)) if profile == "posEig" else (a_minus(A),):
+    derived_matrices = [SymMatrix(a_minus(A))] + ([strict_shrink(A)] if profile == "posEig" else [])
+    for derived in derived_matrices:
         assert derived.sparse == dense_nonzeros(derived)
         assert sym(to_lists(derived)) == derived
 
@@ -270,22 +271,23 @@ def test_decomposition_matrix_of_a_long_chain_keeps_only_its_nonzeros():
 
 
 def test_a_minus_flips_positive_diagonal():
-    assert to_lists(a_minus(sym([[2, 1], [1, "-1"]]))) == to_lists(sym([["-2", 1], [1, "-1"]]))
+    assert to_lists(SymMatrix(a_minus(sym([[2, 1], [1, "-1"]])))) == to_lists(sym([["-2", 1], [1, "-1"]]))
 
 
 def test_a_minus_shares_the_rows_whose_diagonal_is_not_positive():
     A = sym([[2, 1, 0], [1, "-1", 1], [0, 1, 0]])
     B = a_minus(A)
-    assert B.sparse == ({0: F(-2), 1: F(1)}, {0: F(1), 1: F(-1), 2: F(1)}, {1: F(1)})
+    assert B == ({0: F(-2), 1: F(1)}, {0: F(1), 1: F(-1), 2: F(1)}, {1: F(1)})
+    assert SymMatrix(B).sparse == B  # the rows pass the constructor's checks
     assert A.sparse[0] == {0: F(2), 1: F(1)}  # copied, not changed
-    assert B.sparse[1] is A.sparse[1] and B.sparse[2] is A.sparse[2]
+    assert B[1] is A.sparse[1] and B[2] is A.sparse[2]
 
 
 def test_a_minus_keeps_nonpositive_diagonal():
     A = sym([["-1", 1], [1, "-2"]])
-    assert to_lists(a_minus(A)) == to_lists(A)
+    assert to_lists(SymMatrix(a_minus(A))) == to_lists(A)
     Z = sym([[0, 1], [1, 0]])
-    assert to_lists(a_minus(Z)) == to_lists(Z)
+    assert to_lists(SymMatrix(a_minus(Z))) == to_lists(Z)
 
 
 def test_split_blocks_by_diagonal_sign():
@@ -319,7 +321,7 @@ def test_generated_graphs_yield_valid_matrices(pieces, seed):
     for i in range(A.order):
         for j in range(i + 1, A.order):
             assert A[i, j] >= 0
-    B = a_minus(A)
+    B = SymMatrix(a_minus(A))
     assert all(B[i, i] <= 0 for i in range(B.order))
 
 
@@ -330,7 +332,7 @@ def test_every_profile_has_the_inertia_it_promises(profile):
     for pieces in range(2, 41):
         for seed in range(3):
             A = decomposition_matrix(generate_manifold(pieces, seed=seed, profile=profile))
-            B = a_minus(A)
+            B = SymMatrix(a_minus(A))
             expected = bareiss_inertia(B)
             assert inertia(B.sparse) == expected
             if profile == "negdef":

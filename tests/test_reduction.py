@@ -18,6 +18,7 @@ from gmsurf.generate import generate_manifold
 from gmsurf.manifold import a_minus, decomposition_matrix
 from gmsurf.reduction import (
     NegativeDefiniteError,
+    NegativityCertificate,
     NoPositiveEigenvalueError,
     NotNegativeError,
     ReductionCertificate,
@@ -31,6 +32,7 @@ from oracles import (
     all_pairs_reduction_violations,
     bilinear_identity,
     crossing_reduction,
+    fraction_negativity_certificate,
     dense_rows,
     halving_shrink,
     is_connected_matrix,
@@ -178,7 +180,7 @@ def test_certificate_support_lists_nonzero_indices():
 @settings(max_examples=150, deadline=None)
 @given(admissible_matrices())
 def test_reduction_of_connected_input_has_full_support(A):
-    if not is_connected_matrix(A) or negative_definite(a_minus(A)):
+    if not is_connected_matrix(A) or negative_definite(SymMatrix(a_minus(A))):
         return
     assert_full_support_reduction(A)
 
@@ -186,7 +188,7 @@ def test_reduction_of_connected_input_has_full_support(A):
 @settings(max_examples=150, deadline=None)
 @given(admissible_matrices())
 def test_reduction_exists_iff_not_negative_definite(A):
-    negdef = negative_definite(a_minus(A))
+    negdef = negative_definite(SymMatrix(a_minus(A)))
     try:
         cert = find_singular_reduction(A)
     except NegativeDefiniteError:
@@ -330,6 +332,50 @@ def test_negativity_certificate_random_instances():
             assert all(a == ratio * b for a, b in zip(cert.a, basis[0]))
 
 
+def sparse_negativity_instance(rng: random.Random, kind: str) -> SymMatrix:
+    """A connected matrix with non-negative couplings on a random tree plus
+    extra edges: negative definite (diagonal slack), singular semidefinite
+    (diagonal = -row sum) or indefinite (one diagonal entry of the
+    semidefinite one raised: its positive kernel vector then has a positive
+    form)."""
+    order = rng.randint(1, 9)
+    rows = [[F(0)] * order for _ in range(order)]
+    edges = [(rng.randrange(j), j) for j in range(1, order)]
+    if order > 1:
+        edges += [rng.sample(range(order), 2) for _ in range(rng.randint(0, order))]
+    for i, j in edges:
+        rows[i][j] = rows[j][i] = rows[i][j] + F(rng.randint(1, 6), rng.randint(1, 5))
+    for i in range(order):
+        slack = F(rng.randint(1, 4), rng.randint(1, 7)) if kind == "definite" else F(0)
+        rows[i][i] = -(sum(rows[i]) + slack)
+    if kind == "indefinite":
+        k = rng.randrange(order)
+        rows[k][k] += F(rng.randint(1, 4), rng.randint(1, 7))
+    return sym(rows)
+
+
+@pytest.mark.parametrize("kind", ["definite", "semidefinite", "indefinite"])
+def test_negativity_certificate_matches_its_fraction_reference(kind):
+    # The pair core gives the certificate the Fraction elimination gives,
+    # value for value, and fails exactly where it does.
+    rng = random.Random(f"negativity-reference:{kind}")
+    instances = [sparse_negativity_instance(rng, kind) for _ in range(80)]
+    if kind == "semidefinite":
+        instances.append(sym([[0]]))
+    for A in instances:
+        expected = fraction_negativity_certificate(A)
+        assert (expected is None) == (kind == "indefinite")
+        if expected is None:
+            with pytest.raises(NotNegativeError):
+                negativity_certificate(A)
+            continue
+        cert = negativity_certificate(A)
+        assert (cert.a, cert.image) == expected
+        assert all(type(v) is F for v in cert.a + cert.image)
+    if kind == "semidefinite":
+        assert negativity_certificate(sym([[0]])) == NegativityCertificate(a=(F(1),), image=(F(0),))
+
+
 # --- the quadratic-form identity ------------------------------------------------
 
 
@@ -409,10 +455,10 @@ def test_strict_shrink_gallops_from_a_far_bound(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(admissible_matrices(max_order=4))
 def test_strict_shrink_preserves_branch_and_strictness(A):
-    if inertia(a_minus(A).sparse).n_pos == 0:
+    if inertia(SymMatrix(a_minus(A)).sparse).n_pos == 0:
         return
     shrunk = strict_shrink(A)
-    assert inertia(a_minus(shrunk).sparse).n_pos > 0
+    assert inertia(SymMatrix(a_minus(shrunk)).sparse).n_pos > 0
     for i in range(A.order):
         assert shrunk[i, i] == A[i, i]
         for j in range(A.order):

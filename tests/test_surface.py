@@ -476,8 +476,8 @@ def slowly_closing_path(n: int) -> DecompositionGraph:
     )
 
 
-# The builders call the integer-pair cores directly: a count of the
-# `Fraction`-facing wrappers (`inertia`, `mmatrix_solve`) would read 0.
+# The builders call the integer-pair cores directly: a count of `inertia`,
+# the one `Fraction`-facing entry to them, would read 0.
 SYMMETRIC = ("_congruence",)
 MMATRIX = ("_mmatrix_solve",)
 DENSE = ("determinant_rows", "nullspace_rows", "solve_rows")
