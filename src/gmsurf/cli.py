@@ -48,7 +48,7 @@ from .fileio import (
     surface_cert_to_json,
 )
 from .generate import PROFILES, generate_manifold
-from .manifold import InvalidGraphError, decomposition_matrix, split_blocks
+from .manifold import InvalidGraphError, decomposition_matrix
 from .reduction import (
     NegativeDefiniteError,
     NoPositiveEigenvalueError,
@@ -72,7 +72,7 @@ def _fail_input(message: str) -> int:
 
 def _analysis_report(A: SymMatrix) -> dict:
     verdict = decide(A)
-    pos, neg, zero = split_blocks(A)
+    pos, neg, zero = verdict.blocks
     matrix = rows_to_json(A.sparse)
     # An A-minus row is a list of its own only where the diagonal is positive.
     minus = list(matrix)

@@ -51,12 +51,14 @@ class Branch(Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    """Joint outcome of both decisions for one matrix."""
+    """Joint outcome of both decisions for one matrix, with the
+    (positive, negative, zero) diagonal split they read."""
 
     property_i: bool
     property_ve: bool
     branch: Branch
     inertia_of_a_minus: Inertia
+    blocks: tuple[list[int], list[int], list[int]]
 
 
 def _check_input(A: SymMatrix) -> tuple[tuple[dict[int, Fraction], ...], list[int], list[int], list[int]]:
@@ -123,6 +125,7 @@ def decide(A: SymMatrix) -> Verdict:
         property_ve=_virtually_embedded(minus, ine, pos, neg, zero),
         branch=branch,
         inertia_of_a_minus=ine,
+        blocks=(pos, neg, zero),
     )
 
 

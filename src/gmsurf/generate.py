@@ -15,8 +15,12 @@ matrix:
 - "any":     no spectral constraint.
 
 "negdef", "semidef" and "any" hold by construction and take no check; only
-"posEig" draws until an exact inertia of A-minus shows a positive
-eigenvalue.  Deterministic per (pieces, seed, profile).
+"posEig" draws until A-minus shows a positive eigenvalue.  A coupling
+c = A[i][j] with c^2 > |A[i][i]| |A[j][j]| shows one in O(tori): the 2x2
+principal block of A-minus on i and j has a negative determinant, so a
+positive eigenvalue, and by Cauchy interlacing so has A-minus.  Only a draw
+with no such coupling takes an exact inertia.  Deterministic per (pieces,
+seed, profile).
 """
 
 from __future__ import annotations
@@ -108,6 +112,11 @@ def generate_manifold(pieces: int, seed: int = 0, profile: str = "any") -> Decom
         else:
             eulers = [rng.choice(_EULER_POOL) for _ in range(pieces)]
         G = _build(rng, pieces, tori, eulers)
-        if profile != "posEig" or inertia(a_minus(decomposition_matrix(G))).n_pos:
+        if profile != "posEig":
+            return G
+        A = decomposition_matrix(G)
+        diagonal = [abs(row.get(i, 0)) for i, row in enumerate(A.sparse)]
+        couplings = ((i, j, c) for i, row in enumerate(A.sparse) for j, c in row.items() if j != i)
+        if any(c * c > diagonal[i] * diagonal[j] for i, j, c in couplings) or inertia(a_minus(A)).n_pos:
             return G
     raise RuntimeError(f"profile {profile!r} unsatisfiable in {ATTEMPTS} attempts")

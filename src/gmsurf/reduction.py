@@ -30,13 +30,15 @@ as a :class:`SymMatrix` does, and only its file is dense.
 congruence elimination of A-minus bounds the shrink factor from below, and a
 few congruence tests pin it; off the positive-eigenvalue branch, that
 elimination's inertia names the branch in :class:`NoPositiveEigenvalueError`.
+It returns the shrunk A-minus as pair rows, which the surface builder hands
+straight to :func:`_perron_reduction`.
 
-Both builders keep their values in reduced (numerator, denominator) pairs of
+The builders keep their values in reduced (numerator, denominator) pairs of
 ints between the eliminations of :mod:`gmsurf.exact_linalg`: `Fraction`
 enters only as the :class:`SymMatrix` entries they read, once each, and
-leaves only as the shrunk matrix and the :class:`ReductionCertificate` they
-return.  :func:`negativity_certificate` works in pairs as well; the verifier
-works in `Fraction`.
+leaves only as the :class:`ReductionCertificate` that
+:func:`find_singular_reduction` returns.  :func:`negativity_certificate`
+works in pairs as well; the verifier works in `Fraction`.
 
 :func:`negativity_certificate` is the complementary tool for matrices that
 are negative semidefinite: it produces a strictly positive vector a with
@@ -325,7 +327,7 @@ def negativity_certificate(A: SymMatrix) -> NegativityCertificate:
     raise NotNegativeError("matrix has a positive eigenvalue")
 
 
-def strict_shrink(A: SymMatrix) -> SymMatrix:
+def strict_shrink(A: SymMatrix) -> list[dict[int, tuple[int, int]]]:
     """Shrink every nonzero off-diagonal entry by a common factor (1 - eps)
     while keeping a positive eigenvalue of A-minus.
 
@@ -346,8 +348,10 @@ def strict_shrink(A: SymMatrix) -> SymMatrix:
 
     B is read once into reduced (numerator, denominator) pairs, and the
     bound is taken in integers: C over the lcm L of its denominators, each
-    x over the lcm D of its own.  Only the returned shrunk matrix is
-    `Fraction`.
+    x over the lcm D of its own.  Returns the shrunk A-minus, not A: one
+    ``{column: (numerator, denominator)}`` dict of nonzero entries per row,
+    the input of :func:`_perron_reduction`, which needs a connected matrix.
+    No `Fraction` is made.
     """
     matrix_components(A)  # for its sign check
     minus = _pair_rows(a_minus(A))
@@ -391,9 +395,4 @@ def strict_shrink(A: SymMatrix) -> SymMatrix:
             hi, gap = k, 2 * gap
         else:
             lo = k
-    return SymMatrix(
-        [
-            {j: A.sparse[i][j] if i == j else _fraction(x) for j, x in row.items()}
-            for i, row in enumerate(shrunk(hi))
-        ]
-    )
+    return shrunk(hi)

@@ -29,13 +29,14 @@ witnessed constructively.  The builder:
 4. clears denominators with one global integer scale, the lcm of every
    side's denominators.
 
-Steps 1 and 2 work in reduced (numerator, denominator) pairs of ints
-(:mod:`gmsurf.reduction`), and so do steps 3 and 4: the coupling, A' and
-the reduction's vector are read into pairs, every a and b is a pair, and
-each degree and coordinate is its numerator times scale // denominator.
-`Fraction` enters as the decomposition matrix and leaves as the
-certificate's reduction; the verifier works in `Fraction` and shares no
-code with the builder.
+Steps 1 to 4 work in reduced (numerator, denominator) pairs of ints
+(:mod:`gmsurf.reduction`): the shrink returns A-minus shrunk as pair rows,
+the Perron walk takes them whole (a valid manifold's matrix graph is
+connected) and returns A' as pair rows, every a and b is a pair, and each
+degree and coordinate is its numerator times scale // denominator.
+`Fraction` enters as the decomposition matrix and leaves once, as the
+certificate's A' and degrees; the verifier works in `Fraction` and shares
+no code with the builder.
 
 The shrunk matrix S of step 1 stays inside the builder.  A' is a reduction
 of S and every coupling of S lies strictly below A's, so A' is a strict
@@ -75,7 +76,7 @@ from .exact_linalg import _fraction, _inverse, _mul, _sub
 from .manifold import DecompositionGraph, decomposition_matrix
 from .reduction import (
     ReductionCertificate,
-    find_singular_reduction,
+    _perron_reduction,
     strict_shrink,
     verify_reduction,
 )
@@ -116,36 +117,34 @@ class SurfaceCertificate:
     systems: tuple[CurveSystem, ...]
 
 
-def _pair(x: Fraction | int) -> tuple[int, int]:
-    """The reduced (numerator, denominator) pair of a `Fraction` or an int."""
-    return x.numerator, x.denominator
-
-
 def build_surface_certificate(G: DecompositionGraph) -> SurfaceCertificate:
     """Construct and scale the full curve-system certificate.
 
     Off the constructive branch, :func:`strict_shrink` raises
-    NoPositiveEigenvalueError naming the decision branch.  The sides are
-    computed in reduced integer pairs, read from the `Fraction` entries of
-    A and of the reduction, and scaled to ints without a `Fraction` made.
-    The certificate is not rechecked here: :func:`verify_surface_certificate`
-    is the independent check.
+    NoPositiveEigenvalueError naming the decision branch.  The Perron walk
+    takes the shrunk A-minus's pair rows whole (A's graph is connected), and
+    negating back the rows of A's positive diagonal entries keeps the
+    kernel.  The sides are computed in reduced integer pairs and scaled to
+    ints.  The certificate is not rechecked here:
+    :func:`verify_surface_certificate` is the independent check.
     """
     A = decomposition_matrix(G)
-    reduction = find_singular_reduction(strict_shrink(A))
-    a_prime = reduction.a_prime
-    a = [_pair(x) for x in reduction.a]
+    rows, a = _perron_reduction(strict_shrink(A))
+    for i, row in enumerate(rows):
+        if A.sparse[i].get(i, 0) > 0:
+            rows[i] = {j: (-n, d) for j, (n, d) in row.items()}
 
     index = {p.id: k for k, p in enumerate(G.pieces)}
     sides: list[tuple] = []
     for t_idx, t in enumerate(G.tori):
         u, v = index[t.from_piece], index[t.to_piece]
-        coupling = _pair(A[u, v])
+        c = A.sparse[u][v]
+        coupling = c.numerator, c.denominator
         half = _inverse(_mul((2, 1), coupling))
         # a_plus of each side reads the reduced coupling from the opposite piece
-        from_plus = _mul(_mul(_sub(coupling, _pair(a_prime[v].get(u, 0))), half), a[u])
-        to_plus = _mul(_mul(_sub(coupling, _pair(a_prime[u].get(v, 0))), half), a[v])
-        from_minus, to_minus = _sub(a[u], from_plus), _sub(a[v], to_plus)
+        from_plus = _mul(_mul(_sub(coupling, rows[v].get(u, (0, 1))), half), (a[u], 1))
+        to_plus = _mul(_mul(_sub(coupling, rows[u].get(v, (0, 1))), half), (a[v], 1))
+        from_minus, to_minus = _sub((a[u], 1), from_plus), _sub((a[v], 1), to_plus)
         over_p, q, q_prime = _inverse((t.p, 1)), (t.q, 1), (t.q_prime, 1)
         sides.append((t_idx, t.from_piece, from_plus, from_minus,
                       _mul(_sub(to_plus, _mul(q, from_plus)), over_p),
@@ -154,8 +153,9 @@ def build_surface_certificate(G: DecompositionGraph) -> SurfaceCertificate:
                       _mul(_sub(from_plus, _mul(q_prime, to_plus)), over_p),
                       _mul(_sub((-from_minus[0], from_minus[1]), _mul(q_prime, to_minus)), over_p)))
 
-    scale = lcm(*(d for _, d in a), *(d for side in sides for _, d in side[2:]))
-    degrees = tuple(n * (scale // d) for n, d in a)
+    scale = lcm(*(d for side in sides for _, d in side[2:]))
+    degrees = tuple(v * scale for v in a)
+    a_prime = tuple({j: _fraction(x) for j, x in row.items()} for row in rows)
     return SurfaceCertificate(
         degrees=degrees,
         scale=scale,

@@ -11,7 +11,8 @@ the dense routines they replaced, kept so tests can compare results exactly:
   crossing with two determinants and its kernel with a null space;
 - :func:`fraction_surface_sides`, the curve-system sides of the surface
   builder computed in `Fraction`, as the builder did before it moved them
-  to reduced integer pairs;
+  to reduced integer pairs, from :func:`halving_shrink` and
+  :func:`crossing_reduction`;
 - :func:`per_piece_surface_violations`, the surface-certificate verifier
   that rescans every torus once per piece, checks A' against A with
   :func:`all_pairs_reduction_violations` and on every pair, and multiplies
@@ -34,7 +35,7 @@ It also holds :func:`bilinear_identity`, the exact quadratic-form expansion
 behind reading a negativity certificate as "A is negative", and the dense
 matrix helpers that only tests need: :func:`to_lists`, :func:`dense_rows`,
 :func:`dense_json`, :func:`mat_vec`, :func:`sym` (a matrix from dense
-rows), :func:`principal_submatrix`,
+rows), :func:`pair_matrix` (a matrix from pair rows), :func:`principal_submatrix`,
 :func:`matrix_graph_components` and :func:`is_connected_matrix`.
 """
 
@@ -56,13 +57,7 @@ from gmsurf.exact_linalg import (
     to_rational,
 )
 from gmsurf.manifold import DecompositionGraph, a_minus, decomposition_matrix
-from gmsurf.reduction import (
-    NegativeDefiniteError,
-    NoPositiveEigenvalueError,
-    ReductionCertificate,
-    find_singular_reduction,
-    strict_shrink,
-)
+from gmsurf.reduction import NegativeDefiniteError, NoPositiveEigenvalueError, ReductionCertificate
 from gmsurf.surface import CurveSystem, SurfaceCertificate
 
 
@@ -75,6 +70,11 @@ def sym(rows: Sequence[Sequence[int | str | Fraction]]) -> SymMatrix:
         if len(row) != n:
             raise ValueError(f"not square: {n} rows but a row of length {len(row)}")
     return SymMatrix([{j: x for j, x in enumerate(map(to_rational, row)) if x} for row in rows])
+
+
+def pair_matrix(rows: Sequence[dict[int, tuple[int, int]]]) -> SymMatrix:
+    """The :class:`SymMatrix` of ``{column: (numerator, denominator)}`` rows."""
+    return SymMatrix([{j: Fraction(*x) for j, x in row.items()} for row in rows])
 
 
 def to_lists(A: SymMatrix) -> list[list[Fraction]]:
@@ -472,9 +472,9 @@ def crossing_reduction(A: SymMatrix) -> ReductionCertificate:
 
 def fraction_surface_sides(G: DecompositionGraph) -> tuple[tuple[int, ...], int, tuple[CurveSystem, ...]]:
     """The degrees, scale and curve systems of `gmsurf.surface.build_surface_certificate`,
-    the sides computed in `Fraction` from the same shrink and reduction."""
+    the sides computed in `Fraction` from the dense shrink and reduction."""
     A = decomposition_matrix(G)
-    reduction = find_singular_reduction(strict_shrink(A))
+    reduction = crossing_reduction(halving_shrink(A))
     a, a_prime = reduction.a, reduction.a_prime
     index = {p.id: k for k, p in enumerate(G.pieces)}
     sides: list[tuple] = []

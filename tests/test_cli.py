@@ -8,6 +8,7 @@ error.
 import copy
 import io
 import json
+import sys
 from functools import lru_cache
 
 import pytest
@@ -18,7 +19,14 @@ from gmsurf.cli import main
 from gmsurf.covers import commutator, cycle_type, identity_perm, is_transitive, word_product
 from gmsurf.fileio import load_json, manifold_to_json, reduction_cert_to_json, save_json, surface_cert_to_json
 from gmsurf.generate import generate_manifold
-from gmsurf.manifold import DecompositionGraph, GluingTorus, SeifertPiece, decomposition_matrix, two_piece_graph
+from gmsurf.manifold import (
+    DecompositionGraph,
+    GluingTorus,
+    SeifertPiece,
+    decomposition_matrix,
+    split_blocks,
+    two_piece_graph,
+)
 from gmsurf.reduction import find_singular_reduction
 from gmsurf.surface import build_surface_certificate
 from oracles import to_lists
@@ -78,8 +86,9 @@ def test_analyze_reads_only_the_nonzeros(tmp_path, monkeypatch, capsys):
 def test_each_matrix_is_checked_once(tmp_path, monkeypatch, capsys):
     # The SymMatrix constructor checks every matrix the package makes, and
     # only those: decide reads A-minus as A's rows, the surface builder makes
-    # A and the shrunk matrix, analyze makes A, and certify makes the
-    # builder's two and the verifier's own A.  64 pieces, 281 nonzeros.
+    # A and keeps the shrunk matrix in pair rows, analyze makes A, and
+    # certify makes the builder's A and the verifier's own.  64 pieces, 281
+    # nonzeros.
     G = generate_manifold(64, seed=3, profile="posEig")
     path = tmp_path / "m.json"
     save_manifold(G, path)
@@ -94,10 +103,26 @@ def test_each_matrix_is_checked_once(tmp_path, monkeypatch, capsys):
         return len(checks)
 
     assert count(lambda: decision.decide(A)) == 0
-    assert count(lambda: build_surface_certificate(G)) == 2
+    assert count(lambda: build_surface_certificate(G)) == 1
     assert count(lambda: main(["analyze", str(path), "--json"])) == 1
-    assert count(lambda: main(["certify", str(path), "--out", str(tmp_path / "c.json")])) == 3
+    assert count(lambda: main(["certify", str(path), "--out", str(tmp_path / "c.json")])) == 2
     capsys.readouterr()
+
+
+def test_analyze_splits_the_diagonal_once(tmp_path, monkeypatch, capsys):
+    # decide splits A's diagonal by sign and its verdict carries the split
+    # to the report.
+    path = tmp_path / "m.json"
+    save_manifold(generate_manifold(64, seed=3, profile="posEig"), path)
+    calls = []
+    real_split = split_blocks
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("gmsurf.") and hasattr(module, "split_blocks"):
+            monkeypatch.setattr(module, "split_blocks", lambda A: calls.append(A) or real_split(A))
+    assert main(["analyze", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert report["blocks"] == dict(zip(("positive", "negative", "zero"), real_split(calls[0])))
 
 
 def test_analyze_negative_definite_pair_fails(tmp_path, capsys):

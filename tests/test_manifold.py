@@ -2,12 +2,14 @@
 
 import tracemalloc
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings, strategies
 
-from gmsurf import exact_linalg
+from gmsurf import exact_linalg, generate
 from gmsurf.exact_linalg import Inertia, SymMatrix, inertia
+from gmsurf.fileio import json_text, manifold_to_json
 from gmsurf.generate import PROFILES, generate_manifold
 from gmsurf.manifold import (
     DecompositionGraph,
@@ -21,7 +23,7 @@ from gmsurf.manifold import (
     validate,
 )
 from gmsurf.reduction import strict_shrink
-from oracles import bareiss_inertia, is_connected_matrix, sym, to_lists
+from oracles import bareiss_inertia, is_connected_matrix, pair_matrix, sym, to_lists
 
 F = Fraction
 
@@ -120,12 +122,13 @@ def test_validate_reports_every_violation_in_order(monkeypatch):
 
 
 def test_package_built_matrices_convert_no_entry(monkeypatch):
-    # decomposition_matrix, a_minus and the shrink build Fraction entries:
-    # the constructor checks them (a_minus's rows once wrapped) and converts none
+    # decomposition_matrix and a_minus build Fraction entries: the
+    # constructor checks them (a_minus's rows once wrapped) and converts
+    # none; the shrink's pair rows convert none either
     monkeypatch.setattr(exact_linalg, "to_rational", lambda value: pytest.fail("entry check"))
     A = decomposition_matrix(two_piece_graph(F(1, 3), -1))
     assert to_lists(SymMatrix(a_minus(A))) == [[F(-1, 3), F(1)], [F(1), F(-1)]]
-    assert to_lists(strict_shrink(A)) == [[F(1, 3), F(3, 4)], [F(3, 4), F(-1)]]
+    assert to_lists(pair_matrix(strict_shrink(A))) == [[F(-1, 3), F(3, 4)], [F(3, 4), F(-1)]]
 
 
 def test_validate_flags_determinant_condition():
@@ -241,9 +244,10 @@ def test_sparse_view_is_the_dense_nonzeros(profile, pieces, seed):
     A = decomposition_matrix(generate_manifold(pieces, seed=seed, profile=profile))
     assert A.sparse == dense_nonzeros(A)
     # a parsed copy drops the zeros of its dense rows and equals the matrix
-    # the package built from the nonzeros; so do a_minus's rows, wrapped, and the shrink's
+    # the package built from the nonzeros; so do a_minus's rows, wrapped,
+    # and the shrink's pair rows, as Fractions
     assert sym(to_lists(A)) == A
-    derived_matrices = [SymMatrix(a_minus(A))] + ([strict_shrink(A)] if profile == "posEig" else [])
+    derived_matrices = [SymMatrix(a_minus(A))] + ([pair_matrix(strict_shrink(A))] if profile == "posEig" else [])
     for derived in derived_matrices:
         assert derived.sparse == dense_nonzeros(derived)
         assert sym(to_lists(derived)) == derived
@@ -327,8 +331,9 @@ def test_generated_graphs_yield_valid_matrices(pieces, seed):
 
 @pytest.mark.parametrize("profile", PROFILES)
 def test_every_profile_has_the_inertia_it_promises(profile):
-    # Only posEig is checked while generating; negdef, semidef and any hold
-    # by construction, so the dense oracle checks all four here.
+    # Only posEig is checked while generating, by a dominant coupling or an
+    # inertia; negdef, semidef and any hold by construction, so the dense
+    # oracle checks all four here.
     for pieces in range(2, 41):
         for seed in range(3):
             A = decomposition_matrix(generate_manifold(pieces, seed=seed, profile=profile))
@@ -342,3 +347,15 @@ def test_every_profile_has_the_inertia_it_promises(profile):
                 assert all(sum(row.values()) == 0 for row in A.sparse)
             elif profile == "posEig":
                 assert expected.n_pos > 0
+
+
+def test_a_dominant_coupling_accepts_a_poseig_draw_without_an_inertia(monkeypatch):
+    # A coupling c = A[i][j] with c^2 > |A[i][i]| |A[j][j]| gives A-minus a
+    # 2x2 principal block with a positive eigenvalue, and so, by Cauchy
+    # interlacing, A-minus one too.  The first 1,000-piece posEig draw
+    # (seed 3) has one; the inertia it skips took 32.6 s.  The digest is the
+    # draw's JSON text as generated when every posEig draw took the inertia.
+    monkeypatch.setattr(generate, "inertia", lambda rows: pytest.fail("inertia"))
+    G = generate_manifold(1000, seed=3, profile="posEig")
+    digest = sha256(json_text(manifold_to_json(G)).encode()).hexdigest()
+    assert digest == "00f0edd081307b54503a0cd524be74353119d0678006e629cb5747654cc7ba92"

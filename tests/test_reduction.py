@@ -12,6 +12,7 @@ from gmsurf.exact_linalg import (
     Inertia,
     SymMatrix,
     _congruence,
+    _pair_rows,
     inertia,
 )
 from gmsurf.generate import generate_manifold
@@ -38,6 +39,7 @@ from oracles import (
     is_connected_matrix,
     kernel_basis,
     mat_vec,
+    pair_matrix,
     principal_submatrix,
     sym,
     to_lists,
@@ -425,12 +427,12 @@ def test_bilinear_identity_random_four_by_four(seed):
 
 def test_strict_shrink_halves_until_positive_eigenvalue_survives():
     shrunk = strict_shrink(sym([["-1", 2], [2, "-1"]]))
-    assert to_lists(shrunk) == to_lists(sym([["-1", "3/2"], ["3/2", "-1"]]))
+    assert shrunk == [{0: (-1, 1), 1: (3, 2)}, {0: (3, 2), 1: (-1, 1)}]
 
 
 def test_strict_shrink_accepts_first_epsilon_when_possible():
     shrunk = strict_shrink(sym([[0, 1], [1, 0]]))
-    assert to_lists(shrunk) == to_lists(sym([[0, "1/2"], ["1/2", 0]]))
+    assert shrunk == [{1: (1, 2)}, {0: (1, 2)}]
 
 
 def test_strict_shrink_rejects_semidefinite_input():
@@ -447,8 +449,8 @@ def test_strict_shrink_gallops_from_a_far_bound(monkeypatch):
     calls = []
     monkeypatch.setattr(reduction, "_congruence", lambda adj: calls.append(adj) or _congruence(adj))
     shrunk = strict_shrink(A)
-    assert shrunk == halving_shrink(A)
-    assert shrunk[0, 1] == F(7, 8)
+    assert shrunk == _pair_rows(a_minus(halving_shrink(A)))
+    assert shrunk[0][1] == (7, 8)
     assert len(calls) == 6
 
 
@@ -457,28 +459,27 @@ def test_strict_shrink_gallops_from_a_far_bound(monkeypatch):
 def test_strict_shrink_preserves_branch_and_strictness(A):
     if inertia(SymMatrix(a_minus(A)).sparse).n_pos == 0:
         return
-    shrunk = strict_shrink(A)
-    assert inertia(SymMatrix(a_minus(shrunk)).sparse).n_pos > 0
+    shrunk = pair_matrix(strict_shrink(A))
+    assert inertia(shrunk.sparse).n_pos > 0
     for i in range(A.order):
-        assert shrunk[i, i] == A[i, i]
+        assert shrunk[i, i] == -abs(A[i, i])
         for j in range(A.order):
             if i != j and A[i, j] != 0:
                 assert 0 < shrunk[i, j] < A[i, j]
 
 
 def assert_matches_dense_oracles(A: SymMatrix) -> None:
-    """The witness-bounded shrink equals the halving loop, and the sparse
-    M-matrix walk equals the determinant/nullspace crossing, on A and on
-    its shrink."""
+    """The witness-bounded shrink equals the halving loop's A-minus in pairs,
+    and the sparse M-matrix walk equals the determinant/nullspace crossing,
+    on A and on its shrink."""
     try:
         expected = halving_shrink(A)
     except NoPositiveEigenvalueError:
         with pytest.raises(NoPositiveEigenvalueError):
             strict_shrink(A)
     else:
-        shrunk = strict_shrink(A)
-        assert shrunk == expected
-        assert find_singular_reduction(shrunk) == crossing_reduction(shrunk)
+        assert strict_shrink(A) == _pair_rows(a_minus(expected))
+        assert find_singular_reduction(expected) == crossing_reduction(expected)
     try:
         expected_cert = crossing_reduction(A)
     except NegativeDefiniteError:

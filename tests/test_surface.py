@@ -518,6 +518,22 @@ def test_path_certificate_needs_logarithmically_many_solves(monkeypatch, n):
     assert all(counts[name] == 0 for name in DENSE)
 
 
+@pytest.mark.parametrize(
+    "G",
+    [two_piece_graph(0, 0), slowly_closing_path(13)]
+    + [generate_manifold(n, seed=3, profile="posEig") for n in (30, 120)],
+    ids=["zero-diagonal", "path-13", "gen-30", "gen-120"],
+)
+def test_build_derives_a_minus_once_and_makes_only_the_certificates_fractions(monkeypatch, G):
+    # The shrink derives A-minus and walks the matrix graph once; the Perron
+    # walk takes its pair rows as they are, and `Fraction` is made only for
+    # the certificate's nonzeros of A' and its degrees.
+    counts = count_calls(monkeypatch, ("a_minus", "matrix_components", "_fraction"))
+    cert = build_surface_certificate(G)
+    nnz = sum(len(row) for row in cert.reduction.a_prime)
+    assert counts == {"a_minus": 1, "matrix_components": 1, "_fraction": nnz + len(G.pieces)}
+
+
 @pytest.mark.parametrize("e1, e2", [(-2, -2), (-1, -1), (1, -1)])
 def test_certify_off_the_branch_takes_one_elimination(monkeypatch, tmp_path, e1, e2):
     # The congruence that looks for shrink witnesses also names the branch:
