@@ -15,8 +15,6 @@ dict per row, and its one constructor checks those entries alone.
 components of the matrix graph.  :func:`inertia` takes such dict rows and
 eliminates in minimum-degree order, which creates no fill on a tree: its
 cost follows the number of edges and the fill, not the cube of the order.
-:func:`pivot_witnesses` runs the same elimination, A = L D L^T, and turns
-each positive pivot block into a vector x = L^{-T} e_k with x^T A x > 0.
 
 :func:`_mmatrix_solve` is the other elimination: Gaussian elimination of a
 Z-matrix in the same minimum-degree order with diagonal pivots only,
@@ -38,11 +36,11 @@ elimination would, in the same pivot order, with no `Fraction` made.  The
 cores are :func:`_congruence` and :func:`_mmatrix_solve`, which take and
 return pairs.  :func:`inertia` is the one `Fraction` entry to them: its
 `Fraction` entries become pairs once (:func:`_pair_rows`).
-:func:`pivot_witnesses`, :func:`_mmatrix_solve` and :func:`_primitive` (the
-coprime integers on a vector's ray) take pairs, so the builders
-(:mod:`gmsurf.reduction`, :mod:`gmsurf.surface`) call the cores directly,
-keep their own values in pairs between eliminations, and make a `Fraction`
-only for what they return (:func:`_fraction`).
+:func:`_mmatrix_solve` and :func:`_primitive` (the coprime integers on a
+vector's ray) take pairs, so the builders (:mod:`gmsurf.reduction`,
+:mod:`gmsurf.surface`) call them directly, keep their own values in pairs
+between eliminations, and make a `Fraction` only for what they return
+(:func:`_fraction`).
 """
 
 from __future__ import annotations
@@ -246,16 +244,10 @@ def _pair_rows(rows: Sequence[dict[int, Fraction]]) -> list[dict[int, tuple[int,
     return [{j: (x.numerator, x.denominator) for j, x in row.items()} for row in rows]
 
 
-def _congruence(adj: list[dict[int, tuple[int, int]]], steps: list | None = None) -> Inertia:
+def _congruence(adj: list[dict[int, tuple[int, int]]]) -> Inertia:
     """Sparse graph-order congruence of symmetric pair rows, eliminated in place; see :func:`inertia`.
 
     Entries are reduced (numerator, denominator) pairs (:func:`_pair_rows`).
-    When ``steps`` is a list, each pivot block is appended to it as (seed,
-    value, columns), all in pairs: ``seed`` maps the block's vertices to a
-    vector y on the block with y^T P y = ``value`` (the pivot itself for a
-    1x1 block P, 2|b| for [[0, b], [b, 0]]), and ``columns`` lists (vertex,
-    {row: multiplier}), the block's columns of the unit lower triangular
-    factor L with A = L D L^T.
     """
     remaining = set(range(len(adj)))
     queue: list[tuple[int, int]] = []  # sorted (degree, index), nonzero diagonals only
@@ -300,15 +292,12 @@ def _congruence(adj: list[dict[int, tuple[int, int]]], steps: list | None = None
             touched = list(row.items())
             unqueue(row)
             inverse = _inverse(pivot)
-            factors = [_mul(a, inverse) for _, a in touched]
-            for s, (i, _) in enumerate(touched):
+            for s, (i, a) in enumerate(touched):
                 del adj[i][k]
-                factor = factors[s]
+                factor = _mul(a, inverse)
                 for j, b in touched[s:]:
                     subtract(i, j, _mul(factor, b))
             enqueue(row)
-            if steps is not None:
-                steps.append(({k: (1, 1)}, pivot, [(k, dict(zip(row, factors)))]))
             continue
         isolated = [i for i in remaining if not adj[i]]
         if isolated:
@@ -334,10 +323,6 @@ def _congruence(adj: list[dict[int, tuple[int, int]]], steps: list | None = None
                 if amount[0]:
                     subtract(i, touched[t], amount)
         enqueue(touched)
-        if steps is not None:
-            seed = {k: (1, 1), l: (1, 1) if b[0] > 0 else (-1, 1)}
-            value = _mul((2, 1), (abs(b[0]), b[1]))
-            steps.append((seed, value, [(k, dict(zip(touched, y))), (l, dict(zip(touched, x)))]))
     return Inertia(n_pos, n_zero, n_neg)
 
 
@@ -366,41 +351,6 @@ def inertia(rows: Sequence[dict[int, Fraction]]) -> Inertia:
     made.
     """
     return _congruence(_pair_rows(rows))
-
-
-def pivot_witnesses(
-    adj: list[dict[int, tuple[int, int]]],
-) -> tuple[Inertia, list[tuple[tuple[int, int], dict[int, tuple[int, int]]]]]:
-    """The inertia of a symmetric matrix A, and one vector x with x^T A x > 0
-    per positive eigenvalue, all in reduced (numerator, denominator) pairs.
-
-    A is given as pair rows of its nonzero entries (:func:`_pair_rows`),
-    eliminated in place as in :func:`_congruence`, whose elimination,
-    A = L D L^T, has one pivot block per positive eigenvalue: a positive 1x1
-    pivot d, or a 2x2 pivot [[0, b], [b, 0]].  With seed y on the block,
-    x = L^{-T} y satisfies x^T A x = y^T D y = d (or 2|b|) > 0.  Returns the
-    inertia, which the same elimination gives, and the pairs (x^T A x, x),
-    x as a dict of its nonzero entries, in elimination order (empty iff A
-    has no positive eigenvalue); each x costs one sparse back-substitution
-    through the earlier blocks.
-    """
-    steps: list = []
-    ine = _congruence(adj, steps)
-    witnesses = []
-    for t, (seed, value, _) in enumerate(steps):
-        if value[0] <= 0:
-            continue
-        x = dict(seed)
-        for _, _, columns in reversed(steps[:t]):
-            for m, column in columns:
-                negated = (0, 1)  # -sum of f * x[i]
-                for i, f in column.items():
-                    if i in x:
-                        negated = _sub(negated, _mul(f, x[i]))
-                if negated[0]:
-                    x[m] = negated
-        witnesses.append((value, x))
-    return ine, witnesses
 
 
 def _mmatrix_solve(

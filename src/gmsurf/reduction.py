@@ -26,18 +26,20 @@ A-minus (:func:`gmsurf.manifold.a_minus`), and A' keeps A's sparsity: the
 certificate holds one ``{column: value}`` dict of nonzero entries per row,
 as a :class:`SymMatrix` does, and only its file is dense.
 
-:func:`strict_shrink` prepares the input of the surface builder: one
-congruence elimination of A-minus bounds the shrink factor from below, and a
-few congruence tests pin it; off the positive-eigenvalue branch, that
-elimination's inertia names the branch in :class:`NoPositiveEigenvalueError`.
-It returns the shrunk A-minus as pair rows, which the surface builder hands
-straight to :func:`_perron_reduction`.
+:func:`strict_shrink` is the surface builder's reduction: a *strict* one,
+|A'[i][j]| < A[i][j] on every coupling, of a connected A, with no walk and
+no bisection.  One positive vector a with (A-minus a)_i > 0 at every i,
+found in fixed-point integers and checked exactly, gives each row of A' on
+its own (the Collatz-Wielandt bounds of the Perron root; see there).  Off
+the positive-eigenvalue branch the same search names the branch in
+:class:`NoPositiveEigenvalueError`, with no inertia taken.  It returns A'
+as pair rows and a as ints, which the surface builder uses as they are.
 
-The builders keep their values in reduced (numerator, denominator) pairs of
-ints between the eliminations of :mod:`gmsurf.exact_linalg`: `Fraction`
-enters only as the :class:`SymMatrix` entries they read, once each, and
-leaves only as the :class:`ReductionCertificate` that
-:func:`find_singular_reduction` returns.  :func:`negativity_certificate`
+The builders keep their values in integers or reduced (numerator,
+denominator) pairs of ints between the eliminations of
+:mod:`gmsurf.exact_linalg`: `Fraction` enters only as the
+:class:`SymMatrix` entries they read, once each, and leaves only as the
+:class:`ReductionCertificate` that :func:`find_singular_reduction` returns.  :func:`negativity_certificate`
 works in pairs as well; the verifier works in `Fraction`.
 
 :func:`negativity_certificate` is the complementary tool for matrices that
@@ -49,14 +51,15 @@ not package code.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .decision import immersed
+from .decision import Branch
 from .exact_linalg import (
+    DisconnectedMatrixError,
     SymMatrix,
-    _congruence,
     _fraction,
     _inverse,
     _mmatrix_solve,
@@ -66,7 +69,6 @@ from .exact_linalg import (
     _sum,
     inertia,  # unused here; bench/tests/test_tracer.py checks the tracer replaces this binding
     matrix_components,
-    pivot_witnesses,
 )
 from .manifold import a_minus, split_blocks
 
@@ -314,85 +316,218 @@ def negativity_certificate(A: SymMatrix) -> NegativityCertificate:
         if any(v[0] <= 0 for v in a):
             raise AssertionError("definite case produced a non-positive weight")
         return NegativityCertificate(a=tuple(map(_fraction, a)), image=tuple([Fraction(-1)] * n))
-    last = n - 1
+    kernel = _positive_kernel(negated)
+    if kernel is None:
+        raise NotNegativeError("matrix has a positive eigenvalue")
+    return NegativityCertificate(a=tuple(map(Fraction, kernel)), image=tuple([Fraction(0)] * n))
+
+
+# The search and the rows of :func:`strict_shrink`.
+FIRST_BITS, FULL_BITS = 16, 64
+POWER_STEPS, SOLVES, RAISE_BITS = 3, 6, 30
+FIRST_ROW_BITS, ROW_BITS_STEP = 24, 8
+
+
+def _fixed_point_solve(rows: list[dict[int, int]], rhs: list[int]) -> list[int] | None:
+    """x with M x = rhs, rounded, for a symmetric fixed-point M-matrix M; None at a pivot <= 0.
+
+    M is one ``{column: int}`` dict per row, diagonal key included, and both
+    it and rhs are changed in place.  M = L D L^T in minimum-degree order,
+    as in :func:`gmsurf.exact_linalg._mmatrix_solve`, with every product
+    over a pivot floored, so entries keep their fixed-point length.
+    """
+    queue = sorted((len(row) - 1, i) for i, row in enumerate(rows))
+    queued = {key[1]: key for key in queue}
+    done: list[tuple[int, int, dict[int, int]]] = []
+    while queue:
+        _, k = queue.pop(0)
+        del queued[k]
+        row = rows[k]
+        pivot = row.pop(k)
+        if pivot <= 0:
+            return None
+        for i in row:
+            del queue[bisect_left(queue, queued[i])]
+        items = list(row.items())
+        b = rhs[k]
+        for s, (i, f) in enumerate(items):
+            other = rows[i]
+            del other[k]
+            rhs[i] -= f * b // pivot
+            for j, g in items[s:]:
+                other[j] = rows[j][i] = other.get(j, 0) - f * g // pivot
+            key = queued[i] = (len(other) - 1, i)
+            insort(queue, key)
+        done.append((k, pivot, row))
+    x = [0] * len(rows)
+    for k, pivot, row in reversed(done):
+        x[k] = (rhs[k] - sum(m * x[j] for j, m in row.items())) // pivot
+    return x
+
+
+def _positive_kernel(negated: list[dict[int, tuple[int, int]]]) -> list[int] | None:
+    """The primitive positive vector spanning the kernel of -N, or None.
+
+    N, a connected Z-matrix as pair rows, is not changed.  -N is singular
+    and negative semidefinite iff its kernel is a line through a positive
+    vector: every proper principal block of a connected singular M-matrix
+    is a nonsingular M-matrix, so one :func:`_mmatrix_solve` with the last
+    weight fixed at 1 gives the others, and N times it is checked exactly.
+    """
+    last = len(negated) - 1
     rest = _mmatrix_solve(
         [{j: x for j, x in row.items() if j != last} for row in negated[:last]],
-        [(x.numerator, x.denominator) for x in (A[i, last] for i in range(last))],
+        [(-row[last][0], row[last][1]) if last in row else (0, 1) for row in negated[:last]],
     )
-    if rest is not None:
-        a = [*rest, (1, 1)]
-        # A*a is the negation of the product with the negated rows.
-        if not any(_sum(_mul(x, a[j]) for j, x in row.items())[0] for row in negated):
-            return NegativityCertificate(a=tuple(map(Fraction, _primitive(a))), image=tuple([Fraction(0)] * n))
-    raise NotNegativeError("matrix has a positive eigenvalue")
+    if rest is None:
+        return None
+    a = [*rest, (1, 1)]
+    if any(_sum(_mul(x, a[j]) for j, x in row.items())[0] for row in negated):
+        return None
+    return _primitive(a)
 
 
-def strict_shrink(A: SymMatrix) -> list[dict[int, tuple[int, int]]]:
-    """Shrink every nonzero off-diagonal entry by a common factor (1 - eps)
-    while keeping a positive eigenvalue of A-minus.
+def strict_shrink(A: SymMatrix) -> tuple[list[dict[int, tuple[int, int]]], list[int]]:
+    """A strict singular reduction A' of a connected A and the positive vector a it annihilates.
 
-    eps is the largest power 2^-k <= 1/2 that keeps one (the one the halving
-    loop eps = 1/2, 1/4, ... would stop at).  Let B = A-minus and C its
-    off-diagonal part.  One congruence elimination of B
-    (:func:`pivot_witnesses`) gives, per positive eigenvalue, an x with
-    x^T B x > 0; since C >= 0, |x|^T B_eps |x| >= x^T B x - eps
-    |x|^T C |x|, so every eps below the best bound x^T B x / |x|^T C |x|
-    keeps a positive eigenvalue.  The top eigenvalue of a matrix with
-    non-negative off-diagonal entries grows with them, so having one is
-    monotone in k: test 1/2 first, then gallop from the bound's power toward
-    larger eps and bisect, each test one congruence (:func:`_congruence`).
-    Raises NoPositiveEigenvalueError, naming the branch
-    (:func:`gmsurf.decision.immersed` of the elimination's inertia), if
-    A-minus has no positive eigenvalue, and ValueError on a negative
-    off-diagonal entry.
+    A' keeps A's diagonal, |A'[i][j]| < A[i][j] where A[i][j] > 0 and 0
+    where A is 0; it comes back as reduced pair rows of its nonzeros and a
+    as coprime ints.  DisconnectedMatrixError on a disconnected matrix
+    graph, ValueError on a negative coupling.
 
-    B is read once into reduced (numerator, denominator) pairs, and the
-    bound is taken in integers: C over the lcm L of its denominators, each
-    x over the lcm D of its own.  Returns the shrunk A-minus, not A: one
-    ``{column: (numerator, denominator)}`` dict of nonzero entries per row,
-    the input of :func:`_perron_reduction`, which needs a connected matrix.
-    No `Fraction` is made.
+    *Rows.*  Let B = A-minus and C its couplings.  A' need not be
+    symmetric, so row i needs only sum_j A'[i][j] a_j = -A[i][i] a_i with
+    |A'[i][j]| < A[i][j]; those sums fill (-(Ca)_i, (Ca)_i), so row i
+    exists iff |A[i][i]| a_i < (Ca)_i, that is iff (Ba)_i > 0.  It is
+    t_i = -A[i][i] a_i / (Ca)_i, rounded to a multiple of 2^-m, times each
+    coupling but the largest A[i][k] a_k, which takes the exact remainder;
+    m = FIRST_ROW_BITS grows by ROW_BITS_STEP until the row is strict.  The
+    remainder times a_k has denominator 2^m times the row's lcm, so the
+    surface sides' denominators come from A's entries and 2^m alone.
+
+    *The vector.*  For a > 0 the Collatz-Wielandt bounds
+    min_i (Ba)_i / a_i <= rho <= max_i (Ba)_i / a_i hold for the Perron
+    root rho of the irreducible B, with equality at its Perron vector
+    (Berman and Plemmons, *Nonnegative Matrices in the Mathematical
+    Sciences*, ch. 2; Horn and Johnson, *Matrix Analysis*, ch. 8).  So an
+    a > 0 with Ba > 0 exists iff rho > 0: exactly the PositiveEigenvalue
+    branch.  It is searched for in fixed-point integers of 16 bits, then
+    32, 64 and on, with no float: from the all-ones vector, POWER_STEPS
+    power steps on B + sI, then shift-invert steps v <- (sigma I - B)^-1 v
+    (:func:`_fixed_point_solve`), sigma the upper bound raised by a relative
+    2^-RAISE_BITS.  A round ends after SOLVES solves, a failed one or one
+    that leaves an entry at 1, and the next doubles the bits.  Every vector
+    is checked exactly, one integer dot product per row of B times its lcm.
+
+    *Off the branch*, the same search names the branch in
+    :class:`NoPositiveEigenvalueError`, with no inertia: Ba < 0 means
+    rho < 0, NegativeDefinite; Ba = 0, or from FULL_BITS on one exact kernel
+    test (:func:`_positive_kernel`), means rho = 0, a semidefinite branch
+    read from A's diagonal signs as :func:`gmsurf.decision.immersed` does.
+    A nonzero rho shows at some precision, so there is no retry budget.
     """
-    matrix_components(A)  # for its sign check
-    minus = _pair_rows(a_minus(A))
-    ine, witnesses = pivot_witnesses([dict(row) for row in minus])
-    if not witnesses:
-        pos, neg, _ = split_blocks(A)
-        raise NoPositiveEigenvalueError(f"decision branch is {immersed(ine, pos, neg)[1].value}")
+    if len(matrix_components(A)) > 1:
+        raise DisconnectedMatrixError("matrix graph is disconnected")
+    n = A.order
+    # Row i of A times scales[i], the lcm of its denominators: A[i][i] as
+    # own[i] and the couplings as ints.  B's row is the same with -|own[i]|.
+    scales, own, couplings = [], [], []
+    for i, row in enumerate(A.sparse):
+        L = lcm(*(x.denominator for x in row.values()))
+        scales.append(L)
+        own.append(row[i].numerator * (L // row[i].denominator) if i in row else 0)
+        couplings.append({j: x.numerator * (L // x.denominator) for j, x in row.items() if j != i})
+    shift = max(-(-abs(d) // L) for d, L in zip(own, scales)) + 1
 
-    # Per witness, the floor of |x|^T C |x| / x^T B x, the reciprocal of its
-    # bound: C times the lcm of its denominators and |x| times the lcm of its
-    # own are integers.
-    scale = lcm(*(d for i, row in enumerate(minus) for j, (_, d) in row.items() if j != i))
-    coupling = [{j: n * (scale // d) for j, (n, d) in row.items() if j != i} for i, row in enumerate(minus)]
-    reciprocals = []
-    for (value_num, value_den), x in witnesses:
-        common = lcm(*(d for _, d in x.values()))
-        weights = {i: abs(n) * (common // d) for i, (n, d) in x.items()}
-        form = sum(
-            w * weights[j] * c for i, w in weights.items() for j, c in coupling[i].items() if j in weights
-        )
-        reciprocals.append(form * value_den // (scale * common * common * value_num))
+    def image(v: list[int]) -> list[int]:
+        """scales[i] (B v)_i, exactly."""
+        return [
+            sum(c * v[j] for j, c in row.items()) - abs(d) * v[i] for i, (d, row) in enumerate(zip(own, couplings))
+        ]
 
-    def shrunk(k: int) -> list[dict[int, tuple[int, int]]]:
-        factor = (2**k - 1, 2**k)
-        return [{j: x if i == j else _mul(x, factor) for j, x in row.items()} for i, row in enumerate(minus)]
+    def normalised(v: list[int], bits: int) -> list[int]:
+        excess = max(v).bit_length() - bits
+        return [max(x >> excess if excess > 0 else x << -excess, 1) for x in v]
 
-    def positive(k: int) -> bool:
-        return _congruence(shrunk(k)).n_pos > 0
+    def shift_invert(v: list[int], y: list[int], bits: int) -> list[int] | None:
+        # sigma: the largest y_i / (scales[i] v_i), raised, rounded up to 2^-bits
+        num, den = y[0], scales[0] * v[0]
+        for p, L, w in zip(y, scales, v):
+            if p * den > num * L * w:
+                num, den = p, L * w
+        num *= (1 << RAISE_BITS) + (1 if num >= 0 else -1)
+        sigma = -((-num << bits) // (den << RAISE_BITS))
+        rows = [
+            {i: sigma + (abs(d) << bits) // L, **{j: -((c << bits) // L) for j, c in row.items()}}
+            for i, (d, L, row) in enumerate(zip(own, scales, couplings))
+        ]
+        # v times the largest diagonal entry: x then has v's length or more
+        top = max(row[i] for i, row in enumerate(rows)).bit_length()
+        x = _fixed_point_solve(rows, [x << top for x in v])
+        return None if x is None else normalised(x, bits)
 
-    hi = max(1, min(reciprocals).bit_length())  # least k >= 1 with 2^-k < best bound: positive(hi)
-    lo = 0
-    if hi > 1:
-        if positive(1):
-            hi = 1
-        else:
-            lo = 1
-    gap = 1
-    while hi - lo > 1:
-        k = max(hi - gap, (lo + hi + 1) // 2)
-        if positive(k):
-            hi, gap = k, 2 * gap
-        else:
-            lo = k
-    return shrunk(hi)
+    v, bits, powers, tested = [1] * n, FIRST_BITS, 0, False
+    while True:
+        for _ in range(SOLVES + POWER_STEPS - powers):
+            y = image(v)
+            if all(x > 0 for x in y):
+                return _strict_rows(A, scales, own, couplings, v, y)
+            if all(x < 0 for x in y):
+                raise NoPositiveEigenvalueError(f"decision branch is {Branch.NEGATIVE_DEFINITE.value}")
+            if not any(y):
+                _raise_semidefinite(A)
+            if powers < POWER_STEPS:
+                powers += 1
+                v = normalised([x // L + shift * x0 for x, L, x0 in zip(y, scales, v)], bits)
+                continue
+            solved = shift_invert(v, y, bits)
+            if solved is None:
+                break
+            v = solved
+            if min(v) == 1:  # an entry fell below the precision
+                break
+        if bits >= FULL_BITS and not tested:
+            tested = True
+            if _positive_kernel([{j: (-x, d) for j, (x, d) in row.items()} for row in _pair_rows(a_minus(A))]):
+                _raise_semidefinite(A)
+        bits *= 2
+
+
+def _raise_semidefinite(A: SymMatrix) -> None:
+    """Name the branch of a matrix whose A-minus has Perron root 0."""
+    pos, neg, _ = split_blocks(A)
+    branch = Branch.SEMIDEFINITE_SAME_SIGN if not pos or not neg else Branch.SEMIDEFINITE_MIXED_SIGN
+    raise NoPositiveEigenvalueError(f"decision branch is {branch.value}")
+
+
+def _strict_rows(
+    A: SymMatrix, scales: list[int], own: list[int], couplings: list[dict[int, int]], v: list[int], y: list[int]
+) -> tuple[list[dict[int, tuple[int, int]]], list[int]]:
+    """The rows of :func:`strict_shrink` from v > 0 with y = scales * (B v) > 0."""
+    common = gcd(*v)
+    a = [x // common for x in v]
+    rows = []
+    for i, row in enumerate(A.sparse):
+        c, L = couplings[i], scales[i]
+        strict = {i: (row[i].numerator, row[i].denominator)} if i in row else {}
+        # Times L: -A[i][i] a_i, (Ca)_i, and (Ca)_i without its largest term, at k.
+        target = -own[i] * a[i]
+        total = y[i] // common + abs(own[i]) * a[i]
+        k = max(c, key=lambda j: (c[j] * a[j], -j))
+        rest = total - c[k] * a[k]
+        bits = FIRST_ROW_BITS
+        while True:
+            t = ((target << (bits + 1)) + total) // (2 * total)  # t_i 2^m, rounded
+            r = (target << bits) - t * rest  # A'[i][k] a_k L 2^m
+            if abs(t) < 1 << bits and abs(r) < c[k] * a[k] << bits:
+                break
+            bits += ROW_BITS_STEP
+        if t:
+            factor = _mul((t, 1), (1, 1 << bits))
+            for j, x in row.items():
+                if j != i and j != k:
+                    strict[j] = _mul(factor, (x.numerator, x.denominator))
+        if r:
+            strict[k] = _mul((r, 1), (1, L * a[k] << bits))
+        rows.append(strict)
+    return rows, a

@@ -3,16 +3,17 @@
 A positive immersed-surface verdict on the positive-eigenvalue branch can be
 witnessed constructively.  The builder:
 
-1. shrinks every off-diagonal entry of the decomposition matrix by a factor
-   1 - 2^-k while keeping a positive eigenvalue of A-minus (so the next step
-   lands strictly inside the allowed range).  One congruence elimination of
-   A-minus decides the branch (none positive: the exception names the
-   branch, with no second decision) and gives, per positive pivot, a vector
-   x with x^T A-minus x > 0, which bounds k; a few inertia tests pin the
-   exact k the halving eps = 1/2, 1/4, ... would reach;
-2. finds a singular reduction A' of the shrunk matrix annihilating a vector a
-   with positive entries (strictly smaller off-diagonal magnitudes than
-   the original matrix wherever it is nonzero);
+1. finds a vector a with positive integer entries and (A-minus a)_i > 0 at
+   every piece (:func:`gmsurf.reduction.strict_shrink`): power and
+   shift-invert steps in fixed-point integers come close to the Perron
+   vector of A-minus, and one exact integer dot product per row checks it.
+   By the Collatz-Wielandt bounds such an a exists iff A-minus has a
+   positive eigenvalue; off that branch the same search names the branch
+   in the exception, with no inertia taken;
+2. builds, row by row, a strict singular reduction A' of the decomposition
+   matrix annihilating a: every coupling of row i times one dyadic t_i,
+   with the largest coupling taking the exact remainder, so
+   |A'[i][j]| < A[i][j] wherever A[i][j] > 0;
 3. for each torus between pieces i and j assigns the side in piece j the pair
 
        a_plus  = (A[i][j] - A'[i][j]) / (2 A[i][j]) * a[j]
@@ -29,23 +30,19 @@ witnessed constructively.  The builder:
 4. clears denominators with one global integer scale, the lcm of every
    side's denominators.
 
-Steps 1 to 4 work in reduced (numerator, denominator) pairs of ints
-(:mod:`gmsurf.reduction`): the shrink returns A-minus shrunk as pair rows,
-the Perron walk takes them whole (a valid manifold's matrix graph is
-connected) and returns A' as pair rows, every a and b is a pair, and each
-degree and coordinate is its numerator times scale // denominator.
-`Fraction` enters as the decomposition matrix and leaves once, as the
-certificate's A' and degrees; the verifier works in `Fraction` and shares
-no code with the builder.
+Steps 1 to 4 work in ints and reduced (numerator, denominator) pairs of
+ints (:mod:`gmsurf.reduction`): steps 1 and 2 return A' as pair rows and a
+as ints (a valid manifold's matrix graph is connected, so a is positive at
+every piece), every side's a and b is a pair, and each degree and
+coordinate is its numerator times scale // denominator.  Every side
+denominator comes from A's entries and the dyadic t_i alone, so the scale
+does not grow with the number of pieces.  `Fraction` enters as the
+decomposition matrix and leaves once, as the certificate's A' and degrees;
+the verifier works in `Fraction` and shares no code with the builder.
 
-The shrunk matrix S of step 1 stays inside the builder.  A' is a reduction
-of S and every coupling of S lies strictly below A's, so A' is a strict
-reduction of A itself: the same diagonal, |A'[i][j]| < A[i][j] where
-A[i][j] > 0 and A'[i][j] = 0 where A[i][j] = 0.  That is what the verifier
-checks, against A.  A stored S would constrain nothing more: any bound
-|A'[i][j]| <= S[i][j] with S[i][j] <= A[i][j] is implied by strictness
-against A, and conversely S = A passes every such bound whenever A' is a
-strict reduction of A.
+A' is a strict reduction of A itself: the same diagonal,
+|A'[i][j]| < A[i][j] where A[i][j] > 0 and A'[i][j] = 0 where A[i][j] = 0.
+That is what the verifier checks, against A.
 
 The resulting integer data satisfies, exactly: per torus side
 a_plus + a_minus = degree of the side's piece; per piece the fiber-coordinate
@@ -74,12 +71,7 @@ from math import lcm
 
 from .exact_linalg import _fraction, _inverse, _mul, _sub
 from .manifold import DecompositionGraph, decomposition_matrix
-from .reduction import (
-    ReductionCertificate,
-    _perron_reduction,
-    strict_shrink,
-    verify_reduction,
-)
+from .reduction import ReductionCertificate, strict_shrink, verify_reduction
 
 
 @dataclass(frozen=True)
@@ -121,18 +113,14 @@ def build_surface_certificate(G: DecompositionGraph) -> SurfaceCertificate:
     """Construct and scale the full curve-system certificate.
 
     Off the constructive branch, :func:`strict_shrink` raises
-    NoPositiveEigenvalueError naming the decision branch.  The Perron walk
-    takes the shrunk A-minus's pair rows whole (A's graph is connected), and
-    negating back the rows of A's positive diagonal entries keeps the
-    kernel.  The sides are computed in reduced integer pairs and scaled to
-    ints.  The certificate is not rechecked here:
+    NoPositiveEigenvalueError naming the decision branch; on it, it returns
+    the strict reduction's pair rows and the positive vector as ints (A's
+    graph is connected), used as they are.  The sides are computed in
+    reduced integer pairs and scaled to ints.  The certificate is not rechecked here:
     :func:`verify_surface_certificate` is the independent check.
     """
     A = decomposition_matrix(G)
-    rows, a = _perron_reduction(strict_shrink(A))
-    for i, row in enumerate(rows):
-        if A.sparse[i].get(i, 0) > 0:
-            rows[i] = {j: (-n, d) for j, (n, d) in row.items()}
+    rows, a = strict_shrink(A)
 
     index = {p.id: k for k, p in enumerate(G.pieces)}
     sides: list[tuple] = []

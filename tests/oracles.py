@@ -5,14 +5,17 @@ the dense routines they replaced, kept so tests can compare results exactly:
 
 - :func:`solve_rows` and :func:`kernel_basis`, fraction-free Gauss-Jordan
   solves and kernels of general matrices;
-- :func:`halving_shrink`, the strict shrink that halves eps from 1/2 and
-  takes one inertia per try;
+- :func:`halving_shrink`, the shrink that halves eps from 1/2 and takes
+  one inertia per try, which the surface builder used before its one
+  positive vector; its shrunk matrices still feed the reduction comparisons;
 - :func:`crossing_reduction`, the singular reduction whose walk finds the
   crossing with two determinants and its kernel with a null space;
 - :func:`fraction_surface_sides`, the curve-system sides of the surface
   builder computed in `Fraction`, as the builder did before it moved them
-  to reduced integer pairs, from :func:`halving_shrink` and
-  :func:`crossing_reduction`;
+  to reduced integer pairs, from the builder's own strict reduction
+  (:func:`strict_shrink_certificate`), checked first by
+  :func:`strict_reduction_violations`: the all-pairs strictness check plus
+  A' a = 0;
 - :func:`per_piece_surface_violations`, the surface-certificate verifier
   that rescans every torus once per piece, checks A' against A with
   :func:`all_pairs_reduction_violations` and on every pair, and multiplies
@@ -23,10 +26,10 @@ the dense routines they replaced, kept so tests can compare results exactly:
 
 - :func:`bareiss_inertia`, the dense fraction-free (Bareiss) inertia that
   the sparse graph-order inertia replaced;
-- :func:`fraction_congruence`, :func:`fraction_pivot_witnesses` and
-  :func:`fraction_mmatrix_solve`, the sparse eliminations as they ran on
-  `Fraction` entries before the package moved them to reduced integer
-  pairs; same pivot order, so witnesses and solutions must agree exactly;
+- :func:`fraction_congruence` and :func:`fraction_mmatrix_solve`, the
+  sparse eliminations as they ran on `Fraction` entries before the package
+  moved them to reduced integer pairs; same pivot order, so inertias and
+  solutions must agree exactly;
 - :func:`fraction_negativity_certificate`, the negativity certificate
   solved in `Fraction` by :func:`fraction_mmatrix_solve`, and
   :func:`primitive`, the coprime integers on a rational ray.
@@ -35,8 +38,8 @@ It also holds :func:`bilinear_identity`, the exact quadratic-form expansion
 behind reading a negativity certificate as "A is negative", and the dense
 matrix helpers that only tests need: :func:`to_lists`, :func:`dense_rows`,
 :func:`dense_json`, :func:`mat_vec`, :func:`sym` (a matrix from dense
-rows), :func:`pair_matrix` (a matrix from pair rows), :func:`principal_submatrix`,
-:func:`matrix_graph_components` and :func:`is_connected_matrix`.
+rows), :func:`principal_submatrix`, :func:`matrix_graph_components` and
+:func:`is_connected_matrix`.
 """
 
 from bisect import bisect_left, insort
@@ -57,7 +60,7 @@ from gmsurf.exact_linalg import (
     to_rational,
 )
 from gmsurf.manifold import DecompositionGraph, a_minus, decomposition_matrix
-from gmsurf.reduction import NegativeDefiniteError, NoPositiveEigenvalueError, ReductionCertificate
+from gmsurf.reduction import NegativeDefiniteError, NoPositiveEigenvalueError, ReductionCertificate, strict_shrink
 from gmsurf.surface import CurveSystem, SurfaceCertificate
 
 
@@ -70,11 +73,6 @@ def sym(rows: Sequence[Sequence[int | str | Fraction]]) -> SymMatrix:
         if len(row) != n:
             raise ValueError(f"not square: {n} rows but a row of length {len(row)}")
     return SymMatrix([{j: x for j, x in enumerate(map(to_rational, row)) if x} for row in rows])
-
-
-def pair_matrix(rows: Sequence[dict[int, tuple[int, int]]]) -> SymMatrix:
-    """The :class:`SymMatrix` of ``{column: (numerator, denominator)}`` rows."""
-    return SymMatrix([{j: Fraction(*x) for j, x in row.items()} for row in rows])
 
 
 def to_lists(A: SymMatrix) -> list[list[Fraction]]:
@@ -129,16 +127,6 @@ def solve_rows(rows, rhs) -> tuple[Fraction, ...]:
 def kernel_basis(A: SymMatrix) -> list[tuple[Fraction, ...]]:
     """Exact basis of the null space of a symmetric matrix (possibly empty)."""
     return nullspace_rows(to_lists(A))
-
-
-def _fraction_rows(A) -> list[dict[int, Fraction]]:
-    """Fresh ``{column: value}`` rows of the nonzero entries of A (a
-    :class:`SymMatrix`, dict rows or dense rows)."""
-    if isinstance(A, SymMatrix):
-        return [dict(row) for row in A.sparse]
-    return [
-        dict(row) if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x} for row in A
-    ]
 
 
 def bareiss_inertia(A: SymMatrix) -> Inertia:
@@ -197,10 +185,9 @@ def bareiss_inertia(A: SymMatrix) -> Inertia:
     return Inertia(n_pos, n_zero, n_neg)
 
 
-def fraction_congruence(adj: list[dict[int, Fraction]], steps: list | None = None) -> Inertia:
+def fraction_congruence(adj: list[dict[int, Fraction]]) -> Inertia:
     """The graph-order congruence of `gmsurf.exact_linalg.inertia` on
-    `Fraction` dict rows, eliminated in place; ``steps`` as there, in
-    `Fraction`."""
+    `Fraction` dict rows, eliminated in place."""
     remaining = set(range(len(adj)))
     queue: list[tuple[int, int]] = []
     queued: dict[int, tuple[int, int]] = {}
@@ -248,8 +235,6 @@ def fraction_congruence(adj: list[dict[int, Fraction]], steps: list | None = Non
                 for j, b in touched[s:]:
                     subtract(i, j, factor * b)
             enqueue(row)
-            if steps is not None:
-                steps.append(({k: Fraction(1)}, pivot, [(k, dict(zip(row, factors)))]))
             continue
         isolated = [i for i in remaining if not adj[i]]
         if isolated:
@@ -270,28 +255,7 @@ def fraction_congruence(adj: list[dict[int, Fraction]], steps: list | None = Non
             for t in range(s, len(touched)):
                 subtract(i, touched[t], b * (x[s] * y[t] + y[s] * x[t]))
         enqueue(touched)
-        if steps is not None:
-            seed = {k: Fraction(1), l: Fraction(1 if b > 0 else -1)}
-            steps.append((seed, 2 * abs(b), [(k, dict(zip(touched, y))), (l, dict(zip(touched, x)))]))
     return Inertia(n_pos, n_zero, n_neg)
-
-
-def fraction_pivot_witnesses(A) -> list[tuple[Fraction, dict[int, Fraction]]]:
-    """`gmsurf.exact_linalg.pivot_witnesses` on `Fraction` entries."""
-    steps: list = []
-    fraction_congruence(_fraction_rows(A), steps)
-    witnesses = []
-    for t, (seed, value, _) in enumerate(steps):
-        if value <= 0:
-            continue
-        x = dict(seed)
-        for _, _, columns in reversed(steps[:t]):
-            for m, column in columns:
-                total = sum(f * x[i] for i, f in column.items() if i in x)
-                if total:
-                    x[m] = -total
-        witnesses.append((value, x))
-    return witnesses
 
 
 def fraction_mmatrix_solve(rows, rhs=None) -> tuple[Fraction, ...] | None:
@@ -470,11 +434,38 @@ def crossing_reduction(A: SymMatrix) -> ReductionCertificate:
     return ReductionCertificate(a_prime=tuple({j: x for j, x in enumerate(row) if x} for row in m), a=tuple(a))
 
 
+def strict_reduction_violations(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
+    """:func:`all_pairs_reduction_violations`, then |A'[i][j]| < A[i][j]
+    tested on every pair where A is nonzero."""
+    violations = all_pairs_reduction_violations(A, cert)
+    if shape_violation(A, cert):
+        return violations
+    a_prime = dense_rows(cert.a_prime)
+    n = A.order
+    for i in range(n):
+        for j in range(n):
+            if i != j and A[i, j] != 0 and abs(a_prime[i][j]) >= A[i, j]:
+                violations.append(f"reduction not strict at ({i}, {j})")
+    return violations
+
+
+def strict_shrink_certificate(A: SymMatrix) -> ReductionCertificate:
+    """`gmsurf.reduction.strict_shrink` of A as a `Fraction` certificate."""
+    rows, a = strict_shrink(A)
+    return ReductionCertificate(
+        a_prime=tuple({j: Fraction(*x) for j, x in row.items()} for row in rows),
+        a=tuple(map(Fraction, a)),
+    )
+
+
 def fraction_surface_sides(G: DecompositionGraph) -> tuple[tuple[int, ...], int, tuple[CurveSystem, ...]]:
     """The degrees, scale and curve systems of `gmsurf.surface.build_surface_certificate`,
-    the sides computed in `Fraction` from the dense shrink and reduction."""
+    the sides computed in `Fraction` from the strict reduction of
+    `gmsurf.reduction.strict_shrink`, which must pass
+    :func:`strict_reduction_violations` first."""
     A = decomposition_matrix(G)
-    reduction = crossing_reduction(halving_shrink(A))
+    reduction = strict_shrink_certificate(A)
+    assert strict_reduction_violations(A, reduction) == []
     a, a_prime = reduction.a, reduction.a_prime
     index = {p.id: k for k, p in enumerate(G.pieces)}
     sides: list[tuple] = []

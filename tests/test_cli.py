@@ -9,6 +9,7 @@ import copy
 import io
 import json
 import sys
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -214,6 +215,38 @@ def test_certify_off_the_branch_names_it(tmp_path, capsys, e1, e2, branch):
     assert main(["certify", str(manifold), "--out", str(cert)]) == 3
     assert capsys.readouterr() == ("", f"no certificate: decision branch is {branch}\n")
     assert not cert.exists()
+
+
+def negated_eulers(G: DecompositionGraph) -> DecompositionGraph:
+    return replace(G, pieces=tuple(replace(p, euler=-p.euler) for p in G.pieces))
+
+
+def off_the_branch_corpus() -> list[DecompositionGraph]:
+    """gen negdef and semidef inputs at 2-60 pieces, seeds 0-14, each also
+    with every Euler number negated, and the three two-piece cases above."""
+    graphs = [
+        G
+        for profile in ("negdef", "semidef")
+        for pieces in (2, 3, 5, 10, 20, 60)
+        for seed in range(15)
+        for G in (generate_manifold(pieces, seed=seed, profile=profile),)
+        for G in (G, negated_eulers(G))
+    ]
+    return graphs + [two_piece_graph(-2, -2), two_piece_graph(-1, -1), two_piece_graph(1, -1)]
+
+
+def test_certify_names_the_branch_decide_takes(tmp_path, capsys):
+    # certify names the branch with no inertia (one positive vector, and at
+    # most one exact kernel test); decide reads it off the inertia.
+    manifold, cert = tmp_path / "m.json", tmp_path / "c.json"
+    seen = set()
+    for G in off_the_branch_corpus():
+        save_manifold(G, manifold)
+        branch = decision.decide(decomposition_matrix(G)).branch.value
+        assert main(["certify", str(manifold), "--out", str(cert)]) == 3
+        assert capsys.readouterr() == ("", f"no certificate: decision branch is {branch}\n")
+        seen.add(branch)
+    assert seen == {"NegativeDefinite", "SemidefiniteSameSign", "SemidefiniteMixedSign"}
 
 
 def assert_one_line_input_error(capsys):

@@ -37,7 +37,6 @@ from gmsurf.exact_linalg import (
     inertia,
     matrix_components,
     nullspace_rows,
-    pivot_witnesses,
     rational_str,
     to_rational,
 )
@@ -48,7 +47,6 @@ from oracles import (
     bareiss_inertia,
     fraction_congruence,
     fraction_mmatrix_solve,
-    fraction_pivot_witnesses,
     is_connected_matrix,
     kernel_basis,
     mat_vec,
@@ -640,20 +638,12 @@ def test_inertia_of_zero_diagonal_examples(rows, expected):
     assert inertia(A.sparse) == Inertia(*expected) == bareiss_inertia(A) == fraction_inertia(A)
 
 
-def fraction_witnesses(A: SymMatrix) -> tuple[Inertia, list[tuple[Fraction, dict]]]:
-    """:func:`pivot_witnesses` of fresh pair rows of A, its pair outputs read as `Fraction`."""
-    ine, witnesses = pivot_witnesses(_pair_rows(A.sparse))
-    return ine, [(_fraction(value), {i: _fraction(v) for i, v in x.items()}) for value, x in witnesses]
-
-
 def assert_pair_core_matches_fraction_reference(A: SymMatrix) -> None:
-    """The integer-pair eliminations agree exactly with their `Fraction`
-    references: the same inertia, and witnesses equal value for value
-    (`Fraction` equality compares reduced numerators and denominators)."""
+    """The integer-pair congruence agrees exactly with its `Fraction`
+    reference: the same inertia, on A and with its diagonal cleared."""
     for B in (A, with_zero_diagonal(A)):
         rows = [{j: x for j, x in enumerate(row) if x} for row in to_lists(B)]
         assert inertia(B.sparse) == fraction_congruence(rows)
-        assert fraction_witnesses(B) == (inertia(B.sparse), fraction_pivot_witnesses(B))
 
 
 @settings(max_examples=60)
@@ -856,43 +846,6 @@ def test_inertia_of_the_400_piece_slowly_closing_path():
     rows = path_rows(n, eps)  # A-minus is the path itself: every diagonal is negative
     assert inertia(sym(rows).sparse) == Inertia(n_pos=1, n_zero=0, n_neg=n - 1)
     assert inertia(sym([row[:-1] for row in rows[:-1]]).sparse) == Inertia(n_pos=0, n_zero=0, n_neg=n - 1)
-
-
-# --- witnesses of positive pivots -----------------------------------------------
-
-
-def quadratic_form(A: SymMatrix, x: dict) -> Fraction:
-    return sum((v * A[i, j] * x[j] for i, v in x.items() for j in x), F(0))
-
-
-def assert_pivot_witnesses(A: SymMatrix) -> None:
-    ine, witnesses = fraction_witnesses(A)
-    assert ine == bareiss_inertia(A)
-    # one witness per positive eigenvalue: a positive 1x1 pivot or a 2x2 block
-    assert len(witnesses) == ine.n_pos
-    for value, x in witnesses:
-        assert value > 0
-        assert quadratic_form(A, x) == value
-
-
-@settings(max_examples=60)
-@given(symmetric_matrices(max_order=12, entries=wide_rationals))
-def test_pivot_witnesses_have_their_positive_value(A):
-    assert_pivot_witnesses(A)
-    assert_pivot_witnesses(with_zero_diagonal(A))
-
-
-@settings(max_examples=60)
-@given(scattered_blocks())
-def test_pivot_witnesses_of_disconnected_matrices(case):
-    A, _ = case
-    assert_pivot_witnesses(A)
-    assert_pivot_witnesses(with_zero_diagonal(A))
-
-
-@pytest.mark.parametrize("cls", ["pos_ve", "pos_no_ve", "same"])
-def test_pivot_witnesses_of_decomposition_matrices(cls):
-    assert_pivot_witnesses(SymMatrix(a_minus(verdict_matrix(40, cls))))
 
 
 # --- M-matrix elimination ---------------------------------------------------------

@@ -4,8 +4,8 @@ Each digest pins the SHA-256 of one command's exit code, stdout, stderr and
 written file: `gen`, `analyze --json`, `certify` (with the certificate it
 writes), `verify --json` and `matrix --json` on `gmsurf gen` inputs at 5, 30
 and 120 pieces, seed 3, in every profile; `certify` and `verify --json` on
-the slowly-closing paths of 8, 13 and 24 pieces, whose certificates carry
-the longest entries; and `matrix --json` on the two-piece grid of
+the slowly-closing paths of 8, 13 and 24 pieces, whose positive vectors
+take shift-invert solves; and `matrix --json` on the two-piece grid of
 acceptance criterion 1.  A refactor must leave every byte
 as it is; a change meant to alter an output re-records its digest and says
 why.
@@ -33,7 +33,7 @@ GEN_DIGESTS = {
     (5, 'any'): {
         'gen': 'bbc5fb13dc0c98d26be80411b38611e056587895f540637d1733656bac884e7d',
         'analyze': '3b21a05ef41aeed01c200835eb5e946668bbe0ea87b773c88f9e796153448718',
-        'certify': 'b3f1e3226b556904a093fb5f920558884d1b4ce74e5dd10eadb28787141ec87c',
+        'certify': '9ef7cebb314800555c076f4831cf2212f3ad59e08dbc6b1fa433d761eeec0854',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
         'matrix': 'a140fc9ab1956410f55ba7d2263eac628a274ecc479fee47508f3cda440cf77c',
     },
@@ -46,7 +46,7 @@ GEN_DIGESTS = {
     (5, 'posEig'): {
         'gen': '2acc4b0beb15b033f433251563bab94174b8a4c3f5b494a562ab1bfbffcb6856',
         'analyze': 'dd7b2e4316cf9f452bcf9146b9de765b65ab44c2815dfb75e801618cc1921ce0',
-        'certify': '681592e1ef14995f3864d0ce6e7d1f99421709090df32364f1281f19427e1100',
+        'certify': '4184f6df16e5821840bab50257353a92b882bb37a7170e50246dad1b3b869cde',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
         'matrix': 'c4189a1f969e2b7a9daf3951a211fa2430dde821817620b0dca76106078ddc7b',
     },
@@ -59,7 +59,7 @@ GEN_DIGESTS = {
     (30, 'any'): {
         'gen': 'af1d66d657fb22a17583202cb6fd21883bb0efd592a5bb562a9099918f3ef688',
         'analyze': '5f2011bf06cea214f14bc70e8cdc05d45d0f0c72f6f96556da950d64c2f18007',
-        'certify': '646a38138fad63a3ada8c124f3ed9cd11773262f97f5e6d1b8b38bd611e75a10',
+        'certify': 'dc1d19c79e08c459affa784d10719e4a34cc4d8e9fde342df2b105a27bbeb44e',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
         'matrix': '16b1271d60914e306d517118f58c8e8cb4781b9c92e0e3e736b6ba8e8a7cc52c',
     },
@@ -72,7 +72,7 @@ GEN_DIGESTS = {
     (30, 'posEig'): {
         'gen': 'c13e5ee9421070217cfcf30b7e5c2d8db16ddf4b532fca58d102e4e497bc5351',
         'analyze': '7adf4ce2335feca20a41389d5dca27487672f0eb7f06ddd62f355bbd7f84af7e',
-        'certify': '91878b958d4c9e4469c881d9363f75a895f0abb47017131ae448d39653b710c3',
+        'certify': '85228e4669bd426d3061caaf5c0f971d1eea43f51bfafe072c4c493c97838b33',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
         'matrix': 'bc67b994e13fd9972ef17d18c6c158916ac046a83904dd78142fa521910d4817',
     },
@@ -85,7 +85,7 @@ GEN_DIGESTS = {
     (120, 'any'): {
         'gen': 'befa91e0fa26730242d996ea155ec695ddf56338d8bc4f16709f97036619b84e',
         'analyze': '9faf0edc1dd4cf9ace4cf845f025a63f03f05345afaf037f5caa895efe19c512',
-        'certify': '2cb9fd397110ba992de9c0d5994b5d81bcfdf5ef5ec0ecd5a48c1147c533fe94',
+        'certify': '24c161db30e4544bce62dbe7ea39615510e4394c00b6e768d826dc3158e02aaa',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
         'matrix': '2bc590b18329b169f29bee5ae73aaf37547d85de14ee62df9e6274cf7cedd30f',
     },
@@ -98,7 +98,7 @@ GEN_DIGESTS = {
     (120, 'posEig'): {
         'gen': '36a8ea6bbfc4ca0d3686648c7dade83af3b692022551c0b545d820b281929b57',
         'analyze': 'f1b374155edcafc9d358d5fd2f1f81d235fd8a72370f71dee087f09d3e86b3c3',
-        'certify': 'dd7fddd0ea3a92dd0980abbdc36dcc3566fd3800ab5e2bb8ea7b25242a04924b',
+        'certify': '8dc1f53a065e403d66668403a98ca20f737c49947c3110f4ddbc04ebeabe2e72',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
         'matrix': 'cf52a4a8b59143ddad79b142c286b3a771e2d7740477c2dff78935e498669f36',
     },
@@ -112,15 +112,15 @@ GEN_DIGESTS = {
 
 PATH_DIGESTS = {
     8: {
-        'certify': '31b982e7843234c7fa8da99772f55ce8d799bb8ffa3de187f55761b756b98ce2',
+        'certify': '82cf7df1938f6876e6c850eb9ecb57aae281a08d3750572bd44227b2835654e9',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
     },
     13: {
-        'certify': '48d238fad6f76c74c9061ae1f6b7074acb9a7781fd9df80c4214a945081c281a',
+        'certify': '10299268032410695abc685b0a951c46fb2e5155d619e72c6cdea63a91764e77',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
     },
     24: {
-        'certify': '1b31a22f7c0b29dd8d3fca19f7717ee5a039a6045285d6b327e3d83e4858b7f8',
+        'certify': '7385aca63a16931678de40fabc6ec39a050da95710f9a1980dfaa75396fe6465',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
     },
 }

@@ -23,7 +23,7 @@ from gmsurf.manifold import (
     validate,
 )
 from gmsurf.reduction import strict_shrink
-from oracles import bareiss_inertia, is_connected_matrix, pair_matrix, sym, to_lists
+from oracles import bareiss_inertia, is_connected_matrix, sym, to_lists
 
 F = Fraction
 
@@ -124,11 +124,13 @@ def test_validate_reports_every_violation_in_order(monkeypatch):
 def test_package_built_matrices_convert_no_entry(monkeypatch):
     # decomposition_matrix and a_minus build Fraction entries: the
     # constructor checks them (a_minus's rows once wrapped) and converts
-    # none; the shrink's pair rows convert none either
+    # none; the strict reduction's pair rows, which keep A's diagonal,
+    # convert none either
     monkeypatch.setattr(exact_linalg, "to_rational", lambda value: pytest.fail("entry check"))
     A = decomposition_matrix(two_piece_graph(F(1, 3), -1))
     assert to_lists(SymMatrix(a_minus(A))) == [[F(-1, 3), F(1)], [F(1), F(-1)]]
-    assert to_lists(pair_matrix(strict_shrink(A))) == [[F(-1, 3), F(3, 4)], [F(3, 4), F(-1)]]
+    rows, _ = strict_shrink(A)
+    assert [row[i] for i, row in enumerate(rows)] == [(1, 3), (-1, 1)]
 
 
 def test_validate_flags_determinant_condition():
@@ -244,13 +246,15 @@ def test_sparse_view_is_the_dense_nonzeros(profile, pieces, seed):
     A = decomposition_matrix(generate_manifold(pieces, seed=seed, profile=profile))
     assert A.sparse == dense_nonzeros(A)
     # a parsed copy drops the zeros of its dense rows and equals the matrix
-    # the package built from the nonzeros; so do a_minus's rows, wrapped,
-    # and the shrink's pair rows, as Fractions
+    # the package built from the nonzeros; so do a_minus's rows, wrapped;
+    # the strict reduction's pair rows hold nonzeros only where A does
     assert sym(to_lists(A)) == A
-    derived_matrices = [SymMatrix(a_minus(A))] + ([pair_matrix(strict_shrink(A))] if profile == "posEig" else [])
-    for derived in derived_matrices:
-        assert derived.sparse == dense_nonzeros(derived)
-        assert sym(to_lists(derived)) == derived
+    derived = SymMatrix(a_minus(A))
+    assert derived.sparse == dense_nonzeros(derived)
+    assert sym(to_lists(derived)) == derived
+    if profile == "posEig":
+        rows, _ = strict_shrink(A)
+        assert all(x[0] and j in A.sparse[i] for i, row in enumerate(rows) for j, x in row.items())
 
 
 def test_decomposition_matrix_of_a_long_chain_keeps_only_its_nonzeros():

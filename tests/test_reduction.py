@@ -1,18 +1,20 @@
 """Tests for singular reductions, negativity certificates, and the
 weighted quadratic-form identity."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies
 
-from gmsurf import reduction
+from gmsurf import exact_linalg, reduction
+from gmsurf.decision import Branch, decide
 from gmsurf.exact_linalg import (
+    DisconnectedMatrixError,
     Inertia,
     SymMatrix,
-    _congruence,
-    _pair_rows,
+    _mmatrix_solve,
     inertia,
 )
 from gmsurf.generate import generate_manifold
@@ -35,12 +37,14 @@ from oracles import (
     crossing_reduction,
     fraction_negativity_certificate,
     dense_rows,
+    fraction_mmatrix_solve,
     halving_shrink,
     is_connected_matrix,
     kernel_basis,
     mat_vec,
-    pair_matrix,
     principal_submatrix,
+    strict_reduction_violations,
+    strict_shrink_certificate,
     sym,
     to_lists,
 )
@@ -422,63 +426,158 @@ def test_bilinear_identity_random_four_by_four(seed):
     assert lhs == rhs
 
 
-# --- strict shrinking -------------------------------------------------------------
+# --- strict reductions from one positive vector -----------------------------------
 
 
-def test_strict_shrink_halves_until_positive_eigenvalue_survives():
-    shrunk = strict_shrink(sym([["-1", 2], [2, "-1"]]))
-    assert shrunk == [{0: (-1, 1), 1: (3, 2)}, {0: (3, 2), 1: (-1, 1)}]
+def test_strict_shrink_of_an_indefinite_pair():
+    # The all-ones vector already has (B a)_i = 1 > 0, and t = 1/2 of each
+    # coupling 2 balances the diagonal -1.
+    assert strict_shrink(sym([["-1", 2], [2, "-1"]])) == (
+        [{0: (-1, 1), 1: (1, 1)}, {0: (1, 1), 1: (-1, 1)}],
+        [1, 1],
+    )
 
 
-def test_strict_shrink_accepts_first_epsilon_when_possible():
-    shrunk = strict_shrink(sym([[0, 1], [1, 0]]))
-    assert shrunk == [{1: (1, 2)}, {0: (1, 2)}]
+def test_strict_shrink_of_a_zero_diagonal_pair_drops_the_couplings():
+    assert strict_shrink(sym([[0, 1], [1, 0]])) == ([{}, {}], [1, 1])
 
 
-def test_strict_shrink_rejects_semidefinite_input():
-    with pytest.raises(NoPositiveEigenvalueError):
-        strict_shrink(sym([["-1", 1], [1, "-1"]]))
+def test_strict_shrink_keeps_a_positive_diagonal_with_a_negative_t():
+    # A[0][0] = 1: t_0 = -A[0][0] a_0 / (C a)_0 = -1/2, so row 0 of A' is (1, -1).
+    assert strict_shrink(sym([[1, 2], [2, "-1"]])) == (
+        [{0: (1, 1), 1: (-1, 1)}, {0: (1, 1), 1: (-1, 1)}],
+        [1, 1],
+    )
 
 
-def test_strict_shrink_gallops_from_a_far_bound(monkeypatch):
-    # The best witness bound's power is 2^-11 while the answer is eps = 1/8:
-    # after the test at 1/2, a gallop and a bisection take 5 more inertia
-    # tests, each one congruence of pair rows, where a walk one power at a
-    # time from 2^-11 would take 9.
+def test_strict_shrink_gives_the_largest_coupling_the_remainder():
+    # Row 0: t = 1/3 rounds to 5592405 / 2^24 on the coupling 1, and the
+    # coupling 2 (the largest A[0][k] a_k) takes what makes the row sum 0.
+    rows, a = strict_shrink(sym([["-1", 1, 2], [1, "-1/2", 0], [2, 0, "-1"]]))
+    assert a == [1, 1, 1]
+    assert rows == [
+        {0: (-1, 1), 1: (5592405, 2**24), 2: (11184811, 2**24)},
+        {0: (1, 2), 1: (-1, 2)},
+        {0: (1, 1), 2: (-1, 1)},
+    ]
+
+
+def test_strict_shrink_refines_t_until_the_row_is_strict():
+    # t_0 = 1 - 1/(3 2^30) rounds to 1 at 2^-24, which is not strict, and to
+    # 1 - 2^-32 at 2^-32.
+    rows, a = strict_shrink(sym([[F(1, 2**30) - 3, 1, 2], [1, "-1/2", 0], [2, 0, "-1"]]))
+    assert a == [1, 1, 1]
+    assert rows[0] == {0: (1 - 3 * 2**30, 2**30), 1: (2**32 - 1, 2**32), 2: (2**33 - 3, 2**32)}
+
+
+@pytest.mark.parametrize(
+    "rows, branch",
+    [
+        ([["-2", 1], [1, "-2"]], "NegativeDefinite"),
+        ([["-1", 1], [1, "-1"]], "SemidefiniteSameSign"),  # the all-ones vector spans the kernel
+        ([[1, 1], [1, "-1"]], "SemidefiniteMixedSign"),
+        # kernel (7, 5, 3), which no fixed-point round hits exactly: one exact kernel test
+        ([["-5/7", 1, 0], [1, "-13/5", 2], [0, 2, "-10/3"]], "SemidefiniteSameSign"),
+        ([["0"]], "SemidefiniteSameSign"),
+        ([["-3"]], "NegativeDefinite"),
+    ],
+)
+def test_strict_shrink_names_the_branch_off_it(monkeypatch, rows, branch):
+    solves = []
+    monkeypatch.setattr(reduction, "_mmatrix_solve", lambda *args: solves.append(args) or _mmatrix_solve(*args))
+    with pytest.raises(NoPositiveEigenvalueError, match=f"^decision branch is {branch}$"):
+        strict_shrink(sym(rows))
+    assert len(solves) == (len(rows) == 3)
+
+
+def test_strict_shrink_rejects_a_disconnected_matrix():
+    with pytest.raises(DisconnectedMatrixError):
+        strict_shrink(sym([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
+
+
+def test_strict_shrink_takes_no_exact_elimination(monkeypatch):
+    # The old shrink took one congruence for witnesses and five more to pin
+    # eps = 1/8 on this matrix, and the Perron walk four M-matrix solves.
     A = sym([["-48/25", 1, 1], [1, "-13/25", 0], [1, 0, "-87/100"]])
-    calls = []
-    monkeypatch.setattr(reduction, "_congruence", lambda adj: calls.append(adj) or _congruence(adj))
-    shrunk = strict_shrink(A)
-    assert shrunk == _pair_rows(a_minus(halving_shrink(A)))
-    assert shrunk[0][1] == (7, 8)
-    assert len(calls) == 6
+
+    def fail(*args):
+        pytest.fail("an exact elimination ran")
+
+    monkeypatch.setattr(exact_linalg, "_congruence", fail)
+    monkeypatch.setattr(reduction, "_mmatrix_solve", fail)
+    assert strict_reduction_violations(A, strict_shrink_certificate(A)) == []
+
+
+def fixed_point_m_matrix(rng: random.Random, n: int, unit: int) -> list[dict[int, int]]:
+    """A connected symmetric M-matrix in fixed point (entries times ``unit``),
+    diagonally dominant by a margin down to unit / 2^20."""
+    rows = [{} for _ in range(n)]
+    for i in range(1, n):
+        for j in [rng.randrange(i)] + rng.sample(range(i), min(i, rng.randint(0, 2))):
+            rows[i][j] = rows[j][i] = -rng.randint(1, 4 * unit)
+    for i, row in enumerate(rows):
+        row[i] = -sum(row.values()) + unit // 2 ** rng.randint(0, 20)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fixed_point_solve_is_the_exact_solve_rounded(seed):
+    # Floored products keep every entry at its fixed-point scale; on an
+    # M-matrix nothing cancels but the pivots, so x is the exact solution
+    # to within a relative 2^-30 at 64 bits.
+    rng = random.Random(f"fixed-point:{seed}")
+    n, unit = rng.randint(1, 12), 2**64
+    rows = fixed_point_m_matrix(rng, n, unit)
+    rhs = [rng.randint(1, unit) for _ in range(n)]
+    exact = fraction_mmatrix_solve([{j: F(x) for j, x in row.items()} for row in rows], [F(b * unit) for b in rhs])
+    x = reduction._fixed_point_solve([dict(row) for row in rows], [b * unit for b in rhs])
+    assert all(v > 0 for v in exact)
+    assert all(abs(v - e) <= e / 2**30 + 1 for v, e in zip(x, exact))
+
+
+def test_fixed_point_solve_stops_at_a_non_positive_pivot():
+    # [[1, -2], [-2, 1]] is a Z-matrix with a negative determinant: the
+    # second pivot is 1 - 4 < 0.
+    assert reduction._fixed_point_solve([{0: 1, 1: -2}, {0: -2, 1: 1}], [1, 1]) is None
+    assert reduction._fixed_point_solve([{0: 0}], [1]) is None
+
+
+def assert_strict_shrink_is_right(A: SymMatrix) -> None:
+    """On a connected A: the branch `decide` names off the positive-eigenvalue
+    branch, and on it a strict reduction (all pairs) annihilating a primitive
+    positive vector."""
+    branch = decide(A).branch
+    if branch is not Branch.POSITIVE_EIGENVALUE:
+        with pytest.raises(NoPositiveEigenvalueError, match=f"^decision branch is {branch.value}$"):
+            strict_shrink(A)
+        return
+    cert = strict_shrink_certificate(A)
+    assert strict_reduction_violations(A, cert) == []
+    assert all(v > 0 for v in cert.a)
+    assert math.gcd(*(int(v) for v in cert.a)) == 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(admissible_matrices(max_order=4))
-def test_strict_shrink_preserves_branch_and_strictness(A):
-    if inertia(SymMatrix(a_minus(A)).sparse).n_pos == 0:
-        return
-    shrunk = pair_matrix(strict_shrink(A))
-    assert inertia(shrunk.sparse).n_pos > 0
-    for i in range(A.order):
-        assert shrunk[i, i] == -abs(A[i, i])
-        for j in range(A.order):
-            if i != j and A[i, j] != 0:
-                assert 0 < shrunk[i, j] < A[i, j]
+def test_strict_shrink_is_strict_or_names_the_branch(A):
+    if is_connected_matrix(A):
+        assert_strict_shrink_is_right(A)
 
 
 def assert_matches_dense_oracles(A: SymMatrix) -> None:
-    """The witness-bounded shrink equals the halving loop's A-minus in pairs,
-    and the sparse M-matrix walk equals the determinant/nullspace crossing,
-    on A and on its shrink."""
+    """The strict reduction passes the all-pairs strictness check plus
+    A' a = 0 (or names decide's branch), and the sparse M-matrix walk equals
+    the determinant/nullspace crossing, on A and on its halving shrink."""
+    if is_connected_matrix(A):
+        assert_strict_shrink_is_right(A)
+    else:
+        with pytest.raises(DisconnectedMatrixError):
+            strict_shrink(A)
     try:
         expected = halving_shrink(A)
     except NoPositiveEigenvalueError:
-        with pytest.raises(NoPositiveEigenvalueError):
-            strict_shrink(A)
+        pass
     else:
-        assert strict_shrink(A) == _pair_rows(a_minus(expected))
         assert find_singular_reduction(expected) == crossing_reduction(expected)
     try:
         expected_cert = crossing_reduction(A)

@@ -27,8 +27,10 @@ BUILDERS = {
     "_sum",
     "_fraction",
     "_primitive",
-    "pivot_witnesses",
     "_mmatrix_solve",
+    "_fixed_point_solve",
+    "_positive_kernel",
+    "_strict_rows",
     "_perron_reduction",
     "_eliminate",
     "determinant_rows",
@@ -98,9 +100,9 @@ def test_the_walk_sees_builders_where_they_are_called():
     seen = reachable_names(surface.build_surface_certificate)
     assert {
         "strict_shrink",
-        "pivot_witnesses",
-        "_congruence",
+        "_fixed_point_solve",
+        "_positive_kernel",
+        "_strict_rows",
         "_mmatrix_solve",
-        "_perron_reduction",
     } <= set(seen)
     assert {"alpha_cycle_split", "_relink"} <= set(reachable_names(covers.find_cover))
