@@ -8,8 +8,8 @@ the dense routines they replaced, kept so tests can compare results exactly:
 - :func:`halving_shrink`, the shrink that halves eps from 1/2 and takes
   one inertia per try, which the surface builder used before its one
   positive vector; its shrunk matrices still feed the reduction comparisons;
-- :func:`crossing_reduction`, the singular reduction whose walk finds the
-  crossing with two determinants and its kernel with a null space;
+- :func:`reduced_component`, the component a singular reduction of A
+  lives on, chosen by the dense inertia;
 - :func:`fraction_surface_sides`, the curve-system sides of the surface
   builder computed in `Fraction`, as the builder did before it moved them
   to reduced integer pairs, from the builder's own strict reduction
@@ -52,9 +52,7 @@ from gmsurf.exact_linalg import (
     SymMatrix,
     _clear_denominators,
     _eliminate,
-    determinant_rows,
     inertia,
-    matrix_components,
     nullspace_rows,
     rational_str,
     to_rational,
@@ -342,96 +340,16 @@ def halving_shrink(A: SymMatrix) -> SymMatrix:
         eps /= 2
 
 
-def _positive_kernel_vector(rows) -> tuple[Fraction, ...]:
-    basis = nullspace_rows(rows)
-    assert len(basis) == 1, f"kernel has dimension {len(basis)}"
-    vec = primitive(basis[0])
-    assert all(v > 0 for v in vec)
-    return vec
-
-
-def _negative_perron_root(rows) -> bool:
-    try:
-        x = solve_rows([[-v for v in row] for row in rows], [Fraction(1)] * len(rows))
-    except ValueError:
-        return False
-    return all(v > 0 for v in x)
-
-
-def _dense_perron_reduction(B: SymMatrix, n_pos: int):
-    n = B.order
-    zero = [i for i in range(n) if B[i, i] == 0]
-    rest = [i for i in range(n) if B[i, i] != 0]
-    t0 = Fraction(1)
-    for i in rest:
-        total = sum((B[i, j] for j in rest if j != i), Fraction(0))
-        if total:
-            t0 = min(t0, -B[i, i] / (2 * total))
-    if zero:
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for i in rest:
-            m[i] = [B[i, j] if j == i or B[j, j] == 0 else t0 * B[i, j] for j in range(n)]
-        a = [Fraction(1)] * n
-        if rest:
-            coupling = [sum(B[i, z] for z in zero) for i in rest]
-            solved = solve_rows([[-m[i][j] for j in rest] for i in rest], coupling)
-            for i, v in zip(rest, solved):
-                a[i] = v
-        return m, primitive(a)
-    if n_pos == 0:
-        m = to_lists(B)
-        return m, _positive_kernel_vector(m)
-    positions = [(i, j) for i in range(n) for j in range(n) if i != j and B[i, j] != 0]
-
-    def state(k: int):
-        m = to_lists(B)
-        for i, j in positions[:k]:
-            m[i][j] *= t0
-        return m
-
-    lo, hi = 0, len(positions)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _negative_perron_root(state(mid)):
-            hi = mid
-        else:
-            lo = mid
-    m = state(lo)
-    i, j = positions[lo]
-    x0 = m[i][j]
-    d0 = determinant_rows(m)
-    if d0 != 0:
-        x1 = t0 * x0
-        m[i][j] = x1
-        d1 = determinant_rows(m)
-        m[i][j] = x1 - d1 * (x0 - x1) / (d0 - d1)
-    return m, _positive_kernel_vector(m)
-
-
-def crossing_reduction(A: SymMatrix) -> ReductionCertificate:
-    """The singular reduction of the first component of A whose A-minus block
-    is not negative definite (by its inertia), built with dense solves."""
-    matrix_components(A)
+def reduced_component(A: SymMatrix) -> list[int]:
+    """The first component of A's matrix graph whose A-minus block the dense
+    inertia (:func:`bareiss_inertia`) calls not negative definite: the
+    support of the vector a singular reduction of A annihilates.
+    NegativeDefiniteError if there is none."""
     B = SymMatrix(a_minus(A))
     for component in matrix_graph_components(B):
-        block = principal_submatrix(B, component)
-        ine = inertia(block.sparse)
-        if ine.n_pos or ine.n_zero:
-            break
-    else:
-        raise NegativeDefiniteError("A-minus is negative definite")
-    block_rows, block_a = _dense_perron_reduction(block, ine.n_pos)
-    n = A.order
-    m = [[B[i, i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    a = [Fraction(0)] * n
-    for r, i in enumerate(component):
-        a[i] = block_a[r]
-        for s, j in enumerate(component):
-            m[i][j] = block_rows[r][s]
-    for i in range(n):
-        if A[i, i] > 0:
-            m[i] = [-x for x in m[i]]
-    return ReductionCertificate(a_prime=tuple({j: x for j, x in enumerate(row) if x} for row in m), a=tuple(a))
+        if bareiss_inertia(principal_submatrix(B, component)).n_neg < len(component):
+            return component
+    raise NegativeDefiniteError("A-minus is negative definite")
 
 
 def strict_reduction_violations(A: SymMatrix, cert: ReductionCertificate) -> list[str]:

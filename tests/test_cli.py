@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies
 from gmsurf import cli, covers, decision, exact_linalg, fileio
 from gmsurf.cli import main
 from gmsurf.covers import commutator, cycle_type, identity_perm, is_transitive, word_product
-from gmsurf.fileio import load_json, manifold_to_json, reduction_cert_to_json, save_json, surface_cert_to_json
+from gmsurf.fileio import load_json, manifold_to_json, reduction_cert_to_json, rows_to_json, save_json, surface_cert_to_json
 from gmsurf.generate import generate_manifold
 from gmsurf.manifold import (
     DecompositionGraph,
@@ -87,13 +87,15 @@ def test_analyze_reads_only_the_nonzeros(tmp_path, monkeypatch, capsys):
 def test_each_matrix_is_checked_once(tmp_path, monkeypatch, capsys):
     # The SymMatrix constructor checks every matrix the package makes, and
     # only those: decide reads A-minus as A's rows, the surface builder makes
-    # A and keeps the shrunk matrix in pair rows, analyze makes A, and
-    # certify makes the builder's A and the verifier's own.  64 pieces, 281
-    # nonzeros.
+    # A and keeps the shrunk matrix in pair rows, analyze makes A, certify
+    # makes the builder's A and the verifier's own, and matrix makes the
+    # matrix it reads: the reduction searches each component's rows as they
+    # are.  64 pieces, 281 nonzeros.
     G = generate_manifold(64, seed=3, profile="posEig")
-    path = tmp_path / "m.json"
+    path, matrix_path = tmp_path / "m.json", tmp_path / "a.json"
     save_manifold(G, path)
     A = decomposition_matrix(G)
+    save_json(rows_to_json(A.sparse), matrix_path)
     checks = []
     real_check = exact_linalg.SymMatrix.__post_init__
     monkeypatch.setattr(exact_linalg.SymMatrix, "__post_init__", lambda M: checks.append(M) or real_check(M))
@@ -107,6 +109,7 @@ def test_each_matrix_is_checked_once(tmp_path, monkeypatch, capsys):
     assert count(lambda: build_surface_certificate(G)) == 1
     assert count(lambda: main(["analyze", str(path), "--json"])) == 1
     assert count(lambda: main(["certify", str(path), "--out", str(tmp_path / "c.json")])) == 2
+    assert count(lambda: main(["matrix", str(matrix_path)])) == 1
     capsys.readouterr()
 
 
@@ -363,7 +366,8 @@ def test_matrix_mode_reduces_indefinite_input(monkeypatch, tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["property_i"] is True
-    assert report["reduction"]["a"] == ["1", "2"]
+    assert report["reduction"]["a_prime"] == [["-1", "1"], ["1", "-1"]]
+    assert report["reduction"]["a"] == ["1", "1"]
     doc = load_json(out)
     assert doc["matrix"] == [["-1", "2"], ["2", "-1"]]
 

@@ -35,7 +35,7 @@ GEN_DIGESTS = {
         'analyze': '3b21a05ef41aeed01c200835eb5e946668bbe0ea87b773c88f9e796153448718',
         'certify': '9ef7cebb314800555c076f4831cf2212f3ad59e08dbc6b1fa433d761eeec0854',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': 'a140fc9ab1956410f55ba7d2263eac628a274ecc479fee47508f3cda440cf77c',
+        'matrix': '54b4438418278c5f0649f103d6a0f05fc2f48905f84e678853e265cb8b3b5664',
     },
     (5, 'negdef'): {
         'gen': '268e20889c8c8347ffe92db803af4e2e3d25e3ce2367b961f163a2c247770d19',
@@ -48,7 +48,7 @@ GEN_DIGESTS = {
         'analyze': 'dd7b2e4316cf9f452bcf9146b9de765b65ab44c2815dfb75e801618cc1921ce0',
         'certify': '4184f6df16e5821840bab50257353a92b882bb37a7170e50246dad1b3b869cde',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': 'c4189a1f969e2b7a9daf3951a211fa2430dde821817620b0dca76106078ddc7b',
+        'matrix': 'b75f836fc29b7985254f01965be0b76f76ce7ee1dc550adbe915c63c266c22dd',
     },
     (5, 'semidef'): {
         'gen': 'b8259444ee42f7daa94ceb93b63403c66fc238ba6d88e8420fba4caad5d1c575',
@@ -61,7 +61,7 @@ GEN_DIGESTS = {
         'analyze': '5f2011bf06cea214f14bc70e8cdc05d45d0f0c72f6f96556da950d64c2f18007',
         'certify': 'dc1d19c79e08c459affa784d10719e4a34cc4d8e9fde342df2b105a27bbeb44e',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': '16b1271d60914e306d517118f58c8e8cb4781b9c92e0e3e736b6ba8e8a7cc52c',
+        'matrix': '022ef1bcec911a0c65213996111425b7b1068f3577a136f25d35c246a0b71f08',
     },
     (30, 'negdef'): {
         'gen': '3ace1009f9d645b53c92a52446010a5e328bff660f543740add46394f5587010',
@@ -74,7 +74,7 @@ GEN_DIGESTS = {
         'analyze': '7adf4ce2335feca20a41389d5dca27487672f0eb7f06ddd62f355bbd7f84af7e',
         'certify': '85228e4669bd426d3061caaf5c0f971d1eea43f51bfafe072c4c493c97838b33',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': 'bc67b994e13fd9972ef17d18c6c158916ac046a83904dd78142fa521910d4817',
+        'matrix': 'fd9d0b3a60e17f2685251ec593314f7823131aa01f126886bdb6b54b59ab6558',
     },
     (30, 'semidef'): {
         'gen': '3cf32e8d8f0656052b59d6b1badd3c3414cbace7f05ca406bd515e6a35e1977f',
@@ -87,7 +87,7 @@ GEN_DIGESTS = {
         'analyze': '9faf0edc1dd4cf9ace4cf845f025a63f03f05345afaf037f5caa895efe19c512',
         'certify': '24c161db30e4544bce62dbe7ea39615510e4394c00b6e768d826dc3158e02aaa',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': '2bc590b18329b169f29bee5ae73aaf37547d85de14ee62df9e6274cf7cedd30f',
+        'matrix': '10f458ed0ba80bda47618eb15cdcfc10efa571a3cf49528e4123a227fba49d67',
     },
     (120, 'negdef'): {
         'gen': '7d85bca61bcf7feb4b65a350c73f214774df87e7894f2100c67027616f0c84ca',
@@ -100,7 +100,7 @@ GEN_DIGESTS = {
         'analyze': 'f1b374155edcafc9d358d5fd2f1f81d235fd8a72370f71dee087f09d3e86b3c3',
         'certify': '8dc1f53a065e403d66668403a98ca20f737c49947c3110f4ddbc04ebeabe2e72',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': 'cf52a4a8b59143ddad79b142c286b3a771e2d7740477c2dff78935e498669f36',
+        'matrix': 'cc56e7453cec074fa5fa2525f6d0afc1f723f1ba2c0ee03a42cb1f5dce185450',
     },
     (120, 'semidef'): {
         'gen': '3bd4c158dfea645752fb8734bad5cce55f865b04a09391850b49e283d3cedca1',
@@ -125,7 +125,7 @@ PATH_DIGESTS = {
     },
 }
 
-GRID_DIGEST = 'a6ea0c43c778d608a548f65356c2e43a32525b39acb4567a42a2f78406f9e676'
+GRID_DIGEST = '0c7f6e222c5411f434940fd3f557062e7c7e822a44782e50a9112116670326a7'
 
 
 def run(argv: list[str], written: str | None = None) -> bytes:

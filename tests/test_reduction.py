@@ -34,7 +34,6 @@ from oracles import (
     ZeroEntryError,
     all_pairs_reduction_violations,
     bilinear_identity,
-    crossing_reduction,
     fraction_negativity_certificate,
     dense_rows,
     fraction_mmatrix_solve,
@@ -43,12 +42,14 @@ from oracles import (
     kernel_basis,
     mat_vec,
     principal_submatrix,
+    reduced_component,
     strict_reduction_violations,
     strict_shrink_certificate,
     sym,
     to_lists,
 )
 from test_exact_linalg import VERDICT_CLASSES, closing_epsilon, path_rows, verdict_matrix
+from test_surface import count_calls, slowly_closing_path
 
 F = Fraction
 
@@ -101,9 +102,10 @@ def connected_negative_matrix(rng: random.Random, order: int, singular: bool) ->
 
 
 def test_reduction_of_indefinite_pair():
+    # The all-ones vector has (B a)_i = 1 > 0: each row keeps half its coupling.
     cert = find_singular_reduction(sym([["-1", 2], [2, "-1"]]))
-    assert cert.a_prime == ({0: F(-1), 1: F(1, 2)}, {0: F(2), 1: F(-1)})
-    assert cert.a == (F(1), F(2))
+    assert cert.a_prime == ({0: F(-1), 1: F(1)}, {0: F(1), 1: F(-1)})
+    assert cert.a == (F(1), F(1))
     assert verify_reduction(sym([["-1", 2], [2, "-1"]]), cert) == []
 
 
@@ -154,7 +156,7 @@ def test_reduction_of_single_zero_entry():
 
 def test_reduction_with_zero_diagonal_beside_an_indefinite_block():
     # Pieces 0 and 1 alone already have a positive eigenvalue of A-minus, so
-    # the couplings between them must shrink (t0 < 1) before the solve.
+    # the couplings between them must shrink.
     A = sym([["-1", 3, 0], [3, "-1", 1], [0, 1, 0]])
     assert inertia(principal_submatrix(A, [0, 1]).sparse).n_pos == 1
     cert = assert_full_support_reduction(A)
@@ -173,6 +175,30 @@ def test_reduction_of_disconnected_input_uses_one_component():
     cert = find_singular_reduction(A)
     assert verify_reduction(A, cert) == []
     assert [i for i, v in enumerate(cert.a) if v != 0] == [2, 3]
+
+
+def test_reduction_skips_a_negative_definite_component_for_a_semidefinite_one():
+    # The second block's A-minus [[-1, 2], [2, -4]] is singular with kernel
+    # (2, 1): A keeps its rows there, row 2 (diagonal 1 > 0) with its
+    # coupling negated, and the first block keeps only its diagonal.
+    A = sym([["-2", 1, 0, 0], [1, "-2", 0, 0], [0, 0, 1, 2], [0, 0, 2, "-4"]])
+    cert = find_singular_reduction(A)
+    assert cert.a_prime == ({0: F(-2)}, {1: F(-2)}, {2: F(1), 3: F(-2)}, {2: F(2), 3: F(-4)})
+    assert cert.a == (F(0), F(0), F(2), F(1))
+    assert verify_reduction(A, cert) == []
+
+
+def test_reduction_of_an_isolated_zero_diagonal_vertex_is_its_unit_vector():
+    A = sym([["-2", 1, 0], [1, "-2", 0], [0, 0, 0]])
+    cert = find_singular_reduction(A)
+    assert cert.a_prime == ({0: F(-2)}, {1: F(-2)}, {})
+    assert cert.a == (F(0), F(0), F(1))
+
+
+def test_reduction_rejects_input_whose_every_component_is_negative_definite():
+    # An isolated positive diagonal is negative in A-minus.
+    with pytest.raises(NegativeDefiniteError):
+        find_singular_reduction(sym([["-2", 1, 0, 0], [1, "-2", 0, 0], [0, 0, 3, 0], [0, 0, 0, "-1"]]))
 
 
 def test_certificate_support_lists_nonzero_indices():
@@ -202,6 +228,43 @@ def test_reduction_exists_iff_not_negative_definite(A):
     else:
         assert not negdef
         assert verify_reduction(A, cert) == []
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [["-1", 1], [1, "-1"]],
+        # kernel (7, 5, 3), which no fixed-point round hits exactly: one exact kernel test
+        [["-5/7", 1, 0], [1, "-13/5", 2], [0, 2, "-10/3"]],
+        [["-2", 1, 0, 0], [1, "-2", 0, 0], [0, 0, 1, 2], [0, 0, 2, "-4"]],
+        path_rows(24, closing_epsilon(24)),
+    ],
+    ids=["semidefinite-pair", "kernel-test", "disconnected", "path-24"],
+)
+def test_reduction_takes_no_inertia_and_at_most_one_exact_solve(monkeypatch, rows):
+    # The vector search takes an exact M-matrix solve only for its one
+    # kernel test, and no inertia.
+    A = sym(rows)
+    counts = count_calls(monkeypatch, ("inertia", "_congruence", "_mmatrix_solve"))
+    cert = find_singular_reduction(A)
+    assert counts["inertia"] == counts["_congruence"] == 0
+    assert counts["_mmatrix_solve"] <= 1
+    assert verify_reduction(A, cert) == []
+
+
+@pytest.mark.parametrize(
+    "G",
+    [lambda: generate_manifold(700, seed=3, profile="posEig"), lambda: slowly_closing_path(1000)],
+    ids=["gen-700", "path-1000"],
+)
+def test_reduction_at_seven_hundred_and_a_thousand_pieces(G):
+    # The witness vector stays short at this size; no wall clock is
+    # asserted here.
+    A = decomposition_matrix(G())
+    cert = find_singular_reduction(A)
+    assert verify_reduction(A, cert) == []
+    assert all(v > 0 for v in cert.a)
+    assert max(v.numerator.bit_length() for v in cert.a) <= 128
 
 
 # --- verifying reductions -----------------------------------------------------
@@ -564,28 +627,37 @@ def test_strict_shrink_is_strict_or_names_the_branch(A):
         assert_strict_shrink_is_right(A)
 
 
+def assert_reduction_matches_dense_oracles(X: SymMatrix) -> None:
+    """The reduction of X passes the all-pairs check, and its vector's
+    support is the component the dense inertia picks; it is refused exactly
+    when every block of A-minus is negative definite."""
+    try:
+        component = reduced_component(X)
+    except NegativeDefiniteError:
+        with pytest.raises(NegativeDefiniteError):
+            find_singular_reduction(X)
+        return
+    cert = find_singular_reduction(X)
+    assert all_pairs_reduction_violations(X, cert) == []
+    assert [i for i, v in enumerate(cert.a) if v] == component
+
+
 def assert_matches_dense_oracles(A: SymMatrix) -> None:
     """The strict reduction passes the all-pairs strictness check plus
-    A' a = 0 (or names decide's branch), and the sparse M-matrix walk equals
-    the determinant/nullspace crossing, on A and on its halving shrink."""
+    A' a = 0 (or names decide's branch), and the singular reduction matches
+    the dense oracles, on A and on its halving shrink."""
     if is_connected_matrix(A):
         assert_strict_shrink_is_right(A)
     else:
         with pytest.raises(DisconnectedMatrixError):
             strict_shrink(A)
     try:
-        expected = halving_shrink(A)
+        shrunk = halving_shrink(A)
     except NoPositiveEigenvalueError:
         pass
     else:
-        assert find_singular_reduction(expected) == crossing_reduction(expected)
-    try:
-        expected_cert = crossing_reduction(A)
-    except NegativeDefiniteError:
-        with pytest.raises(NegativeDefiniteError):
-            find_singular_reduction(A)
-    else:
-        assert find_singular_reduction(A) == expected_cert
+        assert_reduction_matches_dense_oracles(shrunk)
+    assert_reduction_matches_dense_oracles(A)
 
 
 @settings(max_examples=300, deadline=None)

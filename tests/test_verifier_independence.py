@@ -31,7 +31,8 @@ BUILDERS = {
     "_fixed_point_solve",
     "_positive_kernel",
     "_strict_rows",
-    "_perron_reduction",
+    "_scaled",
+    "_perron_search",
     "_eliminate",
     "determinant_rows",
     "nullspace_rows",
@@ -100,6 +101,7 @@ def test_the_walk_sees_builders_where_they_are_called():
     seen = reachable_names(surface.build_surface_certificate)
     assert {
         "strict_shrink",
+        "_perron_search",
         "_fixed_point_solve",
         "_positive_kernel",
         "_strict_rows",
