@@ -382,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--profile", choices=PROFILES, default="any")
     p.add_argument("--out", help="write to file instead of stdout")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("matrix", help="decide and reduce a raw symmetric matrix")

@@ -15,6 +15,20 @@ with positive diagonal entries negated):
 VE implies I for every connected input (tested exhaustively downstream), so a
 disconnected matrix graph is rejected rather than decided per component.
 
+Most inputs need no elimination, by Perron-Frobenius (Berman and Plemmons,
+*Nonnegative Matrices in the Mathematical Sciences*, ch. 2; Horn and
+Johnson, *Matrix Analysis*, ch. 8).  A-minus has non-negative couplings on a
+connected graph, so A-minus + sI is non-negative and irreducible for s large
+enough: its largest eigenvalue, the Perron root rho of A-minus, is simple,
+and every proper principal block of A-minus has a largest eigenvalue below
+rho.  Hence rho < 0 gives the inertia (0, 0, n), rho = 0 gives (0, 1, n - 1),
+and either makes every proper principal block negative definite, so with
+both diagonal blocks non-empty VE fails.  The exact sign of rho comes from
+the package's Perron search (:func:`gmsurf.exact_linalg._perron_search`);
+only a positive root, or a search that ends undecided at full precision,
+takes the exact inertia of A-minus, whose counts the report prints, and only
+then can a diagonal block need its own.
+
 For two-piece manifolds the single rational D = A11*A22 / A12^2 carries both
 answers: I holds iff -1 < D <= 1 and VE holds iff 0 <= D <= 1.  That invariant
 is exposed as an independent cross-check.
@@ -30,6 +44,8 @@ from .exact_linalg import (
     DisconnectedMatrixError,
     Inertia,
     SymMatrix,
+    _perron_search,
+    _scaled,
     inertia,
     matrix_components,
 )
@@ -61,9 +77,8 @@ class Verdict:
     blocks: tuple[list[int], list[int], list[int]]
 
 
-def _check_input(A: SymMatrix) -> tuple[tuple[dict[int, Fraction], ...], list[int], list[int], list[int]]:
-    """Check A from its nonzero entries; return A-minus's dict rows
-    (:func:`gmsurf.manifold.a_minus`) and the diagonal-sign split.
+def _check_input(A: SymMatrix) -> tuple[list[int], list[int], list[int]]:
+    """Check A from its nonzero entries; return the diagonal-sign split.
 
     Raises ValueError on the empty matrix or on the first negative
     off-diagonal entry (row by row), DisconnectedMatrixError if the matrix
@@ -73,7 +88,7 @@ def _check_input(A: SymMatrix) -> tuple[tuple[dict[int, Fraction], ...], list[in
         raise ValueError("empty matrix")
     if len(matrix_components(A)) > 1:
         raise DisconnectedMatrixError("matrix graph is disconnected")
-    return (a_minus(A), *split_blocks(A))
+    return split_blocks(A)
 
 
 def immersed(ine: Inertia, pos: list[int], neg: list[int]) -> tuple[bool, Branch]:
@@ -97,28 +112,44 @@ def _negative_definite_block(minus: tuple[dict[int, Fraction], ...], idx: list[i
 
 
 def _virtually_embedded(
-    minus: tuple[dict[int, Fraction], ...], ine: Inertia, pos: list[int], neg: list[int], zero: list[int]
+    minus: tuple[dict[int, Fraction], ...] | None, ine: Inertia, pos: list[int], neg: list[int], zero: list[int]
 ) -> bool:
     # Both diagonal blocks are principal blocks of A-minus: the positive one
-    # with its diagonal negated, the negative one as it is in A.
+    # with its diagonal negated, the negative one as it is in A.  A-minus's
+    # rows are given on the positive branch only, the one place they are read.
     if zero:
         return True
     if not pos or not neg:
         # One block is all of A-minus, whose inertia is known; the other is
         # empty, so negative definite vacuously.
-        return ine.n_neg < len(minus)
+        return bool(ine.n_pos or ine.n_zero)
+    if not ine.n_pos:
+        # Both blocks are proper principal blocks of A-minus, whose Perron
+        # root is <= 0: both are negative definite.
+        return False
     return not _negative_definite_block(minus, pos) or not _negative_definite_block(minus, neg)
 
 
 def decide(A: SymMatrix) -> Verdict:
     """Run both decisions in one pass: one input check, and each distinct inertia once.
 
-    A-minus is eliminated once; a diagonal block is eliminated only when it
-    is a proper part of A-minus, and a block that is all of A-minus reads
-    A-minus's inertia.
+    The exact sign of A-minus's Perron root comes first: a negative root is
+    the inertia (0, 0, n) and a zero root (0, 1, n - 1), with no
+    elimination.  Only a positive root, or a search undecided at full
+    precision, eliminates A-minus, once; a diagonal block is eliminated only
+    on the positive branch, when it is a proper part of A-minus.
     """
-    minus, pos, neg, zero = _check_input(A)
-    ine = inertia(minus)
+    pos, neg, zero = _check_input(A)
+    n = A.order
+    found = _perron_search(_scaled(A.sparse), sign_only=True)
+    minus = None
+    if found is None or found[0] > 0:
+        minus = a_minus(A)
+        ine = inertia(minus)
+    elif found[0] < 0:
+        ine = Inertia(0, 0, n)
+    else:
+        ine = Inertia(0, 1, n - 1)
     property_i, branch = immersed(ine, pos, neg)
     return Verdict(
         property_i=property_i,

@@ -21,6 +21,15 @@ Z-matrix in the same minimum-degree order with diagonal pivots only,
 stopping at the first pivot <= 0.  That is the exact test that the matrix is
 a nonsingular M-matrix, and when it passes the same elimination solves.
 
+:func:`_perron_search` is the package's one Perron search: for a connected
+A with non-negative couplings, given in integers by :func:`_scaled`, it
+finds the exact sign of the Perron root of A-minus (A with its positive
+diagonal entries negated) and a positive witness vector, in fixed-point
+integers (:func:`_fixed_point_solve`, an L D L^T in the same minimum-degree
+order with every product floored), and from 64 bits on one exact kernel
+test (:func:`_positive_kernel`).  It sits beside the eliminations so that
+the decision, the reduction builders and the generator share it.
+
 :func:`determinant_rows` and :func:`nullspace_rows` are dense: they clear
 denominators by one common multiple per row, then fraction-free (Bareiss)
 elimination divides exactly by the previous pivot at each step, so entries
@@ -353,9 +362,7 @@ def inertia(rows: Sequence[dict[int, Fraction]]) -> Inertia:
     return _congruence(_pair_rows(rows))
 
 
-def _mmatrix_solve(
-    adj: list[dict[int, tuple[int, int]]], b: list[tuple[int, int]] | None = None
-) -> list[tuple[int, int]] | tuple[()] | None:
+def _mmatrix_solve(adj: list[dict[int, tuple[int, int]]], b: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
     """Solve M x = b exactly if the Z-matrix M is a nonsingular M-matrix; else None.
 
     M (off-diagonal entries <= 0, a symmetric nonzero pattern, values not
@@ -369,8 +376,7 @@ def _mmatrix_solve(
     Mathematical Sciences*, ch. 6), so no pivoting is needed.  Positive
     pivots keep the rest a Z-matrix, and an off-diagonal entry only moves
     away from 0, so the pattern stays symmetric.  The solution comes back in
-    pairs; without ``b`` this is the test alone and returns ``()`` on
-    success.
+    pairs.
     """
     queue = sorted((len(row) - (i in row), i) for i, row in enumerate(adj))
     queued = {key[1]: key for key in queue}
@@ -388,7 +394,7 @@ def _mmatrix_solve(
         for i in row:
             other = adj[i]
             factor = _mul(other.pop(k), inverse)
-            if b is not None and b[k][0]:
+            if b[k][0]:
                 b[i] = _sub(b[i], _mul(factor, b[k]))
             for j, v in row.items():
                 amount = _mul(factor, v)
@@ -397,8 +403,6 @@ def _mmatrix_solve(
             key = queued[i] = (len(other) - (i in other), i)
             insort(queue, key)
         done.append((k, inverse, row))
-    if b is None:
-        return ()
     x = [(0, 1)] * len(adj)
     for k, inverse, row in reversed(done):
         total = b[k]
@@ -505,7 +509,8 @@ def matrix_components(A: SymMatrix) -> list[list[int]]:
     """
     rows = A.sparse
     for i, row in enumerate(rows):
-        negative = [j for j, x in row.items() if j > i and x < 0]
+        # a stored entry is a nonzero Fraction, whose sign is its numerator's
+        negative = [j for j, x in row.items() if j > i and x._numerator < 0]
         if negative:
             raise ValueError(f"negative off-diagonal entry at ({i}, {min(negative)})")
     seen = [False] * len(rows)
@@ -535,3 +540,186 @@ def _primitive(vec: Sequence[tuple[int, int]]) -> list[int]:
     ints = [n * (scale // d) for n, d in vec]
     common = gcd(*ints)
     return [v // common for v in ints]
+
+
+# The rounds of :func:`_perron_search`.
+FIRST_BITS, FULL_BITS = 16, 64
+POWER_STEPS, SOLVES, RAISE_BITS = 3, 6, 30
+
+
+def _fixed_point_solve(rows: list[dict[int, int]], rhs: list[int]) -> list[int] | None:
+    """x with M x = rhs, rounded, for a symmetric fixed-point M-matrix M; None at a pivot <= 0.
+
+    M is one ``{column: int}`` dict per row, diagonal key included, and both
+    it and rhs are changed in place.  M = L D L^T in minimum-degree order,
+    as in :func:`_mmatrix_solve`, with every product over a pivot floored,
+    so entries keep their fixed-point length.
+    """
+    queue = sorted((len(row) - 1, i) for i, row in enumerate(rows))
+    queued = {key[1]: key for key in queue}
+    done: list[tuple[int, int, dict[int, int]]] = []
+    while queue:
+        _, k = queue.pop(0)
+        del queued[k]
+        row = rows[k]
+        pivot = row.pop(k)
+        if pivot <= 0:
+            return None
+        for i in row:
+            del queue[bisect_left(queue, queued[i])]
+        items = list(row.items())
+        b = rhs[k]
+        for s, (i, f) in enumerate(items):
+            other = rows[i]
+            del other[k]
+            rhs[i] -= f * b // pivot
+            for j, g in items[s:]:
+                other[j] = rows[j][i] = other.get(j, 0) - f * g // pivot
+            key = queued[i] = (len(other) - 1, i)
+            insort(queue, key)
+        done.append((k, pivot, row))
+    x = [0] * len(rows)
+    for k, pivot, row in reversed(done):
+        x[k] = (rhs[k] - sum(m * x[j] for j, m in row.items())) // pivot
+    return x
+
+
+def _positive_kernel(negated: list[dict[int, tuple[int, int]]]) -> list[int] | None:
+    """The primitive positive vector spanning the kernel of N, or None.
+
+    N, a connected Z-matrix as pair rows (symmetric pattern, values maybe
+    not), is not changed.  N is a singular M-matrix iff its kernel is a line
+    through a positive vector: every proper principal block of a connected
+    singular M-matrix is a nonsingular M-matrix, so one :func:`_mmatrix_solve`
+    with the last weight fixed at 1 gives the others, and N times it is
+    checked exactly."""
+    last = len(negated) - 1
+    rest = _mmatrix_solve(
+        [{j: x for j, x in row.items() if j != last} for row in negated[:last]],
+        [(-row[last][0], row[last][1]) if last in row else (0, 1) for row in negated[:last]],
+    )
+    if rest is None:
+        return None
+    a = [*rest, (1, 1)]
+    if any(_sum(_mul(x, a[j]) for j, x in row.items())[0] for row in negated):
+        return None
+    return _primitive(a)
+
+
+Scaled = tuple[list[int], list[int], list[dict[int, int]]]
+
+
+def _scaled(rows: Sequence[dict[int, Fraction]]) -> Scaled:
+    """(scales, own, couplings): row i of A times scales[i], the lcm of its
+    denominators, with A[i][i] as own[i] and the couplings as ints.  B's
+    row is the same with -|own[i]|.  The entries' slots are read directly,
+    as :class:`SymMatrix` does."""
+    scales, own, couplings = [], [], []
+    for i, row in enumerate(rows):
+        L = lcm(*[x._denominator for x in row.values()])
+        scaled = {j: x._numerator * (L // x._denominator) for j, x in row.items()}
+        scales.append(L)
+        own.append(scaled.pop(i, 0))
+        couplings.append(scaled)
+    return scales, own, couplings
+
+
+def _perron_search(scaled: Scaled, sign_only: bool = False) -> tuple[int, list[int], list[int]] | None:
+    """The sign of the Perron root of B, the A-minus of a connected A, and its witness vector.
+
+    A is given in its :func:`_scaled` form, in integers only.  Returns
+    (sign, a, y): a positive coprime ints and y = scales * (B a) exactly,
+    with y > 0 for sign 1, y < 0 for sign -1 and y = 0 for sign 0, where a
+    spans the kernel of B.
+
+    *The vector.*  For a > 0 the Collatz-Wielandt bounds
+    min_i (Ba)_i / a_i <= rho <= max_i (Ba)_i / a_i hold for the Perron
+    root rho of the irreducible B, with equality at its Perron vector
+    (Berman and Plemmons, *Nonnegative Matrices in the Mathematical
+    Sciences*, ch. 2; Horn and Johnson, *Matrix Analysis*, ch. 8).  So an
+    a > 0 with Ba > 0 exists iff rho > 0, one with Ba < 0 iff rho < 0.  It
+    is searched for in fixed-point integers of 16 bits, then 32, 64 and on,
+    with no float: from the all-ones vector, POWER_STEPS power steps on
+    B + sI, then shift-invert steps v <- (sigma I - B)^-1 v
+    (:func:`_fixed_point_solve`), sigma the upper bound raised by a relative
+    2^-RAISE_BITS.  A round ends after SOLVES solves, a failed one or one
+    that leaves an entry at 1, and the next doubles the bits.  Every vector
+    is checked exactly, one integer dot product per row of B times its lcm.
+
+    *Root 0.*  No a > 0 has Ba > 0 or Ba < 0 then; a round that hits Ba = 0,
+    or from FULL_BITS on one exact kernel test (:func:`_positive_kernel`),
+    shows it.  A nonzero rho shows at some precision, so there is no retry
+    budget.
+
+    *Sign only.*  With ``sign_only`` the caller reads the sign alone.  A
+    vector v with v^T B v > 0 then ends the search at sign 1, with (1, v, y)
+    for that v: rho is B's largest eigenvalue, at least the Rayleigh
+    quotient of v.  A round that ends undecided from FULL_BITS on returns
+    None instead of running the kernel test, for the caller to take the
+    exact inertia, which costs less than the test on large singular inputs.
+    """
+    scales, own, couplings = scaled
+    n = len(own)
+    shift = max(-(-abs(d) // L) for d, L in zip(own, scales)) + 1
+    if sign_only:
+        # v^T B v = sum_i v_i y_i / scales[i]; weights clear those denominators
+        scale_lcm = lcm(*scales)
+        weights = [scale_lcm // L for L in scales]
+
+    def image(v: list[int]) -> list[int]:
+        """scales[i] (B v)_i, exactly."""
+        return [
+            sum(c * v[j] for j, c in row.items()) - abs(d) * v[i] for i, (d, row) in enumerate(zip(own, couplings))
+        ]
+
+    def normalised(v: list[int], bits: int) -> list[int]:
+        excess = max(v).bit_length() - bits
+        return [max(x >> excess if excess > 0 else x << -excess, 1) for x in v]
+
+    def shift_invert(v: list[int], y: list[int], bits: int) -> list[int] | None:
+        # sigma: the largest y_i / (scales[i] v_i), raised, rounded up to 2^-bits
+        num, den = y[0], scales[0] * v[0]
+        for p, L, w in zip(y, scales, v):
+            if p * den > num * L * w:
+                num, den = p, L * w
+        num *= (1 << RAISE_BITS) + (1 if num >= 0 else -1)
+        sigma = -((-num << bits) // (den << RAISE_BITS))
+        rows = [
+            {i: sigma + (abs(d) << bits) // L, **{j: -((c << bits) // L) for j, c in row.items()}}
+            for i, (d, L, row) in enumerate(zip(own, scales, couplings))
+        ]
+        # v times the largest diagonal entry: x then has v's length or more
+        top = max(row[i] for i, row in enumerate(rows)).bit_length()
+        x = _fixed_point_solve(rows, [x << top for x in v])
+        return None if x is None else normalised(x, bits)
+
+    v, bits, powers, tested = [1] * n, FIRST_BITS, 0, False
+    while True:
+        for _ in range(SOLVES + POWER_STEPS - powers):
+            y = image(v)
+            if all(x > 0 for x in y) or all(x < 0 for x in y) or not any(y):
+                common = gcd(*v)
+                return (y[0] > 0) - (y[0] < 0), [x // common for x in v], [x // common for x in y]
+            if sign_only and sum(x * w * p for x, w, p in zip(v, weights, y)) > 0:
+                return 1, v, y
+            if powers < POWER_STEPS:
+                powers += 1
+                v = normalised([x // L + shift * x0 for x, L, x0 in zip(y, scales, v)], bits)
+                continue
+            solved = shift_invert(v, y, bits)
+            if solved is None:
+                break
+            v = solved
+            if min(v) == 1:  # an entry fell below the precision
+                break
+        if bits >= FULL_BITS and not tested:
+            if sign_only:
+                return None
+            tested = True
+            # -B with row i times scales[i], which keeps its kernel, as int pairs
+            kernel = _positive_kernel(
+                [{i: (abs(d), 1), **{j: (-x, 1) for j, x in c.items()}} for i, (d, c) in enumerate(zip(own, couplings))]
+            )
+            if kernel:
+                return 0, kernel, [0] * n
+        bits *= 2

@@ -19,8 +19,10 @@ matrix:
 c = A[i][j] with c^2 > |A[i][i]| |A[j][j]| shows one in O(tori): the 2x2
 principal block of A-minus on i and j has a negative determinant, so a
 positive eigenvalue, and by Cauchy interlacing so has A-minus.  Only a draw
-with no such coupling takes an exact inertia.  Deterministic per (pieces,
-seed, profile).
+with no such coupling runs the Perron search for the exact sign of A-minus's
+largest eigenvalue (:func:`gmsurf.exact_linalg._perron_search`), sign only
+first, and the full search only where that ends undecided.  Deterministic per
+(pieces, seed, profile).
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from .exact_linalg import inertia
-from .manifold import DecompositionGraph, GluingTorus, SeifertPiece, a_minus, decomposition_matrix
+from .exact_linalg import _perron_search, _scaled
+from .manifold import DecompositionGraph, GluingTorus, SeifertPiece, decomposition_matrix
 
 PROFILES = ("any", "negdef", "posEig", "semidef")
 ATTEMPTS = 500  # "posEig" draws before giving up
@@ -117,6 +119,9 @@ def generate_manifold(pieces: int, seed: int = 0, profile: str = "any") -> Decom
         A = decomposition_matrix(G)
         diagonal = [abs(row.get(i, 0)) for i, row in enumerate(A.sparse)]
         couplings = ((i, j, c) for i, row in enumerate(A.sparse) for j, c in row.items() if j != i)
-        if any(c * c > diagonal[i] * diagonal[j] for i, j, c in couplings) or inertia(a_minus(A)).n_pos:
+        if any(c * c > diagonal[i] * diagonal[j] for i, j, c in couplings):
+            return G
+        scaled = _scaled(A.sparse)
+        if (_perron_search(scaled, sign_only=True) or _perron_search(scaled))[0] > 0:
             return G
     raise RuntimeError(f"profile {profile!r} unsatisfiable in {ATTEMPTS} attempts")

@@ -250,12 +250,14 @@ def split_blocks(A: SymMatrix) -> tuple[list[int], list[int], list[int]]:
     """Indices split by diagonal sign: (positive, negative, zero).
 
     Zero-diagonal indices are returned separately so the decision layer can
-    treat their block assignment explicitly.
+    treat their block assignment explicitly.  A zero diagonal has no key in
+    A's rows, and a stored one is a nonzero `Fraction`, whose sign is its
+    numerator's.
     """
-    diagonal = [row.get(i, 0) for i, row in enumerate(A.sparse)]
-    pos = [i for i, x in enumerate(diagonal) if x > 0]
-    neg = [i for i, x in enumerate(diagonal) if x < 0]
-    zero = [i for i, x in enumerate(diagonal) if x == 0]
+    pos, neg, zero = [], [], []
+    for i, row in enumerate(A.sparse):
+        x = row.get(i)
+        (zero if x is None else pos if x._numerator > 0 else neg).append(i)
     return pos, neg, zero
 
 

@@ -256,11 +256,11 @@ def fraction_congruence(adj: list[dict[int, Fraction]]) -> Inertia:
     return Inertia(n_pos, n_zero, n_neg)
 
 
-def fraction_mmatrix_solve(rows, rhs=None) -> tuple[Fraction, ...] | None:
+def fraction_mmatrix_solve(rows, rhs) -> tuple[Fraction, ...] | None:
     """`gmsurf.exact_linalg._mmatrix_solve` on `Fraction` entries, which it
     does not change."""
     adj = [dict(row) for row in rows]
-    b = None if rhs is None else list(rhs)
+    b = list(rhs)
     queue = sorted((len(row) - (i in row), i) for i, row in enumerate(adj))
     queued = {key[1]: key for key in queue}
     done: list[tuple[int, Fraction, dict[int, Fraction]]] = []
@@ -276,15 +276,13 @@ def fraction_mmatrix_solve(rows, rhs=None) -> tuple[Fraction, ...] | None:
         for i in row:
             other = adj[i]
             factor = other.pop(k) / pivot
-            if b is not None and b[k]:
+            if b[k]:
                 b[i] -= factor * b[k]
             for j, v in row.items():
                 other[j] = other.get(j, 0) - factor * v
             key = queued[i] = (len(other) - (i in other), i)
             insort(queue, key)
         done.append((k, pivot, row))
-    if b is None:
-        return ()
     x = [Fraction(0)] * len(adj)
     for k, pivot, row in reversed(done):
         x[k] = (b[k] - sum(v * x[j] for j, v in row.items())) / pivot

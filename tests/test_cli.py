@@ -500,6 +500,14 @@ def test_gen_unwritable_out_is_input_error(tmp_path, capsys):
     assert_one_line_input_error(capsys)
 
 
+def test_gen_rejects_json_option(capsys):
+    # gen prints its JSON document either way; the option read nothing.
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "3", "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
 def test_gen_is_deterministic_per_seed(tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

@@ -1,5 +1,6 @@
 """Tests for both decision procedures and the two-piece invariant."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -18,8 +19,11 @@ from gmsurf.exact_linalg import (
     SymMatrix,
     inertia,
 )
-from gmsurf.manifold import a_minus, split_blocks
-from oracles import is_connected_matrix, principal_submatrix, sym, to_lists
+from gmsurf.generate import generate_manifold
+from gmsurf.manifold import a_minus, decomposition_matrix, split_blocks
+from oracles import bareiss_inertia, is_connected_matrix, principal_submatrix, sym, to_lists
+from test_exact_linalg import VERDICT_CLASSES, verdict_matrix
+from test_surface import count_calls
 
 F = Fraction
 
@@ -184,24 +188,27 @@ def test_branch_tag_tracks_positive_eigenvalue():
 
 
 @pytest.mark.parametrize(
-    "rows, blocks",
+    "rows, eliminated, blocks",
     [
         # a zero diagonal settles VE: no block is looked at
-        ([[0, "3/2"], ["3/2", 0]], []),
-        # no positive diagonal: the negative block is A-minus, whose inertia it reads
-        ([["-2", 1], [1, "-2"]], []),
+        ([[0, "3/2"], ["3/2", 0]], True, []),
+        # a negative Perron root: the inertia is (0, 0, n), with no elimination
+        ([["-2", 1], [1, "-2"]], False, []),
+        # a zero Perron root, all diagonals negative: (0, 1, n - 1)
+        ([["-1", 1], [1, "-1"]], False, []),
         # every diagonal positive: the positive block (negated) is A-minus
-        ([[1, 2], [2, 1]], []),
-        # both blocks, the positive one (negated) being definite
-        ([[1, 1], [1, "-1"]], [[["-1"]], [["-1"]]]),
+        ([[1, 2], [2, 1]], True, []),
+        # both blocks, under a zero Perron root: both are negative definite
+        ([[1, 1], [1, "-1"]], False, []),
         # the positive block (negated) is indefinite, so VE holds without the negative one
-        ([[1, 2, 1], [2, 1, 1], [1, 1, "-1"]], [[["-1", 2], [2, "-1"]]]),
+        ([[1, 2, 1], [2, 1, 1], [1, 1, "-1"]], True, [[["-1", 2], [2, "-1"]]]),
     ],
 )
-def test_decide_takes_each_inertia_once(monkeypatch, rows, blocks):
+def test_decide_takes_each_inertia_once(monkeypatch, rows, eliminated, blocks):
     # decide hands `inertia` one dict of nonzero entries per row; compare
-    # their dense form: A-minus first, then one call per block looked at
-    # that is a proper part of A-minus.
+    # their dense form: A-minus first, only where its Perron root is
+    # positive, then one call per block looked at that is a proper part of
+    # A-minus.
     seen, checked = [], []
     real_inertia, real_check = decision.inertia, decision._check_input
     monkeypatch.setattr(decision, "inertia", lambda B: seen.append(B) or real_inertia(B))
@@ -213,11 +220,10 @@ def test_decide_takes_each_inertia_once(monkeypatch, rows, blocks):
     def dense(B):
         return [[row.get(j, F(0)) for j in range(len(B))] for row in B]
 
-    assert [dense(B) for B in seen] == [to_lists(SymMatrix(a_minus(A)))] + [
+    assert [dense(B) for B in seen] == [to_lists(SymMatrix(a_minus(A)))] * eliminated + [
         to_lists(sym(b)) for b in blocks
     ]
     assert verdict.inertia_of_a_minus == inertia(SymMatrix(a_minus(A)).sparse)
-
 
 
 # Input errors, in the order decide checks them: the empty matrix, then the
@@ -246,6 +252,94 @@ def test_input_errors_keep_type_and_message(decider, rows, error, message):
         decider(sym(rows))
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# --- decide against the dense oracles ----------------------------------------
+
+
+def scaled_semidefinite(n: int, seed: int, eps: Fraction) -> SymMatrix:
+    """D S D - eps I, S a gen semidef matrix (singular, the all-ones vector
+    spanning its kernel) and D a random positive diagonal: at eps = 0 the
+    kernel is spanned by D^-1 times the all-ones vector, and a small eps > 0
+    leaves the matrix negative definite, near singular."""
+    S = decomposition_matrix(generate_manifold(n, seed=seed, profile="semidef"))
+    rng = random.Random(f"dsd:{seed}:{n}")
+    d = [F(rng.randint(1, 16), rng.randint(1, 4)) for _ in range(n)]
+    rows = []
+    for i, row in enumerate(S.sparse):
+        scaled = {j: d[i] * x * d[j] for j, x in row.items()}
+        scaled[i] = scaled.get(i, F(0)) - eps
+        rows.append({j: x for j, x in scaled.items() if x})
+    return SymMatrix(tuple(rows))
+
+
+def assert_decide_matches_the_dense_oracles(A: SymMatrix) -> None:
+    """Inertia, branch and both properties of `decide` against the dense
+    Bareiss inertia of A-minus and of its diagonal blocks.  Both blocks are
+    principal blocks of A-minus; every zero diagonal goes with the positive
+    block, as any assignment may."""
+    B = SymMatrix(a_minus(A))
+    ine = bareiss_inertia(B)
+    diagonal = [A[i, i] for i in range(A.order)]
+    pos = [i for i, x in enumerate(diagonal) if x > 0]
+    neg = [i for i, x in enumerate(diagonal) if x < 0]
+    zero = [i for i, x in enumerate(diagonal) if x == 0]
+    if ine.n_pos:
+        branch = Branch.POSITIVE_EIGENVALUE
+    elif ine.n_zero:
+        branch = Branch.SEMIDEFINITE_SAME_SIGN if not pos or not neg else Branch.SEMIDEFINITE_MIXED_SIGN
+    else:
+        branch = Branch.NEGATIVE_DEFINITE
+    definite = [bareiss_inertia(principal_submatrix(B, idx)).n_neg == len(idx) for idx in (pos + zero, neg)]
+    verdict = decide(A)
+    assert verdict.inertia_of_a_minus == ine
+    assert verdict.branch is branch
+    assert verdict.property_i == (branch in (Branch.POSITIVE_EIGENVALUE, Branch.SEMIDEFINITE_SAME_SIGN))
+    assert verdict.property_ve == (not all(definite))
+
+
+@settings(max_examples=300)
+@given(admissible_matrices(max_order=5))
+def test_decide_matches_the_dense_oracles_on_small_matrices(A):
+    # n = 1 and zero or positive diagonals included
+    if is_connected_matrix(A):
+        assert_decide_matches_the_dense_oracles(A)
+
+
+@pytest.mark.parametrize("n", [5, 10, 18, 34, 64])
+@pytest.mark.parametrize("cls", sorted(VERDICT_CLASSES))
+def test_decide_matches_the_dense_oracles_on_the_verdict_classes(cls, n):
+    assert_decide_matches_the_dense_oracles(verdict_matrix(n, cls))
+
+
+@pytest.mark.parametrize("eps", [F(0), F(1, 10**6)], ids=["DSD", "DSD-eps"])
+@pytest.mark.parametrize("n, seed", [(2, 0), (5, 1), (12, 2), (30, 0)])
+def test_decide_matches_the_dense_oracles_off_the_all_ones_kernel(n, seed, eps):
+    assert_decide_matches_the_dense_oracles(scaled_semidefinite(n, seed, eps))
+
+
+@pytest.mark.parametrize(
+    "A, eliminations",
+    [
+        pytest.param(lambda: decomposition_matrix(generate_manifold(200, seed=3, profile="negdef")), 0, id="gen-negdef"),
+        pytest.param(lambda: decomposition_matrix(generate_manifold(200, seed=3, profile="semidef")), 0, id="gen-semidef"),
+        pytest.param(lambda: verdict_matrix(64, "negdef"), 0, id="negdef"),
+        pytest.param(lambda: verdict_matrix(64, "same"), 0, id="same"),
+        pytest.param(lambda: verdict_matrix(64, "mixed"), 0, id="mixed"),
+        pytest.param(lambda: scaled_semidefinite(30, 0, F(1, 10**6)), 0, id="DSD-eps"),
+        # the positive branch: A-minus once, and blocks only where VE needs them
+        pytest.param(lambda: decomposition_matrix(generate_manifold(200, seed=3, profile="posEig")), 1, id="gen-posEig"),
+        pytest.param(lambda: verdict_matrix(64, "pos_ve"), 1, id="pos_ve"),
+        pytest.param(lambda: verdict_matrix(64, "pos_no_ve"), 3, id="pos_no_ve"),
+        # no fixed-point round hits the kernel: the search hands over to one inertia
+        pytest.param(lambda: scaled_semidefinite(30, 0, F(0)), 1, id="DSD"),
+    ],
+)
+def test_decide_eliminates_only_on_the_positive_branch(monkeypatch, A, eliminations):
+    A = A()
+    counts = count_calls(monkeypatch, ("inertia", "_congruence"))
+    decide(A)
+    assert counts == {"inertia": eliminations, "_congruence": eliminations}
 
 
 # --- two-piece invariant ----------------------------------------------------

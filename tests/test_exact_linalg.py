@@ -879,11 +879,10 @@ def sparse(rows) -> list[dict]:
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
-def mmatrix_solve(rows, rhs=None) -> tuple[F, ...] | None:
+def mmatrix_solve(rows, rhs) -> tuple[F, ...] | None:
     """:func:`_mmatrix_solve` of fresh pair rows and right-hand side, its
     pair solution read as `Fraction`."""
-    b = None if rhs is None else [(v.numerator, v.denominator) for v in rhs]
-    x = _mmatrix_solve(_pair_rows(rows), b)
+    x = _mmatrix_solve(_pair_rows(rows), [(v.numerator, v.denominator) for v in rhs])
     return None if x is None else tuple(map(_fraction, x))
 
 
@@ -899,7 +898,6 @@ def test_mmatrix_solve_matches_minors_and_dense_solve(rows, symmetric):
         rows = [[rows[min(i, j)][max(i, j)] for j in range(len(rows))] for i in range(len(rows))]
     rhs = [F(k - 2, k + 1) for k in range(len(rows))]
     expected = is_nonsingular_m_matrix(rows)
-    assert (mmatrix_solve(sparse(rows)) == ()) is expected
     solved = mmatrix_solve(sparse(rows), rhs)
     assert (solved is not None) is expected
     if expected:
@@ -916,16 +914,15 @@ def test_mmatrix_solve_matches_its_fraction_reference(rows, symmetric):
     if symmetric:
         rows = [[rows[min(i, j)][max(i, j)] for j in range(len(rows))] for i in range(len(rows))]
     rhs = [F(k - 2, 4093 + k) for k in range(len(rows))]
-    assert mmatrix_solve(sparse(rows)) == fraction_mmatrix_solve(sparse(rows))
     assert mmatrix_solve(sparse(rows), rhs) == fraction_mmatrix_solve(sparse(rows), rhs)
 
 
 def test_mmatrix_solve_stops_at_a_zero_pivot():
     singular = [[F(1), F(-1)], [F(-1), F(1)]]
-    assert mmatrix_solve(sparse(singular)) is None
+    assert mmatrix_solve(sparse(singular), [F(1), F(1)]) is None
     assert mmatrix_solve(sparse(singular), [F(0), F(0)]) is None
-    assert mmatrix_solve([{}]) is None
-    assert mmatrix_solve([]) == ()
+    assert mmatrix_solve([{}], [F(1)]) is None
+    assert mmatrix_solve([], []) == ()
     assert mmatrix_solve(sparse([[F(2), F(-1)], [F(-1), F(2)]]), [F(1), F(1)]) == (F(1), F(1))
 
 
@@ -934,7 +931,7 @@ def test_mmatrix_solve_on_the_400_piece_path():
     # leaves a nonsingular M-matrix, while the whole path has a negative pivot.
     n = 400
     negated = [{j: -x for j, x in enumerate(row) if x} for row in path_rows(n, closing_epsilon(n))]
-    assert mmatrix_solve(negated) is None
+    assert mmatrix_solve(negated, [F(1)] * n) is None
     head = [{j: x for j, x in row.items() if j < n - 1} for row in negated[:-1]]
     x = mmatrix_solve(head, [F(1)] * (n - 1))
     assert all(v > 0 for v in x)

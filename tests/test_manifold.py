@@ -335,8 +335,8 @@ def test_generated_graphs_yield_valid_matrices(pieces, seed):
 
 @pytest.mark.parametrize("profile", PROFILES)
 def test_every_profile_has_the_inertia_it_promises(profile):
-    # Only posEig is checked while generating, by a dominant coupling or an
-    # inertia; negdef, semidef and any hold by construction, so the dense
+    # Only posEig is checked while generating, by a dominant coupling or the
+    # Perron search; negdef, semidef and any hold by construction, so the dense
     # oracle checks all four here.
     for pieces in range(2, 41):
         for seed in range(3):
@@ -357,9 +357,10 @@ def test_a_dominant_coupling_accepts_a_poseig_draw_without_an_inertia(monkeypatc
     # A coupling c = A[i][j] with c^2 > |A[i][i]| |A[j][j]| gives A-minus a
     # 2x2 principal block with a positive eigenvalue, and so, by Cauchy
     # interlacing, A-minus one too.  The first 1,000-piece posEig draw
-    # (seed 3) has one; the inertia it skips took 32.6 s.  The digest is the
-    # draw's JSON text as generated when every posEig draw took the inertia.
-    monkeypatch.setattr(generate, "inertia", lambda rows: pytest.fail("inertia"))
+    # (seed 3) has one; the inertia it skips took 32.6 s, and no Perron search
+    # runs either.  The digest is the draw's JSON text as generated when every
+    # posEig draw took the inertia.
+    monkeypatch.setattr(generate, "_perron_search", lambda *args: pytest.fail("Perron search"))
     G = generate_manifold(1000, seed=3, profile="posEig")
     digest = sha256(json_text(manifold_to_json(G)).encode()).hexdigest()
     assert digest == "00f0edd081307b54503a0cd524be74353119d0678006e629cb5747654cc7ba92"

@@ -547,7 +547,7 @@ def test_strict_shrink_refines_t_until_the_row_is_strict():
 )
 def test_strict_shrink_names_the_branch_off_it(monkeypatch, rows, branch):
     solves = []
-    monkeypatch.setattr(reduction, "_mmatrix_solve", lambda *args: solves.append(args) or _mmatrix_solve(*args))
+    monkeypatch.setattr(exact_linalg, "_mmatrix_solve", lambda *args: solves.append(args) or _mmatrix_solve(*args))
     with pytest.raises(NoPositiveEigenvalueError, match=f"^decision branch is {branch}$"):
         strict_shrink(sym(rows))
     assert len(solves) == (len(rows) == 3)
@@ -567,6 +567,7 @@ def test_strict_shrink_takes_no_exact_elimination(monkeypatch):
         pytest.fail("an exact elimination ran")
 
     monkeypatch.setattr(exact_linalg, "_congruence", fail)
+    monkeypatch.setattr(exact_linalg, "_mmatrix_solve", fail)
     monkeypatch.setattr(reduction, "_mmatrix_solve", fail)
     assert strict_reduction_violations(A, strict_shrink_certificate(A)) == []
 
@@ -593,7 +594,7 @@ def test_fixed_point_solve_is_the_exact_solve_rounded(seed):
     rows = fixed_point_m_matrix(rng, n, unit)
     rhs = [rng.randint(1, unit) for _ in range(n)]
     exact = fraction_mmatrix_solve([{j: F(x) for j, x in row.items()} for row in rows], [F(b * unit) for b in rhs])
-    x = reduction._fixed_point_solve([dict(row) for row in rows], [b * unit for b in rhs])
+    x = exact_linalg._fixed_point_solve([dict(row) for row in rows], [b * unit for b in rhs])
     assert all(v > 0 for v in exact)
     assert all(abs(v - e) <= e / 2**30 + 1 for v, e in zip(x, exact))
 
@@ -601,8 +602,8 @@ def test_fixed_point_solve_is_the_exact_solve_rounded(seed):
 def test_fixed_point_solve_stops_at_a_non_positive_pivot():
     # [[1, -2], [-2, 1]] is a Z-matrix with a negative determinant: the
     # second pivot is 1 - 4 < 0.
-    assert reduction._fixed_point_solve([{0: 1, 1: -2}, {0: -2, 1: 1}], [1, 1]) is None
-    assert reduction._fixed_point_solve([{0: 0}], [1]) is None
+    assert exact_linalg._fixed_point_solve([{0: 1, 1: -2}, {0: -2, 1: 1}], [1, 1]) is None
+    assert exact_linalg._fixed_point_solve([{0: 0}], [1]) is None
 
 
 def assert_strict_shrink_is_right(A: SymMatrix) -> None:
