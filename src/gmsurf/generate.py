@@ -20,9 +20,8 @@ c = A[i][j] with c^2 > |A[i][i]| |A[j][j]| shows one in O(tori): the 2x2
 principal block of A-minus on i and j has a negative determinant, so a
 positive eigenvalue, and by Cauchy interlacing so has A-minus.  Only a draw
 with no such coupling runs the Perron search for the exact sign of A-minus's
-largest eigenvalue (:func:`gmsurf.exact_linalg._perron_search`), sign only
-first, and the full search only where that ends undecided.  Deterministic per
-(pieces, seed, profile).
+largest eigenvalue (:func:`gmsurf.exact_linalg._perron_search`).
+Deterministic per (pieces, seed, profile).
 """
 
 from __future__ import annotations
@@ -121,7 +120,6 @@ def generate_manifold(pieces: int, seed: int = 0, profile: str = "any") -> Decom
         couplings = ((i, j, c) for i, row in enumerate(A.sparse) for j, c in row.items() if j != i)
         if any(c * c > diagonal[i] * diagonal[j] for i, j, c in couplings):
             return G
-        scaled = _scaled(A.sparse)
-        if (_perron_search(scaled, sign_only=True) or _perron_search(scaled))[0] > 0:
+        if _perron_search(_scaled(A.sparse))[0] > 0:
             return G
     raise RuntimeError(f"profile {profile!r} unsatisfiable in {ATTEMPTS} attempts")
