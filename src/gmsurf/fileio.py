@@ -27,7 +27,6 @@ memory: a :class:`SymMatrix`, and a reduction's ``a_prime`` as one
 from __future__ import annotations
 
 import json
-import re
 from json.encoder import encode_basestring_ascii
 from fractions import Fraction
 from operator import itemgetter
@@ -337,49 +336,81 @@ def reject_float(text: str):
     )
 
 
-# Characters of rational strings: a row of them needs no JSON escaping.
-_PLAIN = re.compile(r"[-/0-9]*")
+# The set of entry types of a list or object whose entries are all strings
+# (all ints): ``set(map(type, value))`` tests that in C.
+_STR = {str}
+_INT = {int}
 
 
-def _plain_rows(value) -> bool:
-    """True iff ``value`` is a non-empty list of lists of rational-like strings."""
-    if type(value) is not list or not value:
-        return False
-    try:
-        return all(type(row) is list and _PLAIN.fullmatch("".join(row)) for row in value)
-    except TypeError:  # an entry that is not a string
-        return False
-
-
-def _write(value, indent: str, out: list[str]) -> None:
-    """Append the ``indent=2`` JSON text of ``value``; its lines after the
-    first start with ``indent``."""
+def _flat_text(value: list, indent: str) -> str | None:
+    """The ``indent=2`` JSON text of ``value``, a non-empty list, if it is a
+    list of plain strings or of ints, else None."""
     inner = indent + "  "
+    first = type(value[0])
+    if first is str:
+        try:
+            joined = "".join(value)
+        except TypeError:  # an entry that is not a string
+            return None
+        # No entry needs escaping iff escaping them all adds only the quotes.
+        if len(encode_basestring_ascii(joined)) != len(joined) + 2:
+            return None
+        between = f'",\n{inner}"'
+        return f'[\n{inner}"{between.join(value)}"\n{indent}]'
+    if first is int and set(map(type, value)) == _INT:
+        return f"[\n{inner}" + f",\n{inner}".join(map(int.__repr__, value)) + f"\n{indent}]"
+    return None
+
+
+def _write(value, indent: str, out: list[str], memo: dict) -> None:
+    """Append the ``indent=2`` JSON text of ``value``; its lines after the
+    first start with ``indent``.  ``memo`` maps the identity and indent of
+    each flat list already written to its text; the document holds every
+    list for the whole call, so no id is reused within it."""
     kind = type(value)
-    if kind is int:
-        out.append(int.__repr__(value))
-    elif kind is str:
+    if kind is str:
         out.append(encode_basestring_ascii(value))
-    elif kind is dict and value and all(type(key) is str for key in value):
-        out.append("{")
-        separator = "\n"
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        key = (id(value), indent)
+        text = memo.get(key)
+        if text is None:
+            text = _flat_text(value, indent)
+            if text is None:
+                inner = indent + "  "
+                separator = f"[\n{inner}"
+                for item in value:
+                    out.append(separator)
+                    _write(item, inner, out, memo)
+                    separator = f",\n{inner}"
+                out.append(f"\n{indent}]")
+                return
+            memo[key] = text
+        out.append(text)
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    elif kind is dict and set(map(type, value)) <= _STR:
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        if set(map(type, value.values())) == _INT:
+            keys = map(encode_basestring_ascii, value)
+            items = map("{}: {}".format, keys, map(int.__repr__, value.values()))
+            out.append(f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}")
+            return
+        separator = "{\n"
         for key, item in value.items():
             out.append(f"{separator}{inner}{encode_basestring_ascii(key)}: ")
-            _write(item, inner, out)
+            _write(item, inner, out, memo)
             separator = ",\n"
         out.append(f"\n{indent}}}")
-    elif _plain_rows(value):
-        entry = inner + "  "
-        between = f'",\n{entry}"'
-        rows = [f'[\n{entry}"{between.join(row)}"\n{inner}]' if row else "[]" for row in value]
-        out.append(f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{indent}]")
-    elif kind is list and value:
-        separator = f"[\n{inner}"
-        for item in value:
-            out.append(separator)
-            _write(item, inner, out)
-            separator = f",\n{inner}"
-        out.append(f"\n{indent}]")
     else:
         out.append(json.dumps(value, indent=2).replace("\n", "\n" + indent))
 
@@ -388,16 +419,29 @@ def json_text(doc) -> str:
     """The text of ``json.dumps(doc, indent=2)``, byte for byte.
 
     The pure-Python encoder that ``indent`` selects costs about 1 us per
-    entry, so the document is walked here instead: lists, objects with
-    string keys (such as the curve systems of a surface certificate), and
-    the ints and strings in them, written by the encoder's own primitives
-    (``int.__repr__``, ``encode_basestring_ascii``).  A matrix, a list of
-    rows of rational strings, is written row by row: one regex shows that a
-    row needs no escaping, and the row is joined in C.  Every other value
-    is ``json.dumps(value, indent=2)``, re-indented.
+    entry and leaves cyclic garbage behind, so the document is walked here
+    instead, and every value the package writes takes a direct path:
+
+    - strings and ints, through the encoder's own primitives
+      (``encode_basestring_ascii``, ``int.__repr__``); ``true``, ``false``
+      and ``null``; empty lists and objects;
+    - a list of ints (``blocks``, ``degrees``), joined in C;
+    - a list of strings that need no escaping, such as a matrix row of
+      rationals, joined in C: escaping the joined entries adds only the
+      quotes;
+    - an object of ints with string keys (a curve system, ``inertia``), in
+      one join;
+    - other lists, and objects with string keys, entry by entry.
+
+    A flat list that appears twice, as a row of ``matrix`` that ``a_minus``
+    shares, is written once: its text is kept by identity and indent for
+    the rest of the call.  Only floats, objects with a key that is not a
+    string and values of other types (an int subclass, say), which the
+    package never writes, go to ``json.dumps(value, indent=2)``,
+    re-indented.
     """
     out: list[str] = []
-    _write(doc, "", out)
+    _write(doc, "", out, {})
     return "".join(out)
 
 

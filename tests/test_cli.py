@@ -640,6 +640,55 @@ def test_emitted_files_contain_no_floats(tmp_path):
     check(json.loads(manifold.read_text()))
 
 
+def test_cli_output_needs_no_pure_python_encoder(tmp_path, monkeypatch, capsys):
+    # json.dumps(value, indent=2) builds its encoder with _make_iterencode;
+    # every document the CLI writes takes the writer's direct paths, so
+    # breaking that encoder changes no exit code and no byte of output.
+    inputs = {
+        "negdef": generate_manifold(6, seed=0, profile="negdef"),
+        "same": two_piece_graph(-1, -1),
+        "mixed": two_piece_graph(1, -1),
+        "pos_ve": generate_manifold(6, seed=0, profile="posEig"),
+        "pos_no_ve": two_piece_graph(1, -1, tori=(GluingTorus(1, 2, 1), GluingTorus(1, 2, 1))),
+    }
+    for name, G in inputs.items():
+        save_manifold(G, tmp_path / name)
+    save_json([["0", "1"], ["1", "0"]], tmp_path / "matrix")
+    out = tmp_path / "out"
+    out.mkdir()
+    commands = [f"analyze {name} --json" for name in inputs] + [
+        "matrix matrix --json --out out/reduction",
+        "certify pos_ve --out out/cert --json",
+        "verify pos_ve out/cert --json",
+        "verify negdef out/cert --json",
+        "cover find --genus 1 --alpha 3 --degrees 3 --json",
+        "cover find --genus 2 --alpha 5 --degrees 5;3,1,1 --json",
+        "gen 6 --seed 1",
+        "gen 6 --seed 1 --out out/gen",
+    ]
+    monkeypatch.chdir(tmp_path)
+
+    def run_all() -> list:
+        for path in out.iterdir():
+            path.unlink()
+        results = []
+        for command in commands:
+            code = main(command.split())
+            files = {path.name: path.read_bytes() for path in out.iterdir()}
+            results.append((command, code, capsys.readouterr(), files))
+        return results
+
+    expected = run_all()
+    assert [code for _, code, _, _ in expected] == [1, 0, 1, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0]
+    assert '"two_piece": {' in expected[1][2].out
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", broken)
+    assert run_all() == expected
+
+
 # --- exact numbers past the interpreter's 4300-digit int <-> str limit -----------
 
 
