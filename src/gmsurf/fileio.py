@@ -336,36 +336,32 @@ def reject_float(text: str):
     )
 
 
-# The set of entry types of a list or object whose entries are all strings
-# (all ints): ``set(map(type, value))`` tests that in C.
+# The set of key types of an object whose keys are all strings:
+# ``set(map(type, value)) <= _STR`` tests that in C.
 _STR = {str}
-_INT = {int}
 
 
 def _flat_text(value: list, indent: str) -> str | None:
     """The ``indent=2`` JSON text of ``value``, a non-empty list, if it is a
-    list of plain strings or of ints, else None."""
+    list of strings that need no escaping, else None."""
+    if type(value[0]) is not str:
+        return None
+    try:
+        joined = "".join(value)
+    except TypeError:  # an entry that is not a string
+        return None
+    # No entry needs escaping iff escaping them all adds only the quotes.
+    if len(encode_basestring_ascii(joined)) != len(joined) + 2:
+        return None
     inner = indent + "  "
-    first = type(value[0])
-    if first is str:
-        try:
-            joined = "".join(value)
-        except TypeError:  # an entry that is not a string
-            return None
-        # No entry needs escaping iff escaping them all adds only the quotes.
-        if len(encode_basestring_ascii(joined)) != len(joined) + 2:
-            return None
-        between = f'",\n{inner}"'
-        return f'[\n{inner}"{between.join(value)}"\n{indent}]'
-    if first is int and set(map(type, value)) == _INT:
-        return f"[\n{inner}" + f",\n{inner}".join(map(int.__repr__, value)) + f"\n{indent}]"
-    return None
+    between = f'",\n{inner}"'
+    return f'[\n{inner}"{between.join(value)}"\n{indent}]'
 
 
 def _write(value, indent: str, out: list[str], memo: dict) -> None:
     """Append the ``indent=2`` JSON text of ``value``; its lines after the
     first start with ``indent``.  ``memo`` maps the identity and indent of
-    each flat list already written to its text; the document holds every
+    each list of strings already written to its text; the document holds every
     list for the whole call, so no id is reused within it."""
     kind = type(value)
     if kind is str:
@@ -400,11 +396,6 @@ def _write(value, indent: str, out: list[str], memo: dict) -> None:
             out.append("{}")
             return
         inner = indent + "  "
-        if set(map(type, value.values())) == _INT:
-            keys = map(encode_basestring_ascii, value)
-            items = map("{}: {}".format, keys, map(int.__repr__, value.values()))
-            out.append(f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}")
-            return
         separator = "{\n"
         for key, item in value.items():
             out.append(f"{separator}{inner}{encode_basestring_ascii(key)}: ")
@@ -425,19 +416,17 @@ def json_text(doc) -> str:
     - strings and ints, through the encoder's own primitives
       (``encode_basestring_ascii``, ``int.__repr__``); ``true``, ``false``
       and ``null``; empty lists and objects;
-    - a list of ints (``blocks``, ``degrees``), joined in C;
     - a list of strings that need no escaping, such as a matrix row of
       rationals, joined in C: escaping the joined entries adds only the
       quotes;
-    - an object of ints with string keys (a curve system, ``inertia``), in
-      one join;
-    - other lists, and objects with string keys, entry by entry.
+    - other lists (``blocks``, ``degrees``), and objects with string keys
+      (a curve system, ``inertia``), entry by entry.
 
-    A flat list that appears twice, as a row of ``matrix`` that ``a_minus``
-    shares, is written once: its text is kept by identity and indent for
-    the rest of the call.  Only floats, objects with a key that is not a
-    string and values of other types (an int subclass, say), which the
-    package never writes, go to ``json.dumps(value, indent=2)``,
+    A list of strings that appears twice, as a row of ``matrix`` that
+    ``a_minus`` shares, is written once: its text is kept by identity and
+    indent for the rest of the call.  Only floats, objects with a key that
+    is not a string and values of other types (an int subclass, say), which
+    the package never writes, go to ``json.dumps(value, indent=2)``,
     re-indented.
     """
     out: list[str] = []

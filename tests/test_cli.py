@@ -641,9 +641,10 @@ def test_emitted_files_contain_no_floats(tmp_path):
 
 
 def test_cli_output_needs_no_pure_python_encoder(tmp_path, monkeypatch, capsys):
-    # json.dumps(value, indent=2) builds its encoder with _make_iterencode;
-    # every document the CLI writes takes the writer's direct paths, so
-    # breaking that encoder changes no exit code and no byte of output.
+    # Every JSON document the CLI writes is json.dumps(doc, indent=2) byte for
+    # byte.  json.dumps builds its indenting encoder with _make_iterencode;
+    # every document takes the writer's direct paths, so breaking that
+    # encoder changes no exit code and no byte of output.
     inputs = {
         "negdef": generate_manifold(6, seed=0, profile="negdef"),
         "same": two_piece_graph(-1, -1),
@@ -654,10 +655,12 @@ def test_cli_output_needs_no_pure_python_encoder(tmp_path, monkeypatch, capsys):
     for name, G in inputs.items():
         save_manifold(G, tmp_path / name)
     save_json([["0", "1"], ["1", "0"]], tmp_path / "matrix")
+    save_json([["-2", "1"], ["1", "-2"]], tmp_path / "negdef_matrix")
     out = tmp_path / "out"
     out.mkdir()
     commands = [f"analyze {name} --json" for name in inputs] + [
         "matrix matrix --json --out out/reduction",
+        "matrix negdef_matrix --json",
         "certify pos_ve --out out/cert --json",
         "verify pos_ve out/cert --json",
         "verify negdef out/cert --json",
@@ -679,8 +682,16 @@ def test_cli_output_needs_no_pure_python_encoder(tmp_path, monkeypatch, capsys):
         return results
 
     expected = run_all()
-    assert [code for _, code, _, _ in expected] == [1, 0, 1, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0]
+    assert [code for _, code, _, _ in expected] == [1, 0, 1, 0, 0, 0, 1, 0, 0, 4, 0, 0, 0, 0]
     assert '"two_piece": {' in expected[1][2].out
+    assert '"reduction": null' in expected[6][2].out
+    assert '"z": []' in expected[10][2].out
+    for command, _, captured, files in expected:
+        texts = [*(data.decode() for data in files.values())]
+        if "--json" in command or command == "gen 6 --seed 1":
+            texts.append(captured.out[captured.out.index("{\n"):])  # verify prints each violation first
+        for text in texts:
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
     def broken(*args, **kwargs):
         raise AssertionError("the pure-Python JSON encoder ran")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from gmsurf import fileio
-from gmsurf.cli import _analysis_report, main
+from gmsurf.cli import _analysis_report
 from gmsurf.decision import decide
 from gmsurf.exact_linalg import SymMatrix
 from gmsurf.fileio import (
@@ -569,50 +569,6 @@ def test_writer_matches_json_dumps_on_a_written_certificate(tmp_path):
     path = tmp_path / "cert.json"
     save_json(doc, path)
     assert path.read_text() == json.dumps(doc, indent=2) + "\n"
-
-
-# Every other JSON document kind the CLI writes, as the command that prints
-# it, its exit code and one of its entries: {m} is a two-piece manifold,
-# {cert} its surface certificate and {bad} that certificate with one curve
-# system tampered; {a} is an indefinite matrix and {d} a negative-definite
-# one, which has no reduction.
-CLI_DOCUMENTS = {
-    "matrix-with-reduction": ("matrix {a} --json", 0, "property_ve", True),
-    "matrix-without-reduction": ("matrix {d} --json", 1, "reduction", None),
-    "cover-find-one-circle": ("cover find --genus 1 --alpha 3 --degrees 3 --json", 0, "z", []),
-    "cover-find-two-circles": (
-        "cover find --genus 2 --alpha 5 --degrees 5;3,1,1 --json", 0, "boundary_cycle_types", [[5], [3, 1, 1]]
-    ),
-    "verify-valid": ("verify {m} {cert} --json", 0, "violations", []),
-    "verify-invalid": ("verify {m} {bad} --json", 4, "valid", False),
-    "certify": ("certify {m} --out {out} --json", 0, "degrees", [2, 2]),
-}
-
-
-def cli_files(tmp_path) -> dict[str, str]:
-    paths = {key: tmp_path / f"{key}.json" for key in ("m", "cert", "bad", "a", "d", "out")}
-    G = two_piece_graph(0, 0)
-    save_manifold(G, paths["m"])
-    cert = surface_cert_to_json(build_surface_certificate(G))
-    save_json(cert, paths["cert"])
-    cert["systems"][0]["b_minus"] += 1
-    save_json(cert, paths["bad"])
-    save_json(VERDICT_MATRICES[("PositiveEigenvalue", True)], paths["a"])
-    save_json(VERDICT_MATRICES[("NegativeDefinite", False)], paths["d"])
-    return {key: str(path) for key, path in paths.items()}
-
-
-@pytest.mark.parametrize("kind", list(CLI_DOCUMENTS))
-def test_writer_matches_json_dumps_on_cli_documents(kind, tmp_path, capsys):
-    command, code, key, value = CLI_DOCUMENTS[kind]
-    files = cli_files(tmp_path)
-    assert main([arg.format(**files) for arg in command.split()]) == code
-    out = capsys.readouterr().out
-    text = out[out.index("{\n"):]  # verify prints each violation first
-    doc = json.loads(text)
-    assert doc[key] == value
-    assert text == json.dumps(doc, indent=2) + "\n"
-    assert_same_text(doc)
 
 
 @pytest.mark.parametrize(
