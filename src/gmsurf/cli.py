@@ -26,7 +26,6 @@ from .covers import (
     CoverSpec,
     ParityError,
     cover_exists_bruteforce,
-    cycle_type,
     find_cover,
     parity_check,
 )
@@ -283,20 +282,21 @@ def _parse_degrees(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(groups)
 
 
-def _cycle_str(perm: tuple[int, ...]) -> str:
+def _cycle_str(perm: tuple[int, ...], labels: list[str]) -> str:
+    """Cycle notation without fixed points, "()" for the identity; point i
+    is written as ``labels[i]``, a table the caller builds once per command."""
     seen = [False] * len(perm)
     parts = []
     for start in range(len(perm)):
         if seen[start] or perm[start] == start:
-            seen[start] = True
             continue
         cycle = []
         i = start
         while not seen[i]:
             seen[i] = True
-            cycle.append(i)
+            cycle.append(labels[i])
             i = perm[i]
-        parts.append("(" + " ".join(str(c) for c in cycle) + ")")
+        parts.append("(" + " ".join(cycle) + ")")
     return "".join(parts) if parts else "()"
 
 
@@ -329,24 +329,23 @@ def cmd_cover(args) -> int:
     except ParityError as exc:
         print(f"no certificate: {exc}", file=sys.stderr)
         return EXIT_UNAVAILABLE
+    labels = [str(i) for i in range(cert.alpha)]
     zs = cert.all_z()
     doc = {
         "alpha": cert.alpha,
-        "x": [_cycle_str(p) for p in cert.x],
-        "y": [_cycle_str(p) for p in cert.y],
-        "z": [_cycle_str(p) for p in cert.z],
-        "last_z": _cycle_str(zs[-1]),
-        "boundary_cycle_types": [list(cycle_type(z)) for z in zs],
+        "x": [_cycle_str(p, labels) for p in cert.x],
+        "y": [_cycle_str(p, labels) for p in cert.y],
+        "z": [_cycle_str(p, labels) for p in cert.z],
+        "last_z": _cycle_str(zs[-1], labels),
+        # find_cover's recheck compared each z's cycle type with this one.
+        "boundary_cycle_types": [list(t) for t in spec.type_key()],
     }
     if args.json:
         print(json_text(doc))
     else:
-        for k, p in enumerate(cert.x):
-            print(f"x{k + 1} = {_cycle_str(p)}")
-        for k, p in enumerate(cert.y):
-            print(f"y{k + 1} = {_cycle_str(p)}")
-        for k, p in enumerate(cert.z):
-            print(f"z{k + 1} = {_cycle_str(p)}")
+        for name, perms in (("x", doc["x"]), ("y", doc["y"]), ("z", doc["z"])):
+            for k, text in enumerate(perms):
+                print(f"{name}{k + 1} = {text}")
         print(f"z{len(cert.z) + 1} = {doc['last_z']} (determined by the relation)")
     return EXIT_HOLDS
 

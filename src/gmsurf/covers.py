@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as all_permutations
 from itertools import product as cartesian_product
+from math import isqrt
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -51,7 +52,7 @@ def identity_perm(alpha: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Function composition: apply q first, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple([p[i] for i in q])
 
 
 def inverse(p: Perm) -> Perm:
@@ -62,15 +63,22 @@ def inverse(p: Perm) -> Perm:
 
 
 def word_product(ws: Sequence[Perm], alpha: int) -> Perm:
-    """Product of a word w_1 w_2 ... w_k, rightmost letter applied first."""
-    acc = identity_perm(alpha)
-    for w in reversed(ws):
+    """Product of a word w_1 w_2 ... w_k, rightmost letter applied first.
+
+    The product starts from the last letter; only the empty word builds the
+    identity."""
+    if not ws:
+        return identity_perm(alpha)
+    acc = tuple(ws[-1])
+    for w in reversed(ws[:-1]):
         acc = compose(w, acc)
     return acc
 
 
 def commutator(x: Perm, y: Perm) -> Perm:
-    return compose(compose(x, y), compose(inverse(x), inverse(y)))
+    """[x, y] = x y x^-1 y^-1 = (x y)(y x)^-1: one inverse, of y x, and x y
+    applied along it in one pass."""
+    return tuple([x[y[k]] for k in inverse([y[i] for i in x])])
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:
@@ -90,38 +98,39 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-def perm_from_cycle_lengths(alpha: int, lengths: Sequence[int], points: Sequence[int]) -> Perm:
-    """Permutation whose cycles run through ``points`` consecutively with the
-    given lengths (``points`` must be a rearrangement of 0..alpha-1)."""
-    out = [0] * alpha
-    pos = 0
+def canonical_perm(alpha: int, lengths: Sequence[int]) -> Perm:
+    """The permutation whose cycles run through 0, 1, ..., alpha-1 in order
+    with the given lengths (which sum to alpha): every point goes to the next
+    one, except that the last point of each cycle goes back to its first."""
+    out = list(range(1, alpha + 1))
+    end = 0
     for length in lengths:
-        cycle = points[pos : pos + length]
-        for k in range(length):
-            out[cycle[k]] = cycle[(k + 1) % length]
-        pos += length
+        end += length
+        out[end - 1] = end - length
     return tuple(out)
 
 
-def canonical_perm(alpha: int, lengths: Sequence[int]) -> Perm:
-    return perm_from_cycle_lengths(alpha, lengths, list(range(alpha)))
-
-
 def is_transitive(perms: Iterable[Perm], alpha: int) -> bool:
-    """Whether the generated permutation group has a single orbit."""
+    """Whether the generated permutation group has a single orbit.
+
+    The orbit of 0 grows while it is read: from each of its points, every
+    generator's cycle through that point is walked until it meets a reached
+    point.  The search stops once the orbit holds all alpha points, so one
+    generator that is an alpha-cycle settles it in one walk."""
     gens = list(perms)
-    if alpha == 1:
-        return True
-    reached = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
+    reached = [False] * alpha
+    reached[0] = True
+    orbit = [0]
+    for i in orbit:
         for p in gens:
             j = p[i]
-            if j not in reached:
-                reached.add(j)
-                stack.append(j)
-    return len(reached) == alpha
+            while not reached[j]:
+                reached[j] = True
+                orbit.append(j)
+                j = p[j]
+        if len(orbit) == alpha:
+            return True
+    return False
 
 
 def _partitions(n: int) -> list[tuple[int, ...]]:
@@ -194,7 +203,7 @@ class CoverSpec:
 @dataclass(frozen=True)
 class CoverCertificate:
     """Images of the free generators; the last boundary generator is implied
-    by the relation and never stored."""
+    by the relation and never stored as a field."""
 
     alpha: int
     x: tuple[Perm, ...]
@@ -202,8 +211,19 @@ class CoverCertificate:
     z: tuple[Perm, ...]
 
     def last_z(self) -> Perm:
+        """z_b = ([x_1, y_1] ... [x_g, y_g] z_1 ... z_{b-1})^-1.
+
+        The relation is multiplied out once per certificate: the product is
+        kept on the instance (outside the fields, so equality, hashing and
+        ``repr`` ignore it), and later calls return the same tuple."""
+        try:
+            return self._last_z
+        except AttributeError:
+            pass
         word = [commutator(xi, yi) for xi, yi in zip(self.x, self.y)] + list(self.z)
-        return inverse(word_product(word, self.alpha))
+        last = inverse(word_product(word, self.alpha))
+        object.__setattr__(self, "_last_z", last)
+        return last
 
     def all_z(self) -> tuple[Perm, ...]:
         return self.z + (self.last_z(),)
@@ -366,11 +386,26 @@ _BRUTE_FORCE_BUDGET = 20_000_000
 
 def _enumeration_cost(genus: int, boundary: int, alpha: int) -> int:
     """The larger of the sweep's tuple count and the alpha!^2 entries of the
-    composition and commutator tables built before it."""
-    from math import factorial
+    composition and commutator tables built before it, exact up to the
+    budget and ``_BRUTE_FORCE_BUDGET + 1`` past it.
 
-    slots = 2 * genus + boundary - 1
-    return max(len(_partitions(alpha)) * factorial(alpha) ** (slots - 1), factorial(alpha) ** 2)
+    The table term comes first, on a factorial that stops once its square
+    passes the budget, so a large alpha is refused without multiplying out
+    alpha! or listing a partition of alpha; the sweep's product stops the
+    same way."""
+    over = _BRUTE_FORCE_BUDGET + 1
+    fact, root = 1, isqrt(_BRUTE_FORCE_BUDGET)
+    for k in range(2, alpha + 1):
+        fact *= k
+        if fact > root:
+            return over
+    sweep = len(_partitions(alpha))
+    if fact > 1:
+        for _ in range(2 * genus + boundary - 2):
+            sweep *= fact
+            if sweep > _BRUTE_FORCE_BUDGET:
+                return over
+    return max(sweep, fact * fact)
 
 
 @lru_cache(maxsize=None)
@@ -431,9 +466,9 @@ def cover_exists_bruteforce(spec: CoverSpec) -> bool:
     ``_BRUTE_FORCE_BUDGET``; the sweep itself is cached per (genus, boundary
     count, degree).
     """
-    cost = _enumeration_cost(spec.genus, spec.boundary_count, spec.alpha)
-    if cost > _BRUTE_FORCE_BUDGET:
+    if _enumeration_cost(spec.genus, spec.boundary_count, spec.alpha) > _BRUTE_FORCE_BUDGET:
         raise BudgetExceededError(
-            f"enumeration needs ~{cost} tuples or table entries, budget is {_BRUTE_FORCE_BUDGET}"
+            f"enumeration over S_{spec.alpha} needs more tuples or table entries than the "
+            f"budget allows, budget is {_BRUTE_FORCE_BUDGET}"
         )
     return spec.type_key() in _achievable_types(spec.genus, spec.boundary_count, spec.alpha)

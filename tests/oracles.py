@@ -34,6 +34,14 @@ the dense routines they replaced, kept so tests can compare results exactly:
   solved in `Fraction` by :func:`fraction_mmatrix_solve`, and
   :func:`primitive`, the coprime integers on a rational ray.
 
+- :func:`textbook_compose`, :func:`textbook_inverse`,
+  :func:`textbook_commutator` (three compositions) and
+  :func:`textbook_word_product` (from the identity), the per-point
+  permutation kernels that `gmsurf.covers` replaced with one-pass ones;
+  :func:`textbook_is_transitive`, an orbit search over a set that visits
+  every point once per generator; and :func:`perm_from_cycle_lengths`, the
+  per-point cycle builder that `canonical_perm` ran on the points in order.
+
 It also holds :func:`bilinear_identity`, the exact quadratic-form expansion
 behind reading a negativity certificate as "A is negative", and the dense
 matrix helpers that only tests need: :func:`to_lists`, :func:`dense_rows`,
@@ -606,3 +614,54 @@ def bilinear_identity(
         for j in range(i + 1, n)
     )
     return lhs, rhs
+
+
+def textbook_compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """Apply q first, then p, one point at a time."""
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def textbook_inverse(p: Sequence[int]) -> tuple[int, ...]:
+    """The permutation sending p[i] back to i."""
+    return tuple(p.index(j) for j in range(len(p)))
+
+
+def textbook_commutator(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+    """[x, y] = x y x^-1 y^-1 as three compositions."""
+    return textbook_compose(
+        textbook_compose(x, y), textbook_compose(textbook_inverse(x), textbook_inverse(y))
+    )
+
+
+def textbook_word_product(word: Sequence[Sequence[int]], alpha: int) -> tuple[int, ...]:
+    """w_1 w_2 ... w_k, the rightmost letter applied first, from the identity."""
+    acc = tuple(range(alpha))
+    for w in reversed(word):
+        acc = textbook_compose(w, acc)
+    return acc
+
+
+def textbook_is_transitive(perms: Sequence[Sequence[int]], alpha: int) -> bool:
+    """Whether the orbit of 0 under the generators is all of 0..alpha-1."""
+    reached = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for p in perms:
+            if p[i] not in reached:
+                reached.add(p[i])
+                stack.append(p[i])
+    return len(reached) == alpha
+
+
+def perm_from_cycle_lengths(alpha: int, lengths: Sequence[int], points: Sequence[int]) -> tuple[int, ...]:
+    """Permutation whose cycles run through ``points`` consecutively with the
+    given lengths (``points`` must be a rearrangement of 0..alpha-1)."""
+    out = [0] * alpha
+    pos = 0
+    for length in lengths:
+        cycle = points[pos : pos + length]
+        for k in range(length):
+            out[cycle[k]] = cycle[(k + 1) % length]
+        pos += length
+    return tuple(out)

@@ -574,20 +574,32 @@ def test_cover_find_rejects_seed_option():
 
 
 def test_cover_find_multiplies_the_relation_out_once_after_the_recheck(monkeypatch, capsys):
+    # find_cover's recheck multiplies the relation out, one commutator per
+    # handle; the output, and any later call, reuses that product.
     calls = []
-    last_z = covers.CoverCertificate.last_z
+    commutator = covers.commutator
 
-    def counted(cert):
-        calls.append(cert)
-        return last_z(cert)
+    def counted(x, y):
+        calls.append((x, y))
+        return commutator(x, y)
 
-    monkeypatch.setattr(covers.CoverCertificate, "last_z", counted)
+    certs = []
+    find_cover = cli.find_cover
+
+    def kept(spec):
+        certs.append(find_cover(spec))
+        return certs[-1]
+
+    monkeypatch.setattr(covers, "commutator", counted)
+    monkeypatch.setattr(cli, "find_cover", kept)
     code = main(["cover", "find", "--genus", "2", "--alpha", "5", "--degrees", "5;3,1,1", "--json"])
     assert code == 0
+    assert len(calls) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["boundary_cycle_types"] == [[5], [3, 1, 1]]
-    assert doc["last_z"] == cli._cycle_str(calls[-1].last_z())
-    assert len(calls) == 3  # find_cover's own recheck, the output, and this test's call
+    (cert,) = certs
+    assert doc["last_z"] == cli._cycle_str(cert.last_z(), [str(i) for i in range(5)])
+    assert len(calls) == 2
 
 
 def test_cover_brute_exit_codes():
@@ -595,15 +607,20 @@ def test_cover_brute_exit_codes():
     assert main(["cover", "brute", "--genus", "1", "--alpha", "2", "--degrees", "2"]) == 1
 
 
-@pytest.mark.parametrize("alpha", [7, 8, 9])
+@pytest.mark.parametrize("alpha", [7, 8, 9, 60, 100, 1000000])
 def test_cover_brute_counts_the_group_tables_in_its_budget(monkeypatch, capsys, alpha):
     # The sweep itself is small here, but the alpha!^2 composition and
     # commutator tables built before it are not: the budget must refuse them
-    # before they are started.
+    # before they are started, and before the p(alpha) partitions of alpha
+    # (190,569,292 at alpha = 100) are listed.
     def started(alpha):
         raise AssertionError(f"the S_{alpha} tables were started")
 
+    def listed(alpha):
+        raise AssertionError(f"the partitions of {alpha} were listed")
+
     monkeypatch.setattr(covers, "_sym_group", started)
+    monkeypatch.setattr(covers, "_partitions", listed)
     assert main(["cover", "brute", "--genus", "1", "--alpha", str(alpha), "--degrees", str(alpha)]) == 2
     assert "budget is 20000000" in capsys.readouterr().err
 

@@ -24,9 +24,16 @@ from gmsurf.covers import (
     inverse,
     is_transitive,
     parity_check,
-    perm_from_cycle_lengths,
     verify_cover,
     word_product,
+)
+from oracles import (
+    perm_from_cycle_lengths,
+    textbook_commutator,
+    textbook_compose,
+    textbook_inverse,
+    textbook_is_transitive,
+    textbook_word_product,
 )
 
 
@@ -75,6 +82,10 @@ def test_perm_from_cycle_lengths_realizes_requested_type():
 def test_canonical_perm_uses_increasing_points():
     assert cycle_type(canonical_perm(4, [2, 2])) == (2, 2)
     assert canonical_perm(3, [3]) == (1, 2, 0)
+    for alpha in range(1, 9):
+        for lengths in boundary_partitions(alpha):
+            for order in {lengths, lengths[::-1]}:
+                assert canonical_perm(alpha, order) == perm_from_cycle_lengths(alpha, order, range(alpha))
 
 
 def test_is_transitive_detects_orbits():
@@ -286,12 +297,61 @@ def test_find_cover_never_runs_the_exhaustive_oracle(monkeypatch):
             assert verify_cover(spec, find_cover(spec)) == []
 
 
-def test_relator_product_of_any_certificate_is_identity():
-    spec = CoverSpec(genus=2, alpha=3, boundary_degrees=((3,), (1, 1, 1)))
+@pytest.mark.parametrize(
+    "genus, degrees",
+    [(2, ((3,), (1, 1, 1))), (1, ((40,), (20, 19, 1), (2, 2) + (1,) * 36)), (3, ((401,), (401,)))],
+)
+def test_relator_product_of_any_certificate_is_identity(genus, degrees):
+    spec = CoverSpec(genus=genus, alpha=sum(degrees[0]), boundary_degrees=degrees)
     cert = find_cover(spec)
     word = [commutator(x, y) for x, y in zip(cert.x, cert.y)]
     word.extend(cert.all_z())
     assert word_product(word, spec.alpha) == identity_perm(spec.alpha)
+    # The implied z is multiplied out once: a later call returns the same
+    # tuple, and it equals the textbook product of the relation.
+    last = cert.last_z()
+    assert cert.last_z() is last and cert.all_z()[-1] is last
+    relation = [textbook_commutator(x, y) for x, y in zip(cert.x, cert.y)] + list(cert.z)
+    assert last == textbook_inverse(textbook_word_product(relation, spec.alpha))
+
+
+def random_perm(rng: random.Random, alpha: int) -> tuple[int, ...]:
+    points = list(range(alpha))
+    rng.shuffle(points)
+    return tuple(points)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 40, 401])
+def test_permutation_kernels_match_the_textbook_ones(alpha):
+    rng = random.Random(alpha)
+    perms = [random_perm(rng, alpha) for _ in range(6)]
+    for p, q in zip(perms, perms[1:]):
+        assert compose(p, q) == textbook_compose(p, q)
+        assert inverse(p) == textbook_inverse(p)
+        assert commutator(p, q) == textbook_commutator(p, q)
+    for k in range(len(perms) + 1):
+        word = perms[:k]
+        got = word_product(word, alpha)
+        assert type(got) is tuple and got == textbook_word_product(word, alpha)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 40, 401])
+def test_is_transitive_matches_the_textbook_orbit_search(alpha):
+    # Random permutations are mostly transitive together; products of a few
+    # random transpositions and the identity mostly are not.
+    rng = random.Random(alpha)
+    for _ in range(30):
+        gens = []
+        for _ in range(rng.randrange(4)):
+            if rng.random() < 0.3:
+                gens.append(random_perm(rng, alpha))
+                continue
+            points = list(range(alpha))
+            for _ in range(rng.randrange(alpha)):
+                i, j = rng.randrange(alpha), rng.randrange(alpha)
+                points[i], points[j] = points[j], points[i]
+            gens.append(tuple(points))
+        assert is_transitive(gens, alpha) == textbook_is_transitive(gens, alpha), gens
 
 
 # --- exhaustive existence oracle ------------------------------------------------------
