@@ -63,6 +63,11 @@ EXIT_UNAVAILABLE = 3
 EXIT_INVALID = 4
 EXIT_INTERNAL = 5
 
+# The largest degree `cover find` builds a witness for.  Its permutations
+# take about 440 bytes a point (README), so the cap bounds the command's
+# memory; a larger alpha is refused before anything alpha-long is built.
+MAX_FIND_ALPHA = 10**6
+
 
 def _fail_input(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -324,6 +329,8 @@ def cmd_cover(args) -> int:
         else:
             print(f"exhaustive search: {'cover exists' if exists else 'no cover'}")
         return EXIT_HOLDS if exists else EXIT_FAILS
+    if spec.alpha > MAX_FIND_ALPHA:
+        return _fail_input(f"cover find takes --alpha up to {MAX_FIND_ALPHA}, got {spec.alpha}")
     try:
         cert = find_cover(spec)
     except ParityError as exc:

@@ -28,12 +28,13 @@ as functions, rightmost factor applied first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import permutations as all_permutations
 from itertools import product as cartesian_product
 from math import isqrt
-from typing import Iterable, Sequence
+
+from .value import Value, _set
 
 Perm = tuple[int, ...]
 
@@ -148,8 +149,7 @@ def _partitions(n: int) -> list[tuple[int, ...]]:
     return result
 
 
-@dataclass(frozen=True)
-class CoverSpec:
+class CoverSpec(Value):
     """Requested cover: base genus and degree plus boundary cycle structure.
 
     ``boundary_degrees`` has one inner tuple per base boundary circle, listing
@@ -157,36 +157,35 @@ class CoverSpec:
     alpha.  The base surface must have positive genus.
     """
 
-    genus: int
-    alpha: int
-    boundary_degrees: tuple[tuple[int, ...], ...]
+    __slots__ = ("genus", "alpha", "boundary_degrees")
 
-    def __post_init__(self):
+    def __init__(self, genus: int, alpha: int, boundary_degrees: tuple[tuple[int, ...], ...]):
         """One type test per field, as :class:`gmsurf.manifold.SeifertPiece`
         does: the genus, alpha and every degree must be ints (a bool, a float
         or a string is a TypeError).  Then the values."""
-        object.__setattr__(self, "boundary_degrees", tuple(map(tuple, self.boundary_degrees)))
-        if type(self.genus) is not int:
-            raise TypeError(f"genus must be an integer, got {self.genus!r}")
-        if type(self.alpha) is not int:
-            raise TypeError(f"alpha must be an integer, got {self.alpha!r}")
-        for k, inner in enumerate(self.boundary_degrees):
+        boundary_degrees = tuple(map(tuple, boundary_degrees))
+        _set(self, "genus", genus)
+        _set(self, "alpha", alpha)
+        _set(self, "boundary_degrees", boundary_degrees)
+        if type(genus) is not int:
+            raise TypeError(f"genus must be an integer, got {genus!r}")
+        if type(alpha) is not int:
+            raise TypeError(f"alpha must be an integer, got {alpha!r}")
+        for k, inner in enumerate(boundary_degrees):
             for d in inner:
                 if type(d) is not int:
                     raise TypeError(f"boundary circle {k}: degrees must be integers, got {d!r}")
-        if self.genus < 1:
-            raise ValueError(f"genus must be >= 1, got {self.genus}")
-        if self.alpha < 1:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-        if not self.boundary_degrees:
+        if genus < 1:
+            raise ValueError(f"genus must be >= 1, got {genus}")
+        if alpha < 1:
+            raise ValueError(f"alpha must be >= 1, got {alpha}")
+        if not boundary_degrees:
             raise ValueError("need at least one boundary circle")
-        for k, inner in enumerate(self.boundary_degrees):
+        for k, inner in enumerate(boundary_degrees):
             if not inner or any(d < 1 for d in inner):
                 raise ValueError(f"boundary circle {k}: degrees must be positive")
-            if sum(inner) != self.alpha:
-                raise ValueError(
-                    f"boundary circle {k}: degrees sum to {sum(inner)}, expected {self.alpha}"
-                )
+            if sum(inner) != alpha:
+                raise ValueError(f"boundary circle {k}: degrees sum to {sum(inner)}, expected {alpha}")
 
     @property
     def boundary_count(self) -> int:
@@ -200,15 +199,17 @@ class CoverSpec:
         return tuple(tuple(sorted(inner, reverse=True)) for inner in self.boundary_degrees)
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(Value):
     """Images of the free generators; the last boundary generator is implied
     by the relation and never stored as a field."""
 
-    alpha: int
-    x: tuple[Perm, ...]
-    y: tuple[Perm, ...]
-    z: tuple[Perm, ...]
+    __slots__ = ("alpha", "x", "y", "z", "_last_z")
+
+    def __init__(self, alpha: int, x: tuple[Perm, ...], y: tuple[Perm, ...], z: tuple[Perm, ...]):
+        _set(self, "alpha", alpha)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
 
     def last_z(self) -> Perm:
         """z_b = ([x_1, y_1] ... [x_g, y_g] z_1 ... z_{b-1})^-1.
@@ -222,7 +223,7 @@ class CoverCertificate:
             pass
         word = [commutator(xi, yi) for xi, yi in zip(self.x, self.y)] + list(self.z)
         last = inverse(word_product(word, self.alpha))
-        object.__setattr__(self, "_last_z", last)
+        _set(self, "_last_z", last)
         return last
 
     def all_z(self) -> tuple[Perm, ...]:

@@ -36,7 +36,6 @@ is exposed as an independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -50,6 +49,7 @@ from .exact_linalg import (
     matrix_components,
 )
 from .manifold import a_minus, split_blocks
+from .value import Value, _set
 
 
 class NotTwoPieceError(ValueError):
@@ -65,16 +65,25 @@ class Branch(Enum):
     NEGATIVE_DEFINITE = "NegativeDefinite"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """Joint outcome of both decisions for one matrix, with the
     (positive, negative, zero) diagonal split they read."""
 
-    property_i: bool
-    property_ve: bool
-    branch: Branch
-    inertia_of_a_minus: Inertia
-    blocks: tuple[list[int], list[int], list[int]]
+    __slots__ = ("property_i", "property_ve", "branch", "inertia_of_a_minus", "blocks")
+
+    def __init__(
+        self,
+        property_i: bool,
+        property_ve: bool,
+        branch: Branch,
+        inertia_of_a_minus: Inertia,
+        blocks: tuple[list[int], list[int], list[int]],
+    ):
+        _set(self, "property_i", property_i)
+        _set(self, "property_ve", property_ve)
+        _set(self, "branch", branch)
+        _set(self, "inertia_of_a_minus", inertia_of_a_minus)
+        _set(self, "blocks", blocks)
 
 
 def _check_input(A: SymMatrix) -> tuple[list[int], list[int], list[int]]:
@@ -160,14 +169,16 @@ def decide(A: SymMatrix) -> Verdict:
     )
 
 
-@dataclass(frozen=True)
-class TwoPieceInvariant:
+class TwoPieceInvariant(Value):
     """The rational invariant D = A11*A22 / A12^2 of a two-piece manifold."""
 
-    d: Fraction
-    a11: Fraction
-    a22: Fraction
-    a12: Fraction
+    __slots__ = ("d", "a11", "a22", "a12")
+
+    def __init__(self, d: Fraction, a11: Fraction, a22: Fraction, a12: Fraction):
+        _set(self, "d", d)
+        _set(self, "a11", a11)
+        _set(self, "a22", a22)
+        _set(self, "a12", a12)
 
     @property
     def i_via_d(self) -> bool:

@@ -56,10 +56,11 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+
+from .value import Value, _set
 
 Rational = Fraction
 
@@ -106,20 +107,21 @@ def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class Inertia:
+class Inertia(Value):
     """Exact eigenvalue sign counts of a symmetric matrix."""
 
-    n_pos: int
-    n_zero: int
-    n_neg: int
+    __slots__ = ("n_pos", "n_zero", "n_neg")
+
+    def __init__(self, n_pos: int, n_zero: int, n_neg: int):
+        _set(self, "n_pos", n_pos)
+        _set(self, "n_zero", n_zero)
+        _set(self, "n_neg", n_neg)
 
     def __str__(self) -> str:
         return f"({self.n_pos}, {self.n_zero}, {self.n_neg})"
 
 
-@dataclass(frozen=True, slots=True)
-class SymMatrix:
+class SymMatrix(Value):
     """Immutable symmetric matrix over the rationals, kept as its nonzero entries.
 
     :attr:`sparse` holds one ``{column: value}`` dict per row, nonzero
@@ -132,11 +134,11 @@ class SymMatrix:
     pair).  A mirror that is the same object needs no comparison.
     """
 
-    sparse: tuple[dict[int, Fraction], ...]
+    __slots__ = ("sparse",)
 
-    def __post_init__(self):
-        rows = tuple(self.sparse)
-        object.__setattr__(self, "sparse", rows)
+    def __init__(self, sparse: tuple[dict[int, Fraction], ...]):
+        rows = tuple(sparse)
+        _set(self, "sparse", rows)
         n = len(rows)
         asymmetric = []
         for i, row in enumerate(rows):

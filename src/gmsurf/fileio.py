@@ -30,7 +30,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from fractions import Fraction
 from operator import itemgetter
-from pathlib import Path
+from os import PathLike
 
 from .exact_linalg import SymMatrix, rational_str, to_rational
 from .manifold import DecompositionGraph, GluingTorus, SeifertPiece
@@ -312,7 +312,7 @@ def _raise_system_error(record, k: int):
         parse_int_field(record[key], f"{where}.{key}")
 
 
-def parse_json(text: str, where: str | Path):
+def parse_json(text: str, where: str | PathLike):
     """The JSON document in ``text``, read from ``where``; floats are rejected.
 
     Malformed JSON and nesting too deep for the parser's recursion both
@@ -326,8 +326,10 @@ def parse_json(text: str, where: str | Path):
         raise FileFormatError(f"{where}: JSON nested too deeply") from None
 
 
-def load_json(path: str | Path):
-    return parse_json(Path(path).read_text(), path)
+def load_json(path: str | PathLike):
+    with open(path) as f:
+        text = f.read()
+    return parse_json(text, path)
 
 
 def reject_float(text: str):
@@ -434,10 +436,11 @@ def json_text(doc) -> str:
     return "".join(out)
 
 
-def save_json(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(json_text(doc) + "\n")
+def save_json(doc: dict, path: str | PathLike) -> None:
+    with open(path, "w") as f:
+        f.write(json_text(doc) + "\n")
 
 
-def load_manifold(path: str | Path) -> DecompositionGraph:
+def load_manifold(path: str | PathLike) -> DecompositionGraph:
     return manifold_from_json(load_json(path))
 

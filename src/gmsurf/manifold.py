@@ -21,11 +21,11 @@ Standing normalizations, enforced by :func:`validate`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .exact_linalg import Rational, SymMatrix, to_rational
+from .value import Value, _set
 
 
 class InvalidGraphError(ValueError):
@@ -36,35 +36,31 @@ class InvalidGraphError(ValueError):
         super().__init__("; ".join(violations))
 
 
-@dataclass(frozen=True)
-class SeifertPiece:
+class SeifertPiece(Value):
     """One Seifert-fibered piece: id, rational Euler number, orientable base data."""
 
-    id: int
-    euler: Rational
-    genus: int = 0
-    cone_orders: tuple[int, ...] = ()
+    __slots__ = ("id", "euler", "genus", "cone_orders")
 
-    def __post_init__(self):
+    def __init__(self, id: int, euler: Rational, genus: int = 0, cone_orders: tuple[int, ...] = ()):
         """One type test per field: the id, the genus and each cone order
         must be ints (a bool, a float or a string is a TypeError), and an
         Euler number that is not a `Fraction` goes through
         :func:`to_rational`.  Then the values: genus >= 0, cone orders >= 2."""
-        if type(self.euler) is not Fraction:
-            object.__setattr__(self, "euler", to_rational(self.euler))
-        if type(self.cone_orders) is not tuple:
-            object.__setattr__(self, "cone_orders", tuple(self.cone_orders))
-        if type(self.id) is not int:
-            raise TypeError(f"piece id must be an integer, got {self.id!r}")
-        if type(self.genus) is not int:
-            raise TypeError(f"piece {self.id}: genus must be an integer, got {self.genus!r}")
-        if self.genus < 0:
-            raise ValueError(f"piece {self.id}: genus must be non-negative")
+        _set(self, "id", id)
+        _set(self, "euler", euler if type(euler) is Fraction else to_rational(euler))
+        _set(self, "genus", genus)
+        _set(self, "cone_orders", cone_orders if type(cone_orders) is tuple else tuple(cone_orders))
+        if type(id) is not int:
+            raise TypeError(f"piece id must be an integer, got {id!r}")
+        if type(genus) is not int:
+            raise TypeError(f"piece {id}: genus must be an integer, got {genus!r}")
+        if genus < 0:
+            raise ValueError(f"piece {id}: genus must be non-negative")
         for a in self.cone_orders:
             if type(a) is not int:
-                raise TypeError(f"piece {self.id}: cone orders must be integers, got {a!r}")
+                raise TypeError(f"piece {id}: cone orders must be integers, got {a!r}")
             if a < 2:
-                raise ValueError(f"piece {self.id}: cone orders must be >= 2, got {a}")
+                raise ValueError(f"piece {id}: cone orders must be >= 2, got {a}")
 
     def orbifold_euler(self, boundary_count: int) -> Fraction:
         """Orbifold Euler characteristic of the base with the given number of
@@ -75,8 +71,7 @@ class SeifertPiece:
         return chi
 
 
-@dataclass(frozen=True)
-class GluingTorus:
+class GluingTorus(Value):
     """One gluing torus between two distinct pieces.
 
     p is the (positive) intersection number of the two sides' fibers.  The
@@ -87,20 +82,18 @@ class GluingTorus:
     q and q_prime trade places while p and p_prime stay put.
     """
 
-    from_piece: int
-    to_piece: int
-    p: int
-    q: int = 1
-    q_prime: int = 1
-    p_prime: int = 0
+    __slots__ = ("from_piece", "to_piece", "p", "q", "q_prime", "p_prime")
 
-    def __post_init__(self):
+    def __init__(self, from_piece: int, to_piece: int, p: int, q: int = 1, q_prime: int = 1, p_prime: int = 0):
         """One type test per field: all six are ints, not bools."""
-        if not (
-            type(self.from_piece) is type(self.to_piece) is type(self.p)
-            is type(self.q) is type(self.q_prime) is type(self.p_prime) is int
-        ):
-            for name in ("from_piece", "to_piece", "p", "q", "q_prime", "p_prime"):
+        _set(self, "from_piece", from_piece)
+        _set(self, "to_piece", to_piece)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "q_prime", q_prime)
+        _set(self, "p_prime", p_prime)
+        if not (type(from_piece) is type(to_piece) is type(p) is type(q) is type(q_prime) is type(p_prime) is int):
+            for name in self.__slots__:
                 value = getattr(self, name)
                 if type(value) is not int:
                     raise TypeError(f"torus field {name} must be an integer, got {value!r}")
@@ -109,20 +102,18 @@ class GluingTorus:
         return piece_id in (self.from_piece, self.to_piece)
 
 
-@dataclass(frozen=True)
-class DecompositionGraph:
+class DecompositionGraph(Value):
     """A graph manifold: pieces at the vertices, gluing tori as (multi)edges.
 
     Matrix indices follow the order of the ``pieces`` tuple, not piece ids;
     ids only name pieces in input files and torus records.
     """
 
-    pieces: tuple[SeifertPiece, ...]
-    tori: tuple[GluingTorus, ...] = field(default=())
+    __slots__ = ("pieces", "tori")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        object.__setattr__(self, "tori", tuple(self.tori))
+    def __init__(self, pieces: tuple[SeifertPiece, ...], tori: tuple[GluingTorus, ...] = ()):
+        _set(self, "pieces", tuple(pieces))
+        _set(self, "tori", tuple(tori))
 
 
 def validate(G: DecompositionGraph) -> list[str]:

@@ -43,9 +43,8 @@ not package code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .decision import Branch
 from .exact_linalg import (
@@ -62,6 +61,7 @@ from .exact_linalg import (
     matrix_components,
 )
 from .manifold import split_blocks
+from .value import Value, _set
 
 
 class NegativeDefiniteError(ValueError):
@@ -76,8 +76,7 @@ class NoPositiveEigenvalueError(ValueError):
     """A-minus has no positive eigenvalue, so no strict shrink exists; the message names the branch."""
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
+class ReductionCertificate(Value):
     """A singular reduction A' of some source matrix plus its annihilated vector.
 
     ``a_prime`` holds one ``{column: value}`` dict of nonzero entries per
@@ -86,8 +85,11 @@ class ReductionCertificate:
     a_prime . a = 0 exactly, a nonzero with non-negative entries.
     """
 
-    a_prime: tuple[dict[int, Fraction], ...]
-    a: tuple[Fraction, ...]
+    __slots__ = ("a_prime", "a")
+
+    def __init__(self, a_prime: tuple[dict[int, Fraction], ...], a: tuple[Fraction, ...]):
+        _set(self, "a_prime", a_prime)
+        _set(self, "a", a)
 
     def has_order(self, n: int) -> bool:
         """True iff ``a`` and ``a_prime`` have n entries and rows, and every
@@ -165,8 +167,7 @@ def verify_reduction(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
-class NegativityCertificate:
+class NegativityCertificate(Value):
     """A strictly positive vector a with A*a <= 0 entrywise.
 
     For nonsingular (negative definite) A the image is (-1, ..., -1); for
@@ -174,8 +175,11 @@ class NegativityCertificate:
     kernel.
     """
 
-    a: tuple[Fraction, ...]
-    image: tuple[Fraction, ...]
+    __slots__ = ("a", "image")
+
+    def __init__(self, a: tuple[Fraction, ...], image: tuple[Fraction, ...]):
+        _set(self, "a", a)
+        _set(self, "image", image)
 
 
 def negativity_certificate(A: SymMatrix) -> NegativityCertificate:

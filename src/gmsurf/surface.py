@@ -65,17 +65,16 @@ a_minus; the builder needs no retry and no fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .exact_linalg import _fraction, _inverse, _mul, _sub
 from .manifold import DecompositionGraph, decomposition_matrix
 from .reduction import ReductionCertificate, strict_shrink, verify_reduction
+from .value import Value, _set
 
 
-@dataclass(frozen=True)
-class CurveSystem:
+class CurveSystem(Value):
     """Integer curve coordinates on one side of one torus.
 
     ``torus`` indexes the graph's torus list; ``side`` is the piece id whose
@@ -84,16 +83,18 @@ class CurveSystem:
     equals the degree of the side's piece.
     """
 
-    torus: int
-    side: int
-    a_plus: int
-    a_minus: int
-    b_plus: int
-    b_minus: int
+    __slots__ = ("torus", "side", "a_plus", "a_minus", "b_plus", "b_minus")
+
+    def __init__(self, torus: int, side: int, a_plus: int, a_minus: int, b_plus: int, b_minus: int):
+        _set(self, "torus", torus)
+        _set(self, "side", side)
+        _set(self, "a_plus", a_plus)
+        _set(self, "a_minus", a_minus)
+        _set(self, "b_plus", b_plus)
+        _set(self, "b_minus", b_minus)
 
 
-@dataclass(frozen=True)
-class SurfaceCertificate:
+class SurfaceCertificate(Value):
     """Full witness for the positive-eigenvalue branch.
 
     ``degrees`` lists the per-piece covering degrees (already scaled to make
@@ -103,10 +104,15 @@ class SurfaceCertificate:
     decomposition matrix.
     """
 
-    degrees: tuple[int, ...]
-    scale: int
-    reduction: ReductionCertificate
-    systems: tuple[CurveSystem, ...]
+    __slots__ = ("degrees", "scale", "reduction", "systems")
+
+    def __init__(
+        self, degrees: tuple[int, ...], scale: int, reduction: ReductionCertificate, systems: tuple[CurveSystem, ...]
+    ):
+        _set(self, "degrees", degrees)
+        _set(self, "scale", scale)
+        _set(self, "reduction", reduction)
+        _set(self, "systems", systems)
 
 
 def build_surface_certificate(G: DecompositionGraph) -> SurfaceCertificate:

@@ -47,9 +47,12 @@ behind reading a negativity certificate as "A is negative", and the dense
 matrix helpers that only tests need: :func:`to_lists`, :func:`dense_rows`,
 :func:`dense_json`, :func:`mat_vec`, :func:`sym` (a matrix from dense
 rows), :func:`principal_submatrix`, :func:`matrix_graph_components` and
-:func:`is_connected_matrix`.
+:func:`is_connected_matrix`; and :func:`replace`, a copy of a record
+with some fields changed, as `dataclasses.replace` made of the dataclasses
+the records once were.
 """
 
+import inspect
 from bisect import bisect_left, insort
 from fractions import Fraction
 from math import gcd, lcm
@@ -68,6 +71,14 @@ from gmsurf.exact_linalg import (
 from gmsurf.manifold import DecompositionGraph, a_minus, decomposition_matrix
 from gmsurf.reduction import NegativeDefiniteError, NoPositiveEigenvalueError, ReductionCertificate, strict_shrink
 from gmsurf.surface import CurveSystem, SurfaceCertificate
+
+
+def replace(value, **changes):
+    """A copy of ``value`` with the named fields changed; its constructor
+    checks the new values as it checks any.  A record's fields are its
+    constructor's parameters."""
+    fields = {name: getattr(value, name) for name in inspect.signature(type(value)).parameters}
+    return type(value)(**{**fields, **changes})
 
 
 def sym(rows: Sequence[Sequence[int | str | Fraction]]) -> SymMatrix:

@@ -9,7 +9,6 @@ import copy
 import io
 import json
 import sys
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -30,7 +29,7 @@ from gmsurf.manifold import (
 )
 from gmsurf.reduction import find_singular_reduction
 from gmsurf.surface import build_surface_certificate
-from oracles import to_lists
+from oracles import replace, to_lists
 from test_fileio import any_json, json_scalars, reduction_docs, save_manifold, surface_docs
 
 
@@ -97,8 +96,10 @@ def test_each_matrix_is_checked_once(tmp_path, monkeypatch, capsys):
     A = decomposition_matrix(G)
     save_json(rows_to_json(A.sparse), matrix_path)
     checks = []
-    real_check = exact_linalg.SymMatrix.__post_init__
-    monkeypatch.setattr(exact_linalg.SymMatrix, "__post_init__", lambda M: checks.append(M) or real_check(M))
+    real_check = exact_linalg.SymMatrix.__init__
+    monkeypatch.setattr(
+        exact_linalg.SymMatrix, "__init__", lambda M, sparse: checks.append(M) or real_check(M, sparse)
+    )
 
     def count(run) -> int:
         checks.clear()
@@ -623,6 +624,30 @@ def test_cover_brute_counts_the_group_tables_in_its_budget(monkeypatch, capsys, 
     monkeypatch.setattr(covers, "_partitions", listed)
     assert main(["cover", "brute", "--genus", "1", "--alpha", str(alpha), "--degrees", str(alpha)]) == 2
     assert "budget is 20000000" in capsys.readouterr().err
+
+
+def test_cover_find_refuses_an_alpha_above_its_cap_before_building_a_permutation(monkeypatch, capsys):
+    # The first alpha-long permutation find_cover builds is a canonical z.
+    class Built(Exception):
+        pass
+
+    def built(alpha, lengths):
+        raise Built(alpha)
+
+    monkeypatch.setattr(covers, "canonical_perm", built)
+    cap = cli.MAX_FIND_ALPHA
+    assert cap == 10**6  # the README documents this cap and its memory
+    for genus, degrees in ((1, f"{cap + 1}"), (2, f"{cap},1;{cap + 1}"), (1, f"{10**9 - 1},1")):
+        alpha = sum(int(d) for d in degrees.split(";")[0].split(","))
+        assert main(["cover", "find", "--genus", str(genus), "--alpha", str(alpha), "--degrees", degrees]) == 2
+        assert capsys.readouterr().err == f"error: cover find takes --alpha up to {cap}, got {alpha}\n"
+    # At the cap itself the witness is built.
+    assert main(["cover", "find", "--genus", "1", "--alpha", str(cap), "--degrees", f"{cap - 1},1"]) == 5
+    assert "internal error: Built: 1000000" in capsys.readouterr().err
+    # check and brute keep their own behaviour above the cap.
+    assert main(["cover", "check", "--genus", "1", "--alpha", str(cap + 1), "--degrees", str(cap + 1)]) == 0
+    assert main(["cover", "brute", "--genus", "1", "--alpha", str(cap + 1), "--degrees", str(cap + 1)]) == 2
+    assert "budget" in capsys.readouterr().err
 
 
 def test_cover_multi_circle_degrees_parse():

@@ -3,7 +3,6 @@
 import json
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,7 +28,7 @@ from gmsurf.surface import (
     verify_surface_certificate,
 )
 
-from oracles import dense_rows, fraction_surface_sides, mat_vec, per_piece_surface_violations
+from oracles import dense_rows, fraction_surface_sides, mat_vec, per_piece_surface_violations, replace
 from test_acceptance import poseig_manifolds
 from test_fileio import save_manifold
 

@@ -230,6 +230,8 @@ def test_assignment_and_deletion_raise_attribute_error(cls):
             setattr(value, name, None)
         with pytest.raises(AttributeError):
             delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.not_a_field = 1
     assert repr(value) == before
 
 
