@@ -67,6 +67,12 @@ EXIT_INTERNAL = 5
 # take about 440 bytes a point (README), so the cap bounds the command's
 # memory; a larger alpha is refused before anything alpha-long is built.
 MAX_FIND_ALPHA = 10**6
+# Each boundary circle adds an alpha-long z and its cycle string (about 40
+# bytes a point, README), so `cover find` also caps alpha times the number
+# of circles; alpha = 10**6 with two circles stays within it.
+MAX_FIND_POINTS = 2 * 10**6
+# The largest manifold `gen` draws, the largest size the README measures.
+MAX_GEN_PIECES = 10_000
 
 
 def _fail_input(message: str) -> int:
@@ -220,6 +226,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.pieces > MAX_GEN_PIECES:
+        return _fail_input(f"gen takes up to {MAX_GEN_PIECES} pieces, got {args.pieces}")
     try:
         G = generate_manifold(args.pieces, seed=args.seed, profile=args.profile)
     except (RuntimeError, ValueError) as exc:
@@ -331,6 +339,12 @@ def cmd_cover(args) -> int:
         return EXIT_HOLDS if exists else EXIT_FAILS
     if spec.alpha > MAX_FIND_ALPHA:
         return _fail_input(f"cover find takes --alpha up to {MAX_FIND_ALPHA}, got {spec.alpha}")
+    circles = len(spec.boundary_degrees)
+    if spec.alpha * circles > MAX_FIND_POINTS:
+        return _fail_input(
+            f"cover find takes --alpha times the boundary circles up to {MAX_FIND_POINTS}, "
+            f"got {spec.alpha} x {circles} = {spec.alpha * circles}"
+        )
     try:
         cert = find_cover(spec)
     except ParityError as exc:

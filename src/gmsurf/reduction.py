@@ -31,8 +31,16 @@ The builders keep their values in integers or reduced (numerator,
 denominator) pairs of ints: `Fraction` enters only as the
 :class:`SymMatrix` entries they read, and leaves only as the
 :class:`ReductionCertificate` that :func:`find_singular_reduction` returns.
-:func:`negativity_certificate` works in pairs as well; the verifier works in
-`Fraction`.
+:func:`negativity_certificate` works in pairs as well.
+
+:func:`verify_reduction` reads each entry of A, A' and a as its numerator
+and denominator and does only `int` arithmetic: the diagonal compares those
+pairs, |A'[i][j]| <= A[i][j] is |num| * A's denominator <= A's numerator *
+den, and row i of A'a = 0 is an int sum after scaling the row by the lcm of
+its entries' denominators times the lcm of its a_j's denominators.  Each
+check is exact because a denominator is positive and scaling by a positive
+integer keeps zeros and signs.  `Fraction` is made only for the text of a
+violation, which reads as the `Fraction` sum would.
 
 :func:`negativity_certificate` is the complementary tool for matrices that
 are negative semidefinite: it produces a strictly positive vector a with
@@ -45,6 +53,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from math import lcm
 
 from .decision import Branch
 from .exact_linalg import (
@@ -136,7 +145,8 @@ def find_singular_reduction(A: SymMatrix) -> ReductionCertificate:
 
 
 def verify_reduction(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
-    """Recheck every certificate invariant against A; return violations (empty = valid).
+    """Recheck every certificate invariant against A in `int` arithmetic;
+    return violations (empty = valid).
 
     Only the stored nonzeros of A' are read: a missing key is a zero."""
     violations: list[str] = []
@@ -146,25 +156,50 @@ def verify_reduction(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
         stray = sorted({j for row in cert.a_prime for j in row if not 0 <= j < k})
         shape = f"{k} x {k}" + (f" with columns {stray} outside it" if stray else "")
         return [f"shape mismatch: a has {len(cert.a)} entries, a_prime is {shape}, matrix order {n}"]
-    for i, row in enumerate(cert.a_prime):
-        if row.get(i, 0) != A[i, i]:
-            violations.append(f"diagonal changed at {i}: {row.get(i, 0)} != {A[i, i]}")
+    a = [v.as_integer_ratio() for v in cert.a]
+    loose: list[str] = []
+    image: list[str] = []
     for i, (row, bounds) in enumerate(zip(cert.a_prime, A.sparse)):
-        for j in sorted(row):
-            # A has O(n) nonzero couplings: only those need the absolute value
-            entry, bound = row[j], bounds.get(j)
-            if i != j and (entry if bound is None else abs(entry) > bound):
-                violations.append(f"not a reduction at ({i}, {j}): |{entry}| > {bound or 0}")
-    if all(v == 0 for v in cert.a):
+        entry, diagonal = row.get(i, 0), A[i, i]
+        if entry.as_integer_ratio() != diagonal.as_integer_ratio():
+            violations.append(f"diagonal changed at {i}: {entry} != {diagonal}")
+        # One pass over the row: the bounds, and (A'a)_i times the lcm of the
+        # row's denominators and the lcm of its a_j's denominators, an int
+        # sum; each lcm grows as a new denominator comes in.
+        total, row_scale, a_scale, wide = 0, 1, 1, []
+        for j, x in row.items():
+            num, den = x.as_integer_ratio()
+            an, ad = a[j]
+            if j != i:
+                # A has O(n) nonzero couplings: a key where A has none is out
+                # of bound, else |num/den| > bn/bd is compared crosswise.
+                bound = bounds.get(j)
+                if bound is None:
+                    if num:
+                        wide.append(j)
+                else:
+                    bn, bd = bound.as_integer_ratio()
+                    if abs(num) * bd > bn * den:
+                        wide.append(j)
+            if row_scale % den:
+                grown = lcm(row_scale, den)
+                total *= grown // row_scale
+                row_scale = grown
+            if a_scale % ad:
+                grown = lcm(a_scale, ad)
+                total *= grown // a_scale
+                a_scale = grown
+            total += num * (row_scale // den) * an * (a_scale // ad)
+        loose += [f"not a reduction at ({i}, {j}): |{row[j]}| > {bounds.get(j) or 0}" for j in sorted(wide)]
+        if total:
+            image.append(f"(A' a)[{i}] = {Fraction(total, row_scale * a_scale)} != 0")
+    violations += loose
+    if not any(an for an, _ in a):
         violations.append("annihilated vector is zero")
-    for i, v in enumerate(cert.a):
-        if v < 0:
-            violations.append(f"negative entry a[{i}] = {v}")
-    for i, row in enumerate(cert.a_prime):
-        v = sum((x * cert.a[j] for j, x in row.items()), Fraction(0))
-        if v != 0:
-            violations.append(f"(A' a)[{i}] = {v} != 0")
-    return violations
+    for i, (an, _) in enumerate(a):
+        if an < 0:
+            violations.append(f"negative entry a[{i}] = {cert.a[i]}")
+    return violations + image
 
 
 class NegativityCertificate(Value):

@@ -37,8 +37,10 @@ every piece), every side's a and b is a pair, and each degree and
 coordinate is its numerator times scale // denominator.  Every side
 denominator comes from A's entries and the dyadic t_i alone, so the scale
 does not grow with the number of pieces.  `Fraction` enters as the
-decomposition matrix and leaves once, as the certificate's A' and degrees;
-the verifier works in `Fraction` and shares no code with the builder.
+decomposition matrix and leaves once, as the certificate's A' and degrees.
+The verifier shares no code with the builder and, on a valid certificate,
+does only `int` arithmetic (below); it makes a `Fraction` only for the text
+of a violation.
 
 A' is a strict reduction of A itself: the same diagonal,
 |A'[i][j]| < A[i][j] where A[i][j] > 0 and A'[i][j] = 0 where A[i][j] = 0.
@@ -57,6 +59,14 @@ coordinates, the Euler number w.r.t. meridians e' = e - sum q/p and the
 opposite sides' meridian coordinates.  The reduction's vector must equal the
 degree vector, so the reduction check against A already covers
 A' * degrees = 0.
+
+Each check is an integer identity, exact because a denominator is positive
+and scaling by a positive integer keeps zeros and signs: per piece, both
+balances are multiplied by L = lcm(denominator of e, p of each incident
+torus), so L e, L e' and L times the meridian sum are integers; the
+strictness |A'[i][j]| < A[i][j] is |num| * A's denominator < A's
+numerator * den; and the reduction's vector equals the degrees when each
+entry's (numerator, denominator) is (degree, 1).
 
 The graph of a valid manifold is connected, so the reduction's annihilated
 vector is positive at every piece and every side gets positive a_plus and
@@ -164,7 +174,7 @@ def build_surface_certificate(G: DecompositionGraph) -> SurfaceCertificate:
 def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) -> list[str]:
     """Recheck every certificate equation from scratch; return violations (empty = valid).
 
-    Checks, all in exact arithmetic: the reduction is a strict reduction of
+    Checks, all in `int` arithmetic: the reduction is a strict reduction of
     the decomposition matrix (:func:`verify_reduction` against A, then
     |A'[i][j]| < A[i][j] on A's couplings); its vector is
     the degree vector; each torus has exactly one curve system per side; the
@@ -192,10 +202,15 @@ def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) 
     # verify_reduction flags every nonzero entry of A' where A is 0, so
     # strictness reads only A's couplings.
     for i, (row, couplings) in enumerate(zip(cert.reduction.a_prime, A.sparse)):
-        for j in sorted(couplings):
-            if j != i and abs(row.get(j, 0)) >= couplings[j]:
-                violations.append(f"reduction not strict at ({i}, {j})")
-    if tuple(cert.reduction.a) != tuple(Fraction(d) for d in cert.degrees):
+        tight = []
+        for j, coupling in couplings.items():
+            if j != i:
+                num, den = row.get(j, 0).as_integer_ratio()
+                cn, cd = coupling.as_integer_ratio()
+                if abs(num) * cd >= cn * den:
+                    tight.append(j)
+        violations += [f"reduction not strict at ({i}, {j})" for j in sorted(tight)]
+    if any(v.as_integer_ratio() != (d, 1) for v, d in zip(cert.reduction.a, cert.degrees)):
         violations.append("reduction vector differs from degree vector")
 
     by_torus: dict[int, dict[int, CurveSystem]] = {}
@@ -212,13 +227,21 @@ def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) 
             violations.append(f"torus {s.torus}: duplicate system for side {s.side}")
         slot[s.side] = s
 
+    # Per piece, L = lcm(denominator of e, p of each incident torus): L e,
+    # L e' and L times the meridian sum are ints.
+    piece_lcm = {p.id: p.euler.denominator for p in G.pieces}
+    for torus in G.tori:
+        piece_lcm[torus.from_piece] = lcm(piece_lcm[torus.from_piece], torus.p)
+        piece_lcm[torus.to_piece] = lcm(piece_lcm[torus.to_piece], torus.p)
+    euler = {p.id: p.euler.numerator * (piece_lcm[p.id] // p.euler.denominator) for p in G.pieces}
+
     # One pass over the tori: missing sides, the gluing relations, and per
-    # piece its fiber sum, its Euler number w.r.t. meridians
-    # e' = e - sum q/p (q read from the piece's own side) and the opposite
-    # sides' meridian sum.
+    # piece its fiber sum, L times its Euler number w.r.t. meridians
+    # e' = e - sum q/p (q read from the piece's own side) and L times the
+    # opposite sides' meridian sum.
     fiber = dict.fromkeys(index, 0)
-    e_prime = {p.id: p.euler for p in G.pieces}
-    meridian = dict.fromkeys(index, Fraction(0))
+    e_prime = dict(euler)
+    meridian = dict.fromkeys(index, 0)
     gluing: list[str] = []
     for t_idx, torus in enumerate(G.tori):
         sides = by_torus.get(t_idx, {})
@@ -232,10 +255,11 @@ def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) 
         q, p, qp, pp = torus.q, torus.p, torus.q_prime, torus.p_prime
         fiber[f] += lhs.b_plus + lhs.b_minus
         fiber[g] += rhs.b_plus + rhs.b_minus
-        e_prime[f] -= Fraction(q, p)
-        e_prime[g] -= Fraction(qp, p)
-        meridian[f] += Fraction(rhs.a_plus - rhs.a_minus, p)
-        meridian[g] += Fraction(lhs.a_plus - lhs.a_minus, p)
+        f_share, g_share = piece_lcm[f] // p, piece_lcm[g] // p
+        e_prime[f] -= q * f_share
+        e_prime[g] -= qp * g_share
+        meridian[f] += (rhs.a_plus - rhs.a_minus) * f_share
+        meridian[g] += (lhs.a_plus - lhs.a_minus) * g_share
         if rhs.a_plus != q * lhs.a_plus + p * lhs.b_plus or rhs.b_plus != -pp * lhs.a_plus - qp * lhs.b_plus:
             gluing.append(f"torus {t_idx}: plus system breaks the gluing relation")
         if rhs.a_minus != -(q * lhs.a_minus + p * lhs.b_minus) or rhs.b_minus != pp * lhs.a_minus + qp * lhs.b_minus:
@@ -258,18 +282,19 @@ def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) 
                 f"when the piece degree is"
             )
 
+    # Both balances times L > 0, compared as ints; the texts name the
+    # unscaled values.
     for piece in G.pieces:
-        degree = Fraction(cert.degrees[index[piece.id]])
-        expected = degree * e_prime[piece.id]
-        if fiber[piece.id] != expected:
+        degree, L = cert.degrees[index[piece.id]], piece_lcm[piece.id]
+        if fiber[piece.id] * L != degree * e_prime[piece.id]:
             violations.append(
                 f"piece {piece.id}: fiber balance {fiber[piece.id]} != "
-                f"degree * meridian Euler number {expected}"
+                f"degree * meridian Euler number {Fraction(degree * e_prime[piece.id], L)}"
             )
-        if meridian[piece.id] != degree * piece.euler:
+        if meridian[piece.id] != degree * euler[piece.id]:
             violations.append(
-                f"piece {piece.id}: meridian balance {meridian[piece.id]} != "
-                f"degree * Euler number {degree * piece.euler}"
+                f"piece {piece.id}: meridian balance {Fraction(meridian[piece.id], L)} != "
+                f"degree * Euler number {Fraction(degree * euler[piece.id], L)}"
             )
 
     return violations + gluing

@@ -22,7 +22,12 @@ the dense routines they replaced, kept so tests can compare results exactly:
   A' by the degree vector a second time;
 - :func:`all_pairs_reduction_violations`, the reduction verifier that takes
   the absolute value of every off-diagonal entry of A', densified
-  (:func:`dense_rows`) from the nonzero entries the package keeps.
+  (:func:`dense_rows`) from the nonzero entries the package keeps;
+- :func:`fraction_verify_reduction` and
+  :func:`fraction_verify_surface_certificate`, the two verifiers as they
+  summed and compared in `Fraction` before the package moved them to
+  integer numerators and denominators; their violation lists, texts and
+  order included, are the references for the integer ones.
 
 - :func:`bareiss_inertia`, the dense fraction-free (Bareiss) inertia that
   the sparse graph-order inertia replaced;
@@ -529,6 +534,156 @@ def per_piece_surface_violations(G: DecompositionGraph, cert: SurfaceCertificate
             violations.append(f"torus {t_idx}: minus system breaks the gluing relation")
 
     return violations
+
+
+def fraction_verify_reduction(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
+    """`gmsurf.reduction.verify_reduction` as it summed and compared in
+    `Fraction`: every certificate invariant rechecked against A; return
+    violations (empty = valid).
+
+    Only the stored nonzeros of A' are read: a missing key is a zero."""
+    violations: list[str] = []
+    n = A.order
+    if not cert.has_order(n):
+        k = len(cert.a_prime)
+        stray = sorted({j for row in cert.a_prime for j in row if not 0 <= j < k})
+        shape = f"{k} x {k}" + (f" with columns {stray} outside it" if stray else "")
+        return [f"shape mismatch: a has {len(cert.a)} entries, a_prime is {shape}, matrix order {n}"]
+    for i, row in enumerate(cert.a_prime):
+        if row.get(i, 0) != A[i, i]:
+            violations.append(f"diagonal changed at {i}: {row.get(i, 0)} != {A[i, i]}")
+    for i, (row, bounds) in enumerate(zip(cert.a_prime, A.sparse)):
+        for j in sorted(row):
+            # A has O(n) nonzero couplings: only those need the absolute value
+            entry, bound = row[j], bounds.get(j)
+            if i != j and (entry if bound is None else abs(entry) > bound):
+                violations.append(f"not a reduction at ({i}, {j}): |{entry}| > {bound or 0}")
+    if all(v == 0 for v in cert.a):
+        violations.append("annihilated vector is zero")
+    for i, v in enumerate(cert.a):
+        if v < 0:
+            violations.append(f"negative entry a[{i}] = {v}")
+    for i, row in enumerate(cert.a_prime):
+        v = sum((x * cert.a[j] for j, x in row.items()), Fraction(0))
+        if v != 0:
+            violations.append(f"(A' a)[{i}] = {v} != 0")
+    return violations
+
+
+def fraction_verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) -> list[str]:
+    """`gmsurf.surface.verify_surface_certificate` as it summed and compared
+    in `Fraction`: every certificate equation rechecked from scratch; return
+    violations (empty = valid).
+
+    Checks, all in exact arithmetic: the reduction is a strict reduction of
+    the decomposition matrix (:func:`fraction_verify_reduction` against A, then
+    |A'[i][j]| < A[i][j] on A's couplings); its vector is
+    the degree vector; each torus has exactly one curve system per side; the
+    per-side degree split, both per-piece balances, the change-of-basis
+    relations, and strict positivity of the a coordinates on sides whose
+    piece carries positive degree.
+    """
+    violations: list[str] = []
+    A = decomposition_matrix(G)
+    n = A.order
+    index = {p.id: k for k, p in enumerate(G.pieces)}
+
+    if len(cert.degrees) != n:
+        return [f"degree vector length {len(cert.degrees)} != piece count {n}"]
+    if cert.scale < 1:
+        violations.append(f"scale must be a positive integer, got {cert.scale}")
+    if any(d < 0 for d in cert.degrees):
+        violations.append("negative degree")
+    if all(d == 0 for d in cert.degrees):
+        violations.append("all degrees are zero")
+
+    violations.extend(fraction_verify_reduction(A, cert.reduction))
+    if not cert.reduction.has_order(n):
+        return violations
+    # verify_reduction flags every nonzero entry of A' where A is 0, so
+    # strictness reads only A's couplings.
+    for i, (row, couplings) in enumerate(zip(cert.reduction.a_prime, A.sparse)):
+        for j in sorted(couplings):
+            if j != i and abs(row.get(j, 0)) >= couplings[j]:
+                violations.append(f"reduction not strict at ({i}, {j})")
+    if tuple(cert.reduction.a) != tuple(Fraction(d) for d in cert.degrees):
+        violations.append("reduction vector differs from degree vector")
+
+    by_torus: dict[int, dict[int, CurveSystem]] = {}
+    for s in cert.systems:
+        if not 0 <= s.torus < len(G.tori):
+            violations.append(f"curve system references unknown torus {s.torus}")
+            continue
+        torus = G.tori[s.torus]
+        if not torus.touches(s.side):
+            violations.append(f"torus {s.torus}: side {s.side} is not one of its pieces")
+            continue
+        slot = by_torus.setdefault(s.torus, {})
+        if s.side in slot:
+            violations.append(f"torus {s.torus}: duplicate system for side {s.side}")
+        slot[s.side] = s
+
+    # One pass over the tori: missing sides, the gluing relations, and per
+    # piece its fiber sum, its Euler number w.r.t. meridians
+    # e' = e - sum q/p (q read from the piece's own side) and the opposite
+    # sides' meridian sum.
+    fiber = dict.fromkeys(index, 0)
+    e_prime = {p.id: p.euler for p in G.pieces}
+    meridian = dict.fromkeys(index, Fraction(0))
+    gluing: list[str] = []
+    for t_idx, torus in enumerate(G.tori):
+        sides = by_torus.get(t_idx, {})
+        for side in (torus.from_piece, torus.to_piece):
+            if side not in sides:
+                violations.append(f"torus {t_idx}: missing system for side {side}")
+        if violations:
+            continue
+        f, g = torus.from_piece, torus.to_piece
+        lhs, rhs = sides[f], sides[g]
+        q, p, qp, pp = torus.q, torus.p, torus.q_prime, torus.p_prime
+        fiber[f] += lhs.b_plus + lhs.b_minus
+        fiber[g] += rhs.b_plus + rhs.b_minus
+        e_prime[f] -= Fraction(q, p)
+        e_prime[g] -= Fraction(qp, p)
+        meridian[f] += Fraction(rhs.a_plus - rhs.a_minus, p)
+        meridian[g] += Fraction(lhs.a_plus - lhs.a_minus, p)
+        if rhs.a_plus != q * lhs.a_plus + p * lhs.b_plus or rhs.b_plus != -pp * lhs.a_plus - qp * lhs.b_plus:
+            gluing.append(f"torus {t_idx}: plus system breaks the gluing relation")
+        if rhs.a_minus != -(q * lhs.a_minus + p * lhs.b_minus) or rhs.b_minus != pp * lhs.a_minus + qp * lhs.b_minus:
+            gluing.append(f"torus {t_idx}: minus system breaks the gluing relation")
+    if violations:
+        return violations
+
+    for s in cert.systems:
+        degree = cert.degrees[index[s.side]]
+        if s.a_plus < 0 or s.a_minus < 0:
+            violations.append(f"torus {s.torus} side {s.side}: negative a coordinate")
+        if s.a_plus + s.a_minus != degree:
+            violations.append(
+                f"torus {s.torus} side {s.side}: a_plus + a_minus = "
+                f"{s.a_plus + s.a_minus} != degree {degree}"
+            )
+        if degree > 0 and (s.a_plus <= 0 or s.a_minus <= 0):
+            violations.append(
+                f"torus {s.torus} side {s.side}: a coordinates must be positive "
+                f"when the piece degree is"
+            )
+
+    for piece in G.pieces:
+        degree = Fraction(cert.degrees[index[piece.id]])
+        expected = degree * e_prime[piece.id]
+        if fiber[piece.id] != expected:
+            violations.append(
+                f"piece {piece.id}: fiber balance {fiber[piece.id]} != "
+                f"degree * meridian Euler number {expected}"
+            )
+        if meridian[piece.id] != degree * piece.euler:
+            violations.append(
+                f"piece {piece.id}: meridian balance {meridian[piece.id]} != "
+                f"degree * Euler number {degree * piece.euler}"
+            )
+
+    return violations + gluing
 
 
 def mat_vec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> tuple[Fraction, ...]:

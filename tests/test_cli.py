@@ -14,7 +14,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies
 
-from gmsurf import cli, covers, decision, exact_linalg, fileio
+from gmsurf import cli, covers, decision, exact_linalg, fileio, generate
 from gmsurf.cli import main
 from gmsurf.covers import commutator, cycle_type, identity_perm, is_transitive, word_product
 from gmsurf.fileio import load_json, manifold_to_json, reduction_cert_to_json, rows_to_json, save_json, surface_cert_to_json
@@ -648,6 +648,52 @@ def test_cover_find_refuses_an_alpha_above_its_cap_before_building_a_permutation
     assert main(["cover", "check", "--genus", "1", "--alpha", str(cap + 1), "--degrees", str(cap + 1)]) == 0
     assert main(["cover", "brute", "--genus", "1", "--alpha", str(cap + 1), "--degrees", str(cap + 1)]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_cover_find_refuses_alpha_times_circles_above_its_cap_before_building_a_permutation(monkeypatch, capsys):
+    # Every circle adds an alpha-long z, so the points are alpha times the circles.
+    class Built(Exception):
+        pass
+
+    def built(alpha, lengths):
+        raise Built(alpha)
+
+    monkeypatch.setattr(covers, "canonical_perm", built)
+    cap = cli.MAX_FIND_POINTS
+    assert cap == 2 * 10**6  # the README documents this cap and its memory
+
+    def find(alpha, circles):
+        degrees = ";".join([str(alpha)] * circles)
+        return main(["cover", "find", "--genus", "2", "--alpha", str(alpha), "--degrees", degrees])
+
+    for alpha, circles in ((10**6, 3), (666_667, 3), (20_001, 100), (200, 10_002)):
+        assert find(alpha, circles) == 2
+        assert capsys.readouterr().err == (
+            f"error: cover find takes --alpha times the boundary circles up to {cap}, "
+            f"got {alpha} x {circles} = {alpha * circles}\n"
+        )
+    # At the cap the witness is built, the alpha = 10**6 two-circle case included.
+    for alpha, circles in ((10**6, 2), (20_000, 100), (200, 10_000)):
+        assert find(alpha, circles) == 5
+        assert f"internal error: Built: {alpha}" in capsys.readouterr().err
+
+
+def test_gen_refuses_more_pieces_than_its_cap_before_any_draw(monkeypatch, capsys):
+    # Every profile draws the topology first.
+    class Drawn(Exception):
+        pass
+
+    def drawn(rng, pieces):
+        raise Drawn(pieces)
+
+    monkeypatch.setattr(generate, "_random_topology", drawn)
+    cap = cli.MAX_GEN_PIECES
+    assert cap == 10_000  # the README documents this cap
+    for pieces in (cap + 1, 10**12):
+        assert main(["gen", str(pieces), "--profile", "posEig"]) == 2
+        assert capsys.readouterr().err == f"error: gen takes up to {cap} pieces, got {pieces}\n"
+    assert main(["gen", str(cap), "--profile", "posEig"]) == 5
+    assert f"internal error: Drawn: {cap}" in capsys.readouterr().err
 
 
 def test_cover_multi_circle_degrees_parse():

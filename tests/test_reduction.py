@@ -1,6 +1,7 @@
 """Tests for singular reductions, negativity certificates, and the
 weighted quadratic-form identity."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from gmsurf.exact_linalg import (
     _mmatrix_solve,
     inertia,
 )
+from gmsurf.fileio import json_text, reduction_cert_from_json, reduction_cert_to_json
 from gmsurf.generate import generate_manifold
 from gmsurf.manifold import a_minus, decomposition_matrix
 from gmsurf.reduction import (
@@ -35,6 +37,7 @@ from oracles import (
     all_pairs_reduction_violations,
     bilinear_identity,
     fraction_negativity_certificate,
+    fraction_verify_reduction,
     dense_rows,
     fraction_mmatrix_solve,
     halving_shrink,
@@ -356,6 +359,54 @@ def test_verify_reduction_matches_the_all_pairs_check_on_mutated_certificates():
     assert flagged["wrong sign, too large"] == ["not a reduction at (1, 0): |-8/7| > 1"]
     assert flagged["wrong sign, within the bound"] == []
     assert len(flagged["all of them"]) == 3
+
+
+REDUCTION_MUTATIONS = ("entry", "coupling", "vector", "zero vector", "empty row")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    admissible_matrices(),
+    strategies.integers(1, 6),
+    strategies.lists(strategies.sampled_from(REDUCTION_MUTATIONS), max_size=3),
+    strategies.data(),
+)
+def test_verify_reduction_matches_the_fraction_oracle(A, divisor, kinds, data):
+    """The integer row sums and crossed bounds give the `Fraction`
+    verifier's violations, texts and order included, on reduction files as
+    `matrix --out` writes them: rational entries in A' and, once a is divided
+    by an integer, in a."""
+    n = A.order
+    try:
+        cert = find_singular_reduction(A)
+    except NegativeDefiniteError:
+        cert = ReductionCertificate(a_prime=A.sparse, a=tuple([F(1)] * n))
+    rows = [dict(row) for row in cert.a_prime]
+    a = [v / divisor for v in cert.a]
+    index = strategies.integers(0, n - 1)
+    for kind in kinds:
+        i = data.draw(index)
+        if kind == "entry":
+            # any entry, the diagonal included; a zero removes the key
+            j, value = data.draw(index), data.draw(small_rationals)
+            rows[i][j] = value
+            if not value:
+                del rows[i][j]
+        elif kind == "coupling":
+            # on A's bound or just past it, of either sign
+            j = data.draw(index)
+            if j != i:
+                past = data.draw(strategies.sampled_from((0, F(1, 7))))
+                rows[i][j] = data.draw(strategies.sampled_from((1, -1))) * (A[i, j] + past) or F(1, 7)
+        elif kind == "vector":
+            a[i] = data.draw(small_rationals)
+        elif kind == "zero vector":
+            a = [F(0)] * n
+        else:
+            rows[i] = {}
+    doc = reduction_cert_to_json(ReductionCertificate(a_prime=tuple(rows), a=tuple(a)), matrix=A)
+    parsed, matrix = reduction_cert_from_json(json.loads(json_text(doc)))
+    assert verify_reduction(matrix, parsed) == fraction_verify_reduction(matrix, parsed)
 
 
 # --- negativity certificates ---------------------------------------------------

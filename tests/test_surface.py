@@ -28,7 +28,14 @@ from gmsurf.surface import (
     verify_surface_certificate,
 )
 
-from oracles import dense_rows, fraction_surface_sides, mat_vec, per_piece_surface_violations, replace
+from oracles import (
+    dense_rows,
+    fraction_surface_sides,
+    fraction_verify_surface_certificate,
+    mat_vec,
+    per_piece_surface_violations,
+    replace,
+)
 from test_acceptance import poseig_manifolds
 from test_fileio import save_manifold
 
@@ -328,6 +335,23 @@ def test_verifier_matches_per_piece_oracle_on_mutations(pieces, seed, kind, data
     assert verify_surface_certificate(G, cert) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    strategies.integers(min_value=2, max_value=5),
+    strategies.integers(min_value=0, max_value=2_000),
+    strategies.sampled_from(MUTATIONS),
+    strategies.data(),
+)
+def test_verifier_matches_the_fraction_oracle_on_mutations(pieces, seed, kind, data):
+    # The integer sums and crossed compares give the `Fraction` verifier's
+    # violations, texts and order included, on the certificate as its file
+    # reads back.
+    G = generate_manifold(pieces=pieces, seed=seed, profile="posEig")
+    cert = mutated(G, build_surface_certificate(G), kind, data)
+    cert = surface_cert_from_json(json.loads(json_text(surface_cert_to_json(cert))))
+    assert verify_surface_certificate(G, cert) == fraction_verify_surface_certificate(G, cert)
+
+
 # --- built certificates across random inputs ---------------------------------------
 
 
@@ -451,6 +475,30 @@ def test_the_builder_makes_no_fraction_arithmetic(monkeypatch, n):
     for name in ARITHMETIC:
         monkeypatch.setattr(F, name, forbidden)
     assert build_surface_certificate(G) == expected
+
+
+# Comparing and truth-testing a `Fraction` runs Python code too; the verifiers
+# read its numerator and denominator and compare those.
+COMPARISON = ("__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__bool__")
+
+
+@pytest.mark.parametrize("kind, n", [("path", 4), ("path", 13), ("gen", 120)])
+def test_the_verifiers_make_no_fraction_on_a_valid_certificate(monkeypatch, kind, n):
+    # With A given, both verifiers sum and compare in ints: a valid
+    # certificate makes no `Fraction`, no arithmetic and no comparison on
+    # one.  The certificate is read back from its file, as `verify` does.
+    G = slowly_closing_path(n) if kind == "path" else generate_manifold(n, seed=3, profile="posEig")
+    A = decomposition_matrix(G)
+    cert = surface_cert_from_json(json.loads(json_text(surface_cert_to_json(build_surface_certificate(G)))))
+    monkeypatch.setattr(surface, "decomposition_matrix", lambda graph: A)
+
+    def forbidden(*args):
+        raise AssertionError("Fraction made, computed with or compared in a verifier")
+
+    for name in ARITHMETIC + COMPARISON + ("__new__",):
+        monkeypatch.setattr(F, name, forbidden)
+    assert verify_reduction(A, cert.reduction) == []
+    assert verify_surface_certificate(G, cert) == []
 
 
 # --- cost of the construction, counted without a clock -------------------------
