@@ -4,7 +4,7 @@ Subcommands:
 
 - ``analyze``  decide both properties for a manifold file;
 - ``certify``  build a surface certificate (positive-eigenvalue branch only);
-- ``verify``   recheck a certificate file independently;
+- ``verify``   recheck a surface or reduction certificate file independently;
 - ``gen``      generate a random manifold with a requested spectral profile;
 - ``matrix``   run the decision and reduction machinery on a raw matrix;
 - ``cover``    parity check / witness search / exhaustive oracle for surface covers.
@@ -29,7 +29,7 @@ from .covers import (
     find_cover,
     parity_check,
 )
-from .decision import NotTwoPieceError, decide, two_piece_d
+from .decision import Branch, decide, two_piece_d
 from .exact_linalg import SymMatrix, rational_str
 from .fileio import (
     FileFormatError,
@@ -48,12 +48,7 @@ from .fileio import (
 )
 from .generate import PROFILES, generate_manifold
 from .manifold import InvalidGraphError, decomposition_matrix
-from .reduction import (
-    NegativeDefiniteError,
-    NoPositiveEigenvalueError,
-    find_singular_reduction,
-    verify_reduction,
-)
+from .reduction import NoPositiveEigenvalueError, find_singular_reduction, verify_reduction
 from .surface import build_surface_certificate, verify_surface_certificate
 
 EXIT_HOLDS = 0
@@ -62,6 +57,10 @@ EXIT_INPUT = 2
 EXIT_UNAVAILABLE = 3
 EXIT_INVALID = 4
 EXIT_INTERNAL = 5
+
+# The input errors of a manifold command (exit 2); any other exception, a
+# ValueError from the decision or a verifier included, is a crash (exit 5).
+INPUT_ERRORS = (FileFormatError, InvalidGraphError, OSError, UnicodeDecodeError)
 
 # The largest degree `cover find` builds a witness for.  Its permutations
 # take about 440 bytes a point (README), so the cap bounds the command's
@@ -108,11 +107,8 @@ def _analysis_report(A: SymMatrix) -> dict:
         report["notes"].append(
             "zero diagonal entries present: 'same sign' means all >= 0 or all <= 0"
         )
-    try:
+    if A.order == 2:
         inv = two_piece_d(A)
-    except NotTwoPieceError:
-        inv = None
-    if inv is not None:
         report["two_piece"] = {
             "d": rational_str(inv.d),
             "i_via_d": inv.i_via_d,
@@ -160,7 +156,7 @@ def cmd_analyze(args) -> int:
         G = load_manifold(args.manifold)
         A = decomposition_matrix(G)
         report = _analysis_report(A)
-    except (OSError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         return _fail_input(str(exc))
     _print_report(report, args.json)
     return EXIT_HOLDS if report["property_i"] else EXIT_FAILS
@@ -170,7 +166,7 @@ def cmd_certify(args) -> int:
     try:
         G = load_manifold(args.manifold)
         cert = build_surface_certificate(G)
-    except (FileFormatError, InvalidGraphError, OSError, UnicodeDecodeError) as exc:
+    except INPUT_ERRORS as exc:
         return _fail_input(str(exc))
     except NoPositiveEigenvalueError as exc:
         print(f"no certificate: {exc}", file=sys.stderr)
@@ -203,14 +199,16 @@ def cmd_verify(args) -> int:
     try:
         G = load_manifold(args.manifold)
         doc = load_json(args.certificate)
-        if args.kind == "surface":
-            cert = surface_cert_from_json(doc)
-            violations = verify_surface_certificate(G, cert)
-        else:
+        # Only a reduction certificate has a top-level "a_prime"; any other
+        # document goes to the surface parser, which names what is wrong.
+        if isinstance(doc, dict) and "a_prime" in doc:
             cert, matrix = reduction_cert_from_json(doc)
             source = matrix if matrix is not None else decomposition_matrix(G)
             violations = verify_reduction(source, cert)
-    except (OSError, ValueError) as exc:
+        else:
+            cert = surface_cert_from_json(doc)
+            violations = verify_surface_certificate(G, cert)
+    except INPUT_ERRORS as exc:
         return _fail_input(str(exc))
     if violations:
         for v in violations:
@@ -230,7 +228,7 @@ def cmd_gen(args) -> int:
         return _fail_input(f"gen takes up to {MAX_GEN_PIECES} pieces, got {args.pieces}")
     try:
         G = generate_manifold(args.pieces, seed=args.seed, profile=args.profile)
-    except (RuntimeError, ValueError) as exc:
+    except ValueError as exc:
         return _fail_input(str(exc))
     doc = manifold_to_json(G)
     if args.out:
@@ -258,19 +256,17 @@ def cmd_matrix(args) -> int:
         report = _analysis_report(A)
     except (OSError, ValueError) as exc:
         return _fail_input(str(exc))
-    try:
+    # A singular reduction exists exactly where A-minus is not negative definite.
+    reduction = None
+    report["reduction"] = None
+    if report["branch"] != Branch.NEGATIVE_DEFINITE.value:
         reduction = find_singular_reduction(A)
-    except NegativeDefiniteError:
-        reduction = None
-    if reduction is not None:
         report["reduction"] = reduction_cert_to_json(reduction, matrix=A)
         if args.out:
             try:
                 save_json(report["reduction"], args.out)
             except OSError as exc:
                 return _fail_input(str(exc))
-    else:
-        report["reduction"] = None
     _print_report(report, args.json)
     if not args.json:
         if reduction is None:
@@ -390,10 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("verify", help="recheck a certificate file")
+    p = sub.add_parser("verify", help="recheck a surface or reduction certificate file")
     p.add_argument("manifold", help="manifold JSON file")
     p.add_argument("certificate", help="certificate JSON file")
-    p.add_argument("--kind", choices=("surface", "reduction"), default="surface")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

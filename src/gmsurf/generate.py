@@ -11,16 +11,19 @@ matrix:
 - "semidef": A negative semidefinite and singular (each diagonal entry is the
              negated row sum on a connected graph, so the all-ones vector
              spans the kernel);
-- "posEig":  A-minus has a positive eigenvalue (rejection sampling);
+- "posEig":  A-minus has a positive eigenvalue;
 - "any":     no spectral constraint.
 
-"negdef", "semidef" and "any" hold by construction and take no check; only
-"posEig" draws until A-minus shows a positive eigenvalue.  A coupling
-c = A[i][j] with c^2 > |A[i][i]| |A[j][j]| shows one in O(tori): the 2x2
-principal block of A-minus on i and j has a negative determinant, so a
-positive eigenvalue, and by Cauchy interlacing so has A-minus.  Only a draw
-with no such coupling runs the Perron search for the exact sign of A-minus's
-largest eigenvalue (:func:`gmsurf.exact_linalg._perron_search`).
+"negdef", "semidef" and "any" hold by construction and take no check.
+"posEig" keeps its draw when A-minus shows a positive eigenvalue.  A
+coupling c = A[i][j] with c^2 > |A[i][i]| |A[j][j]| shows one in O(tori):
+the 2x2 principal block of A-minus on i and j has a negative determinant,
+so a positive eigenvalue, and by Cauchy interlacing so has A-minus.  Only a
+draw with no such coupling runs the Perron search for the exact sign of
+A-minus's largest eigenvalue (:func:`gmsurf.exact_linalg._perron_search`),
+and one that shows none gets Euler number 0 on piece 1, which is glued to
+piece 2 (the spanning tree's first edge): the block on them becomes
+[[0, c], [c, -|e_2|]] with c > 0, of determinant -c^2 < 0.
 Deterministic per (pieces, seed, profile).
 """
 
@@ -34,7 +37,6 @@ from .exact_linalg import _perron_search, _scaled
 from .manifold import DecompositionGraph, GluingTorus, SeifertPiece, decomposition_matrix
 
 PROFILES = ("any", "negdef", "posEig", "semidef")
-ATTEMPTS = 500  # "posEig" draws before giving up
 
 
 def _random_torus(rng: random.Random, u: int, v: int) -> GluingTorus:
@@ -91,35 +93,35 @@ def _build(rng: random.Random, pieces: int, tori: list[GluingTorus], eulers) -> 
 def generate_manifold(pieces: int, seed: int = 0, profile: str = "any") -> DecompositionGraph:
     """Generate a valid decomposition graph matching the requested profile.
 
-    Raises ValueError for bad arguments and RuntimeError when rejection
-    sampling cannot satisfy the profile in :data:`ATTEMPTS` draws.
+    One draw, which holds the profile for every valid argument (a posEig
+    draw is repaired as the module docstring says).  Raises ValueError for
+    bad arguments.
     """
     if pieces < 2:
         raise ValueError(f"need at least 2 pieces, got {pieces}")
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; choose from {PROFILES}")
     rng = random.Random(f"{seed}:{pieces}:{profile}")
-    for _ in range(ATTEMPTS):
-        tori = _random_topology(rng, pieces)
-        row_sums = [Fraction(0)] * pieces
-        for t in tori:
-            w = Fraction(1, t.p)
-            row_sums[t.from_piece - 1] += w
-            row_sums[t.to_piece - 1] += w
-        if profile == "negdef":
-            eulers = [-(row_sums[i] + rng.choice((Fraction(1, 2), Fraction(1), Fraction(2)))) for i in range(pieces)]
-        elif profile == "semidef":
-            eulers = [-row_sums[i] for i in range(pieces)]
-        else:
-            eulers = [rng.choice(_EULER_POOL) for _ in range(pieces)]
-        G = _build(rng, pieces, tori, eulers)
-        if profile != "posEig":
-            return G
-        A = decomposition_matrix(G)
-        diagonal = [abs(row.get(i, 0)) for i, row in enumerate(A.sparse)]
-        couplings = ((i, j, c) for i, row in enumerate(A.sparse) for j, c in row.items() if j != i)
-        if any(c * c > diagonal[i] * diagonal[j] for i, j, c in couplings):
-            return G
-        if _perron_search(_scaled(A.sparse))[0] > 0:
-            return G
-    raise RuntimeError(f"profile {profile!r} unsatisfiable in {ATTEMPTS} attempts")
+    tori = _random_topology(rng, pieces)
+    row_sums = [Fraction(0)] * pieces
+    for t in tori:
+        w = Fraction(1, t.p)
+        row_sums[t.from_piece - 1] += w
+        row_sums[t.to_piece - 1] += w
+    if profile == "negdef":
+        eulers = [-(row_sums[i] + rng.choice((Fraction(1, 2), Fraction(1), Fraction(2)))) for i in range(pieces)]
+    elif profile == "semidef":
+        eulers = [-row_sums[i] for i in range(pieces)]
+    else:
+        eulers = [rng.choice(_EULER_POOL) for _ in range(pieces)]
+    G = _build(rng, pieces, tori, eulers)
+    if profile != "posEig":
+        return G
+    A = decomposition_matrix(G)
+    diagonal = [abs(row.get(i, 0)) for i, row in enumerate(A.sparse)]
+    couplings = ((i, j, c) for i, row in enumerate(A.sparse) for j, c in row.items() if j != i)
+    if any(c * c > diagonal[i] * diagonal[j] for i, j, c in couplings) or _perron_search(_scaled(A.sparse))[0] > 0:
+        return G
+    first = G.pieces[0]
+    repaired = SeifertPiece(id=first.id, euler=Fraction(0), genus=first.genus, cone_orders=first.cone_orders)
+    return DecompositionGraph(pieces=(repaired, *G.pieces[1:]), tori=G.tori)

@@ -232,7 +232,7 @@ def negativity_certificate(A: SymMatrix) -> NegativityCertificate:
     (:func:`_mmatrix_solve`); only the certificate is `Fraction`.
     """
     if len(matrix_components(A)) > 1:
-        raise ValueError("matrix graph is disconnected")
+        raise DisconnectedMatrixError("matrix graph is disconnected")
     n = A.order
     negated = [{j: (-x.numerator, x.denominator) for j, x in row.items()} for row in A.sparse]
     a = _mmatrix_solve([dict(row) for row in negated], [(1, 1)] * n)

@@ -310,6 +310,61 @@ def test_certify_crash_is_internal_error_not_a_verdict(tmp_path, capsys, monkeyp
     assert not cert.exists()
 
 
+@pytest.mark.parametrize("error", [AssertionError, ValueError])
+@pytest.mark.parametrize("command, target", [("analyze", "decide"), ("verify", "verify_surface_certificate")])
+def test_analyze_and_verify_crash_is_internal_error_not_a_verdict(tmp_path, capsys, monkeypatch, command, target, error):
+    def crash(*args):
+        raise error("kernel has dimension 2, expected 1")
+
+    manifold = write_manifold(tmp_path, "m.json", 0, 0)
+    cert = tmp_path / "cert.json"
+    assert main(["certify", str(manifold), "--out", str(cert)]) == 0
+    monkeypatch.setattr(cli, target, crash)
+    argv = {"analyze": ["analyze", str(manifold)], "verify": ["verify", str(manifold), str(cert)]}[command]
+    capsys.readouterr()
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert "internal error" in err
+    assert "Traceback" in err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (None, "surface certificate: expected an object, got NoneType"),
+        (["a_prime"], "surface certificate: expected an object, got list"),
+        ("a_prime", "surface certificate: expected an object, got str"),
+        ({"a": ["1", "1"]}, "surface certificate: missing required key 'degrees'"),
+        ({"reduction": {"a_prime": [], "a": []}}, "surface certificate: missing required key 'degrees'"),
+        ({"a_prime": [["0", "0"], ["0", "0"]]}, "reduction certificate: missing required key 'a'"),
+    ],
+)
+def test_verify_reads_the_certificate_kind_from_its_keys(tmp_path, capsys, doc, message):
+    manifold = write_manifold(tmp_path, "m.json", 0, 0)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    assert main(["verify", str(manifold), str(cert)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("embedded", [True, False])
+def test_verify_takes_a_matrix_out_file_as_a_reduction_certificate(monkeypatch, tmp_path, capsys, embedded):
+    # Two p = 1 tori give the manifold the matrix that `matrix` reduces.
+    G = two_piece_graph(-1, -1, tori=[GluingTorus(from_piece=1, to_piece=2, p=1)] * 2)
+    manifold = tmp_path / "m.json"
+    save_manifold(G, manifold)
+    out = tmp_path / "red.json"
+    assert run_matrix(monkeypatch, '[["-1", "2"], ["2", "-1"]]', "--out", str(out)) == 0
+    doc = load_json(out)
+    assert "matrix" in doc
+    if not embedded:
+        del doc["matrix"]
+        save_json(doc, out)
+    capsys.readouterr()
+    assert main(["verify", str(manifold), str(out), "--json"]) == 0
+    assert capsys.readouterr() == ('{\n  "valid": true,\n  "violations": []\n}\n', "")
+
+
 def test_verify_tampered_certificate_is_invalid(tmp_path, capsys):
     manifold = write_manifold(tmp_path, "m.json", 0, 0)
     cert = tmp_path / "cert.json"
@@ -377,7 +432,7 @@ def test_matrix_mode_reduction_verifies_as_reduction_kind(monkeypatch, tmp_path)
     out = tmp_path / "red.json"
     manifold = write_manifold(tmp_path, "m.json", -1, -1, p=2)
     assert run_matrix(monkeypatch, '[["-1", "2"], ["2", "-1"]]', "--out", str(out)) == 0
-    assert main(["verify", str(manifold), str(out), "--kind", "reduction"]) == 0
+    assert main(["verify", str(manifold), str(out)]) == 0
 
 
 def test_matrix_mode_unwritable_out_is_input_error(monkeypatch, tmp_path, capsys):
@@ -473,7 +528,7 @@ def test_verify_reduction_kind_with_tampered_vector(monkeypatch, tmp_path):
     doc = load_json(out)
     doc["a"] = ["1", "3"]
     save_json(doc, out)
-    assert main(["verify", str(manifold), str(out), "--kind", "reduction"]) == 4
+    assert main(["verify", str(manifold), str(out)]) == 4
 
 
 # --- generation --------------------------------------------------------------------
@@ -883,8 +938,7 @@ def mutated_certificates(draw):
     matrix) with up to three of its entries changed, dropped or duplicated,
     or an arbitrary certificate-shaped or JSON document in its place."""
     manifold, *certificates = verify_corpus(draw(strategies.integers(2, 5)), draw(strategies.integers(0, 3)))
-    kind = draw(strategies.sampled_from(["surface", "reduction", "reduction"]))
-    doc = copy.deepcopy(certificates[0] if kind == "surface" else draw(strategies.sampled_from(certificates[1:])))
+    doc = copy.deepcopy(draw(strategies.sampled_from(certificates)))
     for _ in range(draw(strategies.integers(0, 3))):
         places = positions(doc, [])
         if not places:
@@ -908,7 +962,7 @@ def mutated_certificates(draw):
     source = draw(strategies.sampled_from(["mutated"] * 6 + ["surface", "reduction", "any"]))
     if source != "mutated":
         doc = draw({"surface": surface_docs, "reduction": reduction_docs, "any": any_json}[source])
-    return manifold, kind, doc
+    return manifold, doc
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -916,10 +970,10 @@ def mutated_certificates(draw):
 def test_verify_is_total(tmp_path, capsys, case):
     """Any certificate document against a valid manifold is valid (0), an
     input error (2) or invalid (4), never a crash (5) or a traceback."""
-    manifold, kind, doc = case
+    manifold, doc = case
     save_json(manifold, tmp_path / "m.json")
     (tmp_path / "cert.json").write_text(json.dumps(doc))
-    code = main(["verify", str(tmp_path / "m.json"), str(tmp_path / "cert.json"), "--kind", kind])
+    code = main(["verify", str(tmp_path / "m.json"), str(tmp_path / "cert.json")])
     out, err = capsys.readouterr()
     assert code in (0, 2, 4), err
     assert "Traceback" not in out + err
@@ -932,6 +986,6 @@ def test_verify_corpus_certificates_are_valid(tmp_path, capsys):
         for seed in range(4):
             manifold, surface, with_matrix, without_matrix = verify_corpus(pieces, seed)
             save_json(manifold, tmp_path / "m.json")
-            for kind, doc in (("surface", surface), ("reduction", with_matrix), ("reduction", without_matrix)):
+            for doc in (surface, with_matrix, without_matrix):
                 save_json(doc, tmp_path / "cert.json")
-                assert main(["verify", str(tmp_path / "m.json"), str(tmp_path / "cert.json"), "--kind", kind]) == 0
+                assert main(["verify", str(tmp_path / "m.json"), str(tmp_path / "cert.json")]) == 0

@@ -1,4 +1,4 @@
-"""The README's examples run as shown.
+"""The README's examples run as shown, and its usage lines match the parser.
 
 The Library block is executed.  Every shell session in a plain fenced block
 (lines that start with ``$ ``) runs through ``cli.main`` in a scratch
@@ -8,6 +8,7 @@ line stands for any number of lines, and ``$ echo $?`` shows the exit code
 of the command before it.
 """
 
+import argparse
 import io
 import re
 import shlex
@@ -16,12 +17,13 @@ from pathlib import Path
 
 import pytest
 
-from gmsurf.cli import main
+from gmsurf.cli import build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 FENCE = re.compile(r"^( *)```(\w*)\n(.*?)^\1```", re.M | re.S)
 BLOCKS = [(m.group(2), textwrap.dedent(m.group(3))) for m in FENCE.finditer(README)]
 SESSIONS = [text for language, text in BLOCKS if not language and text.startswith("$ ")]
+USAGE = re.compile(r"^`gmsurf (\w+) ([^`]*)`", re.M)
 QUICK_START = re.search(r"Write a manifold file `(\S+)`:\s*```json\n(.*?)```", README, re.S)
 
 
@@ -31,6 +33,21 @@ def test_the_readme_shows_the_examples_this_test_runs():
     for example in ("gmsurf analyze fibered.json", "| gmsurf matrix --out", "gmsurf cover find"):
         assert any(example in command for command in commands), example
     assert QUICK_START is not None
+
+
+def test_each_usage_line_names_exactly_its_commands_options():
+    """A line that opens with `gmsurf CMD ...` is CMD's usage line: one per
+    subcommand, naming every option the parser gives CMD and no other."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    usage = {}
+    for command, text in USAGE.findall(README):
+        assert command not in usage, f"second usage line for {command}"
+        usage[command] = set(re.findall(r"--[a-z][a-z-]*", text))
+    options = {
+        command: {o for action in parser._actions for o in action.option_strings} - {"-h", "--help"}
+        for command, parser in commands.choices.items()
+    }
+    assert usage == options
 
 
 def test_library_block_runs():

@@ -430,7 +430,7 @@ def test_negativity_certificate_rejects_indefinite_matrix():
 
 
 def test_negativity_certificate_rejects_disconnected_matrix():
-    with pytest.raises(ValueError):
+    with pytest.raises(DisconnectedMatrixError):
         negativity_certificate(sym([["-1", 0], [0, "-1"]]))
 
 
