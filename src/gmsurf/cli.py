@@ -7,28 +7,23 @@ Subcommands:
 - ``verify``   recheck a surface or reduction certificate file independently;
 - ``gen``      generate a random manifold with a requested spectral profile;
 - ``matrix``   run the decision and reduction machinery on a raw matrix;
-- ``cover``    parity check / witness search / exhaustive oracle for surface covers.
+- ``cover``    parity check / witness construction for surface covers.
 
 Exit codes are a stable contract: 0 = property holds or certificate valid,
 1 = property fails (or no cover exists), 2 = input error, 3 = certificate
 unavailable, 4 = certificate invalid, 5 = internal error (a crash, never a
-verdict).
+verdict), 141 = the reader of stdout closed it early.
+
+Every ``--json`` output is one document, written by ``fileio.json_text``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
-from .covers import (
-    BudgetExceededError,
-    CoverSpec,
-    ParityError,
-    cover_exists_bruteforce,
-    find_cover,
-    parity_check,
-)
+from .covers import CoverSpec, ParityError, find_cover, parity_check
 from .decision import Branch, decide, two_piece_d
 from .exact_linalg import SymMatrix, rational_str
 from .fileio import (
@@ -40,7 +35,6 @@ from .fileio import (
     parse_json,
     reduction_cert_from_json,
     reduction_cert_to_json,
-    rows_to_json,
     save_json,
     sparse_rows_from_json,
     surface_cert_from_json,
@@ -57,6 +51,8 @@ EXIT_INPUT = 2
 EXIT_UNAVAILABLE = 3
 EXIT_INVALID = 4
 EXIT_INTERNAL = 5
+# 128 + SIGPIPE: what a shell reports for a writer whose reader left.
+EXIT_PIPE = 141
 
 # The input errors of a manifold command (exit 2); any other exception, a
 # ValueError from the decision or a verifier included, is a crash (exit 5).
@@ -79,18 +75,28 @@ def _fail_input(message: str) -> int:
     return EXIT_INPUT
 
 
+def _row_objects(rows, upper: bool = False) -> list[dict[str, str]]:
+    """One ``{"column": "value"}`` object per row of ``rows``, which are
+    ``{column: value}`` dicts of nonzeros: the row's nonzeros in ascending
+    column order, only those on and above the diagonal with ``upper``."""
+    return [
+        {str(j): rational_str(row[j]) for j in sorted(row) if j >= i or not upper}
+        for i, row in enumerate(rows)
+    ]
+
+
+def _print_rows(rows: list[dict[str, str]]) -> None:
+    for i, row in enumerate(rows):
+        print((f"  {i}: " + ", ".join(f"{j}={v}" for j, v in row.items())).rstrip())
+
+
 def _analysis_report(A: SymMatrix) -> dict:
+    """The verdict on A.  ``matrix`` is A's upper triangle; A-minus is A with
+    the diagonal entries of ``blocks.positive`` negated."""
     verdict = decide(A)
     pos, neg, zero = verdict.blocks
-    matrix = rows_to_json(A.sparse)
-    # An A-minus row is a list of its own only where the diagonal is positive.
-    minus = list(matrix)
-    for i in pos:
-        minus[i] = minus[i].copy()
-        minus[i][i] = rational_str(-A[i, i])
     report = {
-        "matrix": matrix,
-        "a_minus": minus,
+        "matrix": _row_objects(A.sparse, upper=True),
         "inertia": {
             "n_pos": verdict.inertia_of_a_minus.n_pos,
             "n_zero": verdict.inertia_of_a_minus.n_zero,
@@ -123,9 +129,8 @@ def _print_report(report: dict, as_json: bool) -> None:
     if as_json:
         print(json_text(report))
         return
-    print("decomposition matrix:")
-    for row in report["matrix"]:
-        print("  [" + ", ".join(row) + "]")
+    print("decomposition matrix, upper triangle (row: column=value):")
+    _print_rows(report["matrix"])
     ine = report["inertia"]
     print(
         f"inertia of A-minus: ({ine['n_pos']} positive, {ine['n_zero']} zero, "
@@ -210,17 +215,14 @@ def cmd_verify(args) -> int:
             violations = verify_surface_certificate(G, cert)
     except INPUT_ERRORS as exc:
         return _fail_input(str(exc))
-    if violations:
+    if args.json:
+        print(json_text({"valid": not violations, "violations": violations}))
+    elif violations:
         for v in violations:
             print(f"violation: {v}")
-        if args.json:
-            print(json_text({"valid": False, "violations": violations}))
-        return EXIT_INVALID
-    if args.json:
-        print(json_text({"valid": True, "violations": []}))
     else:
         print("certificate is valid")
-    return EXIT_HOLDS
+    return EXIT_INVALID if violations else EXIT_HOLDS
 
 
 def cmd_gen(args) -> int:
@@ -256,15 +258,19 @@ def cmd_matrix(args) -> int:
         report = _analysis_report(A)
     except (OSError, ValueError) as exc:
         return _fail_input(str(exc))
-    # A singular reduction exists exactly where A-minus is not negative definite.
-    reduction = None
-    report["reduction"] = None
+    # A singular reduction exists exactly where A-minus is not negative
+    # definite.  The report holds A' by rows of nonzeros; the file written
+    # to --out is the dense reduction certificate, with A embedded.
+    reduction = report["reduction"] = None
     if report["branch"] != Branch.NEGATIVE_DEFINITE.value:
         reduction = find_singular_reduction(A)
-        report["reduction"] = reduction_cert_to_json(reduction, matrix=A)
+        report["reduction"] = {
+            "a_prime": _row_objects(reduction.a_prime),
+            "a": [rational_str(v) for v in reduction.a],
+        }
         if args.out:
             try:
-                save_json(report["reduction"], args.out)
+                save_json(reduction_cert_to_json(reduction, matrix=A), args.out)
             except OSError as exc:
                 return _fail_input(str(exc))
     _print_report(report, args.json)
@@ -272,10 +278,9 @@ def cmd_matrix(args) -> int:
         if reduction is None:
             print("singular reduction: none (A-minus is negative definite)")
         else:
-            print("singular reduction A':")
-            for row in rows_to_json(reduction.a_prime):
-                print("  [" + ", ".join(row) + "]")
-            print("annihilated vector a: [" + ", ".join(rational_str(v) for v in reduction.a) + "]")
+            print("singular reduction A' (row: column=value):")
+            _print_rows(report["reduction"]["a_prime"])
+            print("annihilated vector a: [" + ", ".join(report["reduction"]["a"]) + "]")
             if args.out:
                 print(f"reduction certificate written to {args.out}")
     return EXIT_HOLDS if report["property_i"] else EXIT_FAILS
@@ -319,20 +324,10 @@ def cmd_cover(args) -> int:
     if args.action == "check":
         ok = parity_check(spec)
         if args.json:
-            print(json.dumps({"parity": ok}))
+            print(json_text({"parity": ok}))
         else:
             print(f"parity condition: {'holds (cover exists)' if ok else 'fails (no cover)'}")
         return EXIT_HOLDS if ok else EXIT_FAILS
-    if args.action == "brute":
-        try:
-            exists = cover_exists_bruteforce(spec)
-        except BudgetExceededError as exc:
-            return _fail_input(str(exc))
-        if args.json:
-            print(json.dumps({"exists": exists}))
-        else:
-            print(f"exhaustive search: {'cover exists' if exists else 'no cover'}")
-        return EXIT_HOLDS if exists else EXIT_FAILS
     if spec.alpha > MAX_FIND_ALPHA:
         return _fail_input(f"cover find takes --alpha up to {MAX_FIND_ALPHA}, got {spec.alpha}")
     circles = len(spec.boundary_degrees)
@@ -406,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("cover", help="surface covers with prescribed boundary")
-    p.add_argument("action", choices=("check", "find", "brute"))
+    p.add_argument("action", choices=("check", "find"))
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument(
@@ -431,7 +426,14 @@ def main(argv=None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader left early, which is no crash.  Stdout goes to devnull,
+        # so that the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except Exception as exc:  # a crash must not read as a verdict
         import traceback  # only on a crash: importing it costs ~4% of start-up
 

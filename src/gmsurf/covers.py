@@ -3,12 +3,15 @@
 A connected degree-alpha cover of a compact orientable surface of genus
 g >= 1 with b boundary circles, with prescribed covering degrees over each
 boundary circle, exists if and only if the total number of prescribed
-boundary circles upstairs has the same parity as alpha * (2 - 2g - b).
-:func:`parity_check` evaluates the criterion, :func:`find_cover` constructs an
-explicit witness whenever it holds (one commutator carries the whole
-relation, and :func:`alpha_cycle_split` constructs its two alpha-cycles with
-no search), and :func:`cover_exists_bruteforce` is the independent exhaustive
-oracle the equivalence is tested against.
+boundary circles upstairs has the same parity as alpha * (2 - 2g - b)
+(Husemoller, "Ramified coverings of Riemann surfaces", Duke Math. J. 29,
+1962; Edmonds, Kulkarni & Stong, "Realizability of branched coverings of
+surfaces", Trans. AMS 282, 1984).  :func:`parity_check` evaluates the
+criterion in constant time, and :func:`find_cover` constructs an explicit
+witness whenever it holds (one commutator carries the whole relation, and
+:func:`alpha_cycle_split` constructs its two alpha-cycles with no search).
+The exhaustive existence oracle that the equivalence is tested against
+lives with the tests, in ``tests/oracles.py``.
 
 Witnesses are permutation representations.  Fix the presentation of the
 surface group with generators x_1, y_1, ..., x_g, y_g, z_1, ..., z_b and the
@@ -29,10 +32,6 @@ as functions, rightmost factor applied first.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
-from itertools import permutations as all_permutations
-from itertools import product as cartesian_product
-from math import isqrt
 
 from .value import Value, _set
 
@@ -41,10 +40,6 @@ Perm = tuple[int, ...]
 
 class ParityError(ValueError):
     """The parity criterion fails, so no such cover exists."""
-
-
-class BudgetExceededError(RuntimeError):
-    """The exhaustive enumeration would exceed the configured budget."""
 
 
 def identity_perm(alpha: int) -> Perm:
@@ -132,21 +127,6 @@ def is_transitive(perms: Iterable[Perm], alpha: int) -> bool:
         if len(orbit) == alpha:
             return True
     return False
-
-
-def _partitions(n: int) -> list[tuple[int, ...]]:
-    """All partitions of n, parts descending, lexicographically largest first."""
-    result: list[tuple[int, ...]] = []
-
-    def extend(remaining: int, cap: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            result.append(prefix)
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            extend(remaining - part, part, prefix + (part,))
-
-    extend(n, n, ())
-    return result
 
 
 class CoverSpec(Value):
@@ -380,96 +360,3 @@ def find_cover(spec: CoverSpec) -> CoverCertificate:
     if violations:
         raise AssertionError(f"constructed witness failed verification: {violations[0]}")
     return cert
-
-
-_BRUTE_FORCE_BUDGET = 20_000_000
-
-
-def _enumeration_cost(genus: int, boundary: int, alpha: int) -> int:
-    """The larger of the sweep's tuple count and the alpha!^2 entries of the
-    composition and commutator tables built before it, exact up to the
-    budget and ``_BRUTE_FORCE_BUDGET + 1`` past it.
-
-    The table term comes first, on a factorial that stops once its square
-    passes the budget, so a large alpha is refused without multiplying out
-    alpha! or listing a partition of alpha; the sweep's product stops the
-    same way."""
-    over = _BRUTE_FORCE_BUDGET + 1
-    fact, root = 1, isqrt(_BRUTE_FORCE_BUDGET)
-    for k in range(2, alpha + 1):
-        fact *= k
-        if fact > root:
-            return over
-    sweep = len(_partitions(alpha))
-    if fact > 1:
-        for _ in range(2 * genus + boundary - 2):
-            sweep *= fact
-            if sweep > _BRUTE_FORCE_BUDGET:
-                return over
-    return max(sweep, fact * fact)
-
-
-@lru_cache(maxsize=None)
-def _sym_group(alpha: int):
-    perms = [tuple(p) for p in all_permutations(range(alpha))]
-    index = {p: k for k, p in enumerate(perms)}
-    compose_idx = [[index[compose(p, q)] for q in perms] for p in perms]
-    inverse_idx = [index[inverse(p)] for p in perms]
-    type_of = [cycle_type(p) for p in perms]
-    return perms, index, compose_idx, inverse_idx, type_of
-
-
-@lru_cache(maxsize=None)
-def _achievable_types(genus: int, boundary: int, alpha: int) -> frozenset[tuple[tuple[int, ...], ...]]:
-    """The boundary type tuples of the transitive homomorphisms.
-
-    One full sweep per (genus, boundary, alpha), run only by the oracle
-    :func:`cover_exists_bruteforce`.  x_1 is restricted to one canonical
-    representative per cycle type: conjugating a whole homomorphism
-    preserves boundary types and transitivity, and the genus is at least 1,
-    so every achievable type tuple is still reached.  The sweep loops x_1,
-    then the other 2g - 1 handle generators, whose commutator product is
-    taken once per choice, then the b - 1 free z's.
-    """
-    perms, index, compose_idx, inverse_idx, type_of = _sym_group(alpha)
-    n = len(perms)
-    ident = index[identity_perm(alpha)]
-
-    comm_idx = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            ab = compose_idx[a][b]
-            comm_idx[a][b] = compose_idx[compose_idx[ab][inverse_idx[a]]][inverse_idx[b]]
-
-    achievable: set[tuple[tuple[int, ...], ...]] = set()
-    for part in _partitions(alpha):
-        x_first = index[canonical_perm(alpha, part)]
-        for xy in cartesian_product(range(n), repeat=2 * genus - 1):
-            handles = (x_first,) + xy
-            prefix = ident
-            for a, b in zip(handles[:genus], handles[genus:]):
-                prefix = compose_idx[prefix][comm_idx[a][b]]
-            for zs in cartesian_product(range(n), repeat=boundary - 1):
-                relator = prefix
-                for k in zs:
-                    relator = compose_idx[relator][k]
-                key = tuple(type_of[k] for k in zs) + (type_of[inverse_idx[relator]],)
-                if key not in achievable and is_transitive([perms[k] for k in handles + zs], alpha):
-                    achievable.add(key)
-    return frozenset(achievable)
-
-
-def cover_exists_bruteforce(spec: CoverSpec) -> bool:
-    """Exhaustive oracle: enumerate every homomorphism (up to conjugation of
-    x_1) and test for one with the requested boundary type.
-
-    Raises BudgetExceededError when the sweep would exceed
-    ``_BRUTE_FORCE_BUDGET``; the sweep itself is cached per (genus, boundary
-    count, degree).
-    """
-    if _enumeration_cost(spec.genus, spec.boundary_count, spec.alpha) > _BRUTE_FORCE_BUDGET:
-        raise BudgetExceededError(
-            f"enumeration over S_{spec.alpha} needs more tuples or table entries than the "
-            f"budget allows, budget is {_BRUTE_FORCE_BUDGET}"
-        )
-    return spec.type_key() in _achievable_types(spec.genus, spec.boundary_count, spec.alpha)

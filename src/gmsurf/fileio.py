@@ -21,7 +21,8 @@ Schemas:
 
 Matrices are dense in the file and keep only their nonzero entries in
 memory: a :class:`SymMatrix`, and a reduction's ``a_prime`` as one
-``{column: value}`` dict per row.
+``{column: value}`` dict per row.  The reports of ``analyze`` and ``matrix``
+write only the nonzeros (see :mod:`gmsurf.cli`).
 """
 
 from __future__ import annotations
@@ -74,10 +75,10 @@ def _expect_list(value, where: str) -> list:
 
 
 def rows_to_json(rows) -> list[list[str]]:
-    """The dense rational string rows of a square matrix given as its
-    nonzero entries, one ``{column: value}`` dict per row (``A.sparse``, a
-    reduction's ``a_prime``): "0" everywhere else, written without a call
-    to :func:`rational_str`."""
+    """The dense rational string rows of a reduction file's ``a_prime`` and
+    ``matrix``, given as their nonzero entries, one ``{column: value}`` dict
+    per row: "0" everywhere else, written without a call to
+    :func:`rational_str`.  Reports write only the nonzeros."""
     n = len(rows)
     out = []
     for entries in rows:
@@ -360,11 +361,9 @@ def _flat_text(value: list, indent: str) -> str | None:
     return f'[\n{inner}"{between.join(value)}"\n{indent}]'
 
 
-def _write(value, indent: str, out: list[str], memo: dict) -> None:
+def _write(value, indent: str, out: list[str]) -> None:
     """Append the ``indent=2`` JSON text of ``value``; its lines after the
-    first start with ``indent``.  ``memo`` maps the identity and indent of
-    each list of strings already written to its text; the document holds every
-    list for the whole call, so no id is reused within it."""
+    first start with ``indent``."""
     kind = type(value)
     if kind is str:
         out.append(encode_basestring_ascii(value))
@@ -374,21 +373,17 @@ def _write(value, indent: str, out: list[str], memo: dict) -> None:
         if not value:
             out.append("[]")
             return
-        key = (id(value), indent)
-        text = memo.get(key)
-        if text is None:
-            text = _flat_text(value, indent)
-            if text is None:
-                inner = indent + "  "
-                separator = f"[\n{inner}"
-                for item in value:
-                    out.append(separator)
-                    _write(item, inner, out, memo)
-                    separator = f",\n{inner}"
-                out.append(f"\n{indent}]")
-                return
-            memo[key] = text
-        out.append(text)
+        text = _flat_text(value, indent)
+        if text is not None:
+            out.append(text)
+            return
+        inner = indent + "  "
+        separator = f"[\n{inner}"
+        for item in value:
+            out.append(separator)
+            _write(item, inner, out)
+            separator = f",\n{inner}"
+        out.append(f"\n{indent}]")
     elif kind is bool:
         out.append("true" if value else "false")
     elif value is None:
@@ -401,7 +396,7 @@ def _write(value, indent: str, out: list[str], memo: dict) -> None:
         separator = "{\n"
         for key, item in value.items():
             out.append(f"{separator}{inner}{encode_basestring_ascii(key)}: ")
-            _write(item, inner, out, memo)
+            _write(item, inner, out)
             separator = ",\n"
         out.append(f"\n{indent}}}")
     else:
@@ -418,21 +413,18 @@ def json_text(doc) -> str:
     - strings and ints, through the encoder's own primitives
       (``encode_basestring_ascii``, ``int.__repr__``); ``true``, ``false``
       and ``null``; empty lists and objects;
-    - a list of strings that need no escaping, such as a matrix row of
-      rationals, joined in C: escaping the joined entries adds only the
-      quotes;
+    - a list of strings that need no escaping, such as a dense row of a
+      reduction file, joined in C: escaping the joined entries adds only
+      the quotes;
     - other lists (``blocks``, ``degrees``), and objects with string keys
-      (a curve system, ``inertia``), entry by entry.
+      (a report's matrix row, a curve system, ``inertia``), entry by entry.
 
-    A list of strings that appears twice, as a row of ``matrix`` that
-    ``a_minus`` shares, is written once: its text is kept by identity and
-    indent for the rest of the call.  Only floats, objects with a key that
-    is not a string and values of other types (an int subclass, say), which
-    the package never writes, go to ``json.dumps(value, indent=2)``,
-    re-indented.
+    Only floats, objects with a key that is not a string and values of
+    other types (an int subclass, say), which the package never writes, go
+    to ``json.dumps(value, indent=2)``, re-indented.
     """
     out: list[str] = []
-    _write(doc, "", out, {})
+    _write(doc, "", out)
     return "".join(out)
 
 

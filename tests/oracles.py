@@ -46,6 +46,10 @@ the dense routines they replaced, kept so tests can compare results exactly:
   :func:`textbook_is_transitive`, an orbit search over a set that visits
   every point once per generator; and :func:`perm_from_cycle_lengths`, the
   per-point cycle builder that `canonical_perm` ran on the points in order.
+- :func:`cover_exists_bruteforce`, the exhaustive existence oracle that the
+  parity criterion of `gmsurf.covers` is tested against: one sweep over
+  S_alpha per (genus, boundary count, degree), on those kernels, cached,
+  and :func:`enumeration_cost`, the size of that sweep.
 
 It also holds :func:`bilinear_identity`, the exact quadratic-form expansion
 behind reading a negativity certificate as "A is negative", and the dense
@@ -60,9 +64,13 @@ the records once were.
 import inspect
 from bisect import bisect_left, insort
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cache
+from itertools import permutations as all_permutations
+from itertools import product as cartesian_product
+from math import factorial, gcd, lcm
 from typing import Iterable, Sequence
 
+from gmsurf.covers import CoverSpec, cycle_type
 from gmsurf.exact_linalg import (
     Inertia,
     SymMatrix,
@@ -831,3 +839,85 @@ def perm_from_cycle_lengths(alpha: int, lengths: Sequence[int], points: Sequence
             out[cycle[k]] = cycle[(k + 1) % length]
         pos += length
     return tuple(out)
+
+
+def _partitions(n: int) -> list[tuple[int, ...]]:
+    """All partitions of n, parts descending, lexicographically largest first."""
+    result: list[tuple[int, ...]] = []
+
+    def extend(remaining: int, cap: int, prefix: tuple[int, ...]):
+        if remaining == 0:
+            result.append(prefix)
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            extend(remaining - part, part, prefix + (part,))
+
+    extend(n, n, ())
+    return result
+
+
+def enumeration_cost(genus: int, boundary: int, alpha: int) -> int:
+    """The larger of :func:`_achievable_types`'s tuple count,
+    p(alpha) * alpha!^(2g + b - 2), and the alpha!^2 entries of the group
+    tables it builds first."""
+    fact = factorial(alpha)
+    return max(len(_partitions(alpha)) * fact ** (2 * genus + boundary - 2), fact * fact)
+
+
+@cache
+def _sym_group(alpha: int):
+    """S_alpha as a list, its index, and its composition, inverse and cycle
+    type tables by index."""
+    perms = list(all_permutations(range(alpha)))
+    index = {p: k for k, p in enumerate(perms)}
+    compose_idx = [[index[textbook_compose(p, q)] for q in perms] for p in perms]
+    inverse_idx = [index[textbook_inverse(p)] for p in perms]
+    type_of = [cycle_type(p) for p in perms]
+    return perms, index, compose_idx, inverse_idx, type_of
+
+
+@cache
+def _achievable_types(genus: int, boundary: int, alpha: int) -> frozenset[tuple[tuple[int, ...], ...]]:
+    """The boundary type tuples of the transitive homomorphisms.
+
+    One full sweep per (genus, boundary, alpha).  x_1 is restricted to one
+    canonical representative per cycle type: conjugating a whole
+    homomorphism preserves boundary types and transitivity, and the genus is
+    at least 1, so every achievable type tuple is still reached.  The sweep
+    loops x_1, then the other 2g - 1 handle generators, whose commutator
+    product is taken once per choice, then the b - 1 free z's.
+    """
+    perms, index, compose_idx, inverse_idx, type_of = _sym_group(alpha)
+    n = len(perms)
+    ident = index[tuple(range(alpha))]
+
+    comm_idx = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            ab = compose_idx[a][b]
+            comm_idx[a][b] = compose_idx[compose_idx[ab][inverse_idx[a]]][inverse_idx[b]]
+
+    achievable: set[tuple[tuple[int, ...], ...]] = set()
+    for part in _partitions(alpha):
+        x_first = index[perm_from_cycle_lengths(alpha, part, range(alpha))]
+        for xy in cartesian_product(range(n), repeat=2 * genus - 1):
+            handles = (x_first,) + xy
+            prefix = ident
+            for a, b in zip(handles[:genus], handles[genus:]):
+                prefix = compose_idx[prefix][comm_idx[a][b]]
+            for zs in cartesian_product(range(n), repeat=boundary - 1):
+                relator = prefix
+                for k in zs:
+                    relator = compose_idx[relator][k]
+                key = tuple(type_of[k] for k in zs) + (type_of[inverse_idx[relator]],)
+                if key not in achievable and textbook_is_transitive([perms[k] for k in handles + zs], alpha):
+                    achievable.add(key)
+    return frozenset(achievable)
+
+
+def cover_exists_bruteforce(spec: CoverSpec) -> bool:
+    """Exhaustive oracle: enumerate every homomorphism (up to conjugation of
+    x_1) and test for one with the requested boundary type.  The sweep is
+    cached per (genus, boundary count, degree); :func:`enumeration_cost`
+    sizes it."""
+    return spec.type_key() in _achievable_types(spec.genus, spec.boundary_count, spec.alpha)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from gmsurf.covers import CoverSpec, cover_exists_bruteforce, find_cover, parity_check, verify_cover
+from gmsurf.covers import CoverSpec, find_cover, parity_check, verify_cover
 from gmsurf.decision import decide, two_piece_d
 from gmsurf.exact_linalg import Inertia, SymMatrix, inertia
 from gmsurf.generate import generate_manifold
@@ -25,7 +25,7 @@ from gmsurf.reduction import (
     verify_reduction,
 )
 from gmsurf.surface import build_surface_certificate, verify_surface_certificate
-from oracles import bilinear_identity, is_connected_matrix, kernel_basis, mat_vec, sym, to_lists
+from oracles import bilinear_identity, cover_exists_bruteforce, is_connected_matrix, kernel_basis, mat_vec, sym, to_lists
 
 F = Fraction
 

@@ -8,8 +8,12 @@ error.
 import copy
 import io
 import json
+import os
+import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies
@@ -59,13 +63,14 @@ def test_analyze_json_report_is_exact(tmp_path, capsys):
     assert report["property_i"] is True
     assert report["property_ve"] is True
     assert report["two_piece"]["d"] == "1"
-    assert report["matrix"] == [["-1", "1"], ["1", "-1"]]
+    assert report["matrix"] == [{"0": "-1", "1": "1"}, {"1": "-1"}]
+    assert "a_minus" not in report
 
 
 def test_analyze_reads_only_the_nonzeros(tmp_path, monkeypatch, capsys):
-    # 200 pieces: each nonzero is written at most twice (matrix and A-minus
-    # rows), every other entry is the shared "0", and decide hands `inertia`
-    # dict rows only.
+    # 200 pieces: each nonzero on and above the diagonal is written once, in
+    # ascending column order, no zero is written, and decide hands
+    # `inertia` dict rows only.
     G = generate_manifold(200, seed=2, profile="posEig")
     path = tmp_path / "m.json"
     save_manifold(G, path)
@@ -77,9 +82,13 @@ def test_analyze_reads_only_the_nonzeros(tmp_path, monkeypatch, capsys):
     assert main(["analyze", str(path), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     A = decomposition_matrix(G)
-    nnz = sum(len(row) for row in A.sparse)
-    assert len(written) <= A.order + 2 * nnz
-    assert report["matrix"] == [[exact_linalg.rational_str(x) for x in row] for row in to_lists(A)]
+    upper = [
+        {str(j): exact_linalg.rational_str(x) for j, x in enumerate(row) if x and j >= i}
+        for i, row in enumerate(to_lists(A))
+    ]
+    assert len(written) == sum(map(len, upper))
+    assert report["matrix"] == upper
+    assert [list(row) for row in report["matrix"]] == [sorted(row, key=int) for row in upper]
     assert seen and all(isinstance(row, dict) for B in seen for row in B)
 
 
@@ -128,6 +137,23 @@ def test_analyze_splits_the_diagonal_once(tmp_path, monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert len(calls) == 1
     assert report["blocks"] == dict(zip(("positive", "negative", "zero"), real_split(calls[0])))
+
+
+def test_analyze_report_is_linear_in_the_pieces(tmp_path, capsys):
+    # 1,000 negative-definite pieces: dense rows of A and A-minus made a
+    # 22 MB report and a 43 MB peak; the upper-triangle nonzeros take 0.08 MB.
+    path = tmp_path / "m.json"
+    save_manifold(generate_manifold(1000, seed=3, profile="negdef"), path)
+    tracemalloc.start()
+    try:
+        code = main(["analyze", str(path), "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 1 and json.loads(out)["branch"] == "NegativeDefinite"
+    assert len(out.encode()) < 200_000
+    assert peak < 10_000_000
 
 
 def test_analyze_negative_definite_pair_fails(tmp_path, capsys):
@@ -422,9 +448,10 @@ def test_matrix_mode_reduces_indefinite_input(monkeypatch, tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["property_i"] is True
-    assert report["reduction"]["a_prime"] == [["-1", "1"], ["1", "-1"]]
+    assert report["reduction"]["a_prime"] == [{"0": "-1", "1": "1"}, {"0": "1", "1": "-1"}]
     assert report["reduction"]["a"] == ["1", "1"]
     doc = load_json(out)
+    assert doc["a_prime"] == [["-1", "1"], ["1", "-1"]]
     assert doc["matrix"] == [["-1", "2"], ["2", "-1"]]
 
 
@@ -658,27 +685,12 @@ def test_cover_find_multiplies_the_relation_out_once_after_the_recheck(monkeypat
     assert len(calls) == 2
 
 
-def test_cover_brute_exit_codes():
-    assert main(["cover", "brute", "--genus", "1", "--alpha", "2", "--degrees", "1,1"]) == 0
-    assert main(["cover", "brute", "--genus", "1", "--alpha", "2", "--degrees", "2"]) == 1
-
-
-@pytest.mark.parametrize("alpha", [7, 8, 9, 60, 100, 1000000])
-def test_cover_brute_counts_the_group_tables_in_its_budget(monkeypatch, capsys, alpha):
-    # The sweep itself is small here, but the alpha!^2 composition and
-    # commutator tables built before it are not: the budget must refuse them
-    # before they are started, and before the p(alpha) partitions of alpha
-    # (190,569,292 at alpha = 100) are listed.
-    def started(alpha):
-        raise AssertionError(f"the S_{alpha} tables were started")
-
-    def listed(alpha):
-        raise AssertionError(f"the partitions of {alpha} were listed")
-
-    monkeypatch.setattr(covers, "_sym_group", started)
-    monkeypatch.setattr(covers, "_partitions", listed)
-    assert main(["cover", "brute", "--genus", "1", "--alpha", str(alpha), "--degrees", str(alpha)]) == 2
-    assert "budget is 20000000" in capsys.readouterr().err
+def test_cover_has_no_brute_action(capsys):
+    # The exhaustive oracle lives in the tests; the parser refuses the action.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cover", "brute", "--genus", "1", "--alpha", "2", "--degrees", "1,1"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'brute'" in capsys.readouterr().err
 
 
 def test_cover_find_refuses_an_alpha_above_its_cap_before_building_a_permutation(monkeypatch, capsys):
@@ -699,10 +711,8 @@ def test_cover_find_refuses_an_alpha_above_its_cap_before_building_a_permutation
     # At the cap itself the witness is built.
     assert main(["cover", "find", "--genus", "1", "--alpha", str(cap), "--degrees", f"{cap - 1},1"]) == 5
     assert "internal error: Built: 1000000" in capsys.readouterr().err
-    # check and brute keep their own behaviour above the cap.
+    # check keeps its own behaviour above the cap.
     assert main(["cover", "check", "--genus", "1", "--alpha", str(cap + 1), "--degrees", str(cap + 1)]) == 0
-    assert main(["cover", "brute", "--genus", "1", "--alpha", str(cap + 1), "--degrees", str(cap + 1)]) == 2
-    assert "budget" in capsys.readouterr().err
 
 
 def test_cover_find_refuses_alpha_times_circles_above_its_cap_before_building_a_permutation(monkeypatch, capsys):
@@ -783,6 +793,41 @@ def test_emitted_files_contain_no_floats(tmp_path):
     check(json.loads(manifold.read_text()))
 
 
+# One document per --json output: the verify case is the invalid certificate
+# of a 6-piece posEig manifold whose first degree is raised by one.
+JSON_COMMANDS = {
+    "analyze-holds": ("analyze same --json", 0),
+    "analyze-fails": ("analyze mixed --json", 1),
+    "certify": ("certify pos --out cert2 --json", 0),
+    "verify": ("verify pos cert --json", 0),
+    "verify-invalid": ("verify pos bad_cert --json", 4),
+    "matrix": ("matrix matrix --json", 0),
+    "cover-check": ("cover check --genus 1 --alpha 2 --degrees 2 --json", 1),
+    "cover-find": ("cover find --genus 2 --alpha 5 --degrees 5;3,1,1 --json", 0),
+}
+
+
+@pytest.mark.parametrize("name", list(JSON_COMMANDS))
+def test_each_json_output_is_one_document(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    save_manifold(two_piece_graph(-1, -1), tmp_path / "same")
+    save_manifold(two_piece_graph(1, -1), tmp_path / "mixed")
+    G = generate_manifold(6, seed=1, profile="posEig")
+    save_manifold(G, tmp_path / "pos")
+    cert = surface_cert_to_json(build_surface_certificate(G))
+    save_json(cert, tmp_path / "cert")
+    cert["degrees"][0] += 1
+    save_json(cert, tmp_path / "bad_cert")
+    save_json([["-1", "2"], ["2", "-1"]], tmp_path / "matrix")
+    command, code = JSON_COMMANDS[name]
+    assert main(command.split()) == code
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert out == fileio.json_text(doc) + "\n"
+    if name.startswith("verify"):
+        assert doc["valid"] is (code == 0)
+
+
 def test_cli_output_needs_no_pure_python_encoder(tmp_path, monkeypatch, capsys):
     # Every JSON document the CLI writes is json.dumps(doc, indent=2) byte for
     # byte.  json.dumps builds its indenting encoder with _make_iterencode;
@@ -809,6 +854,7 @@ def test_cli_output_needs_no_pure_python_encoder(tmp_path, monkeypatch, capsys):
         "verify negdef out/cert --json",
         "cover find --genus 1 --alpha 3 --degrees 3 --json",
         "cover find --genus 2 --alpha 5 --degrees 5;3,1,1 --json",
+        "cover check --genus 1 --alpha 2 --degrees 2 --json",
         "gen 6 --seed 1",
         "gen 6 --seed 1 --out out/gen",
     ]
@@ -825,14 +871,14 @@ def test_cli_output_needs_no_pure_python_encoder(tmp_path, monkeypatch, capsys):
         return results
 
     expected = run_all()
-    assert [code for _, code, _, _ in expected] == [1, 0, 1, 0, 0, 0, 1, 0, 0, 4, 0, 0, 0, 0]
+    assert [code for _, code, _, _ in expected] == [1, 0, 1, 0, 0, 0, 1, 0, 0, 4, 0, 0, 1, 0, 0]
     assert '"two_piece": {' in expected[1][2].out
     assert '"reduction": null' in expected[6][2].out
     assert '"z": []' in expected[10][2].out
     for command, _, captured, files in expected:
         texts = [*(data.decode() for data in files.values())]
         if "--json" in command or command == "gen 6 --seed 1":
-            texts.append(captured.out[captured.out.index("{\n"):])  # verify prints each violation first
+            texts.append(captured.out)
         for text in texts:
             assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
@@ -841,6 +887,30 @@ def test_cli_output_needs_no_pure_python_encoder(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(json.encoder, "_make_iterencode", broken)
     assert run_all() == expected
+
+
+# --- a reader that leaves early ---------------------------------------------------
+
+
+def test_a_closed_output_pipe_exits_141_without_a_traceback():
+    # `gen 3000` prints about 700 KB, more than a pipe buffer holds; the
+    # reader closes its end after the first line.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gmsurf.cli", "gen", "3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
+    finally:
+        proc.kill()
+        proc.wait()
+    assert b"Traceback" not in err and b"Error" not in err, err
 
 
 # --- exact numbers past the interpreter's 4300-digit int <-> str limit -----------
@@ -863,7 +933,7 @@ def huge_euler_manifold(tmp_path):
 def test_analyze_entry_over_4300_digits(tmp_path, capsys):
     assert main(["analyze", str(huge_euler_manifold(tmp_path)), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["matrix"][0][0] == "-3/1" + "0" * 4400
+    assert report["matrix"][0]["0"] == "-3/1" + "0" * 4400
     assert report["branch"] == "PositiveEigenvalue"
 
 
@@ -969,16 +1039,24 @@ def mutated_certificates(draw):
 @given(mutated_certificates())
 def test_verify_is_total(tmp_path, capsys, case):
     """Any certificate document against a valid manifold is valid (0), an
-    input error (2) or invalid (4), never a crash (5) or a traceback."""
+    input error (2) or invalid (4), never a crash (5) or a traceback, and
+    the same with --json."""
     manifold, doc = case
     save_json(manifold, tmp_path / "m.json")
     (tmp_path / "cert.json").write_text(json.dumps(doc))
-    code = main(["verify", str(tmp_path / "m.json"), str(tmp_path / "cert.json")])
+    argv = ["verify", str(tmp_path / "m.json"), str(tmp_path / "cert.json")]
+    code = main(argv)
     out, err = capsys.readouterr()
     assert code in (0, 2, 4), err
     assert "Traceback" not in out + err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    # With --json the same verdict is one document on stdout.
+    assert main(argv + ["--json"]) == code
+    out, json_err = capsys.readouterr()
+    assert json_err == err
+    if code != 2:
+        assert json.loads(out)["valid"] is (code == 0)
 
 
 def test_verify_corpus_certificates_are_valid(tmp_path, capsys):

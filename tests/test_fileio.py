@@ -1,7 +1,6 @@
 """Tests for structured-text serialization: exact round trips, float rejection."""
 
 import json
-import operator
 from fractions import Fraction
 
 import pytest
@@ -548,8 +547,6 @@ def test_writer_matches_json_dumps_on_analyze_reports(verdict, rows):
     assert_same_text(_analysis_report(A))
 
 
-# The 1,000-piece negative-definite report's `a_minus` is `matrix`, row for
-# row the same objects, which the writer writes once.
 @pytest.mark.parametrize(
     "profile, pieces",
     [("any", 20), ("negdef", 20), ("posEig", 20), ("semidef", 20), ("negdef", 1000)],
@@ -557,8 +554,6 @@ def test_writer_matches_json_dumps_on_analyze_reports(verdict, rows):
 )
 def test_writer_matches_json_dumps_on_generated_reports(profile, pieces):
     report = _analysis_report(decomposition_matrix(generate_manifold(pieces, seed=4, profile=profile)))
-    if profile == "negdef":
-        assert all(map(operator.is_, report["a_minus"], report["matrix"]))
     assert_same_text(report)
 
 

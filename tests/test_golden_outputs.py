@@ -35,81 +35,81 @@ from test_surface import slowly_closing_path
 GEN_DIGESTS = {
     (5, 'any'): {
         'gen': 'bbc5fb13dc0c98d26be80411b38611e056587895f540637d1733656bac884e7d',
-        'analyze': '3b21a05ef41aeed01c200835eb5e946668bbe0ea87b773c88f9e796153448718',
+        'analyze': 'bca229a5c62053c084127cd0aea30c01f46aae4b9023824ded2616238c480f3a',
         'certify': '9ef7cebb314800555c076f4831cf2212f3ad59e08dbc6b1fa433d761eeec0854',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': '54b4438418278c5f0649f103d6a0f05fc2f48905f84e678853e265cb8b3b5664',
+        'matrix': 'b1a377aa80b82cb259a5b277882176ca59a58e7afadf1c7873f3a054f7246ff7',
     },
     (5, 'negdef'): {
         'gen': '268e20889c8c8347ffe92db803af4e2e3d25e3ce2367b961f163a2c247770d19',
-        'analyze': 'f04aecf1343c83c36f5583cde7a4ed63bdc440c82a9db7cb6a8f4b009a09f409',
+        'analyze': '2dc7dce89ca526f3a4aa1676c95dddbe0bc1864c50c8b48ef0f2ced265d52577',
         'certify': '1c6b3db02d9e2f3874d6877e0f57a9278021e160cb18c33209f43b354115af44',
-        'matrix': 'a4bba24855d2ac05dedc8702067671087cf96bab6102687aed24096b9bc99607',
+        'matrix': '00b25c51d3730575ee93786e0af534208eeea9376dd8ca1ea8df01c230d116c3',
     },
     (5, 'posEig'): {
         'gen': '2acc4b0beb15b033f433251563bab94174b8a4c3f5b494a562ab1bfbffcb6856',
-        'analyze': 'dd7b2e4316cf9f452bcf9146b9de765b65ab44c2815dfb75e801618cc1921ce0',
+        'analyze': '97f0f86d5cfd6c8012e4ea9e5642f1d750ec7d641ea75b3f22147d4d7df52c18',
         'certify': '4184f6df16e5821840bab50257353a92b882bb37a7170e50246dad1b3b869cde',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': 'b75f836fc29b7985254f01965be0b76f76ce7ee1dc550adbe915c63c266c22dd',
+        'matrix': 'd3a8d8e2df47027a2ac63d200e0d322714f8bbdb148234bb7fd843ce11bb604e',
     },
     (5, 'semidef'): {
         'gen': 'b8259444ee42f7daa94ceb93b63403c66fc238ba6d88e8420fba4caad5d1c575',
-        'analyze': 'bdb21269fb7c810e9d5058ad56274757ea74d65ec46a3f07b827cc3515f11165',
+        'analyze': 'bce32023b90ffa98cc569689e9139c819600930196bdc7adbe8149b14f72fbed',
         'certify': '1df6a3ebd8035552d60ac247c6481076585d414128362d2ea157f89d95f1f169',
-        'matrix': '13b4d65190c84b8c57d9cafa55fdc78d90745dbffa03c36d38e59be56f2aebcd',
+        'matrix': 'e4dd6d07553c0fab5c4103e960eeafff1263ba871a6387ec094ebde958a8742a',
     },
     (30, 'any'): {
         'gen': 'af1d66d657fb22a17583202cb6fd21883bb0efd592a5bb562a9099918f3ef688',
-        'analyze': '5f2011bf06cea214f14bc70e8cdc05d45d0f0c72f6f96556da950d64c2f18007',
+        'analyze': '463e3c88a155bf1bc746b805b8c47a9c9bce5e68daa15ac54978848e0ac30ea9',
         'certify': 'dc1d19c79e08c459affa784d10719e4a34cc4d8e9fde342df2b105a27bbeb44e',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': '022ef1bcec911a0c65213996111425b7b1068f3577a136f25d35c246a0b71f08',
+        'matrix': '182d7e2bad52b4f0a8532534f6ee545c30881331098ef4119a6c16d6d0d791d1',
     },
     (30, 'negdef'): {
         'gen': '3ace1009f9d645b53c92a52446010a5e328bff660f543740add46394f5587010',
-        'analyze': 'df197e16e3b71b762205b61391021b0141221b56b6958ef8036253798dbfc644',
+        'analyze': '81e723fad8f9c7f67cc5694d7c9862fd2182ac0ddad250e4462c91b79cc0ff6b',
         'certify': '1c6b3db02d9e2f3874d6877e0f57a9278021e160cb18c33209f43b354115af44',
-        'matrix': '99cd95be4256d37431262ea0508f97aad804136145d661ed36c0827be1f63aa8',
+        'matrix': 'efedcbbf2c99fb2b4793b6c535cb0be07433f95612f474c6681657c1757db6ec',
     },
     (30, 'posEig'): {
         'gen': 'c13e5ee9421070217cfcf30b7e5c2d8db16ddf4b532fca58d102e4e497bc5351',
-        'analyze': '7adf4ce2335feca20a41389d5dca27487672f0eb7f06ddd62f355bbd7f84af7e',
+        'analyze': 'fb4cad83b2473d50d040d85c23ba3466f1d35fa785c8f49046ef52eb1326d633',
         'certify': '85228e4669bd426d3061caaf5c0f971d1eea43f51bfafe072c4c493c97838b33',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': 'fd9d0b3a60e17f2685251ec593314f7823131aa01f126886bdb6b54b59ab6558',
+        'matrix': '33fcb12feb510432f0c991be2da4c4f1ba06fdd0b61425d3de800475f8d75283',
     },
     (30, 'semidef'): {
         'gen': '3cf32e8d8f0656052b59d6b1badd3c3414cbace7f05ca406bd515e6a35e1977f',
-        'analyze': '582a975a98dd3fbcbd86c88230a34e2e08ac933140bca82f2a39ab95cf0706fb',
+        'analyze': 'e183d142ced1f490ce7fb9fe354b25f362d58ed0cef0a9b414f6785190f1a2cc',
         'certify': '1df6a3ebd8035552d60ac247c6481076585d414128362d2ea157f89d95f1f169',
-        'matrix': '6fa56849a492a73787adbc0b2340816a65e6c1d6648aefffd7da5d96690ccbe9',
+        'matrix': '0902a55e84a500f2c4a90ad45f11e5197d5560dde16b6a805378bdb3ae92632c',
     },
     (120, 'any'): {
         'gen': 'befa91e0fa26730242d996ea155ec695ddf56338d8bc4f16709f97036619b84e',
-        'analyze': '9faf0edc1dd4cf9ace4cf845f025a63f03f05345afaf037f5caa895efe19c512',
+        'analyze': '19464d023b34d24ad0224c60e7112c64b959580ce9dda40f995ff5a1fff4ac3c',
         'certify': '24c161db30e4544bce62dbe7ea39615510e4394c00b6e768d826dc3158e02aaa',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': '10f458ed0ba80bda47618eb15cdcfc10efa571a3cf49528e4123a227fba49d67',
+        'matrix': '2deae828d4a434fbb6960804ce56f3ab2e5c6502fdea3f29a83458d7a61093d9',
     },
     (120, 'negdef'): {
         'gen': '7d85bca61bcf7feb4b65a350c73f214774df87e7894f2100c67027616f0c84ca',
-        'analyze': 'beffa1588996f0ef2c95a4fe4a61cb8210f6c6084a7d22996178303df915d089',
+        'analyze': '7f68b718c53c2cfdecf009920b1670541efeedef460789fa10f1edde42000a76',
         'certify': '1c6b3db02d9e2f3874d6877e0f57a9278021e160cb18c33209f43b354115af44',
-        'matrix': '08792748d94c630a943fe7892e9340083ff9ebe2b52c46b2ac9437c86af896e3',
+        'matrix': 'b7fd91844e01a7d4a4581b53f96d58b4b656e902ab89653752ab1ed47036de4b',
     },
     (120, 'posEig'): {
         'gen': '36a8ea6bbfc4ca0d3686648c7dade83af3b692022551c0b545d820b281929b57',
-        'analyze': 'f1b374155edcafc9d358d5fd2f1f81d235fd8a72370f71dee087f09d3e86b3c3',
+        'analyze': 'd65a0bbde5e8dcfd79e6c4522fa697319f6bfdd36022554f267942c293e97c6e',
         'certify': '8dc1f53a065e403d66668403a98ca20f737c49947c3110f4ddbc04ebeabe2e72',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': 'cc56e7453cec074fa5fa2525f6d0afc1f723f1ba2c0ee03a42cb1f5dce185450',
+        'matrix': '0974155fcb2faa3bf72244100627d90f1d1d09f944e3c2b9bb6f46fad1fd8e86',
     },
     (120, 'semidef'): {
         'gen': '3bd4c158dfea645752fb8734bad5cce55f865b04a09391850b49e283d3cedca1',
-        'analyze': '7417e78835fef35e0fa184b66d81998865f90784cf4efa902b6cd54a8b5a2710',
+        'analyze': '9126d21b2eb5eb240b259ae1f83dc4d4dd070f34ec6ccb6127e68254fd50c7df',
         'certify': '1df6a3ebd8035552d60ac247c6481076585d414128362d2ea157f89d95f1f169',
-        'matrix': '3083809c45554fc6ce95ff186887b5f396de50c54de0f77a6d98028fb6464a88',
+        'matrix': 'db2ae1051e6ad09904aa399eedefdea61ca6881d5e23263b84853b3085eebc86',
     },
 }
 
@@ -128,7 +128,7 @@ PATH_DIGESTS = {
     },
 }
 
-GRID_DIGEST = '0c7f6e222c5411f434940fd3f557062e7c7e822a44782e50a9112116670326a7'
+GRID_DIGEST = '6192775b0da14e345621c7781620d339f7b8fd119beb335cacaac692361ff959'
 
 _NEAR_17 = ",".join(["2", "2"] + ["1"] * 13)
 

@@ -35,19 +35,38 @@ def test_the_readme_shows_the_examples_this_test_runs():
     assert QUICK_START is not None
 
 
+def usage_actions(text: str) -> list[tuple[str, ...]]:
+    """The `a|b` lists of lowercase words in a usage line that are not an
+    option's value: the choices of its positional arguments, in order."""
+    tokens = text.replace("[", " ").replace("]", " ").split()
+    return [
+        tuple(token.split("|"))
+        for before, token in zip([""] + tokens, tokens)
+        if re.fullmatch(r"[a-z]+(\|[a-z]+)+", token) and not before.startswith("--")
+    ]
+
+
 def test_each_usage_line_names_exactly_its_commands_options():
     """A line that opens with `gmsurf CMD ...` is CMD's usage line: one per
-    subcommand, naming every option the parser gives CMD and no other."""
+    subcommand, naming every option the parser gives CMD and no other, and
+    listing as `a|b` exactly the choices of each positional argument."""
     (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    usage = {}
+    usage, actions = {}, {}
     for command, text in USAGE.findall(README):
         assert command not in usage, f"second usage line for {command}"
         usage[command] = set(re.findall(r"--[a-z][a-z-]*", text))
+        actions[command] = usage_actions(text)
     options = {
         command: {o for action in parser._actions for o in action.option_strings} - {"-h", "--help"}
         for command, parser in commands.choices.items()
     }
+    choices = {
+        command: [tuple(a.choices) for a in parser._actions if not a.option_strings and a.choices]
+        for command, parser in commands.choices.items()
+    }
     assert usage == options
+    assert actions == choices
+    assert actions["cover"] == [("check", "find")]
 
 
 def test_library_block_runs():
