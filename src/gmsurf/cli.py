@@ -97,11 +97,7 @@ def _analysis_report(A: SymMatrix) -> dict:
     pos, neg, zero = verdict.blocks
     report = {
         "matrix": _row_objects(A.sparse, upper=True),
-        "inertia": {
-            "n_pos": verdict.inertia_of_a_minus.n_pos,
-            "n_zero": verdict.inertia_of_a_minus.n_zero,
-            "n_neg": verdict.inertia_of_a_minus.n_neg,
-        },
+        "perron_sign": verdict.perron_sign,
         "blocks": {"positive": pos, "negative": neg, "zero": zero},
         "property_i": verdict.property_i,
         "property_ve": verdict.property_ve,
@@ -131,11 +127,8 @@ def _print_report(report: dict, as_json: bool) -> None:
         return
     print("decomposition matrix, upper triangle (row: column=value):")
     _print_rows(report["matrix"])
-    ine = report["inertia"]
-    print(
-        f"inertia of A-minus: ({ine['n_pos']} positive, {ine['n_zero']} zero, "
-        f"{ine['n_neg']} negative)"
-    )
+    sign = ("negative", "zero", "positive")[report["perron_sign"] + 1]
+    print(f"sign of A-minus's Perron root: {sign}")
     blocks = report["blocks"]
     print(
         f"diagonal blocks: positive {blocks['positive']}, negative {blocks['negative']}, "

@@ -1,33 +1,24 @@
 """Decision procedures for the two surface-existence properties.
 
-Both decisions read off the exact inertia of A-minus (the decomposition matrix
-with positive diagonal entries negated):
+Both decisions read off signs of Perron roots, never eigenvalue counts.  A
+connected matrix in A-minus form (couplings >= 0: the decomposition matrix
+with positive diagonal entries negated, or a principal block of it) has a
+Perron root rho, its largest eigenvalue, above that of every proper
+principal block (Berman and Plemmons, *Nonnegative Matrices in the
+Mathematical Sciences*, ch. 2 and 6; Horn and Johnson, *Matrix Analysis*,
+ch. 8):
 
-- "immersed" (property I) holds iff A-minus has a positive eigenvalue, or is
-  negative semidefinite and singular while all diagonal entries of A share a
-  sign (all >= 0 or all <= 0);
+- "immersed" (property I) holds iff rho of A-minus is positive, or zero
+  while all diagonal entries of A share a sign (all >= 0 or all <= 0);
 - "virtually embedded" (property VE) holds iff one of the two diagonal blocks,
   the positive-diagonal block with its diagonal negated or the
-  negative-diagonal block, fails to be negative definite.  A zero diagonal
-  entry makes whichever block receives it non-definite, so any zero diagonal
-  gives VE immediately.
+  negative-diagonal block, fails to be negative definite, that is, has a
+  connected component with rho >= 0.  A zero diagonal entry makes whichever
+  block receives it non-definite, so any zero diagonal gives VE at once.
 
 VE implies I for every connected input (tested exhaustively downstream), so a
 disconnected matrix graph is rejected rather than decided per component.
-
-Most inputs need no elimination, by Perron-Frobenius (Berman and Plemmons,
-*Nonnegative Matrices in the Mathematical Sciences*, ch. 2; Horn and
-Johnson, *Matrix Analysis*, ch. 8).  A-minus has non-negative couplings on a
-connected graph, so A-minus + sI is non-negative and irreducible for s large
-enough: its largest eigenvalue, the Perron root rho of A-minus, is simple,
-and every proper principal block of A-minus has a largest eigenvalue below
-rho.  Hence rho < 0 gives the inertia (0, 0, n), rho = 0 gives (0, 1, n - 1),
-and either makes every proper principal block negative definite, so with
-both diagonal blocks non-empty VE fails.  The exact sign of rho comes from
-the package's Perron search (:func:`gmsurf.exact_linalg._perron_search`);
-only a positive root, or a search that ends undecided at full precision,
-takes the exact inertia of A-minus, whose counts the report prints, and only
-then can a diagonal block need its own.
+Each sign comes from :func:`_perron_sign`.
 
 For two-piece manifolds the single rational D = A11*A22 / A12^2 carries both
 answers: I holds iff -1 < D <= 1 and VE holds iff 0 <= D <= 1.  That invariant
@@ -36,13 +27,14 @@ is exposed as an independent cross-check.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 
 from .exact_linalg import (
     DisconnectedMatrixError,
-    Inertia,
     SymMatrix,
+    _components,
     _perron_search,
     _scaled,
     inertia,
@@ -66,23 +58,23 @@ class Branch(Enum):
 
 
 class Verdict(Value):
-    """Joint outcome of both decisions for one matrix, with the
-    (positive, negative, zero) diagonal split they read."""
+    """Joint outcome of both decisions for one matrix, with the sign (1, 0 or -1)
+    of A-minus's Perron root and the (positive, negative, zero) diagonal split they read."""
 
-    __slots__ = ("property_i", "property_ve", "branch", "inertia_of_a_minus", "blocks")
+    __slots__ = ("property_i", "property_ve", "branch", "perron_sign", "blocks")
 
     def __init__(
         self,
         property_i: bool,
         property_ve: bool,
         branch: Branch,
-        inertia_of_a_minus: Inertia,
+        perron_sign: int,
         blocks: tuple[list[int], list[int], list[int]],
     ):
         _set(self, "property_i", property_i)
         _set(self, "property_ve", property_ve)
         _set(self, "branch", branch)
-        _set(self, "inertia_of_a_minus", inertia_of_a_minus)
+        _set(self, "perron_sign", perron_sign)
         _set(self, "blocks", blocks)
 
 
@@ -100,11 +92,22 @@ def _check_input(A: SymMatrix) -> tuple[list[int], list[int], list[int]]:
     return split_blocks(A)
 
 
-def immersed(ine: Inertia, pos: list[int], neg: list[int]) -> tuple[bool, Branch]:
-    """Property I and its branch from the inertia of A-minus and A's diagonal-sign split."""
-    if ine.n_pos > 0:
+def _perron_sign(rows: Sequence[dict[int, Fraction]]) -> int:
+    """The sign (1, 0 or -1) of the Perron root of rows, a connected matrix in A-minus form:
+    the sign-only Perron search's, or where that ends undecided at full
+    precision, the sign of the largest eigenvalue read off the exact inertia."""
+    found = _perron_search(_scaled(rows), sign_only=True)
+    if found is not None:
+        return found[0]
+    ine = inertia(rows)
+    return 1 if ine.n_pos else 0 if ine.n_zero else -1
+
+
+def immersed(sign: int, pos: list[int], neg: list[int]) -> tuple[bool, Branch]:
+    """Property I and its branch from the sign of A-minus's Perron root and A's diagonal-sign split."""
+    if sign > 0:
         return True, Branch.POSITIVE_EIGENVALUE
-    if ine.n_zero > 0:
+    if sign == 0:
         # all diagonal entries >= 0 or all <= 0
         if not pos or not neg:
             return True, Branch.SEMIDEFINITE_SAME_SIGN
@@ -112,59 +115,44 @@ def immersed(ine: Inertia, pos: list[int], neg: list[int]) -> tuple[bool, Branch
     return False, Branch.NEGATIVE_DEFINITE
 
 
-def _negative_definite_block(minus: tuple[dict[int, Fraction], ...], idx: list[int]) -> bool:
-    # Blocks go through this module's `inertia` binding, like A-minus, so
-    # every inertia a decision takes is made under that one name.
-    position = {i: r for r, i in enumerate(idx)}
-    block = [{position[j]: x for j, x in minus[i].items() if j in position} for i in idx]
-    return inertia(block).n_neg == len(idx)
-
-
-def _virtually_embedded(
-    minus: tuple[dict[int, Fraction], ...] | None, ine: Inertia, pos: list[int], neg: list[int], zero: list[int]
-) -> bool:
+def _virtually_embedded(minus: Sequence[dict[int, Fraction]], sign: int, pos: list, neg: list, zero: list) -> bool:
     # Both diagonal blocks are principal blocks of A-minus: the positive one
-    # with its diagonal negated, the negative one as it is in A.  A-minus's
-    # rows are given on the positive branch only, the one place they are read.
+    # with its diagonal negated, the negative one as it is in A.
     if zero:
         return True
     if not pos or not neg:
-        # One block is all of A-minus, whose inertia is known; the other is
+        # One block is all of A-minus, whose sign is known; the other is
         # empty, so negative definite vacuously.
-        return bool(ine.n_pos or ine.n_zero)
-    if not ine.n_pos:
+        return sign >= 0
+    if sign <= 0:
         # Both blocks are proper principal blocks of A-minus, whose Perron
         # root is <= 0: both are negative definite.
         return False
-    return not _negative_definite_block(minus, pos) or not _negative_definite_block(minus, neg)
+    # A block is negative definite iff each of its components (which hold
+    # every neighbour of their vertices in the block) has a negative root.
+    for component in (c for idx in (pos, neg) for c in _components(minus, idx)):
+        position = {i: r for r, i in enumerate(component)}
+        if _perron_sign([{position[j]: x for j, x in minus[i].items() if j in position} for i in component]) >= 0:
+            return True
+    return False
 
 
 def decide(A: SymMatrix) -> Verdict:
-    """Run both decisions in one pass: one input check, and each distinct inertia once.
+    """Run both decisions in one pass: one input check, and each sign once.
 
-    The exact sign of A-minus's Perron root comes first: a negative root is
-    the inertia (0, 0, n) and a zero root (0, 1, n - 1), with no
-    elimination.  Only a positive root, or a search undecided at full
-    precision, eliminates A-minus, once; a diagonal block is eliminated only
-    on the positive branch, when it is a proper part of A-minus.
+    The sign of A-minus's Perron root settles I, and VE too unless it is
+    positive with both diagonal blocks non-empty; then each component of a
+    block gets its own sign, until one is not negative.
     """
     pos, neg, zero = _check_input(A)
-    n = A.order
-    found = _perron_search(_scaled(A.sparse), sign_only=True)
-    minus = None
-    if found is None or found[0] > 0:
-        minus = a_minus(A)
-        ine = inertia(minus)
-    elif found[0] < 0:
-        ine = Inertia(0, 0, n)
-    else:
-        ine = Inertia(0, 1, n - 1)
-    property_i, branch = immersed(ine, pos, neg)
+    minus = a_minus(A)
+    sign = _perron_sign(minus)
+    property_i, branch = immersed(sign, pos, neg)
     return Verdict(
         property_i=property_i,
-        property_ve=_virtually_embedded(minus, ine, pos, neg, zero),
+        property_ve=_virtually_embedded(minus, sign, pos, neg, zero),
         branch=branch,
-        inertia_of_a_minus=ine,
+        perron_sign=sign,
         blocks=(pos, neg, zero),
     )
 

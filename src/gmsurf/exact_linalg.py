@@ -505,9 +505,8 @@ def matrix_components(A: SymMatrix) -> list[list[int]]:
     Decomposition matrices, and every matrix the decision and reduction
     layers accept, have non-negative off-diagonal entries.  The first
     negative entry is named row by row, then by column, whatever the order
-    of the row dicts' keys.  Components are sorted lists of vertices,
-    ordered by smallest member, found by a depth-first walk over the same
-    nonzero entries.
+    of the row dicts' keys.  The components are :func:`_components` of all
+    vertices.
     """
     rows = A.sparse
     for i, row in enumerate(rows):
@@ -515,9 +514,17 @@ def matrix_components(A: SymMatrix) -> list[list[int]]:
         negative = [j for j, x in row.items() if j > i and x._numerator < 0]
         if negative:
             raise ValueError(f"negative off-diagonal entry at ({i}, {min(negative)})")
-    seen = [False] * len(rows)
+    return _components(rows, range(len(rows)))
+
+
+def _components(rows: Sequence[dict], vertices: Sequence[int]) -> list[list[int]]:
+    """The components of the matrix graph of ``{column: value}`` rows on `vertices` (ascending):
+    sorted lists, by smallest member, from a depth-first walk over the stored entries."""
+    seen = [True] * len(rows)
+    for i in vertices:
+        seen[i] = False
     components: list[list[int]] = []
-    for start in range(len(rows)):
+    for start in vertices:
         if seen[start]:
             continue
         stack = [start]
@@ -657,8 +664,9 @@ def _perron_search(scaled: Scaled, sign_only: bool = False) -> tuple[int, list[i
     vector v with v^T B v > 0 then ends the search at sign 1, with (1, v, y)
     for that v: rho is B's largest eigenvalue, at least the Rayleigh
     quotient of v.  A round that ends undecided from FULL_BITS on returns
-    None instead of running the kernel test, for the caller to take the
-    exact inertia, which costs less than the test on large singular inputs.
+    None instead of running the kernel test, for the caller to read the
+    sign off the exact inertia, which costs less than the test on large
+    singular inputs.
     """
     scales, own, couplings = scaled
     n = len(own)

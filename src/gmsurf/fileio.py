@@ -417,7 +417,7 @@ def json_text(doc) -> str:
       reduction file, joined in C: escaping the joined entries adds only
       the quotes;
     - other lists (``blocks``, ``degrees``), and objects with string keys
-      (a report's matrix row, a curve system, ``inertia``), entry by entry.
+      (a report's matrix row, a curve system, ``two_piece``), entry by entry.
 
     Only floats, objects with a key that is not a string and values of
     other types (an int subclass, say), which the package never writes, go

@@ -144,18 +144,26 @@ def find_singular_reduction(A: SymMatrix) -> ReductionCertificate:
     return ReductionCertificate(a_prime=tuple(m), a=tuple(a))
 
 
+def shape_violations(n: int, cert: ReductionCertificate) -> list[str]:
+    """The shape mismatch of cert against a matrix of order n, as a one-item list; [] if it has order n."""
+    if cert.has_order(n):
+        return []
+    k = len(cert.a_prime)
+    stray = sorted({j for row in cert.a_prime for j in row if not 0 <= j < k})
+    shape = f"{k} x {k}" + (f" with columns {stray} outside it" if stray else "")
+    return [f"shape mismatch: a has {len(cert.a)} entries, a_prime is {shape}, matrix order {n}"]
+
+
 def verify_reduction(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
     """Recheck every certificate invariant against A in `int` arithmetic;
-    return violations (empty = valid).
+    return violations (empty = valid): the shape, then the entries."""
+    return shape_violations(A.order, cert) or entry_violations(A, cert)
 
+
+def entry_violations(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
+    """:func:`verify_reduction` past the shape, for a cert of A's order.
     Only the stored nonzeros of A' are read: a missing key is a zero."""
     violations: list[str] = []
-    n = A.order
-    if not cert.has_order(n):
-        k = len(cert.a_prime)
-        stray = sorted({j for row in cert.a_prime for j in row if not 0 <= j < k})
-        shape = f"{k} x {k}" + (f" with columns {stray} outside it" if stray else "")
-        return [f"shape mismatch: a has {len(cert.a)} entries, a_prime is {shape}, matrix order {n}"]
     a = [v.as_integer_ratio() for v in cert.a]
     loose: list[str] = []
     image: list[str] = []

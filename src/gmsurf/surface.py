@@ -80,7 +80,7 @@ from math import lcm
 
 from .exact_linalg import _fraction, _inverse, _mul, _sub
 from .manifold import DecompositionGraph, decomposition_matrix
-from .reduction import ReductionCertificate, strict_shrink, verify_reduction
+from .reduction import ReductionCertificate, entry_violations, shape_violations, strict_shrink
 from .value import Value, _set
 
 
@@ -175,7 +175,8 @@ def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) 
     """Recheck every certificate equation from scratch; return violations (empty = valid).
 
     Checks, all in `int` arithmetic: the reduction is a strict reduction of
-    the decomposition matrix (:func:`verify_reduction` against A, then
+    the decomposition matrix (:func:`gmsurf.reduction.verify_reduction`'s
+    shape and entry checks against A, then
     |A'[i][j]| < A[i][j] on A's couplings); its vector is
     the degree vector; each torus has exactly one curve system per side; the
     per-side degree split, both per-piece balances, the change-of-basis
@@ -196,9 +197,11 @@ def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) 
     if all(d == 0 for d in cert.degrees):
         violations.append("all degrees are zero")
 
-    violations.extend(verify_reduction(A, cert.reduction))
-    if not cert.reduction.has_order(n):
-        return violations
+    # verify_reduction in its two steps, so the shape is scanned once
+    shape = shape_violations(n, cert.reduction)
+    if shape:
+        return violations + shape
+    violations.extend(entry_violations(A, cert.reduction))
     # verify_reduction flags every nonzero entry of A' where A is 0, so
     # strictness reads only A's couplings.
     for i, (row, couplings) in enumerate(zip(cert.reduction.a_prime, A.sparse)):

@@ -35,6 +35,7 @@ from gmsurf.reduction import find_singular_reduction
 from gmsurf.surface import build_surface_certificate
 from oracles import replace, to_lists
 from test_fileio import any_json, json_scalars, reduction_docs, save_manifold, surface_docs
+from test_surface import count_calls
 
 
 def write_manifold(tmp_path, name, e1, e2, **torus_kwargs):
@@ -69,16 +70,17 @@ def test_analyze_json_report_is_exact(tmp_path, capsys):
 
 def test_analyze_reads_only_the_nonzeros(tmp_path, monkeypatch, capsys):
     # 200 pieces: each nonzero on and above the diagonal is written once, in
-    # ascending column order, no zero is written, and decide hands
-    # `inertia` dict rows only.
+    # ascending column order, no zero is written, and decide hands the
+    # Perron search dict rows only and takes no inertia.
     G = generate_manifold(200, seed=2, profile="posEig")
     path = tmp_path / "m.json"
     save_manifold(G, path)
     written, seen = [], []
     for module in (cli, fileio):
         monkeypatch.setattr(module, "rational_str", lambda x: written.append(x) or exact_linalg.rational_str(x))
-    real_inertia = decision.inertia
-    monkeypatch.setattr(decision, "inertia", lambda B: seen.append(B) or real_inertia(B))
+    real_scaled, inertias = decision._scaled, []
+    monkeypatch.setattr(decision, "_scaled", lambda B: seen.append(B) or real_scaled(B))
+    monkeypatch.setattr(decision, "inertia", lambda B: inertias.append(B))
     assert main(["analyze", str(path), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     A = decomposition_matrix(G)
@@ -90,6 +92,20 @@ def test_analyze_reads_only_the_nonzeros(tmp_path, monkeypatch, capsys):
     assert report["matrix"] == upper
     assert [list(row) for row in report["matrix"]] == [sorted(row, key=int) for row in upper]
     assert seen and all(isinstance(row, dict) for B in seen for row in B)
+    assert inertias == []
+
+
+def test_analyze_takes_no_inertia_at_1000_pieces(tmp_path, monkeypatch, capsys):
+    # A count gate, not a clock: on the 1,000-piece posEig input the one
+    # Perron search of A-minus settles I, and a zero diagonal settles VE.
+    path = tmp_path / "m.json"
+    assert main(["gen", "1000", "--seed", "3", "--profile", "posEig", "--out", str(path)]) == 0
+    capsys.readouterr()
+    counts = count_calls(monkeypatch, ("inertia", "_congruence", "_perron_search"))
+    assert main(["analyze", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["perron_sign"], report["property_ve"], bool(report["blocks"]["zero"])) == (1, True, True)
+    assert counts == {"inertia": 0, "_congruence": 0, "_perron_search": 1}
 
 
 def test_each_matrix_is_checked_once(tmp_path, monkeypatch, capsys):

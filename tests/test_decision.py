@@ -16,6 +16,7 @@ from gmsurf.decision import (
 )
 from gmsurf.exact_linalg import (
     DisconnectedMatrixError,
+    Inertia,
     SymMatrix,
     inertia,
 )
@@ -188,30 +189,31 @@ def test_branch_tag_tracks_positive_eigenvalue():
 
 
 @pytest.mark.parametrize(
-    "rows, eliminated, blocks",
+    "rows, searched",
     [
         # a zero diagonal settles VE: no block is looked at
-        ([[0, "3/2"], ["3/2", 0]], True, []),
-        # a negative Perron root: the inertia is (0, 0, n), with no elimination
-        ([["-2", 1], [1, "-2"]], False, []),
-        # a zero Perron root, all diagonals negative: (0, 1, n - 1)
-        ([["-1", 1], [1, "-1"]], False, []),
+        ([[0, "3/2"], ["3/2", 0]], []),
+        # a negative Perron root settles both properties
+        ([["-2", 1], [1, "-2"]], []),
+        # a zero Perron root, all diagonals negative
+        ([["-1", 1], [1, "-1"]], []),
         # every diagonal positive: the positive block (negated) is A-minus
-        ([[1, 2], [2, 1]], True, []),
+        ([[1, 2], [2, 1]], []),
         # both blocks, under a zero Perron root: both are negative definite
-        ([[1, 1], [1, "-1"]], False, []),
+        ([[1, 1], [1, "-1"]], []),
         # the positive block (negated) is indefinite, so VE holds without the negative one
-        ([[1, 2, 1], [2, 1, 1], [1, 1, "-1"]], True, [[["-1", 2], [2, "-1"]]]),
+        ([[1, 2, 1], [2, 1, 1], [1, 1, "-1"]], [[["-1", 2], [2, "-1"]]]),
+        # the positive block has two components, each with its own sign
+        ([[1, 0, 1], [0, 1, 1], [1, 1, "-1"]], [[["-1"]], [["-1"]], [["-1"]]]),
     ],
 )
-def test_decide_takes_each_inertia_once(monkeypatch, rows, eliminated, blocks):
-    # decide hands `inertia` one dict of nonzero entries per row; compare
-    # their dense form: A-minus first, only where its Perron root is
-    # positive, then one call per block looked at that is a proper part of
-    # A-minus.
-    seen, checked = [], []
-    real_inertia, real_check = decision.inertia, decision._check_input
-    monkeypatch.setattr(decision, "inertia", lambda B: seen.append(B) or real_inertia(B))
+def test_decide_takes_each_inertia_once(monkeypatch, rows, searched):
+    # decide asks one sign of A-minus, then one per connected component of
+    # each block it looks at, each of dict rows of nonzero entries (compared
+    # in their dense form); `inertia` is called only right after a search
+    # that ends undecided, on the rows searched, which these inputs never need.
+    signs, calls = watch_signs(monkeypatch)
+    checked, real_check = [], decision._check_input
     monkeypatch.setattr(decision, "_check_input", lambda A: checked.append(A) or real_check(A))
     A = sym(rows)
     verdict = decide(A)
@@ -220,10 +222,37 @@ def test_decide_takes_each_inertia_once(monkeypatch, rows, eliminated, blocks):
     def dense(B):
         return [[row.get(j, F(0)) for j in range(len(B))] for row in B]
 
-    assert [dense(B) for B in seen] == [to_lists(SymMatrix(a_minus(A)))] * eliminated + [
-        to_lists(sym(b)) for b in blocks
-    ]
-    assert verdict.inertia_of_a_minus == inertia(SymMatrix(a_minus(A)).sparse)
+    assert [dense(B) for B in signs] == [to_lists(SymMatrix(a_minus(A)))] + [to_lists(sym(b)) for b in searched]
+    assert_hands_over_only_when_undecided(calls, signs)
+    assert [kind for kind, _ in calls] == ["search"] * len(signs)
+    assert verdict.perron_sign == perron_sign(inertia(SymMatrix(a_minus(A)).sparse))
+
+
+def watch_signs(monkeypatch) -> tuple[list, list]:
+    """(signs, calls), filled in as decide runs: the rows of each
+    `_perron_sign`, and in order each search's result and each `inertia`'s rows."""
+    signs, calls = [], []
+    real_sign, real_search, real_inertia = decision._perron_sign, decision._perron_search, decision.inertia
+    monkeypatch.setattr(decision, "_perron_sign", lambda B: signs.append(B) or real_sign(B))
+    monkeypatch.setattr(
+        decision, "_perron_search", lambda *a, **k: calls.append(("search", real_search(*a, **k))) or calls[-1][1]
+    )
+    monkeypatch.setattr(decision, "inertia", lambda B: calls.append(("inertia", B)) or real_inertia(B))
+    return signs, calls
+
+
+def assert_hands_over_only_when_undecided(calls: list, signs: list) -> None:
+    """Each sign is one search, followed by one `inertia` of the same rows
+    exactly when that search returned None."""
+    position = 0
+    for rows in signs:
+        kind, found = calls[position]
+        assert kind == "search"
+        position += 1
+        if found is None:
+            assert calls[position] == ("inertia", rows)
+            position += 1
+    assert position == len(calls)
 
 
 # Input errors, in the order decide checks them: the empty matrix, then the
@@ -273,8 +302,13 @@ def scaled_semidefinite(n: int, seed: int, eps: Fraction) -> SymMatrix:
     return SymMatrix(tuple(rows))
 
 
+def perron_sign(ine: Inertia) -> int:
+    """The sign of the Perron root, the largest eigenvalue, from an inertia."""
+    return 1 if ine.n_pos else 0 if ine.n_zero else -1
+
+
 def assert_decide_matches_the_dense_oracles(A: SymMatrix) -> None:
-    """Inertia, branch and both properties of `decide` against the dense
+    """Perron sign, branch and both properties of `decide` against the dense
     Bareiss inertia of A-minus and of its diagonal blocks.  Both blocks are
     principal blocks of A-minus; every zero diagonal goes with the positive
     block, as any assignment may."""
@@ -292,7 +326,7 @@ def assert_decide_matches_the_dense_oracles(A: SymMatrix) -> None:
         branch = Branch.NEGATIVE_DEFINITE
     definite = [bareiss_inertia(principal_submatrix(B, idx)).n_neg == len(idx) for idx in (pos + zero, neg)]
     verdict = decide(A)
-    assert verdict.inertia_of_a_minus == ine
+    assert verdict.perron_sign == perron_sign(ine)
     assert verdict.branch is branch
     assert verdict.property_i == (branch in (Branch.POSITIVE_EIGENVALUE, Branch.SEMIDEFINITE_SAME_SIGN))
     assert verdict.property_ve == (not all(definite))
@@ -318,6 +352,38 @@ def test_decide_matches_the_dense_oracles_off_the_all_ones_kernel(n, seed, eps):
     assert_decide_matches_the_dense_oracles(scaled_semidefinite(n, seed, eps))
 
 
+@pytest.mark.parametrize("profile", ["any", "posEig", "semidef", "negdef"])
+@pytest.mark.parametrize("seed", range(5))
+def test_decide_matches_the_dense_oracles_on_gen_inputs(profile, seed):
+    for pieces in range(2, 41):
+        assert_decide_matches_the_dense_oracles(decomposition_matrix(generate_manifold(pieces, seed=seed, profile=profile)))
+
+
+def bordered_semidefinite(n: int, seed: int) -> SymMatrix:
+    """D S D (:func:`scaled_semidefinite` at eps = 0, every diagonal
+    negative) with one more vertex of diagonal 1 coupled to vertex 0 by
+    1/2.  A-minus's Perron root is then positive, above that of its proper
+    block D S D, which is 0: decide looks at both blocks, and the search on
+    the negative one ends undecided, as on D S D alone."""
+    rows = [dict(row) for row in scaled_semidefinite(n, seed, F(0)).sparse] + [{n: F(1), 0: F(1, 2)}]
+    rows[0][n] = F(1, 2)
+    return SymMatrix(tuple(rows))
+
+
+@pytest.mark.parametrize("n, seed", [(5, 1), (12, 2), (30, 0)])
+def test_a_block_component_hands_over_to_the_inertia(monkeypatch, n, seed):
+    A = bordered_semidefinite(n, seed)
+    signs, calls = watch_signs(monkeypatch)
+    assert_decide_matches_the_dense_oracles(A)
+    # A-minus, the positive block's one vertex, then the negative block,
+    # whose search hands over
+    assert [len(B) for B in signs] == [n + 1, 1, n]
+    assert_hands_over_only_when_undecided(calls, signs)
+    assert [kind for kind, _ in calls] == ["search", "search", "search", "inertia"]
+    verdict = decide(A)
+    assert (verdict.perron_sign, verdict.property_ve) == (1, True)
+
+
 @pytest.mark.parametrize(
     "A, eliminations",
     [
@@ -327,15 +393,18 @@ def test_decide_matches_the_dense_oracles_off_the_all_ones_kernel(n, seed, eps):
         pytest.param(lambda: verdict_matrix(64, "same"), 0, id="same"),
         pytest.param(lambda: verdict_matrix(64, "mixed"), 0, id="mixed"),
         pytest.param(lambda: scaled_semidefinite(30, 0, F(1, 10**6)), 0, id="DSD-eps"),
-        # the positive branch: A-minus once, and blocks only where VE needs them
-        pytest.param(lambda: decomposition_matrix(generate_manifold(200, seed=3, profile="posEig")), 1, id="gen-posEig"),
-        pytest.param(lambda: verdict_matrix(64, "pos_ve"), 1, id="pos_ve"),
-        pytest.param(lambda: verdict_matrix(64, "pos_no_ve"), 3, id="pos_no_ve"),
+        # the positive branch: every sign, blocks included, from the search alone
+        pytest.param(lambda: decomposition_matrix(generate_manifold(200, seed=3, profile="posEig")), 0, id="gen-posEig"),
+        pytest.param(lambda: verdict_matrix(64, "pos_ve"), 0, id="pos_ve"),
+        pytest.param(lambda: verdict_matrix(64, "pos_no_ve"), 0, id="pos_no_ve"),
         # no fixed-point round hits the kernel: the search hands over to one inertia
         pytest.param(lambda: scaled_semidefinite(30, 0, F(0)), 1, id="DSD"),
+        pytest.param(lambda: bordered_semidefinite(30, 0), 1, id="DSD-block"),
     ],
 )
 def test_decide_eliminates_only_on_the_positive_branch(monkeypatch, A, eliminations):
+    # The name is historical: decide eliminates only where a sign search
+    # hands over, on any branch.
     A = A()
     counts = count_calls(monkeypatch, ("inertia", "_congruence"))
     decide(A)

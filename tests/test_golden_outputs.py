@@ -35,81 +35,81 @@ from test_surface import slowly_closing_path
 GEN_DIGESTS = {
     (5, 'any'): {
         'gen': 'bbc5fb13dc0c98d26be80411b38611e056587895f540637d1733656bac884e7d',
-        'analyze': 'bca229a5c62053c084127cd0aea30c01f46aae4b9023824ded2616238c480f3a',
+        'analyze': 'd27ab749d1e345a16d53399841fb320a68b36ac5165bbbdb08df6eb9fe2f9cdd',
         'certify': '9ef7cebb314800555c076f4831cf2212f3ad59e08dbc6b1fa433d761eeec0854',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': 'b1a377aa80b82cb259a5b277882176ca59a58e7afadf1c7873f3a054f7246ff7',
+        'matrix': '673c4a106fdbc773cdbfd6dbef6499e8db4e776bdf1ed44a2e267292f944d594',
     },
     (5, 'negdef'): {
         'gen': '268e20889c8c8347ffe92db803af4e2e3d25e3ce2367b961f163a2c247770d19',
-        'analyze': '2dc7dce89ca526f3a4aa1676c95dddbe0bc1864c50c8b48ef0f2ced265d52577',
+        'analyze': 'f4c69ecd1290b726a2f93c850b3b8b9985f5dde8065799da8b76c49946fa3cd4',
         'certify': '1c6b3db02d9e2f3874d6877e0f57a9278021e160cb18c33209f43b354115af44',
-        'matrix': '00b25c51d3730575ee93786e0af534208eeea9376dd8ca1ea8df01c230d116c3',
+        'matrix': '40483e261c8e8d182c5aa0fcfa56aa1f9faccc1a43f68bed8cabc985a59f205c',
     },
     (5, 'posEig'): {
         'gen': '2acc4b0beb15b033f433251563bab94174b8a4c3f5b494a562ab1bfbffcb6856',
-        'analyze': '97f0f86d5cfd6c8012e4ea9e5642f1d750ec7d641ea75b3f22147d4d7df52c18',
+        'analyze': '83a97a2cf7247fa03e8bdfe6ba57d4265dd2daf29624ca9a88829fd5f07377dc',
         'certify': '4184f6df16e5821840bab50257353a92b882bb37a7170e50246dad1b3b869cde',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': 'd3a8d8e2df47027a2ac63d200e0d322714f8bbdb148234bb7fd843ce11bb604e',
+        'matrix': 'fc23a023b0ce6d2b389439c8abf88c52a1bbe6882b63df6e1222fbeb008b6798',
     },
     (5, 'semidef'): {
         'gen': 'b8259444ee42f7daa94ceb93b63403c66fc238ba6d88e8420fba4caad5d1c575',
-        'analyze': 'bce32023b90ffa98cc569689e9139c819600930196bdc7adbe8149b14f72fbed',
+        'analyze': '9529b9bd63849bd5a7ab310c665116b4ce8bd7a6fd8f69a9af962410860a6394',
         'certify': '1df6a3ebd8035552d60ac247c6481076585d414128362d2ea157f89d95f1f169',
-        'matrix': 'e4dd6d07553c0fab5c4103e960eeafff1263ba871a6387ec094ebde958a8742a',
+        'matrix': '54a727ecdd5c688483e5097f9ada0d8a57c8de56976b589ce8f277df0b7a1123',
     },
     (30, 'any'): {
         'gen': 'af1d66d657fb22a17583202cb6fd21883bb0efd592a5bb562a9099918f3ef688',
-        'analyze': '463e3c88a155bf1bc746b805b8c47a9c9bce5e68daa15ac54978848e0ac30ea9',
+        'analyze': 'de1f528f42003d56e0482691ff9805dd788d7b12c8ed59930d8951c08963e9b3',
         'certify': 'dc1d19c79e08c459affa784d10719e4a34cc4d8e9fde342df2b105a27bbeb44e',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': '182d7e2bad52b4f0a8532534f6ee545c30881331098ef4119a6c16d6d0d791d1',
+        'matrix': '880d0ede416b22212a4a1fcab5bc436fa903441682e0fd619f1308ed6ebe30de',
     },
     (30, 'negdef'): {
         'gen': '3ace1009f9d645b53c92a52446010a5e328bff660f543740add46394f5587010',
-        'analyze': '81e723fad8f9c7f67cc5694d7c9862fd2182ac0ddad250e4462c91b79cc0ff6b',
+        'analyze': '6d055b4079ffa9d1fcb21f4b4e4640312704b5be76933b9d81d9932af230899d',
         'certify': '1c6b3db02d9e2f3874d6877e0f57a9278021e160cb18c33209f43b354115af44',
-        'matrix': 'efedcbbf2c99fb2b4793b6c535cb0be07433f95612f474c6681657c1757db6ec',
+        'matrix': 'cdb61bfafe293924e273fbc5f93433143769d511818a0d34bdfc08b9366a6bbe',
     },
     (30, 'posEig'): {
         'gen': 'c13e5ee9421070217cfcf30b7e5c2d8db16ddf4b532fca58d102e4e497bc5351',
-        'analyze': 'fb4cad83b2473d50d040d85c23ba3466f1d35fa785c8f49046ef52eb1326d633',
+        'analyze': '8c63f858496b956c6cfc2e888b65e64c2ac27826b4966f7a68ebc9b9c6ad04c5',
         'certify': '85228e4669bd426d3061caaf5c0f971d1eea43f51bfafe072c4c493c97838b33',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': '33fcb12feb510432f0c991be2da4c4f1ba06fdd0b61425d3de800475f8d75283',
+        'matrix': '89ce2d3ffea59bde881645ee2755c23f202a60cde8b5031af432ea09c16ffb6e',
     },
     (30, 'semidef'): {
         'gen': '3cf32e8d8f0656052b59d6b1badd3c3414cbace7f05ca406bd515e6a35e1977f',
-        'analyze': 'e183d142ced1f490ce7fb9fe354b25f362d58ed0cef0a9b414f6785190f1a2cc',
+        'analyze': 'b453996559216e90cff5ce4151a1689d91358af1689cdffcac261408f118b089',
         'certify': '1df6a3ebd8035552d60ac247c6481076585d414128362d2ea157f89d95f1f169',
-        'matrix': '0902a55e84a500f2c4a90ad45f11e5197d5560dde16b6a805378bdb3ae92632c',
+        'matrix': 'f41d2e12425d1878baaeceaf60474f9527174a9f603a661d696657132a730649',
     },
     (120, 'any'): {
         'gen': 'befa91e0fa26730242d996ea155ec695ddf56338d8bc4f16709f97036619b84e',
-        'analyze': '19464d023b34d24ad0224c60e7112c64b959580ce9dda40f995ff5a1fff4ac3c',
+        'analyze': '3031408df9f486952ff4d6aa655685df95ee1c62df9db446b028b3ecd24fca24',
         'certify': '24c161db30e4544bce62dbe7ea39615510e4394c00b6e768d826dc3158e02aaa',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': '2deae828d4a434fbb6960804ce56f3ab2e5c6502fdea3f29a83458d7a61093d9',
+        'matrix': '9c2d3c00883500be636ccfb7c8263d91217fa879dd98867e5896d98900c6fecf',
     },
     (120, 'negdef'): {
         'gen': '7d85bca61bcf7feb4b65a350c73f214774df87e7894f2100c67027616f0c84ca',
-        'analyze': '7f68b718c53c2cfdecf009920b1670541efeedef460789fa10f1edde42000a76',
+        'analyze': '527e4a9f22435855fc1633113940cab4a2e982b793294c8ace720de8453c5b56',
         'certify': '1c6b3db02d9e2f3874d6877e0f57a9278021e160cb18c33209f43b354115af44',
-        'matrix': 'b7fd91844e01a7d4a4581b53f96d58b4b656e902ab89653752ab1ed47036de4b',
+        'matrix': '7a7e77be1e74baaced4aac83cb2938c154ee14ac18e43613f9d94e7a517c0929',
     },
     (120, 'posEig'): {
         'gen': '36a8ea6bbfc4ca0d3686648c7dade83af3b692022551c0b545d820b281929b57',
-        'analyze': 'd65a0bbde5e8dcfd79e6c4522fa697319f6bfdd36022554f267942c293e97c6e',
+        'analyze': 'd7a333cc40c886754725399a7e6d882ae175c0729289293c4c2fe5aaf5210e1d',
         'certify': '8dc1f53a065e403d66668403a98ca20f737c49947c3110f4ddbc04ebeabe2e72',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': '0974155fcb2faa3bf72244100627d90f1d1d09f944e3c2b9bb6f46fad1fd8e86',
+        'matrix': '91d614d8b448497cde593c308dbb781bffc957069e348b422dd12e405f3732cd',
     },
     (120, 'semidef'): {
         'gen': '3bd4c158dfea645752fb8734bad5cce55f865b04a09391850b49e283d3cedca1',
-        'analyze': '9126d21b2eb5eb240b259ae1f83dc4d4dd070f34ec6ccb6127e68254fd50c7df',
+        'analyze': 'a8280acd8749af9570d95b299407ff2da02b6193e3caeffbca6de28d6b7a6c67',
         'certify': '1df6a3ebd8035552d60ac247c6481076585d414128362d2ea157f89d95f1f169',
-        'matrix': 'db2ae1051e6ad09904aa399eedefdea61ca6881d5e23263b84853b3085eebc86',
+        'matrix': '9492cc3e00573209be1995a17ff60d7744d411058704e12363ce888f0a8b5294',
     },
 }
 
@@ -128,7 +128,7 @@ PATH_DIGESTS = {
     },
 }
 
-GRID_DIGEST = '6192775b0da14e345621c7781620d339f7b8fd119beb335cacaac692361ff959'
+GRID_DIGEST = 'f81ca294a78621664ebb7a014b9586aedec3644757d28baf8638264287e18607'
 
 _NEAR_17 = ",".join(["2", "2"] + ["1"] * 13)
 

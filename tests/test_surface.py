@@ -20,7 +20,7 @@ from gmsurf.manifold import (
     decomposition_matrix,
     two_piece_graph,
 )
-from gmsurf.reduction import NoPositiveEigenvalueError, verify_reduction
+from gmsurf.reduction import NoPositiveEigenvalueError, ReductionCertificate, verify_reduction
 from gmsurf.surface import (
     CurveSystem,
     SurfaceCertificate,
@@ -640,6 +640,33 @@ def test_verify_looks_at_each_torus_side_once(monkeypatch, n):
     monkeypatch.setattr(GluingTorus, "touches", counting)
     assert verify_surface_certificate(G, cert) == []
     assert calls <= 2 * len(G.tori)
+
+
+def test_verify_scans_the_shape_once(monkeypatch, tmp_path, capsys):
+    # The shape test reads every key of A': one verify makes it once, valid
+    # or not, directly or through the CLI.
+    G = generate_manifold(60, seed=3, profile="posEig")
+    cert = build_surface_certificate(G)
+    reduction = cert.reduction
+    short = replace(cert, reduction=ReductionCertificate(a_prime=reduction.a_prime[:-1], a=reduction.a))
+    stray = replace(cert, reduction=ReductionCertificate(a_prime=reduction.a_prime[:-1] + ({60: F(1)},), a=reduction.a))
+    expected = [fraction_verify_surface_certificate(G, c) for c in (short, stray)]
+    manifold, path = tmp_path / "m.json", tmp_path / "c.json"
+    save_manifold(G, manifold)
+    path.write_text(json_text(surface_cert_to_json(cert)))
+    scans = []
+    has_order = ReductionCertificate.has_order
+    monkeypatch.setattr(ReductionCertificate, "has_order", lambda self, n: scans.append(n) or has_order(self, n))
+    assert verify_surface_certificate(G, cert) == []
+    assert scans == [60]
+    for bad, violations in zip((short, stray), expected):
+        scans.clear()
+        assert verify_surface_certificate(G, bad) == violations
+        assert violations[-1].startswith("shape mismatch") and scans == [60]
+    scans.clear()
+    assert main(["verify", str(manifold), str(path)]) == 0
+    assert scans == [60]
+    capsys.readouterr()
 
 
 def test_verify_and_write_read_only_the_nonzeros_of_a_prime(monkeypatch):

@@ -59,11 +59,10 @@ CASES = {
         True,
     ),
     Verdict: (
-        (True, True, Branch.POSITIVE_EIGENVALUE, Inertia(1, 0, 1), ([0], [1], [])),
-        (True, True, Branch.POSITIVE_EIGENVALUE, Inertia(1, 0, 1), ([0], [], [1])),
+        (True, True, Branch.POSITIVE_EIGENVALUE, 1, ([0], [1], [])),
+        (True, True, Branch.POSITIVE_EIGENVALUE, 1, ([0], [], [1])),
         "Verdict(property_i=True, property_ve=True, branch=<Branch.POSITIVE_EIGENVALUE: "
-        "'PositiveEigenvalue'>, inertia_of_a_minus=Inertia(n_pos=1, n_zero=0, n_neg=1), "
-        "blocks=([0], [1], []))",
+        "'PositiveEigenvalue'>, perron_sign=1, blocks=([0], [1], []))",
         False,
     ),
     TwoPieceInvariant: (
@@ -121,7 +120,7 @@ SIGNATURES = {
     ),
     DecompositionGraph: (("pieces", NO), ("tori", ())),
     Verdict: (
-        ("property_i", NO), ("property_ve", NO), ("branch", NO), ("inertia_of_a_minus", NO), ("blocks", NO),
+        ("property_i", NO), ("property_ve", NO), ("branch", NO), ("perron_sign", NO), ("blocks", NO),
     ),
     TwoPieceInvariant: (("d", NO), ("a11", NO), ("a22", NO), ("a12", NO)),
     ReductionCertificate: (("a_prime", NO), ("a", NO)),
