@@ -18,7 +18,11 @@ ch. 8):
 
 VE implies I for every connected input (tested exhaustively downstream), so a
 disconnected matrix graph is rejected rather than decided per component.
-Each sign comes from :func:`_perron_sign`.
+Each sign comes from :func:`_perron_sign`, asked of A's own rows or those of
+a block component (:func:`gmsurf.exact_linalg._component_rows`).  The Perron
+search reads a diagonal entry only as its absolute value, so only the rare
+hand-over to the inertia copies the rows with their positive diagonal
+entries negated.
 
 For two-piece manifolds the single rational D = A11*A22 / A12^2 carries both
 answers: I holds iff -1 < D <= 1 and VE holds iff 0 <= D <= 1.  That invariant
@@ -34,13 +38,14 @@ from fractions import Fraction
 from .exact_linalg import (
     DisconnectedMatrixError,
     SymMatrix,
+    _component_rows,
     _components,
     _perron_search,
     _scaled,
     inertia,
     matrix_components,
 )
-from .manifold import a_minus, split_blocks
+from .manifold import split_blocks
 from .value import Value, _set
 
 
@@ -93,13 +98,15 @@ def _check_input(A: SymMatrix) -> tuple[list[int], list[int], list[int]]:
 
 
 def _perron_sign(rows: Sequence[dict[int, Fraction]]) -> int:
-    """The sign (1, 0 or -1) of the Perron root of rows, a connected matrix in A-minus form:
-    the sign-only Perron search's, or where that ends undecided at full
-    precision, the sign of the largest eigenvalue read off the exact inertia."""
+    """The sign (1, 0 or -1) of the Perron root of the A-minus of rows, a connected
+    matrix with non-negative couplings: the sign-only Perron search's, which
+    reads each diagonal entry as minus its absolute value, or where that ends
+    undecided at full precision, the sign of the largest eigenvalue read off
+    the exact inertia of the rows with their positive diagonal entries negated."""
     found = _perron_search(_scaled(rows), sign_only=True)
     if found is not None:
         return found[0]
-    ine = inertia(rows)
+    ine = inertia([{**row, i: -row[i]} if row.get(i, 0) > 0 else row for i, row in enumerate(rows)])
     return 1 if ine.n_pos else 0 if ine.n_zero else -1
 
 
@@ -115,9 +122,10 @@ def immersed(sign: int, pos: list[int], neg: list[int]) -> tuple[bool, Branch]:
     return False, Branch.NEGATIVE_DEFINITE
 
 
-def _virtually_embedded(minus: Sequence[dict[int, Fraction]], sign: int, pos: list, neg: list, zero: list) -> bool:
+def _virtually_embedded(rows: Sequence[dict[int, Fraction]], sign: int, pos: list, neg: list, zero: list) -> bool:
     # Both diagonal blocks are principal blocks of A-minus: the positive one
-    # with its diagonal negated, the negative one as it is in A.
+    # with its diagonal negated, the negative one as it is in A.  Each is
+    # passed as A's own rows, which _perron_sign reads in A-minus form.
     if zero:
         return True
     if not pos or not neg:
@@ -130,9 +138,8 @@ def _virtually_embedded(minus: Sequence[dict[int, Fraction]], sign: int, pos: li
         return False
     # A block is negative definite iff each of its components (which hold
     # every neighbour of their vertices in the block) has a negative root.
-    for component in (c for idx in (pos, neg) for c in _components(minus, idx)):
-        position = {i: r for r, i in enumerate(component)}
-        if _perron_sign([{position[j]: x for j, x in minus[i].items() if j in position} for i in component]) >= 0:
+    for component in (c for idx in (pos, neg) for c in _components(rows, idx)):
+        if _perron_sign(_component_rows(rows, component)) >= 0:
             return True
     return False
 
@@ -140,17 +147,16 @@ def _virtually_embedded(minus: Sequence[dict[int, Fraction]], sign: int, pos: li
 def decide(A: SymMatrix) -> Verdict:
     """Run both decisions in one pass: one input check, and each sign once.
 
-    The sign of A-minus's Perron root settles I, and VE too unless it is
-    positive with both diagonal blocks non-empty; then each component of a
-    block gets its own sign, until one is not negative.
+    The sign of A-minus's Perron root, asked of A's own rows, settles I, and
+    VE too unless it is positive with both diagonal blocks non-empty; then
+    each component of a block gets its own sign, until one is not negative.
     """
     pos, neg, zero = _check_input(A)
-    minus = a_minus(A)
-    sign = _perron_sign(minus)
+    sign = _perron_sign(A.sparse)
     property_i, branch = immersed(sign, pos, neg)
     return Verdict(
         property_i=property_i,
-        property_ve=_virtually_embedded(minus, sign, pos, neg, zero),
+        property_ve=_virtually_embedded(A.sparse, sign, pos, neg, zero),
         branch=branch,
         perron_sign=sign,
         blocks=(pos, neg, zero),

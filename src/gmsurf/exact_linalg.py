@@ -27,8 +27,10 @@ finds the exact sign of the Perron root of A-minus (A with its positive
 diagonal entries negated) and a positive witness vector, in fixed-point
 integers (:func:`_fixed_point_solve`, an L D L^T in the same minimum-degree
 order with every product floored), and from 64 bits on one exact kernel
-test (:func:`_positive_kernel`).  It sits beside the eliminations so that
-the decision, the reduction builders and the generator share it.
+test (:func:`_positive_kernel`).  It reads a diagonal entry only as its
+absolute value, so it takes A's own rows, never a copy in A-minus form.
+It sits beside the eliminations so that the decision (and through it the
+generator) and the reduction builders share it.
 
 :func:`determinant_rows` and :func:`nullspace_rows` are dense: they clear
 denominators by one common multiple per row, then fraction-free (Bareiss)
@@ -46,10 +48,10 @@ cores are :func:`_congruence` and :func:`_mmatrix_solve`, which take and
 return pairs.  :func:`inertia` is the one `Fraction` entry to them: its
 `Fraction` entries become pairs once (:func:`_pair_rows`).
 :func:`_mmatrix_solve` and :func:`_primitive` (the coprime integers on a
-vector's ray) take pairs, so the builders (:mod:`gmsurf.reduction`,
-:mod:`gmsurf.surface`) call them directly, keep their own values in pairs
-between eliminations, and make a `Fraction` only for what they return
-(:func:`_fraction`).
+vector's ray) take pairs; their one caller is :func:`_positive_kernel`.
+The builders (:mod:`gmsurf.reduction`, :mod:`gmsurf.surface`) keep their
+own values in ints and pairs (:func:`_mul`, :func:`_sub`) and make a
+`Fraction` only for what they return (:func:`_fraction`).
 """
 
 from __future__ import annotations
@@ -539,6 +541,12 @@ def _components(rows: Sequence[dict], vertices: Sequence[int]) -> list[list[int]
                     stack.append(j)
         components.append(sorted(comp))
     return components
+
+
+def _component_rows(rows: Sequence[dict], component: list[int]) -> list[dict]:
+    """The principal block of ``{column: value}`` rows on `component`, re-indexed 0..k-1 in its order."""
+    position = {i: r for r, i in enumerate(component)}
+    return [{position[j]: x for j, x in rows[i].items() if j in position} for i in component]
 
 
 def _primitive(vec: Sequence[tuple[int, int]]) -> list[int]:

@@ -19,10 +19,11 @@ matrix:
 coupling c = A[i][j] with c^2 > |A[i][i]| |A[j][j]| shows one in O(tori):
 the 2x2 principal block of A-minus on i and j has a negative determinant,
 so a positive eigenvalue, and by Cauchy interlacing so has A-minus.  Only a
-draw with no such coupling runs the Perron search for the exact sign of
-A-minus's largest eigenvalue (:func:`gmsurf.exact_linalg._perron_search`),
-and one that shows none gets Euler number 0 on piece 1, which is glued to
-piece 2 (the spanning tree's first edge): the block on them becomes
+draw with no such coupling asks :func:`gmsurf.decision._perron_sign` for the
+exact sign of A-minus's Perron root, its largest eigenvalue, as the decision
+does: a sign, not a witness vector.  One that shows none gets Euler number 0
+on piece 1, which is glued to piece 2 (the spanning tree's first edge): the
+block on them becomes
 [[0, c], [c, -|e_2|]] with c > 0, of determinant -c^2 < 0.
 Deterministic per (pieces, seed, profile).
 """
@@ -33,7 +34,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from .exact_linalg import _perron_search, _scaled
+from .decision import _perron_sign
 from .manifold import DecompositionGraph, GluingTorus, SeifertPiece, decomposition_matrix
 
 PROFILES = ("any", "negdef", "posEig", "semidef")
@@ -120,7 +121,7 @@ def generate_manifold(pieces: int, seed: int = 0, profile: str = "any") -> Decom
     A = decomposition_matrix(G)
     diagonal = [abs(row.get(i, 0)) for i, row in enumerate(A.sparse)]
     couplings = ((i, j, c) for i, row in enumerate(A.sparse) for j, c in row.items() if j != i)
-    if any(c * c > diagonal[i] * diagonal[j] for i, j, c in couplings) or _perron_search(_scaled(A.sparse))[0] > 0:
+    if any(c * c > diagonal[i] * diagonal[j] for i, j, c in couplings) or _perron_sign(A.sparse) > 0:
         return G
     first = G.pieces[0]
     repaired = SeifertPiece(id=first.id, euler=Fraction(0), genus=first.genus, cone_orders=first.cone_orders)

@@ -222,21 +222,6 @@ def decomposition_matrix(G: DecompositionGraph) -> SymMatrix:
     return SymMatrix(sparse)
 
 
-def a_minus(A: SymMatrix) -> tuple[dict[int, Fraction], ...]:
-    """The ``{column: value}`` rows of A with every positive diagonal entry negated.
-
-    Only the rows with a positive diagonal entry are copied; every other
-    row is A's own dict.  A was checked when it was built, and negating a
-    diagonal entry keeps each entry nonzero and mirrored, so the rows are
-    not checked again.
-    """
-    minus = list(A.sparse)
-    for i, row in enumerate(minus):
-        if row.get(i, 0) > 0:
-            minus[i] = {**row, i: -row[i]}
-    return tuple(minus)
-
-
 def split_blocks(A: SymMatrix) -> tuple[list[int], list[int], list[int]]:
     """Indices split by diagonal sign: (positive, negative, zero).
 

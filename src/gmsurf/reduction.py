@@ -11,13 +11,14 @@ certificate independently.
 
 The package's one Perron search,
 :func:`gmsurf.exact_linalg._perron_search`, finds the sign of the Perron
-root of B, the A-minus of one connected block, with a positive witness
-vector a checked exactly: Ba > 0, Ba < 0 or Ba = 0 (the Collatz-Wielandt
-bounds; Berman and Plemmons, *Nonnegative Matrices in the Mathematical
-Sciences*, ch. 2 and 6).  Two row builders make A' from a: where the root is
-positive, the rows of a *strict* reduction, |A'[i][j]| < A[i][j] on every
-coupling (:func:`_strict_rows`); where it is 0, A's own rows with the
-couplings negated on rows whose diagonal is positive, so A'a = -(Ba) = 0.
+root of B, the A-minus of one connected block given by A's own rows, with
+a positive witness vector a checked exactly: Ba > 0, Ba < 0 or Ba = 0 (the
+Collatz-Wielandt bounds; Berman and Plemmons, *Nonnegative Matrices in the
+Mathematical Sciences*, ch. 2 and 6).  Two row builders make A' from a:
+where the root is positive, the rows of a *strict* reduction,
+|A'[i][j]| < A[i][j] on every coupling (:func:`_strict_rows`); where it is
+0, A's own rows with the couplings negated on rows whose diagonal is
+positive, so A'a = -(Ba) = 0.
 :func:`strict_shrink`, the surface builder's reduction, runs the search on
 a connected A and returns the strict rows as pairs and a as ints, or names
 the branch in :class:`NoPositiveEigenvalueError`.
@@ -31,7 +32,8 @@ The builders keep their values in integers or reduced (numerator,
 denominator) pairs of ints: `Fraction` enters only as the
 :class:`SymMatrix` entries they read, and leaves only as the
 :class:`ReductionCertificate` that :func:`find_singular_reduction` returns.
-:func:`negativity_certificate` works in pairs as well.
+:func:`negativity_certificate` makes its `Fraction` from the search's
+integers alone.
 
 :func:`verify_reduction` reads each entry of A, A' and a as its numerator
 and denominator and does only `int` arithmetic: the diagonal compares those
@@ -43,10 +45,10 @@ integer keeps zeros and signs.  `Fraction` is made only for the text of a
 violation, which reads as the `Fraction` sum would.
 
 :func:`negativity_certificate` is the complementary tool for matrices that
-are negative semidefinite: it produces a strictly positive vector a with
-A*a <= 0 entrywise.  The exact quadratic-form expansion such a vector
-induces (the theorem behind reading it as "A is negative") is a test oracle,
-not package code.
+are negative semidefinite: the same search on A gives a strictly positive
+vector a with A*a <= 0 entrywise.  The exact quadratic-form expansion such
+a vector induces (the theorem behind reading it as "A is negative") is a
+test oracle, not package code.
 """
 
 from __future__ import annotations
@@ -55,16 +57,15 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 
-from .decision import Branch
+from .decision import immersed
 from .exact_linalg import (
     DisconnectedMatrixError,
     Scaled,
     SymMatrix,
+    _component_rows,
     _fraction,
-    _mmatrix_solve,
     _mul,
     _perron_search,
-    _positive_kernel,
     _scaled,
     inertia,  # unused here; bench/tests/test_tracer.py checks the tracer replaces this binding
     matrix_components,
@@ -115,17 +116,15 @@ def find_singular_reduction(A: SymMatrix) -> ReductionCertificate:
     Raises NegativeDefiniteError iff A-minus is negative definite (in which
     case no such reduction exists at all).  Otherwise the first connected
     component whose block of A-minus has a Perron root >= 0
-    (:func:`_perron_search` on the block's rows, re-indexed through a
-    position map; no inertia is taken) gets its rows of A' and its witness
-    vector, positive on the component; every other row is A's diagonal entry
-    alone, and every other weight 0.  Only the nonzero entries are read, and
+    (:func:`_perron_search` on the block's rows, re-indexed by
+    :func:`gmsurf.exact_linalg._component_rows`; no inertia is taken) gets
+    its rows of A' and its witness vector, positive on the component; every
+    other row is A's diagonal entry alone, and every other weight 0.  Only the nonzero entries are read, and
     A' and the vector become `Fraction` once, as the certificate.
     """
     sparse = A.sparse
     for component in matrix_components(A):
-        # A component holds every neighbour of its vertices.
-        position = {i: r for r, i in enumerate(component)}
-        rows = [{position[j]: x for j, x in sparse[i].items()} for i in component]
+        rows = _component_rows(sparse, component)
         scaled = _scaled(rows)
         sign, block_a, y = _perron_search(scaled)
         if sign >= 0:
@@ -157,38 +156,46 @@ def shape_violations(n: int, cert: ReductionCertificate) -> list[str]:
 def verify_reduction(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
     """Recheck every certificate invariant against A in `int` arithmetic;
     return violations (empty = valid): the shape, then the entries."""
-    return shape_violations(A.order, cert) or entry_violations(A, cert)
+    return shape_violations(A.order, cert) or entry_violations(A, cert)[0]
 
 
-def entry_violations(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
-    """:func:`verify_reduction` past the shape, for a cert of A's order.
-    Only the stored nonzeros of A' are read: a missing key is a zero."""
+def entry_violations(A: SymMatrix, cert: ReductionCertificate) -> tuple[list[str], list[tuple[int, int]]]:
+    """:func:`verify_reduction` past the shape, for a cert of A's order, and
+    the (i, j) of A's couplings where |A'[i][j]| >= A[i][j], row by row.
+
+    Only the stored nonzeros of A' are read, each once: a missing key is a
+    zero.
+    """
     violations: list[str] = []
     a = [v.as_integer_ratio() for v in cert.a]
     loose: list[str] = []
+    tight: list[tuple[int, int]] = []
     image: list[str] = []
     for i, (row, bounds) in enumerate(zip(cert.a_prime, A.sparse)):
-        entry, diagonal = row.get(i, 0), A[i, i]
-        if entry.as_integer_ratio() != diagonal.as_integer_ratio():
-            violations.append(f"diagonal changed at {i}: {entry} != {diagonal}")
-        # One pass over the row: the bounds, and (A'a)_i times the lcm of the
-        # row's denominators and the lcm of its a_j's denominators, an int
-        # sum; each lcm grows as a new denominator comes in.
-        total, row_scale, a_scale, wide = 0, 1, 1, []
+        # One pass over the row: its diagonal, the bounds, and (A'a)_i times
+        # the lcm of the row's denominators and the lcm of its a_j's
+        # denominators, an int sum; each lcm grows as a new denominator
+        # comes in.
+        total, row_scale, a_scale, entry, wide, at_bound = 0, 1, 1, (0, 1), [], []
         for j, x in row.items():
             num, den = x.as_integer_ratio()
             an, ad = a[j]
-            if j != i:
+            if j == i:
+                entry = num, den
+            else:
                 # A has O(n) nonzero couplings: a key where A has none is out
-                # of bound, else |num/den| > bn/bd is compared crosswise.
+                # of bound, else |num/den| against bn/bd is compared crosswise.
                 bound = bounds.get(j)
                 if bound is None:
                     if num:
                         wide.append(j)
                 else:
                     bn, bd = bound.as_integer_ratio()
-                    if abs(num) * bd > bn * den:
-                        wide.append(j)
+                    over = abs(num) * bd - bn * den
+                    if over >= 0:
+                        at_bound.append(j)
+                        if over:
+                            wide.append(j)
             if row_scale % den:
                 grown = lcm(row_scale, den)
                 total *= grown // row_scale
@@ -198,7 +205,11 @@ def entry_violations(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
                 total *= grown // a_scale
                 a_scale = grown
             total += num * (row_scale // den) * an * (a_scale // ad)
+        diagonal = A[i, i]
+        if entry != diagonal.as_integer_ratio():
+            violations.append(f"diagonal changed at {i}: {row.get(i, 0)} != {diagonal}")
         loose += [f"not a reduction at ({i}, {j}): |{row[j]}| > {bounds.get(j) or 0}" for j in sorted(wide)]
+        tight += [(i, j) for j in sorted(at_bound)]
         if total:
             image.append(f"(A' a)[{i}] = {Fraction(total, row_scale * a_scale)} != 0")
     violations += loose
@@ -207,15 +218,15 @@ def entry_violations(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
     for i, (an, _) in enumerate(a):
         if an < 0:
             violations.append(f"negative entry a[{i}] = {cert.a[i]}")
-    return violations + image
+    return violations + image, tight
 
 
 class NegativityCertificate(Value):
-    """A strictly positive vector a with A*a <= 0 entrywise.
+    """A strictly positive vector a with A*a <= 0 entrywise, and that image.
 
-    For nonsingular (negative definite) A the image is (-1, ..., -1); for
-    singular (semidefinite) connected A the image is zero and a spans the
-    kernel.
+    For nonsingular (negative definite) A the image is negative at every
+    entry; for singular (semidefinite) connected A it is zero and a spans
+    the kernel.
     """
 
     __slots__ = ("a", "image")
@@ -228,30 +239,25 @@ class NegativityCertificate(Value):
 def negativity_certificate(A: SymMatrix) -> NegativityCertificate:
     """Produce the positive vector witnessing negative (semi)definiteness.
 
-    Nonsingular case: one M-matrix elimination of -A decides it and solves
-    A*a = (-1, ..., -1); the solution is the negated column sum of the
-    inverse and is strictly positive for connected matrices with
-    non-negative off-diagonal.  Otherwise A is singular and semidefinite iff
-    its kernel is a line through a strictly positive vector: every proper
-    principal block of a connected singular M-matrix is a nonsingular
-    M-matrix, so a second elimination, with the last weight fixed at 1,
-    solves for the others; return the primitive generator.  Both
-    eliminations run on reduced (numerator, denominator) pairs
-    (:func:`_mmatrix_solve`); only the certificate is `Fraction`.
+    A positive diagonal entry A[i][i] = e_i^T A e_i rules it out at once.
+    Otherwise A is its own A-minus, and :func:`_perron_search` on A gives
+    the sign of its Perron root, its largest eigenvalue, with a positive
+    witness: sign 1 raises NotNegativeError; sign -1 gives coprime ints a
+    with image A*a < 0, and sign 0 the coprime ints spanning the kernel,
+    with image 0.  The image is the search's y over the row scales, exactly
+    A*a; only the certificate is `Fraction`.
     """
     if len(matrix_components(A)) > 1:
         raise DisconnectedMatrixError("matrix graph is disconnected")
-    n = A.order
-    negated = [{j: (-x.numerator, x.denominator) for j, x in row.items()} for row in A.sparse]
-    a = _mmatrix_solve([dict(row) for row in negated], [(1, 1)] * n)
-    if a is not None:
-        if any(v[0] <= 0 for v in a):
-            raise AssertionError("definite case produced a non-positive weight")
-        return NegativityCertificate(a=tuple(map(_fraction, a)), image=tuple([Fraction(-1)] * n))
-    kernel = _positive_kernel(negated)
-    if kernel is None:
+    if split_blocks(A)[0]:
+        raise NotNegativeError("matrix has a positive diagonal entry")
+    scaled = _scaled(A.sparse)
+    sign, a, y = _perron_search(scaled)
+    if sign > 0:
         raise NotNegativeError("matrix has a positive eigenvalue")
-    return NegativityCertificate(a=tuple(map(Fraction, kernel)), image=tuple([Fraction(0)] * n))
+    return NegativityCertificate(
+        a=tuple(map(Fraction, a)), image=tuple(Fraction(v, L) for v, L in zip(y, scaled[0]))
+    )
 
 
 # The rows of :func:`_strict_rows`.
@@ -268,10 +274,9 @@ def strict_shrink(A: SymMatrix) -> tuple[list[dict[int, tuple[int, int]]], list[
 
     Such an A' exists iff the Perron root of B = A-minus is positive:
     exactly the PositiveEigenvalue branch.  Off it, the sign that
-    :func:`_perron_search` finds names the branch in
-    :class:`NoPositiveEigenvalueError`, with no inertia: a negative root is
-    NegativeDefinite, and a zero root a semidefinite branch read from A's
-    diagonal signs as :func:`gmsurf.decision.immersed` does.
+    :func:`_perron_search` finds and A's diagonal signs name the branch
+    (:func:`gmsurf.decision.immersed`) in :class:`NoPositiveEigenvalueError`,
+    with no inertia.
     """
     if len(matrix_components(A)) > 1:
         raise DisconnectedMatrixError("matrix graph is disconnected")
@@ -279,11 +284,8 @@ def strict_shrink(A: SymMatrix) -> tuple[list[dict[int, tuple[int, int]]], list[
     sign, a, y = _perron_search(scaled)
     if sign > 0:
         return _strict_rows(A.sparse, scaled, a, y), a
-    branch = Branch.NEGATIVE_DEFINITE
-    if sign == 0:
-        pos, neg, _ = split_blocks(A)
-        branch = Branch.SEMIDEFINITE_SAME_SIGN if not pos or not neg else Branch.SEMIDEFINITE_MIXED_SIGN
-    raise NoPositiveEigenvalueError(f"decision branch is {branch.value}")
+    pos, neg, _ = split_blocks(A)
+    raise NoPositiveEigenvalueError(f"decision branch is {immersed(sign, pos, neg)[1].value}")
 
 
 def _strict_rows(

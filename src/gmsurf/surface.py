@@ -176,8 +176,8 @@ def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) 
 
     Checks, all in `int` arithmetic: the reduction is a strict reduction of
     the decomposition matrix (:func:`gmsurf.reduction.verify_reduction`'s
-    shape and entry checks against A, then
-    |A'[i][j]| < A[i][j] on A's couplings); its vector is
+    shape and entry checks against A, whose one pass over A' also lists
+    the couplings where |A'[i][j]| < A[i][j] fails); its vector is
     the degree vector; each torus has exactly one curve system per side; the
     per-side degree split, both per-piece balances, the change-of-basis
     relations, and strict positivity of the a coordinates on sides whose
@@ -201,18 +201,9 @@ def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) 
     shape = shape_violations(n, cert.reduction)
     if shape:
         return violations + shape
-    violations.extend(entry_violations(A, cert.reduction))
-    # verify_reduction flags every nonzero entry of A' where A is 0, so
-    # strictness reads only A's couplings.
-    for i, (row, couplings) in enumerate(zip(cert.reduction.a_prime, A.sparse)):
-        tight = []
-        for j, coupling in couplings.items():
-            if j != i:
-                num, den = row.get(j, 0).as_integer_ratio()
-                cn, cd = coupling.as_integer_ratio()
-                if abs(num) * cd >= cn * den:
-                    tight.append(j)
-        violations += [f"reduction not strict at ({i}, {j})" for j in sorted(tight)]
+    entries, tight = entry_violations(A, cert.reduction)
+    violations += entries
+    violations += [f"reduction not strict at ({i}, {j})" for i, j in tight]
     if any(v.as_integer_ratio() != (d, 1) for v, d in zip(cert.reduction.a, cert.degrees)):
         violations.append("reduction vector differs from degree vector")
 

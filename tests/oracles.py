@@ -51,6 +51,11 @@ the dense routines they replaced, kept so tests can compare results exactly:
   S_alpha per (genus, boundary count, degree), on those kernels, cached,
   and :func:`enumeration_cost`, the size of that sweep.
 
+- :func:`a_minus`, the copy of A's rows with every positive diagonal entry
+  negated that the decision once made on every call; the Perron search
+  reads a diagonal entry only as its absolute value, so the package no
+  longer makes it.
+
 It also holds :func:`bilinear_identity`, the exact quadratic-form expansion
 behind reading a negativity certificate as "A is negative", and the dense
 matrix helpers that only tests need: :func:`to_lists`, :func:`dense_rows`,
@@ -81,7 +86,7 @@ from gmsurf.exact_linalg import (
     rational_str,
     to_rational,
 )
-from gmsurf.manifold import DecompositionGraph, a_minus, decomposition_matrix
+from gmsurf.manifold import DecompositionGraph, decomposition_matrix
 from gmsurf.reduction import NegativeDefiniteError, NoPositiveEigenvalueError, ReductionCertificate, strict_shrink
 from gmsurf.surface import CurveSystem, SurfaceCertificate
 
@@ -103,6 +108,21 @@ def sym(rows: Sequence[Sequence[int | str | Fraction]]) -> SymMatrix:
         if len(row) != n:
             raise ValueError(f"not square: {n} rows but a row of length {len(row)}")
     return SymMatrix([{j: x for j, x in enumerate(map(to_rational, row)) if x} for row in rows])
+
+
+def a_minus(A: SymMatrix) -> tuple[dict[int, Fraction], ...]:
+    """The ``{column: value}`` rows of A with every positive diagonal entry negated.
+
+    Only the rows with a positive diagonal entry are copied; every other
+    row is A's own dict.  A was checked when it was built, and negating a
+    diagonal entry keeps each entry nonzero and mirrored, so the rows are
+    not checked again.
+    """
+    minus = list(A.sparse)
+    for i, row in enumerate(minus):
+        if row.get(i, 0) > 0:
+            minus[i] = {**row, i: -row[i]}
+    return tuple(minus)
 
 
 def to_lists(A: SymMatrix) -> list[list[Fraction]]:

@@ -17,7 +17,7 @@ from gmsurf.covers import CoverSpec, find_cover, parity_check, verify_cover
 from gmsurf.decision import decide, two_piece_d
 from gmsurf.exact_linalg import Inertia, SymMatrix, inertia
 from gmsurf.generate import generate_manifold
-from gmsurf.manifold import a_minus, decomposition_matrix
+from gmsurf.manifold import decomposition_matrix
 from gmsurf.reduction import (
     NegativeDefiniteError,
     find_singular_reduction,
@@ -25,7 +25,7 @@ from gmsurf.reduction import (
     verify_reduction,
 )
 from gmsurf.surface import build_surface_certificate, verify_surface_certificate
-from oracles import bilinear_identity, cover_exists_bruteforce, is_connected_matrix, kernel_basis, mat_vec, sym, to_lists
+from oracles import a_minus, bilinear_identity, cover_exists_bruteforce, is_connected_matrix, kernel_basis, mat_vec, sym, to_lists
 
 F = Fraction
 

@@ -21,8 +21,8 @@ from gmsurf.exact_linalg import (
     inertia,
 )
 from gmsurf.generate import generate_manifold
-from gmsurf.manifold import a_minus, decomposition_matrix, split_blocks
-from oracles import bareiss_inertia, is_connected_matrix, principal_submatrix, sym, to_lists
+from gmsurf.manifold import decomposition_matrix, split_blocks
+from oracles import a_minus, bareiss_inertia, is_connected_matrix, principal_submatrix, sym, to_lists
 from test_exact_linalg import VERDICT_CLASSES, verdict_matrix
 from test_surface import count_calls
 
@@ -202,16 +202,17 @@ def test_branch_tag_tracks_positive_eigenvalue():
         # both blocks, under a zero Perron root: both are negative definite
         ([[1, 1], [1, "-1"]], []),
         # the positive block (negated) is indefinite, so VE holds without the negative one
-        ([[1, 2, 1], [2, 1, 1], [1, 1, "-1"]], [[["-1", 2], [2, "-1"]]]),
+        ([[1, 2, 1], [2, 1, 1], [1, 1, "-1"]], [[[1, 2], [2, 1]]]),
         # the positive block has two components, each with its own sign
-        ([[1, 0, 1], [0, 1, 1], [1, 1, "-1"]], [[["-1"]], [["-1"]], [["-1"]]]),
+        ([[1, 0, 1], [0, 1, 1], [1, 1, "-1"]], [[[1]], [[1]], [["-1"]]]),
     ],
 )
 def test_decide_takes_each_inertia_once(monkeypatch, rows, searched):
     # decide asks one sign of A-minus, then one per connected component of
-    # each block it looks at, each of dict rows of nonzero entries (compared
-    # in their dense form); `inertia` is called only right after a search
-    # that ends undecided, on the rows searched, which these inputs never need.
+    # each block it looks at, each of A's own dict rows of nonzero entries
+    # (compared in their dense form); `inertia` is called only right after a
+    # search that ends undecided, on the A-minus form of the rows searched,
+    # which these inputs never need.
     signs, calls = watch_signs(monkeypatch)
     checked, real_check = [], decision._check_input
     monkeypatch.setattr(decision, "_check_input", lambda A: checked.append(A) or real_check(A))
@@ -222,7 +223,8 @@ def test_decide_takes_each_inertia_once(monkeypatch, rows, searched):
     def dense(B):
         return [[row.get(j, F(0)) for j in range(len(B))] for row in B]
 
-    assert [dense(B) for B in signs] == [to_lists(SymMatrix(a_minus(A)))] + [to_lists(sym(b)) for b in searched]
+    assert signs[0] is A.sparse
+    assert [dense(B) for B in signs] == [to_lists(A)] + [to_lists(sym(b)) for b in searched]
     assert_hands_over_only_when_undecided(calls, signs)
     assert [kind for kind, _ in calls] == ["search"] * len(signs)
     assert verdict.perron_sign == perron_sign(inertia(SymMatrix(a_minus(A)).sparse))
@@ -243,14 +245,15 @@ def watch_signs(monkeypatch) -> tuple[list, list]:
 
 def assert_hands_over_only_when_undecided(calls: list, signs: list) -> None:
     """Each sign is one search, followed by one `inertia` of the same rows
-    exactly when that search returned None."""
+    in A-minus form exactly when that search returned None."""
     position = 0
     for rows in signs:
         kind, found = calls[position]
         assert kind == "search"
         position += 1
         if found is None:
-            assert calls[position] == ("inertia", rows)
+            kind, minus = calls[position]
+            assert (kind, tuple(minus)) == ("inertia", a_minus(SymMatrix(tuple(rows))))
             position += 1
     assert position == len(calls)
 
@@ -382,6 +385,24 @@ def test_a_block_component_hands_over_to_the_inertia(monkeypatch, n, seed):
     assert [kind for kind, _ in calls] == ["search", "search", "search", "inertia"]
     verdict = decide(A)
     assert (verdict.perron_sign, verdict.property_ve) == (1, True)
+
+
+@pytest.mark.parametrize("n, seed", [(5, 1), (12, 2), (30, 0)])
+def test_the_hand_over_reads_a_positive_diagonal_in_a_minus_form(monkeypatch, n, seed):
+    # D S D with one diagonal entry's sign flipped has the same A-minus, so
+    # the search on A's own rows ends undecided as on D S D, and the inertia
+    # takes the rows with that entry negated back: sign 0, with both
+    # diagonal signs present.
+    rows = [dict(row) for row in scaled_semidefinite(n, seed, F(0)).sparse]
+    rows[0][0] = -rows[0][0]
+    A = SymMatrix(tuple(rows))
+    signs, calls = watch_signs(monkeypatch)
+    assert_decide_matches_the_dense_oracles(A)
+    assert signs == [A.sparse]
+    assert [kind for kind, _ in calls] == ["search", "inertia"]
+    assert_hands_over_only_when_undecided(calls, signs)
+    verdict = decide(A)
+    assert (verdict.perron_sign, verdict.branch) == (0, Branch.SEMIDEFINITE_MIXED_SIGN)
 
 
 @pytest.mark.parametrize(

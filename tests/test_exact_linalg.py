@@ -42,8 +42,9 @@ from gmsurf.exact_linalg import (
 )
 from gmsurf.fileio import FileFormatError, sparse_rows_from_json
 from gmsurf.generate import generate_manifold
-from gmsurf.manifold import a_minus, decomposition_matrix, split_blocks
+from gmsurf.manifold import decomposition_matrix, split_blocks
 from oracles import (
+    a_minus,
     bareiss_inertia,
     fraction_congruence,
     fraction_mmatrix_solve,

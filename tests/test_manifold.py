@@ -7,7 +7,7 @@ from hashlib import sha256
 import pytest
 from hypothesis import given, settings, strategies
 
-from gmsurf import exact_linalg, generate
+from gmsurf import decision, exact_linalg, generate
 from gmsurf.exact_linalg import Inertia, SymMatrix, inertia
 from gmsurf.fileio import json_text, manifold_to_json
 from gmsurf.generate import PROFILES, generate_manifold
@@ -16,14 +16,13 @@ from gmsurf.manifold import (
     GluingTorus,
     InvalidGraphError,
     SeifertPiece,
-    a_minus,
     decomposition_matrix,
     split_blocks,
     two_piece_graph,
     validate,
 )
 from gmsurf.reduction import strict_shrink
-from oracles import bareiss_inertia, is_connected_matrix, sym, to_lists
+from oracles import a_minus, bareiss_inertia, is_connected_matrix, sym, to_lists
 
 F = Fraction
 
@@ -353,14 +352,29 @@ def test_every_profile_has_the_inertia_it_promises(profile):
                 assert expected.n_pos > 0
 
 
+def test_a_poseig_draw_with_no_dominant_coupling_asks_only_a_sign(monkeypatch):
+    # The 6-piece posEig draw of seed 0 has no dominant coupling: the
+    # generator asks the decision's sign of A-minus, and every search that
+    # runs is a sign-only one, with no witness vector.
+    signs, searches = [], []
+    real_sign, real_search = generate._perron_sign, decision._perron_search
+    monkeypatch.setattr(generate, "_perron_sign", lambda rows: signs.append(rows) or real_sign(rows))
+    monkeypatch.setattr(
+        decision, "_perron_search", lambda scaled, sign_only=False: searches.append(sign_only) or real_search(scaled, sign_only)
+    )
+    generate_manifold(6, seed=0, profile="posEig")
+    assert len(signs) == 1
+    assert searches == [True]
+
+
 def test_a_dominant_coupling_accepts_a_poseig_draw_without_an_inertia(monkeypatch):
     # A coupling c = A[i][j] with c^2 > |A[i][i]| |A[j][j]| gives A-minus a
     # 2x2 principal block with a positive eigenvalue, and so, by Cauchy
     # interlacing, A-minus one too.  The first 1,000-piece posEig draw
-    # (seed 3) has one; the inertia it skips took 32.6 s, and no Perron search
-    # runs either.  The digest is the draw's JSON text as generated when every
-    # posEig draw took the inertia.
-    monkeypatch.setattr(generate, "_perron_search", lambda *args: pytest.fail("Perron search"))
+    # (seed 3) has one; the inertia it skips took 32.6 s, and no Perron sign
+    # is asked either.  The digest is the draw's JSON text as generated when
+    # every posEig draw took the inertia.
+    monkeypatch.setattr(generate, "_perron_sign", lambda *args: pytest.fail("Perron sign"))
     G = generate_manifold(1000, seed=3, profile="posEig")
     digest = sha256(json_text(manifold_to_json(G)).encode()).hexdigest()
     assert digest == "00f0edd081307b54503a0cd524be74353119d0678006e629cb5747654cc7ba92"

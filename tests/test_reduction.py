@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies
 
-from gmsurf import exact_linalg, reduction
+from gmsurf import exact_linalg
 from gmsurf.decision import Branch, decide
 from gmsurf.exact_linalg import (
     DisconnectedMatrixError,
@@ -20,7 +20,7 @@ from gmsurf.exact_linalg import (
 )
 from gmsurf.fileio import json_text, reduction_cert_from_json, reduction_cert_to_json
 from gmsurf.generate import generate_manifold
-from gmsurf.manifold import a_minus, decomposition_matrix
+from gmsurf.manifold import decomposition_matrix
 from gmsurf.reduction import (
     NegativeDefiniteError,
     NegativityCertificate,
@@ -34,6 +34,7 @@ from gmsurf.reduction import (
 )
 from oracles import (
     ZeroEntryError,
+    a_minus,
     all_pairs_reduction_violations,
     bilinear_identity,
     fraction_negativity_certificate,
@@ -476,8 +477,10 @@ def sparse_negativity_instance(rng: random.Random, kind: str) -> SymMatrix:
 
 @pytest.mark.parametrize("kind", ["definite", "semidefinite", "indefinite"])
 def test_negativity_certificate_matches_its_fraction_reference(kind):
-    # The pair core gives the certificate the Fraction elimination gives,
-    # value for value, and fails exactly where it does.
+    # The certificate fails exactly where the Fraction elimination does.  On
+    # a singular matrix both give the primitive kernel vector; on a definite
+    # one a is the Perron search's vector, whose image A a < 0 is checked
+    # exactly, where the elimination solved A a = -1s.
     rng = random.Random(f"negativity-reference:{kind}")
     instances = [sparse_negativity_instance(rng, kind) for _ in range(80)]
     if kind == "semidefinite":
@@ -490,10 +493,25 @@ def test_negativity_certificate_matches_its_fraction_reference(kind):
                 negativity_certificate(A)
             continue
         cert = negativity_certificate(A)
-        assert (cert.a, cert.image) == expected
+        if kind == "definite":
+            assert cert.a == tuple(map(F, exact_linalg._perron_search(exact_linalg._scaled(A.sparse))[1]))
+            assert cert.image == mat_vec(to_lists(A), cert.a)
+            assert all(v > 0 for v in cert.a) and all(v < 0 for v in cert.image)
+        else:
+            assert (cert.a, cert.image) == expected
         assert all(type(v) is F for v in cert.a + cert.image)
     if kind == "semidefinite":
         assert negativity_certificate(sym([[0]])) == NegativityCertificate(a=(F(1),), image=(F(0),))
+
+
+def test_negativity_certificate_takes_the_perron_search_vector(monkeypatch):
+    # On a negative definite matrix the certificate is the search's witness,
+    # with no M-matrix solve.  The all-ones vector has image (-1, -2); the
+    # elimination solved A a = (-1, -1) instead, at a = (4/5, 3/5).
+    A = sym([["-2", 1], [1, "-3"]])
+    monkeypatch.setattr(exact_linalg, "_mmatrix_solve", lambda *args: pytest.fail("M-matrix solve"))
+    assert exact_linalg._perron_search(exact_linalg._scaled(A.sparse)) == (-1, [1, 1], [-1, -2])
+    assert negativity_certificate(A) == NegativityCertificate(a=(F(1), F(1)), image=(F(-1), F(-2)))
 
 
 # --- the quadratic-form identity ------------------------------------------------
@@ -619,7 +637,6 @@ def test_strict_shrink_takes_no_exact_elimination(monkeypatch):
 
     monkeypatch.setattr(exact_linalg, "_congruence", fail)
     monkeypatch.setattr(exact_linalg, "_mmatrix_solve", fail)
-    monkeypatch.setattr(reduction, "_mmatrix_solve", fail)
     assert strict_reduction_violations(A, strict_shrink_certificate(A)) == []
 
 

@@ -669,6 +669,26 @@ def test_verify_scans_the_shape_once(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_reads_each_entry_of_a_prime_once(monkeypatch):
+    # One pass over A' gives the reduction's violations and the couplings at
+    # or past their bound, which the strictness check reports: it no longer
+    # reads A' again.
+    G = generate_manifold(60, seed=3, profile="posEig")
+    cert = build_surface_certificate(G)
+    entries = {id(x) for row in cert.reduction.a_prime for x in row.values()}
+    reads = {}
+    ratio = F.as_integer_ratio
+
+    def counted(self):
+        if id(self) in entries:
+            reads[id(self)] = reads.get(id(self), 0) + 1
+        return ratio(self)
+
+    monkeypatch.setattr(F, "as_integer_ratio", counted)
+    assert verify_surface_certificate(G, cert) == []
+    assert reads == dict.fromkeys(entries, 1)
+
+
 def test_verify_and_write_read_only_the_nonzeros_of_a_prime(monkeypatch):
     # A' keeps only its nonzero entries, so neither the verifier nor the
     # writer takes a pass over all n^2 pairs: before, each pass tested every
