@@ -10,9 +10,11 @@ Subcommands:
 - ``cover``    parity check / witness construction for surface covers.
 
 Exit codes are a stable contract: 0 = property holds or certificate valid,
-1 = property fails (or no cover exists), 2 = input error, 3 = certificate
-unavailable, 4 = certificate invalid, 5 = internal error (a crash, never a
-verdict), 141 = the reader of stdout closed it early.
+1 = property fails (or no cover exists), 2 = input or output error, 3 =
+certificate unavailable, 4 = certificate invalid, 5 = internal error (a
+crash, never a verdict), 141 = the reader of stdout closed it early.
+``main`` alone maps exceptions to exit codes.  A command returns 0, 1 or 4,
+or 2 for an argument value it refuses itself.
 
 Every ``--json`` output is one document, written by ``fileio.json_text``.
 """
@@ -54,8 +56,11 @@ EXIT_INTERNAL = 5
 # 128 + SIGPIPE: what a shell reports for a writer whose reader left.
 EXIT_PIPE = 141
 
-# The input errors of a manifold command (exit 2); any other exception, a
-# ValueError from the decision or a verifier included, is a crash (exit 5).
+# `main` alone maps exceptions to exit codes; a command returns 0, 1 or 4
+# (2 for an argument value it refuses).  No certificate is exit 3, an input
+# or output error exit 2, and any other exception, a ValueError from the
+# decision or a verifier included, a crash (exit 5).
+UNAVAILABLE = (NoPositiveEigenvalueError, ParityError)
 INPUT_ERRORS = (FileFormatError, InvalidGraphError, OSError, UnicodeDecodeError)
 
 # The largest degree `cover find` builds a witness for.  Its permutations
@@ -150,34 +155,22 @@ def _print_report(report: dict, as_json: bool) -> None:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        G = load_manifold(args.manifold)
-        A = decomposition_matrix(G)
-        report = _analysis_report(A)
-    except INPUT_ERRORS as exc:
-        return _fail_input(str(exc))
+    G = load_manifold(args.manifold)
+    A = decomposition_matrix(G)
+    report = _analysis_report(A)
     _print_report(report, args.json)
     return EXIT_HOLDS if report["property_i"] else EXIT_FAILS
 
 
 def cmd_certify(args) -> int:
-    try:
-        G = load_manifold(args.manifold)
-        cert = build_surface_certificate(G)
-    except INPUT_ERRORS as exc:
-        return _fail_input(str(exc))
-    except NoPositiveEigenvalueError as exc:
-        print(f"no certificate: {exc}", file=sys.stderr)
-        return EXIT_UNAVAILABLE
+    G = load_manifold(args.manifold)
+    cert = build_surface_certificate(G)
     problems = verify_surface_certificate(G, cert)
     if problems:
         for p in problems:
             print(f"invalid: {p}", file=sys.stderr)
         return EXIT_INVALID
-    try:
-        save_json(surface_cert_to_json(cert), args.out)
-    except OSError as exc:
-        return _fail_input(str(exc))
+    save_json(surface_cert_to_json(cert), args.out)
     summary = {
         "out": str(args.out),
         "degrees": list(cert.degrees),
@@ -194,20 +187,17 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        G = load_manifold(args.manifold)
-        doc = load_json(args.certificate)
-        # Only a reduction certificate has a top-level "a_prime"; any other
-        # document goes to the surface parser, which names what is wrong.
-        if isinstance(doc, dict) and "a_prime" in doc:
-            cert, matrix = reduction_cert_from_json(doc)
-            source = matrix if matrix is not None else decomposition_matrix(G)
-            violations = verify_reduction(source, cert)
-        else:
-            cert = surface_cert_from_json(doc)
-            violations = verify_surface_certificate(G, cert)
-    except INPUT_ERRORS as exc:
-        return _fail_input(str(exc))
+    G = load_manifold(args.manifold)
+    doc = load_json(args.certificate)
+    # Only a reduction certificate has a top-level "a_prime"; any other
+    # document goes to the surface parser, which names what is wrong.
+    if isinstance(doc, dict) and "a_prime" in doc:
+        cert, matrix = reduction_cert_from_json(doc)
+        source = matrix if matrix is not None else decomposition_matrix(G)
+        violations = verify_reduction(source, cert)
+    else:
+        cert = surface_cert_from_json(doc)
+        violations = verify_surface_certificate(G, cert)
     if args.json:
         print(json_text({"valid": not violations, "violations": violations}))
     elif violations:
@@ -227,10 +217,7 @@ def cmd_gen(args) -> int:
         return _fail_input(str(exc))
     doc = manifold_to_json(G)
     if args.out:
-        try:
-            save_json(doc, args.out)
-        except OSError as exc:
-            return _fail_input(str(exc))
+        save_json(doc, args.out)
         print(f"manifold written to {args.out}")
     else:
         print(json_text(doc))
@@ -249,7 +236,7 @@ def cmd_matrix(args) -> int:
     try:
         A = _read_matrix(args.source)
         report = _analysis_report(A)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         return _fail_input(str(exc))
     # A singular reduction exists exactly where A-minus is not negative
     # definite.  The report holds A' by rows of nonzeros; the file written
@@ -262,10 +249,7 @@ def cmd_matrix(args) -> int:
             "a": [rational_str(v) for v in reduction.a],
         }
         if args.out:
-            try:
-                save_json(reduction_cert_to_json(reduction, matrix=A), args.out)
-            except OSError as exc:
-                return _fail_input(str(exc))
+            save_json(reduction_cert_to_json(reduction, matrix=A), args.out)
     _print_report(report, args.json)
     if not args.json:
         if reduction is None:
@@ -329,11 +313,7 @@ def cmd_cover(args) -> int:
             f"cover find takes --alpha times the boundary circles up to {MAX_FIND_POINTS}, "
             f"got {spec.alpha} x {circles} = {spec.alpha * circles}"
         )
-    try:
-        cert = find_cover(spec)
-    except ParityError as exc:
-        print(f"no certificate: {exc}", file=sys.stderr)
-        return EXIT_UNAVAILABLE
+    cert = find_cover(spec)
     labels = [str(i) for i in range(cert.alpha)]
     zs = cert.all_z()
     doc = {
@@ -427,6 +407,11 @@ def main(argv=None) -> int:
         # so that the flush at exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
+    except UNAVAILABLE as exc:
+        print(f"no certificate: {exc}", file=sys.stderr)
+        return EXIT_UNAVAILABLE
+    except INPUT_ERRORS as exc:
+        return _fail_input(str(exc))
     except Exception as exc:  # a crash must not read as a verdict
         import traceback  # only on a crash: importing it costs ~4% of start-up
 

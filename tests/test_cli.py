@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface and its exit-code contract.
 
 Exit codes: 0 property holds / certificate verified, 1 property fails,
-2 input error, 3 certificate unavailable, 4 certificate invalid, 5 internal
+2 input or output error, 3 certificate unavailable, 4 certificate invalid, 5 internal
 error.
 """
 
+import ast
 import copy
+import errno
 import io
 import json
 import os
@@ -484,6 +486,20 @@ def test_matrix_mode_unwritable_out_is_input_error(monkeypatch, tmp_path, capsys
     assert_one_line_input_error(capsys)
 
 
+def test_matrix_crash_is_internal_error_not_a_verdict(monkeypatch, tmp_path, capsys):
+    # A ValueError past matrix's argument check is a crash, not an input error.
+    def crash(A):
+        raise ValueError("kernel has dimension 2, expected 1")
+
+    monkeypatch.setattr(cli, "find_singular_reduction", crash)
+    out = tmp_path / "red.json"
+    assert run_matrix(monkeypatch, '[["-1", "2"], ["2", "-1"]]', "--out", str(out)) == 5
+    err = capsys.readouterr().err
+    assert "internal error" in err
+    assert "Traceback" in err
+    assert not out.exists()
+
+
 def test_matrix_mode_reports_failure_without_reduction(monkeypatch, capsys):
     assert run_matrix(monkeypatch, '[["1", "1"], ["1", "-1"]]') == 1
     out = capsys.readouterr().out
@@ -632,6 +648,20 @@ def test_cover_find_prints_cycles(capsys):
 
 def test_cover_find_parity_failure_is_unavailable():
     assert main(["cover", "find", "--genus", "1", "--alpha", "2", "--degrees", "2"]) == 3
+
+
+def test_cover_find_crash_is_internal_error_not_a_verdict(monkeypatch, capsys):
+    # Only a ParityError is "no certificate"; a plain ValueError from the
+    # search is a crash, not an input error.
+    def crash(spec):
+        raise ValueError("an odd permutation is no product of two alpha-cycles")
+
+    monkeypatch.setattr(cli, "find_cover", crash)
+    assert main(["cover", "find", "--genus", "1", "--alpha", "3", "--degrees", "3"]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "internal error" in err
+    assert "Traceback" in err
 
 
 def parse_cycles(text: str, alpha: int) -> tuple[int, ...]:
@@ -927,6 +957,79 @@ def test_a_closed_output_pipe_exits_141_without_a_traceback():
         proc.kill()
         proc.wait()
     assert b"Traceback" not in err and b"Error" not in err, err
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose every write raises ``error``; its file descriptor is
+    ``fd``, which `main` points at devnull after a closed pipe."""
+
+    def __init__(self, error, fd):
+        super().__init__()
+        self.error, self.fd = error, fd
+
+    def write(self, text):
+        raise self.error
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("command", ["analyze", "certify", "verify", "gen", "matrix", "cover"])
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        pytest.param(OSError(errno.EIO, os.strerror(errno.EIO)), 2, id="EIO"),
+        pytest.param(BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), 141, id="EPIPE"),
+    ],
+)
+def test_a_failing_stdout_exits_2_and_a_closed_one_141(monkeypatch, tmp_path, capsys, command, error, code):
+    manifold = write_manifold(tmp_path, "m.json", 0, 0)
+    cert = tmp_path / "cert.json"
+    assert main(["certify", str(manifold), "--out", str(cert)]) == 0
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text('[["-1", "2"], ["2", "-1"]]')
+    argv = {
+        "analyze": ["analyze", str(manifold)],
+        "certify": ["certify", str(manifold), "--out", str(tmp_path / "c2.json")],
+        "verify": ["verify", str(manifold), str(cert)],
+        "gen": ["gen", "3"],
+        "matrix": ["matrix", str(matrix)],
+        "cover": ["cover", "find", "--genus", "1", "--alpha", "3", "--degrees", "3"],
+    }[command]
+    capsys.readouterr()
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", FailingStdout(error, fd))
+        assert main(argv) == code
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == (f"error: {error}\n" if code == 2 else "")
+
+
+# --- one exit-code boundary ---------------------------------------------------------
+
+
+def test_main_alone_maps_exceptions_to_exit_codes():
+    """Outside `main`, no handler in cli.py catches an exception that `main`
+    maps to exit 2 or 3, and a command holds at most one `try`, which
+    catches only the ValueError of its argument-value check."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    mapped = {"INPUT_ERRORS", "UNAVAILABLE", "OSError", "NoPositiveEigenvalueError", "ParityError"}
+    in_main = set()
+    for function in tree.body:
+        if isinstance(function, ast.FunctionDef) and function.name == "main":
+            in_main = {node for node in ast.walk(function) if isinstance(node, ast.ExceptHandler)}
+        if isinstance(function, ast.FunctionDef) and function.name.startswith("cmd_"):
+            tries = [node for node in ast.walk(function) if isinstance(node, ast.Try)]
+            assert len(tries) <= 1, function.name
+            for handler in (h for node in tries for h in node.handlers):
+                assert isinstance(handler.type, ast.Name) and handler.type.id == "ValueError", function.name
+    assert in_main
+    for handler in ast.walk(tree):
+        if isinstance(handler, ast.ExceptHandler) and handler not in in_main:
+            assert handler.type is not None, "a bare except outside main"
+            caught = {node.id for node in ast.walk(handler.type) if isinstance(node, ast.Name)}
+            assert not caught & mapped, ast.unparse(handler)
 
 
 # --- exact numbers past the interpreter's 4300-digit int <-> str limit -----------

@@ -432,6 +432,18 @@ def test_decide_eliminates_only_on_the_positive_branch(monkeypatch, A, eliminati
     assert counts == {"inertia": eliminations, "_congruence": eliminations}
 
 
+def test_a_near_singular_ve_block_takes_at_most_seven_fixed_point_solves(monkeypatch):
+    # The 255-vertex negative block has its Perron root close to 0, so its
+    # sign search runs into the 32-bit round; a count, unlike wall time,
+    # shows any work on these blocks without jitter.
+    A = verdict_matrix(256, "pos_no_ve")
+    counts = count_calls(monkeypatch, ("_fixed_point_solve", "inertia"))
+    verdict = decide(A)
+    assert (verdict.branch, verdict.property_i, verdict.property_ve) == VERDICT_CLASSES["pos_no_ve"]
+    assert counts["_fixed_point_solve"] <= 7
+    assert counts["inertia"] == 0
+
+
 # --- two-piece invariant ----------------------------------------------------
 
 
