@@ -71,6 +71,11 @@ MAX_FIND_ALPHA = 10**6
 # bytes a point, README), so `cover find` also caps alpha times the number
 # of circles; alpha = 10**6 with two circles stays within it.
 MAX_FIND_POINTS = 2 * 10**6
+# Each handle adds two alpha-long permutations, which verify_cover reads as
+# sets and the output prints, so `cover find` caps alpha times the
+# permutations it writes, 2 * genus + circles; every genus <= 2 spec within
+# the caps above stays within it.
+MAX_FIND_PERMUTATION_POINTS = 6 * 10**6
 # The largest manifold `gen` draws, the largest size the README measures.
 MAX_GEN_PIECES = 10_000
 
@@ -312,6 +317,12 @@ def cmd_cover(args) -> int:
         return _fail_input(
             f"cover find takes --alpha times the boundary circles up to {MAX_FIND_POINTS}, "
             f"got {spec.alpha} x {circles} = {spec.alpha * circles}"
+        )
+    perms = 2 * spec.genus + circles
+    if spec.alpha * perms > MAX_FIND_PERMUTATION_POINTS:
+        return _fail_input(
+            f"cover find takes --alpha times (2 * genus + boundary circles) up to {MAX_FIND_PERMUTATION_POINTS}, "
+            f"got {spec.alpha} x {perms} = {spec.alpha * perms}"
         )
     cert = find_cover(spec)
     labels = [str(i) for i in range(cert.alpha)]

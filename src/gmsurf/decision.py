@@ -20,9 +20,9 @@ VE implies I for every connected input (tested exhaustively downstream), so a
 disconnected matrix graph is rejected rather than decided per component.
 Each sign comes from :func:`_perron_sign`, asked of A's own rows or those of
 a block component (:func:`gmsurf.exact_linalg._component_rows`).  The Perron
-search reads a diagonal entry only as its absolute value, so only the rare
-hand-over to the inertia copies the rows with their positive diagonal
-entries negated.
+search reads a diagonal entry only as its absolute value, so no copy of the
+rows in A-minus form is made, and it settles the rare input that no
+fixed-point round decides by its own one exact step.
 
 For two-piece manifolds the single rational D = A11*A22 / A12^2 carries both
 answers: I holds iff -1 < D <= 1 and VE holds iff 0 <= D <= 1.  That invariant
@@ -42,7 +42,7 @@ from .exact_linalg import (
     _components,
     _perron_search,
     _scaled,
-    inertia,
+    inertia,  # unused here; bench/tests/test_tracer.py checks the tracer replaces this binding
     matrix_components,
 )
 from .manifold import split_blocks
@@ -100,14 +100,9 @@ def _check_input(A: SymMatrix) -> tuple[list[int], list[int], list[int]]:
 def _perron_sign(rows: Sequence[dict[int, Fraction]]) -> int:
     """The sign (1, 0 or -1) of the Perron root of the A-minus of rows, a connected
     matrix with non-negative couplings: the sign-only Perron search's, which
-    reads each diagonal entry as minus its absolute value, or where that ends
-    undecided at full precision, the sign of the largest eigenvalue read off
-    the exact inertia of the rows with their positive diagonal entries negated."""
-    found = _perron_search(_scaled(rows), sign_only=True)
-    if found is not None:
-        return found[0]
-    ine = inertia([{**row, i: -row[i]} if row.get(i, 0) > 0 else row for i, row in enumerate(rows)])
-    return 1 if ine.n_pos else 0 if ine.n_zero else -1
+    reads each diagonal entry as minus its absolute value and, where no
+    fixed-point round decides, takes the sign from its one exact step."""
+    return _perron_search(_scaled(rows), sign_only=True)[0]
 
 
 def immersed(sign: int, pos: list[int], neg: list[int]) -> tuple[bool, Branch]:

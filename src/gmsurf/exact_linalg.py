@@ -4,33 +4,31 @@ Matrices enter as arbitrary-precision rationals (`fractions.Fraction`,
 :class:`SymMatrix` entries), and the public results leave as `Fraction`
 too: determinants and kernel vectors.
 
-The signature routine is :func:`inertia`, which computes the exact eigenvalue
-sign counts (n_pos, n_zero, n_neg) of a symmetric rational matrix by congruence
-diagonalization; by Sylvester's law of inertia the sign counts are invariant
-under congruence, so no root finding is needed.  A decomposition matrix has
-the sparsity of the piece graph (a tree plus a few extra tori), so a
-:class:`SymMatrix` keeps only its nonzero entries, one ``{column: value}``
-dict per row, and its one constructor checks those entries alone.
-:func:`matrix_components` checks the sign of the couplings and finds the
-components of the matrix graph.  :func:`inertia` takes such dict rows and
-eliminates in minimum-degree order, which creates no fill on a tree: its
-cost follows the number of edges and the fill, not the cube of the order.
-
-:func:`_mmatrix_solve` is the other elimination: Gaussian elimination of a
-Z-matrix in the same minimum-degree order with diagonal pivots only,
-stopping at the first pivot <= 0.  That is the exact test that the matrix is
-a nonsingular M-matrix, and when it passes the same elimination solves.
+The one exact elimination is :func:`_congruence`, the sparse congruence
+diagonalization behind :func:`inertia`, the exact eigenvalue sign counts
+(n_pos, n_zero, n_neg) of a symmetric rational matrix; by Sylvester's law of
+inertia the sign counts are invariant under congruence, so no root finding
+is needed.  A decomposition matrix has the sparsity of the piece graph (a
+tree plus a few extra tori), so a :class:`SymMatrix` keeps only its nonzero
+entries, one ``{column: value}`` dict per row, and its one constructor
+checks those entries alone.  :func:`matrix_components` checks the sign of
+the couplings and finds the components of the matrix graph.
+:func:`_congruence` takes such dict rows and eliminates in minimum-degree
+order, which creates no fill on a tree: its cost follows the number of
+edges and the fill, not the cube of the order.  It also returns its 1x1
+steps, the L D L^T factors that back-substitution reads.
 
 :func:`_perron_search` is the package's one Perron search: for a connected
 A with non-negative couplings, given in integers by :func:`_scaled`, it
 finds the exact sign of the Perron root of A-minus (A with its positive
 diagonal entries negated) and a positive witness vector, in fixed-point
 integers (:func:`_fixed_point_solve`, an L D L^T in the same minimum-degree
-order with every product floored), and from 64 bits on one exact kernel
-test (:func:`_positive_kernel`).  It reads a diagonal entry only as its
-absolute value, so it takes A's own rows, never a copy in A-minus form.
-It sits beside the eliminations so that the decision (and through it the
-generator) and the reduction builders share it.
+order with every product floored), and from 64 bits on one exact step: one
+:func:`_congruence`, whose steps give the kernel where the root is 0.  It
+reads a diagonal entry only as its absolute value, so it takes A's own
+rows, never a copy in A-minus form.  It sits beside the elimination so that
+the decision (and through it the generator) and the reduction builders
+share it.
 
 :func:`determinant_rows` and :func:`nullspace_rows` are dense: they clear
 denominators by one common multiple per row, then fraction-free (Bareiss)
@@ -38,20 +36,19 @@ elimination divides exactly by the previous pivot at each step, so entries
 stay integers the size of minors of the input.  Only the tests and the
 benchmark's tracer name them.
 
-The sparse eliminations share one exact core of integers.  Each entry is a
+The sparse elimination runs on one exact core of integers.  Each entry is a
 reduced (numerator, denominator) pair of ints with a positive denominator,
-and every update uses `Fraction`'s own gcd-first sum, difference and product
-on the pairs (:func:`_sum`, :func:`_sub`, :func:`_mul`; Knuth, TAOCP
-vol. 2, 4.5.1), so each pair holds the reduced value a `Fraction`
-elimination would, in the same pivot order, with no `Fraction` made.  The
-cores are :func:`_congruence` and :func:`_mmatrix_solve`, which take and
-return pairs.  :func:`inertia` is the one `Fraction` entry to them: its
-`Fraction` entries become pairs once (:func:`_pair_rows`).
-:func:`_mmatrix_solve` and :func:`_primitive` (the coprime integers on a
-vector's ray) take pairs; their one caller is :func:`_positive_kernel`.
-The builders (:mod:`gmsurf.reduction`, :mod:`gmsurf.surface`) keep their
-own values in ints and pairs (:func:`_mul`, :func:`_sub`) and make a
-`Fraction` only for what they return (:func:`_fraction`).
+and every update uses `Fraction`'s own gcd-first difference and product on
+the pairs (:func:`_sub`, :func:`_mul`; Knuth, TAOCP vol. 2, 4.5.1), so each
+pair holds the reduced value a `Fraction` elimination would, in the same
+pivot order, with no `Fraction` made.  :func:`inertia` is the one
+`Fraction` entry to :func:`_congruence`: its `Fraction` entries become
+pairs once.  The Perron search makes its pairs from its own integers
+(:func:`_reduced`), and :func:`_primitive` takes the coprime integers on
+the ray of its kernel.  The builders (:mod:`gmsurf.reduction`,
+:mod:`gmsurf.surface`) keep their own values in ints and pairs
+(:func:`_mul`, :func:`_sub`) and make a `Fraction` only for what they
+return (:func:`_fraction`).
 """
 
 from __future__ import annotations
@@ -221,15 +218,6 @@ def _mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return na * nb, da * db
 
 
-def _sum(values: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """The sum of reduced pairs, reduced: each term is added as :func:`_sub`
-    of its negation."""
-    total = (0, 1)
-    for n, d in values:
-        total = _sub(total, (-n, d))
-    return total
-
-
 def _inverse(a: tuple[int, int]) -> tuple[int, int]:
     """1 / a for a nonzero reduced pair, reduced with a positive denominator."""
     n, d = a
@@ -249,18 +237,17 @@ def _fraction(a: tuple[int, int]) -> Fraction:
     return value
 
 
-def _pair_rows(rows: Sequence[dict[int, Fraction]]) -> list[dict[int, tuple[int, int]]]:
-    """Fresh ``{column: (numerator, denominator)}`` copies of dict rows of nonzero entries.
-
-    Each entry is read once, with no `Fraction` made.
-    """
-    return [{j: (x.numerator, x.denominator) for j, x in row.items()} for row in rows]
+Step = tuple[int, tuple[int, int], list[tuple[int, tuple[int, int]]]]
 
 
-def _congruence(adj: list[dict[int, tuple[int, int]]]) -> Inertia:
+def _congruence(adj: list[dict[int, tuple[int, int]]]) -> tuple[Inertia, list[Step]]:
     """Sparse graph-order congruence of symmetric pair rows, eliminated in place; see :func:`inertia`.
 
-    Entries are reduced (numerator, denominator) pairs (:func:`_pair_rows`).
+    Entries are reduced (numerator, denominator) pairs.
+    Returns the inertia and the 1x1 steps in order, each as (k, the inverse
+    of its pivot, the items of row k it eliminated): where no 2x2 pivot was
+    taken, these are the L D L^T factors, so back-substitution through them
+    solves for the vertices the steps eliminated.
     """
     remaining = set(range(len(adj)))
     queue: list[tuple[int, int]] = []  # sorted (degree, index), nonzero diagonals only
@@ -291,6 +278,7 @@ def _congruence(adj: list[dict[int, tuple[int, int]]]) -> Inertia:
 
     enqueue(remaining)
     n_pos = n_zero = n_neg = 0
+    steps: list[Step] = []
     while remaining:
         if queue:
             _, k = queue.pop(0)
@@ -305,6 +293,7 @@ def _congruence(adj: list[dict[int, tuple[int, int]]]) -> Inertia:
             touched = list(row.items())
             unqueue(row)
             inverse = _inverse(pivot)
+            steps.append((k, inverse, touched))
             for s, (i, a) in enumerate(touched):
                 del adj[i][k]
                 factor = _mul(a, inverse)
@@ -336,7 +325,7 @@ def _congruence(adj: list[dict[int, tuple[int, int]]]) -> Inertia:
                 if amount[0]:
                     subtract(i, touched[t], amount)
         enqueue(touched)
-    return Inertia(n_pos, n_zero, n_neg)
+    return Inertia(n_pos, n_zero, n_neg), steps
 
 
 def inertia(rows: Sequence[dict[int, Fraction]]) -> Inertia:
@@ -344,11 +333,11 @@ def inertia(rows: Sequence[dict[int, Fraction]]) -> Inertia:
 
     ``rows`` holds one ``{column: value}`` dict of nonzero entries per row,
     such as :attr:`SymMatrix.sparse`; symmetry is assumed.  The input
-    becomes fresh rows of (numerator, denominator) pairs
-    (:func:`_pair_rows`) and is not changed.  Pivots are eliminated in
-    graph order, each step replacing the rest of the matrix by its Schur
-    complement (a congruence, so Sylvester's law of inertia gives each
-    pivot block's signs to the whole matrix):
+    becomes fresh rows of (numerator, denominator) pairs, each entry read
+    once with no `Fraction` made, and is not changed.  Pivots are
+    eliminated in graph order, each step replacing the rest of the matrix
+    by its Schur complement (a congruence, so Sylvester's law of inertia
+    gives each pivot block's signs to the whole matrix):
 
     - a 1x1 pivot on the remaining vertex of least degree whose diagonal is
       nonzero, the smallest index among equals (minimum-degree order, Rose
@@ -363,57 +352,7 @@ def inertia(rows: Sequence[dict[int, Fraction]]) -> Inertia:
     each holds the value a `Fraction` elimination would; no `Fraction` is
     made.
     """
-    return _congruence(_pair_rows(rows))
-
-
-def _mmatrix_solve(adj: list[dict[int, tuple[int, int]]], b: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
-    """Solve M x = b exactly if the Z-matrix M is a nonsingular M-matrix; else None.
-
-    M (off-diagonal entries <= 0, a symmetric nonzero pattern, values not
-    necessarily symmetric) is given as pair rows of its nonzero entries
-    (:func:`_pair_rows`), and b as a list of pairs; both are changed in
-    place, so each call needs fresh ones.  Gaussian elimination takes
-    diagonal pivots only, in minimum-degree order (smallest index among
-    equals), and stops at the first pivot <= 0: a Z-matrix is a nonsingular
-    M-matrix iff all its leading principal minors are positive, in any
-    symmetric order (Berman and Plemmons, *Nonnegative Matrices in the
-    Mathematical Sciences*, ch. 6), so no pivoting is needed.  Positive
-    pivots keep the rest a Z-matrix, and an off-diagonal entry only moves
-    away from 0, so the pattern stays symmetric.  The solution comes back in
-    pairs.
-    """
-    queue = sorted((len(row) - (i in row), i) for i, row in enumerate(adj))
-    queued = {key[1]: key for key in queue}
-    done: list[tuple[int, tuple[int, int], dict[int, tuple[int, int]]]] = []
-    while queue:
-        _, k = queue.pop(0)
-        del queued[k]
-        row = adj[k]
-        pivot = row.pop(k, (0, 1))
-        if pivot[0] <= 0:
-            return None
-        for i in row:
-            del queue[bisect_left(queue, queued[i])]
-        inverse = _inverse(pivot)
-        for i in row:
-            other = adj[i]
-            factor = _mul(other.pop(k), inverse)
-            if b[k][0]:
-                b[i] = _sub(b[i], _mul(factor, b[k]))
-            for j, v in row.items():
-                amount = _mul(factor, v)
-                old = other.get(j)
-                other[j] = (-amount[0], amount[1]) if old is None else _sub(old, amount)
-            key = queued[i] = (len(other) - (i in other), i)
-            insort(queue, key)
-        done.append((k, inverse, row))
-    x = [(0, 1)] * len(adj)
-    for k, inverse, row in reversed(done):
-        total = b[k]
-        for j, v in row.items():
-            total = _sub(total, _mul(v, x[j]))
-        x[k] = _mul(total, inverse)
-    return x
+    return _congruence([{j: (x.numerator, x.denominator) for j, x in row.items()} for row in rows])[0]
 
 
 def _eliminate(m: list[list[int]], stop_col: int) -> tuple[list[int], int, int]:
@@ -549,6 +488,12 @@ def _component_rows(rows: Sequence[dict], component: list[int]) -> list[dict]:
     return [{position[j]: x for j, x in rows[i].items() if j in position} for i in component]
 
 
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n / d, d > 0, as a reduced pair."""
+    g = gcd(n, d)
+    return n // g, d // g
+
+
 def _primitive(vec: Sequence[tuple[int, int]]) -> list[int]:
     """The coprime integers on the ray of a nonzero vector of reduced pairs:
     the vector times the lcm of its denominators, over the gcd of the
@@ -569,7 +514,7 @@ def _fixed_point_solve(rows: list[dict[int, int]], rhs: list[int]) -> list[int] 
 
     M is one ``{column: int}`` dict per row, diagonal key included, and both
     it and rhs are changed in place.  M = L D L^T in minimum-degree order,
-    as in :func:`_mmatrix_solve`, with every product over a pivot floored,
+    as in :func:`_congruence`, with every product over a pivot floored,
     so entries keep their fixed-point length.
     """
     queue = sorted((len(row) - 1, i) for i, row in enumerate(rows))
@@ -601,28 +546,6 @@ def _fixed_point_solve(rows: list[dict[int, int]], rhs: list[int]) -> list[int] 
     return x
 
 
-def _positive_kernel(negated: list[dict[int, tuple[int, int]]]) -> list[int] | None:
-    """The primitive positive vector spanning the kernel of N, or None.
-
-    N, a connected Z-matrix as pair rows (symmetric pattern, values maybe
-    not), is not changed.  N is a singular M-matrix iff its kernel is a line
-    through a positive vector: every proper principal block of a connected
-    singular M-matrix is a nonsingular M-matrix, so one :func:`_mmatrix_solve`
-    with the last weight fixed at 1 gives the others, and N times it is
-    checked exactly."""
-    last = len(negated) - 1
-    rest = _mmatrix_solve(
-        [{j: x for j, x in row.items() if j != last} for row in negated[:last]],
-        [(-row[last][0], row[last][1]) if last in row else (0, 1) for row in negated[:last]],
-    )
-    if rest is None:
-        return None
-    a = [*rest, (1, 1)]
-    if any(_sum(_mul(x, a[j]) for j, x in row.items())[0] for row in negated):
-        return None
-    return _primitive(a)
-
-
 Scaled = tuple[list[int], list[int], list[dict[int, int]]]
 
 
@@ -641,7 +564,7 @@ def _scaled(rows: Sequence[dict[int, Fraction]]) -> Scaled:
     return scales, own, couplings
 
 
-def _perron_search(scaled: Scaled, sign_only: bool = False) -> tuple[int, list[int], list[int]] | None:
+def _perron_search(scaled: Scaled, sign_only: bool = False) -> tuple[int, list[int], list[int]]:
     """The sign of the Perron root of B, the A-minus of a connected A, and its witness vector.
 
     A is given in its :func:`_scaled` form, in integers only.  Returns
@@ -663,18 +586,23 @@ def _perron_search(scaled: Scaled, sign_only: bool = False) -> tuple[int, list[i
     that leaves an entry at 1, and the next doubles the bits.  Every vector
     is checked exactly, one integer dot product per row of B times its lcm.
 
-    *Root 0.*  No a > 0 has Ba > 0 or Ba < 0 then; a round that hits Ba = 0,
-    or from FULL_BITS on one exact kernel test (:func:`_positive_kernel`),
-    shows it.  A nonzero rho shows at some precision, so there is no retry
-    budget.
+    *Root 0.*  No a > 0 has Ba > 0 or Ba < 0 then; a round that hits Ba = 0
+    shows it, or else the one exact step.  The first round that ends
+    undecided from FULL_BITS on runs :func:`_congruence` once on B's
+    reduced pairs, and rho has the sign of B's largest eigenvalue: 1 if a
+    pivot is positive, -1 if no eigenvalue is 0, else 0.  At 0, B is
+    negative semidefinite, so every pivot is 1x1 and the one zero
+    eigenvalue is an isolated vertex; back-substitution through the steps
+    from that vertex at 1 gives the kernel, the Perron vector, which
+    :func:`_primitive` makes coprime and ``image`` rechecks exactly.  At a
+    nonzero sign the rounds go on doubling the bits for a witness, which
+    shows at some precision, so there is no retry budget.
 
     *Sign only.*  With ``sign_only`` the caller reads the sign alone.  A
     vector v with v^T B v > 0 then ends the search at sign 1, with (1, v, y)
     for that v: rho is B's largest eigenvalue, at least the Rayleigh
-    quotient of v.  A round that ends undecided from FULL_BITS on returns
-    None instead of running the kernel test, for the caller to read the
-    sign off the exact inertia, which costs less than the test on large
-    singular inputs.
+    quotient of v.  The exact step's sign is returned at once, as
+    (sign, [], []): no vector shows it.
     """
     scales, own, couplings = scaled
     n = len(own)
@@ -731,13 +659,25 @@ def _perron_search(scaled: Scaled, sign_only: bool = False) -> tuple[int, list[i
             if min(v) == 1:  # an entry fell below the precision
                 break
         if bits >= FULL_BITS and not tested:
-            if sign_only:
-                return None
             tested = True
-            # -B with row i times scales[i], which keeps its kernel, as int pairs
-            kernel = _positive_kernel(
-                [{i: (abs(d), 1), **{j: (-x, 1) for j, x in c.items()}} for i, (d, c) in enumerate(zip(own, couplings))]
+            ine, steps = _congruence(
+                [
+                    {**({i: _reduced(-abs(d), L)} if d else {}), **{j: _reduced(c, L) for j, c in row.items()}}
+                    for i, (d, L, row) in enumerate(zip(own, scales, couplings))
+                ]
             )
-            if kernel:
+            sign = 1 if ine.n_pos else 0 if ine.n_zero else -1
+            if sign_only:
+                return sign, [], []
+            if sign == 0:
+                x = [(1, 1)] * n
+                for k, inverse, touched in reversed(steps):
+                    total = (0, 1)
+                    for j, a in touched:
+                        total = _sub(total, _mul(a, x[j]))
+                    x[k] = _mul(total, inverse)
+                kernel = _primitive(x)
+                if min(kernel) <= 0 or any(image(kernel)):
+                    raise AssertionError("the exact step's kernel vector fails its recheck")
                 return 0, kernel, [0] * n
         bits *= 2

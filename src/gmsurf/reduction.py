@@ -24,8 +24,8 @@ a connected A and returns the strict rows as pairs and a as ints, or names
 the branch in :class:`NoPositiveEigenvalueError`.
 :func:`find_singular_reduction` builds A' on the first component whose
 root is not negative; the ``matrix`` command reaches it only with a
-connected matrix, since its decision rejects any other.  No inertia is taken,
-and A' keeps A's sparsity: one ``{column: value}`` dict of nonzero entries
+connected matrix, since its decision rejects any other.  No inertia is taken
+beyond the search's one exact step, and A' keeps A's sparsity: one ``{column: value}`` dict of nonzero entries
 per row, as a :class:`SymMatrix` holds.
 
 The builders keep their values in integers or reduced (numerator,
@@ -117,7 +117,8 @@ def find_singular_reduction(A: SymMatrix) -> ReductionCertificate:
     case no such reduction exists at all).  Otherwise the first connected
     component whose block of A-minus has a Perron root >= 0
     (:func:`_perron_search` on the block's rows, re-indexed by
-    :func:`gmsurf.exact_linalg._component_rows`; no inertia is taken) gets
+    :func:`gmsurf.exact_linalg._component_rows`; an exact congruence only
+    where no fixed-point round decides) gets
     its rows of A' and its witness vector, positive on the component; every
     other row is A's diagonal entry alone, and every other weight 0.  Only the nonzero entries are read, and
     A' and the vector become `Fraction` once, as the certificate.
@@ -276,7 +277,7 @@ def strict_shrink(A: SymMatrix) -> tuple[list[dict[int, tuple[int, int]]], list[
     exactly the PositiveEigenvalue branch.  Off it, the sign that
     :func:`_perron_search` finds and A's diagonal signs name the branch
     (:func:`gmsurf.decision.immersed`) in :class:`NoPositiveEigenvalueError`,
-    with no inertia.
+    with no inertia beyond the search's one exact step.
     """
     if len(matrix_components(A)) > 1:
         raise DisconnectedMatrixError("matrix graph is disconnected")

@@ -9,7 +9,7 @@ witnessed constructively.  The builder:
    vector of A-minus, and one exact integer dot product per row checks it.
    By the Collatz-Wielandt bounds such an a exists iff A-minus has a
    positive eigenvalue; off that branch the same search names the branch
-   in the exception, with no inertia taken;
+   in the exception, with no inertia beyond the search's one exact step;
 2. builds, row by row, a strict singular reduction A' of the decomposition
    matrix annihilating a: every coupling of row i times one dyadic t_i,
    with the largest coupling taking the exact remainder, so

@@ -31,10 +31,13 @@ the dense routines they replaced, kept so tests can compare results exactly:
 
 - :func:`bareiss_inertia`, the dense fraction-free (Bareiss) inertia that
   the sparse graph-order inertia replaced;
-- :func:`fraction_congruence` and :func:`fraction_mmatrix_solve`, the
-  sparse eliminations as they ran on `Fraction` entries before the package
-  moved them to reduced integer pairs; same pivot order, so inertias and
-  solutions must agree exactly;
+- :func:`fraction_congruence`, the sparse congruence as it ran on
+  `Fraction` entries before the package moved it to reduced integer
+  pairs; same pivot order, so inertias and steps must agree exactly;
+- :func:`fraction_mmatrix_solve`, the sparse Gaussian elimination of a
+  Z-matrix with diagonal pivots that the package ran, in pairs, for its
+  M-matrix kernel test until the congruence's steps replaced it; the
+  exact solve the fixed-point solve is compared with;
 - :func:`fraction_negativity_certificate`, the negativity certificate
   solved in `Fraction` by :func:`fraction_mmatrix_solve`, and
   :func:`primitive`, the coprime integers on a rational ray.
@@ -235,9 +238,10 @@ def bareiss_inertia(A: SymMatrix) -> Inertia:
     return Inertia(n_pos, n_zero, n_neg)
 
 
-def fraction_congruence(adj: list[dict[int, Fraction]]) -> Inertia:
-    """The graph-order congruence of `gmsurf.exact_linalg.inertia` on
-    `Fraction` dict rows, eliminated in place."""
+def fraction_congruence(adj: list[dict[int, Fraction]]) -> tuple[Inertia, list]:
+    """The graph-order congruence of `gmsurf.exact_linalg._congruence` on
+    `Fraction` dict rows, eliminated in place: the inertia and the 1x1
+    steps, each as (k, 1 / pivot, the items of row k it eliminated)."""
     remaining = set(range(len(adj)))
     queue: list[tuple[int, int]] = []
     queued: dict[int, tuple[int, int]] = {}
@@ -265,6 +269,7 @@ def fraction_congruence(adj: list[dict[int, Fraction]]) -> Inertia:
 
     enqueue(remaining)
     n_pos = n_zero = n_neg = 0
+    steps = []
     while remaining:
         if queue:
             _, k = queue.pop(0)
@@ -277,6 +282,7 @@ def fraction_congruence(adj: list[dict[int, Fraction]]) -> Inertia:
                 n_neg += 1
             remaining.remove(k)
             touched = list(row.items())
+            steps.append((k, 1 / pivot, touched))
             unqueue(row)
             factors = [a / pivot for _, a in touched]
             for s, (i, _) in enumerate(touched):
@@ -305,12 +311,16 @@ def fraction_congruence(adj: list[dict[int, Fraction]]) -> Inertia:
             for t in range(s, len(touched)):
                 subtract(i, touched[t], b * (x[s] * y[t] + y[s] * x[t]))
         enqueue(touched)
-    return Inertia(n_pos, n_zero, n_neg)
+    return Inertia(n_pos, n_zero, n_neg), steps
 
 
 def fraction_mmatrix_solve(rows, rhs) -> tuple[Fraction, ...] | None:
-    """`gmsurf.exact_linalg._mmatrix_solve` on `Fraction` entries, which it
-    does not change."""
+    """x with M x = rhs for a Z-matrix M (a symmetric nonzero pattern,
+    values not necessarily symmetric) given as `Fraction` dict rows, which
+    it does not change; None at the first pivot <= 0.  Gaussian elimination
+    with diagonal pivots in minimum-degree order: a Z-matrix is a
+    nonsingular M-matrix iff all its leading principal minors are positive,
+    in any symmetric order (Berman and Plemmons, ch. 6)."""
     adj = [dict(row) for row in rows]
     b = list(rhs)
     queue = sorted((len(row) - (i in row), i) for i, row in enumerate(adj))

@@ -285,7 +285,7 @@ def off_the_branch_corpus() -> list[DecompositionGraph]:
 
 def test_certify_names_the_branch_decide_takes(tmp_path, capsys):
     # certify names the branch with no inertia (one positive vector, and at
-    # most one exact kernel test); decide reads it off the inertia.
+    # most one exact step); decide reads it off its own sign search.
     manifold, cert = tmp_path / "m.json", tmp_path / "c.json"
     seen = set()
     for G in off_the_branch_corpus():
@@ -786,6 +786,35 @@ def test_cover_find_refuses_alpha_times_circles_above_its_cap_before_building_a_
     # At the cap the witness is built, the alpha = 10**6 two-circle case included.
     for alpha, circles in ((10**6, 2), (20_000, 100), (200, 10_000)):
         assert find(alpha, circles) == 5
+        assert f"internal error: Built: {alpha}" in capsys.readouterr().err
+
+
+def test_cover_find_refuses_alpha_times_permutations_above_its_cap_before_building_a_permutation(monkeypatch, capsys):
+    # Every handle adds two alpha-long permutations to the witness and its
+    # output, so the genus is capped through alpha * (2 * genus + circles).
+    class Built(Exception):
+        pass
+
+    def built(alpha, lengths):
+        raise Built(alpha)
+
+    monkeypatch.setattr(covers, "canonical_perm", built)
+    cap = cli.MAX_FIND_PERMUTATION_POINTS
+    assert cap == 6 * 10**6  # the README documents this cap and its memory
+
+    def find(genus, alpha, degrees):
+        return main(["cover", "find", "--genus", str(genus), "--alpha", str(alpha), "--degrees", degrees])
+
+    for genus, alpha, degrees in ((10**6, 3, "3"), (10**9, 3, "3"), (2_000, 10**6, f"{10**6}"), (3, 10**6, f"{10**6};{10**6}")):
+        circles = degrees.count(";") + 1
+        assert find(genus, alpha, degrees) == 2
+        assert capsys.readouterr().err == (
+            f"error: cover find takes --alpha times (2 * genus + boundary circles) up to {cap}, "
+            f"got {alpha} x {2 * genus + circles} = {alpha * (2 * genus + circles)}\n"
+        )
+    # At the cap the witness is built; genus 2 keeps every spec the other caps accept.
+    for genus, alpha, degrees in ((999_999, 3, "3"), (1_499_999, 2, "2;2"), (2, 10**6, f"{10**6};{10**6}")):
+        assert find(genus, alpha, degrees) == 5
         assert f"internal error: Built: {alpha}" in capsys.readouterr().err
 
 

@@ -210,10 +210,9 @@ def test_branch_tag_tracks_positive_eigenvalue():
 def test_decide_takes_each_inertia_once(monkeypatch, rows, searched):
     # decide asks one sign of A-minus, then one per connected component of
     # each block it looks at, each of A's own dict rows of nonzero entries
-    # (compared in their dense form); `inertia` is called only right after a
-    # search that ends undecided, on the A-minus form of the rows searched,
-    # which these inputs never need.
-    signs, calls = watch_signs(monkeypatch)
+    # (compared in their dense form); a search takes its exact step only
+    # where no fixed-point round decides, which these inputs never need.
+    signs, searches = watch_signs(monkeypatch)
     checked, real_check = [], decision._check_input
     monkeypatch.setattr(decision, "_check_input", lambda A: checked.append(A) or real_check(A))
     A = sym(rows)
@@ -225,37 +224,36 @@ def test_decide_takes_each_inertia_once(monkeypatch, rows, searched):
 
     assert signs[0] is A.sparse
     assert [dense(B) for B in signs] == [to_lists(A)] + [to_lists(sym(b)) for b in searched]
-    assert_hands_over_only_when_undecided(calls, signs)
-    assert [kind for kind, _ in calls] == ["search"] * len(signs)
+    assert_each_sign_is_one_search(searches, signs, exact=[])
     assert verdict.perron_sign == perron_sign(inertia(SymMatrix(a_minus(A)).sparse))
 
 
 def watch_signs(monkeypatch) -> tuple[list, list]:
-    """(signs, calls), filled in as decide runs: the rows of each
-    `_perron_sign`, and in order each search's result and each `inertia`'s rows."""
-    signs, calls = [], []
-    real_sign, real_search, real_inertia = decision._perron_sign, decision._perron_search, decision.inertia
+    """(signs, searches), filled in as decide runs: the rows of each
+    `_perron_sign`, and in order, for each search, its sign-only flag, its
+    sign and the number of congruences it ran; `inertia` fails the test."""
+    signs, searches = [], []
+    real_sign, real_search = decision._perron_sign, decision._perron_search
+    counts = count_calls(monkeypatch, ("_congruence",))
+    monkeypatch.setattr(decision, "inertia", lambda *args: pytest.fail("decide called inertia"))
     monkeypatch.setattr(decision, "_perron_sign", lambda B: signs.append(B) or real_sign(B))
-    monkeypatch.setattr(
-        decision, "_perron_search", lambda *a, **k: calls.append(("search", real_search(*a, **k))) or calls[-1][1]
-    )
-    monkeypatch.setattr(decision, "inertia", lambda B: calls.append(("inertia", B)) or real_inertia(B))
-    return signs, calls
+
+    def search(scaled, sign_only=False):
+        before = counts["_congruence"]
+        found = real_search(scaled, sign_only)
+        searches.append((sign_only, found[0], counts["_congruence"] - before))
+        return found
+
+    monkeypatch.setattr(decision, "_perron_search", search)
+    return signs, searches
 
 
-def assert_hands_over_only_when_undecided(calls: list, signs: list) -> None:
-    """Each sign is one search, followed by one `inertia` of the same rows
-    in A-minus form exactly when that search returned None."""
-    position = 0
-    for rows in signs:
-        kind, found = calls[position]
-        assert kind == "search"
-        position += 1
-        if found is None:
-            kind, minus = calls[position]
-            assert (kind, tuple(minus)) == ("inertia", a_minus(SymMatrix(tuple(rows))))
-            position += 1
-    assert position == len(calls)
+def assert_each_sign_is_one_search(searches: list, signs: list, exact: list[int]) -> None:
+    """Each sign is one sign-only search, and the searches numbered in
+    `exact` (in order) ran one congruence each, the others none."""
+    assert len(searches) == len(signs)
+    assert all(sign_only for sign_only, _, _ in searches)
+    assert [congruences for _, _, congruences in searches] == [int(k in exact) for k in range(len(searches))]
 
 
 # Input errors, in the order decide checks them: the empty matrix, then the
@@ -374,33 +372,32 @@ def bordered_semidefinite(n: int, seed: int) -> SymMatrix:
 
 
 @pytest.mark.parametrize("n, seed", [(5, 1), (12, 2), (30, 0)])
-def test_a_block_component_hands_over_to_the_inertia(monkeypatch, n, seed):
+def test_a_block_component_takes_the_exact_step(monkeypatch, n, seed):
     A = bordered_semidefinite(n, seed)
-    signs, calls = watch_signs(monkeypatch)
+    signs, searches = watch_signs(monkeypatch)
     assert_decide_matches_the_dense_oracles(A)
     # A-minus, the positive block's one vertex, then the negative block,
-    # whose search hands over
+    # whose search takes the exact step
     assert [len(B) for B in signs] == [n + 1, 1, n]
-    assert_hands_over_only_when_undecided(calls, signs)
-    assert [kind for kind, _ in calls] == ["search", "search", "search", "inertia"]
+    assert_each_sign_is_one_search(searches, signs, exact=[2])
+    assert [sign for _, sign, _ in searches] == [1, -1, 0]
     verdict = decide(A)
     assert (verdict.perron_sign, verdict.property_ve) == (1, True)
 
 
 @pytest.mark.parametrize("n, seed", [(5, 1), (12, 2), (30, 0)])
-def test_the_hand_over_reads_a_positive_diagonal_in_a_minus_form(monkeypatch, n, seed):
+def test_the_exact_step_reads_a_positive_diagonal_in_a_minus_form(monkeypatch, n, seed):
     # D S D with one diagonal entry's sign flipped has the same A-minus, so
-    # the search on A's own rows ends undecided as on D S D, and the inertia
-    # takes the rows with that entry negated back: sign 0, with both
+    # the search on A's own rows ends undecided as on D S D, and its exact
+    # step reads that entry as minus its absolute value: sign 0, with both
     # diagonal signs present.
     rows = [dict(row) for row in scaled_semidefinite(n, seed, F(0)).sparse]
     rows[0][0] = -rows[0][0]
     A = SymMatrix(tuple(rows))
-    signs, calls = watch_signs(monkeypatch)
+    signs, searches = watch_signs(monkeypatch)
     assert_decide_matches_the_dense_oracles(A)
     assert signs == [A.sparse]
-    assert [kind for kind, _ in calls] == ["search", "inertia"]
-    assert_hands_over_only_when_undecided(calls, signs)
+    assert_each_sign_is_one_search(searches, signs, exact=[0])
     verdict = decide(A)
     assert (verdict.perron_sign, verdict.branch) == (0, Branch.SEMIDEFINITE_MIXED_SIGN)
 
@@ -418,18 +415,18 @@ def test_the_hand_over_reads_a_positive_diagonal_in_a_minus_form(monkeypatch, n,
         pytest.param(lambda: decomposition_matrix(generate_manifold(200, seed=3, profile="posEig")), 0, id="gen-posEig"),
         pytest.param(lambda: verdict_matrix(64, "pos_ve"), 0, id="pos_ve"),
         pytest.param(lambda: verdict_matrix(64, "pos_no_ve"), 0, id="pos_no_ve"),
-        # no fixed-point round hits the kernel: the search hands over to one inertia
+        # no fixed-point round hits the kernel: the search takes its one exact step
         pytest.param(lambda: scaled_semidefinite(30, 0, F(0)), 1, id="DSD"),
         pytest.param(lambda: bordered_semidefinite(30, 0), 1, id="DSD-block"),
     ],
 )
 def test_decide_eliminates_only_on_the_positive_branch(monkeypatch, A, eliminations):
     # The name is historical: decide eliminates only where a sign search
-    # hands over, on any branch.
+    # takes its exact step, on any branch, and never through `inertia`.
     A = A()
     counts = count_calls(monkeypatch, ("inertia", "_congruence"))
     decide(A)
-    assert counts == {"inertia": eliminations, "_congruence": eliminations}
+    assert counts == {"inertia": 0, "_congruence": eliminations}
 
 
 def test_a_near_singular_ve_block_takes_at_most_seven_fixed_point_solves(monkeypatch):

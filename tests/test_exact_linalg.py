@@ -12,7 +12,7 @@ zero rows, disconnected and rank-deficient matrices, and against the Bareiss
 oracle on decomposition matrices of every verdict class up to 120 pieces.
 The 400-piece slowly-closing path is checked against its own pivot
 recurrence.  The witnesses of positive pivots are checked against their
-quadratic form, and the sparse M-matrix elimination against leading
+quadratic form, and the steps the congruence records against leading
 principal minors and the dense solve of `oracles.py`.  The dense integer
 determinant, kernel and solve are cross-checked against the `Fraction`
 oracles.
@@ -29,9 +29,8 @@ from gmsurf.decision import Branch, decide
 from gmsurf.exact_linalg import (
     Inertia,
     SymMatrix,
+    _congruence,
     _fraction,
-    _mmatrix_solve,
-    _pair_rows,
     _primitive,
     determinant_rows,
     inertia,
@@ -47,7 +46,6 @@ from oracles import (
     a_minus,
     bareiss_inertia,
     fraction_congruence,
-    fraction_mmatrix_solve,
     is_connected_matrix,
     kernel_basis,
     mat_vec,
@@ -641,10 +639,12 @@ def test_inertia_of_zero_diagonal_examples(rows, expected):
 
 def assert_pair_core_matches_fraction_reference(A: SymMatrix) -> None:
     """The integer-pair congruence agrees exactly with its `Fraction`
-    reference: the same inertia, on A and with its diagonal cleared."""
+    reference: the same inertia and steps, on A and with its diagonal cleared."""
     for B in (A, with_zero_diagonal(A)):
         rows = [{j: x for j, x in enumerate(row) if x} for row in to_lists(B)]
-        assert inertia(B.sparse) == fraction_congruence(rows)
+        ine, steps = fraction_congruence(rows)
+        assert inertia(B.sparse) == ine
+        assert congruence(B.sparse) == (ine, steps)
 
 
 @settings(max_examples=60)
@@ -849,13 +849,13 @@ def test_inertia_of_the_400_piece_slowly_closing_path():
     assert inertia(sym([row[:-1] for row in rows[:-1]]).sparse) == Inertia(n_pos=0, n_zero=0, n_neg=n - 1)
 
 
-# --- M-matrix elimination ---------------------------------------------------------
+# --- the congruence's steps ---------------------------------------------------------
 
 
-def z_matrices(max_order=7, symmetric=False, max_denominator=3):
-    """Dense Z-matrices with a symmetric nonzero pattern; values need not be
-    symmetric.  Diagonals range from negative to dominant, so some are
-    nonsingular M-matrices, some singular and some neither."""
+def z_matrices(max_order=7, max_denominator=3):
+    """Dense symmetric Z-matrices.  Diagonals range from negative to
+    dominant, so some are nonsingular M-matrices, some singular and some
+    neither."""
 
     def build(draw):
         denominators = strategies.integers(1, max_denominator)
@@ -864,10 +864,7 @@ def z_matrices(max_order=7, symmetric=False, max_denominator=3):
         for i in range(n):
             for j in range(i + 1, n):
                 if draw(strategies.booleans()):
-                    rows[i][j] = -draw(strategies.builds(F, strategies.integers(1, 5), denominators))
-                    rows[j][i] = rows[i][j] if symmetric else -draw(
-                        strategies.builds(F, strategies.integers(1, 5), denominators)
-                    )
+                    rows[i][j] = rows[j][i] = -draw(strategies.builds(F, strategies.integers(1, 5), denominators))
         for i in range(n):
             row_sum = -sum(rows[i][j] for j in range(n) if j != i)
             rows[i][i] = row_sum + draw(strategies.builds(F, strategies.integers(-6, 4), denominators))
@@ -880,11 +877,24 @@ def sparse(rows) -> list[dict]:
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
-def mmatrix_solve(rows, rhs) -> tuple[F, ...] | None:
-    """:func:`_mmatrix_solve` of fresh pair rows and right-hand side, its
-    pair solution read as `Fraction`."""
-    x = _mmatrix_solve(_pair_rows(rows), [(v.numerator, v.denominator) for v in rhs])
-    return None if x is None else tuple(map(_fraction, x))
+def congruence(rows) -> tuple[Inertia, list]:
+    """:func:`_congruence` of fresh pair rows: its inertia, and its steps
+    with their pairs read as `Fraction`."""
+    ine, steps = _congruence([{j: (x.numerator, x.denominator) for j, x in row.items()} for row in rows])
+    return ine, [(k, _fraction(inverse), [(j, _fraction(a)) for j, a in touched]) for k, inverse, touched in steps]
+
+
+def steps_solve(steps, rhs) -> tuple[F, ...]:
+    """M x = rhs through the steps of a congruence of M that took a 1x1
+    pivot at every vertex: L D L^T, forward then back."""
+    b = list(rhs)
+    for k, inverse, touched in steps:
+        for i, a in touched:
+            b[i] -= a * inverse * b[k]
+    x = [F(0)] * len(b)
+    for k, inverse, touched in reversed(steps):
+        x[k] = inverse * (b[k] - sum(a * x[j] for j, a in touched))
+    return tuple(x)
 
 
 def is_nonsingular_m_matrix(rows) -> bool:
@@ -893,47 +903,48 @@ def is_nonsingular_m_matrix(rows) -> bool:
 
 
 @settings(max_examples=200)
-@given(z_matrices(), strategies.booleans())
-def test_mmatrix_solve_matches_minors_and_dense_solve(rows, symmetric):
-    if symmetric:
-        rows = [[rows[min(i, j)][max(i, j)] for j in range(len(rows))] for i in range(len(rows))]
+@given(z_matrices())
+def test_congruence_steps_match_minors_and_dense_solve(rows):
+    # A symmetric Z-matrix is a nonsingular M-matrix iff it is positive
+    # definite; then every pivot is 1x1 and the steps solve.
     rhs = [F(k - 2, k + 1) for k in range(len(rows))]
+    ine, steps = congruence(sparse(rows))
+    assert ine == bareiss_inertia(sym(rows))
     expected = is_nonsingular_m_matrix(rows)
-    solved = mmatrix_solve(sparse(rows), rhs)
-    assert (solved is not None) is expected
+    assert (ine.n_pos == len(rows)) is expected
     if expected:
-        assert solved == solve_rows(rows, rhs)
+        assert steps_solve(steps, rhs) == solve_rows(rows, rhs)
         # the inverse of a nonsingular M-matrix is entrywise non-negative
-        assert all(v >= 0 for v in mmatrix_solve(sparse(rows), [F(1)] * len(rows)))
+        assert all(v >= 0 for v in steps_solve(steps, [F(1)] * len(rows)))
 
 
 @settings(max_examples=200)
-@given(z_matrices(max_denominator=4096), strategies.booleans())
-def test_mmatrix_solve_matches_its_fraction_reference(rows, symmetric):
-    # Nonsingular M-matrices, singular ones and others that stop at a
-    # pivot <= 0 with None; large denominators on both sides.
-    if symmetric:
-        rows = [[rows[min(i, j)][max(i, j)] for j in range(len(rows))] for i in range(len(rows))]
-    rhs = [F(k - 2, 4093 + k) for k in range(len(rows))]
-    assert mmatrix_solve(sparse(rows), rhs) == fraction_mmatrix_solve(sparse(rows), rhs)
+@given(z_matrices(max_denominator=4096))
+def test_congruence_steps_match_their_fraction_reference(rows):
+    # Nonsingular M-matrices, singular ones and indefinite ones; large
+    # denominators on both sides.
+    assert congruence(sparse(rows)) == fraction_congruence(sparse(rows))
 
 
-def test_mmatrix_solve_stops_at_a_zero_pivot():
+def test_congruence_records_only_its_one_by_one_steps():
     singular = [[F(1), F(-1)], [F(-1), F(1)]]
-    assert mmatrix_solve(sparse(singular), [F(1), F(1)]) is None
-    assert mmatrix_solve(sparse(singular), [F(0), F(0)]) is None
-    assert mmatrix_solve([{}], [F(1)]) is None
-    assert mmatrix_solve([], []) == ()
-    assert mmatrix_solve(sparse([[F(2), F(-1)], [F(-1), F(2)]]), [F(1), F(1)]) == (F(1), F(1))
+    assert congruence(sparse(singular)) == (Inertia(1, 1, 0), [(0, F(1), [(1, F(-1))])])
+    assert congruence([{}]) == (Inertia(0, 1, 0), [])
+    assert congruence([]) == (Inertia(0, 0, 0), [])
+    assert congruence(sparse([[F(0), F(2)], [F(2), F(0)]])) == (Inertia(1, 0, 1), [])
+    ine, steps = congruence(sparse([[F(2), F(-1)], [F(-1), F(2)]]))
+    assert steps_solve(steps, [F(1), F(1)]) == (F(1), F(1))
 
 
-def test_mmatrix_solve_on_the_400_piece_path():
-    # -A of the slowly-closing path is a Z-matrix; dropping its last piece
-    # leaves a nonsingular M-matrix, while the whole path has a negative pivot.
+def test_congruence_steps_on_the_400_piece_path():
+    # -A of the slowly-closing path has one negative eigenvalue; dropping
+    # its last piece leaves a nonsingular M-matrix, which the steps solve.
     n = 400
     negated = [{j: -x for j, x in enumerate(row) if x} for row in path_rows(n, closing_epsilon(n))]
-    assert mmatrix_solve(negated, [F(1)] * n) is None
+    assert congruence(negated)[0] == Inertia(n - 1, 0, 1)
     head = [{j: x for j, x in row.items() if j < n - 1} for row in negated[:-1]]
-    x = mmatrix_solve(head, [F(1)] * (n - 1))
+    ine, steps = congruence(head)
+    assert ine == Inertia(n - 1, 0, 0)
+    x = steps_solve(steps, [F(1)] * (n - 1))
     assert all(v > 0 for v in x)
     assert all(sum(v * x[j] for j, v in row.items()) == 1 for row in head)

@@ -19,6 +19,7 @@ import gmsurf
 
 # Called from outside the package, each for the reason given.
 ALLOWED = {
+    "inertia": "the public `Fraction` entry to the congruence; bench/tracer.py traces it by name (TRACED)",
     "determinant_rows": "bench/tracer.py traces it by name (TRACED)",
     "nullspace_rows": "bench/tracer.py traces it by name (TRACED)",
     "_eliminate": "only the traced dense routines call them; they leave with ROADMAP item 5",

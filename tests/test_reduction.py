@@ -15,7 +15,6 @@ from gmsurf.exact_linalg import (
     DisconnectedMatrixError,
     Inertia,
     SymMatrix,
-    _mmatrix_solve,
     inertia,
 )
 from gmsurf.fileio import json_text, reduction_cert_from_json, reduction_cert_to_json
@@ -36,6 +35,7 @@ from oracles import (
     ZeroEntryError,
     a_minus,
     all_pairs_reduction_violations,
+    bareiss_inertia,
     bilinear_identity,
     fraction_negativity_certificate,
     fraction_verify_reduction,
@@ -45,8 +45,10 @@ from oracles import (
     is_connected_matrix,
     kernel_basis,
     mat_vec,
+    primitive,
     principal_submatrix,
     reduced_component,
+    replace,
     strict_reduction_violations,
     strict_shrink_certificate,
     sym,
@@ -238,22 +240,80 @@ def test_reduction_exists_iff_not_negative_definite(A):
     "rows",
     [
         [["-1", 1], [1, "-1"]],
-        # kernel (7, 5, 3), which no fixed-point round hits exactly: one exact kernel test
+        # kernel (7, 5, 3), which no fixed-point round hits exactly: the one exact step
         [["-5/7", 1, 0], [1, "-13/5", 2], [0, 2, "-10/3"]],
         [["-2", 1, 0, 0], [1, "-2", 0, 0], [0, 0, 1, 2], [0, 0, 2, "-4"]],
         path_rows(24, closing_epsilon(24)),
     ],
     ids=["semidefinite-pair", "kernel-test", "disconnected", "path-24"],
 )
-def test_reduction_takes_no_inertia_and_at_most_one_exact_solve(monkeypatch, rows):
-    # The vector search takes an exact M-matrix solve only for its one
-    # kernel test, and no inertia.
+def test_reduction_takes_no_inertia_and_at_most_one_congruence(monkeypatch, rows):
+    # The vector search takes a congruence only for its one exact step,
+    # and no inertia.
     A = sym(rows)
-    counts = count_calls(monkeypatch, ("inertia", "_congruence", "_mmatrix_solve"))
+    counts = count_calls(monkeypatch, ("inertia", "_congruence"))
     cert = find_singular_reduction(A)
-    assert counts["inertia"] == counts["_congruence"] == 0
-    assert counts["_mmatrix_solve"] <= 1
+    assert counts["inertia"] == 0
+    assert counts["_congruence"] == (len(rows) == 3)
     assert verify_reduction(A, cert) == []
+
+
+def scaled_semidefinite(n: int, seed: int, raised: F = F(0)) -> SymMatrix:
+    """D S D: S the matrix of the gen semidef manifold (n pieces, seed) with
+    its first piece's Euler number raised by `raised`, D the first n draws
+    of random.Random(1).randint(1, 16).  At raised = 0, S is singular with
+    the all-ones vector spanning its kernel, so D^-1 times it spans D S D's,
+    a vector no fixed-point round of the Perron search hits."""
+    G = generate_manifold(n, seed=seed, profile="semidef")
+    first = G.pieces[0]
+    S = decomposition_matrix(replace(G, pieces=(replace(first, euler=first.euler + raised),) + G.pieces[1:]))
+    rng = random.Random(1)
+    d = [rng.randint(1, 16) for _ in range(n)]
+    return SymMatrix(tuple({j: d[i] * x * d[j] for j, x in row.items()} for i, row in enumerate(S.sparse)))
+
+
+@pytest.mark.parametrize("n", [20, 60])
+@pytest.mark.parametrize("seed", range(3, 9))
+def test_the_exact_step_settles_a_zero_root_in_both_modes(monkeypatch, n, seed):
+    # One congruence per search: the sign-only search returns its sign, the
+    # full search the coprime kernel vector, which the reduction carries.
+    A = scaled_semidefinite(n, seed)
+    (kernel,) = kernel_basis(SymMatrix(a_minus(A)))
+    counts = count_calls(monkeypatch, ("_congruence",))
+    scaled = exact_linalg._scaled(A.sparse)
+    assert exact_linalg._perron_search(scaled, sign_only=True)[0] == 0
+    assert counts["_congruence"] == 1
+    sign, a, y = exact_linalg._perron_search(scaled)
+    assert counts["_congruence"] == 2
+    assert (sign, tuple(map(F, a)), y) == (0, primitive(kernel), [0] * n)
+    cert = find_singular_reduction(A)
+    assert counts["_congruence"] == 3
+    assert cert.a == primitive(kernel)
+    assert verify_reduction(A, cert) == []
+
+
+@pytest.mark.parametrize("n", [20, 60])
+@pytest.mark.parametrize("seed", range(3, 9))
+@pytest.mark.parametrize(
+    "perturbed",
+    [
+        lambda n, seed: SymMatrix(
+            tuple(
+                {**row, i: row[i] - F(1, 10**6)}
+                for i, row in enumerate(scaled_semidefinite(n, seed).sparse)
+            )
+        ),
+        lambda n, seed: scaled_semidefinite(n, seed, raised=F(1, 10**6)),
+    ],
+    ids=["minus-eps-I", "euler-raised"],
+)
+def test_the_exact_step_agrees_with_the_dense_inertia_near_a_zero_root(n, seed, perturbed):
+    A = perturbed(n, seed)
+    ine = bareiss_inertia(SymMatrix(a_minus(A)))
+    expected = 1 if ine.n_pos else 0 if ine.n_zero else -1
+    scaled = exact_linalg._scaled(A.sparse)
+    assert exact_linalg._perron_search(scaled, sign_only=True)[0] == expected
+    assert exact_linalg._perron_search(scaled)[0] == expected
 
 
 @pytest.mark.parametrize(
@@ -506,10 +566,10 @@ def test_negativity_certificate_matches_its_fraction_reference(kind):
 
 def test_negativity_certificate_takes_the_perron_search_vector(monkeypatch):
     # On a negative definite matrix the certificate is the search's witness,
-    # with no M-matrix solve.  The all-ones vector has image (-1, -2); the
-    # elimination solved A a = (-1, -1) instead, at a = (4/5, 3/5).
+    # with no exact elimination.  The all-ones vector has image (-1, -2); an
+    # M-matrix solve gave A a = (-1, -1) instead, at a = (4/5, 3/5).
     A = sym([["-2", 1], [1, "-3"]])
-    monkeypatch.setattr(exact_linalg, "_mmatrix_solve", lambda *args: pytest.fail("M-matrix solve"))
+    monkeypatch.setattr(exact_linalg, "_congruence", lambda *args: pytest.fail("an exact elimination ran"))
     assert exact_linalg._perron_search(exact_linalg._scaled(A.sparse)) == (-1, [1, 1], [-1, -2])
     assert negativity_certificate(A) == NegativityCertificate(a=(F(1), F(1)), image=(F(-1), F(-2)))
 
@@ -608,18 +668,17 @@ def test_strict_shrink_refines_t_until_the_row_is_strict():
         ([["-2", 1], [1, "-2"]], "NegativeDefinite"),
         ([["-1", 1], [1, "-1"]], "SemidefiniteSameSign"),  # the all-ones vector spans the kernel
         ([[1, 1], [1, "-1"]], "SemidefiniteMixedSign"),
-        # kernel (7, 5, 3), which no fixed-point round hits exactly: one exact kernel test
+        # kernel (7, 5, 3), which no fixed-point round hits exactly: the one exact step
         ([["-5/7", 1, 0], [1, "-13/5", 2], [0, 2, "-10/3"]], "SemidefiniteSameSign"),
         ([["0"]], "SemidefiniteSameSign"),
         ([["-3"]], "NegativeDefinite"),
     ],
 )
 def test_strict_shrink_names_the_branch_off_it(monkeypatch, rows, branch):
-    solves = []
-    monkeypatch.setattr(exact_linalg, "_mmatrix_solve", lambda *args: solves.append(args) or _mmatrix_solve(*args))
+    counts = count_calls(monkeypatch, ("_congruence",))
     with pytest.raises(NoPositiveEigenvalueError, match=f"^decision branch is {branch}$"):
         strict_shrink(sym(rows))
-    assert len(solves) == (len(rows) == 3)
+    assert counts["_congruence"] == (len(rows) == 3)
 
 
 def test_strict_shrink_rejects_a_disconnected_matrix():
@@ -631,12 +690,7 @@ def test_strict_shrink_takes_no_exact_elimination(monkeypatch):
     # The old shrink took one congruence for witnesses and five more to pin
     # eps = 1/8 on this matrix, and the Perron walk four M-matrix solves.
     A = sym([["-48/25", 1, 1], [1, "-13/25", 0], [1, 0, "-87/100"]])
-
-    def fail(*args):
-        pytest.fail("an exact elimination ran")
-
-    monkeypatch.setattr(exact_linalg, "_congruence", fail)
-    monkeypatch.setattr(exact_linalg, "_mmatrix_solve", fail)
+    monkeypatch.setattr(exact_linalg, "_congruence", lambda *args: pytest.fail("an exact elimination ran"))
     assert strict_reduction_violations(A, strict_shrink_certificate(A)) == []
 
 

@@ -531,7 +531,7 @@ def slowly_closing_path(n: int) -> DecompositionGraph:
 
 # The builders call the integer-pair cores directly: a count of `inertia`,
 # the one `Fraction`-facing entry to them, would read 0.
-EXACT = ("inertia", "_congruence", "_mmatrix_solve")
+EXACT = ("inertia", "_congruence")
 DENSE = ("determinant_rows", "nullspace_rows", "solve_rows")
 
 
