@@ -16,7 +16,9 @@ crash, never a verdict), 141 = the reader of stdout closed it early.
 ``main`` alone maps exceptions to exit codes.  A command returns 0, 1 or 4,
 or 2 for an argument value it refuses itself.
 
-Every ``--json`` output is one document, written by ``fileio.json_text``.
+Every ``--json`` output, ``gen`` document and written file is one JSON
+document on one line, written by ``fileio.json_text``; the text mode is the
+human-readable format.
 """
 
 from __future__ import annotations

@@ -17,7 +17,12 @@ Schemas:
                         "reduction": {"a_prime": [[rational]], "a": [rational]},
                         "systems": [{"torus", "side", "a_plus", "a_minus",
                                      "b_plus", "b_minus"}]};
-  a "shrunk" matrix, which older certificates carry, is ignored.
+  a "shrunk" matrix, which older certificates carry, and a "matrix" in
+  the reduction block are ignored.
+
+Documents are written by :func:`json_text` on one line, as ``json.dumps``
+writes them by default: ", " and ": " between tokens, keys in insertion
+order and every non-ASCII character escaped.
 
 Matrices are dense in the file and keep only their nonzero entries in
 memory: a :class:`SymMatrix`, and a reduction's ``a_prime`` as one
@@ -28,7 +33,6 @@ write only the nonzeros (see :mod:`gmsurf.cli`).
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
 from fractions import Fraction
 from operator import itemgetter
 from os import PathLike
@@ -232,6 +236,19 @@ def reduction_cert_to_json(cert: ReductionCertificate, matrix: SymMatrix | None 
 
 
 def reduction_cert_from_json(data) -> tuple[ReductionCertificate, SymMatrix | None]:
+    """A reduction file's certificate and the source matrix it embeds, if any."""
+    cert = _reduction_from_json(data)
+    matrix = None
+    if "matrix" in data:
+        try:
+            matrix = SymMatrix(sparse_rows_from_json(data["matrix"], "matrix"))
+        except ValueError as exc:
+            raise FileFormatError(f"matrix: {exc}") from exc
+    return cert, matrix
+
+
+def _reduction_from_json(data) -> ReductionCertificate:
+    """The ``a_prime`` and ``a`` of a reduction block; other keys are not read."""
     doc = _expect_dict(data, "reduction certificate")
     for key in ("a_prime", "a"):
         if key not in doc:
@@ -241,13 +258,7 @@ def reduction_cert_from_json(data) -> tuple[ReductionCertificate, SymMatrix | No
         parse_rational_field(v, f"a[{i}]")
         for i, v in enumerate(_expect_list(doc["a"], "a"))
     ]
-    matrix = None
-    if "matrix" in doc:
-        try:
-            matrix = SymMatrix(sparse_rows_from_json(doc["matrix"], "matrix"))
-        except ValueError as exc:
-            raise FileFormatError(f"matrix: {exc}") from exc
-    return ReductionCertificate(a_prime=tuple(a_prime), a=tuple(a)), matrix
+    return ReductionCertificate(a_prime=tuple(a_prime), a=tuple(a))
 
 
 def surface_cert_to_json(cert: SurfaceCertificate) -> dict:
@@ -279,7 +290,7 @@ def surface_cert_from_json(data) -> SurfaceCertificate:
         for i, v in enumerate(_expect_list(doc["degrees"], "degrees"))
     )
     scale = parse_int_field(doc["scale"], "scale")
-    reduction, _ = reduction_cert_from_json(doc["reduction"])
+    reduction = _reduction_from_json(doc["reduction"])
     systems = []
     for k, record in enumerate(_expect_list(doc["systems"], "systems")):
         try:
@@ -339,93 +350,11 @@ def reject_float(text: str):
     )
 
 
-# The set of key types of an object whose keys are all strings:
-# ``set(map(type, value)) <= _STR`` tests that in C.
-_STR = {str}
-
-
-def _flat_text(value: list, indent: str) -> str | None:
-    """The ``indent=2`` JSON text of ``value``, a non-empty list, if it is a
-    list of strings that need no escaping, else None."""
-    if type(value[0]) is not str:
-        return None
-    try:
-        joined = "".join(value)
-    except TypeError:  # an entry that is not a string
-        return None
-    # No entry needs escaping iff escaping them all adds only the quotes.
-    if len(encode_basestring_ascii(joined)) != len(joined) + 2:
-        return None
-    inner = indent + "  "
-    between = f'",\n{inner}"'
-    return f'[\n{inner}"{between.join(value)}"\n{indent}]'
-
-
-def _write(value, indent: str, out: list[str]) -> None:
-    """Append the ``indent=2`` JSON text of ``value``; its lines after the
-    first start with ``indent``."""
-    kind = type(value)
-    if kind is str:
-        out.append(encode_basestring_ascii(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif kind is list:
-        if not value:
-            out.append("[]")
-            return
-        text = _flat_text(value, indent)
-        if text is not None:
-            out.append(text)
-            return
-        inner = indent + "  "
-        separator = f"[\n{inner}"
-        for item in value:
-            out.append(separator)
-            _write(item, inner, out)
-            separator = f",\n{inner}"
-        out.append(f"\n{indent}]")
-    elif kind is bool:
-        out.append("true" if value else "false")
-    elif value is None:
-        out.append("null")
-    elif kind is dict and set(map(type, value)) <= _STR:
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        separator = "{\n"
-        for key, item in value.items():
-            out.append(f"{separator}{inner}{encode_basestring_ascii(key)}: ")
-            _write(item, inner, out)
-            separator = ",\n"
-        out.append(f"\n{indent}}}")
-    else:
-        out.append(json.dumps(value, indent=2).replace("\n", "\n" + indent))
-
-
 def json_text(doc) -> str:
-    """The text of ``json.dumps(doc, indent=2)``, byte for byte.
-
-    The pure-Python encoder that ``indent`` selects costs about 1 us per
-    entry and leaves cyclic garbage behind, so the document is walked here
-    instead, and every value the package writes takes a direct path:
-
-    - strings and ints, through the encoder's own primitives
-      (``encode_basestring_ascii``, ``int.__repr__``); ``true``, ``false``
-      and ``null``; empty lists and objects;
-    - a list of strings that need no escaping, such as a dense row of a
-      reduction file, joined in C: escaping the joined entries adds only
-      the quotes;
-    - other lists (``blocks``, ``degrees``), and objects with string keys
-      (a report's matrix row, a curve system, ``two_piece``), entry by entry.
-
-    Only floats, objects with a key that is not a string and values of
-    other types (an int subclass, say), which the package never writes, go
-    to ``json.dumps(value, indent=2)``, re-indented.
-    """
-    out: list[str] = []
-    _write(doc, "", out)
-    return "".join(out)
+    """The one-line JSON text of ``doc``: ``json.dumps`` with its default
+    arguments, so the C encoder writes it.  ``python -m json.tool``
+    pretty-prints it."""
+    return json.dumps(doc)
 
 
 def save_json(doc: dict, path: str | PathLike) -> None:

@@ -238,7 +238,19 @@ def test_verify_ignores_the_shrunk_matrix_of_older_certificates(tmp_path, capsys
         save_json(doc, cert)
         assert main(["verify", str(manifold), str(cert), "--json"]) == 0
         outputs.append(capsys.readouterr())
-    assert outputs[0] == outputs[1] == ('{\n  "valid": true,\n  "violations": []\n}\n', "")
+    assert outputs[0] == outputs[1] == ('{"valid": true, "violations": []}\n', "")
+
+
+# Only a reduction file's embedded matrix is read; in a surface certificate's
+# reduction block the key is ignored, as "shrunk" is above.
+@pytest.mark.parametrize("matrix", [[["x"]], [["0", "1"], ["1", "0"]], "not a matrix"])
+def test_verify_ignores_a_matrix_in_a_surface_certificates_reduction(tmp_path, capsys, matrix):
+    manifold = write_manifold(tmp_path, "m.json", 0, 0)
+    cert = tmp_path / "cert.json"
+    reduction = {**TWO_PIECE_CERTIFICATE["reduction"], "matrix": matrix}
+    save_json({**TWO_PIECE_CERTIFICATE, "reduction": reduction}, cert)
+    assert main(["verify", str(manifold), str(cert), "--json"]) == 0
+    assert capsys.readouterr() == ('{"valid": true, "violations": []}\n', "")
 
 
 def test_certify_negative_definite_is_unavailable(tmp_path, capsys):
@@ -406,7 +418,7 @@ def test_verify_takes_a_matrix_out_file_as_a_reduction_certificate(monkeypatch, 
         save_json(doc, out)
     capsys.readouterr()
     assert main(["verify", str(manifold), str(out), "--json"]) == 0
-    assert capsys.readouterr() == ('{\n  "valid": true,\n  "violations": []\n}\n', "")
+    assert capsys.readouterr() == ('{"valid": true, "violations": []}\n', "")
 
 
 def test_verify_tampered_certificate_is_invalid(tmp_path, capsys):
@@ -564,12 +576,12 @@ def test_matrix_mode_malformed_json_names_its_source(monkeypatch, capsys):
         ('[["3/2", "1/3"], ["1/3", "-5"]]', {"two_piece"}),
     ],
 )
-def test_matrix_mode_json_is_the_standard_indented_text(monkeypatch, capsys, text, keys):
+def test_matrix_mode_json_is_the_standard_one_line_text(monkeypatch, capsys, text, keys):
     run_matrix(monkeypatch, text, "--json")
     out = capsys.readouterr().out
     report = json.loads(out)
     assert {key for key in ("notes", "two_piece", "reduction") if report[key]} == keys
-    assert out == json.dumps(report, indent=2) + "\n"
+    assert out == json.dumps(report) + "\n"
 
 
 def test_matrix_mode_rejects_asymmetric_input(monkeypatch, capsys):
@@ -898,16 +910,16 @@ def test_each_json_output_is_one_document(name, tmp_path, monkeypatch, capsys):
     assert main(command.split()) == code
     out = capsys.readouterr().out
     doc = json.loads(out)
-    assert out == fileio.json_text(doc) + "\n"
+    assert out == json.dumps(doc) + "\n"
     if name.startswith("verify"):
         assert doc["valid"] is (code == 0)
 
 
 def test_cli_output_needs_no_pure_python_encoder(tmp_path, monkeypatch, capsys):
-    # Every JSON document the CLI writes is json.dumps(doc, indent=2) byte for
-    # byte.  json.dumps builds its indenting encoder with _make_iterencode;
-    # every document takes the writer's direct paths, so breaking that
-    # encoder changes no exit code and no byte of output.
+    # Every JSON document the CLI writes is json.dumps(doc) byte for byte.
+    # An indent would make json.dumps build the pure-Python encoder with
+    # _make_iterencode; every document takes the C encoder, so breaking the
+    # pure-Python one changes no exit code and no byte of output.
     inputs = {
         "negdef": generate_manifold(6, seed=0, profile="negdef"),
         "same": two_piece_graph(-1, -1),
@@ -955,7 +967,7 @@ def test_cli_output_needs_no_pure_python_encoder(tmp_path, monkeypatch, capsys):
         if "--json" in command or command == "gen 6 --seed 1":
             texts.append(captured.out)
         for text in texts:
-            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+            assert text == json.dumps(json.loads(text)) + "\n"
 
     def broken(*args, **kwargs):
         raise AssertionError("the pure-Python JSON encoder ran")
@@ -968,8 +980,8 @@ def test_cli_output_needs_no_pure_python_encoder(tmp_path, monkeypatch, capsys):
 
 
 def test_a_closed_output_pipe_exits_141_without_a_traceback():
-    # `gen 3000` prints about 700 KB, more than a pipe buffer holds; the
-    # reader closes its end after the first line.
+    # `gen 3000` prints about 420 KB on one line, more than a pipe buffer
+    # holds; the reader closes its end after the first two bytes.
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "gmsurf.cli", "gen", "3000"],
@@ -978,7 +990,7 @@ def test_a_closed_output_pipe_exits_141_without_a_traceback():
         env=env,
     )
     try:
-        assert proc.stdout.readline() == b"{\n"
+        assert proc.stdout.read(2) == b'{"'
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141

@@ -526,7 +526,11 @@ def test_parsers_are_total(manifold, surface, reduction):
 
 
 def assert_same_text(doc):
-    assert json_text(doc) == json.dumps(doc, indent=2)
+    """``json_text`` is the standard one-line text: ``json.dumps`` with its
+    default arguments, ASCII only, with no newline of its own."""
+    text = json_text(doc)
+    assert text == json.dumps(doc)
+    assert text.isascii() and "\n" not in text
 
 
 # One matrix per verdict class, with negative and fractional entries.
@@ -544,7 +548,9 @@ def test_writer_matches_json_dumps_on_analyze_reports(verdict, rows):
     A = sym(rows)
     result = decide(A)
     assert (result.branch.value, result.property_ve) == verdict
-    assert_same_text(_analysis_report(A))
+    report = _analysis_report(A)
+    assert_same_text(report)
+    assert json.loads(json_text(report)) == report
 
 
 @pytest.mark.parametrize(
@@ -555,6 +561,7 @@ def test_writer_matches_json_dumps_on_analyze_reports(verdict, rows):
 def test_writer_matches_json_dumps_on_generated_reports(profile, pieces):
     report = _analysis_report(decomposition_matrix(generate_manifold(pieces, seed=4, profile=profile)))
     assert_same_text(report)
+    assert json.loads(json_text(report)) == report
 
 
 def test_writer_matches_json_dumps_on_a_written_certificate(tmp_path):
@@ -563,7 +570,8 @@ def test_writer_matches_json_dumps_on_a_written_certificate(tmp_path):
     assert_same_text(doc)
     path = tmp_path / "cert.json"
     save_json(doc, path)
-    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+    assert path.read_text() == json.dumps(doc) + "\n"
+    assert surface_cert_from_json(load_json(path)) == cert
 
 
 @pytest.mark.parametrize(
@@ -590,7 +598,7 @@ json_values = strategies.recursive(
     strategies.none()
     | strategies.booleans()
     | strategies.integers()
-    | strategies.sampled_from(["0", "-1", "3/4", "-12/7", "", "x", "é", '"', "1/2\n"]),
+    | strategies.sampled_from(["0", "-1", "3/4", "-12/7", "", "x", "\u00e9", '"', "1/2\n"]),
     lambda inner: strategies.lists(inner, max_size=4)
     | strategies.dictionaries(strategies.text(max_size=3), inner, max_size=4),
     max_leaves=25,
@@ -601,3 +609,4 @@ json_values = strategies.recursive(
 @given(json_values)
 def test_writer_matches_json_dumps_on_any_document(doc):
     assert_same_text(doc)
+    assert json.loads(json_text(doc)) == doc

@@ -12,6 +12,12 @@ alpha 1, 2, 3, 17 (a circle of type 2,2,1,...,1), 101, 400 and 2001
 (`COVER_DEGREES`).  A refactor must leave every byte
 as it is; a change meant to alter an output re-records its digest and says
 why.
+
+A JSON stdout (a command run with ``--json``) and a written file are hashed
+in their canonical form, ``json.dumps(json.loads(text), indent=2)`` and a
+newline, which is the text the package wrote when the digests were
+recorded; separately, their raw text must be ``json.dumps(json.loads(text))``
+and a newline.  The two checks together pin every byte.
 """
 
 import contextlib
@@ -267,16 +273,28 @@ COVER_DIGESTS = {
 }
 
 
+def canonical(text: str) -> str:
+    """The canonical form of one JSON document's text, which must be the
+    document as ``json.dumps`` writes it by default, and a newline."""
+    doc = json.loads(text)
+    assert text == json.dumps(doc) + "\n"
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def run(argv: list[str], written: str | None = None) -> bytes:
-    """exit code, stdout, stderr and the written file's bytes, NUL-separated."""
+    """exit code, stdout, stderr and the written file's bytes, NUL-separated;
+    a ``--json`` stdout and the written file in their canonical form."""
     if written is not None and os.path.exists(written):
         os.remove(written)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    parts = [str(code).encode(), out.getvalue().encode(), err.getvalue().encode()]
+    stdout = out.getvalue()
+    if "--json" in argv:
+        stdout = canonical(stdout)
+    parts = [str(code).encode(), stdout.encode(), err.getvalue().encode()]
     if written is not None:
-        parts.append(Path(written).read_bytes() if os.path.exists(written) else b"")
+        parts.append(canonical(Path(written).read_text()).encode() if os.path.exists(written) else b"")
     return b"\0".join(parts)
 
 

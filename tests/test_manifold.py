@@ -1,5 +1,6 @@
 """Tests for the decomposition-graph model and its derived matrices."""
 
+import json
 import tracemalloc
 from fractions import Fraction
 from hashlib import sha256
@@ -372,9 +373,12 @@ def test_a_dominant_coupling_accepts_a_poseig_draw_without_an_inertia(monkeypatc
     # 2x2 principal block with a positive eigenvalue, and so, by Cauchy
     # interlacing, A-minus one too.  The first 1,000-piece posEig draw
     # (seed 3) has one; the inertia it skips took 32.6 s, and no Perron sign
-    # is asked either.  The digest is the draw's JSON text as generated when
-    # every posEig draw took the inertia.
+    # is asked either.  The digest is the draw's JSON text in its canonical
+    # indent=2 form, as generated when every posEig draw took the inertia.
     monkeypatch.setattr(generate, "_perron_sign", lambda *args: pytest.fail("Perron sign"))
     G = generate_manifold(1000, seed=3, profile="posEig")
-    digest = sha256(json_text(manifold_to_json(G)).encode()).hexdigest()
+    text = json_text(manifold_to_json(G))
+    doc = json.loads(text)
+    assert text == json.dumps(doc)
+    digest = sha256(json.dumps(doc, indent=2).encode()).hexdigest()
     assert digest == "00f0edd081307b54503a0cd524be74353119d0678006e629cb5747654cc7ba92"
