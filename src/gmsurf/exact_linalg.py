@@ -15,8 +15,10 @@ checks those entries alone.  :func:`matrix_components` checks the sign of
 the couplings and finds the components of the matrix graph.
 :func:`_congruence` takes such dict rows and eliminates in minimum-degree
 order, which creates no fill on a tree: its cost follows the number of
-edges and the fill, not the cube of the order.  It also returns its 1x1
-steps, the L D L^T factors that back-substitution reads.
+edges and the fill, not the cube of the order.  Every pivot is one diagonal
+entry; where every remaining one is zero, it first adds one row and column
+to another.  It also returns its steps, the L D L^T factors that
+back-substitution reads.
 
 :func:`_perron_search` is the package's one Perron search: for a connected
 A with non-negative couplings, given in integers by :func:`_scaled`, it
@@ -244,10 +246,10 @@ def _congruence(adj: list[dict[int, tuple[int, int]]]) -> tuple[Inertia, list[St
     """Sparse graph-order congruence of symmetric pair rows, eliminated in place; see :func:`inertia`.
 
     Entries are reduced (numerator, denominator) pairs.
-    Returns the inertia and the 1x1 steps in order, each as (k, the inverse
-    of its pivot, the items of row k it eliminated): where no 2x2 pivot was
-    taken, these are the L D L^T factors, so back-substitution through them
-    solves for the vertices the steps eliminated.
+    Returns the inertia and the steps in order, each as (k, the inverse of
+    its pivot, the items of row k it eliminated): the L D L^T factors of the
+    matrix after its row additions, so where none was made,
+    back-substitution through them solves for the vertices they eliminated.
     """
     remaining = set(range(len(adj)))
     queue: list[tuple[int, int]] = []  # sorted (degree, index), nonzero diagonals only
@@ -306,25 +308,17 @@ def _congruence(adj: list[dict[int, tuple[int, int]]]) -> tuple[Inertia, list[St
             n_zero += len(isolated)
             remaining.difference_update(isolated)
             continue
-        # Every remaining diagonal entry is zero, so a row's length is its degree.
+        # Every remaining diagonal entry is zero, so a row's length is its
+        # degree.  Adding row and column l to row and column k, a congruence,
+        # leaves b = M[k][l] and puts 2b on k's diagonal, the next pivot.
         k = min(remaining, key=lambda i: (len(adj[i]), i))
         l = min(adj[k], key=lambda j: (len(adj[j]), j))
-        b = adj[k].pop(l)
-        del adj[l][k]
-        n_pos += 1
-        n_neg += 1
-        remaining.difference_update((k, l))
-        touched = list({**adj[k], **adj[l]})
-        inverse = _inverse(b)
-        x = [_mul(adj[i].pop(k, (0, 1)), inverse) for i in touched]
-        y = [_mul(adj[i].pop(l, (0, 1)), inverse) for i in touched]
-        for s, i in enumerate(touched):
-            for t in range(s, len(touched)):
-                xy, yx = _mul(x[s], y[t]), _mul(y[s], x[t])
-                amount = _mul(b, _sub(xy, (-yx[0], yx[1])))
-                if amount[0]:
-                    subtract(i, touched[t], amount)
-        enqueue(touched)
+        for j, (n, d) in list(adj[l].items()):
+            if j != k:
+                subtract(k, j, (-n, d))
+        b = adj[k][l]
+        adj[k][k] = _reduced(2 * b[0], b[1])
+        enqueue((k,))
     return Inertia(n_pos, n_zero, n_neg), steps
 
 
@@ -336,15 +330,17 @@ def inertia(rows: Sequence[dict[int, Fraction]]) -> Inertia:
     becomes fresh rows of (numerator, denominator) pairs, each entry read
     once with no `Fraction` made, and is not changed.  Pivots are
     eliminated in graph order, each step replacing the rest of the matrix
-    by its Schur complement (a congruence, so Sylvester's law of inertia
-    gives each pivot block's signs to the whole matrix):
+    by its Schur complement (a congruence, so by Sylvester's law of inertia
+    each pivot's sign is one eigenvalue's):
 
-    - a 1x1 pivot on the remaining vertex of least degree whose diagonal is
-      nonzero, the smallest index among equals (minimum-degree order, Rose
-      1972; on a tree it creates no fill, Parter 1961);
-    - when every remaining diagonal entry is zero, a 2x2 pivot
-      [[0, b], [b, 0]] on an edge at a vertex of least degree, which has one
-      positive and one negative eigenvalue;
+    - the pivot is the diagonal entry of the remaining vertex of least
+      degree whose diagonal is nonzero, the smallest index among equals
+      (minimum-degree order, Rose 1972; on a tree it creates no fill,
+      Parter 1961);
+    - when every remaining diagonal entry is zero, take k, a vertex of least
+      degree, l, its neighbour of least degree, and b = M[k][l]: adding row
+      and column l to row and column k, a congruence too, puts 2b on k's
+      diagonal, the next pivot;
     - a remaining vertex with no entry at all is one zero eigenvalue.
 
     Entries stay reduced integer pairs at every step, updated by
@@ -591,12 +587,13 @@ def _perron_search(scaled: Scaled, sign_only: bool = False) -> tuple[int, list[i
     undecided from FULL_BITS on runs :func:`_congruence` once on B's
     reduced pairs, and rho has the sign of B's largest eigenvalue: 1 if a
     pivot is positive, -1 if no eigenvalue is 0, else 0.  At 0, B is
-    negative semidefinite, so every pivot is 1x1 and the one zero
-    eigenvalue is an isolated vertex; back-substitution through the steps
-    from that vertex at 1 gives the kernel, the Perron vector, which
-    :func:`_primitive` makes coprime and ``image`` rechecks exactly.  At a
-    nonzero sign the rounds go on doubling the bits for a witness, which
-    shows at some precision, so there is no retry budget.
+    negative semidefinite, so a zero diagonal entry has a zero row: no row
+    addition is made, and the one zero eigenvalue is an isolated vertex;
+    back-substitution through the steps from that vertex at 1 gives the
+    kernel, the Perron vector, which :func:`_primitive` makes coprime and
+    ``image`` rechecks exactly.  At a nonzero sign the rounds go on doubling
+    the bits for a witness, which shows at some precision, so there is no
+    retry budget.
 
     *Sign only.*  With ``sign_only`` the caller reads the sign alone.  A
     vector v with v^T B v > 0 then ends the search at sign 1, with (1, v, y)

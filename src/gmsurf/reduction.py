@@ -57,9 +57,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 
-from .decision import immersed
+from .decision import _check_input, immersed
 from .exact_linalg import (
-    DisconnectedMatrixError,
     Scaled,
     SymMatrix,
     _component_rows,
@@ -70,7 +69,6 @@ from .exact_linalg import (
     inertia,  # unused here; bench/tests/test_tracer.py checks the tracer replaces this binding
     matrix_components,
 )
-from .manifold import split_blocks
 from .value import Value, _set
 
 
@@ -240,7 +238,8 @@ class NegativityCertificate(Value):
 def negativity_certificate(A: SymMatrix) -> NegativityCertificate:
     """Produce the positive vector witnessing negative (semi)definiteness.
 
-    A positive diagonal entry A[i][i] = e_i^T A e_i rules it out at once.
+    A is checked by the decision's own :func:`gmsurf.decision._check_input`,
+    which also splits its diagonal.  A positive diagonal entry A[i][i] = e_i^T A e_i rules it out at once.
     Otherwise A is its own A-minus, and :func:`_perron_search` on A gives
     the sign of its Perron root, its largest eigenvalue, with a positive
     witness: sign 1 raises NotNegativeError; sign -1 gives coprime ints a
@@ -248,9 +247,7 @@ def negativity_certificate(A: SymMatrix) -> NegativityCertificate:
     with image 0.  The image is the search's y over the row scales, exactly
     A*a; only the certificate is `Fraction`.
     """
-    if len(matrix_components(A)) > 1:
-        raise DisconnectedMatrixError("matrix graph is disconnected")
-    if split_blocks(A)[0]:
+    if _check_input(A)[0]:
         raise NotNegativeError("matrix has a positive diagonal entry")
     scaled = _scaled(A.sparse)
     sign, a, y = _perron_search(scaled)
@@ -270,8 +267,9 @@ def strict_shrink(A: SymMatrix) -> tuple[list[dict[int, tuple[int, int]]], list[
 
     A' keeps A's diagonal, |A'[i][j]| < A[i][j] where A[i][j] > 0 and 0
     where A is 0; it comes back as reduced pair rows of its nonzeros
-    (:func:`_strict_rows`) and a as coprime ints.  DisconnectedMatrixError
-    on a disconnected matrix graph, ValueError on a negative coupling.
+    (:func:`_strict_rows`) and a as coprime ints.  A is checked, and its
+    diagonal split, by the decision's own
+    :func:`gmsurf.decision._check_input`.
 
     Such an A' exists iff the Perron root of B = A-minus is positive:
     exactly the PositiveEigenvalue branch.  Off it, the sign that
@@ -279,13 +277,11 @@ def strict_shrink(A: SymMatrix) -> tuple[list[dict[int, tuple[int, int]]], list[
     (:func:`gmsurf.decision.immersed`) in :class:`NoPositiveEigenvalueError`,
     with no inertia beyond the search's one exact step.
     """
-    if len(matrix_components(A)) > 1:
-        raise DisconnectedMatrixError("matrix graph is disconnected")
+    pos, neg, _ = _check_input(A)
     scaled = _scaled(A.sparse)
     sign, a, y = _perron_search(scaled)
     if sign > 0:
         return _strict_rows(A.sparse, scaled, a, y), a
-    pos, neg, _ = split_blocks(A)
     raise NoPositiveEigenvalueError(f"decision branch is {immersed(sign, pos, neg)[1].value}")
 
 

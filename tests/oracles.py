@@ -240,8 +240,10 @@ def bareiss_inertia(A: SymMatrix) -> Inertia:
 
 def fraction_congruence(adj: list[dict[int, Fraction]]) -> tuple[Inertia, list]:
     """The graph-order congruence of `gmsurf.exact_linalg._congruence` on
-    `Fraction` dict rows, eliminated in place: the inertia and the 1x1
-    steps, each as (k, 1 / pivot, the items of row k it eliminated)."""
+    `Fraction` dict rows, eliminated in place: the inertia and the steps,
+    each as (k, 1 / pivot, the items of row k it eliminated).  Where every
+    remaining diagonal entry is zero, it adds one row and column to another
+    first, as the package does."""
     remaining = set(range(len(adj)))
     queue: list[tuple[int, int]] = []
     queued: dict[int, tuple[int, int]] = {}
@@ -297,20 +299,14 @@ def fraction_congruence(adj: list[dict[int, Fraction]]) -> tuple[Inertia, list]:
             n_zero += len(isolated)
             remaining.difference_update(isolated)
             continue
+        # every remaining diagonal is zero: add row and column l to k's
         k = min(remaining, key=lambda i: (len(adj[i]), i))
         l = min(adj[k], key=lambda j: (len(adj[j]), j))
-        b = adj[k].pop(l)
-        del adj[l][k]
-        n_pos += 1
-        n_neg += 1
-        remaining.difference_update((k, l))
-        touched = list({**adj[k], **adj[l]})
-        x = [adj[i].pop(k, 0) / b for i in touched]
-        y = [adj[i].pop(l, 0) / b for i in touched]
-        for s, i in enumerate(touched):
-            for t in range(s, len(touched)):
-                subtract(i, touched[t], b * (x[s] * y[t] + y[s] * x[t]))
-        enqueue(touched)
+        for j, x in list(adj[l].items()):
+            if j != k:
+                subtract(k, j, -x)
+        adj[k][k] = 2 * adj[k][l]
+        enqueue((k,))
     return Inertia(n_pos, n_zero, n_neg), steps
 
 

@@ -7,9 +7,11 @@ matrices have only real eigenvalues, where Descartes' bound is exact),
 against dense `Fraction` elimination and against dense fraction-free
 (Bareiss) elimination.  The sparse graph-order inertia is cross-checked
 against both dense oracles at orders up to 12, with large denominators,
-negative off-diagonal entries, all-zero diagonals (2x2 pivots), isolated
-zero rows, disconnected and rank-deficient matrices, and against the Bareiss
-oracle on decomposition matrices of every verdict class up to 120 pieces.
+negative off-diagonal entries, all-zero diagonals (where the congruence
+adds one row and column to another), isolated zero rows, disconnected and
+rank-deficient matrices, and against the Bareiss oracle on decomposition
+matrices of every verdict class up to 120 pieces and on zero-diagonal
+paths, cycles, stars, complete bipartite and random graphs up to order 60.
 The 400-piece slowly-closing path is checked against its own pivot
 recurrence.  The witnesses of positive pivots are checked against their
 quadratic form, and the steps the congruence records against leading
@@ -625,9 +627,9 @@ def test_inertia_of_disconnected_matrices_with_isolated_zero_rows(case):
     [
         ([[0]], (0, 1, 0)),
         ([[0, 0], [0, 0]], (0, 2, 0)),
-        ([[0, 0, 0], [0, 0, "-3"], [0, "-3", 0]], (1, 1, 1)),  # isolated zero row beside a 2x2 pivot
+        ([[0, 0, 0], [0, 0, "-3"], [0, "-3", 0]], (1, 1, 1)),  # isolated zero row beside a zero-diagonal edge
         ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (1, 0, 2)),  # a triangle with zero diagonal
-        # a 2x2 pivot whose update couples two of its neighbours through both pivot vertices
+        # adding row 1 to row 0 cancels both of row 0's other couplings
         ([[0, "-1", 1, 1], ["-1", 0, "-1", "-1"], [1, "-1", 0, 2], [1, "-1", 2, 0]], (1, 0, 3)),
         ([[0, "-1", 0, 0], ["-1", 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 2]], (2, 1, 1)),
     ],
@@ -885,8 +887,8 @@ def congruence(rows) -> tuple[Inertia, list]:
 
 
 def steps_solve(steps, rhs) -> tuple[F, ...]:
-    """M x = rhs through the steps of a congruence of M that took a 1x1
-    pivot at every vertex: L D L^T, forward then back."""
+    """M x = rhs through the steps of a congruence of M that made no row
+    addition and pivoted at every vertex: L D L^T, forward then back."""
     b = list(rhs)
     for k, inverse, touched in steps:
         for i, a in touched:
@@ -906,7 +908,7 @@ def is_nonsingular_m_matrix(rows) -> bool:
 @given(z_matrices())
 def test_congruence_steps_match_minors_and_dense_solve(rows):
     # A symmetric Z-matrix is a nonsingular M-matrix iff it is positive
-    # definite; then every pivot is 1x1 and the steps solve.
+    # definite; then no row addition is made and the steps solve.
     rhs = [F(k - 2, k + 1) for k in range(len(rows))]
     ine, steps = congruence(sparse(rows))
     assert ine == bareiss_inertia(sym(rows))
@@ -931,7 +933,15 @@ def test_congruence_records_only_its_one_by_one_steps():
     assert congruence(sparse(singular)) == (Inertia(1, 1, 0), [(0, F(1), [(1, F(-1))])])
     assert congruence([{}]) == (Inertia(0, 1, 0), [])
     assert congruence([]) == (Inertia(0, 0, 0), [])
-    assert congruence(sparse([[F(0), F(2)], [F(2), F(0)]])) == (Inertia(1, 0, 1), [])
+    # an all-zero diagonal: row and column 1 are added to row and column 0
+    # first, so the steps are the L D L^T of [[4, 2], [2, 0]]
+    zero_diagonal = sparse([[F(0), F(2)], [F(2), F(0)]])
+    assert congruence(zero_diagonal) == (Inertia(1, 0, 1), [(0, F(1, 4), [(1, F(2))]), (1, F(-1), [])])
+    # the addition cancels (0, 2): row 0 keeps only its edge to 1
+    triangle = sparse([[F(0), F(1), F(1)], [F(1), F(0), F(-1)], [F(1), F(-1), F(0)]])
+    expected = [(0, F(1, 2), [(1, F(1))]), (1, F(-2), [(2, F(-1))]), (2, F(1, 2), [])]
+    assert bareiss_inertia(SymMatrix(triangle)) == Inertia(2, 0, 1)  # eigenvalues 1, 1, -2
+    assert congruence(triangle) == (Inertia(2, 0, 1), expected) == fraction_congruence(triangle)
     ine, steps = congruence(sparse([[F(2), F(-1)], [F(-1), F(2)]]))
     assert steps_solve(steps, [F(1), F(1)]) == (F(1), F(1))
 
@@ -948,3 +958,57 @@ def test_congruence_steps_on_the_400_piece_path():
     x = steps_solve(steps, [F(1)] * (n - 1))
     assert all(v > 0 for v in x)
     assert all(sum(v * x[j] for j, v in row.items()) == 1 for row in head)
+
+
+# --- the row addition at size ----------------------------------------------
+
+
+def zero_diagonal_graph(family: str, n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """The edges of one graph family on n vertices, relabelled at random."""
+    if family == "path":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif family == "cycle":
+        edges = [(i, (i + 1) % n) for i in range(n)]
+    elif family == "star":
+        edges = [(0, i) for i in range(1, n)]
+    elif family == "bipartite":
+        p = rng.randint(1, n - 1)
+        edges = [(i, j) for i in range(p) for j in range(p, n)]
+    else:
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 3 / n]
+    label = rng.sample(range(n), n)
+    return [(label[i], label[j]) for i, j in edges]
+
+
+def coupling(rng: random.Random) -> F:
+    """A signed coupling from 1/4096 to 4096, its denominator a power of 2."""
+    return rng.choice((1, -1)) * F(rng.choice((1, rng.randint(1, 4096**2), 4096**2)), 4096)
+
+
+@pytest.mark.parametrize(
+    "family, orders",
+    [
+        ("path", (2, 3, 8, 31, 60)),
+        ("cycle", (3, 4, 9, 30, 31, 60)),  # odd and even
+        ("star", (2, 3, 7, 60)),
+        ("bipartite", (2, 5, 12, 24)),
+        ("random", (2, 6, 17, 40, 60)),
+        ("random-few-diagonals", (2, 6, 17, 40, 60)),
+    ],
+)
+def test_row_addition_inertia_matches_bareiss_at_size(family, orders):
+    # With every diagonal entry zero the congruence first adds a row and
+    # column to another's; the dense Bareiss inertia and the Fraction
+    # reference pin every step of it.
+    rng = random.Random(family)
+    for n in orders:
+        for _ in range(3):
+            rows = [{} for _ in range(n)]
+            for i, j in zero_diagonal_graph(family.removesuffix("-few-diagonals"), n, rng):
+                rows[i][j] = rows[j][i] = coupling(rng)
+            if family.endswith("diagonals"):
+                for i in rng.sample(range(n), min(n - 1, 3)):
+                    rows[i][i] = coupling(rng)
+            A = SymMatrix(rows)
+            assert inertia(A.sparse) == bareiss_inertia(A)
+            assert congruence(A.sparse) == fraction_congruence([dict(row) for row in A.sparse])

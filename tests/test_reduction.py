@@ -686,6 +686,36 @@ def test_strict_shrink_rejects_a_disconnected_matrix():
         strict_shrink(sym([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
 
 
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ([], ValueError, "empty matrix"),
+        ([["-1", "-1"], ["-1", "-1"]], ValueError, r"negative off-diagonal entry at \(0, 1\)"),
+        # a negative coupling is named before the disconnection
+        ([["-1", 0, 0], [0, "-1", "-2"], [0, "-2", "-1"]], ValueError, r"negative off-diagonal entry at \(1, 2\)"),
+        # the disconnection is named before the positive diagonal entry
+        ([[1, 0], [0, "-1"]], DisconnectedMatrixError, "matrix graph is disconnected"),
+        ([["-1", 0], [0, "-1"]], DisconnectedMatrixError, "matrix graph is disconnected"),
+    ],
+)
+def test_builders_of_a_connected_matrix_check_it_as_decide_does(monkeypatch, rows, error, message):
+    # strict_shrink, negativity_certificate and decide share one input check.
+    counts = count_calls(monkeypatch, ("_check_input", "_perron_search"))
+    A = sym(rows)
+    for build in (strict_shrink, negativity_certificate, decide):
+        with pytest.raises(error, match=f"^{message}$") as caught:
+            build(A)
+        assert type(caught.value) is error
+    assert counts == {"_check_input": 3, "_perron_search": 0}
+
+
+def test_find_singular_reduction_of_the_empty_matrix_is_negative_definite():
+    # The empty matrix has no component, so no reduction; the other
+    # builders reject it as decide does.
+    with pytest.raises(NegativeDefiniteError, match="^A-minus is negative definite$"):
+        find_singular_reduction(SymMatrix(()))
+
+
 def test_strict_shrink_takes_no_exact_elimination(monkeypatch):
     # The old shrink took one congruence for witnesses and five more to pin
     # eps = 1/8 on this matrix, and the Perron walk four M-matrix solves.
