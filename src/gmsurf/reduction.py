@@ -39,10 +39,10 @@ integers alone.
 and denominator and does only `int` arithmetic: the diagonal compares those
 pairs, |A'[i][j]| <= A[i][j] is |num| * A's denominator <= A's numerator *
 den, and row i of A'a = 0 is an int sum after scaling the row by the lcm of
-its entries' denominators times the lcm of its a_j's denominators.  Each
-check is exact because a denominator is positive and scaling by a positive
-integer keeps zeros and signs.  `Fraction` is made only for the text of a
-violation, which reads as the `Fraction` sum would.
+the denominators of its terms A'[i][j] a_j.  Each check is exact because a
+denominator is positive and scaling by a positive integer keeps zeros and
+signs.  `Fraction` is made only for the text of a violation, which reads
+as the `Fraction` sum would.
 
 :func:`negativity_certificate` is the complementary tool for matrices that
 are negative semidefinite: the same search on A gives a strictly positive
@@ -163,7 +163,7 @@ def entry_violations(A: SymMatrix, cert: ReductionCertificate) -> tuple[list[str
     the (i, j) of A's couplings where |A'[i][j]| >= A[i][j], row by row.
 
     Only the stored nonzeros of A' are read, each once: a missing key is a
-    zero.
+    zero, out of bound where A's coupling is negative.
     """
     violations: list[str] = []
     a = [v.as_integer_ratio() for v in cert.a]
@@ -172,10 +172,9 @@ def entry_violations(A: SymMatrix, cert: ReductionCertificate) -> tuple[list[str
     image: list[str] = []
     for i, (row, bounds) in enumerate(zip(cert.a_prime, A.sparse)):
         # One pass over the row: its diagonal, the bounds, and (A'a)_i times
-        # the lcm of the row's denominators and the lcm of its a_j's
-        # denominators, an int sum; each lcm grows as a new denominator
-        # comes in.
-        total, row_scale, a_scale, entry, wide, at_bound = 0, 1, 1, (0, 1), [], []
+        # the lcm of its terms' denominators, an int sum; the lcm grows as a
+        # new denominator comes in.
+        total, scale, entry, wide, at_bound = 0, 1, (0, 1), [], []
         for j, x in row.items():
             num, den = x.as_integer_ratio()
             an, ad = a[j]
@@ -195,22 +194,21 @@ def entry_violations(A: SymMatrix, cert: ReductionCertificate) -> tuple[list[str
                         at_bound.append(j)
                         if over:
                             wide.append(j)
-            if row_scale % den:
-                grown = lcm(row_scale, den)
-                total *= grown // row_scale
-                row_scale = grown
-            if a_scale % ad:
-                grown = lcm(a_scale, ad)
-                total *= grown // a_scale
-                a_scale = grown
-            total += num * (row_scale // den) * an * (a_scale // ad)
+            term = den * ad
+            if scale % term:
+                grown = lcm(scale, term)
+                total, scale = total * (grown // scale), grown
+            total += num * an * (scale // term)
+        # |0| <= A[i][j] fails at a negative coupling that A' does not store.
+        unbound = [j for j, x in bounds.items() if j != i and j not in row and x.numerator < 0]
+        wide, at_bound = wide + unbound, at_bound + unbound
         diagonal = A[i, i]
         if entry != diagonal.as_integer_ratio():
             violations.append(f"diagonal changed at {i}: {row.get(i, 0)} != {diagonal}")
-        loose += [f"not a reduction at ({i}, {j}): |{row[j]}| > {bounds.get(j) or 0}" for j in sorted(wide)]
+        loose += [f"not a reduction at ({i}, {j}): |{row.get(j, 0)}| > {bounds.get(j) or 0}" for j in sorted(wide)]
         tight += [(i, j) for j in sorted(at_bound)]
         if total:
-            image.append(f"(A' a)[{i}] = {Fraction(total, row_scale * a_scale)} != 0")
+            image.append(f"(A' a)[{i}] = {Fraction(total, scale)} != 0")
     violations += loose
     if not any(an for an, _ in a):
         violations.append("annihilated vector is zero")
@@ -258,10 +256,6 @@ def negativity_certificate(A: SymMatrix) -> NegativityCertificate:
     )
 
 
-# The rows of :func:`_strict_rows`.
-FIRST_ROW_BITS, ROW_BITS_STEP = 24, 8
-
-
 def strict_shrink(A: SymMatrix) -> tuple[list[dict[int, tuple[int, int]]], list[int]]:
     """A strict singular reduction A' of a connected A and the positive vector a it annihilates.
 
@@ -296,28 +290,32 @@ def _strict_rows(
     fill (-(Ca)_i, (Ca)_i), so row i exists iff |A[i][i]| a_i < (Ca)_i,
     that is iff (Ba)_i > 0.  It is t_i = -A[i][i] a_i / (Ca)_i, rounded to
     a multiple of 2^-m, times each coupling but the largest A[i][k] a_k,
-    which takes the exact remainder; m = FIRST_ROW_BITS grows by
-    ROW_BITS_STEP until the row is strict.  The remainder times a_k has
-    denominator 2^m times the row's lcm, so the surface sides' denominators
-    come from A's entries and 2^m alone.
+    which takes the exact remainder.
+
+    m is read off the row, not searched for.  Times the row scale, let
+    T = (Ca)_i, ck = A[i][k] a_k, R = T - ck, y = (Ba)_i > 0 and
+    t0 = -2^m A[i][i] a_i / T, so |t0| = 2^m (T - y) / T.  Its nearest int
+    t has |t| <= |t0| + 1/2 < 2^m once 2^m > T / (2 y), and the remainder
+    r = t0 T - t R = t0 ck + (t0 - t) R has |r| <= |t0| ck + R / 2 < ck 2^m
+    once 2^m > T R / (2 y ck).  So m is the bit length of
+    floor(T max(ck, R) / (2 y ck)), and both bounds are rechecked once.
     """
     scales, own, couplings = scaled
     reduced = []
     for i, row in enumerate(rows):
         c, L = couplings[i], scales[i]
         strict = {i: (row[i].numerator, row[i].denominator)} if i in row else {}
-        # Times L: -A[i][i] a_i, (Ca)_i, and (Ca)_i without its largest term, at k.
+        # Times L: -A[i][i] a_i, (Ca)_i, its largest term at k, and the rest.
         target = -own[i] * a[i]
         total = y[i] + abs(own[i]) * a[i]
         k = max(c, key=lambda j: (c[j] * a[j], -j))
-        rest = total - c[k] * a[k]
-        bits = FIRST_ROW_BITS
-        while True:
-            t = ((target << (bits + 1)) + total) // (2 * total)  # t_i 2^m, rounded
-            r = (target << bits) - t * rest  # A'[i][k] a_k L 2^m
-            if abs(t) < 1 << bits and abs(r) < c[k] * a[k] << bits:
-                break
-            bits += ROW_BITS_STEP
+        top = c[k] * a[k]
+        rest = total - top
+        bits = (total * max(top, rest) // (2 * y[i] * top)).bit_length()
+        t = ((target << (bits + 1)) + total) // (2 * total)  # t_i 2^m, rounded
+        r = (target << bits) - t * rest  # A'[i][k] a_k L 2^m
+        if not (abs(t) < 1 << bits and abs(r) < top << bits):
+            raise AssertionError(f"row {i} of the strict reduction is not strict at 2^-{bits}")
         if t:
             factor = _mul((t, 1), (1, 1 << bits))
             for j, x in row.items():

@@ -11,9 +11,9 @@ witnessed constructively.  The builder:
    positive eigenvalue; off that branch the same search names the branch
    in the exception, with no inertia beyond the search's one exact step;
 2. builds, row by row, a strict singular reduction A' of the decomposition
-   matrix annihilating a: every coupling of row i times one dyadic t_i,
-   with the largest coupling taking the exact remainder, so
-   |A'[i][j]| < A[i][j] wherever A[i][j] > 0;
+   matrix annihilating a: every coupling of row i times one t_i in 2^-m_i Z,
+   m_i read off the row's slack, the largest taking the exact remainder,
+   so |A'[i][j]| < A[i][j] wherever A[i][j] > 0;
 3. for each torus between pieces i and j assigns the side in piece j the pair
 
        a_plus  = (A[i][j] - A'[i][j]) / (2 A[i][j]) * a[j]
@@ -35,9 +35,10 @@ ints (:mod:`gmsurf.reduction`): steps 1 and 2 return A' as pair rows and a
 as ints (a valid manifold's matrix graph is connected, so a is positive at
 every piece), every side's a and b is a pair, and each degree and
 coordinate is its numerator times scale // denominator.  Every side
-denominator comes from A's entries and the dyadic t_i alone, so the scale
-does not grow with the number of pieces.  `Fraction` enters as the
-decomposition matrix and leaves once, as the certificate's A' and degrees.
+denominator comes from A's entries and the rows' 2^m_i alone, so the scale
+is set by the rows' slack, not by the number of pieces.  `Fraction` enters
+as the decomposition matrix and leaves once, as the certificate's A' and
+degrees.
 The verifier shares no code with the builder and, on a valid certificate,
 does only `int` arithmetic (below); it makes a `Fraction` only for the text
 of a violation.

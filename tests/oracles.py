@@ -575,7 +575,8 @@ def fraction_verify_reduction(A: SymMatrix, cert: ReductionCertificate) -> list[
     `Fraction`: every certificate invariant rechecked against A; return
     violations (empty = valid).
 
-    Only the stored nonzeros of A' are read: a missing key is a zero."""
+    Only the stored nonzeros of A' and A's negative couplings are read: a
+    missing key is a zero."""
     violations: list[str] = []
     n = A.order
     if not cert.has_order(n):
@@ -587,9 +588,10 @@ def fraction_verify_reduction(A: SymMatrix, cert: ReductionCertificate) -> list[
         if row.get(i, 0) != A[i, i]:
             violations.append(f"diagonal changed at {i}: {row.get(i, 0)} != {A[i, i]}")
     for i, (row, bounds) in enumerate(zip(cert.a_prime, A.sparse)):
-        for j in sorted(row):
+        # A negative coupling bounds no entry, a missing one included.
+        for j in sorted(set(row) | {j for j, bound in bounds.items() if bound < 0}):
             # A has O(n) nonzero couplings: only those need the absolute value
-            entry, bound = row[j], bounds.get(j)
+            entry, bound = row.get(j, 0), bounds.get(j)
             if i != j and (entry if bound is None else abs(entry) > bound):
                 violations.append(f"not a reduction at ({i}, {j}): |{entry}| > {bound or 0}")
     if all(v == 0 for v in cert.a):

@@ -454,6 +454,19 @@ def test_verify_mis_sized_reduction_is_invalid(tmp_path, capsys):
     assert assert_one_line_input_error(capsys) == "error: a_prime[1]: expected 3 entries, got 4\n"
 
 
+def test_verify_rejects_a_reduction_of_a_matrix_with_a_negative_coupling(tmp_path, capsys):
+    # A' stores nothing at the negative coupling: its zero is still out of
+    # the bound |A'[i][j]| <= A[i][j] = -1.
+    manifold = write_manifold(tmp_path, "m.json", 0, 0)
+    path = tmp_path / "red.json"
+    path.write_text(json.dumps({"matrix": [["0", "-1"], ["-1", "0"]], "a_prime": [["0", "0"], ["0", "0"]], "a": ["1", "1"]}))
+    assert main(["verify", str(manifold), str(path), "--json"]) == 4
+    assert json.loads(capsys.readouterr().out) == {
+        "valid": False,
+        "violations": ["not a reduction at (0, 1): |0| > -1", "not a reduction at (1, 0): |0| > -1"],
+    }
+
+
 def test_verify_against_wrong_manifold_is_invalid(tmp_path, capsys):
     manifold = write_manifold(tmp_path, "m.json", 0, 0)
     other = write_manifold(tmp_path, "other.json", 0, 0, p=2)

@@ -7,7 +7,8 @@ or the inertia, at sizes the dense oracles cannot reach.
   reads.  The manifold is the same, so `analyze` must give the same
   verdict, and `certify` on the new description must write a certificate
   that `verify` accepts.
-- *Diagonal congruence:* A becomes D*A*D for a positive integer diagonal D.
+- *Diagonal congruence:* A becomes D*A*D for a positive diagonal D, of
+  integers or of fractions from 1/9 to 9.
   Then (D*A*D)-minus = D*A-minus*D and the blocks are D's restrictions of
   A's, so by Sylvester's law of inertia `matrix` on D*A*D must give the
   verdict and blocks that `analyze` gives on the manifold, and its
@@ -20,6 +21,7 @@ Intel Xeon server), most of it the reductions of D*A*D.
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -89,14 +91,29 @@ def test_relabelled_and_reversed_manifolds_keep_their_verdict(profile, tmp_path,
     assert report(["verify", "h.json", "cert.json", "--json"], capsys) == (0, {"valid": True, "violations": []})
 
 
-@pytest.mark.parametrize("profile", PROFILES)
-def test_a_diagonal_congruence_keeps_the_matrix_verdict(profile, tmp_path, monkeypatch, capsys):
+# A positive diagonal entry of D: an int, or a fraction p/q with p and q in
+# 1..9, which changes the row scales (lcm of a row's denominators) that the
+# strict reduction's row precision reads.  The strict reduction is built on
+# the positive-eigenvalue branch alone, so only posEig takes the rational D,
+# which keeps the module within its time budget.
+SCALES = {
+    "integer": lambda rng: rng.randint(1, 16),
+    "rational": lambda rng: Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+}
+
+
+@pytest.mark.parametrize(
+    "profile, scale",
+    [pytest.param(profile, "integer", id=profile) for profile in PROFILES]
+    + [pytest.param("posEig", "rational", id="posEig-rational")],
+)
+def test_a_diagonal_congruence_keeps_the_matrix_verdict(profile, scale, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     n = DAD_PIECES[profile]
     save_manifold(generate_manifold(n, seed=3, profile=profile), "m.json")
     A = decomposition_matrix(load_manifold("m.json"))
     rng = random.Random(2)
-    d = [rng.randint(1, 16) for _ in range(n)]
+    d = [SCALES[scale](rng) for _ in range(n)]
     DAD = SymMatrix([{j: d[i] * x * d[j] for j, x in row.items()} for i, row in enumerate(A.sparse)])
     with open("dad.json", "w") as f:
         json.dump(rows_to_json(DAD.sparse), f)

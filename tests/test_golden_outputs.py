@@ -42,9 +42,9 @@ GEN_DIGESTS = {
     (5, 'any'): {
         'gen': 'bbc5fb13dc0c98d26be80411b38611e056587895f540637d1733656bac884e7d',
         'analyze': 'd27ab749d1e345a16d53399841fb320a68b36ac5165bbbdb08df6eb9fe2f9cdd',
-        'certify': '9ef7cebb314800555c076f4831cf2212f3ad59e08dbc6b1fa433d761eeec0854',
+        'certify': '21bac06545a3909213ba1479ad653f5cb3df98bc8561e13e18f52f3e02ee5099',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': '673c4a106fdbc773cdbfd6dbef6499e8db4e776bdf1ed44a2e267292f944d594',
+        'matrix': 'd0dbcb001dce3d99a201507501f5b76a6691c45c9e54b4c841de69121d529cd3',
     },
     (5, 'negdef'): {
         'gen': '268e20889c8c8347ffe92db803af4e2e3d25e3ce2367b961f163a2c247770d19',
@@ -55,9 +55,9 @@ GEN_DIGESTS = {
     (5, 'posEig'): {
         'gen': '2acc4b0beb15b033f433251563bab94174b8a4c3f5b494a562ab1bfbffcb6856',
         'analyze': '83a97a2cf7247fa03e8bdfe6ba57d4265dd2daf29624ca9a88829fd5f07377dc',
-        'certify': '4184f6df16e5821840bab50257353a92b882bb37a7170e50246dad1b3b869cde',
+        'certify': '5365b51f209e4a29935385d7fb34a278566021952bb7a529a78aecc79dd75a8a',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': 'fc23a023b0ce6d2b389439c8abf88c52a1bbe6882b63df6e1222fbeb008b6798',
+        'matrix': 'cb66db1ae45e0c205db378b250d1f579396c982d81194195e8a316edf5ecab9d',
     },
     (5, 'semidef'): {
         'gen': 'b8259444ee42f7daa94ceb93b63403c66fc238ba6d88e8420fba4caad5d1c575',
@@ -68,9 +68,9 @@ GEN_DIGESTS = {
     (30, 'any'): {
         'gen': 'af1d66d657fb22a17583202cb6fd21883bb0efd592a5bb562a9099918f3ef688',
         'analyze': 'de1f528f42003d56e0482691ff9805dd788d7b12c8ed59930d8951c08963e9b3',
-        'certify': 'dc1d19c79e08c459affa784d10719e4a34cc4d8e9fde342df2b105a27bbeb44e',
+        'certify': '942e63358c3124317654fb1892eaf0ab578cd3233e08e3e309c69c79fabe002f',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': '880d0ede416b22212a4a1fcab5bc436fa903441682e0fd619f1308ed6ebe30de',
+        'matrix': 'ecfea66ecdcf0086a0b4bd170e20038cc75a8a41ccd3ac58e46eb20e9a7d6e5b',
     },
     (30, 'negdef'): {
         'gen': '3ace1009f9d645b53c92a52446010a5e328bff660f543740add46394f5587010',
@@ -81,9 +81,9 @@ GEN_DIGESTS = {
     (30, 'posEig'): {
         'gen': 'c13e5ee9421070217cfcf30b7e5c2d8db16ddf4b532fca58d102e4e497bc5351',
         'analyze': '8c63f858496b956c6cfc2e888b65e64c2ac27826b4966f7a68ebc9b9c6ad04c5',
-        'certify': '85228e4669bd426d3061caaf5c0f971d1eea43f51bfafe072c4c493c97838b33',
+        'certify': 'fd2ea645a879e0abcc0547563bb5fdb6ae78c0453c0d9f6fe06dc0b91c699dd8',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': '89ce2d3ffea59bde881645ee2755c23f202a60cde8b5031af432ea09c16ffb6e',
+        'matrix': '23fc83e179651082816e01d2607ed8d069aa7ae06f0743ba54e6f2e2cf8dfbda',
     },
     (30, 'semidef'): {
         'gen': '3cf32e8d8f0656052b59d6b1badd3c3414cbace7f05ca406bd515e6a35e1977f',
@@ -94,9 +94,9 @@ GEN_DIGESTS = {
     (120, 'any'): {
         'gen': 'befa91e0fa26730242d996ea155ec695ddf56338d8bc4f16709f97036619b84e',
         'analyze': '3031408df9f486952ff4d6aa655685df95ee1c62df9db446b028b3ecd24fca24',
-        'certify': '24c161db30e4544bce62dbe7ea39615510e4394c00b6e768d826dc3158e02aaa',
+        'certify': 'a668a77eb1af5c0d65901f77c6350d58cf9010df7d5c794ad90c1e5d01fe1a1d',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': '9c2d3c00883500be636ccfb7c8263d91217fa879dd98867e5896d98900c6fecf',
+        'matrix': '2dc3316d2597a26c6261d66887d1d24797283801f4f0c5e8f2f8b5fea1eb812f',
     },
     (120, 'negdef'): {
         'gen': '7d85bca61bcf7feb4b65a350c73f214774df87e7894f2100c67027616f0c84ca',
@@ -107,9 +107,9 @@ GEN_DIGESTS = {
     (120, 'posEig'): {
         'gen': '36a8ea6bbfc4ca0d3686648c7dade83af3b692022551c0b545d820b281929b57',
         'analyze': 'd7a333cc40c886754725399a7e6d882ae175c0729289293c4c2fe5aaf5210e1d',
-        'certify': '8dc1f53a065e403d66668403a98ca20f737c49947c3110f4ddbc04ebeabe2e72',
+        'certify': 'd0461dc3a0bc94e3e452c9caebdfc1f99d37b430f120a40eb41205b59b1c966a',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
-        'matrix': '91d614d8b448497cde593c308dbb781bffc957069e348b422dd12e405f3732cd',
+        'matrix': 'c66f6838765a2d276b7a213ca1288108e4da18e1b0ba118eeaf6c369e1f70d31',
     },
     (120, 'semidef'): {
         'gen': '3bd4c158dfea645752fb8734bad5cce55f865b04a09391850b49e283d3cedca1',
@@ -121,15 +121,15 @@ GEN_DIGESTS = {
 
 PATH_DIGESTS = {
     8: {
-        'certify': '82cf7df1938f6876e6c850eb9ecb57aae281a08d3750572bd44227b2835654e9',
+        'certify': '15b01cc4c1a9b69f40b889d01f458bb46712e03c26b36a7130a0fb382cabcad1',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
     },
     13: {
-        'certify': '10299268032410695abc685b0a951c46fb2e5155d619e72c6cdea63a91764e77',
+        'certify': 'b3fb4c45dc099586024875d40dd8a19661fcefd4312550972938d9ef081db9a0',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
     },
     24: {
-        'certify': '7385aca63a16931678de40fabc6ec39a050da95710f9a1980dfaa75396fe6465',
+        'certify': '880f9dc94f837262fb5710194308268b5eddc1c4ca8aeda758a52f59e5d900cd',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
     },
 }

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies
 
-from gmsurf import exact_linalg
+from gmsurf import exact_linalg, reduction
 from gmsurf.decision import Branch, decide
 from gmsurf.exact_linalg import (
     DisconnectedMatrixError,
@@ -366,6 +366,20 @@ def test_verify_reduction_flags_changed_diagonal():
     assert any("diagonal changed" in v for v in verify_reduction(A, tampered))
 
 
+def test_verify_reduction_flags_a_negative_coupling_of_the_source():
+    # |A'[i][j]| <= A[i][j] fails wherever A[i][j] < 0, whether A' stores
+    # an entry there or not: a missing key is a zero, and |0| <= -1 is false.
+    A = SymMatrix(({1: F(-1)}, {0: F(-1)}))
+    empty = ReductionCertificate(a_prime=({}, {}), a=(F(1), F(1)))
+    expected = ["not a reduction at (0, 1): |0| > -1", "not a reduction at (1, 0): |0| > -1"]
+    assert verify_reduction(A, empty) == expected == all_pairs_reduction_violations(A, empty)
+    assert fraction_verify_reduction(A, empty) == expected
+    stored = ReductionCertificate(a_prime=({1: F(1, 2)}, {}), a=(F(1), F(1)))
+    violations = verify_reduction(A, stored)
+    assert violations == all_pairs_reduction_violations(A, stored) == fraction_verify_reduction(A, stored)
+    assert violations[:2] == ["not a reduction at (0, 1): |1/2| > -1", "not a reduction at (1, 0): |0| > -1"]
+
+
 def test_verify_reduction_names_the_shape_of_a_prime():
     # a and the matrix agree on the order; only a_prime is off
     A = sym([["-1", 1, 0], [1, "-1", 1], [0, 1, "-1"]])
@@ -643,23 +657,66 @@ def test_strict_shrink_keeps_a_positive_diagonal_with_a_negative_t():
 
 
 def test_strict_shrink_gives_the_largest_coupling_the_remainder():
-    # Row 0: t = 1/3 rounds to 5592405 / 2^24 on the coupling 1, and the
-    # coupling 2 (the largest A[0][k] a_k) takes what makes the row sum 0.
+    # Row 0: the slack (B a)_0 = 2 is wide, so m = 0 and t = 1/3 rounds to 0
+    # on the coupling 1; the coupling 2 (the largest A[0][k] a_k) takes what
+    # makes the row sum 0.  Rows 1 and 2 have one coupling each, at m = 1.
     rows, a = strict_shrink(sym([["-1", 1, 2], [1, "-1/2", 0], [2, 0, "-1"]]))
     assert a == [1, 1, 1]
     assert rows == [
-        {0: (-1, 1), 1: (5592405, 2**24), 2: (11184811, 2**24)},
+        {0: (-1, 1), 2: (1, 1)},
         {0: (1, 2), 1: (-1, 2)},
         {0: (1, 1), 2: (-1, 1)},
     ]
 
 
-def test_strict_shrink_refines_t_until_the_row_is_strict():
-    # t_0 = 1 - 1/(3 2^30) rounds to 1 at 2^-24, which is not strict, and to
-    # 1 - 2^-32 at 2^-32.
+def test_strict_shrink_reads_the_row_precision_off_its_slack():
+    # Row 0 times L = 2^30: T = 3 2^30, ck = 2^31, R = 2^30 and y = 1, so
+    # m = bit length of T ck // (2 y ck) = 3 2^29, that is 31.  At m = 30,
+    # t_0 = 1 - 1/(3 2^30) would round to 1, which is not strict; at 31 it
+    # rounds to 1 - 2^-31.
     rows, a = strict_shrink(sym([[F(1, 2**30) - 3, 1, 2], [1, "-1/2", 0], [2, 0, "-1"]]))
     assert a == [1, 1, 1]
-    assert rows[0] == {0: (1 - 3 * 2**30, 2**30), 1: (2**32 - 1, 2**32), 2: (2**33 - 3, 2**32)}
+    assert rows[0] == {0: (1 - 3 * 2**30, 2**30), 1: (2**31 - 1, 2**31), 2: (2**32 - 1, 2**31)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.data())
+def test_strict_rows_take_the_closed_form_precision_at_any_slack(data):
+    # _strict_rows needs only a > 0 with (B a)_i > 0, not the Perron vector.
+    # Each diagonal is set from a so that (B a)_i = 1/N_i, N_i up to 2^40;
+    # with integer couplings and a_i = 1 the scaled slack y_i is 1 unit.
+    # Every row must be strict, A'a = 0 exactly, and each row must be the
+    # one made at m = bit length of floor((Ca)_i max(ck, R) / (2 (Ba)_i ck)),
+    # rebuilt here in `Fraction`.
+    n = data.draw(strategies.integers(2, 7), label="order")
+    couplings = [{} for _ in range(n)]
+    for i in range(1, n):
+        for j in data.draw(strategies.sets(strategies.integers(0, i - 1), min_size=1, max_size=3)):
+            couplings[i][j] = couplings[j][i] = F(data.draw(strategies.integers(1, 2**10)))
+    draw_a = strategies.one_of(strategies.just(1), strategies.integers(1, 2**20))
+    a = data.draw(strategies.lists(draw_a, min_size=n, max_size=n), label="a")
+    rows = []
+    for i, c in enumerate(couplings):
+        slack = F(1, data.draw(strategies.integers(1, 2**40)))
+        diagonal = data.draw(strategies.sampled_from((-1, 1))) * (sum(x * a[j] for j, x in c.items()) - slack) / a[i]
+        rows.append({**c, i: diagonal} if diagonal else dict(c))
+    scaled = exact_linalg._scaled(rows)
+    y = [sum(x * a[j] for j, x in c.items()) - abs(own) * a[i] for i, (own, c) in enumerate(zip(*scaled[1:]))]
+    assert all(v > 0 for v in y)
+    for i, row in enumerate(reduction._strict_rows(rows, scaled, a, y)):
+        got = {j: F(*pair) for j, pair in row.items()}
+        c, d = couplings[i], rows[i].get(i, F(0))
+        k = min(c, key=lambda j: (-c[j] * a[j], j))
+        total = sum(x * a[j] for j, x in c.items())
+        top, rest = c[k] * a[k], total - c[k] * a[k]
+        m = math.floor(total * max(top, rest) / (2 * (total - abs(d) * a[i]) * top)).bit_length()
+        t = F(math.floor(2**m * -d * a[i] / total + F(1, 2)), 2**m)
+        expected = {j: t * x for j, x in c.items() if j != k}
+        expected[k] = (-d * a[i] - sum(v * a[j] for j, v in expected.items())) / a[k]
+        expected[i] = d
+        assert got == {j: v for j, v in expected.items() if v}
+        assert all(abs(v) < c[j] for j, v in got.items() if j != i)
+        assert sum(v * a[j] for j, v in got.items()) == 0
 
 
 @pytest.mark.parametrize(

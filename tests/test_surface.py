@@ -504,6 +504,32 @@ def test_the_verifiers_make_no_fraction_on_a_valid_certificate(monkeypatch, kind
 # --- cost of the construction, counted without a clock -------------------------
 
 
+def path_graph(n: int, eps: F) -> DecompositionGraph:
+    """n unit-glued pieces in a row, each with Euler number -2+eps."""
+    return DecompositionGraph(
+        pieces=tuple(SeifertPiece(id=k, euler=eps - 2, genus=1) for k in range(1, n + 1)),
+        tori=tuple(GluingTorus(from_piece=k, to_piece=k + 1, p=1) for k in range(1, n)),
+    )
+
+
+def closes_at(n: int, eps: F) -> bool:
+    """True iff the n-piece path with Euler number -2+eps has a positive
+    eigenvalue while every (n-1)-piece sub-path is negative definite: the
+    pivots of -A, u_1 = 2-eps, u_{k+1} = 2-eps - 1/u_k, are n-1 positive
+    and the last negative."""
+    u = 2 - eps
+    for _ in range(n - 1):
+        if u <= 0:
+            return False
+        u = 2 - eps - 1 / u
+    return u < 0
+
+
+def closing_window(n: int) -> tuple[float, float]:
+    """(lo, hi): the eps between the closing thresholds of n and n-1 pieces, in floats."""
+    return 2 - 2 * math.cos(math.pi / (n + 1)), 2 - 2 * math.cos(math.pi / n)
+
+
 def slowly_closing_path(n: int) -> DecompositionGraph:
     """n unit-glued pieces in a row with Euler number -2+eps, eps between the
     closing thresholds of n and n-1 pieces: A-minus has a positive eigenvalue
@@ -513,20 +539,26 @@ def slowly_closing_path(n: int) -> DecompositionGraph:
     float midpoint: the window narrows like 1/n^3, so a bounded denominator
     (`limit_denominator(4096)` before) misses it from about 240 pieces on,
     while 2^-k follows it to any length."""
-    lo = 2 - 2 * math.cos(math.pi / (n + 1))
-    hi = 2 - 2 * math.cos(math.pi / n)
+    lo, hi = closing_window(n)
     k = math.ceil(math.log2(4 / (hi - lo)))
     eps = F(round((lo + hi) / 2 * 2**k), 2**k)
-    # pivots of -A: u_1 = 2-eps, u_{k+1} = 2-eps - 1/u_k; n-1 positive, the last negative
-    u = 2 - eps
-    for _ in range(n - 1):
-        assert u > 0
-        u = 2 - eps - 1 / u
-    assert u < 0
-    return DecompositionGraph(
-        pieces=tuple(SeifertPiece(id=k, euler=eps - 2, genus=1) for k in range(1, n + 1)),
-        tori=tuple(GluingTorus(from_piece=k, to_piece=k + 1, p=1) for k in range(1, n)),
-    )
+    assert closes_at(n, eps)
+    return path_graph(n, eps)
+
+
+def bounded_denominator_paths() -> list[DecompositionGraph]:
+    """The paths of 4 to 13 pieces with eps the fraction of denominator at
+    most 4096 nearest one of eleven points spread over the middle half of
+    the closing window, kept where it closes at n pieces: the inputs the
+    certify-mix workload draws its paths from."""
+    paths = []
+    for n in range(4, 14):
+        lo, hi = closing_window(n)
+        for f in range(5, 16):
+            eps = F(lo + f / 20 * (hi - lo)).limit_denominator(4096)
+            if closes_at(n, eps):
+                paths.append(path_graph(n, eps))
+    return paths
 
 
 # The builders call the integer-pair cores directly: a count of `inertia`,
@@ -622,6 +654,22 @@ def test_certify_and_verify_at_a_thousand_pieces(tmp_path, capsys, G):
     degrees = json.loads(cert.read_text())["degrees"]
     assert len(degrees) == 1000 and min(degrees) > 0
     assert max(d.bit_length() for d in degrees) <= 128
+
+
+def test_certificate_degrees_stay_narrow():
+    # Each row's precision is read off its slack (A-minus a)_i, not raised
+    # from a fixed 2^-24: with that floor the degrees took up to 53 bits on
+    # the paths and 44 on the 400-piece manifold, where they take 38 and 22.
+    def degree_bits(G: DecompositionGraph) -> int:
+        cert = build_surface_certificate(G)
+        assert verify_surface_certificate(G, cert) == []
+        return max(d.bit_length() for d in cert.degrees)
+
+    paths = bounded_denominator_paths()
+    assert len(paths) == 110
+    small = [generate_manifold(n, seed=seed, profile="posEig") for n in (2, 3, 4, 5, 6, 8, 10, 12) for seed in (1, 2, 3)]
+    assert max(map(degree_bits, paths + small)) <= 40
+    assert degree_bits(generate_manifold(400, seed=3, profile="posEig")) <= 30
 
 
 @pytest.mark.parametrize("n", [16, 64])
