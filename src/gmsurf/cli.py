@@ -4,7 +4,8 @@ Subcommands:
 
 - ``analyze``  decide both properties for a manifold file;
 - ``certify``  build a surface certificate (positive-eigenvalue branch only);
-- ``verify``   recheck a surface or reduction certificate file independently;
+- ``verify``   recheck a surface or reduction certificate file independently,
+  against the manifold or matrix file it is about;
 - ``gen``      generate a random manifold with a requested spectral profile;
 - ``matrix``   run the decision and reduction machinery on a raw matrix;
 - ``cover``    parity check / witness construction for surface covers.
@@ -32,15 +33,16 @@ from .decision import Branch, decide, two_piece_d
 from .exact_linalg import SymMatrix, rational_str
 from .fileio import (
     FileFormatError,
+    _reduction_from_json,
     json_text,
     load_json,
     load_manifold,
+    manifold_from_json,
     manifold_to_json,
+    matrix_from_json,
     parse_json,
-    reduction_cert_from_json,
     reduction_cert_to_json,
     save_json,
-    sparse_rows_from_json,
     surface_cert_from_json,
     surface_cert_to_json,
 )
@@ -193,18 +195,27 @@ def cmd_certify(args) -> int:
     return EXIT_HOLDS
 
 
+def _read_json(source: str):
+    """The JSON document in the file ``source``, or on stdin for "-"."""
+    if source == "-":
+        return parse_json(sys.stdin.read(), "<stdin>")
+    return load_json(source)
+
+
 def cmd_verify(args) -> int:
-    G = load_manifold(args.manifold)
+    # A JSON array SOURCE is a matrix, any other document a manifold.  Only
+    # a reduction certificate has a top-level "a_prime"; any other document
+    # goes to the surface parser, which names what is wrong.
+    source = _read_json(args.source)
     doc = load_json(args.certificate)
-    # Only a reduction certificate has a top-level "a_prime"; any other
-    # document goes to the surface parser, which names what is wrong.
+    is_matrix = isinstance(source, list)
     if isinstance(doc, dict) and "a_prime" in doc:
-        cert, matrix = reduction_cert_from_json(doc)
-        source = matrix if matrix is not None else decomposition_matrix(G)
-        violations = verify_reduction(source, cert)
+        A = matrix_from_json(source) if is_matrix else decomposition_matrix(manifold_from_json(source))
+        violations = verify_reduction(A, _reduction_from_json(doc))
+    elif is_matrix:
+        return _fail_input("a surface certificate is checked against a manifold, not a matrix")
     else:
-        cert = surface_cert_from_json(doc)
-        violations = verify_surface_certificate(G, cert)
+        violations = verify_surface_certificate(manifold_from_json(source), surface_cert_from_json(doc))
     if args.json:
         print(json_text({"valid": not violations, "violations": violations}))
     elif violations:
@@ -231,23 +242,15 @@ def cmd_gen(args) -> int:
     return EXIT_HOLDS
 
 
-def _read_matrix(source: str) -> SymMatrix:
-    if source == "-":
-        data = parse_json(sys.stdin.read(), "<stdin>")
-    else:
-        data = load_json(source)
-    return SymMatrix(sparse_rows_from_json(data, "matrix"))
-
-
 def cmd_matrix(args) -> int:
     try:
-        A = _read_matrix(args.source)
+        A = matrix_from_json(_read_json(args.source))
         report = _analysis_report(A)
     except ValueError as exc:
         return _fail_input(str(exc))
     # A singular reduction exists exactly where A-minus is not negative
     # definite.  The report holds A' by rows of nonzeros; the file written
-    # to --out is the dense reduction certificate, with A embedded.
+    # to --out is the dense reduction certificate.
     reduction = report["reduction"] = None
     if report["branch"] != Branch.NEGATIVE_DEFINITE.value:
         reduction = find_singular_reduction(A)
@@ -256,7 +259,7 @@ def cmd_matrix(args) -> int:
             "a": [rational_str(v) for v in reduction.a],
         }
         if args.out:
-            save_json(reduction_cert_to_json(reduction, matrix=A), args.out)
+            save_json(reduction_cert_to_json(reduction), args.out)
     _print_report(report, args.json)
     if not args.json:
         if reduction is None:
@@ -368,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify", help="recheck a surface or reduction certificate file")
-    p.add_argument("manifold", help="manifold JSON file")
+    p.add_argument("source", help="manifold or matrix JSON file the certificate is about, or - for stdin")
     p.add_argument("certificate", help="certificate JSON file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -10,15 +10,18 @@ Schemas:
 - manifold: {"pieces": [{"id", "euler", "genus", "cone_orders"?}],
              "tori": [{"from", "to", "p", "q"?, "q_prime"?, "p_prime"?}]}
   with torus defaults q=1, q_prime=1, p_prime=0;
-- reduction certificate: {"a_prime": [[rational]], "a": [rational],
-                          "matrix"?: [[rational]]} where the optional matrix
-  records the source the reduction was computed against;
+- matrix: [[rational]], square and symmetric;
+- reduction certificate: {"a_prime": [[rational]], "a": [rational]};
 - surface certificate: {"degrees": [int], "scale": int,
-                        "reduction": {"a_prime": [[rational]], "a": [rational]},
+                        "reduction": {"a_prime": [[rational]]},
                         "systems": [{"torus", "side", "a_plus", "a_minus",
-                                     "b_plus", "b_minus"}]};
-  a "shrunk" matrix, which older certificates carry, and a "matrix" in
-  the reduction block are ignored.
+                                     "b_plus", "b_minus"}]},
+  where the degrees are the vector A' annihilates.
+
+A certificate holds no copy of what it is checked against: ``verify`` reads
+the matrix or manifold from its own argument.  Keys that older files carry
+are ignored: a reduction file's "matrix", a surface certificate's "shrunk"
+matrix, and an "a" or "matrix" in its reduction block.
 
 Documents are written by :func:`json_text` on one line, as ``json.dumps``
 writes them by default: ", " and ": " between tokens, keys in insertion
@@ -78,9 +81,18 @@ def _expect_list(value, where: str) -> list:
     return value
 
 
+def _required_keys(value, where: str, keys) -> dict:
+    """``value`` as an object that holds each of ``keys``, checked in order."""
+    doc = _expect_dict(value, where)
+    for key in keys:
+        if key not in doc:
+            raise FileFormatError(f"{where}: missing required key '{key}'")
+    return doc
+
+
 def rows_to_json(rows) -> list[list[str]]:
-    """The dense rational string rows of a reduction file's ``a_prime`` and
-    ``matrix``, given as their nonzero entries, one ``{column: value}`` dict
+    """The dense rational string rows of a square matrix, such as an
+    ``a_prime``, given as its nonzero entries, one ``{column: value}`` dict
     per row: "0" everywhere else, written without a call to
     :func:`rational_str`.  Reports write only the nonzeros."""
     n = len(rows)
@@ -100,8 +112,8 @@ def sparse_rows_from_json(data, where: str) -> list[dict[int, Fraction]]:
     A "0" token is dropped by a string compare; any other token is parsed,
     and dropped if it is zero.  Only strings are memoized: JSON integers
     (and booleans, which compare equal to 0 and 1 but are rejected) are
-    parsed where they stand.  The rows are a reduction's ``a_prime``, or go
-    to :class:`SymMatrix` as they are, which checks their symmetry.
+    parsed where they stand.  The rows are an ``a_prime``, or a matrix's
+    (:func:`matrix_from_json`).
     """
     rows = _expect_list(data, where)
     out = []
@@ -158,10 +170,7 @@ def manifold_from_json(data) -> DecompositionGraph:
     record it refuses is walked again, check by check in file order, to
     name the broken field, such as ``tori[3].q_prime``.
     """
-    doc = _expect_dict(data, "manifold")
-    for key in ("pieces", "tori"):
-        if key not in doc:
-            raise FileFormatError(f"manifold: missing required key '{key}'")
+    doc = _required_keys(data, "manifold", ("pieces", "tori"))
     pieces = []
     for k, record in enumerate(_expect_list(doc["pieces"], "pieces")):
         try:
@@ -198,10 +207,7 @@ def _raise_piece_error(record, k: int, exc: Exception):
     each field's type), or else ``exc``, the piece's complaint about its
     values."""
     where = f"pieces[{k}]"
-    record = _expect_dict(record, where)
-    for key in ("id", "euler", "genus"):
-        if key not in record:
-            raise FileFormatError(f"{where}: missing required key '{key}'")
+    record = _required_keys(record, where, ("id", "euler", "genus"))
     cone_orders = _expect_list(record.get("cone_orders", []), f"{where}.cone_orders")
     parse_int_field(record["id"], f"{where}.id")
     parse_rational_field(record["euler"], f"{where}.euler")
@@ -215,44 +221,29 @@ def _raise_torus_error(record, k: int, exc: Exception):
     """Raise the located error of ``tori[k]``, which its constructor refused
     with ``exc``: the first broken check in file order."""
     where = f"tori[{k}]"
-    record = _expect_dict(record, where)
-    for key in ("from", "to", "p"):
-        if key not in record:
-            raise FileFormatError(f"{where}: missing required key '{key}'")
+    record = _required_keys(record, where, ("from", "to", "p"))
     for key in ("from", "to", "p", "q", "q_prime", "p_prime"):
         if key in record:
             parse_int_field(record[key], f"{where}.{key}")
     raise FileFormatError(f"{where}: {exc}") from exc
 
 
-def reduction_cert_to_json(cert: ReductionCertificate, matrix: SymMatrix | None = None) -> dict:
-    doc = {
-        "a_prime": rows_to_json(cert.a_prime),
-        "a": [rational_str(v) for v in cert.a],
-    }
-    if matrix is not None:
-        doc["matrix"] = rows_to_json(matrix.sparse)
-    return doc
+def matrix_from_json(data) -> SymMatrix:
+    """The matrix of a parsed document; one that is not symmetric is a FileFormatError."""
+    rows = sparse_rows_from_json(data, "matrix")
+    try:
+        return SymMatrix(rows)
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from exc
 
 
-def reduction_cert_from_json(data) -> tuple[ReductionCertificate, SymMatrix | None]:
-    """A reduction file's certificate and the source matrix it embeds, if any."""
-    cert = _reduction_from_json(data)
-    matrix = None
-    if "matrix" in data:
-        try:
-            matrix = SymMatrix(sparse_rows_from_json(data["matrix"], "matrix"))
-        except ValueError as exc:
-            raise FileFormatError(f"matrix: {exc}") from exc
-    return cert, matrix
+def reduction_cert_to_json(cert: ReductionCertificate) -> dict:
+    return {"a_prime": rows_to_json(cert.a_prime), "a": [rational_str(v) for v in cert.a]}
 
 
 def _reduction_from_json(data) -> ReductionCertificate:
-    """The ``a_prime`` and ``a`` of a reduction block; other keys are not read."""
-    doc = _expect_dict(data, "reduction certificate")
-    for key in ("a_prime", "a"):
-        if key not in doc:
-            raise FileFormatError(f"reduction certificate: missing required key '{key}'")
+    """The ``a_prime`` and ``a`` of a reduction file; other keys are not read."""
+    doc = _required_keys(data, "reduction certificate", ("a_prime", "a"))
     a_prime = sparse_rows_from_json(doc["a_prime"], "a_prime")
     a = [
         parse_rational_field(v, f"a[{i}]")
@@ -265,7 +256,7 @@ def surface_cert_to_json(cert: SurfaceCertificate) -> dict:
     return {
         "degrees": list(cert.degrees),
         "scale": cert.scale,
-        "reduction": reduction_cert_to_json(cert.reduction),
+        "reduction": {"a_prime": rows_to_json(cert.a_prime)},
         "systems": [
             {
                 "torus": s.torus,
@@ -281,16 +272,14 @@ def surface_cert_to_json(cert: SurfaceCertificate) -> dict:
 
 
 def surface_cert_from_json(data) -> SurfaceCertificate:
-    doc = _expect_dict(data, "surface certificate")
-    for key in ("degrees", "scale", "reduction", "systems"):
-        if key not in doc:
-            raise FileFormatError(f"surface certificate: missing required key '{key}'")
+    doc = _required_keys(data, "surface certificate", ("degrees", "scale", "reduction", "systems"))
     degrees = tuple(
         parse_int_field(v, f"degrees[{i}]")
         for i, v in enumerate(_expect_list(doc["degrees"], "degrees"))
     )
     scale = parse_int_field(doc["scale"], "scale")
-    reduction = _reduction_from_json(doc["reduction"])
+    reduction = _required_keys(doc["reduction"], "reduction", ("a_prime",))
+    a_prime = sparse_rows_from_json(reduction["a_prime"], "a_prime")
     systems = []
     for k, record in enumerate(_expect_list(doc["systems"], "systems")):
         try:
@@ -303,7 +292,7 @@ def surface_cert_from_json(data) -> SurfaceCertificate:
     return SurfaceCertificate(
         degrees=degrees,
         scale=scale,
-        reduction=reduction,
+        a_prime=tuple(a_prime),
         systems=tuple(systems),
     )
 

@@ -22,9 +22,11 @@ positive, so A'a = -(Ba) = 0.
 :func:`strict_shrink`, the surface builder's reduction, runs the search on
 a connected A and returns the strict rows as pairs and a as ints, or names
 the branch in :class:`NoPositiveEigenvalueError`.
-:func:`find_singular_reduction` builds A' on the first component whose
-root is not negative; the ``matrix`` command reaches it only with a
-connected matrix, since its decision rejects any other.  No inertia is taken
+:func:`find_singular_reduction` runs it on a connected A too and builds A'
+wherever the root is not negative.  Both, and
+:func:`negativity_certificate`, check A with the decision's own
+:func:`gmsurf.decision._check_input`, so each rejects the empty matrix and
+a disconnected one as ``decide`` does.  No inertia is taken
 beyond the search's one exact step, and A' keeps A's sparsity: one ``{column: value}`` dict of nonzero entries
 per row, as a :class:`SymMatrix` holds.
 
@@ -61,13 +63,11 @@ from .decision import _check_input, immersed
 from .exact_linalg import (
     Scaled,
     SymMatrix,
-    _component_rows,
     _fraction,
     _mul,
     _perron_search,
     _scaled,
     inertia,  # unused here; bench/tests/test_tracer.py checks the tracer replaces this binding
-    matrix_components,
 )
 from .value import Value, _set
 
@@ -109,37 +109,28 @@ class ReductionCertificate(Value):
 
 
 def find_singular_reduction(A: SymMatrix) -> ReductionCertificate:
-    """Construct a singular reduction of A annihilating a non-negative vector.
+    """Construct a singular reduction of a connected A annihilating a positive vector.
 
-    Raises NegativeDefiniteError iff A-minus is negative definite (in which
-    case no such reduction exists at all).  Otherwise the first connected
-    component whose block of A-minus has a Perron root >= 0
-    (:func:`_perron_search` on the block's rows, re-indexed by
-    :func:`gmsurf.exact_linalg._component_rows`; an exact congruence only
-    where no fixed-point round decides) gets
-    its rows of A' and its witness vector, positive on the component; every
-    other row is A's diagonal entry alone, and every other weight 0.  Only the nonzero entries are read, and
-    A' and the vector become `Fraction` once, as the certificate.
+    A is checked, and its diagonal split, by the decision's own
+    :func:`gmsurf.decision._check_input`.  Raises NegativeDefiniteError iff
+    A-minus is negative definite (in which case no such reduction exists at
+    all).  Otherwise :func:`_perron_search` (an exact congruence only where
+    no fixed-point round decides) gives a positive witness a: at a positive
+    root A' is the strict rows, at root 0 A's own rows with the couplings
+    negated on rows whose diagonal is positive.  Only the nonzero entries
+    are read, and A' and a become `Fraction` once, as the certificate.
     """
-    sparse = A.sparse
-    for component in matrix_components(A):
-        rows = _component_rows(sparse, component)
-        scaled = _scaled(rows)
-        sign, block_a, y = _perron_search(scaled)
-        if sign >= 0:
-            break
-    else:
+    pos = set(_check_input(A)[0])
+    scaled = _scaled(A.sparse)
+    sign, a, y = _perron_search(scaled)
+    if sign < 0:
         raise NegativeDefiniteError("A-minus is negative definite")
     if sign:
-        rows = [{s: _fraction(x) for s, x in row.items()} for row in _strict_rows(rows, scaled, block_a, y)]
-    m = [{i: row[i]} if i in row else {} for i, row in enumerate(sparse)]
-    a = [Fraction(0)] * len(sparse)
-    for r, i in enumerate(component):
-        a[i] = Fraction(block_a[r])
+        rows = [{j: _fraction(x) for j, x in row.items()} for row in _strict_rows(A.sparse, scaled, a, y)]
+    else:
         # At root 0, A'a = -(Ba) = 0 on a row whose diagonal is positive.
-        flip = not sign and rows[r].get(r, 0) > 0
-        m[i] = {component[s]: -x if flip and s != r else x for s, x in rows[r].items()}
-    return ReductionCertificate(a_prime=tuple(m), a=tuple(a))
+        rows = [{j: -x if i in pos and j != i else x for j, x in row.items()} for i, row in enumerate(A.sparse)]
+    return ReductionCertificate(a_prime=tuple(rows), a=tuple(map(Fraction, a)))
 
 
 def shape_violations(n: int, cert: ReductionCertificate) -> list[str]:

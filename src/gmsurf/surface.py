@@ -37,8 +37,7 @@ every piece), every side's a and b is a pair, and each degree and
 coordinate is its numerator times scale // denominator.  Every side
 denominator comes from A's entries and the rows' 2^m_i alone, so the scale
 is set by the rows' slack, not by the number of pieces.  `Fraction` enters
-as the decomposition matrix and leaves once, as the certificate's A' and
-degrees.
+as the decomposition matrix and leaves once, as the certificate's A'.
 The verifier shares no code with the builder and, on a valid certificate,
 does only `int` arithmetic (below); it makes a `Fraction` only for the text
 of a violation.
@@ -57,8 +56,8 @@ negative (minus system).  :func:`verify_surface_certificate` rechecks all of
 it from scratch: after grouping the systems by torus it makes one pass over
 the tori, which checks each gluing relation and sums, per piece, the fiber
 coordinates, the Euler number w.r.t. meridians e' = e - sum q/p and the
-opposite sides' meridian coordinates.  The reduction's vector must equal the
-degree vector, so the reduction check against A already covers
+opposite sides' meridian coordinates.  The certificate stores A' alone:
+the reduction check runs on A' and the degree vector, so it covers
 A' * degrees = 0.
 
 Each check is an integer identity, exact because a denominator is positive
@@ -66,8 +65,7 @@ and scaling by a positive integer keeps zeros and signs: per piece, both
 balances are multiplied by L = lcm(denominator of e, p of each incident
 torus), so L e, L e' and L times the meridian sum are integers; the
 strictness |A'[i][j]| < A[i][j] is |num| * A's denominator < A's
-numerator * den; and the reduction's vector equals the degrees when each
-entry's (numerator, denominator) is (degree, 1).
+numerator * den.
 
 The graph of a valid manifold is connected, so the reduction's annihilated
 vector is positive at every piece and every side gets positive a_plus and
@@ -110,19 +108,19 @@ class SurfaceCertificate(Value):
 
     ``degrees`` lists the per-piece covering degrees (already scaled to make
     every curve coordinate integral), in graph piece order, and ``scale``
-    the common denominator that scaling cleared.  ``reduction`` annihilates
-    exactly this integer vector and its matrix is a strict reduction of the
-    decomposition matrix.
+    the common denominator that scaling cleared.  ``a_prime``, one
+    ``{column: value}`` dict of nonzeros per row, is a strict reduction of
+    the decomposition matrix that annihilates exactly this integer vector.
     """
 
-    __slots__ = ("degrees", "scale", "reduction", "systems")
+    __slots__ = ("degrees", "scale", "a_prime", "systems")
 
     def __init__(
-        self, degrees: tuple[int, ...], scale: int, reduction: ReductionCertificate, systems: tuple[CurveSystem, ...]
+        self, degrees: tuple[int, ...], scale: int, a_prime: tuple[dict[int, Fraction], ...], systems: tuple[CurveSystem, ...]
     ):
         _set(self, "degrees", degrees)
         _set(self, "scale", scale)
-        _set(self, "reduction", reduction)
+        _set(self, "a_prime", a_prime)
         _set(self, "systems", systems)
 
 
@@ -159,12 +157,10 @@ def build_surface_certificate(G: DecompositionGraph) -> SurfaceCertificate:
                       _mul(_sub((-from_minus[0], from_minus[1]), _mul(q_prime, to_minus)), over_p)))
 
     scale = lcm(*(d for side in sides for _, d in side[2:]))
-    degrees = tuple(v * scale for v in a)
-    a_prime = tuple({j: _fraction(x) for j, x in row.items()} for row in rows)
     return SurfaceCertificate(
-        degrees=degrees,
+        degrees=tuple(v * scale for v in a),
         scale=scale,
-        reduction=ReductionCertificate(a_prime=a_prime, a=tuple(_fraction((d, 1)) for d in degrees)),
+        a_prime=tuple({j: _fraction(x) for j, x in row.items()} for row in rows),
         systems=tuple(
             CurveSystem(t_idx, side, *(n * (scale // d) for n, d in values))
             for t_idx, side, *values in sides
@@ -175,11 +171,12 @@ def build_surface_certificate(G: DecompositionGraph) -> SurfaceCertificate:
 def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) -> list[str]:
     """Recheck every certificate equation from scratch; return violations (empty = valid).
 
-    Checks, all in `int` arithmetic: the reduction is a strict reduction of
-    the decomposition matrix (:func:`gmsurf.reduction.verify_reduction`'s
-    shape and entry checks against A, whose one pass over A' also lists
-    the couplings where |A'[i][j]| < A[i][j] fails); its vector is
-    the degree vector; each torus has exactly one curve system per side; the
+    Checks, all in `int` arithmetic: A' and the degree vector form a
+    reduction certificate of the decomposition matrix
+    (:func:`gmsurf.reduction.verify_reduction`'s shape and entry checks
+    against A, whose one pass over A' also lists the couplings where
+    |A'[i][j]| < A[i][j] fails), so A' is a strict reduction annihilating
+    the degrees; each torus has exactly one curve system per side; the
     per-side degree split, both per-piece balances, the change-of-basis
     relations, and strict positivity of the a coordinates on sides whose
     piece carries positive degree.
@@ -199,14 +196,13 @@ def verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCertificate) 
         violations.append("all degrees are zero")
 
     # verify_reduction in its two steps, so the shape is scanned once
-    shape = shape_violations(n, cert.reduction)
+    reduction = ReductionCertificate(cert.a_prime, cert.degrees)
+    shape = shape_violations(n, reduction)
     if shape:
         return violations + shape
-    entries, tight = entry_violations(A, cert.reduction)
+    entries, tight = entry_violations(A, reduction)
     violations += entries
     violations += [f"reduction not strict at ({i}, {j})" for i, j in tight]
-    if any(v.as_integer_ratio() != (d, 1) for v, d in zip(cert.reduction.a, cert.degrees)):
-        violations.append("reduction vector differs from degree vector")
 
     by_torus: dict[int, dict[int, CurveSystem]] = {}
     for s in cert.systems:

@@ -8,8 +8,6 @@ the dense routines they replaced, kept so tests can compare results exactly:
 - :func:`halving_shrink`, the shrink that halves eps from 1/2 and takes
   one inertia per try, which the surface builder used before its one
   positive vector; its shrunk matrices still feed the reduction comparisons;
-- :func:`reduced_component`, the component a singular reduction of A
-  lives on, chosen by the dense inertia;
 - :func:`fraction_surface_sides`, the curve-system sides of the surface
   builder computed in `Fraction`, as the builder did before it moved them
   to reduced integer pairs, from the builder's own strict reduction
@@ -90,7 +88,7 @@ from gmsurf.exact_linalg import (
     to_rational,
 )
 from gmsurf.manifold import DecompositionGraph, decomposition_matrix
-from gmsurf.reduction import NegativeDefiniteError, NoPositiveEigenvalueError, ReductionCertificate, strict_shrink
+from gmsurf.reduction import NoPositiveEigenvalueError, ReductionCertificate, strict_shrink
 from gmsurf.surface import CurveSystem, SurfaceCertificate
 
 
@@ -396,18 +394,6 @@ def halving_shrink(A: SymMatrix) -> SymMatrix:
         eps /= 2
 
 
-def reduced_component(A: SymMatrix) -> list[int]:
-    """The first component of A's matrix graph whose A-minus block the dense
-    inertia (:func:`bareiss_inertia`) calls not negative definite: the
-    support of the vector a singular reduction of A annihilates.
-    NegativeDefiniteError if there is none."""
-    B = SymMatrix(a_minus(A))
-    for component in matrix_graph_components(B):
-        if bareiss_inertia(principal_submatrix(B, component)).n_neg < len(component):
-            return component
-    raise NegativeDefiniteError("A-minus is negative definite")
-
-
 def strict_reduction_violations(A: SymMatrix, cert: ReductionCertificate) -> list[str]:
     """:func:`all_pairs_reduction_violations`, then |A'[i][j]| < A[i][j]
     tested on every pair where A is nonzero."""
@@ -485,16 +471,15 @@ def per_piece_surface_violations(G: DecompositionGraph, cert: SurfaceCertificate
     if all(d == 0 for d in cert.degrees):
         violations.append("all degrees are zero")
 
-    violations.extend(all_pairs_reduction_violations(A, cert.reduction))
-    if shape_violation(A, cert.reduction):
+    reduction = ReductionCertificate(cert.a_prime, tuple(map(Fraction, cert.degrees)))
+    violations.extend(all_pairs_reduction_violations(A, reduction))
+    if shape_violation(A, reduction):
         return violations
-    a_prime = dense_rows(cert.reduction.a_prime)
+    a_prime = dense_rows(cert.a_prime)
     for i in range(n):
         for j in range(n):
             if i != j and A[i, j] != 0 and abs(a_prime[i][j]) >= A[i, j]:
                 violations.append(f"reduction not strict at ({i}, {j})")
-    if tuple(cert.reduction.a) != tuple(Fraction(d) for d in cert.degrees):
-        violations.append("reduction vector differs from degree vector")
     image = mat_vec(a_prime, [Fraction(d) for d in cert.degrees])
     if any(v != 0 for v in image):
         violations.append("reduction does not annihilate the degree vector")
@@ -611,10 +596,10 @@ def fraction_verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCert
     in `Fraction`: every certificate equation rechecked from scratch; return
     violations (empty = valid).
 
-    Checks, all in exact arithmetic: the reduction is a strict reduction of
-    the decomposition matrix (:func:`fraction_verify_reduction` against A, then
-    |A'[i][j]| < A[i][j] on A's couplings); its vector is
-    the degree vector; each torus has exactly one curve system per side; the
+    Checks, all in exact arithmetic: A' with the degree vector is a
+    reduction certificate of the decomposition matrix
+    (:func:`fraction_verify_reduction` against A), and |A'[i][j]| < A[i][j]
+    on A's couplings; each torus has exactly one curve system per side; the
     per-side degree split, both per-piece balances, the change-of-basis
     relations, and strict positivity of the a coordinates on sides whose
     piece carries positive degree.
@@ -633,17 +618,16 @@ def fraction_verify_surface_certificate(G: DecompositionGraph, cert: SurfaceCert
     if all(d == 0 for d in cert.degrees):
         violations.append("all degrees are zero")
 
-    violations.extend(fraction_verify_reduction(A, cert.reduction))
-    if not cert.reduction.has_order(n):
+    reduction = ReductionCertificate(cert.a_prime, tuple(map(Fraction, cert.degrees)))
+    violations.extend(fraction_verify_reduction(A, reduction))
+    if not reduction.has_order(n):
         return violations
     # verify_reduction flags every nonzero entry of A' where A is 0, so
     # strictness reads only A's couplings.
-    for i, (row, couplings) in enumerate(zip(cert.reduction.a_prime, A.sparse)):
+    for i, (row, couplings) in enumerate(zip(cert.a_prime, A.sparse)):
         for j in sorted(couplings):
             if j != i and abs(row.get(j, 0)) >= couplings[j]:
                 violations.append(f"reduction not strict at ({i}, {j})")
-    if tuple(cert.reduction.a) != tuple(Fraction(d) for d in cert.degrees):
-        violations.append("reduction vector differs from degree vector")
 
     by_torus: dict[int, dict[int, CurveSystem]] = {}
     for s in cert.systems:

@@ -15,7 +15,7 @@ from itertools import product
 
 from gmsurf.covers import CoverSpec, find_cover, parity_check, verify_cover
 from gmsurf.decision import decide, two_piece_d
-from gmsurf.exact_linalg import Inertia, SymMatrix, inertia
+from gmsurf.exact_linalg import DisconnectedMatrixError, Inertia, SymMatrix, inertia
 from gmsurf.generate import generate_manifold
 from gmsurf.manifold import decomposition_matrix
 from gmsurf.reduction import (
@@ -171,11 +171,17 @@ def test_criterion_2_negative_definite_rejection():
 def test_criterion_3_reduction_existence_iff():
     start = time.perf_counter()
     failures: list[str] = []
-    found = 0
+    found = disconnected = 0
     for k, A in enumerate(random_symmetric_instances()):
         negdef = negative_definite(SymMatrix(a_minus(A)))
         try:
             cert = find_singular_reduction(A)
+        except DisconnectedMatrixError:
+            # The reduction takes connected input only, as decide does.
+            if is_connected_matrix(A):
+                failures.append(f"instance {k}: connected input refused")
+            disconnected += 1
+            continue
         except NegativeDefiniteError:
             if not negdef:
                 failures.append(f"instance {k}: reduction missed")
@@ -193,7 +199,7 @@ def test_criterion_3_reduction_existence_iff():
         3,
         "reduction existence iff",
         failures,
-        f"1000 instances, {found} reductions, {elapsed:.1f}s",
+        f"1000 instances, {disconnected} disconnected, {found} reductions, {elapsed:.1f}s",
     )
 
 

@@ -210,7 +210,7 @@ def test_analyze_float_euler_is_input_error(tmp_path, capsys):
 TWO_PIECE_CERTIFICATE = {
     "degrees": [2, 2],
     "scale": 2,
-    "reduction": {"a_prime": [["0", "0"], ["0", "0"]], "a": ["2", "2"]},
+    "reduction": {"a_prime": [["0", "0"], ["0", "0"]]},
     "systems": [
         {"torus": 0, "side": 1, "a_plus": 1, "a_minus": 1, "b_plus": 0, "b_minus": -2},
         {"torus": 0, "side": 2, "a_plus": 1, "a_minus": 1, "b_plus": 0, "b_minus": -2},
@@ -241,13 +241,26 @@ def test_verify_ignores_the_shrunk_matrix_of_older_certificates(tmp_path, capsys
     assert outputs[0] == outputs[1] == ('{"valid": true, "violations": []}\n', "")
 
 
-# Only a reduction file's embedded matrix is read; in a surface certificate's
-# reduction block the key is ignored, as "shrunk" is above.
+# In a surface certificate's reduction block a "matrix" is ignored, as
+# "shrunk" is above.
 @pytest.mark.parametrize("matrix", [[["x"]], [["0", "1"], ["1", "0"]], "not a matrix"])
 def test_verify_ignores_a_matrix_in_a_surface_certificates_reduction(tmp_path, capsys, matrix):
     manifold = write_manifold(tmp_path, "m.json", 0, 0)
     cert = tmp_path / "cert.json"
     reduction = {**TWO_PIECE_CERTIFICATE["reduction"], "matrix": matrix}
+    save_json({**TWO_PIECE_CERTIFICATE, "reduction": reduction}, cert)
+    assert main(["verify", str(manifold), str(cert), "--json"]) == 0
+    assert capsys.readouterr() == ('{"valid": true, "violations": []}\n', "")
+
+
+# Older certificates also copied the degrees into the reduction block as
+# "a"; the degrees are the vector A' is checked to annihilate, and the copy
+# is not read, whatever it holds.
+@pytest.mark.parametrize("a", [["2", "2"], ["1", "3"], "not a vector"])
+def test_verify_ignores_the_degree_copy_of_older_certificates(tmp_path, capsys, a):
+    manifold = write_manifold(tmp_path, "m.json", 0, 0)
+    cert = tmp_path / "cert.json"
+    reduction = {**TWO_PIECE_CERTIFICATE["reduction"], "a": a}
     save_json({**TWO_PIECE_CERTIFICATE, "reduction": reduction}, cert)
     assert main(["verify", str(manifold), str(cert), "--json"]) == 0
     assert capsys.readouterr() == ('{"valid": true, "violations": []}\n', "")
@@ -403,7 +416,9 @@ def test_verify_reads_the_certificate_kind_from_its_keys(tmp_path, capsys, doc, 
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("embedded", [True, False])
+# None: the file as `matrix --out` writes it; otherwise the "matrix" that
+# older files embed, which is not read, whatever it holds.
+@pytest.mark.parametrize("embedded", [None, [["-1", "2"], ["2", "-1"]], [["-5"]], "not a matrix"])
 def test_verify_takes_a_matrix_out_file_as_a_reduction_certificate(monkeypatch, tmp_path, capsys, embedded):
     # Two p = 1 tori give the manifold the matrix that `matrix` reduces.
     G = two_piece_graph(-1, -1, tori=[GluingTorus(from_piece=1, to_piece=2, p=1)] * 2)
@@ -412,10 +427,9 @@ def test_verify_takes_a_matrix_out_file_as_a_reduction_certificate(monkeypatch, 
     out = tmp_path / "red.json"
     assert run_matrix(monkeypatch, '[["-1", "2"], ["2", "-1"]]', "--out", str(out)) == 0
     doc = load_json(out)
-    assert "matrix" in doc
-    if not embedded:
-        del doc["matrix"]
-        save_json(doc, out)
+    assert list(doc) == ["a_prime", "a"]
+    if embedded is not None:
+        save_json({**doc, "matrix": embedded}, out)
     capsys.readouterr()
     assert main(["verify", str(manifold), str(out), "--json"]) == 0
     assert capsys.readouterr() == ('{"valid": true, "violations": []}\n', "")
@@ -443,10 +457,10 @@ def test_verify_mis_sized_reduction_is_invalid(tmp_path, capsys):
     assert main(["certify", str(manifold), "--out", str(cert)]) == 0
     doc = load_json(cert)
     doc["reduction"]["a_prime"] = [row[:3] for row in doc["reduction"]["a_prime"][:3]]
-    doc["reduction"]["a"] = doc["reduction"]["a"][:3]
     save_json(doc, cert)
     assert main(["verify", str(manifold), str(cert)]) == 4
-    assert "shape mismatch: a has 3 entries, a_prime is 3 x 3, matrix order 4" in capsys.readouterr().out
+    # a is the degree vector, which has the manifold's four entries
+    assert "shape mismatch: a has 4 entries, a_prime is 3 x 3, matrix order 4" in capsys.readouterr().out
     # A non-square A' is refused by the parser, which names the row.
     doc["reduction"]["a_prime"][1].append("0")
     save_json(doc, cert)
@@ -457,10 +471,11 @@ def test_verify_mis_sized_reduction_is_invalid(tmp_path, capsys):
 def test_verify_rejects_a_reduction_of_a_matrix_with_a_negative_coupling(tmp_path, capsys):
     # A' stores nothing at the negative coupling: its zero is still out of
     # the bound |A'[i][j]| <= A[i][j] = -1.
-    manifold = write_manifold(tmp_path, "m.json", 0, 0)
+    matrix = tmp_path / "a.json"
+    matrix.write_text(json.dumps([["0", "-1"], ["-1", "0"]]))
     path = tmp_path / "red.json"
-    path.write_text(json.dumps({"matrix": [["0", "-1"], ["-1", "0"]], "a_prime": [["0", "0"], ["0", "0"]], "a": ["1", "1"]}))
-    assert main(["verify", str(manifold), str(path), "--json"]) == 4
+    path.write_text(json.dumps({"a_prime": [["0", "0"], ["0", "0"]], "a": ["1", "1"]}))
+    assert main(["verify", str(matrix), str(path), "--json"]) == 4
     assert json.loads(capsys.readouterr().out) == {
         "valid": False,
         "violations": ["not a reduction at (0, 1): |0| > -1", "not a reduction at (1, 0): |0| > -1"],
@@ -493,16 +508,18 @@ def test_matrix_mode_reduces_indefinite_input(monkeypatch, tmp_path, capsys):
     assert report["property_i"] is True
     assert report["reduction"]["a_prime"] == [{"0": "-1", "1": "1"}, {"0": "1", "1": "-1"}]
     assert report["reduction"]["a"] == ["1", "1"]
-    doc = load_json(out)
-    assert doc["a_prime"] == [["-1", "1"], ["1", "-1"]]
-    assert doc["matrix"] == [["-1", "2"], ["2", "-1"]]
+    # The file holds the certificate alone, not the matrix it is about.
+    assert load_json(out) == {"a_prime": [["-1", "1"], ["1", "-1"]], "a": ["1", "1"]}
 
 
-def test_matrix_mode_reduction_verifies_as_reduction_kind(monkeypatch, tmp_path):
+def test_matrix_mode_reduction_verifies_as_reduction_kind(tmp_path, capsys):
     out = tmp_path / "red.json"
-    manifold = write_manifold(tmp_path, "m.json", -1, -1, p=2)
-    assert run_matrix(monkeypatch, '[["-1", "2"], ["2", "-1"]]', "--out", str(out)) == 0
-    assert main(["verify", str(manifold), str(out)]) == 0
+    matrix = tmp_path / "a.json"
+    matrix.write_text('[["-1", "2"], ["2", "-1"]]')
+    assert main(["matrix", str(matrix), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(matrix), str(out)]) == 0
+    assert capsys.readouterr() == ("certificate is valid\n", "")
 
 
 def test_matrix_mode_unwritable_out_is_input_error(monkeypatch, tmp_path, capsys):
@@ -554,7 +571,7 @@ def test_matrix_mode_input_errors_keep_their_text(monkeypatch, capsys, text, mes
 DEEP_JSON = "[" * 100000 + "]" * 100000
 
 
-@pytest.mark.parametrize("command", ["analyze", "verify", "matrix", "matrix-stdin"])
+@pytest.mark.parametrize("command", ["analyze", "verify", "verify-source", "verify-stdin", "matrix", "matrix-stdin"])
 def test_deeply_nested_json_is_an_input_error(monkeypatch, tmp_path, capsys, command):
     # The parser's recursion limit is an input error like any malformed JSON.
     deep = tmp_path / "deep.json"
@@ -563,13 +580,15 @@ def test_deeply_nested_json_is_an_input_error(monkeypatch, tmp_path, capsys, com
     argv = {
         "analyze": ["analyze", str(deep)],
         "verify": ["verify", str(manifold), str(deep)],
+        "verify-source": ["verify", str(deep), str(manifold)],
+        "verify-stdin": ["verify", "-", str(manifold)],
         "matrix": ["matrix", str(deep)],
         "matrix-stdin": ["matrix", "-"],
     }[command]
     monkeypatch.setattr("sys.stdin", io.StringIO(DEEP_JSON))
     assert main(argv) == 2
     captured = capsys.readouterr()
-    where = "<stdin>" if command == "matrix-stdin" else str(deep)
+    where = "<stdin>" if command.endswith("-stdin") else str(deep)
     assert (captured.out, captured.err) == ("", f"error: {where}: JSON nested too deeply\n")
 
 
@@ -605,14 +624,84 @@ def test_matrix_mode_rejects_float_entries(monkeypatch, capsys):
     assert run_matrix(monkeypatch, "[[0.5]]") == 2
 
 
-def test_verify_reduction_kind_with_tampered_vector(monkeypatch, tmp_path):
+def test_verify_reduction_kind_with_tampered_vector(tmp_path, capsys):
     out = tmp_path / "red.json"
-    manifold = write_manifold(tmp_path, "m.json", -1, -1, p=2)
-    assert run_matrix(monkeypatch, '[["-1", "2"], ["2", "-1"]]', "--out", str(out)) == 0
+    matrix = tmp_path / "a.json"
+    matrix.write_text('[["-1", "2"], ["2", "-1"]]')
+    assert main(["matrix", str(matrix), "--out", str(out)]) == 0
     doc = load_json(out)
     doc["a"] = ["1", "3"]
     save_json(doc, out)
-    assert main(["verify", str(manifold), str(out)]) == 4
+    capsys.readouterr()
+    assert main(["verify", str(matrix), str(out)]) == 4
+    assert capsys.readouterr() == ("violation: (A' a)[0] = 2 != 0\nviolation: (A' a)[1] = -2 != 0\n", "")
+
+
+# --- verify SOURCE CERT: the certificate is checked against SOURCE alone ----------
+
+
+def reduction_corpus(tmp_path):
+    """In tmp_path: the matrix [[-1, 2], [2, -1]] as a.json, its reduction
+    from `matrix --out` as r.json and the 6-piece posEig manifold of
+    `gen 6 --seed 1` as m.json, which has nothing to do with either."""
+    (tmp_path / "a.json").write_text('[["-1", "2"], ["2", "-1"]]')
+    assert main(["matrix", str(tmp_path / "a.json"), "--out", str(tmp_path / "r.json"), "--json"]) == 0
+    save_manifold(generate_manifold(6, seed=1, profile="posEig"), tmp_path / "m.json")
+
+
+@pytest.mark.parametrize(
+    "source, code, out, err",
+    [
+        pytest.param("a.json", 0, "certificate is valid\n", "", id="its-own-matrix"),
+        pytest.param(
+            "m.json", 4, "violation: shape mismatch: a has 2 entries, a_prime is 2 x 2, matrix order 6\n", "",
+            id="unrelated-manifold",
+        ),
+        pytest.param(
+            [["-1", "1/2"], ["1/2", "-1"]], 4,
+            "violation: not a reduction at (0, 1): |1| > 1/2\nviolation: not a reduction at (1, 0): |1| > 1/2\n", "",
+            id="one-coupling-changed",
+        ),
+        pytest.param({"pieces": [], "tori": []}, 2, "", "error: graph has no pieces\n", id="no-pieces"),
+        pytest.param([["-1", "2"], ["3", "-1"]], 2, "", "error: not symmetric at (0, 1)\n", id="asymmetric"),
+        pytest.param([["-1", "2"], ["2"]], 2, "", "error: matrix[1]: expected 2 entries, got 1\n", id="ragged"),
+        pytest.param([["-1", "x"], ["x", "-1"]], 2, "", "error: matrix[0][1]: not a rational string: 'x'\n", id="entry"),
+        pytest.param("a matrix", 2, "", "error: manifold: expected an object, got str\n", id="string"),
+    ],
+)
+def test_verify_checks_a_reduction_against_its_source_alone(tmp_path, capsys, source, code, out, err):
+    # A reduction of [[-1, 2], [2, -1]] is valid against that matrix only:
+    # before, a reduction file carried its own matrix, which verify checked
+    # it against whatever the manifold argument was.
+    reduction_corpus(tmp_path)
+    if not isinstance(source, str) or not source.endswith(".json"):
+        (tmp_path / "source.json").write_text(json.dumps(source))
+        source = "source.json"
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / source), str(tmp_path / "r.json")]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_verify_reads_its_source_from_stdin(monkeypatch, tmp_path, capsys):
+    reduction_corpus(tmp_path)
+    capsys.readouterr()
+    for source, code in (((tmp_path / "a.json").read_text(), 0), ((tmp_path / "m.json").read_text(), 4)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(source))
+        assert main(["verify", "-", str(tmp_path / "r.json"), "--json"]) == code
+        assert json.loads(capsys.readouterr().out)["valid"] is (code == 0)
+
+
+def test_verify_checks_a_surface_certificate_only_against_a_manifold(tmp_path, capsys):
+    # [[0, 1], [1, 0]] is the decomposition matrix of the manifold, but a
+    # surface certificate's curve systems are about the manifold's tori.
+    manifold = write_manifold(tmp_path, "m.json", 0, 0)
+    cert = tmp_path / "cert.json"
+    assert main(["certify", str(manifold), "--out", str(cert)]) == 0
+    matrix = tmp_path / "a.json"
+    matrix.write_text('[["0", "1"], ["1", "0"]]')
+    capsys.readouterr()
+    assert main(["verify", str(matrix), str(cert)]) == 2
+    assert capsys.readouterr() == ("", "error: a surface certificate is checked against a manifold, not a matrix\n")
 
 
 # --- generation --------------------------------------------------------------------
@@ -1146,18 +1235,18 @@ def test_manifold_piece_check_keeps_its_location(tmp_path, capsys):
 
 
 @lru_cache(maxsize=None)
-def verify_corpus(pieces: int, seed: int) -> tuple[dict, dict, dict, dict]:
-    """A valid generated manifold's document and three certificate documents
-    that verify against it: its surface certificate, and its reduction
-    certificate with and without the embedded matrix."""
+def verify_corpus(pieces: int, seed: int) -> tuple[dict, list, dict, dict]:
+    """A valid generated manifold's document, its decomposition matrix's
+    document, and two certificate documents: the manifold's surface
+    certificate, which verifies against the manifold, and the matrix's
+    reduction certificate, which verifies against either."""
     G = generate_manifold(pieces, seed=seed, profile="posEig")
     A = decomposition_matrix(G)
-    reduction = find_singular_reduction(A)
     return (
         manifold_to_json(G),
+        rows_to_json(A.sparse),
         surface_cert_to_json(build_surface_certificate(G)),
-        reduction_cert_to_json(reduction, matrix=A),
-        reduction_cert_to_json(reduction),
+        reduction_cert_to_json(find_singular_reduction(A)),
     )
 
 
@@ -1177,11 +1266,12 @@ int_tweaks = strategies.integers(-3, 10) | strategies.just(10**30)
 
 @strategies.composite
 def mutated_certificates(draw):
-    """One corpus certificate (surface, or reduction with or without its
-    matrix) with up to three of its entries changed, dropped or duplicated,
-    or an arbitrary certificate-shaped or JSON document in its place."""
-    manifold, *certificates = verify_corpus(draw(strategies.integers(2, 5)), draw(strategies.integers(0, 3)))
-    doc = copy.deepcopy(draw(strategies.sampled_from(certificates)))
+    """A corpus source (the manifold or its matrix) and one corpus
+    certificate (surface or reduction) with up to three of its entries
+    changed, dropped or duplicated, or an arbitrary certificate-shaped or
+    JSON document in its place."""
+    *sources, surface, reduction = verify_corpus(draw(strategies.integers(2, 5)), draw(strategies.integers(0, 3)))
+    doc = copy.deepcopy(draw(strategies.sampled_from([surface, reduction])))
     for _ in range(draw(strategies.integers(0, 3))):
         places = positions(doc, [])
         if not places:
@@ -1205,17 +1295,17 @@ def mutated_certificates(draw):
     source = draw(strategies.sampled_from(["mutated"] * 6 + ["surface", "reduction", "any"]))
     if source != "mutated":
         doc = draw({"surface": surface_docs, "reduction": reduction_docs, "any": any_json}[source])
-    return manifold, doc
+    return draw(strategies.sampled_from(sources)), doc
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutated_certificates())
 def test_verify_is_total(tmp_path, capsys, case):
-    """Any certificate document against a valid manifold is valid (0), an
-    input error (2) or invalid (4), never a crash (5) or a traceback, and
-    the same with --json."""
-    manifold, doc = case
-    save_json(manifold, tmp_path / "m.json")
+    """Any certificate document against a valid manifold or matrix is valid
+    (0), an input error (2) or invalid (4), never a crash (5) or a
+    traceback, and the same with --json."""
+    source, doc = case
+    save_json(source, tmp_path / "m.json")
     (tmp_path / "cert.json").write_text(json.dumps(doc))
     argv = ["verify", str(tmp_path / "m.json"), str(tmp_path / "cert.json")]
     code = main(argv)
@@ -1233,10 +1323,15 @@ def test_verify_is_total(tmp_path, capsys, case):
 
 
 def test_verify_corpus_certificates_are_valid(tmp_path, capsys):
+    # The surface certificate needs the manifold: against the matrix it is
+    # an input error.
     for pieces in range(2, 6):
         for seed in range(4):
-            manifold, surface, with_matrix, without_matrix = verify_corpus(pieces, seed)
-            save_json(manifold, tmp_path / "m.json")
-            for doc in (surface, with_matrix, without_matrix):
+            manifold, matrix, surface, reduction = verify_corpus(pieces, seed)
+            for source, doc, code in (
+                (manifold, surface, 0), (manifold, reduction, 0), (matrix, reduction, 0), (matrix, surface, 2)
+            ):
+                save_json(source, tmp_path / "source.json")
                 save_json(doc, tmp_path / "cert.json")
-                assert main(["verify", str(tmp_path / "m.json"), str(tmp_path / "cert.json")]) == 0
+                assert main(["verify", str(tmp_path / "source.json"), str(tmp_path / "cert.json")]) == code
+    capsys.readouterr()

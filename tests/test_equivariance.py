@@ -12,7 +12,7 @@ or the inertia, at sizes the dense oracles cannot reach.
   Then (D*A*D)-minus = D*A-minus*D and the blocks are D's restrictions of
   A's, so by Sylvester's law of inertia `matrix` on D*A*D must give the
   verdict and blocks that `analyze` gives on the manifold, and its
-  reduction must verify against D*A*D.
+  reduction must verify against D*A*D, not against A.
 
 No oracle is consulted: each side of a comparison is a command's own
 output.  Tier-1 budget: 15 s for this module (7.5 s on one core of an
@@ -27,7 +27,7 @@ import pytest
 
 from gmsurf.cli import main
 from gmsurf.exact_linalg import SymMatrix
-from gmsurf.fileio import load_json, load_manifold, reduction_cert_from_json, rows_to_json
+from gmsurf.fileio import _reduction_from_json, load_json, load_manifold, rows_to_json
 from gmsurf.generate import PROFILES, generate_manifold
 from gmsurf.manifold import DecompositionGraph, GluingTorus, SeifertPiece, decomposition_matrix
 from gmsurf.reduction import verify_reduction
@@ -123,8 +123,8 @@ def test_a_diagonal_congruence_keeps_the_matrix_verdict(profile, scale, tmp_path
     if doc_a["branch"] == "NegativeDefinite":
         assert doc_d["reduction"] is None
         return
-    # The reduction file embeds D*A*D, which `verify` checks it against.
-    assert report(["verify", "m.json", "red.json", "--json"], capsys) == (0, {"valid": True, "violations": []})
-    cert, matrix = reduction_cert_from_json(load_json("red.json"))
-    assert matrix.sparse == DAD.sparse
-    assert verify_reduction(DAD, cert) == []
+    # `verify` checks the reduction file against the matrix it names.
+    assert report(["verify", "dad.json", "red.json", "--json"], capsys) == (0, {"valid": True, "violations": []})
+    assert verify_reduction(DAD, _reduction_from_json(load_json("red.json"))) == []
+    code, doc = report(["verify", "m.json", "red.json", "--json"], capsys)
+    assert code == 4 and doc["valid"] is False

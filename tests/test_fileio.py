@@ -17,8 +17,8 @@ from gmsurf.fileio import (
     load_manifold,
     manifold_from_json,
     manifold_to_json,
+    matrix_from_json,
     parse_rational_field,
-    reduction_cert_from_json,
     reduction_cert_to_json,
     rows_to_json,
     save_json,
@@ -83,6 +83,22 @@ def test_rows_to_json_matches_a_dense_writer(pieces):
 def test_matrix_rows_reject_ragged_data():
     with pytest.raises(FileFormatError):
         sparse_rows_from_json([["1", "2"], ["1"]], "matrix")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([["0", "1"], ["2", "0"]], "not symmetric at (0, 1)"),
+        ([["0", "1"], ["1"]], "matrix[1]: expected 2 entries, got 1"),
+        ({"pieces": []}, "matrix: expected an array, got dict"),
+    ],
+)
+def test_matrix_from_json_refuses_a_matrix_as_a_file_error(data, message):
+    # An asymmetric matrix is an input error like a ragged one, not a
+    # ValueError from SymMatrix.
+    with pytest.raises(FileFormatError) as info:
+        matrix_from_json(data)
+    assert str(info.value) == message
 
 
 def test_matrix_rows_parse_each_distinct_string_once(monkeypatch):
@@ -205,17 +221,17 @@ def test_save_then_load_json_preserves_document(tmp_path):
 # --- reduction certificates ---------------------------------------------------------
 
 
-def test_reduction_certificate_round_trip_without_matrix():
+def test_reduction_certificate_round_trip():
     A = sym([["-1", 2], [2, "-1"]])
     cert = find_singular_reduction(A)
-    back, matrix = reduction_cert_from_json(reduction_cert_to_json(cert))
-    assert back == cert
-    assert matrix is None
+    doc = reduction_cert_to_json(cert)
+    assert list(doc) == ["a_prime", "a"]
+    assert fileio._reduction_from_json(doc) == cert
 
 
 def test_reduction_certificate_parser_keeps_only_nonzeros():
     doc = {"a_prime": [["-1", "0", 0], ["0/3", "1/2", "-0"], [0, "0", "2"]], "a": ["1", "0", "0"]}
-    cert, _ = reduction_cert_from_json(doc)
+    cert = fileio._reduction_from_json(doc)
     assert cert.a_prime == ({0: F(-1)}, {1: F(1, 2)}, {2: F(2)})
     assert reduction_cert_to_json(cert)["a_prime"] == [["-1", "0", "0"], ["0", "1/2", "0"], ["0", "0", "2"]]
 
@@ -233,17 +249,17 @@ def test_reduction_certificate_parser_keeps_only_nonzeros():
 )
 def test_reduction_certificate_parser_locates_errors(a_prime, message):
     with pytest.raises(FileFormatError) as info:
-        reduction_cert_from_json({"a_prime": a_prime, "a": ["1", "1"]})
+        fileio._reduction_from_json({"a_prime": a_prime, "a": ["1", "1"]})
     assert str(info.value).startswith(message)
 
 
-def test_reduction_certificate_round_trip_with_matrix():
-    A = sym([["-1", 2], [2, "-1"]])
-    cert = find_singular_reduction(A)
-    back, matrix = reduction_cert_from_json(reduction_cert_to_json(cert, matrix=A))
-    assert back == cert
-    assert matrix is not None
-    assert to_lists(matrix) == to_lists(A)
+@pytest.mark.parametrize("matrix", [[["-1", "2"], ["2", "-1"]], [["x"]], "not a matrix"])
+def test_reduction_certificate_parser_ignores_an_older_files_matrix(matrix):
+    # Files written before the verifier took its matrix from the command
+    # line embed one; it is not read.
+    cert = find_singular_reduction(sym([["-1", 2], [2, "-1"]]))
+    doc = {**reduction_cert_to_json(cert), "matrix": matrix}
+    assert fileio._reduction_from_json(doc) == cert
 
 
 # --- surface certificates ------------------------------------------------------------
@@ -508,14 +524,18 @@ surface_docs = records(
 
 
 @settings(max_examples=300, deadline=None)
-@given(manifold_docs, surface_docs, reduction_docs)
-def test_parsers_are_total(manifold, surface, reduction):
+@given(manifold_docs, surface_docs, reduction_docs, rows)
+def test_parsers_are_total(manifold, surface, reduction, matrix):
     """Any JSON value parses or raises an input error, never anything else."""
     try:
         decomposition_matrix(manifold_from_json(manifold))
     except (FileFormatError, InvalidGraphError):
         pass
-    for parse, doc in ((surface_cert_from_json, surface), (reduction_cert_from_json, reduction)):
+    for parse, doc in (
+        (surface_cert_from_json, surface),
+        (fileio._reduction_from_json, reduction),
+        (matrix_from_json, matrix),
+    ):
         try:
             parse(doc)
         except FileFormatError:

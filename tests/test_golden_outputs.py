@@ -42,7 +42,7 @@ GEN_DIGESTS = {
     (5, 'any'): {
         'gen': 'bbc5fb13dc0c98d26be80411b38611e056587895f540637d1733656bac884e7d',
         'analyze': 'd27ab749d1e345a16d53399841fb320a68b36ac5165bbbdb08df6eb9fe2f9cdd',
-        'certify': '21bac06545a3909213ba1479ad653f5cb3df98bc8561e13e18f52f3e02ee5099',
+        'certify': 'fbe4de65aa5148555b96503452979fd30f1f4faa96af63285604915c98c96675',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
         'matrix': 'd0dbcb001dce3d99a201507501f5b76a6691c45c9e54b4c841de69121d529cd3',
     },
@@ -55,7 +55,7 @@ GEN_DIGESTS = {
     (5, 'posEig'): {
         'gen': '2acc4b0beb15b033f433251563bab94174b8a4c3f5b494a562ab1bfbffcb6856',
         'analyze': '83a97a2cf7247fa03e8bdfe6ba57d4265dd2daf29624ca9a88829fd5f07377dc',
-        'certify': '5365b51f209e4a29935385d7fb34a278566021952bb7a529a78aecc79dd75a8a',
+        'certify': '914a40bae02a4ee218ebb438a3f146c7b5c936f61ec30718f332beeb1b05a9d3',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
         'matrix': 'cb66db1ae45e0c205db378b250d1f579396c982d81194195e8a316edf5ecab9d',
     },
@@ -68,7 +68,7 @@ GEN_DIGESTS = {
     (30, 'any'): {
         'gen': 'af1d66d657fb22a17583202cb6fd21883bb0efd592a5bb562a9099918f3ef688',
         'analyze': 'de1f528f42003d56e0482691ff9805dd788d7b12c8ed59930d8951c08963e9b3',
-        'certify': '942e63358c3124317654fb1892eaf0ab578cd3233e08e3e309c69c79fabe002f',
+        'certify': '64697bdcda5142ce229ab79b387a069b6a77debd7ed6a4201476a9ea9b8d49ee',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
         'matrix': 'ecfea66ecdcf0086a0b4bd170e20038cc75a8a41ccd3ac58e46eb20e9a7d6e5b',
     },
@@ -81,7 +81,7 @@ GEN_DIGESTS = {
     (30, 'posEig'): {
         'gen': 'c13e5ee9421070217cfcf30b7e5c2d8db16ddf4b532fca58d102e4e497bc5351',
         'analyze': '8c63f858496b956c6cfc2e888b65e64c2ac27826b4966f7a68ebc9b9c6ad04c5',
-        'certify': 'fd2ea645a879e0abcc0547563bb5fdb6ae78c0453c0d9f6fe06dc0b91c699dd8',
+        'certify': '19ea440686e3e61a088b54574e2714b47bcf8d0c85960e04f88dbec76c073939',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
         'matrix': '23fc83e179651082816e01d2607ed8d069aa7ae06f0743ba54e6f2e2cf8dfbda',
     },
@@ -94,7 +94,7 @@ GEN_DIGESTS = {
     (120, 'any'): {
         'gen': 'befa91e0fa26730242d996ea155ec695ddf56338d8bc4f16709f97036619b84e',
         'analyze': '3031408df9f486952ff4d6aa655685df95ee1c62df9db446b028b3ecd24fca24',
-        'certify': 'a668a77eb1af5c0d65901f77c6350d58cf9010df7d5c794ad90c1e5d01fe1a1d',
+        'certify': 'a28a27042dc1e06b54d1a64608e051fb1c10773e45fb97bf658646c2f8cfce20',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
         'matrix': '2dc3316d2597a26c6261d66887d1d24797283801f4f0c5e8f2f8b5fea1eb812f',
     },
@@ -107,7 +107,7 @@ GEN_DIGESTS = {
     (120, 'posEig'): {
         'gen': '36a8ea6bbfc4ca0d3686648c7dade83af3b692022551c0b545d820b281929b57',
         'analyze': 'd7a333cc40c886754725399a7e6d882ae175c0729289293c4c2fe5aaf5210e1d',
-        'certify': 'd0461dc3a0bc94e3e452c9caebdfc1f99d37b430f120a40eb41205b59b1c966a',
+        'certify': '89b3b6bfa4e183966b124c1a6c2f1702b9278dab4859ed695e9f6e5ca4e895d3',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
         'matrix': 'c66f6838765a2d276b7a213ca1288108e4da18e1b0ba118eeaf6c369e1f70d31',
     },
@@ -121,15 +121,15 @@ GEN_DIGESTS = {
 
 PATH_DIGESTS = {
     8: {
-        'certify': '15b01cc4c1a9b69f40b889d01f458bb46712e03c26b36a7130a0fb382cabcad1',
+        'certify': '95ae7f2b9b5f83302bd81b93b936564eb5458b3b47cf79dcb11905eaa49be59b',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
     },
     13: {
-        'certify': 'b3fb4c45dc099586024875d40dd8a19661fcefd4312550972938d9ef081db9a0',
+        'certify': '6864156d3ea447e681d88d626c836cc422b0c4f8a303796282f28654d5d98c92',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
     },
     24: {
-        'certify': '880f9dc94f837262fb5710194308268b5eddc1c4ca8aeda758a52f59e5d900cd',
+        'certify': '1347d3365ccef44d430a6177f063837cc235401d63f8c0026bfd54f511196258',
         'verify': '04e291696517ed0794364075ea439cd26f708f6d0d9e42838e11cdbc26ba6501',
     },
 }

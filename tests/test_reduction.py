@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies
 
-from gmsurf import exact_linalg, reduction
+from gmsurf import exact_linalg, fileio, reduction
 from gmsurf.decision import Branch, decide
 from gmsurf.exact_linalg import (
     DisconnectedMatrixError,
@@ -17,7 +17,7 @@ from gmsurf.exact_linalg import (
     SymMatrix,
     inertia,
 )
-from gmsurf.fileio import json_text, reduction_cert_from_json, reduction_cert_to_json
+from gmsurf.fileio import json_text, reduction_cert_to_json, rows_to_json
 from gmsurf.generate import generate_manifold
 from gmsurf.manifold import decomposition_matrix
 from gmsurf.reduction import (
@@ -47,7 +47,6 @@ from oracles import (
     mat_vec,
     primitive,
     principal_submatrix,
-    reduced_component,
     replace,
     strict_reduction_violations,
     strict_shrink_certificate,
@@ -176,35 +175,21 @@ def test_reduction_with_two_adjacent_zero_diagonals():
     assert 2 not in cert.a_prime[1] and 1 not in cert.a_prime[2]
 
 
-def test_reduction_of_disconnected_input_uses_one_component():
-    A = sym([["-2", 1, 0, 0], [1, "-2", 0, 0], [0, 0, "-1", 2], [0, 0, 2, "-1"]])
+def test_reduction_rejects_a_disconnected_matrix():
+    # Every component here has a singular reduction; the input is refused
+    # as decide refuses it, before any search.
+    with pytest.raises(DisconnectedMatrixError, match="^matrix graph is disconnected$"):
+        find_singular_reduction(sym([["-2", 1, 0, 0], [1, "-2", 0, 0], [0, 0, "-1", 2], [0, 0, 2, "-1"]]))
+
+
+def test_reduction_of_a_semidefinite_matrix_negates_the_couplings_of_a_positive_row():
+    # A-minus [[-1, 2], [2, -4]] is singular with kernel (2, 1): A keeps its
+    # rows, row 0 (diagonal 1 > 0) with its coupling negated.
+    A = sym([[1, 2], [2, "-4"]])
     cert = find_singular_reduction(A)
+    assert cert.a_prime == ({0: F(1), 1: F(-2)}, {0: F(2), 1: F(-4)})
+    assert cert.a == (F(2), F(1))
     assert verify_reduction(A, cert) == []
-    assert [i for i, v in enumerate(cert.a) if v != 0] == [2, 3]
-
-
-def test_reduction_skips_a_negative_definite_component_for_a_semidefinite_one():
-    # The second block's A-minus [[-1, 2], [2, -4]] is singular with kernel
-    # (2, 1): A keeps its rows there, row 2 (diagonal 1 > 0) with its
-    # coupling negated, and the first block keeps only its diagonal.
-    A = sym([["-2", 1, 0, 0], [1, "-2", 0, 0], [0, 0, 1, 2], [0, 0, 2, "-4"]])
-    cert = find_singular_reduction(A)
-    assert cert.a_prime == ({0: F(-2)}, {1: F(-2)}, {2: F(1), 3: F(-2)}, {2: F(2), 3: F(-4)})
-    assert cert.a == (F(0), F(0), F(2), F(1))
-    assert verify_reduction(A, cert) == []
-
-
-def test_reduction_of_an_isolated_zero_diagonal_vertex_is_its_unit_vector():
-    A = sym([["-2", 1, 0], [1, "-2", 0], [0, 0, 0]])
-    cert = find_singular_reduction(A)
-    assert cert.a_prime == ({0: F(-2)}, {1: F(-2)}, {})
-    assert cert.a == (F(0), F(0), F(1))
-
-
-def test_reduction_rejects_input_whose_every_component_is_negative_definite():
-    # An isolated positive diagonal is negative in A-minus.
-    with pytest.raises(NegativeDefiniteError):
-        find_singular_reduction(sym([["-2", 1, 0, 0], [1, "-2", 0, 0], [0, 0, 3, 0], [0, 0, 0, "-1"]]))
 
 
 def test_certificate_support_lists_nonzero_indices():
@@ -226,6 +211,10 @@ def test_reduction_of_connected_input_has_full_support(A):
 @settings(max_examples=150, deadline=None)
 @given(admissible_matrices())
 def test_reduction_exists_iff_not_negative_definite(A):
+    if not is_connected_matrix(A):
+        with pytest.raises(DisconnectedMatrixError):
+            find_singular_reduction(A)
+        return
     negdef = negative_definite(SymMatrix(a_minus(A)))
     try:
         cert = find_singular_reduction(A)
@@ -242,10 +231,10 @@ def test_reduction_exists_iff_not_negative_definite(A):
         [["-1", 1], [1, "-1"]],
         # kernel (7, 5, 3), which no fixed-point round hits exactly: the one exact step
         [["-5/7", 1, 0], [1, "-13/5", 2], [0, 2, "-10/3"]],
-        [["-2", 1, 0, 0], [1, "-2", 0, 0], [0, 0, 1, 2], [0, 0, 2, "-4"]],
+        [[1, 2], [2, "-4"]],
         path_rows(24, closing_epsilon(24)),
     ],
-    ids=["semidefinite-pair", "kernel-test", "disconnected", "path-24"],
+    ids=["semidefinite-pair", "kernel-test", "flipped-row", "path-24"],
 )
 def test_reduction_takes_no_inertia_and_at_most_one_congruence(monkeypatch, rows):
     # The vector search takes a congruence only for its one exact step,
@@ -454,7 +443,7 @@ def test_verify_reduction_matches_the_fraction_oracle(A, divisor, kinds, data):
     n = A.order
     try:
         cert = find_singular_reduction(A)
-    except NegativeDefiniteError:
+    except (NegativeDefiniteError, DisconnectedMatrixError):
         cert = ReductionCertificate(a_prime=A.sparse, a=tuple([F(1)] * n))
     rows = [dict(row) for row in cert.a_prime]
     a = [v / divisor for v in cert.a]
@@ -479,8 +468,9 @@ def test_verify_reduction_matches_the_fraction_oracle(A, divisor, kinds, data):
             a = [F(0)] * n
         else:
             rows[i] = {}
-    doc = reduction_cert_to_json(ReductionCertificate(a_prime=tuple(rows), a=tuple(a)), matrix=A)
-    parsed, matrix = reduction_cert_from_json(json.loads(json_text(doc)))
+    doc = reduction_cert_to_json(ReductionCertificate(a_prime=tuple(rows), a=tuple(a)))
+    parsed = fileio._reduction_from_json(json.loads(json_text(doc)))
+    matrix = fileio.matrix_from_json(json.loads(json_text(rows_to_json(A.sparse))))
     assert verify_reduction(matrix, parsed) == fraction_verify_reduction(matrix, parsed)
 
 
@@ -756,20 +746,18 @@ def test_strict_shrink_rejects_a_disconnected_matrix():
     ],
 )
 def test_builders_of_a_connected_matrix_check_it_as_decide_does(monkeypatch, rows, error, message):
-    # strict_shrink, negativity_certificate and decide share one input check.
+    # The builders and decide share one input check.
     counts = count_calls(monkeypatch, ("_check_input", "_perron_search"))
     A = sym(rows)
-    for build in (strict_shrink, negativity_certificate, decide):
+    for build in (find_singular_reduction, strict_shrink, negativity_certificate, decide):
         with pytest.raises(error, match=f"^{message}$") as caught:
             build(A)
         assert type(caught.value) is error
-    assert counts == {"_check_input": 3, "_perron_search": 0}
+    assert counts == {"_check_input": 4, "_perron_search": 0}
 
 
-def test_find_singular_reduction_of_the_empty_matrix_is_negative_definite():
-    # The empty matrix has no component, so no reduction; the other
-    # builders reject it as decide does.
-    with pytest.raises(NegativeDefiniteError, match="^A-minus is negative definite$"):
+def test_find_singular_reduction_rejects_the_empty_matrix():
+    with pytest.raises(ValueError, match="^empty matrix$"):
         find_singular_reduction(SymMatrix(()))
 
 
@@ -838,18 +826,20 @@ def test_strict_shrink_is_strict_or_names_the_branch(A):
 
 
 def assert_reduction_matches_dense_oracles(X: SymMatrix) -> None:
-    """The reduction of X passes the all-pairs check, and its vector's
-    support is the component the dense inertia picks; it is refused exactly
-    when every block of A-minus is negative definite."""
-    try:
-        component = reduced_component(X)
-    except NegativeDefiniteError:
+    """A disconnected X is refused; the reduction of a connected X is
+    refused exactly when the dense inertia calls A-minus negative definite,
+    and otherwise passes the all-pairs check with a positive vector."""
+    if not is_connected_matrix(X):
+        with pytest.raises(DisconnectedMatrixError):
+            find_singular_reduction(X)
+        return
+    if bareiss_inertia(SymMatrix(a_minus(X))).n_neg == X.order:
         with pytest.raises(NegativeDefiniteError):
             find_singular_reduction(X)
         return
     cert = find_singular_reduction(X)
     assert all_pairs_reduction_violations(X, cert) == []
-    assert [i for i, v in enumerate(cert.a) if v] == component
+    assert all(v > 0 for v in cert.a)
 
 
 def assert_matches_dense_oracles(A: SymMatrix) -> None:

@@ -43,15 +43,10 @@ F = Fraction
 
 
 def scaled_copy(cert: SurfaceCertificate, factor: int) -> SurfaceCertificate:
-    from gmsurf.reduction import ReductionCertificate
-
     return SurfaceCertificate(
         degrees=tuple(factor * d for d in cert.degrees),
         scale=factor * cert.scale,
-        reduction=ReductionCertificate(
-            a_prime=cert.reduction.a_prime,
-            a=tuple(factor * v for v in cert.reduction.a),
-        ),
+        a_prime=cert.a_prime,
         systems=tuple(
             CurveSystem(
                 torus=s.torus,
@@ -155,7 +150,7 @@ def tampered_system(cert: SurfaceCertificate, index: int, **changes) -> SurfaceC
     return SurfaceCertificate(
         degrees=cert.degrees,
         scale=cert.scale,
-        reduction=cert.reduction,
+        a_prime=cert.a_prime,
         systems=tuple(systems),
     )
 
@@ -206,16 +201,14 @@ def test_verifier_flags_swapped_orientation_classes_on_one_side():
 def test_verifier_flags_non_strict_reduction():
     G = two_piece_graph(0, 0)
     cert = build_surface_certificate(G)
-    from gmsurf.reduction import ReductionCertificate
-
     A = decomposition_matrix(G)
-    rows = [dict(row) for row in cert.reduction.a_prime]
+    rows = [dict(row) for row in cert.a_prime]
     rows[0][1] = A[0, 1]
     rows[1][0] = -A[0, 1]
     loose = SurfaceCertificate(
         degrees=cert.degrees,
         scale=cert.scale,
-        reduction=ReductionCertificate(a_prime=tuple(rows), a=cert.reduction.a),
+        a_prime=tuple(rows),
         systems=cert.systems,
     )
     violations = verify_surface_certificate(G, loose)
@@ -228,7 +221,7 @@ def test_verifier_flags_missing_side():
     truncated = SurfaceCertificate(
         degrees=cert.degrees,
         scale=cert.scale,
-        reduction=cert.reduction,
+        a_prime=cert.a_prime,
         systems=cert.systems[:1],
     )
     assert any("missing system" in v for v in verify_surface_certificate(G, truncated))
@@ -240,7 +233,7 @@ def test_verifier_flags_wrong_degree_vector():
     wrong = SurfaceCertificate(
         degrees=(cert.degrees[0], cert.degrees[1] + 2),
         scale=cert.scale,
-        reduction=cert.reduction,
+        a_prime=cert.a_prime,
         systems=cert.systems,
     )
     violations = verify_surface_certificate(G, wrong)
@@ -249,11 +242,11 @@ def test_verifier_flags_wrong_degree_vector():
 
 def with_a_prime_entry(cert: SurfaceCertificate, i: int, j: int, value) -> SurfaceCertificate:
     """``cert`` with A'[i][j] = value; a zero value deletes the key, as A' keeps only nonzeros."""
-    rows = [dict(row) for row in cert.reduction.a_prime]
+    rows = [dict(row) for row in cert.a_prime]
     rows[i][j] = value
     if not value:
         del rows[i][j]
-    return replace(cert, reduction=replace(cert.reduction, a_prime=tuple(rows)))
+    return replace(cert, a_prime=tuple(rows))
 
 
 # Three pieces in a row: A[0][2] = 0, and A-minus = A has the eigenvalue sqrt 2.
@@ -285,8 +278,8 @@ def test_verifier_checks_a_prime_against_the_decomposition_matrix(i, j, value, m
 # --- the one-pass verifier against the per-piece oracle ---------------------------
 
 # The oracle multiplies A' by the degree vector a second time; this line can
-# only appear next to verify_reduction's "(A' a)[i]" line or the "reduction
-# vector differs" line, so the one-pass verifier leaves it out.
+# only appear next to verify_reduction's "(A' a)[i]" line, so the one-pass
+# verifier leaves it out.
 SECOND_PRODUCT = "reduction does not annihilate the degree vector"
 MUTATIONS = ("degree", "a_prime", "coupling", "coordinate", "torus", "side", "drop", "duplicate")
 
@@ -301,7 +294,7 @@ def mutated(G: DecompositionGraph, cert: SurfaceCertificate, kind: str, data) ->
         return replace(cert, degrees=tuple(d + delta * (j == i) for j, d in enumerate(cert.degrees)))
     if kind == "a_prime":
         i, j = data.draw(index), data.draw(index)
-        return with_a_prime_entry(cert, i, j, cert.reduction.a_prime[i].get(j, 0) + F(delta, data.draw(strategies.integers(1, 3))))
+        return with_a_prime_entry(cert, i, j, cert.a_prime[i].get(j, 0) + F(delta, data.draw(strategies.integers(1, 3))))
     if kind == "coupling":
         # an off-diagonal entry of A' on the boundary: +-A[i][j], or +-1 where A is 0
         i = data.draw(index)
@@ -375,7 +368,7 @@ def test_build_then_verify_on_generated_manifolds(pieces, seed):
 def test_certificate_reduction_recovers_annihilation_per_piece(pieces, seed):
     G = generate_manifold(pieces=pieces, seed=seed, profile="posEig")
     cert = build_surface_certificate(G)
-    assert verify_reduction(decomposition_matrix(G), cert.reduction) == []
+    assert verify_reduction(decomposition_matrix(G), ReductionCertificate(cert.a_prime, cert.degrees)) == []
     index = {p.id: k for k, p in enumerate(G.pieces)}
     degrees = [to_rational(d) for d in cert.degrees]
     by_torus = {}
@@ -391,7 +384,7 @@ def test_certificate_reduction_recovers_annihilation_per_piece(pieces, seed):
             opposite = by_torus[t_idx][other]
             meridian_total += F(opposite.a_plus - opposite.a_minus, torus.p)
         off_diagonal = sum(
-            x * degrees[j] for j, x in cert.reduction.a_prime[i].items() if j != i
+            x * degrees[j] for j, x in cert.a_prime[i].items() if j != i
         )
         assert meridian_total == -off_diagonal
         assert meridian_total == degrees[i] * piece.euler
@@ -422,7 +415,7 @@ def test_the_systems_determine_a_prime_off_the_diagonal():
     graphs += [generate_manifold(pieces, seed=3, profile="posEig") for pieces in range(5, 61)]
     for G in graphs:
         cert = build_surface_certificate(G)
-        a_prime, d = dense_rows(cert.reduction.a_prime), cert.degrees
+        a_prime, d = dense_rows(cert.a_prime), cert.degrees
         rebuilt = rebuilt_off_diagonal(G, cert)
         n = len(d)
         assert all(
@@ -497,7 +490,7 @@ def test_the_verifiers_make_no_fraction_on_a_valid_certificate(monkeypatch, kind
 
     for name in ARITHMETIC + COMPARISON + ("__new__",):
         monkeypatch.setattr(F, name, forbidden)
-    assert verify_reduction(A, cert.reduction) == []
+    assert verify_reduction(A, ReductionCertificate(cert.a_prime, cert.degrees)) == []
     assert verify_surface_certificate(G, cert) == []
 
 
@@ -609,12 +602,12 @@ def test_path_certificate_takes_a_few_fixed_point_solves_and_no_exact_eliminatio
 )
 def test_build_walks_the_matrix_graph_once_and_makes_only_the_certificates_fractions(monkeypatch, G):
     # The vector search reads A's rows itself, with no A-minus, and
-    # `Fraction` is made only for the certificate's nonzeros of A' and its
-    # degrees.
+    # `Fraction` is made only for the certificate's nonzeros of A'; the
+    # degrees stay ints.
     counts = count_calls(monkeypatch, ("a_minus", "matrix_components", "_fraction"))
     cert = build_surface_certificate(G)
-    nnz = sum(len(row) for row in cert.reduction.a_prime)
-    assert counts == {"a_minus": 0, "matrix_components": 1, "_fraction": nnz + len(G.pieces)}
+    nnz = sum(len(row) for row in cert.a_prime)
+    assert counts == {"a_minus": 0, "matrix_components": 1, "_fraction": nnz}
 
 
 @pytest.mark.parametrize("e1, e2", [(-2, -2), (-1, -1), (1, -1)])
@@ -695,9 +688,8 @@ def test_verify_scans_the_shape_once(monkeypatch, tmp_path, capsys):
     # or not, directly or through the CLI.
     G = generate_manifold(60, seed=3, profile="posEig")
     cert = build_surface_certificate(G)
-    reduction = cert.reduction
-    short = replace(cert, reduction=ReductionCertificate(a_prime=reduction.a_prime[:-1], a=reduction.a))
-    stray = replace(cert, reduction=ReductionCertificate(a_prime=reduction.a_prime[:-1] + ({60: F(1)},), a=reduction.a))
+    short = replace(cert, a_prime=cert.a_prime[:-1])
+    stray = replace(cert, a_prime=cert.a_prime[:-1] + ({60: F(1)},))
     expected = [fraction_verify_surface_certificate(G, c) for c in (short, stray)]
     manifold, path = tmp_path / "m.json", tmp_path / "c.json"
     save_manifold(G, manifold)
@@ -723,7 +715,7 @@ def test_verify_reads_each_entry_of_a_prime_once(monkeypatch):
     # reads A' again.
     G = generate_manifold(60, seed=3, profile="posEig")
     cert = build_surface_certificate(G)
-    entries = {id(x) for row in cert.reduction.a_prime for x in row.values()}
+    entries = {id(x) for row in cert.a_prime for x in row.values()}
     reads = {}
     ratio = F.as_integer_ratio
 

@@ -91,9 +91,9 @@ CASES = {
         True,
     ),
     SurfaceCertificate: (
-        ((1, 1), 1, REDUCTION, (SYSTEM,)),
-        ((1, 1), 2, REDUCTION, (SYSTEM,)),
-        f"SurfaceCertificate(degrees=(1, 1), scale=1, reduction={REDUCTION!r}, systems=({SYSTEM!r},))",
+        ((1, 1), 1, REDUCTION.a_prime, (SYSTEM,)),
+        ((1, 1), 2, REDUCTION.a_prime, (SYSTEM,)),
+        f"SurfaceCertificate(degrees=(1, 1), scale=1, a_prime={REDUCTION.a_prime!r}, systems=({SYSTEM!r},))",
         False,
     ),
     CoverSpec: (
@@ -128,7 +128,7 @@ SIGNATURES = {
     CurveSystem: (
         ("torus", NO), ("side", NO), ("a_plus", NO), ("a_minus", NO), ("b_plus", NO), ("b_minus", NO),
     ),
-    SurfaceCertificate: (("degrees", NO), ("scale", NO), ("reduction", NO), ("systems", NO)),
+    SurfaceCertificate: (("degrees", NO), ("scale", NO), ("a_prime", NO), ("systems", NO)),
     CoverSpec: (("genus", NO), ("alpha", NO), ("boundary_degrees", NO)),
     CoverCertificate: (("alpha", NO), ("x", NO), ("y", NO), ("z", NO)),
 }
